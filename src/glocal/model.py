@@ -25,8 +25,11 @@ class Hyperparams:
     lambda_ weighs the latent-to-feature coupling, lambda2 the ridge
     on U/V/W, lambda3 the global correlation term, lambda4 the local
     ones.  inner_steps gradient steps are taken per block per outer
-    iteration; warm_iters alternating iterations are run without the
-    correlation terms before the full objective takes over.
+    iteration: exact line-minimizing steps for U and W (and for V when
+    k > 256), projected steps for the correlation factors.  warm_iters
+    alternating iterations are run without the correlation terms
+    before the full objective takes over.  The lambdas and tol must be
+    finite and non-negative.
     """
 
     k: int
@@ -43,6 +46,9 @@ class Hyperparams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        for name in ("lambda_", "lambda2", "lambda3", "lambda4", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("lambda_", "lambda2", "lambda3", "lambda4"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

@@ -14,15 +14,20 @@ all instances and F_m its restriction to group m.  Each outer iteration
 updates the blocks in the order Z_1..Z_g, V, U, W.  Z updates are
 projected gradient steps (rows rescaled to unit norm, a step is kept
 only if the projected point does not increase the restricted
-objective).  U and W take backtracking gradient steps on the full
-objective; V is solved in closed form per instance column while
-k <= 256 and falls back to gradient steps above that.
+objective).  The objective is exactly quadratic in each of U, V and W,
+so U and W take exact line-minimizing gradient steps: along the
+gradient G the best step length is ||G||^2 / (2 q(G)), with q(G) the
+block's quadratic form in G, evaluated analytically.  V is solved in
+closed form per instance column while k <= 256 and takes the same
+exact gradient steps above that.
 
 Optimization starts from a warm start: the same alternating scheme with
 lambda3 = lambda4 = 0 (no correlation terms), after which randomly
-initialized unit-row factors are attached.  All products are ordered so
-that no l x l or n x n intermediate is formed; correlation quadratic
-forms go through ||Z' F||_F^2.
+initialized unit-row factors are attached.  No l x l or n x n
+intermediate is formed, and the correlation terms never form F0: with
+the k x k matrices B0 = W'XX'W and B_m = W'X_m X_m'W, group m
+contributes tr((Z_m'U) C_m (Z_m'U)') with
+C_m = (lambda3 n_m / n) B0 + lambda4 B_m.
 """
 
 from __future__ import annotations
@@ -32,14 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import factored_trace, init_factor, project_unit_rows
+from .correlation import init_factor, project_unit_rows
 from .model import GlocalModel
 
-# line search: initial step, shrink factor, sufficient-decrease
-# constant, and the number of halvings before a step is given up
+# Z step search: initial step, shrink factor, and the number of
+# halvings before a step is given up
 _STEP0 = 1.0
 _SHRINK = 0.5
-_ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 30
 
 # above this latent dimension the per-column closed-form V solves get
@@ -79,6 +83,29 @@ def _sumsq(A):
     return float(np.einsum("ij,ij->", A, A))
 
 
+def _has_correlation(hp):
+    return hp.lambda3 != 0.0 or hp.lambda4 != 0.0
+
+
+def _correlation_weights(W, ctx):
+    # one k x k C_m = (lambda3 n_m / n) B0 + lambda4 B_m per group, with
+    # B0 = W'XX'W and B_m = W'X_m X_m'W
+    hp = ctx.hp
+    XtW = ctx.X.T @ W
+    B0 = XtW.T @ XtW
+    Cs = []
+    for idx in ctx.groups:
+        P = XtW[idx]
+        Cs.append(hp.lambda3 * idx.size / ctx.n * B0 + hp.lambda4 * (P.T @ P))
+    return Cs
+
+
+def _correlation_term(Z, U, C):
+    # tr((Z'U) C (Z'U)'): one group's correlation terms without F0
+    A = Z.T @ U
+    return float(np.einsum("ij,ij->", A @ C, A))
+
+
 def _objective_arrays(U, V, W, Zs, ctx):
     hp = ctx.hp
     with np.errstate(over="ignore", invalid="ignore"):
@@ -87,12 +114,9 @@ def _objective_arrays(U, V, W, Zs, ctx):
         D = V - W.T @ ctx.X
         val += hp.lambda_ * _sumsq(D)
         val += hp.lambda2 * (_sumsq(U) + _sumsq(V) + _sumsq(W))
-        if hp.lambda3 != 0.0 or hp.lambda4 != 0.0:
-            F0 = U @ (W.T @ ctx.X)
-            for m, idx in enumerate(ctx.groups):
-                w3 = hp.lambda3 * idx.size / ctx.n
-                val += w3 * factored_trace(Zs[m], F0)
-                val += hp.lambda4 * factored_trace(Zs[m], F0[:, idx])
+        if _has_correlation(hp):
+            for Z, C in zip(Zs, _correlation_weights(W, ctx)):
+                val += _correlation_term(Z, U, C)
     return val
 
 
@@ -101,45 +125,74 @@ def objective(model, ctx):
     return _objective_arrays(model.U, model.V, model.W, model.factors, ctx)
 
 
+# Each block's gradient comes with q(G), the pure quadratic part of the
+# objective along G with the other blocks fixed:
+#   f(x - t G) = f(x) - t <grad f(x), G> + t^2 q(G).
+# The correlation weights Cs (for U) and the factor grams Ms (for W) are
+# None when lambda3 = lambda4 = 0.
+
+
 def _grad_V(U, V, W, ctx):
     hp = ctx.hp
     E = ctx.J * (U @ V - ctx.Y)
     return 2.0 * (U.T @ E) + 2.0 * hp.lambda_ * (V - W.T @ ctx.X) + 2.0 * hp.lambda2 * V
 
 
-def _group_quadratics(W, ctx):
-    # B0 = W'XX'W and one B_m = W'X_m X_m'W per group, all k x k
-    XtW = ctx.X.T @ W
-    B0 = XtW.T @ XtW
-    Bs = [XtW[idx].T @ XtW[idx] for idx in ctx.groups]
-    return B0, Bs
-
-
-def _grad_U(U, V, W, Zs, ctx):
+def _quad_V(U, G, ctx):
     hp = ctx.hp
+    return _sumsq(ctx.J * (U @ G)) + (hp.lambda_ + hp.lambda2) * _sumsq(G)
+
+
+def _grad_U(U, V, Zs, Cs, ctx):
     E = ctx.J * (U @ V - ctx.Y)
-    G = 2.0 * (E @ V.T) + 2.0 * hp.lambda2 * U
-    if hp.lambda3 != 0.0 or hp.lambda4 != 0.0:
-        B0, Bs = _group_quadratics(W, ctx)
-        for m, idx in enumerate(ctx.groups):
-            w3 = hp.lambda3 * idx.size / ctx.n
-            C = w3 * B0 + hp.lambda4 * Bs[m]
-            G += 2.0 * Zs[m] @ ((Zs[m].T @ U) @ C)
+    G = 2.0 * (E @ V.T) + 2.0 * ctx.hp.lambda2 * U
+    if Cs is not None:
+        for Z, C in zip(Zs, Cs):
+            G += 2.0 * Z @ ((Z.T @ U) @ C)
     return G
 
 
-def _grad_W(U, V, W, Zs, ctx):
+def _quad_U(G, V, Zs, Cs, ctx):
+    val = _sumsq(ctx.J * (G @ V)) + ctx.hp.lambda2 * _sumsq(G)
+    if Cs is not None:
+        for Z, C in zip(Zs, Cs):
+            val += _correlation_term(Z, G, C)
+    return val
+
+
+def _factor_grams(U, Zs):
+    # M_m = (Z_m'U)'(Z_m'U), k x k; the W step keeps U and Z fixed
+    return [A.T @ A for A in (Z.T @ U for Z in Zs)]
+
+
+def _correlation_rows(P, Ms, ctx):
+    # for P = X'W (n x k), the n x k matrix T with <P, T> equal to the
+    # correlation terms sum_m tr(M_m (w3_m P'P + lambda4 P_m'P_m)), whose
+    # gradient in W is then 2 X T
     hp = ctx.hp
-    XtW = ctx.X.T @ W
-    G = 2.0 * hp.lambda_ * (ctx.X @ (XtW - V.T)) + 2.0 * hp.lambda2 * W
-    if hp.lambda3 != 0.0 or hp.lambda4 != 0.0:
-        for m, idx in enumerate(ctx.groups):
-            ZtU = Zs[m].T @ U
-            WM = W @ (ZtU.T @ ZtU)
-            w3 = hp.lambda3 * idx.size / ctx.n
-            Xm = ctx.X[:, idx]
-            G += 2.0 * (w3 * (ctx.X @ (ctx.X.T @ WM)) + hp.lambda4 * (Xm @ (Xm.T @ WM)))
-    return G
+    Mbar = sum(hp.lambda3 * idx.size / ctx.n * M for idx, M in zip(ctx.groups, Ms))
+    T = P @ Mbar
+    for idx, M in zip(ctx.groups, Ms):
+        T[idx] += hp.lambda4 * (P[idx] @ M)
+    return T
+
+
+def _grad_W(V, W, Ms, ctx):
+    hp = ctx.hp
+    P = ctx.X.T @ W
+    R = hp.lambda_ * (P - V.T)
+    if Ms is not None:
+        R += _correlation_rows(P, Ms, ctx)
+    return 2.0 * (ctx.X @ R) + 2.0 * hp.lambda2 * W
+
+
+def _quad_W(G, Ms, ctx):
+    hp = ctx.hp
+    P = ctx.X.T @ G
+    val = hp.lambda_ * _sumsq(P) + hp.lambda2 * _sumsq(G)
+    if Ms is not None:
+        val += float(np.einsum("ij,ij->", P, _correlation_rows(P, Ms, ctx)))
+    return val
 
 
 def _grad_Z(U, C, Z):
@@ -161,25 +214,23 @@ def gradients(model, ctx):
         constraint.
     """
     U, V, W, Zs = model.U, model.V, model.W, model.factors
-    hp = ctx.hp
-    G_U = _grad_U(U, V, W, Zs, ctx)
+    Cs = _correlation_weights(W, ctx)
+    G_U = _grad_U(U, V, Zs, Cs, ctx)
     G_V = _grad_V(U, V, W, ctx)
-    G_W = _grad_W(U, V, W, Zs, ctx)
-    B0, Bs = _group_quadratics(W, ctx)
-    G_Zs = []
-    for m, idx in enumerate(ctx.groups):
-        w3 = hp.lambda3 * idx.size / ctx.n
-        C = w3 * B0 + hp.lambda4 * Bs[m]
-        G_Zs.append(_grad_Z(U, C, Zs[m]))
-    return G_U, G_V, G_W, tuple(G_Zs)
+    G_W = _grad_W(V, W, _factor_grams(U, Zs), ctx)
+    G_Zs = tuple(_grad_Z(U, C, Z) for Z, C in zip(Zs, Cs))
+    return G_U, G_V, G_W, G_Zs
 
 
 def _closed_form_V(U, W, ctx):
     hp = ctx.hp
-    k = U.shape[1]
+    l, k = U.shape
+    n = ctx.J.shape[1]
     # per column i: (U' Diag(j_i) U + (lambda+lambda2) I) v_i
-    #             = lambda W'x_i + U' Diag(j_i) y_i
-    A = np.einsum("li,ln,lj->nij", U, ctx.J, U)
+    #             = lambda W'x_i + U' Diag(j_i) y_i,
+    # all n systems at once: U' Diag(j_i) U = sum_a J[a, i] u_a u_a'
+    outer = (U[:, :, None] * U[:, None, :]).reshape(l, k * k)
+    A = (ctx.J.T @ outer).reshape(n, k, k)
     A[:, np.arange(k), np.arange(k)] += hp.lambda_ + hp.lambda2
     B = (hp.lambda_ * (W.T @ ctx.X) + U.T @ (ctx.J * ctx.Y)).T  # n x k
     sol = np.linalg.solve(A, B[:, :, None])[:, :, 0]
@@ -191,49 +242,29 @@ def closed_form_V(model, ctx):
     return _closed_form_V(model.U, model.W, ctx)
 
 
-def _descend_block(x0, f0, grad_fn, obj_fn, steps):
-    # backtracking gradient descent on one block; returns the new
-    # block, its objective value and the accepted step sizes
-    x, f_x = x0, f0
+def _exact_descent(x, grad_fn, quad_fn, steps):
+    # gradient steps of line-minimizing length on a block the objective
+    # is quadratic in; returns the new block and the step lengths
     accepted = []
     for _ in range(steps):
         G = grad_fn(x)
         gnorm2 = _sumsq(G)
         if gnorm2 == 0.0:
             break
-        t = _STEP0
-        ok = False
-        for _ in range(_MAX_BACKTRACKS + 1):
-            cand = x - t * G
-            f_new = obj_fn(cand)
-            if f_new <= f_x - _ARMIJO_C * t * gnorm2:
-                x, f_x, ok = cand, f_new, True
-                accepted.append(t)
-                break
-            t *= _SHRINK
-        if not ok:
+        q = quad_fn(G)
+        if not q > 0.0:
             break
-    return x, f_x, accepted
+        t = gnorm2 / (2.0 * q)
+        x = x - t * G
+        accepted.append(t)
+    return x, accepted
 
 
-def _z_descend(U, W, Z0, ctx, m, steps):
+def _z_descend(U, C, Z0, steps):
     # projected gradient steps on the restricted objective
-    #   h(Z) = (lambda3 n_m/n) ||Z'F0||^2 + lambda4 ||Z'F_m||^2
+    #   h(Z) = tr((Z'U) C (Z'U)')
     # a step is kept only if the projected point does not increase h
-    hp = ctx.hp
-    idx = ctx.groups[m]
-    w3 = hp.lambda3 * idx.size / ctx.n
-    XtW = ctx.X.T @ W
-    B0 = XtW.T @ XtW
-    Bm = XtW[idx].T @ XtW[idx]
-    C = w3 * B0 + hp.lambda4 * Bm
-    F0 = U @ XtW.T
-    Fm = F0[:, idx]
-
-    def h(Z):
-        return w3 * factored_trace(Z, F0) + hp.lambda4 * factored_trace(Z, Fm)
-
-    Z, h_val = Z0, h(Z0)
+    Z, h_val = Z0, _correlation_term(Z0, U, C)
     accepted = []
     for _ in range(steps):
         G = _grad_Z(U, C, Z)
@@ -243,7 +274,7 @@ def _z_descend(U, W, Z0, ctx, m, steps):
         ok = False
         for _ in range(_MAX_BACKTRACKS + 1):
             cand = project_unit_rows(Z - t * G)
-            h_new = h(cand)
+            h_new = _correlation_term(cand, U, C)
             if h_new <= h_val:
                 Z, h_val, ok = cand, h_new, True
                 accepted.append(t)
@@ -261,7 +292,8 @@ def update_Z_step(model, ctx, m, steps=1):
     restricted objective never increases.  With lambda3 = lambda4 = 0
     the gradient vanishes and the factor is returned unchanged.
     """
-    Z, _ = _z_descend(model.U, model.W, model.factors[m], ctx, m, steps)
+    C = _correlation_weights(model.W, ctx)[m]
+    Z, _ = _z_descend(model.U, C, model.factors[m], steps)
     return Z
 
 
@@ -276,43 +308,40 @@ def _sweep(U, V, W, Zs, ctx):
     # one outer iteration: Z_1..Z_g, then V, then U, then W
     hp = ctx.hp
     steps = {}
-    z_err = 0.0
+    Cs = _correlation_weights(W, ctx) if _has_correlation(hp) else None
     z_steps = []
-    for m in range(len(ctx.groups)):
-        Zs[m], acc = _z_descend(U, W, Zs[m], ctx, m, hp.inner_steps)
-        z_steps.extend(acc)
-        z_err = max(z_err, _unit_row_error([Zs[m]]))
+    if Cs is not None:
+        for m, C in enumerate(Cs):
+            Zs[m], acc = _z_descend(U, C, Zs[m], hp.inner_steps)
+            z_steps.extend(acc)
     steps["Z"] = tuple(z_steps)
+    z_err = _unit_row_error(Zs)
 
     if hp.k <= _CLOSED_FORM_MAX_K:
         V = _closed_form_V(U, W, ctx)
         steps["V"] = ()
     else:
-        f_cur = _objective_arrays(U, V, W, Zs, ctx)
-        V, _, acc = _descend_block(
+        V, acc = _exact_descent(
             V,
-            f_cur,
             lambda V_: _grad_V(U, V_, W, ctx),
-            lambda V_: _objective_arrays(U, V_, W, Zs, ctx),
+            lambda G: _quad_V(U, G, ctx),
             hp.inner_steps,
         )
         steps["V"] = tuple(acc)
 
-    f_cur = _objective_arrays(U, V, W, Zs, ctx)
-    U, f_cur, acc = _descend_block(
+    U, acc = _exact_descent(
         U,
-        f_cur,
-        lambda U_: _grad_U(U_, V, W, Zs, ctx),
-        lambda U_: _objective_arrays(U_, V, W, Zs, ctx),
+        lambda U_: _grad_U(U_, V, Zs, Cs, ctx),
+        lambda G: _quad_U(G, V, Zs, Cs, ctx),
         hp.inner_steps,
     )
     steps["U"] = tuple(acc)
 
-    W, f_cur, acc = _descend_block(
+    Ms = None if Cs is None else _factor_grams(U, Zs)
+    W, acc = _exact_descent(
         W,
-        f_cur,
-        lambda W_: _grad_W(U, V, W_, Zs, ctx),
-        lambda W_: _objective_arrays(U, V, W_, Zs, ctx),
+        lambda W_: _grad_W(V, W_, Ms, ctx),
+        lambda G: _quad_W(G, Ms, ctx),
         hp.inner_steps,
     )
     steps["W"] = tuple(acc)

@@ -257,3 +257,19 @@ def test_partition_not_covering_dataset_exits_nonzero(
              "--model-out", tmp_path / "m.model")
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--tol", "nan", "tol"), ("--lambda", "inf", "lambda_"),
+     ("--lambda2", "nan", "lambda2")],
+)
+def test_train_rejects_non_finite_hyperparameters(
+    tmp_path, synth_files, capsys, flag, value, field
+):
+    _, masked, _ = synth_files
+    model_out = tmp_path / "m.model"
+    rc = run("train", "--input", masked, "--model-out", model_out, flag, value)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {field} must be finite\n"
+    assert not model_out.exists()

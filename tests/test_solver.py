@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,11 @@ from glocal.correlation import init_factor, project_unit_rows
 from glocal.data import Dataset, FeatureMatrix, LabelMatrix, MaskSpec, apply_mask
 from glocal.model import GlocalModel, Hyperparams
 from glocal.solver import (
+    _correlation_weights,
+    _factor_grams,
+    _quad_U,
+    _quad_V,
+    _quad_W,
     closed_form_V,
     fit,
     gradients,
@@ -138,6 +146,50 @@ def test_gradients_match_finite_differences():
             return objective(at(Zs=Zs), ctx)
 
         assert rel_err(G_Zs[m], fd_gradient(obj_z, model.factors[m])) < 1e-6
+
+
+def test_block_quadratic_forms_match_objective_second_differences():
+    # along any direction G, f(x - t G) = f(x) - t <grad f(x), G> + t^2 q(G)
+    # for each of U, V and W; the exact step ||G||^2 / (2 q(G)) along the
+    # gradient is therefore the line minimum
+    rng = np.random.default_rng(19)
+    worst = 0.0
+    for trial in range(20):
+        lam = tuple(10.0 ** rng.uniform(-2, 1, size=4))
+        _, _, ctx = build_problem(
+            700 + trial,
+            lambda_=lam[0],
+            lambda2=lam[1],
+            lambda3=lam[2],
+            lambda4=lam[3],
+        )
+        model = random_model(ctx, 800 + trial)
+        U, V, W, Zs = model.U, model.V, model.W, model.factors
+        Cs = _correlation_weights(W, ctx)
+        Ms = _factor_grams(U, Zs)
+        quads = {
+            "U": lambda G: _quad_U(G, V, Zs, Cs, ctx),
+            "V": lambda G: _quad_V(U, G, ctx),
+            "W": lambda G: _quad_W(G, Ms, ctx),
+        }
+        grads = dict(zip("UVW", gradients(model, ctx)[:3]))
+        f0 = objective(model, ctx)
+
+        def f_at(name, block):
+            return objective(dataclasses.replace(model, **{name: block}), ctx)
+
+        for name, quad in quads.items():
+            x = getattr(model, name)
+            G = rng.standard_normal(x.shape)
+            second = (f_at(name, x + G) + f_at(name, x - G) - 2.0 * f0) / 2.0
+            worst = max(worst, abs(quad(G) - second) / abs(second))
+
+            G = grads[name]
+            t_star = float((G**2).sum()) / (2.0 * quad(G))
+            f_star = f_at(name, x - t_star * G)
+            for s in (0.5, 2.0):
+                assert f_star <= f_at(name, x - s * t_star * G), (trial, name, s)
+    assert worst < 1e-8, f"worst relative error of q(G) {worst:.3e}"
 
 
 def test_closed_form_v_identity_cases():
@@ -274,6 +326,45 @@ def test_fit_descends_monotonically_with_correlation_terms():
     for r in trace.records:
         assert r.z_unit_error <= 1e-12
     assert model.g == partition.g
+
+
+def test_fit_invariants_on_degenerate_inputs():
+    # every problem has label rows with no observed entry; half use one
+    # group per instance and half drop the ridge.  The objective never
+    # increases, factor rows stay unit-norm and a rerun is bitwise equal
+    rng = np.random.default_rng(21)
+    cases = itertools.product((False, True), (0.0, 0.01), range(3))
+    for trial, (singletons, lam2, rep) in enumerate(cases):
+        l = int(rng.integers(3, 7))
+        n = int(rng.integers(6, 16))
+        d = int(rng.integers(2, 5))
+        Y = rng.choice([-1, 0, 1], size=(l, n)).astype(np.int8)
+        Y[rng.choice(l, size=1 + rep % 2, replace=False)] = 0
+        data = Dataset(FeatureMatrix(rng.standard_normal((d, n))), LabelMatrix(Y))
+        if singletons:
+            partition = partition_from_assignment(data.features, np.arange(1, n + 1))
+        else:
+            partition = kmeans(data.features, 2, seed=trial)
+        lam3, lam4 = 10.0 ** rng.uniform(-2, 0.5, size=2)
+        hp = Hyperparams(
+            k=int(rng.integers(1, 4)), lambda2=lam2, lambda3=lam3, lambda4=lam4,
+            warm_iters=3, outer_iters=10, tol=0.0, seed=trial,
+        )
+        m1, t1 = fit(data, partition, hp)
+        m2, t2 = fit(data, partition, hp)
+
+        objs = t1.objectives
+        assert np.isfinite(objs).all()
+        rises = objs[1:] - objs[:-1]
+        assert (rises <= 1e-9 * np.abs(objs[:-1])).all(), (trial, rises.max())
+        assert max(r.z_unit_error for r in t1.records) <= 1e-12
+        for Z in m1.factors:
+            assert np.abs(np.einsum("ij,ij->i", Z, Z) - 1.0).max() <= 1e-12
+        assert m1.g == partition.g
+
+        for a, b in zip((m1.U, m1.V, m1.W, *m1.factors), (m2.U, m2.V, m2.W, *m2.factors)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(t1.objectives, t2.objectives)
 
 
 def test_fit_stops_on_relative_tolerance():
