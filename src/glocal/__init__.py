@@ -48,6 +48,7 @@ from .model import (
     Hyperparams,
     ModelFormatError,
     load_model,
+    parse_model,
     predict,
     save_model,
     score,
@@ -74,7 +75,7 @@ __all__ = [
     "EvaluationReport", "UndefinedMetricError", "average_auc",
     "average_precision", "coverage", "evaluate", "ranking_loss",
     "GlocalModel", "Hyperparams", "ModelFormatError", "load_model",
-    "predict", "save_model", "score",
+    "parse_model", "predict", "save_model", "score",
     "FitTrace", "ObjectiveContext", "closed_form_V", "fit", "gradients",
     "make_context", "objective", "update_Z_step", "warm_start",
 ]

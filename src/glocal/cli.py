@@ -36,6 +36,7 @@ from .data import (
 from .metrics import evaluate, ranking_loss
 from .model import Hyperparams, load_model, predict, save_model, score
 from .solver import fit
+from .textio import TokenStream, format_rows
 
 
 def make_synthetic(l, n, d, k_true, noise, seed):
@@ -60,17 +61,32 @@ def make_synthetic(l, n, d, k_true, noise, seed):
     return Dataset(FeatureMatrix(X), LabelMatrix(Y))
 
 
+_HIDDEN_CHUNK = 4096  # sidecar lines formatted or converted per call
+
+
 def write_hidden(hidden, comments=()):
-    """Serialize hidden entries as 1-based 'label_idx instance_idx value' lines."""
+    """Serialize hidden entries as 1-based 'label_idx instance_idx value' lines.
+
+    Args:
+        hidden: (m, 3) integer array, or rows, of 0-based
+            (label_idx, instance_idx, value) entries.
+        comments: optional strings emitted as leading '#' lines.
+    """
+    rows = np.asarray(hidden, dtype=np.int64).reshape(-1, 3) + (1, 1, 0)
     lines = [f"# {c}" for c in comments]
-    for j, i, v in hidden:
-        lines.append(f"{j + 1} {i + 1} {v}")
+    for start in range(0, len(rows), _HIDDEN_CHUNK):
+        block = rows[start : start + _HIDDEN_CHUNK]
+        lines.append(("%d %d %d\n" * len(block))[:-1] % tuple(block.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 
-def read_hidden(text):
-    """Parse a hidden-entry sidecar back to 0-based (label, instance, value)."""
-    out = []
+def _hidden_error(text):
+    """Raise the error for a sidecar that read_hidden's array decode rejected.
+
+    Reads the entries one at a time, in file order, and names the line of
+    the first offending one.
+    """
+    seen = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if raw.startswith("#") or raw.strip() == "":
             continue
@@ -81,35 +97,82 @@ def read_hidden(text):
             j, i, v = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise ValueError(f"line {line_no}: expected three integers") from None
-        if j < 1 or i < 1 or v not in (-1, 1):
+        # the int64 bound: no score matrix has that many rows or columns
+        if not (1 <= j < 2**63 and 1 <= i < 2**63 and v in (-1, 1)):
             raise ValueError(f"line {line_no}: bad hidden entry {raw!r}")
-        out.append((j - 1, i - 1, v))
-    return out
+        if (j, i) in seen:
+            raise ValueError(f"line {line_no}: duplicate hidden entry {raw!r}")
+        seen.add((j, i))
+    raise ValueError("malformed hidden-entry sidecar")
+
+
+def read_hidden(text):
+    """Parse a hidden-entry sidecar back to 0-based entries.
+
+    Returns:
+        (m, 3) int64 array of (label_idx, instance_idx, value) rows in
+        file order.
+
+    Raises:
+        ValueError: naming the line of the first malformed entry, or of
+            the first one repeating an earlier (label_idx, instance_idx).
+    """
+    entries = [ln for ln in text.splitlines() if not ln.startswith("#") and ln.strip()]
+    blocks = []
+    for start in range(0, len(entries), _HIDDEN_CHUNK):
+        chunk = entries[start : start + _HIDDEN_CHUNK]
+        # ';' ends each line; it sits at every fourth token only when
+        # every line holds exactly three tokens
+        tokens = " ; ".join(chunk).split()
+        if len(tokens) != 4 * len(chunk) - 1 or tokens[3::4] != [";"] * (len(chunk) - 1):
+            _hidden_error(text)
+        del tokens[3::4]
+        try:
+            blocks.append(np.array(tokens, dtype=np.int64).reshape(-1, 3))
+        except (ValueError, OverflowError):
+            _hidden_error(text)
+    hidden = np.concatenate(blocks) if blocks else np.empty((0, 3), dtype=np.int64)
+    j, i, v = hidden.T
+    if not ((j >= 1) & (i >= 1) & (np.abs(v) == 1)).all():
+        _hidden_error(text)
+    order = np.lexsort((i, j))
+    if ((np.diff(j[order]) == 0) & (np.diff(i[order]) == 0)).any():
+        _hidden_error(text)
+    return hidden - (1, 1, 0)
 
 
 def write_matrix(A, comments=()):
     """Serialize a matrix with a 'rows cols' header, full precision."""
     lines = [f"# {c}" for c in comments]
     lines.append(f"{A.shape[0]} {A.shape[1]}")
-    for row in A:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
+    lines.extend(format_rows(A))
     return "\n".join(lines) + "\n"
 
 
 def read_matrix(text):
-    """Parse a matrix written by write_matrix."""
-    tokens = []
-    for raw in text.splitlines():
-        if raw.startswith("#"):
-            continue
-        tokens.extend(raw.split())
-    if len(tokens) < 2:
+    """Parse a matrix written by write_matrix.
+
+    Raises:
+        ValueError: on a missing, non-integer or negative 'rows cols'
+            header, a non-numeric value, or a value count other than
+            rows * cols.
+    """
+    tokens = TokenStream(text.splitlines())
+    header = tokens.words(2)
+    if len(header) < 2:
         raise ValueError("matrix file needs a 'rows cols' header")
-    rows, cols = int(tokens[0]), int(tokens[1])
-    vals = [float(t) for t in tokens[2:]]
-    if len(vals) != rows * cols:
-        raise ValueError(f"expected {rows * cols} values, found {len(vals)}")
-    return np.array(vals, dtype=np.float64).reshape(rows, cols)
+    try:
+        rows, cols = int(header[0]), int(header[1])
+        if rows < 0 or cols < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"bad matrix header {' '.join(header)!r}, expected 'rows cols'"
+        ) from None
+    vals = tokens.floats()
+    if vals.size != rows * cols:
+        raise ValueError(f"expected {rows * cols} values, found {vals.size}")
+    return vals.reshape(rows, cols)
 
 
 def _require_file(path, what):
@@ -370,13 +433,15 @@ def _cmd_eval(args):
         truth = parse_gml(_read(args.truth)).labels.values
     else:
         _require_file(args.hidden, "hidden")
+        j, i, v = read_hidden(_read(args.hidden)).T
+        outside = np.flatnonzero((j >= S.shape[0]) | (i >= S.shape[1]))
+        if outside.size:
+            e = outside[0]
+            raise ValueError(
+                f"hidden entry ({j[e] + 1}, {i[e] + 1}) outside score matrix {S.shape}"
+            )
         truth = np.zeros(S.shape, dtype=np.int8)
-        for j, i, v in read_hidden(_read(args.hidden)):
-            if j >= S.shape[0] or i >= S.shape[1]:
-                raise ValueError(
-                    f"hidden entry ({j + 1}, {i + 1}) outside score matrix {S.shape}"
-                )
-            truth[j, i] = v
+        truth[j, i] = v
     report = evaluate(S, truth)
     _write(args.out, report.to_csv(comments=[f"glocal eval scores={args.scores}"]))
     print(

@@ -134,22 +134,101 @@ def _fail(line_no, message):
     raise GmlFormatError(f"line {line_no}: {message}")
 
 
-def _parse_index_csv(text, limit, line_no, seen, kind):
-    out = []
-    if text == "":
-        return out
-    for tok in text.split(","):
+# bytes that translate() deletes, leaving only the ' ' and ':' separators
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :")
+
+
+def _ints(csv):
+    """Comma-separated integers, each read as int() reads it, as int64."""
+    return np.array(csv.split(",") if csv else [], dtype=np.int64)
+
+
+def _decode_instance(raw, x, y):
+    """Write one instance line into its feature column x and label column y.
+
+    Each field is converted with one numpy call.  Returns False, with x
+    and y partly written, when the line breaks the format.
+    """
+    fields = raw.split("|")
+    if len(fields) != 3:
+        return False
+    pos_f, neg_f, feat_f = fields
+    if not pos_f.startswith("+:") or not neg_f.startswith("-:"):
+        return False
+    tokens = feat_f.split()
+    m = len(tokens)
+    joined = " ".join(tokens)
+    # the separators alternate ':' and ' ': one colon in every token
+    separators = joined.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
+    if separators != (b": " * m)[:-1]:
+        return False
+    parts = joined.replace(":", " ").split()
+    if len(parts) != 2 * m:  # an empty index or value
+        return False
+    try:
+        pos, neg = _ints(pos_f[2:]), _ints(neg_f[2:])
+        fid = np.array(parts[0::2], dtype=np.int64)
+        val = np.array(parts[1::2], dtype=np.float64)
+    except (ValueError, OverflowError):
+        return False
+    lid = np.concatenate((pos, neg))
+    for ids, limit in ((lid, y.size), (fid, x.size)):
+        if ids.size and (ids.min() < 1 or ids.max() > limit):
+            return False
+    if not np.isfinite(val).all():
+        return False
+    y[pos - 1] = 1
+    y[neg - 1] = -1
+    hit = np.zeros(x.size, dtype=bool)
+    hit[fid - 1] = True
+    # fewer positions written than indices listed: an index repeats
+    if np.count_nonzero(y) != lid.size or np.count_nonzero(hit) != fid.size:
+        return False
+    x[fid - 1] = val
+    return True
+
+
+def _check_index(tok, limit, line_no, seen, kind):
+    try:
+        idx = int(tok)
+    except ValueError:
+        _fail(line_no, f"bad {kind} index {tok!r}")
+    if not 1 <= idx <= limit:
+        _fail(line_no, f"{kind} index {idx} out of range 1..{limit}")
+    if idx in seen:
+        _fail(line_no, f"duplicate {kind} index {idx}")
+    seen.add(idx)
+
+
+def _reject(line_no, raw, l, d):
+    """Raise the error for an instance line that _decode_instance rejected.
+
+    Reads the line one token at a time, in format order, so the message
+    names the first offending token.
+    """
+    fields = raw.split("|")
+    if len(fields) != 3:
+        _fail(line_no, "expected 3 '|'-separated fields")
+    pos_f, neg_f, feat_f = fields
+    if not pos_f.startswith("+:") or not neg_f.startswith("-:"):
+        _fail(line_no, "label fields must start with '+:' and '-:'")
+    seen = set()
+    for csv in (pos_f[2:], neg_f[2:]):
+        for tok in csv.split(",") if csv else ():
+            _check_index(tok, l, line_no, seen, "label")
+    seen = set()
+    for tok in feat_f.split():
+        idx, colon, val = tok.partition(":")
+        if not colon:
+            _fail(line_no, f"bad feature token {tok!r}")
+        _check_index(idx, d, line_no, seen, "feature")
         try:
-            idx = int(tok)
+            value = float(val)
         except ValueError:
-            _fail(line_no, f"bad {kind} index {tok!r}")
-        if not 1 <= idx <= limit:
-            _fail(line_no, f"{kind} index {idx} out of range 1..{limit}")
-        if idx in seen:
-            _fail(line_no, f"duplicate {kind} index {idx}")
-        seen.add(idx)
-        out.append(idx)
-    return out
+            _fail(line_no, f"non-numeric feature value {val!r}")
+        if not math.isfinite(value):
+            _fail(line_no, f"non-finite feature value {val!r}")
+    _fail(line_no, "malformed instance line")
 
 
 def parse_gml(text):
@@ -157,7 +236,8 @@ def parse_gml(text):
 
     Format: a header line "n d l", then one line per instance of the
     form "+:<csv>|-:<csv>|<idx:value pairs>".  Indices are 1-based.
-    Lines starting with '#' are comments and are skipped.
+    Lines starting with '#' are comments and are skipped.  Indices are
+    read as int() reads them and values as float() does.
 
     Args:
         text: full file contents as a string.
@@ -199,38 +279,8 @@ def parse_gml(text):
     X = np.zeros((d, n), dtype=np.float64)
     Y = np.zeros((l, n), dtype=np.int8)
     for col, (line_no, raw) in enumerate(rows):
-        fields = raw.split("|")
-        if len(fields) != 3:
-            _fail(line_no, "expected 3 '|'-separated fields")
-        pos_f, neg_f, feat_f = fields
-        if not pos_f.startswith("+:") or not neg_f.startswith("-:"):
-            _fail(line_no, "label fields must start with '+:' and '-:'")
-        seen_labels = set()
-        for idx in _parse_index_csv(pos_f[2:], l, line_no, seen_labels, "label"):
-            Y[idx - 1, col] = 1
-        for idx in _parse_index_csv(neg_f[2:], l, line_no, seen_labels, "label"):
-            Y[idx - 1, col] = -1
-        seen_feats = set()
-        for tok in feat_f.split():
-            pair = tok.split(":", 1)
-            if len(pair) != 2:
-                _fail(line_no, f"bad feature token {tok!r}")
-            try:
-                idx = int(pair[0])
-            except ValueError:
-                _fail(line_no, f"bad feature index {pair[0]!r}")
-            if not 1 <= idx <= d:
-                _fail(line_no, f"feature index {idx} out of range 1..{d}")
-            if idx in seen_feats:
-                _fail(line_no, f"duplicate feature index {idx}")
-            seen_feats.add(idx)
-            try:
-                val = float(pair[1])
-            except ValueError:
-                _fail(line_no, f"non-numeric feature value {pair[1]!r}")
-            if not math.isfinite(val):
-                _fail(line_no, f"non-finite feature value {pair[1]!r}")
-            X[idx - 1, col] = val
+        if not _decode_instance(raw, X[:, col], Y[:, col]):
+            _reject(line_no, raw, l, d)
 
     return Dataset(FeatureMatrix(X), LabelMatrix(Y))
 
@@ -251,14 +301,14 @@ def write_gml(data, comments=()):
     """
     lines = [f"# {c}" for c in comments]
     lines.append(f"{data.n} {data.d} {data.l}")
-    Y = data.labels.values
-    X = data.features.values
-    for i in range(data.n):
-        pos = ",".join(str(j + 1) for j in np.flatnonzero(Y[:, i] == 1))
-        neg = ",".join(str(j + 1) for j in np.flatnonzero(Y[:, i] == -1))
-        feats = " ".join(
-            f"{j + 1}:{float(X[j, i])!r}" for j in np.flatnonzero(X[:, i] != 0.0)
-        )
+    for x, y in zip(data.features.values.T, data.labels.values.T):
+        fid = np.flatnonzero(x)
+        pairs = [None] * (2 * fid.size)
+        pairs[0::2] = (fid + 1).tolist()
+        pairs[1::2] = x[fid].tolist()
+        feats = " ".join(["%d:%r"] * fid.size) % tuple(pairs)
+        pos = ",".join(map(str, (np.flatnonzero(y == 1) + 1).tolist()))
+        neg = ",".join(map(str, (np.flatnonzero(y == -1) + 1).tolist()))
         lines.append(f"+:{pos}|-:{neg}|{feats}")
     return "\n".join(lines) + "\n"
 
@@ -276,9 +326,10 @@ def apply_mask(data, spec):
         spec: MaskSpec with rho percentage and RNG seed.
 
     Returns:
-        (masked Dataset, hidden entries) where hidden entries is a list
-        of (label_idx, instance_idx, value) for every observation that
-        was zeroed, 0-based, sorted by label then instance.
+        (masked Dataset, hidden entries) where hidden entries is an
+        (m, 3) int64 array with one (label_idx, instance_idx, value) row
+        for every observation that was zeroed, 0-based, sorted by label
+        then instance.
     """
     l, n = data.l, data.n
     total = l * n
@@ -291,9 +342,9 @@ def apply_mask(data, spec):
 
     Y = data.labels.values
     masked = np.where(mask, Y, 0).astype(np.int8)
-    hidden_pos = np.argwhere((Y != 0) & ~mask)
-    hidden = [(int(j), int(i), int(Y[j, i])) for j, i in hidden_pos]
-    hidden.sort()
+    # argwhere lists positions in row-major order: by label, then instance
+    pos = np.argwhere((Y != 0) & ~mask)
+    hidden = np.column_stack((pos, Y[pos[:, 0], pos[:, 1]])).astype(np.int64)
     return Dataset(data.features, LabelMatrix(masked)), hidden
 
 

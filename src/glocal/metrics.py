@@ -54,10 +54,11 @@ def ranking_loss(scores, truth):
     vals = []
     for i in range(scores.shape[1]):
         fp = scores[truth[:, i] == 1, i]
-        fn = scores[truth[:, i] == -1, i]
+        fn = np.sort(scores[truth[:, i] == -1, i])
         if fp.size == 0 or fn.size == 0:
             continue
-        bad = int(np.sum(fp[:, None] <= fn[None, :]))
+        # pairs with fp <= fn: each positive loses to the negatives at or above it
+        bad = int(fp.size * fn.size - np.searchsorted(fn, fp, side="left").sum())
         vals.append(bad / (fp.size * fn.size))
     if not vals:
         raise UndefinedMetricError("ranking_loss: every instance was skipped")
@@ -70,10 +71,11 @@ def average_auc(scores, truth):
     vals = []
     for j in range(scores.shape[0]):
         fp = scores[j, truth[j] == 1]
-        fn = scores[j, truth[j] == -1]
+        fn = np.sort(scores[j, truth[j] == -1])
         if fp.size == 0 or fn.size == 0:
             continue
-        good = int(np.sum(fp[:, None] >= fn[None, :]))
+        # pairs with fp >= fn: each positive beats the negatives at or below it
+        good = int(np.searchsorted(fn, fp, side="right").sum())
         vals.append(good / (fp.size * fn.size))
     if not vals:
         raise UndefinedMetricError("average_auc: every label was skipped")

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .textio import TokenStream, format_rows
+
 MODEL_MAGIC = "GLOCAL-MODEL v1"
 
 
@@ -144,10 +146,7 @@ class ModelFormatError(ValueError):
 
 def _format_block(name, block):
     rows, cols = block.shape
-    lines = [f"{name} {rows} {cols}"]
-    for row in block:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return lines
+    return [f"{name} {rows} {cols}", *format_rows(block)]
 
 
 def save_model(model, sink, comments=()):
@@ -176,32 +175,17 @@ def save_model(model, sink, comments=()):
         Path(sink).write_text(text, encoding="utf-8")
 
 
-class _TokenReader:
-    def __init__(self, lines):
-        # comment lines are allowed anywhere after the magic line
-        self.tokens = []
-        for line in lines:
-            if line.startswith("#"):
-                continue
-            self.tokens.extend(line.split())
-        self.pos = 0
-
-    def take(self, count):
-        if self.pos + count > len(self.tokens):
-            raise ModelFormatError(
-                f"unexpected end of file: wanted {count} more tokens, "
-                f"found {len(self.tokens) - self.pos}"
-            )
-        out = self.tokens[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-    def done(self):
-        return self.pos == len(self.tokens)
+def _words(tokens, count):
+    out = tokens.words(count)
+    if len(out) < count:
+        raise ModelFormatError(
+            f"unexpected end of file: wanted {count} more tokens, found {len(out)}"
+        )
+    return out
 
 
-def _read_block(reader, name, rows, cols):
-    header = reader.take(3)
+def _read_block(tokens, name, rows, cols):
+    header = _words(tokens, 3)
     if header[0] != name:
         raise ModelFormatError(f"expected block {name!r}, found {header[0]!r}")
     try:
@@ -212,21 +196,27 @@ def _read_block(reader, name, rows, cols):
         raise ModelFormatError(f"block {name}: expected {rows} rows, found {got_rows}")
     if cols is not None and got_cols != cols:
         raise ModelFormatError(f"block {name}: expected {cols} cols, found {got_cols}")
-    raw = reader.take(got_rows * got_cols)
+    if got_cols < 0:  # V's column count is the one the dimension line leaves free
+        raise ModelFormatError(f"bad shape header for block {name}")
+    count = got_rows * got_cols
     try:
-        flat = [float(t) for t in raw]
+        flat = tokens.floats(count)
     except ValueError as exc:
         raise ModelFormatError(f"block {name}: non-numeric value ({exc})") from None
-    if not all(math.isfinite(v) for v in flat):
+    if flat.size < count:
+        raise ModelFormatError(
+            f"unexpected end of file: wanted {count} more tokens, found {flat.size}"
+        )
+    if not np.isfinite(flat).all():
         raise ModelFormatError(f"block {name}: non-finite value")
-    return np.array(flat, dtype=np.float64).reshape(got_rows, got_cols)
+    return flat.reshape(got_rows, got_cols)
 
 
-def load_model(source):
-    """Read a model written by save_model.
+def parse_model(text):
+    """Parse model file contents written by save_model.
 
     Args:
-        source: path, text file object, or the file contents.
+        text: the file contents as a string.
 
     Returns:
         GlocalModel.
@@ -234,14 +224,6 @@ def load_model(source):
     Raises:
         ModelFormatError: on version mismatch or any malformed content.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        path = Path(source)
-        if "\n" not in str(source) and path.is_file():
-            text = path.read_text(encoding="utf-8")
-        else:
-            text = str(source)
     lines = text.splitlines()
     if not lines:
         raise ModelFormatError("empty model file")
@@ -251,18 +233,37 @@ def load_model(source):
             raise ModelFormatError(f"unsupported model version {magic!r}")
         raise ModelFormatError("not a GLOCAL model file")
 
-    reader = _TokenReader(lines[1:])
-    dims = reader.take(4)
+    # comment lines are allowed anywhere after the magic line
+    tokens = TokenStream(lines[1:])
+    dims = _words(tokens, 4)
     try:
         l, d, k, g = (int(t) for t in dims)
     except ValueError:
         raise ModelFormatError(f"bad dimension line {' '.join(dims)!r}") from None
     if min(l, d, k, g) < 1:
         raise ModelFormatError(f"bad dimensions l={l} d={d} k={k} g={g}")
-    U = _read_block(reader, "U", l, k)
-    W = _read_block(reader, "W", d, k)
-    V = _read_block(reader, "V", k, None)
-    factors = tuple(_read_block(reader, f"Z_{m}", l, k) for m in range(1, g + 1))
-    if not reader.done():
+    U = _read_block(tokens, "U", l, k)
+    W = _read_block(tokens, "W", d, k)
+    V = _read_block(tokens, "V", k, None)
+    factors = tuple(_read_block(tokens, f"Z_{m}", l, k) for m in range(1, g + 1))
+    if tokens.words(1):
         raise ModelFormatError("trailing content after the last block")
     return GlocalModel(U=U, V=V, W=W, factors=factors)
+
+
+def load_model(source):
+    """Read a model file written by save_model.
+
+    Args:
+        source: path or text file object.
+
+    Returns:
+        GlocalModel.
+
+    Raises:
+        FileNotFoundError: if a path names no file.
+        ModelFormatError: on version mismatch or any malformed content.
+    """
+    if hasattr(source, "read"):
+        return parse_model(source.read())
+    return parse_model(Path(source).read_text(encoding="utf-8"))

@@ -54,13 +54,15 @@ def test_hidden_sidecar_round_trip():
     text = write_hidden(hidden, comments=["source: toy"])
     assert text.splitlines()[0] == "# source: toy"
     assert text.splitlines()[1] == "1 4 1"
-    assert read_hidden(text) == hidden
+    assert np.array_equal(read_hidden(text), hidden)
     with pytest.raises(ValueError, match="line 1"):
         read_hidden("1 2\n")
     with pytest.raises(ValueError, match="three integers"):
         read_hidden("1 2 x\n")
     with pytest.raises(ValueError, match="bad hidden entry"):
         read_hidden("1 2 0\n")
+    with pytest.raises(ValueError, match="^line 2: duplicate hidden entry"):
+        read_hidden("1 1 1\n1 1 -1\n")
 
 
 def test_matrix_round_trip():
@@ -71,6 +73,10 @@ def test_matrix_round_trip():
         read_matrix("# only a comment\n")
     with pytest.raises(ValueError, match="expected 6 values"):
         read_matrix("2 3\n1 2 3 4 5\n")
+    with pytest.raises(ValueError, match="bad matrix header"):
+        read_matrix("x 2\n1 2\n")
+    with pytest.raises(ValueError, match="bad matrix header"):
+        read_matrix("-1 -1\n5\n")
 
 
 def test_parse_grid():

@@ -149,7 +149,7 @@ def test_mask_extremes():
     data = random_dataset(rng)
     full, hidden = apply_mask(data, MaskSpec(rho=100, seed=0))
     assert np.array_equal(full.labels.values, data.labels.values)
-    assert hidden == []
+    assert np.array_equal(hidden, np.empty((0, 3), dtype=np.int64))
     none, hidden = apply_mask(data, MaskSpec(rho=0, seed=0))
     assert not none.labels.values.any()
     assert len(hidden) == int(np.count_nonzero(data.labels.values))
@@ -174,7 +174,7 @@ def test_mask_deterministic():
     a1, h1 = apply_mask(data, MaskSpec(rho=50, seed=11))
     a2, h2 = apply_mask(data, MaskSpec(rho=50, seed=11))
     b, _ = apply_mask(data, MaskSpec(rho=50, seed=12))
-    assert np.array_equal(a1.labels.values, a2.labels.values) and h1 == h2
+    assert np.array_equal(a1.labels.values, a2.labels.values) and np.array_equal(h1, h2)
     assert not np.array_equal(a1.labels.values, b.labels.values)
 
 

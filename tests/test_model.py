@@ -11,6 +11,7 @@ from glocal.model import (
     Hyperparams,
     ModelFormatError,
     load_model,
+    parse_model,
     predict,
     save_model,
     score,
@@ -90,18 +91,20 @@ def test_save_load_via_file_objects_and_text():
     text = buf.getvalue()
     assert text.splitlines()[0] == MODEL_MAGIC
     assert text.splitlines()[1] == "# seed 4"
-    for source in (io.StringIO(text), text):
-        back = load_model(source)
+    for back in (load_model(io.StringIO(text)), parse_model(text)):
         assert np.array_equal(back.U, model.U)
 
 
-def test_load_rejects_foreign_and_future_files():
+def test_load_rejects_foreign_and_future_files(tmp_path):
+    missing = tmp_path / "missing.model"
+    with pytest.raises(FileNotFoundError, match="missing.model"):
+        load_model(str(missing))
     with pytest.raises(ModelFormatError, match="not a GLOCAL model"):
-        load_model("n d l\nwhatever")
+        parse_model("n d l\nwhatever")
     with pytest.raises(ModelFormatError, match="unsupported model version"):
-        load_model("GLOCAL-MODEL v2\n1 1 1 1\n")
+        parse_model("GLOCAL-MODEL v2\n1 1 1 1\n")
     with pytest.raises(ModelFormatError, match="empty"):
-        load_model("")
+        parse_model("")
 
 
 def model_text(mutate=None):
@@ -116,28 +119,28 @@ def model_text(mutate=None):
 
 def test_load_rejects_malformed_content():
     with pytest.raises(ModelFormatError, match="expected block 'U'"):
-        load_model(model_text(lambda ls: [ls[0], ls[1], "Q 4 2"] + ls[3:]))
+        parse_model(model_text(lambda ls: [ls[0], ls[1], "Q 4 2"] + ls[3:]))
     with pytest.raises(ModelFormatError, match="expected 4 rows"):
-        load_model(
+        parse_model(
             model_text(lambda ls: [ls[0], ls[1], "U 3 2"] + ls[3:])
         )
     with pytest.raises(ModelFormatError, match="non-numeric"):
-        load_model(model_text(lambda ls: ls[:3] + ["0.5 oops"] + ls[4:]))
+        parse_model(model_text(lambda ls: ls[:3] + ["0.5 oops"] + ls[4:]))
     with pytest.raises(ModelFormatError, match="non-finite"):
-        load_model(model_text(lambda ls: ls[:3] + ["0.5 nan"] + ls[4:]))
+        parse_model(model_text(lambda ls: ls[:3] + ["0.5 nan"] + ls[4:]))
     with pytest.raises(ModelFormatError, match="trailing content"):
-        load_model(model_text(lambda ls: ls + ["0.0"]))
+        parse_model(model_text(lambda ls: ls + ["0.0"]))
     with pytest.raises(ModelFormatError, match="unexpected end of file"):
-        load_model(model_text(lambda ls: ls[:-1]))
+        parse_model(model_text(lambda ls: ls[:-1]))
     with pytest.raises(ModelFormatError, match="bad dimensions"):
-        load_model(model_text(lambda ls: [ls[0], "0 3 2 2"] + ls[2:]))
+        parse_model(model_text(lambda ls: [ls[0], "0 3 2 2"] + ls[2:]))
 
 
 def test_load_allows_comments_between_blocks():
     def inject(lines):
         return lines[:3] + ["# a mid-file note"] + lines[3:]
 
-    back = load_model(model_text(inject))
+    back = parse_model(model_text(inject))
     assert back.l == 4 and back.k == 2
 
 
