@@ -155,7 +155,7 @@ def read_partition(text, features):
     """Parse a partition file and validate it against the instance count.
 
     Every instance 1..n must appear exactly once and every group up to
-    the largest index must be nonempty.
+    the largest index must be nonempty, so no group index exceeds n.
     """
     n = features.n
     assign = np.zeros(n, dtype=np.int64)
@@ -176,6 +176,8 @@ def read_partition(text, features):
             raise ValueError(f"line {line_no}: instance {inst} assigned twice")
         if grp < 1:
             raise ValueError(f"line {line_no}: group indices are 1-based")
+        if grp > n:  # some group would be empty; also bounds the arrays built
+            raise ValueError(f"line {line_no}: group {grp} exceeds the instance count {n}")
         seen[inst - 1] = True
         assign[inst - 1] = grp
     if not seen.all():

@@ -276,8 +276,11 @@ def parse_gml(text):
             f"expected {n} instance lines, found {len(rows)}"
         )
 
-    X = np.zeros((d, n), dtype=np.float64)
-    Y = np.zeros((l, n), dtype=np.int8)
+    try:
+        X = np.zeros((d, n), dtype=np.float64)
+        Y = np.zeros((l, n), dtype=np.int8)
+    except ValueError:  # numpy cannot even describe an array that large
+        _fail(header_line, f"dimensions n={n} d={d} l={l} are too large")
     for col, (line_no, raw) in enumerate(rows):
         if not _decode_instance(raw, X[:, col], Y[:, col]):
             _reject(line_no, raw, l, d)

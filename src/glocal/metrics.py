@@ -39,12 +39,13 @@ def _check(scores, truth):
     return scores, truth
 
 
-def _ranks(f):
-    # 1-based rank by descending score, ties by ascending label index
-    l = f.shape[0]
-    order = np.lexsort((np.arange(l), -f))
-    ranks = np.empty(l, dtype=np.int64)
-    ranks[order] = np.arange(1, l + 1)
+def _ranks(scores):
+    # 1-based rank of each label within its instance column by descending
+    # score; the stable sort breaks ties by ascending label index
+    l = scores.shape[0]
+    order = np.argsort(-scores, axis=0, kind="stable")
+    ranks = np.empty(scores.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, l + 1)[:, None], axis=0)
     return ranks
 
 
@@ -85,12 +86,13 @@ def average_auc(scores, truth):
 def coverage(scores, truth):
     """Mean depth (worst positive's rank - 1) needed to cover all positives."""
     scores, truth = _check(scores, truth)
+    ranks = _ranks(scores)
     vals = []
     for i in range(scores.shape[1]):
         pos = truth[:, i] == 1
         if not pos.any():
             continue
-        vals.append(int(_ranks(scores[:, i])[pos].max()) - 1)
+        vals.append(int(ranks[pos, i].max()) - 1)
     if not vals:
         raise UndefinedMetricError("coverage: every instance was skipped")
     return float(np.mean(vals))
@@ -99,12 +101,13 @@ def coverage(scores, truth):
 def average_precision(scores, truth):
     """Mean over positives of (positives ranked at or above it) / (its rank)."""
     scores, truth = _check(scores, truth)
+    ranks = _ranks(scores)
     vals = []
     for i in range(scores.shape[1]):
         pos = truth[:, i] == 1
         if not pos.any():
             continue
-        rpos = np.sort(_ranks(scores[:, i])[pos])
+        rpos = np.sort(ranks[pos, i])
         vals.append(float(np.mean(np.arange(1, rpos.size + 1) / rpos)))
     if not vals:
         raise UndefinedMetricError("average_precision: every instance was skipped")

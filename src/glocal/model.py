@@ -26,12 +26,12 @@ class Hyperparams:
 
     lambda_ weighs the latent-to-feature coupling, lambda2 the ridge
     on U/V/W, lambda3 the global correlation term, lambda4 the local
-    ones.  inner_steps gradient steps are taken per block per outer
-    iteration: exact line-minimizing steps for U and W (and for V when
-    k > 256), projected steps for the correlation factors.  warm_iters
-    alternating iterations are run without the correlation terms
-    before the full objective takes over.  The lambdas and tol must be
-    finite and non-negative.
+    ones.  inner_steps steps are taken per block per outer iteration:
+    exact line-minimizing gradient steps for U and W (and for V when
+    k > 256), majorize-minimize steps of length 1 / (2 lambda_max) for
+    the correlation factors.  warm_iters alternating iterations are run
+    without the correlation terms before the full objective takes over.
+    The lambdas and tol must be finite and non-negative.
     """
 
     k: int

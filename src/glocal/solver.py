@@ -12,9 +12,11 @@ unit-row factor Z_m per instance group is
 with J the observation indicator, F0 = U W' X the classifier outputs on
 all instances and F_m its restriction to group m.  Each outer iteration
 updates the blocks in the order Z_1..Z_g, V, U, W.  Z updates are
-projected gradient steps (rows rescaled to unit norm, a step is kept
-only if the projected point does not increase the restricted
-objective).  The objective is exactly quadratic in each of U, V and W,
+majorize-minimize steps: the restricted objective h(Z) = tr(Z'KZ),
+K = U C_m U', is a PSD quadratic and tr(Z'Z) = l on unit rows, so with
+L = lambda_max(K) the step Z <- rows of Z - G / (2L) scaled to unit
+norm minimizes a majorizer of h and cannot increase it (Hunter & Lange
+2004).  The objective is exactly quadratic in each of U, V and W,
 so U and W take exact line-minimizing gradient steps: along the
 gradient G the best step length is ||G||^2 / (2 q(G)), with q(G) the
 block's quadratic form in G, evaluated analytically.  V is solved in
@@ -39,12 +41,6 @@ import numpy as np
 
 from .correlation import init_factor, project_unit_rows
 from .model import GlocalModel
-
-# Z step search: initial step, shrink factor, and the number of
-# halvings before a step is given up
-_STEP0 = 1.0
-_SHRINK = 0.5
-_MAX_BACKTRACKS = 30
 
 # above this latent dimension the per-column closed-form V solves get
 # replaced by gradient steps
@@ -261,36 +257,37 @@ def _exact_descent(x, grad_fn, quad_fn, steps):
 
 
 def _z_descend(U, C, Z0, steps):
-    # projected gradient steps on the restricted objective
-    #   h(Z) = tr((Z'U) C (Z'U)')
-    # a step is kept only if the projected point does not increase h
+    # majorize-minimize steps on h(Z) = tr(Z'KZ), K = U C U': with
+    # L = lambda_max(K), h(Z) - L tr(Z'Z) is concave and tr(Z'Z) = l on
+    # unit rows, so there h lies below that part's tangent plus L l, and
+    # Z - G / (2L) scaled to unit rows minimizes the bound.  L is taken
+    # from R C R' with U = QR, at most k x k, so K is never formed
+    R = np.linalg.qr(U, mode="r")
+    L = float(np.linalg.eigvalsh(R @ C @ R.T)[-1])
     Z, h_val = Z0, _correlation_term(Z0, U, C)
     accepted = []
     for _ in range(steps):
         G = _grad_Z(U, C, Z)
-        if _sumsq(G) == 0.0:
+        if _sumsq(G) == 0.0 or not L > 0.0:
             break
-        t = _STEP0
-        ok = False
-        for _ in range(_MAX_BACKTRACKS + 1):
-            cand = project_unit_rows(Z - t * G)
-            h_new = _correlation_term(cand, U, C)
-            if h_new <= h_val:
-                Z, h_val, ok = cand, h_new, True
-                accepted.append(t)
-                break
-            t *= _SHRINK
-        if not ok:
+        t = 0.5 / L
+        cand = project_unit_rows(Z - t * G)
+        h_new = _correlation_term(cand, U, C)
+        if h_new > h_val:  # only rounding can make h rise; stop there
             break
+        Z, h_val = cand, h_new
+        accepted.append(t)
     return Z, accepted
 
 
 def update_Z_step(model, ctx, m, steps=1):
-    """Projected gradient update of group factor m, other blocks fixed.
+    """Majorize-minimize update of group factor m, other blocks fixed.
 
-    Returns the updated l x k factor; rows stay unit-norm and the
-    restricted objective never increases.  With lambda3 = lambda4 = 0
-    the gradient vanishes and the factor is returned unchanged.
+    Each step takes Z - K Z / L to unit rows, with K = U C_m U' the
+    restricted objective's matrix and L = lambda_max(K).  Returns the
+    updated l x k factor; rows stay unit-norm and the restricted
+    objective never increases.  With lambda3 = lambda4 = 0 the gradient
+    vanishes and the factor is returned unchanged.
     """
     C = _correlation_weights(model.W, ctx)[m]
     Z, _ = _z_descend(model.U, C, model.factors[m], steps)

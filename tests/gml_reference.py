@@ -1,7 +1,9 @@
 """Per-token GML parser: the reference the array decoder is tested against.
 
-This is the library's earlier `parse_gml`, kept as it was: one Python
-int() or float() call per token.  tests/test_codecs.py requires
+This is the library's earlier `parse_gml`, kept as it was apart from
+the header check: one Python int() or float() call per token.  A header
+whose sizes numpy cannot allocate raises GmlFormatError naming the
+header line, as `parse_gml` does.  tests/test_codecs.py requires
 `glocal.data.parse_gml` to accept exactly the inputs this accepts, with
 identical arrays, and to name the same line when it rejects one.
 """
@@ -65,8 +67,11 @@ def parse_gml_reference(text):
             f"expected {n} instance lines, found {len(rows)}"
         )
 
-    X = np.zeros((d, n), dtype=np.float64)
-    Y = np.zeros((l, n), dtype=np.int8)
+    try:
+        X = np.zeros((d, n), dtype=np.float64)
+        Y = np.zeros((l, n), dtype=np.int8)
+    except ValueError:
+        _fail(header_line, f"dimensions n={n} d={d} l={l} are too large")
     for col, (line_no, raw) in enumerate(rows):
         fields = raw.split("|")
         if len(fields) != 3:

@@ -1,8 +1,9 @@
 """Property and format-freeze tests of the text codecs.
 
 The array decoders must accept exactly what the per-token reference
-accepts, every writer must round-trip bit-exactly, and the bytes each
-writer produces are frozen against literal strings.
+accepts, the partition reader may reject input only with ValueError,
+every writer must round-trip bit-exactly, and the bytes each writer
+produces are frozen against literal strings.
 """
 
 import io
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gml_reference import parse_gml_reference
+from glocal.clustering import partition_from_assignment, read_partition, write_partition
 from glocal.cli import read_hidden, read_matrix, write_hidden, write_matrix
 from glocal.data import (
     Dataset,
@@ -132,6 +134,39 @@ def test_gml_fuzz_reaches_both_outcomes():
     assert outcomes["accepted"] >= 20 and outcomes["rejected"] >= 20
 
 
+# ---- (a') fuzzed partition files ----------------------------------------
+
+PART_SNIPPETS = [
+    "", " ", "\t", "#", "\n", "\r", "-", "-1", "0", "1", "_", ".5", "x", "١", "\x00",
+    "99999999999999999999", str(2**63), " 7", "1 2",
+]
+
+
+@st.composite
+def partition_text(draw):
+    n = draw(st.integers(1, 6))
+    group = st.one_of(st.integers(1, n), st.integers(-3, 2**70))
+    rows = [f"{i} {draw(group)}" for i in draw(st.permutations(range(1, n + 1)))]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["# c", "", "  "])))
+    text = "\n".join(rows) + draw(st.sampled_from(["\n", ""]))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(PART_SNIPPETS)) + text[at + draw(st.integers(0, 2)):]
+    return text, n
+
+
+@FUZZ
+@given(partition_text())
+def test_read_partition_rejects_only_with_value_error(case):
+    text, n = case
+    try:
+        part = read_partition(text, FeatureMatrix(np.zeros((1, n))))
+    except ValueError:
+        return
+    assert part.n == n and part.sizes.sum() == n and (part.sizes >= 1).all()
+
+
 # ---- (b) bit-exact round trips ------------------------------------------
 
 FLOAT = st.one_of(
@@ -191,6 +226,24 @@ def test_model_round_trip_is_bit_exact(data):
         for got, want in zip((back.U, back.V, back.W, *back.factors),
                              (model.U, model.V, model.W, *model.factors)):
             assert same_bits(got, want)
+
+
+@ROUND_TRIP
+@given(st.data())
+def test_partition_round_trip_is_exact(data):
+    n = data.draw(st.integers(1, 12))
+    raw = data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    assignment = np.unique(raw, return_inverse=True)[1].reshape(n) + 1  # no empty group
+    X = data.draw(arrays(np.float64, (2, n), elements=st.floats(-1e300, 1e300)))
+    features = FeatureMatrix(X)
+    part = partition_from_assignment(features, assignment)
+    # lines may come in any order, between comments and blank lines
+    lines = write_partition(part, comments=["g"]).splitlines()
+    lines = data.draw(st.permutations(lines)) + ["", "# end"]
+    back = read_partition("\n".join(lines), features)
+    assert same_bits(back.assignment, part.assignment)
+    assert same_bits(back.sizes, part.sizes)
+    assert same_bits(back.centroids, part.centroids)
 
 
 def test_readers_accept_any_line_layout():

@@ -69,6 +69,10 @@ def test_indicator_tracks_values():
         ("1 3 3\n+:1|-:2|4:0.5\n", 2),  # feature index out of range
         ("2 3 3\n+:1|-:2\n+:|-:|\n", 2),  # missing field
         ("# hi\n2 3 3\n# hmm\n+:1|-:|\n+:x|-:|\n", 5),  # line numbers count comments
+        # sizes numpy cannot allocate are reported at the header line
+        ("# big\n1 99999999999999999999 2\n+:1|-:2|\n", 2),
+        ("# big\n1 2 99999999999999999999\n+:1|-:2|\n", 2),
+        ("# big\n1 9223372036854775807 2\n+:1|-:2|\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no):

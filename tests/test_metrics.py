@@ -211,11 +211,18 @@ def test_input_validation():
 
 def test_random_cases_match_oracle():
     rng = np.random.default_rng(3)
+    ties = np.random.default_rng(4)
     agreements = 0
-    for _ in range(200):
-        l, p = int(rng.integers(2, 7)), int(rng.integers(1, 7))
-        scores = rng.standard_normal((l, p))
-        truth = rng.choice([-1, 0, 1], size=(l, p))
+    for trial in range(260):
+        if trial < 200:
+            l, p = int(rng.integers(2, 7)), int(rng.integers(1, 7))
+            scores = rng.standard_normal((l, p))
+            truth = rng.choice([-1, 0, 1], size=(l, p))
+        else:
+            # tie-heavy scores, signed zeros among them
+            l, p = int(ties.integers(2, 7)), int(ties.integers(1, 7))
+            scores = ties.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(l, p))
+            truth = ties.choice([-1, 0, 1], size=(l, p))
         for mine, ref in (
             (ranking_loss, oracle_rkl),
             (average_auc, oracle_auc),

@@ -268,6 +268,39 @@ def test_z_step_keeps_unit_rows_and_never_increases():
             assert objective(moved, ctx) <= f_before + 1e-12 * (1.0 + abs(f_before))
 
 
+def test_z_step_is_the_majorize_minimize_step():
+    # one step maps Z to the unit rows of Z - K Z / L, with K the dense
+    # l x l matrix of group m's correlation terms, tr(Z'KZ), built from
+    # F0 = U W'X as the objective defines them, and L = lambda_max(K)
+    cases = [
+        (dict(l=5, n=12, d=4, k=3), 1.0, 0.5, False),
+        (dict(l=4, n=10, d=6, k=7), 0.3, 2.0, False),  # k > l
+        (dict(l=6, n=8, d=2, k=4), 0.7, 0.0, True),  # singular C_m, k > d
+        (dict(l=3, n=6, d=3, k=5), 0.0, 1.5, True),  # rank-1 C_m, k > l
+    ]
+    for trial, (shape, lam3, lam4, singletons) in enumerate(cases * 3):
+        rng = np.random.default_rng(700 + trial)
+        l, n, d, k = shape["l"], shape["n"], shape["d"], shape["k"]
+        X = rng.standard_normal((d, n))
+        Y = rng.choice([-1, 1], size=(l, n)).astype(np.int8)
+        data = Dataset(FeatureMatrix(X), LabelMatrix(Y))
+        labels = np.arange(1, n + 1) if singletons else 1 + np.arange(n) % 2
+        partition = partition_from_assignment(data.features, labels)
+        hp = Hyperparams(k=k, lambda3=lam3, lambda4=lam4, seed=trial)
+        ctx = make_context(data, partition, hp)
+        model = random_model(ctx, 800 + trial)
+        F0 = model.U @ model.W.T @ X
+        for m, idx in enumerate(ctx.groups):
+            Fm = F0[:, idx]
+            K = lam3 * idx.size / n * F0 @ F0.T + lam4 * Fm @ Fm.T
+            L = np.linalg.eigvalsh(K)[-1]
+            Z = model.factors[m]
+            want = project_unit_rows(Z - K @ Z / L)
+            got = update_Z_step(model, ctx, m, steps=1)
+            assert not np.array_equal(got, Z)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
 def test_z_step_is_identity_without_correlation_terms():
     _, _, ctx = build_problem(7, lambda3=0.0, lambda4=0.0)
     model = random_model(ctx, 8)
