@@ -20,7 +20,6 @@ class Partition:
     g: int
     assignment: np.ndarray  # length n, values in 1..g
     sizes: np.ndarray  # length g, all >= 1
-    centroids: np.ndarray  # g x d group means
 
     def __post_init__(self):
         assign = np.array(self.assignment, dtype=np.int64, copy=True)
@@ -29,9 +28,6 @@ class Partition:
         sizes = np.array(self.sizes, dtype=np.int64, copy=True)
         sizes.setflags(write=False)
         object.__setattr__(self, "sizes", sizes)
-        cent = np.array(self.centroids, dtype=np.float64, copy=True)
-        cent.setflags(write=False)
-        object.__setattr__(self, "centroids", cent)
         if self.g < 1:
             raise ValueError("need at least one group")
         if assign.min(initial=1) < 1 or assign.max(initial=self.g) > self.g:
@@ -41,8 +37,6 @@ class Partition:
             raise ValueError("sizes do not match assignment counts")
         if (sizes < 1).any():
             raise ValueError("every group must be nonempty")
-        if cent.shape[0] != self.g:
-            raise ValueError("need one centroid per group")
 
     @property
     def n(self):
@@ -54,7 +48,7 @@ class Partition:
 
 
 def partition_from_assignment(features, assignment):
-    """Build a Partition from 1-based group labels, centroids = group means."""
+    """Build a Partition from 1-based group labels."""
     assign = np.asarray(assignment, dtype=np.int64)
     if assign.shape != (features.n,):
         raise ValueError("assignment length must equal the instance count")
@@ -65,11 +59,7 @@ def partition_from_assignment(features, assignment):
     if (sizes < 1).any():
         empty = int(np.flatnonzero(sizes < 1)[0]) + 1
         raise ValueError(f"group {empty} is empty")
-    X = features.values
-    centroids = np.stack(
-        [X[:, assign == m + 1].mean(axis=1) for m in range(g)]
-    )
-    return Partition(g=g, assignment=assign, sizes=sizes, centroids=centroids)
+    return Partition(g=g, assignment=assign, sizes=sizes)
 
 
 def _sq_dists(points, centers):
@@ -112,7 +102,7 @@ def kmeans(features, g, seed, max_iter=100):
         max_iter: cap on Lloyd iterations.
 
     Returns:
-        Partition with 1-based group labels and group-mean centroids.
+        Partition with 1-based group labels.
     """
     n = features.n
     if g < 1 or g > n:

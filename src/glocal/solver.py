@@ -16,12 +16,13 @@ majorize-minimize steps: the restricted objective h(Z) = tr(Z'KZ),
 K = U C_m U', is a PSD quadratic and tr(Z'Z) = l on unit rows, so with
 L = lambda_max(K) the step Z <- rows of Z - G / (2L) scaled to unit
 norm minimizes a majorizer of h and cannot increase it (Hunter & Lange
-2004).  The objective is exactly quadratic in each of U, V and W,
-so U and W take exact line-minimizing gradient steps: along the
-gradient G the best step length is ||G||^2 / (2 q(G)), with q(G) the
-block's quadratic form in G, evaluated analytically.  V is solved in
-closed form per instance column while k <= 256 and takes the same
-exact gradient steps above that.
+2004).  The objective is exactly quadratic in each of U, V and W, and
+each block is written once as a Hessian action H and a right-hand side
+b (for Z_m, H(Z) = 2KZ and b = 0): the gradient is H(x) - b, and U and
+W take exact line-minimizing gradient steps of length
+||G||^2 / <G, H(G)>, after which the gradient is G - t H(G).  V solves
+H(V) = b per instance column while k <= 256 and takes the same exact
+gradient steps above that.
 
 Optimization starts from a warm start: the same alternating scheme with
 lambda3 = lambda4 = 0 (no correlation terms), after which randomly
@@ -75,8 +76,12 @@ def make_context(dataset, partition, hp):
     )
 
 
+def _inner(A, B):
+    return float(np.einsum("ij,ij->", A, B))
+
+
 def _sumsq(A):
-    return float(np.einsum("ij,ij->", A, A))
+    return _inner(A, A)
 
 
 def _has_correlation(hp):
@@ -99,7 +104,7 @@ def _correlation_weights(W, ctx):
 def _correlation_term(Z, U, C):
     # tr((Z'U) C (Z'U)'): one group's correlation terms without F0
     A = Z.T @ U
-    return float(np.einsum("ij,ij->", A @ C, A))
+    return _inner(A @ C, A)
 
 
 def _objective_arrays(U, V, W, Zs, ctx):
@@ -121,39 +126,33 @@ def objective(model, ctx):
     return _objective_arrays(model.U, model.V, model.W, model.factors, ctx)
 
 
-# Each block's gradient comes with q(G), the pure quadratic part of the
-# objective along G with the other blocks fixed:
-#   f(x - t G) = f(x) - t <grad f(x), G> + t^2 q(G).
-# The correlation weights Cs (for U) and the factor grams Ms (for W) are
-# None when lambda3 = lambda4 = 0.
+# Each block is its Hessian action H and right-hand side b with the
+# other blocks fixed, f(x) = 1/2 <x, H(x)> - <b, x> + const: the gradient
+# is H(x) - b, the step t = ||G||^2 / <G, H(G)> along G is the line
+# minimum and leaves the gradient G - t H(G) (Nocedal & Wright, ch. 5).
+# Y is zero where J is, so J o Y = Y.  The correlation weights Cs (for U)
+# and the factor grams Ms (for W) are None when lambda3 = lambda4 = 0.
 
 
-def _grad_V(U, V, W, ctx):
-    hp = ctx.hp
-    E = ctx.J * (U @ V - ctx.Y)
-    return 2.0 * (U.T @ E) + 2.0 * hp.lambda_ * (V - W.T @ ctx.X) + 2.0 * hp.lambda2 * V
-
-
-def _quad_V(U, G, ctx):
-    hp = ctx.hp
-    return _sumsq(ctx.J * (U @ G)) + (hp.lambda_ + hp.lambda2) * _sumsq(G)
-
-
-def _grad_U(U, V, Zs, Cs, ctx):
-    E = ctx.J * (U @ V - ctx.Y)
-    G = 2.0 * (E @ V.T) + 2.0 * ctx.hp.lambda2 * U
+def _hess_U(G, V, Zs, Cs, ctx):
+    H = 2.0 * ((ctx.J * (G @ V)) @ V.T) + 2.0 * ctx.hp.lambda2 * G
     if Cs is not None:
         for Z, C in zip(Zs, Cs):
-            G += 2.0 * Z @ ((Z.T @ U) @ C)
-    return G
+            H += 2.0 * Z @ ((Z.T @ G) @ C)
+    return H
 
 
-def _quad_U(G, V, Zs, Cs, ctx):
-    val = _sumsq(ctx.J * (G @ V)) + ctx.hp.lambda2 * _sumsq(G)
-    if Cs is not None:
-        for Z, C in zip(Zs, Cs):
-            val += _correlation_term(Z, G, C)
-    return val
+def _rhs_U(V, ctx):
+    return 2.0 * (ctx.Y @ V.T)
+
+
+def _hess_V(U, G, ctx):
+    hp = ctx.hp
+    return 2.0 * (U.T @ (ctx.J * (U @ G))) + 2.0 * (hp.lambda_ + hp.lambda2) * G
+
+
+def _rhs_V(U, W, ctx):
+    return 2.0 * (U.T @ ctx.Y) + 2.0 * ctx.hp.lambda_ * (W.T @ ctx.X)
 
 
 def _factor_grams(U, Zs):
@@ -173,32 +172,27 @@ def _correlation_rows(P, Ms, ctx):
     return T
 
 
-def _grad_W(V, W, Ms, ctx):
-    hp = ctx.hp
-    P = ctx.X.T @ W
-    R = hp.lambda_ * (P - V.T)
-    if Ms is not None:
-        R += _correlation_rows(P, Ms, ctx)
-    return 2.0 * (ctx.X @ R) + 2.0 * hp.lambda2 * W
-
-
-def _quad_W(G, Ms, ctx):
+def _hess_W(G, Ms, ctx):
     hp = ctx.hp
     P = ctx.X.T @ G
-    val = hp.lambda_ * _sumsq(P) + hp.lambda2 * _sumsq(G)
+    R = hp.lambda_ * P
     if Ms is not None:
-        val += float(np.einsum("ij,ij->", P, _correlation_rows(P, Ms, ctx)))
-    return val
+        R += _correlation_rows(P, Ms, ctx)
+    return 2.0 * (ctx.X @ R) + 2.0 * hp.lambda2 * G
+
+
+def _rhs_W(V, ctx):
+    return 2.0 * ctx.hp.lambda_ * (ctx.X @ V.T)
 
 
 def _grad_Z(U, C, Z):
-    # gradient of the unconstrained restricted objective at Z, with
-    # C = (lambda3 n_m / n) B0 + lambda4 B_m
+    # H(Z) of the restricted objective h(Z) = tr(Z'KZ), K = U C U', with
+    # C = (lambda3 n_m / n) B0 + lambda4 B_m; b = 0, so also its gradient
     return 2.0 * U @ (C @ (U.T @ Z))
 
 
 def gradients(model, ctx):
-    """Analytic gradients of the full objective.
+    """Analytic gradients of the full objective, each block's H(x) - b.
 
     Args:
         model: GlocalModel giving the evaluation point.
@@ -211,9 +205,9 @@ def gradients(model, ctx):
     """
     U, V, W, Zs = model.U, model.V, model.W, model.factors
     Cs = _correlation_weights(W, ctx)
-    G_U = _grad_U(U, V, Zs, Cs, ctx)
-    G_V = _grad_V(U, V, W, ctx)
-    G_W = _grad_W(V, W, _factor_grams(U, Zs), ctx)
+    G_U = _hess_U(U, V, Zs, Cs, ctx) - _rhs_U(V, ctx)
+    G_V = _hess_V(U, V, ctx) - _rhs_V(U, W, ctx)
+    G_W = _hess_W(W, _factor_grams(U, Zs), ctx) - _rhs_W(V, ctx)
     G_Zs = tuple(_grad_Z(U, C, Z) for Z, C in zip(Zs, Cs))
     return G_U, G_V, G_W, G_Zs
 
@@ -222,13 +216,12 @@ def _closed_form_V(U, W, ctx):
     hp = ctx.hp
     l, k = U.shape
     n = ctx.J.shape[1]
-    # per column i: (U' Diag(j_i) U + (lambda+lambda2) I) v_i
-    #             = lambda W'x_i + U' Diag(j_i) y_i,
+    # per column i: (U' Diag(j_i) U + (lambda+lambda2) I) v_i = b_i / 2,
     # all n systems at once: U' Diag(j_i) U = sum_a J[a, i] u_a u_a'
     outer = (U[:, :, None] * U[:, None, :]).reshape(l, k * k)
     A = (ctx.J.T @ outer).reshape(n, k, k)
     A[:, np.arange(k), np.arange(k)] += hp.lambda_ + hp.lambda2
-    B = (hp.lambda_ * (W.T @ ctx.X) + U.T @ (ctx.J * ctx.Y)).T  # n x k
+    B = 0.5 * _rhs_V(U, W, ctx).T  # n x k
     sol = np.linalg.solve(A, B[:, :, None])[:, :, 0]
     return sol.T.copy()
 
@@ -238,20 +231,27 @@ def closed_form_V(model, ctx):
     return _closed_form_V(model.U, model.W, ctx)
 
 
-def _exact_descent(x, grad_fn, quad_fn, steps):
-    # gradient steps of line-minimizing length on a block the objective
-    # is quadratic in; returns the new block and the step lengths
+def _exact_descent(x, hess, b, steps):
+    # exact gradient steps on the block (H, b) = (hess, b); returns the
+    # new block and the step lengths.  b and each hess(G) are freed once
+    # used, so at most one of them is alive next to x and G
+    G = hess(x)
+    G -= b
+    del b
     accepted = []
     for _ in range(steps):
-        G = grad_fn(x)
         gnorm2 = _sumsq(G)
         if gnorm2 == 0.0:
             break
-        q = quad_fn(G)
-        if not q > 0.0:
+        HG = hess(G)
+        curv = _inner(G, HG)
+        if not curv > 0.0:
             break
-        t = gnorm2 / (2.0 * q)
+        t = gnorm2 / curv
         x = x - t * G
+        HG *= t
+        G -= HG
+        del HG
         accepted.append(t)
     return x, accepted
 
@@ -264,18 +264,19 @@ def _z_descend(U, C, Z0, steps):
     # from R C R' with U = QR, at most k x k, so K is never formed
     R = np.linalg.qr(U, mode="r")
     L = float(np.linalg.eigvalsh(R @ C @ R.T)[-1])
-    Z, h_val = Z0, _correlation_term(Z0, U, C)
+    Z, G = Z0, _grad_Z(U, C, Z0)
+    h_val = 0.5 * _inner(Z, G)
     accepted = []
     for _ in range(steps):
-        G = _grad_Z(U, C, Z)
         if _sumsq(G) == 0.0 or not L > 0.0:
             break
         t = 0.5 / L
         cand = project_unit_rows(Z - t * G)
-        h_new = _correlation_term(cand, U, C)
+        G_new = _grad_Z(U, C, cand)
+        h_new = 0.5 * _inner(cand, G_new)
         if h_new > h_val:  # only rounding can make h rise; stop there
             break
-        Z, h_val = cand, h_new
+        Z, G, h_val = cand, G_new, h_new
         accepted.append(t)
     return Z, accepted
 
@@ -319,27 +320,18 @@ def _sweep(U, V, W, Zs, ctx):
         steps["V"] = ()
     else:
         V, acc = _exact_descent(
-            V,
-            lambda V_: _grad_V(U, V_, W, ctx),
-            lambda G: _quad_V(U, G, ctx),
-            hp.inner_steps,
+            V, lambda G: _hess_V(U, G, ctx), _rhs_V(U, W, ctx), hp.inner_steps
         )
         steps["V"] = tuple(acc)
 
     U, acc = _exact_descent(
-        U,
-        lambda U_: _grad_U(U_, V, Zs, Cs, ctx),
-        lambda G: _quad_U(G, V, Zs, Cs, ctx),
-        hp.inner_steps,
+        U, lambda G: _hess_U(G, V, Zs, Cs, ctx), _rhs_U(V, ctx), hp.inner_steps
     )
     steps["U"] = tuple(acc)
 
     Ms = None if Cs is None else _factor_grams(U, Zs)
     W, acc = _exact_descent(
-        W,
-        lambda W_: _grad_W(V, W_, Ms, ctx),
-        lambda G: _quad_W(G, Ms, ctx),
-        hp.inner_steps,
+        W, lambda G: _hess_W(G, Ms, ctx), _rhs_W(V, ctx), hp.inner_steps
     )
     steps["W"] = tuple(acc)
     return U, V, W, Zs, steps, z_err

@@ -45,9 +45,6 @@ def test_two_point_clouds():
     labels = part.assignment
     assert len(set(labels[:5])) == 1 and len(set(labels[5:])) == 1
     assert labels[0] != labels[5]
-    for m in range(2):
-        members = points[labels == m + 1]
-        assert np.allclose(part.centroids[m], members.mean(axis=0))
 
 
 def test_g_equals_one():
@@ -55,7 +52,6 @@ def test_g_equals_one():
     points = rng.standard_normal((6, 3))
     part = kmeans(FeatureMatrix(points.T), 1, seed=0)
     assert np.array_equal(part.assignment, np.ones(6, dtype=int))
-    assert np.allclose(part.centroids[0], points.mean(axis=0))
 
 
 def test_g_equals_n_distinct_points():
@@ -80,7 +76,6 @@ def test_deterministic_per_seed():
     a = kmeans(feats, 3, seed=7)
     b = kmeans(feats, 3, seed=7)
     assert np.array_equal(a.assignment, b.assignment)
-    assert np.array_equal(a.centroids, b.centroids)
 
 
 def test_wcss_non_increasing_over_iterations():
@@ -133,13 +128,15 @@ def test_partition_validation():
     part = partition_from_assignment(feats, [1, 1, 2, 2])
     assert part.g == 2
     assert part.sizes.tolist() == [2, 2]
-    assert np.allclose(part.centroids[0], feats.values[:, :2].mean(axis=1))
+    # features play no part: values whose mean overflows are accepted
+    huge = partition_from_assignment(FeatureMatrix([[1.7e308, 1.7e308]]), [1, 1])
+    assert huge.g == 1 and huge.sizes.tolist() == [2]
     with pytest.raises(ValueError, match="empty"):
         partition_from_assignment(feats, [1, 1, 3, 3])
     with pytest.raises(ValueError):
         partition_from_assignment(feats, [0, 1, 1, 2])
     with pytest.raises(ValueError):
-        Partition(g=2, assignment=[1, 1], sizes=[1, 1], centroids=np.zeros((2, 1)))
+        Partition(g=2, assignment=[1, 1], sizes=[1, 1])
 
 
 def test_groups_are_0_based_indices():

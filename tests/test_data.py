@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,17 @@ def test_parse_skips_comments():
     data = parse_gml(text)
     assert data.n == 2
     assert data.features.values[0, 1] == 4.25
+
+
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_documented_gml_example_parses(doc):
+    text = (Path(__file__).resolve().parents[1] / doc).read_text(encoding="utf-8")
+    # the fenced block under the File formats entry for datasets
+    example = text.split("**Dataset (`.gml`)**", 1)[1].split("```\n", 2)[1]
+    data = parse_gml(example)
+    assert (data.n, data.d, data.l) == (3, 4, 2)
+    assert data.labels.values.T.tolist() == [[1, -1], [-1, -1], [-1, 1]]
+    assert data.features.values[:, 1].tolist() == [0.0, 2.0, 0.0, 0.0]
 
 
 def test_indicator_tracks_values():

@@ -1,8 +1,9 @@
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glocal.clustering import kmeans, partition_from_assignment
 from glocal.correlation import init_factor, project_unit_rows
@@ -10,10 +11,12 @@ from glocal.data import Dataset, FeatureMatrix, LabelMatrix, MaskSpec, apply_mas
 from glocal.model import GlocalModel, Hyperparams
 from glocal.solver import (
     _correlation_weights,
+    _correlation_term,
     _factor_grams,
-    _quad_U,
-    _quad_V,
-    _quad_W,
+    _grad_Z,
+    _hess_U,
+    _hess_V,
+    _hess_W,
     closed_form_V,
     fit,
     gradients,
@@ -150,7 +153,8 @@ def test_gradients_match_finite_differences():
 
 def test_block_quadratic_forms_match_objective_second_differences():
     # along any direction G, f(x - t G) = f(x) - t <grad f(x), G> + t^2 q(G)
-    # for each of U, V and W; the exact step ||G||^2 / (2 q(G)) along the
+    # for each of U, V and W, with q(G) = <G, H(G)> / 2 from the block's
+    # Hessian action H; the exact step ||G||^2 / (2 q(G)) along the
     # gradient is therefore the line minimum
     rng = np.random.default_rng(19)
     worst = 0.0
@@ -167,10 +171,10 @@ def test_block_quadratic_forms_match_objective_second_differences():
         U, V, W, Zs = model.U, model.V, model.W, model.factors
         Cs = _correlation_weights(W, ctx)
         Ms = _factor_grams(U, Zs)
-        quads = {
-            "U": lambda G: _quad_U(G, V, Zs, Cs, ctx),
-            "V": lambda G: _quad_V(U, G, ctx),
-            "W": lambda G: _quad_W(G, Ms, ctx),
+        hessians = {
+            "U": lambda G: _hess_U(G, V, Zs, Cs, ctx),
+            "V": lambda G: _hess_V(U, G, ctx),
+            "W": lambda G: _hess_W(G, Ms, ctx),
         }
         grads = dict(zip("UVW", gradients(model, ctx)[:3]))
         f0 = objective(model, ctx)
@@ -178,7 +182,10 @@ def test_block_quadratic_forms_match_objective_second_differences():
         def f_at(name, block):
             return objective(dataclasses.replace(model, **{name: block}), ctx)
 
-        for name, quad in quads.items():
+        for name, hess in hessians.items():
+            def quad(G, hess=hess):
+                return 0.5 * float((G * hess(G)).sum())
+
             x = getattr(model, name)
             G = rng.standard_normal(x.shape)
             second = (f_at(name, x + G) + f_at(name, x - G) - 2.0 * f0) / 2.0
@@ -290,6 +297,7 @@ def test_z_step_is_the_majorize_minimize_step():
         ctx = make_context(data, partition, hp)
         model = random_model(ctx, 800 + trial)
         F0 = model.U @ model.W.T @ X
+        Cs = _correlation_weights(model.W, ctx)
         for m, idx in enumerate(ctx.groups):
             Fm = F0[:, idx]
             K = lam3 * idx.size / n * F0 @ F0.T + lam4 * Fm @ Fm.T
@@ -299,6 +307,9 @@ def test_z_step_is_the_majorize_minimize_step():
             got = update_Z_step(model, ctx, m, steps=1)
             assert not np.array_equal(got, Z)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+            # the step's h(Z) = <Z, H(Z)> / 2 is the objective's group term
+            h = 0.5 * float((Z * _grad_Z(model.U, Cs[m], Z)).sum())
+            assert h == pytest.approx(_correlation_term(Z, model.U, Cs[m]), rel=1e-12)
 
 
 def test_z_step_is_identity_without_correlation_terms():
@@ -361,43 +372,49 @@ def test_fit_descends_monotonically_with_correlation_terms():
     assert model.g == partition.g
 
 
-def test_fit_invariants_on_degenerate_inputs():
-    # every problem has label rows with no observed entry; half use one
-    # group per instance and half drop the ridge.  The objective never
-    # increases, factor rows stay unit-norm and a rerun is bitwise equal
-    rng = np.random.default_rng(21)
-    cases = itertools.product((False, True), (0.0, 0.01), range(3))
-    for trial, (singletons, lam2, rep) in enumerate(cases):
-        l = int(rng.integers(3, 7))
-        n = int(rng.integers(6, 16))
-        d = int(rng.integers(2, 5))
-        Y = rng.choice([-1, 0, 1], size=(l, n)).astype(np.int8)
-        Y[rng.choice(l, size=1 + rep % 2, replace=False)] = 0
-        data = Dataset(FeatureMatrix(rng.standard_normal((d, n))), LabelMatrix(Y))
-        if singletons:
-            partition = partition_from_assignment(data.features, np.arange(1, n + 1))
-        else:
-            partition = kmeans(data.features, 2, seed=trial)
-        lam3, lam4 = 10.0 ** rng.uniform(-2, 0.5, size=2)
-        hp = Hyperparams(
-            k=int(rng.integers(1, 4)), lambda2=lam2, lambda3=lam3, lambda4=lam4,
-            warm_iters=3, outer_iters=10, tol=0.0, seed=trial,
-        )
-        m1, t1 = fit(data, partition, hp)
-        m2, t2 = fit(data, partition, hp)
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(
+    shape=st.tuples(st.integers(3, 6), st.integers(6, 15), st.integers(2, 4)),
+    k=st.one_of(st.integers(1, 4), st.integers(257, 300)),  # both V paths
+    singletons=st.booleans(),
+    unobserved_rows=st.integers(1, 2),
+    lam2=st.sampled_from([0.0, 0.01]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_invariants_on_degenerate_inputs(shape, k, singletons, unobserved_rows,
+                                             lam2, seed):
+    # label rows with no observed entry, optionally one group per
+    # instance and no ridge.  The objective never increases, factor rows
+    # stay unit-norm and a rerun is bitwise equal
+    l, n, d = shape
+    rng = np.random.default_rng(seed)
+    Y = rng.choice([-1, 0, 1], size=(l, n)).astype(np.int8)
+    Y[rng.choice(l, size=unobserved_rows, replace=False)] = 0
+    data = Dataset(FeatureMatrix(rng.standard_normal((d, n))), LabelMatrix(Y))
+    if singletons:
+        partition = partition_from_assignment(data.features, np.arange(1, n + 1))
+    else:
+        partition = kmeans(data.features, 2, seed=seed)
+    lam3, lam4 = 10.0 ** rng.uniform(-2, 0.5, size=2)
+    hp = Hyperparams(
+        k=k, lambda2=lam2, lambda3=lam3, lambda4=lam4,
+        warm_iters=3, outer_iters=10, tol=0.0, seed=seed,
+    )
+    m1, t1 = fit(data, partition, hp)
+    m2, t2 = fit(data, partition, hp)
 
-        objs = t1.objectives
-        assert np.isfinite(objs).all()
-        rises = objs[1:] - objs[:-1]
-        assert (rises <= 1e-9 * np.abs(objs[:-1])).all(), (trial, rises.max())
-        assert max(r.z_unit_error for r in t1.records) <= 1e-12
-        for Z in m1.factors:
-            assert np.abs(np.einsum("ij,ij->i", Z, Z) - 1.0).max() <= 1e-12
-        assert m1.g == partition.g
+    objs = t1.objectives
+    assert np.isfinite(objs).all()
+    rises = objs[1:] - objs[:-1]
+    assert (rises <= 1e-9 * np.abs(objs[:-1])).all(), rises.max()
+    assert max(r.z_unit_error for r in t1.records) <= 1e-12
+    for Z in m1.factors:
+        assert np.abs(np.einsum("ij,ij->i", Z, Z) - 1.0).max() <= 1e-12
+    assert m1.g == partition.g
 
-        for a, b in zip((m1.U, m1.V, m1.W, *m1.factors), (m2.U, m2.V, m2.W, *m2.factors)):
-            assert np.array_equal(a, b)
-        assert np.array_equal(t1.objectives, t2.objectives)
+    for a, b in zip((m1.U, m1.V, m1.W, *m1.factors), (m2.U, m2.V, m2.W, *m2.factors)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(t1.objectives, t2.objectives)
 
 
 def test_fit_stops_on_relative_tolerance():
