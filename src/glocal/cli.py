@@ -154,25 +154,27 @@ def read_matrix(text):
 
     Raises:
         ValueError: on a missing, non-integer or negative 'rows cols'
-            header, a non-numeric value, or a value count other than
-            rows * cols.
+            header or one with a side numpy cannot hold, a non-numeric
+            value, or a value count other than rows * cols.
     """
     tokens = TokenStream(text.splitlines())
     header = tokens.words(2)
     if len(header) < 2:
         raise ValueError("matrix file needs a 'rows cols' header")
+    bad_header = f"bad matrix header {' '.join(header)!r}, expected 'rows cols'"
     try:
         rows, cols = int(header[0]), int(header[1])
         if rows < 0 or cols < 0:
             raise ValueError
     except ValueError:
-        raise ValueError(
-            f"bad matrix header {' '.join(header)!r}, expected 'rows cols'"
-        ) from None
+        raise ValueError(bad_header) from None
     vals = tokens.floats()
     if vals.size != rows * cols:
         raise ValueError(f"expected {rows * cols} values, found {vals.size}")
-    return vals.reshape(rows, cols)
+    try:  # an empty matrix may still name a side numpy cannot hold
+        return vals.reshape(rows, cols)
+    except ValueError:
+        raise ValueError(bad_header) from None
 
 
 def _require_file(path, what):

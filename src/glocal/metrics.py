@@ -83,12 +83,9 @@ def average_auc(scores, truth):
     return float(np.mean(vals))
 
 
-def coverage(scores, truth):
-    """Mean depth (worst positive's rank - 1) needed to cover all positives."""
-    scores, truth = _check(scores, truth)
-    ranks = _ranks(scores)
+def _coverage(ranks, truth):
     vals = []
-    for i in range(scores.shape[1]):
+    for i in range(ranks.shape[1]):
         pos = truth[:, i] == 1
         if not pos.any():
             continue
@@ -98,12 +95,9 @@ def coverage(scores, truth):
     return float(np.mean(vals))
 
 
-def average_precision(scores, truth):
-    """Mean over positives of (positives ranked at or above it) / (its rank)."""
-    scores, truth = _check(scores, truth)
-    ranks = _ranks(scores)
+def _average_precision(ranks, truth):
     vals = []
-    for i in range(scores.shape[1]):
+    for i in range(ranks.shape[1]):
         pos = truth[:, i] == 1
         if not pos.any():
             continue
@@ -112,6 +106,18 @@ def average_precision(scores, truth):
     if not vals:
         raise UndefinedMetricError("average_precision: every instance was skipped")
     return float(np.mean(vals))
+
+
+def coverage(scores, truth):
+    """Mean depth (worst positive's rank - 1) needed to cover all positives."""
+    scores, truth = _check(scores, truth)
+    return _coverage(_ranks(scores), truth)
+
+
+def average_precision(scores, truth):
+    """Mean over positives of (positives ranked at or above it) / (its rank)."""
+    scores, truth = _check(scores, truth)
+    return _average_precision(_ranks(scores), truth)
 
 
 @dataclass(frozen=True)
@@ -161,11 +167,12 @@ def evaluate(scores, truth):
     lab_pos = (truth == 1).any(axis=1)
     lab_neg = (truth == -1).any(axis=1)
     skipped_labels = int(np.sum(~(lab_pos & lab_neg)))
+    ranks = _ranks(scores)  # shared by coverage and average precision
     return EvaluationReport(
         rkl=ranking_loss(scores, truth),
         auc=average_auc(scores, truth),
-        cvg=coverage(scores, truth),
-        ap=average_precision(scores, truth),
+        cvg=_coverage(ranks, truth),
+        ap=_average_precision(ranks, truth),
         skipped_instances=skipped_instances,
         skipped_labels=skipped_labels,
     )

@@ -27,10 +27,18 @@ gradient steps above that.
 Optimization starts from a warm start: the same alternating scheme with
 lambda3 = lambda4 = 0 (no correlation terms), after which randomly
 initialized unit-row factors are attached.  No l x l or n x n
-intermediate is formed, and the correlation terms never form F0: with
-the k x k matrices B0 = W'XX'W and B_m = W'X_m X_m'W, group m
-contributes tr((Z_m'U) C_m (Z_m'U)') with
-C_m = (lambda3 n_m / n) B0 + lambda4 B_m.
+intermediate is formed, and the correlation terms never form F0.  X
+enters them through factors computed once per fit (make_context): per
+group T_m with T_m'T_m = X_m X_m' and min(n_m, d) rows, X_m' itself or
+its QR R factor when n_m > d, so XX' = sum_m T_m'T_m.  Group m
+contributes tr((Z_m'U) C_m (Z_m'U)') with the k x k
+C_m = (lambda3 n_m / n) B0 + lambda4 B_m, B0 = W'XX'W and
+B_m = (T_m W)'(T_m W).  C_m has rank at most min(n, d) + min(n_m, d):
+where its factor Q_m = [sqrt(lambda3 n_m / n) T0 W; sqrt(lambda4) T_m W]
+(T0'T0 = XX', min(n, d) rows) has fewer rows than k, the U, Z and
+objective products go through Q_m and P = U Q_m' instead, and form no
+k x k matrix; otherwise they use C_m.  The W Hessian action uses the
+T_m in place of X.
 """
 
 from __future__ import annotations
@@ -50,7 +58,14 @@ _CLOSED_FORM_MAX_K = 256
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveContext:
-    """Fixed problem data shared by objective/gradient evaluations."""
+    """Fixed problem data shared by objective/gradient evaluations.
+
+    T stacks one factor T_m per group with T_m'T_m = X_m X_m' and
+    min(n_m, d) rows: X_m' itself when n_m <= d, else its QR R factor.
+    The groups partition the instances, so T'T = XX'.  T0 is a factor
+    of XX' with min(n, d) rows, kept only when some group's short
+    factor [T0 W; T_m W] has fewer rows than k, and None otherwise.
+    """
 
     Y: np.ndarray  # l x n observed labels as float (-1, 0, +1)
     J: np.ndarray  # l x n observation indicator as float (0/1)
@@ -58,6 +73,19 @@ class ObjectiveContext:
     groups: tuple  # g arrays of 0-based instance indices
     n: int
     hp: "Hyperparams"
+    T: np.ndarray  # stacked T_m, sum_m min(n_m, d) x d
+    T_rows: tuple  # g slices, the rows of T holding each T_m
+    T0: np.ndarray | None  # min(n, d) x d, or None
+
+
+def _gram_factor(A):
+    # T with T'T = A'A and min(rows, cols) rows
+    return A if A.shape[0] <= A.shape[1] else np.linalg.qr(A, mode="r")
+
+
+def _short_factor_rows(T, T_rows):
+    # rows of each group's factor [T0 W; T_m W], T0 having min(T.shape)
+    return [min(T.shape) + r.stop - r.start for r in T_rows]
 
 
 def make_context(dataset, partition, hp):
@@ -66,13 +94,23 @@ def make_context(dataset, partition, hp):
         raise ValueError(
             f"partition covers {partition.n} instances, dataset has {dataset.n}"
         )
+    X = dataset.features.values
+    groups = tuple(partition.groups())
+    Ts = [_gram_factor(X[:, idx].T) for idx in groups]
+    T = np.vstack(Ts)
+    ends = np.cumsum([len(Tm) for Tm in Ts])
+    T_rows = tuple(slice(e - len(Tm), e) for e, Tm in zip(ends, Ts))
+    short = any(r < hp.k for r in _short_factor_rows(T, T_rows))
     return ObjectiveContext(
         Y=dataset.labels.values.astype(np.float64),
         J=dataset.labels.indicator,
-        X=dataset.features.values,
-        groups=tuple(partition.groups()),
+        X=X,
+        groups=groups,
         n=dataset.n,
         hp=hp,
+        T=T,
+        T_rows=T_rows,
+        T0=_gram_factor(T) if short else None,
     )
 
 
@@ -89,22 +127,42 @@ def _has_correlation(hp):
 
 
 def _correlation_weights(W, ctx):
-    # one k x k C_m = (lambda3 n_m / n) B0 + lambda4 B_m per group, with
-    # B0 = W'XX'W and B_m = W'X_m X_m'W
+    # group m's weight on its correlation terms, the k x k
+    # C_m = w3 B0 + lambda4 B_m with w3 = lambda3 n_m / n, B0 = W'XX'W and
+    # B_m = W'X_m X_m'W.  Where the factor Q_m = [sqrt(w3) T0 W;
+    # sqrt(lambda4) T_m W] of C_m = Q_m'Q_m has fewer rows than k, Q_m
+    # stands in for C_m
     hp = ctx.hp
-    XtW = ctx.X.T @ W
-    B0 = XtW.T @ XtW
-    Cs = []
-    for idx in ctx.groups:
-        P = XtW[idx]
-        Cs.append(hp.lambda3 * idx.size / ctx.n * B0 + hp.lambda4 * (P.T @ P))
-    return Cs
+    TW = ctx.T @ W
+    T0W = None if ctx.T0 is None else ctx.T0 @ W
+    short = [r < W.shape[1] for r in _short_factor_rows(ctx.T, ctx.T_rows)]
+    B0 = None if all(short) else TW.T @ TW
+    weights = []
+    for idx, rows, is_short in zip(ctx.groups, ctx.T_rows, short):
+        w3 = hp.lambda3 * idx.size / ctx.n
+        TmW = TW[rows]
+        if is_short:
+            weights.append(np.vstack((np.sqrt(w3) * T0W, np.sqrt(hp.lambda4) * TmW)))
+        else:
+            weights.append(w3 * B0 + hp.lambda4 * (TmW.T @ TmW))
+    return weights
 
 
-def _correlation_term(Z, U, C):
-    # tr((Z'U) C (Z'U)'): one group's correlation terms without F0
-    A = Z.T @ U
-    return _inner(A @ C, A)
+def _is_factor(C):
+    # a weight with fewer rows than columns is the factor Q_m of C_m
+    return C.shape[0] < C.shape[1]
+
+
+def _k_split(U, C):
+    # (A, M) with K = U C_m U' = A M A': (U Q', None) for a factor Q, M
+    # standing for the identity, else (U, C_m)
+    return (U @ C.T, None) if _is_factor(C) else (U, C)
+
+
+def _correlation_term(Z, A, M):
+    # tr(Z'KZ), K = A M A': one group's correlation terms without F0
+    B = Z.T @ A
+    return _sumsq(B) if M is None else _inner(B @ M, B)
 
 
 def _objective_arrays(U, V, W, Zs, ctx):
@@ -117,7 +175,7 @@ def _objective_arrays(U, V, W, Zs, ctx):
         val += hp.lambda2 * (_sumsq(U) + _sumsq(V) + _sumsq(W))
         if _has_correlation(hp):
             for Z, C in zip(Zs, _correlation_weights(W, ctx)):
-                val += _correlation_term(Z, U, C)
+                val += _correlation_term(Z, *_k_split(U, C))
     return val
 
 
@@ -130,15 +188,20 @@ def objective(model, ctx):
 # other blocks fixed, f(x) = 1/2 <x, H(x)> - <b, x> + const: the gradient
 # is H(x) - b, the step t = ||G||^2 / <G, H(G)> along G is the line
 # minimum and leaves the gradient G - t H(G) (Nocedal & Wright, ch. 5).
-# Y is zero where J is, so J o Y = Y.  The correlation weights Cs (for U)
-# and the factor grams Ms (for W) are None when lambda3 = lambda4 = 0.
+# Y is zero where J is, so J o Y = Y.  The correlation weights Cs (for U,
+# each C_m or its factor Q_m) and the factor grams Ms (for W) are None
+# when lambda3 = lambda4 = 0.  X enters the W Hessian only through T,
+# with T'T = XX', so it never forms the n x k X'G.
 
 
 def _hess_U(G, V, Zs, Cs, ctx):
     H = 2.0 * ((ctx.J * (G @ V)) @ V.T) + 2.0 * ctx.hp.lambda2 * G
     if Cs is not None:
         for Z, C in zip(Zs, Cs):
-            H += 2.0 * Z @ ((Z.T @ G) @ C)
+            if _is_factor(C):
+                H += 2.0 * ((Z @ (Z.T @ (G @ C.T))) @ C)
+            else:
+                H += 2.0 * Z @ ((Z.T @ G) @ C)
     return H
 
 
@@ -160,35 +223,29 @@ def _factor_grams(U, Zs):
     return [A.T @ A for A in (Z.T @ U for Z in Zs)]
 
 
-def _correlation_rows(P, Ms, ctx):
-    # for P = X'W (n x k), the n x k matrix T with <P, T> equal to the
-    # correlation terms sum_m tr(M_m (w3_m P'P + lambda4 P_m'P_m)), whose
-    # gradient in W is then 2 X T
-    hp = ctx.hp
-    Mbar = sum(hp.lambda3 * idx.size / ctx.n * M for idx, M in zip(ctx.groups, Ms))
-    T = P @ Mbar
-    for idx, M in zip(ctx.groups, Ms):
-        T[idx] += hp.lambda4 * (P[idx] @ M)
-    return T
-
-
 def _hess_W(G, Ms, ctx):
+    # 2 sum_m T_m'((T_m G)(lambda I + Mbar + lambda4 M_m)) + 2 lambda2 G,
+    # Mbar = sum_m (lambda3 n_m / n) M_m
     hp = ctx.hp
-    P = ctx.X.T @ G
+    P = ctx.T @ G
     R = hp.lambda_ * P
     if Ms is not None:
-        R += _correlation_rows(P, Ms, ctx)
-    return 2.0 * (ctx.X @ R) + 2.0 * hp.lambda2 * G
+        Mbar = sum(hp.lambda3 * idx.size / ctx.n * M for idx, M in zip(ctx.groups, Ms))
+        R += P @ Mbar
+        for rows, M in zip(ctx.T_rows, Ms):
+            R[rows] += hp.lambda4 * (P[rows] @ M)
+    return 2.0 * (ctx.T.T @ R) + 2.0 * hp.lambda2 * G
 
 
 def _rhs_W(V, ctx):
     return 2.0 * ctx.hp.lambda_ * (ctx.X @ V.T)
 
 
-def _grad_Z(U, C, Z):
-    # H(Z) of the restricted objective h(Z) = tr(Z'KZ), K = U C U', with
-    # C = (lambda3 n_m / n) B0 + lambda4 B_m; b = 0, so also its gradient
-    return 2.0 * U @ (C @ (U.T @ Z))
+def _grad_Z(A, M, Z):
+    # H(Z) of the restricted objective h(Z) = tr(Z'KZ), K = A M A' from
+    # _k_split; b = 0, so also its gradient
+    B = A.T @ Z
+    return 2.0 * A @ (B if M is None else M @ B)
 
 
 def gradients(model, ctx):
@@ -208,7 +265,7 @@ def gradients(model, ctx):
     G_U = _hess_U(U, V, Zs, Cs, ctx) - _rhs_U(V, ctx)
     G_V = _hess_V(U, V, ctx) - _rhs_V(U, W, ctx)
     G_W = _hess_W(W, _factor_grams(U, Zs), ctx) - _rhs_W(V, ctx)
-    G_Zs = tuple(_grad_Z(U, C, Z) for Z, C in zip(Zs, Cs))
+    G_Zs = tuple(_grad_Z(*_k_split(U, C), Z) for Z, C in zip(Zs, Cs))
     return G_U, G_V, G_W, G_Zs
 
 
@@ -260,11 +317,17 @@ def _z_descend(U, C, Z0, steps):
     # majorize-minimize steps on h(Z) = tr(Z'KZ), K = U C U': with
     # L = lambda_max(K), h(Z) - L tr(Z'Z) is concave and tr(Z'Z) = l on
     # unit rows, so there h lies below that part's tangent plus L l, and
-    # Z - G / (2L) scaled to unit rows minimizes the bound.  L is taken
-    # from R C R' with U = QR, at most k x k, so K is never formed
-    R = np.linalg.qr(U, mode="r")
-    L = float(np.linalg.eigvalsh(R @ C @ R.T)[-1])
-    Z, G = Z0, _grad_Z(U, C, Z0)
+    # Z - G / (2L) scaled to unit rows minimizes the bound.  K is never
+    # formed: for a factor Q (C = Q'Q, fewer rows than k) K = PP' with
+    # P = UQ' formed once here, and L is the top eigenvalue of P'P;
+    # otherwise L comes from R C R' with U = QR, at most k x k
+    A, M = _k_split(U, C)
+    if M is None:
+        L = float(np.linalg.eigvalsh(A.T @ A)[-1])
+    else:
+        R = np.linalg.qr(A, mode="r")
+        L = float(np.linalg.eigvalsh(R @ M @ R.T)[-1])
+    Z, G = Z0, _grad_Z(A, M, Z0)
     h_val = 0.5 * _inner(Z, G)
     accepted = []
     for _ in range(steps):
@@ -272,7 +335,7 @@ def _z_descend(U, C, Z0, steps):
             break
         t = 0.5 / L
         cand = project_unit_rows(Z - t * G)
-        G_new = _grad_Z(U, C, cand)
+        G_new = _grad_Z(A, M, cand)
         h_new = 0.5 * _inner(cand, G_new)
         if h_new > h_val:  # only rounding can make h rise; stop there
             break

@@ -77,6 +77,11 @@ def test_matrix_round_trip():
         read_matrix("x 2\n1 2\n")
     with pytest.raises(ValueError, match="bad matrix header"):
         read_matrix("-1 -1\n5\n")
+    # an empty matrix with a side numpy cannot hold
+    for header in ("99999999999999999999 0", "4611686018427387904 0",
+                   "0 99999999999999999999"):
+        with pytest.raises(ValueError, match=f"^bad matrix header '{header}'"):
+            read_matrix(header + "\n")
 
 
 def test_parse_grid():

@@ -257,3 +257,31 @@ def test_evaluate_report_and_csv():
     row = lines[2].split(",")
     assert float(row[0]) == report.rkl
     assert int(row[4]) == 1 and int(row[5]) == 2
+
+
+def test_evaluate_ranks_once_and_matches_the_metrics(monkeypatch):
+    import glocal.metrics as metrics
+
+    calls = []
+    real_ranks = metrics._ranks
+
+    def counting_ranks(scores):
+        calls.append(scores.shape)
+        return real_ranks(scores)
+
+    monkeypatch.setattr(metrics, "_ranks", counting_ranks)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        l, p = int(rng.integers(3, 8)), int(rng.integers(2, 8))
+        scores = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(l, p))
+        truth = rng.choice([-1, 1], size=(l, p))
+        # every instance and every label from the third on has both signs
+        truth[0], truth[1] = 1, -1
+        truth[2:, 0], truth[2:, 1] = 1, -1
+        calls.clear()
+        report = evaluate(scores, truth)
+        assert calls == [(l, p)]
+        assert report.cvg == coverage(scores, truth)
+        assert report.ap == average_precision(scores, truth)
+        assert report.rkl == ranking_loss(scores, truth)
+        assert report.auc == average_auc(scores, truth)

@@ -17,6 +17,8 @@ from glocal.solver import (
     _hess_U,
     _hess_V,
     _hess_W,
+    _is_factor,
+    _k_split,
     closed_form_V,
     fit,
     gradients,
@@ -36,6 +38,47 @@ def build_problem(seed, l=5, n=12, d=4, g=2, rho=70, **hp_kwargs):
     partition = kmeans(data.features, g, seed=seed)
     hp = Hyperparams(**{"k": 3, "seed": seed, **hp_kwargs})
     return data, partition, make_context(data, partition, hp)
+
+
+# Shapes on both sides of each choice the correlation algebra makes:
+# group m's weight is C_m (k x k) or its factor Q_m, which has
+# min(n, d) + min(n_m, d) rows and is used when that is below k, and
+# T_m is X_m' for n_m <= d or an R factor for n_m > d.  Each case is
+# (l, n, d, k, group labels, lambda3, lambda4, weight kind per group),
+# "Q" for the factor and "C" for the k x k matrix.
+FACTOR_CASES = [
+    (5, 12, 4, 3, "halves", 0.3, 0.2, "CC"),  # n_m > d
+    (4, 12, 2, 6, "halves", 0.3, 0.2, "QQ"),  # n_m > d
+    (4, 6, 8, 3, "halves", 0.5, 0.7, "CC"),  # n_m < d
+    (4, 6, 8, 10, "halves", 0.5, 0.7, "QQ"),  # n_m < d
+    (4, 6, 8, 10, "halves", 0.0, 0.7, "QQ"),  # lambda3 = 0
+    (4, 12, 2, 6, "halves", 0.4, 0.0, "QQ"),  # lambda4 = 0
+    (4, 6, 8, 3, "halves", 0.0, 0.7, "CC"),  # lambda3 = 0
+    (5, 12, 4, 3, "halves", 0.4, 0.0, "CC"),  # lambda4 = 0
+    (4, 5, 3, 5, "singletons", 0.3, 0.6, "QQQQQ"),
+    (4, 5, 3, 3, "singletons", 0.3, 0.6, "CCCCC"),
+    (4, 9, 4, 6, "one+rest", 0.3, 0.2, "QC"),
+]
+
+
+def factor_case(case, seed, **hp_kwargs):
+    l, n, d, k, layout, lam3, lam4, kinds = case
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((d, n))
+    Y = rng.choice([-1, 0, 1], size=(l, n)).astype(np.int8)
+    data = Dataset(FeatureMatrix(X), LabelMatrix(Y))
+    labels = {
+        "halves": 1 + np.arange(n) % 2,
+        "singletons": np.arange(1, n + 1),
+        "one+rest": np.minimum(np.arange(1, n + 1), 2),
+    }[layout]
+    partition = partition_from_assignment(data.features, labels)
+    hp = Hyperparams(k=k, lambda3=lam3, lambda4=lam4, seed=seed, **hp_kwargs)
+    ctx = make_context(data, partition, hp)
+    model = random_model(ctx, seed + 1)
+    weights = _correlation_weights(model.W, ctx)
+    assert "".join("Q" if _is_factor(C) else "C" for C in weights) == kinds
+    return ctx, model
 
 
 def random_model(ctx, seed):
@@ -124,11 +167,7 @@ def test_objective_matches_naive_oracle():
         assert got == pytest.approx(want, rel=1e-10)
 
 
-def test_gradients_match_finite_differences():
-    _, _, ctx = build_problem(
-        2, lambda_=0.7, lambda2=0.05, lambda3=0.3, lambda4=0.2
-    )
-    model = random_model(ctx, 3)
+def check_gradients(model, ctx):
     G_U, G_V, G_W, G_Zs = gradients(model, ctx)
 
     def at(U=None, V=None, W=None, Zs=None):
@@ -151,11 +190,55 @@ def test_gradients_match_finite_differences():
         assert rel_err(G_Zs[m], fd_gradient(obj_z, model.factors[m])) < 1e-6
 
 
-def test_block_quadratic_forms_match_objective_second_differences():
+def test_gradients_match_finite_differences():
+    _, _, ctx = build_problem(
+        2, lambda_=0.7, lambda2=0.05, lambda3=0.3, lambda4=0.2
+    )
+    check_gradients(random_model(ctx, 3), ctx)
+    for trial, case in enumerate(FACTOR_CASES):
+        ctx, model = factor_case(case, 900 + trial, lambda_=0.7, lambda2=0.05)
+        check_gradients(model, ctx)
+
+
+def block_quadratic_error(model, ctx, rng, trial):
     # along any direction G, f(x - t G) = f(x) - t <grad f(x), G> + t^2 q(G)
     # for each of U, V and W, with q(G) = <G, H(G)> / 2 from the block's
     # Hessian action H; the exact step ||G||^2 / (2 q(G)) along the
-    # gradient is therefore the line minimum
+    # gradient is therefore the line minimum.  Returns the worst relative
+    # error of q(G) against the objective's central second difference
+    U, V, W, Zs = model.U, model.V, model.W, model.factors
+    Cs = _correlation_weights(W, ctx)
+    Ms = _factor_grams(U, Zs)
+    hessians = {
+        "U": lambda G: _hess_U(G, V, Zs, Cs, ctx),
+        "V": lambda G: _hess_V(U, G, ctx),
+        "W": lambda G: _hess_W(G, Ms, ctx),
+    }
+    grads = dict(zip("UVW", gradients(model, ctx)[:3]))
+    f0 = objective(model, ctx)
+
+    def f_at(name, block):
+        return objective(dataclasses.replace(model, **{name: block}), ctx)
+
+    worst = 0.0
+    for name, hess in hessians.items():
+        def quad(G, hess=hess):
+            return 0.5 * float((G * hess(G)).sum())
+
+        x = getattr(model, name)
+        G = rng.standard_normal(x.shape)
+        second = (f_at(name, x + G) + f_at(name, x - G) - 2.0 * f0) / 2.0
+        worst = max(worst, abs(quad(G) - second) / abs(second))
+
+        G = grads[name]
+        t_star = float((G**2).sum()) / (2.0 * quad(G))
+        f_star = f_at(name, x - t_star * G)
+        for s in (0.5, 2.0):
+            assert f_star <= f_at(name, x - s * t_star * G), (trial, name, s)
+    return worst
+
+
+def test_block_quadratic_forms_match_objective_second_differences():
     rng = np.random.default_rng(19)
     worst = 0.0
     for trial in range(20):
@@ -168,34 +251,10 @@ def test_block_quadratic_forms_match_objective_second_differences():
             lambda4=lam[3],
         )
         model = random_model(ctx, 800 + trial)
-        U, V, W, Zs = model.U, model.V, model.W, model.factors
-        Cs = _correlation_weights(W, ctx)
-        Ms = _factor_grams(U, Zs)
-        hessians = {
-            "U": lambda G: _hess_U(G, V, Zs, Cs, ctx),
-            "V": lambda G: _hess_V(U, G, ctx),
-            "W": lambda G: _hess_W(G, Ms, ctx),
-        }
-        grads = dict(zip("UVW", gradients(model, ctx)[:3]))
-        f0 = objective(model, ctx)
-
-        def f_at(name, block):
-            return objective(dataclasses.replace(model, **{name: block}), ctx)
-
-        for name, hess in hessians.items():
-            def quad(G, hess=hess):
-                return 0.5 * float((G * hess(G)).sum())
-
-            x = getattr(model, name)
-            G = rng.standard_normal(x.shape)
-            second = (f_at(name, x + G) + f_at(name, x - G) - 2.0 * f0) / 2.0
-            worst = max(worst, abs(quad(G) - second) / abs(second))
-
-            G = grads[name]
-            t_star = float((G**2).sum()) / (2.0 * quad(G))
-            f_star = f_at(name, x - t_star * G)
-            for s in (0.5, 2.0):
-                assert f_star <= f_at(name, x - s * t_star * G), (trial, name, s)
+        worst = max(worst, block_quadratic_error(model, ctx, rng, trial))
+    for trial, case in enumerate(FACTOR_CASES, start=20):
+        ctx, model = factor_case(case, 1000 + trial, lambda2=0.05)
+        worst = max(worst, block_quadratic_error(model, ctx, rng, trial))
     assert worst < 1e-8, f"worst relative error of q(G) {worst:.3e}"
 
 
@@ -275,10 +334,29 @@ def test_z_step_keeps_unit_rows_and_never_increases():
             assert objective(moved, ctx) <= f_before + 1e-12 * (1.0 + abs(f_before))
 
 
-def test_z_step_is_the_majorize_minimize_step():
+def check_mm_step(model, ctx):
     # one step maps Z to the unit rows of Z - K Z / L, with K the dense
     # l x l matrix of group m's correlation terms, tr(Z'KZ), built from
     # F0 = U W'X as the objective defines them, and L = lambda_max(K)
+    hp = ctx.hp
+    F0 = model.U @ model.W.T @ ctx.X
+    Cs = _correlation_weights(model.W, ctx)
+    for m, idx in enumerate(ctx.groups):
+        Fm = F0[:, idx]
+        K = hp.lambda3 * idx.size / ctx.n * F0 @ F0.T + hp.lambda4 * Fm @ Fm.T
+        L = np.linalg.eigvalsh(K)[-1]
+        Z = model.factors[m]
+        want = project_unit_rows(Z - K @ Z / L)
+        got = update_Z_step(model, ctx, m, steps=1)
+        assert not np.array_equal(got, Z)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        # the step's h(Z) = <Z, H(Z)> / 2 is the objective's group term
+        A, M = _k_split(model.U, Cs[m])
+        h = 0.5 * float((Z * _grad_Z(A, M, Z)).sum())
+        assert h == pytest.approx(_correlation_term(Z, A, M), rel=1e-12)
+
+
+def test_z_step_is_the_majorize_minimize_step():
     cases = [
         (dict(l=5, n=12, d=4, k=3), 1.0, 0.5, False),
         (dict(l=4, n=10, d=6, k=7), 0.3, 2.0, False),  # k > l
@@ -295,21 +373,30 @@ def test_z_step_is_the_majorize_minimize_step():
         partition = partition_from_assignment(data.features, labels)
         hp = Hyperparams(k=k, lambda3=lam3, lambda4=lam4, seed=trial)
         ctx = make_context(data, partition, hp)
-        model = random_model(ctx, 800 + trial)
-        F0 = model.U @ model.W.T @ X
-        Cs = _correlation_weights(model.W, ctx)
-        for m, idx in enumerate(ctx.groups):
-            Fm = F0[:, idx]
-            K = lam3 * idx.size / n * F0 @ F0.T + lam4 * Fm @ Fm.T
-            L = np.linalg.eigvalsh(K)[-1]
-            Z = model.factors[m]
-            want = project_unit_rows(Z - K @ Z / L)
-            got = update_Z_step(model, ctx, m, steps=1)
-            assert not np.array_equal(got, Z)
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-            # the step's h(Z) = <Z, H(Z)> / 2 is the objective's group term
-            h = 0.5 * float((Z * _grad_Z(model.U, Cs[m], Z)).sum())
-            assert h == pytest.approx(_correlation_term(Z, model.U, Cs[m]), rel=1e-12)
+        check_mm_step(random_model(ctx, 800 + trial), ctx)
+    for trial, case in enumerate(FACTOR_CASES):
+        ctx, model = factor_case(case, 1100 + trial)
+        check_mm_step(model, ctx)
+
+
+def test_cached_factors_reproduce_the_feature_grams():
+    # T_m'T_m = X_m X_m' with min(n_m, d) rows, T'T = sum_m T_m'T_m = XX',
+    # and T0'T0 = XX' with min(n, d) rows where a short factor needs it
+    cases = FACTOR_CASES + [(6, 40, 5, 3, "halves", 0.1, 0.1, "CC")]
+    for trial, case in enumerate(cases):
+        ctx, _ = factor_case(case, 1200 + trial)
+        X, d = ctx.X, ctx.X.shape[0]
+        XXt = X @ X.T
+        for idx, rows in zip(ctx.groups, ctx.T_rows):
+            Tm = ctx.T[rows]
+            assert Tm.shape == (min(idx.size, d), d)
+            Xm = X[:, idx]
+            assert rel_err(Tm.T @ Tm, Xm @ Xm.T) <= 1e-12
+        assert rel_err(ctx.T.T @ ctx.T, XXt) <= 1e-12
+        assert (ctx.T0 is not None) == ("Q" in case[-1])
+        if ctx.T0 is not None:
+            assert ctx.T0.shape == (min(ctx.n, d), d)
+            assert rel_err(ctx.T0.T @ ctx.T0, XXt) <= 1e-12
 
 
 def test_z_step_is_identity_without_correlation_terms():
