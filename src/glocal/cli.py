@@ -15,6 +15,7 @@ File formats owned here (all others live with their module):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import sys
 from pathlib import Path
@@ -387,12 +388,15 @@ def _cmd_train(args):
         part = kmeans(data.features, g, args.seed)
 
     model, trace = fit(data, part, hp)
+    provenance = {**dataclasses.asdict(hp), "add_bias": args.add_bias,
+                  "n": data.n, "d": data.d, "l": data.l, "g": part.g}
+    model = dataclasses.replace(model, provenance=provenance)
     stamp = (
         f"glocal train seed={args.seed} k={hp.k} g={part.g}"
         f" lambda={hp.lambda_} lambda2={hp.lambda2}"
         f" lambda3={hp.lambda3} lambda4={hp.lambda4}"
     )
-    comments = [stamp]
+    comments = ["glocal train"]  # the provenance lines carry the settings
     if grid_note:
         comments.append(f"grid selection: {grid_note}")
     save_model(model, args.model_out, comments=comments)
@@ -413,6 +417,12 @@ def _cmd_predict(args):
     if args.labels_out:
         _require_parent(args.labels_out, "labels-out")
     model = load_model(args.model)
+    trained = model.provenance.get("add_bias")
+    if trained is not None and trained != str(args.add_bias):
+        raise ValueError(
+            f"model was trained with add_bias={trained} but predict got"
+            f" add_bias={args.add_bias}; pass --add-bias exactly when train did"
+        )
     data = _load_dataset(args.input, add_bias=args.add_bias)
     S = score(model, data.features)
     stamp = f"glocal predict model={args.model} input={args.input}"

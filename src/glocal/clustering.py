@@ -62,10 +62,22 @@ def partition_from_assignment(features, assignment):
     return Partition(g=g, assignment=assign, sizes=sizes)
 
 
+# bytes of the (instances x g x d) difference block _sq_dists holds at once
+_DIST_BLOCK_BYTES = 8 << 20
+
+
 def _sq_dists(points, centers):
-    # n x g matrix of squared euclidean distances
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("ngd,ngd->ng", diff, diff)
+    # n x g matrix of squared euclidean distances, over instance chunks
+    # so the difference block stays small; each entry is the same einsum
+    # reduction over d as without chunks, so results are bitwise unchanged
+    n, d = points.shape
+    g = centers.shape[0]
+    chunk = max(1, _DIST_BLOCK_BYTES // (8 * g * max(d, 1)))
+    out = np.empty((n, g))
+    for start in range(0, n, chunk):
+        diff = points[start : start + chunk, None, :] - centers[None, :, :]
+        out[start : start + chunk] = np.einsum("ngd,ngd->ng", diff, diff)
+    return out
 
 
 def _plusplus_init(points, g, rng):

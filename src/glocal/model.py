@@ -5,19 +5,29 @@ representation V (k x n, kept for inspecting recovered training
 labels), the feature map W (d x k), and one correlation factor Z per
 instance group (each l x k with unit-norm rows).  Prediction for a new
 instance x is sign(U W' x).
+
+A model file is text: the magic line, an `l d k g` dimension line, then
+the U, W, V and Z_1..Z_g blocks, each a `name rows cols` header and one
+line per row.  A row line is the padded base64 (RFC 4648) of the row's
+values as little-endian IEEE-754 float64, so a load reproduces every
+float bit-exactly.  '#' comment lines may appear anywhere after the
+magic.
 """
 
 from __future__ import annotations
 
+import base64
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .textio import TokenStream, format_rows
+MODEL_MAGIC = "GLOCAL-MODEL v2"
 
-MODEL_MAGIC = "GLOCAL-MODEL v1"
+# a provenance entry as its header comment line
+_PROVENANCE = re.compile(r"# ([A-Za-z_][A-Za-z0-9_]*)=(\S+)")
 
 
 @dataclass(frozen=True)
@@ -71,8 +81,17 @@ class GlocalModel:
     V: np.ndarray  # k x n
     W: np.ndarray  # d x k
     factors: tuple  # g arrays, each l x k with unit-norm rows
+    # how the model was made, e.g. {"seed": "0"}: identifier keys mapped
+    # to values without whitespace, kept as strings
+    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        provenance = {key: str(value) for key, value in self.provenance.items()}
+        for key, value in provenance.items():
+            entry = _PROVENANCE.fullmatch(f"# {key}={value}")
+            if not (entry and entry[1] == key):  # reads back as written
+                raise ValueError(f"bad provenance entry {key!r}={value!r}")
+        object.__setattr__(self, "provenance", provenance)
         U = np.asarray(self.U, dtype=np.float64)
         V = np.asarray(self.V, dtype=np.float64)
         W = np.asarray(self.W, dtype=np.float64)
@@ -147,14 +166,17 @@ class ModelFormatError(ValueError):
 
 def _format_block(name, block):
     rows, cols = block.shape
-    return [f"{name} {rows} {cols}", *format_rows(block)]
+    encoded = (base64.b64encode(row.tobytes()).decode("ascii")
+               for row in np.ascontiguousarray(block, dtype="<f8"))
+    return [f"{name} {rows} {cols}", *encoded]
 
 
 def save_model(model, sink, comments=()):
-    """Write a model as text: magic, dims, then U, W, V, Z_1..Z_g blocks.
+    """Write a model file: magic, comments, dims, then U, W, V, Z_1..Z_g blocks.
 
-    Values are printed with 17 significant digits, so a load reproduces
-    every float bit-exactly.
+    Each block row is one line holding the base64 of its little-endian
+    float64 values, so a load reproduces every float bit-exactly.  The
+    model's provenance follows the comments as '# key=value' lines.
 
     Args:
         model: GlocalModel to write.
@@ -163,6 +185,7 @@ def save_model(model, sink, comments=()):
     """
     lines = [MODEL_MAGIC]
     lines.extend(f"# {c}" for c in comments)
+    lines.extend(f"# {key}={value}" for key, value in model.provenance.items())
     lines.append(f"{model.l} {model.d} {model.k} {model.g}")
     lines.extend(_format_block("U", model.U))
     lines.extend(_format_block("W", model.W))
@@ -176,21 +199,23 @@ def save_model(model, sink, comments=()):
         Path(sink).write_text(text, encoding="utf-8")
 
 
-def _words(tokens, count):
-    out = tokens.words(count)
-    if len(out) < count:
-        raise ModelFormatError(
-            f"unexpected end of file: wanted {count} more tokens, found {len(out)}"
-        )
-    return out
+def _next_tokens(lines):
+    """Tokens of the next non-blank line, or None at the end of the file."""
+    for line in lines:
+        tokens = line.split()
+        if tokens:
+            return tokens
+    return None
 
 
-def _read_block(tokens, name, rows, cols):
-    header = _words(tokens, 3)
+def _read_block(lines, name, rows, cols):
+    header = _next_tokens(lines)
+    if header is None:
+        raise ModelFormatError(f"unexpected end of file: wanted block {name}")
     if header[0] != name:
         raise ModelFormatError(f"expected block {name!r}, found {header[0]!r}")
     try:
-        got_rows, got_cols = int(header[1]), int(header[2])
+        got_rows, got_cols = (int(t) for t in header[1:])
     except ValueError:
         raise ModelFormatError(f"bad shape header for block {name}") from None
     if rows is not None and got_rows != rows:
@@ -199,22 +224,36 @@ def _read_block(tokens, name, rows, cols):
         raise ModelFormatError(f"block {name}: expected {cols} cols, found {got_cols}")
     if got_cols < 0:  # V's column count is the one the dimension line leaves free
         raise ModelFormatError(f"bad shape header for block {name}")
-    count = got_rows * got_cols
-    try:
-        flat = tokens.floats(count)
-    except ValueError as exc:
-        raise ModelFormatError(f"block {name}: non-numeric value ({exc})") from None
-    if flat.size < count:
-        raise ModelFormatError(
-            f"unexpected end of file: wanted {count} more tokens, found {flat.size}"
-        )
+    width = 8 * got_cols
+    payload = []
+    for r in range(1, got_rows + 1):
+        line = next(lines, None)
+        if line is None:
+            raise ModelFormatError(
+                f"unexpected end of file: block {name} has {r - 1} of {got_rows} rows"
+            )
+        try:
+            row = base64.b64decode(line.strip(), validate=True)
+        except ValueError:  # binascii.Error, or a non-ASCII character
+            raise ModelFormatError(f"block {name} row {r}: not base64") from None
+        if len(row) != width:
+            raise ModelFormatError(
+                f"block {name} row {r}: expected {width} bytes, found {len(row)}"
+            )
+        payload.append(row)
+    flat = np.frombuffer(b"".join(payload), dtype="<f8")
     if not np.isfinite(flat).all():
         raise ModelFormatError(f"block {name}: non-finite value")
-    return flat.reshape(got_rows, got_cols)
+    # a writable copy in native byte order; frombuffer's view is read-only
+    return flat.astype(np.float64).reshape(got_rows, got_cols)
 
 
 def parse_model(text):
     """Parse model file contents written by save_model.
+
+    '#' comment lines may appear anywhere after the magic line; those of
+    the form '# key=value' before the dimension line are the provenance.
+    Blank lines are skipped outside the block rows.
 
     Args:
         text: the file contents as a string.
@@ -225,31 +264,40 @@ def parse_model(text):
     Raises:
         ModelFormatError: on version mismatch or any malformed content.
     """
-    lines = text.splitlines()
-    if not lines:
+    all_lines = text.splitlines()
+    if not all_lines:
         raise ModelFormatError("empty model file")
-    magic = lines[0].strip()
+    magic = all_lines[0].strip()
     if magic != MODEL_MAGIC:
         if magic.startswith("GLOCAL-MODEL"):
             raise ModelFormatError(f"unsupported model version {magic!r}")
         raise ModelFormatError("not a GLOCAL model file")
 
-    # comment lines are allowed anywhere after the magic line
-    tokens = TokenStream(lines[1:])
-    dims = _words(tokens, 4)
+    provenance, at = {}, 1
+    while at < len(all_lines) and (
+        all_lines[at].startswith("#") or not all_lines[at].strip()
+    ):
+        entry = _PROVENANCE.fullmatch(all_lines[at])
+        if entry:
+            provenance[entry[1]] = entry[2]
+        at += 1
+    lines = (line for line in all_lines[at:] if not line.startswith("#"))
+    dims = _next_tokens(lines)
+    if dims is None:
+        raise ModelFormatError("unexpected end of file: wanted the dimension line")
     try:
         l, d, k, g = (int(t) for t in dims)
     except ValueError:
         raise ModelFormatError(f"bad dimension line {' '.join(dims)!r}") from None
     if min(l, d, k, g) < 1:
         raise ModelFormatError(f"bad dimensions l={l} d={d} k={k} g={g}")
-    U = _read_block(tokens, "U", l, k)
-    W = _read_block(tokens, "W", d, k)
-    V = _read_block(tokens, "V", k, None)
-    factors = tuple(_read_block(tokens, f"Z_{m}", l, k) for m in range(1, g + 1))
-    if tokens.words(1):
+    U = _read_block(lines, "U", l, k)
+    W = _read_block(lines, "W", d, k)
+    V = _read_block(lines, "V", k, None)
+    factors = tuple(_read_block(lines, f"Z_{m}", l, k) for m in range(1, g + 1))
+    if _next_tokens(lines) is not None:
         raise ModelFormatError("trailing content after the last block")
-    return GlocalModel(U=U, V=V, W=W, factors=factors)
+    return GlocalModel(U=U, V=V, W=W, factors=factors, provenance=provenance)
 
 
 def load_model(source):

@@ -1,10 +1,11 @@
-"""Rows of full-precision floats, the text shared by score and model files.
+"""Rows of full-precision floats, the text of score and label matrix files.
 
-Both formats print a 2-D block one row per line with '%.17g', which
-round-trips every float64 bit-exactly, and read values back as a
-whitespace-separated token stream in which '#' lines are comments.
-The reader accepts any line layout: a block may span lines or share a
-line with its header.
+These files are decimal text, like GML, because people read them.  A
+2-D block is printed one row per line with '%.17g', which round-trips
+every float64 bit-exactly, and read back as a whitespace-separated
+token stream in which '#' lines are comments.  The reader accepts any
+line layout: a block may span lines or share a line with its header.
+(Model files carry binary rows instead; see glocal.model.)
 """
 
 from __future__ import annotations

@@ -250,6 +250,36 @@ def test_add_bias_appends_constant_feature(tmp_path, synth_files):
                "--scores-out", scores_path, "--add-bias") == 0
 
 
+@pytest.mark.parametrize("bias", [True, False])
+def test_train_records_provenance_and_predict_checks_add_bias(
+    tmp_path, synth_files, capsys, bias
+):
+    _, masked, _ = synth_files
+    model_path = tmp_path / "m.model"
+    bias_flag = ["--add-bias"] if bias else []
+    assert run("train", "--input", masked, "--model-out", model_path, *bias_flag,
+               "--latent-k", 2, "--groups", 2, "--lambda3", 0.25, "--outer-iters", 2,
+               "--warm-iters", 1, "--seed", 4) == 0
+    assert load_model(model_path).provenance == {
+        "k": "2", "lambda_": "1.0", "lambda2": "0.01", "lambda3": "0.25",
+        "lambda4": "0.1", "inner_steps": "5", "outer_iters": "2", "warm_iters": "1",
+        "tol": "1e-05", "seed": "4", "add_bias": str(bias),
+        "n": "40", "d": str(5 + bias), "l": "6", "g": "2",
+    }
+    capsys.readouterr()
+    scores_path = tmp_path / "s.txt"
+    wrong_flag = [] if bias else ["--add-bias"]
+    assert run("predict", "--model", model_path, "--input", masked,
+               "--scores-out", scores_path, *wrong_flag) == 1
+    assert capsys.readouterr().err == (
+        f"error: model was trained with add_bias={bias} but predict got"
+        f" add_bias={not bias}; pass --add-bias exactly when train did\n"
+    )
+    assert not scores_path.exists()
+    assert run("predict", "--model", model_path, "--input", masked,
+               "--scores-out", scores_path, *bias_flag) == 0
+
+
 def test_missing_input_exits_nonzero(tmp_path, capsys):
     rc = run("cluster", "--input", tmp_path / "nope.gml", "--groups", 2,
              "--out", tmp_path / "p.txt")

@@ -170,3 +170,19 @@ def test_read_partition_errors():
         read_partition("1 0\n2 1\n3 1\n", feats)
     with pytest.raises(ValueError, match="empty"):
         read_partition("1 1\n2 1\n3 3\n", feats)
+
+
+def test_chunked_distances_match_one_einsum_bitwise():
+    import glocal.clustering as clustering
+
+    rng = np.random.default_rng(0)
+    g, d = 64, 256
+    chunk = clustering._DIST_BLOCK_BYTES // (8 * g * d)  # instances per block
+    assert chunk > 1
+    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+        centers = rng.standard_normal((g, d))
+        diff = points[:, None, :] - centers[None, :, :]
+        want = np.einsum("ngd,ngd->ng", diff, diff)
+        got = clustering._sq_dists(points, centers)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

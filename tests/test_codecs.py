@@ -311,6 +311,34 @@ def test_model_round_trip_is_bit_exact(data):
             assert same_bits(got, want)
 
 
+def test_large_model_round_trip_is_bit_exact_and_repeatable():
+    rng = np.random.default_rng(11)
+    l, d, k, n, g = 7, 4, 300, 5, 3
+    extremes = np.array([-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.0])
+
+    def block(rows, cols):
+        B = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+        B.flat[rng.choice(B.size, extremes.size, replace=False)] = extremes
+        return B
+
+    model = GlocalModel(U=block(l, k), V=block(k, n), W=block(d, k),
+                        factors=tuple(block(l, k) for _ in range(g)),
+                        provenance={"k": k, "lambda3": 0.1})
+    texts = []
+    for _ in range(2):
+        buf = io.StringIO()
+        save_model(model, buf)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
+    back = parse_model(texts[0])
+    for got, want in zip((back.U, back.V, back.W, *back.factors),
+                         (model.U, model.V, model.W, *model.factors)):
+        assert same_bits(got, want)
+    assert back.provenance == {"k": "300", "lambda3": "0.1"}
+    # one line per row: magic, provenance, dims, then a header per block
+    assert len(texts[0].splitlines()) == 1 + 2 + 1 + (3 + g) + l + d + k + g * l
+
+
 @ROUND_TRIP
 @given(st.data())
 def test_partition_round_trip_is_exact(data):
@@ -329,15 +357,29 @@ def test_partition_round_trip_is_exact(data):
 
 
 def test_readers_accept_any_line_layout():
-    # values are a token stream: blocks may span lines or share them
+    # matrix values are a token stream: blocks may span lines or share them
     assert same_bits(read_matrix("2\n2 1\n\n2\n# c\n3 4\n"),
                      np.array([[1.0, 2.0], [3.0, 4.0]]))
+    # a model row is exactly one line; comment lines may sit anywhere after
+    # the magic and blank lines anywhere but in place of a row
     model = GlocalModel(U=np.ones((2, 1)), V=np.ones((1, 2)), W=np.ones((1, 1)),
                         factors=(np.ones((2, 1)),))
     buf = io.StringIO()
     save_model(model, buf)
-    lines = buf.getvalue().splitlines()
-    assert same_bits(parse_model(lines[0] + "\n" + " ".join(lines[1:])).V, model.V)
+    magic, *lines = buf.getvalue().splitlines()
+    spaced = [magic]
+    for line in lines:
+        spaced += ["# c", "", line] if " " in line else ["# c", line]
+    assert same_bits(parse_model("\n".join(spaced) + "\n\n").V, model.V)
+    with pytest.raises(ModelFormatError, match="^bad dimension line"):
+        parse_model(magic + "\n" + " ".join(lines))
+    header, row = lines[1], lines[2]  # "U 2 1" and U's first row
+    with pytest.raises(ModelFormatError, match="^bad shape header for block U$"):
+        parse_model("\n".join([magic, lines[0], f"{header} {row}", *lines[3:]]))
+    with pytest.raises(ModelFormatError, match="^block U row 1: expected 8 bytes, found 6$"):
+        parse_model("\n".join([magic, lines[0], header, row[:8], row[8:], *lines[3:]]))
+    with pytest.raises(ModelFormatError, match="^block U row 1: expected 8 bytes, found 0$"):
+        parse_model("\n".join([magic, lines[0], header, "", *lines[2:]]))
 
 
 # ---- (c) the writers' bytes, frozen --------------------------------------
@@ -364,12 +406,15 @@ def test_writers_output_is_frozen():
         V=np.array([[5e-324, 1e-17, 2.0]]),
         W=np.array([[-2.5e300]]),
         factors=(np.array([[1.0], [-1.0]]), np.array([[0.6], [-0.8]])),
+        provenance={"seed": 1, "add_bias": False},
     )
     buf = io.StringIO()
-    save_model(model, buf, comments=["k=1"])
+    save_model(model, buf, comments=["trained"])
+    # rows are the base64 of little-endian float64: 1.0 is 00..00 f0 3f
     assert buf.getvalue() == (
-        "GLOCAL-MODEL v1\n# k=1\n2 1 1 2\nU 2 1\n0.33333333333333331\n-0\n"
-        "W 1 1\n-2.5000000000000001e+300\n"
-        "V 1 3\n4.9406564584124654e-324 1.0000000000000001e-17 2\n"
-        "Z_1 2 1\n1\n-1\nZ_2 2 1\n0.59999999999999998\n-0.80000000000000004\n"
+        "GLOCAL-MODEL v2\n# trained\n# seed=1\n# add_bias=False\n2 1 1 2\n"
+        "U 2 1\nVVVVVVVV1T8=\nAAAAAAAAAIA=\n"
+        "W 1 1\nA5MAqkvdTf4=\n"
+        "V 1 3\nAQAAAAAAAACX1EZG9Q5nPAAAAAAAAABA\n"
+        "Z_1 2 1\nAAAAAAAA8D8=\nAAAAAAAA8L8=\nZ_2 2 1\nMzMzMzMz4z8=\nmpmZmZmZ6b8=\n"
     )

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from glocal.metrics import (
     UndefinedMetricError,
@@ -167,6 +170,50 @@ def test_instance_permutation_invariance():
     perm = rng.permutation(8)
     for metric in (ranking_loss, average_auc, coverage, average_precision):
         assert metric(scores[:, perm], truth[:, perm]) == metric(scores, truth)
+
+
+# scores on a grid of quarters, so ties are common and every map below
+# keeps distinct scores distinct in float64
+GRID_SCORE = st.integers(-20, 20).map(lambda q: q / 4)
+INCREASING = {
+    "affine": lambda s: 3.0 * s - 7.0,
+    "cube": lambda s: s**3,
+    "exp": np.exp,
+    "arctan": np.arctan,
+}
+ORACLES = ((ranking_loss, oracle_rkl), (average_auc, oracle_auc),
+           (coverage, oracle_cvg), (average_precision, oracle_ap))
+
+
+@st.composite
+def problem(draw):
+    l, p = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    scores = draw(arrays(np.float64, (l, p), elements=GRID_SCORE))
+    truth = draw(arrays(np.int8, (l, p), elements=st.sampled_from([-1, 0, 1])))
+    return scores, truth
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(problem(), st.data())
+def test_metrics_invariant_under_permutation_and_increasing_maps(case, data):
+    scores, truth = case
+    perm = np.array(data.draw(st.permutations(range(scores.shape[1]))), dtype=np.int64)
+    f = INCREASING[data.draw(st.sampled_from(sorted(INCREASING)))]
+    assert np.unique(f(scores)).size == np.unique(scores).size  # no new ties
+    for mine, ref in ORACLES:
+        try:
+            want = ref(scores, truth)
+        except UndefinedMetricError:
+            for S, T in ((f(scores), truth), (scores[:, perm], truth[:, perm])):
+                with pytest.raises(UndefinedMetricError):
+                    mine(S, T)
+            continue
+        # a strictly increasing map keeps every comparison, so the values
+        # agree exactly; permuting instances reorders the per-instance
+        # mean, so it agrees up to that summation's rounding
+        assert mine(f(scores), truth) == ref(f(scores), truth) == want
+        assert mine(scores[:, perm], truth[:, perm]) == pytest.approx(want, rel=1e-12)
+        assert ref(scores[:, perm], truth[:, perm]) == pytest.approx(want, rel=1e-12)
 
 
 def test_degenerate_rows_skipped_with_reduced_denominator():

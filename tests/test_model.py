@@ -1,5 +1,7 @@
+import base64
 import dataclasses
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,7 +104,12 @@ def test_load_rejects_foreign_and_future_files(tmp_path):
     with pytest.raises(ModelFormatError, match="not a GLOCAL model"):
         parse_model("n d l\nwhatever")
     with pytest.raises(ModelFormatError, match="unsupported model version"):
-        parse_model("GLOCAL-MODEL v2\n1 1 1 1\n")
+        parse_model("GLOCAL-MODEL v3\n1 1 1 1\n")
+    # the decimal v1 format is gone: such files must be retrained
+    v1 = "GLOCAL-MODEL v1\n1 1 1 1\nU 1 1\n1\nW 1 1\n1\nV 1 1\n1\nZ_1 1 1\n1\n"
+    with pytest.raises(ModelFormatError,
+                       match="^unsupported model version 'GLOCAL-MODEL v1'$"):
+        parse_model(v1)
     with pytest.raises(ModelFormatError, match="empty"):
         parse_model("")
 
@@ -124,16 +131,60 @@ def test_load_rejects_malformed_content():
         parse_model(
             model_text(lambda ls: [ls[0], ls[1], "U 3 2"] + ls[3:])
         )
-    with pytest.raises(ModelFormatError, match="non-numeric"):
-        parse_model(model_text(lambda ls: ls[:3] + ["0.5 oops"] + ls[4:]))
-    with pytest.raises(ModelFormatError, match="non-finite"):
-        parse_model(model_text(lambda ls: ls[:3] + ["0.5 nan"] + ls[4:]))
+    # ls[3] is U's first row: the base64 of two little-endian float64
+    def row(*values):
+        return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode()
+
+    for bad in ("!" + row(0.5, 1.0)[1:], row(0.5, 1.0)[:-1], row(0.5, 1.0) + " x"):
+        with pytest.raises(ModelFormatError, match="^block U row 1: not base64$"):
+            parse_model(model_text(lambda ls: ls[:3] + [bad] + ls[4:]))
+    with pytest.raises(ModelFormatError, match="^block U row 1: expected 16 bytes, found 8$"):
+        parse_model(model_text(lambda ls: ls[:3] + [row(0.5)] + ls[4:]))
+    # without its last row, U reads W's header in that row's place
+    with pytest.raises(ModelFormatError, match="^block U row 4: not base64$"):
+        parse_model(model_text(lambda ls: ls[:6] + ls[7:]))
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ModelFormatError, match="^block U: non-finite value$"):
+            parse_model(model_text(lambda ls: ls[:3] + [row(0.5, value)] + ls[4:]))
     with pytest.raises(ModelFormatError, match="trailing content"):
         parse_model(model_text(lambda ls: ls + ["0.0"]))
     with pytest.raises(ModelFormatError, match="unexpected end of file"):
         parse_model(model_text(lambda ls: ls[:-1]))
     with pytest.raises(ModelFormatError, match="bad dimensions"):
         parse_model(model_text(lambda ls: [ls[0], "0 3 2 2"] + ls[2:]))
+
+
+def test_documented_model_example_parses():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    # the fenced block under the File formats entry for models
+    example = text.split("**Model**", 1)[1].split("```\n", 2)[1]
+    model = parse_model(example)
+    assert (model.l, model.d, model.k, model.g, model.n) == (2, 1, 1, 1, 2)
+    assert model.U.ravel().tolist() == [0.5, -1.25]
+    assert model.W.ravel().tolist() == [0.75]
+    assert model.V.ravel().tolist() == [1.0, -2.0]
+    assert model.factors[0].ravel().tolist() == [1.0, -1.0]
+    assert model.provenance == {"k": "1", "seed": "0", "add_bias": "False"}
+    # and the example is exactly what save_model writes
+    buf = io.StringIO()
+    save_model(model, buf, comments=["glocal train"])
+    assert buf.getvalue() == example
+
+
+def test_provenance_round_trips_and_must_read_back_as_written():
+    model = random_model(np.random.default_rng(8))
+    model = dataclasses.replace(model, provenance={"seed": 3, "lambda_": 0.1, "ok": "a=b"})
+    assert model.provenance == {"seed": "3", "lambda_": "0.1", "ok": "a=b"}
+    buf = io.StringIO()
+    save_model(model, buf, comments=["free text=not provenance"])
+    assert parse_model(buf.getvalue()).provenance == model.provenance
+    # only '# key=value' lines before the dimension line count
+    lines = buf.getvalue().splitlines()
+    late = "\n".join(lines[:6] + ["# late=1"] + lines[6:])
+    assert parse_model(late).provenance == model.provenance
+    for bad in ({"two words": 1}, {"k": "a b"}, {"k": ""}, {"a=b": 1}, {1: 2}):
+        with pytest.raises(ValueError, match="bad provenance entry"):
+            dataclasses.replace(model, provenance=bad)
 
 
 def test_load_allows_comments_between_blocks():
