@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .data import (
 from .metrics import evaluate, ranking_loss
 from .model import Hyperparams, load_model, predict, save_model, score
 from .solver import fit
-from .textio import TokenStream, format_rows
+from .textio import TokenStream, comment_lines, format_rows
 
 
 def make_synthetic(l, n, d, k_true, noise, seed):
@@ -49,15 +50,17 @@ def make_synthetic(l, n, d, k_true, noise, seed):
     """
     if l < 2 or n < 1 or d < 1 or k_true < 1:
         raise ValueError("need l >= 2, n >= 1, d >= 1, k >= 1")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((d, n))
     W_true = rng.standard_normal((d, k_true)) / np.sqrt(d)
     U_true = rng.standard_normal((l, k_true)) / np.sqrt(k_true)
     scores = U_true @ (W_true.T @ X)
     if noise > 0:
-        scores = scores + noise * rng.standard_normal((l, n))
+        # a huge noise may overflow to +-inf; the sign is still right
+        with np.errstate(over="ignore"):
+            scores = scores + noise * rng.standard_normal((l, n))
     Y = np.where(scores > 0.0, 1, -1).astype(np.int8)
     return Dataset(FeatureMatrix(X), LabelMatrix(Y))
 
@@ -74,7 +77,7 @@ def write_hidden(hidden, comments=()):
         comments: optional strings emitted as leading '#' lines.
     """
     rows = np.asarray(hidden, dtype=np.int64).reshape(-1, 3) + (1, 1, 0)
-    lines = [f"# {c}" for c in comments]
+    lines = comment_lines(comments)
     for start in range(0, len(rows), _HIDDEN_CHUNK):
         block = rows[start : start + _HIDDEN_CHUNK]
         lines.append(("%d %d %d\n" * len(block))[:-1] % tuple(block.ravel().tolist()))
@@ -144,7 +147,7 @@ def read_hidden(text):
 
 def write_matrix(A, comments=()):
     """Serialize a matrix with a 'rows cols' header, full precision."""
-    lines = [f"# {c}" for c in comments]
+    lines = comment_lines(comments)
     lines.append(f"{A.shape[0]} {A.shape[1]}")
     lines.extend(format_rows(A))
     return "\n".join(lines) + "\n"

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .textio import comment_lines
+
 
 @dataclass(frozen=True, eq=False)
 class Partition:
@@ -111,7 +113,7 @@ def kmeans(features, g, seed, max_iter=100):
         features: FeatureMatrix of the instances to cluster.
         g: number of groups, 1 <= g <= n.
         seed: RNG seed; results are deterministic given (features, g, seed).
-        max_iter: cap on Lloyd iterations.
+        max_iter: cap on Lloyd iterations, at least 1.
 
     Returns:
         Partition with 1-based group labels.
@@ -119,6 +121,8 @@ def kmeans(features, g, seed, max_iter=100):
     n = features.n
     if g < 1 or g > n:
         raise ValueError(f"g must lie in 1..{n}, got {g}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     points = features.values.T.copy()  # n x d
     rng = np.random.default_rng(seed)
     centers = _plusplus_init(points, g, rng)
@@ -147,7 +151,7 @@ def kmeans(features, g, seed, max_iter=100):
 
 def write_partition(partition, comments=()):
     """Serialize as 'instance_idx group_idx' lines, 1-based, one per instance."""
-    lines = [f"# {c}" for c in comments]
+    lines = comment_lines(comments)
     for i, m in enumerate(partition.assignment, start=1):
         lines.append(f"{i} {m}")
     return "\n".join(lines) + "\n"

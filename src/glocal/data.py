@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .textio import comment_lines
 
 
 class GmlFormatError(ValueError):
@@ -35,7 +38,13 @@ def round_half_away(x):
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Dense d x n feature matrix, one instance per column."""
+    """Dense d x n feature matrix, one instance per column.
+
+    The GML text of each instance's features is formatted once per
+    matrix, on first use by write_gml, and kept with it: the values are
+    read-only, so the text cannot go stale, and every dataset sharing
+    the matrix reuses it.
+    """
 
     values: np.ndarray
 
@@ -54,6 +63,18 @@ class FeatureMatrix:
     @property
     def n(self):
         return self.values.shape[1]
+
+    @cached_property
+    def _gml_fields(self):
+        """Each instance's GML feature field: 'idx:value' for every nonzero."""
+        fields = []
+        for x in self.values.T:
+            fid = np.flatnonzero(x)
+            pairs = [None] * (2 * fid.size)
+            pairs[0::2] = (fid + 1).tolist()
+            pairs[1::2] = x[fid].tolist()
+            fields.append(" ".join(["%d:%r"] * fid.size) % tuple(pairs))
+        return fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +314,10 @@ def write_gml(data, comments=()):
 
     Feature values are printed with full round-trip precision, so
     parse_gml(write_gml(d)) reproduces d exactly.  Only nonzero
-    features are written.
+    features are written.  The feature text is formatted once per
+    FeatureMatrix and kept with it, so writing several datasets that
+    share one matrix (say, fully and partly observed labels) formats
+    its values once; only the label fields are formatted per call.
 
     Args:
         data: Dataset to serialize.
@@ -302,14 +326,9 @@ def write_gml(data, comments=()):
     Returns:
         GML text ending with a newline.
     """
-    lines = [f"# {c}" for c in comments]
+    lines = comment_lines(comments)
     lines.append(f"{data.n} {data.d} {data.l}")
-    for x, y in zip(data.features.values.T, data.labels.values.T):
-        fid = np.flatnonzero(x)
-        pairs = [None] * (2 * fid.size)
-        pairs[0::2] = (fid + 1).tolist()
-        pairs[1::2] = x[fid].tolist()
-        feats = " ".join(["%d:%r"] * fid.size) % tuple(pairs)
+    for feats, y in zip(data.features._gml_fields, data.labels.values.T):
         pos = ",".join(map(str, (np.flatnonzero(y == 1) + 1).tolist()))
         neg = ",".join(map(str, (np.flatnonzero(y == -1) + 1).tolist()))
         lines.append(f"+:{pos}|-:{neg}|{feats}")
@@ -375,10 +394,15 @@ def split(data, train_fraction, seed):
         (train Dataset, test Dataset).
 
     Raises:
-        ValueError: if either side would be empty.
+        ValueError: if train_fraction is not finite or either side
+            would be empty.
     """
+    if not math.isfinite(train_fraction):
+        raise ValueError(f"train_fraction must be finite, got {train_fraction}")
     n = data.n
-    n_train = round_half_away(train_fraction * n)
+    # a fraction outside [0, 1] empties a side either way; clipping keeps
+    # the product finite where, say, 1e308 * n would overflow
+    n_train = round_half_away(min(max(train_fraction, 0.0), 1.0) * n)
     if n_train <= 0 or n_train >= n:
         raise ValueError(
             f"train_fraction {train_fraction} leaves an empty side for n={n}"

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .textio import comment_lines
+
 
 class UndefinedMetricError(ValueError):
     """Raised when every instance/label was skipped as degenerate."""
@@ -138,7 +140,7 @@ class EvaluationReport:
     skipped_labels: int
 
     def to_csv(self, comments=()):
-        lines = [f"# {c}" for c in comments]
+        lines = comment_lines(comments)
         lines.append("rkl,auc,cvg,ap,skipped_instances,skipped_labels")
         lines.append(
             f"{self.rkl:.17g},{self.auc:.17g},{self.cvg:.17g},{self.ap:.17g},"

@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .textio import comment_lines
+
 MODEL_MAGIC = "GLOCAL-MODEL v2"
 
 # a provenance entry as its header comment line
@@ -184,7 +186,7 @@ def save_model(model, sink, comments=()):
         comments: optional strings emitted as '#' lines after the magic.
     """
     lines = [MODEL_MAGIC]
-    lines.extend(f"# {c}" for c in comments)
+    lines.extend(comment_lines(comments))
     lines.extend(f"# {key}={value}" for key, value in model.provenance.items())
     lines.append(f"{model.l} {model.d} {model.k} {model.g}")
     lines.extend(_format_block("U", model.U))

@@ -50,6 +50,7 @@ import numpy as np
 
 from .correlation import init_factor, project_unit_rows
 from .model import GlocalModel
+from .textio import comment_lines
 
 # above this latent dimension the per-column closed-form V solves get
 # replaced by gradient steps
@@ -426,7 +427,7 @@ class FitTrace:
         return self.records[-1].iteration
 
     def to_csv(self, comments=()):
-        lines = [f"# {c}" for c in comments]
+        lines = comment_lines(comments)
         lines.append("iter,objective")
         for r in self.records:
             lines.append(f"{r.iteration},{r.objective:.17g}")

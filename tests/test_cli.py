@@ -49,6 +49,21 @@ def test_make_synthetic_planted_structure():
         make_synthetic(l=2, n=5, d=2, k_true=1, noise=-0.5, seed=0)
 
 
+@pytest.mark.parametrize("noise", [np.nan, np.inf, -np.inf])
+def test_make_synthetic_rejects_non_finite_noise(noise):
+    with pytest.raises(ValueError, match="^noise must be finite"):
+        make_synthetic(l=3, n=6, d=2, k_true=1, noise=noise, seed=0)
+
+
+def test_make_synthetic_huge_noise_keeps_label_signs():
+    # noise * N(0, 1) overflows to +-inf at 1e308; the sign must survive,
+    # with no overflow warning (tier-1 turns RuntimeWarnings into errors)
+    huge = make_synthetic(l=6, n=40, d=3, k_true=2, noise=1e308, seed=4).labels.values
+    large = make_synthetic(l=6, n=40, d=3, k_true=2, noise=1e300, seed=4).labels.values
+    assert np.array_equal(huge, large)
+    assert (huge == 1).any() and (huge == -1).any()
+
+
 def test_hidden_sidecar_round_trip():
     hidden = [(0, 3, 1), (2, 0, -1)]
     text = write_hidden(hidden, comments=["source: toy"])
@@ -278,6 +293,84 @@ def test_train_records_provenance_and_predict_checks_add_bias(
     assert not scores_path.exists()
     assert run("predict", "--model", model_path, "--input", masked,
                "--scores-out", scores_path, *bias_flag) == 0
+
+
+# every numeric flag of the data commands, with small sizes, so no value
+# can make a command allocate a large array
+_NUMERIC_FLAGS = {
+    "synth": ("--labels", "--instances", "--features", "--latent-k", "--noise",
+              "--rho", "--seed"),
+    "mask": ("--rho", "--seed"),
+    "split": ("--fraction", "--seed"),
+    "cluster": ("--groups", "--seed", "--max-iter"),
+}
+_INT_FLAGS = {"--labels", "--instances", "--features", "--latent-k", "--seed",
+              "--groups", "--max-iter"}
+
+
+def _base_argv(command, tmp_path, full):
+    out = [tmp_path / f"out{i}" for i in range(3)]
+    return {
+        "synth": ["synth", "--labels", 3, "--instances", 6, "--features", 2,
+                  "--latent-k", 1, "--noise", 0.1, "--rho", 50, "--seed", 1,
+                  "--out-full", out[0], "--out-masked", out[1], "--out-hidden", out[2]],
+        "mask": ["mask", "--input", full, "--rho", 50, "--seed", 1,
+                 "--out", out[0], "--hidden-out", out[1]],
+        "split": ["split", "--input", full, "--fraction", 0.5, "--seed", 1,
+                  "--train-out", out[0], "--test-out", out[1]],
+        "cluster": ["cluster", "--input", full, "--groups", 2, "--seed", 1,
+                    "--max-iter", 10, "--out", out[0]],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, flags in _NUMERIC_FLAGS.items() for f in flags]
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+def test_numeric_flags_exit_cleanly_on_hostile_values(
+    tmp_path, synth_files, capsys, command, flag, value
+):
+    argv = _base_argv(command, tmp_path, synth_files[0])
+    at = argv.index(flag)
+    argv[at : at + 2] = [f"{flag}={value}"]  # '=' keeps '-inf' a value
+    try:
+        rc = run(*argv)
+    except SystemExit as exc:
+        # argparse's usage error: the text is no value of an int flag
+        assert flag in _INT_FLAGS and value in ("nan", "inf", "-inf")
+        rc = exc.code
+        assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if rc == 0:
+        assert err == ""
+    else:
+        assert rc in (1, 2)
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        if rc == 1:
+            assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name, stamped", [("tr\nain.gml", "tr\\nain.gml"), ("tr\udcffain.gml", "tr\\udcffain.gml")]
+)
+def test_stamps_of_hostile_paths_stay_one_utf8_line(tmp_path, synth_files, name, stamped):
+    # a line break in a path must not split the scores header, and an
+    # undecodable byte (a lone surrogate in Python) must not fail to
+    # encode once the work is done, leaving an empty output behind
+    _, masked, hidden = synth_files
+    data = tmp_path / name
+    data.write_bytes(masked.read_bytes())
+    part, model = tmp_path / "part.txt", tmp_path / "m.model"
+    scores, report = tmp_path / "scores.txt", tmp_path / "report.csv"
+    assert run("cluster", "--input", data, "--groups", 2, "--out", part) == 0
+    assert part.read_text(encoding="utf-8").splitlines()[0].endswith(f"input={tmp_path / stamped}")
+    assert run("train", "--input", data, "--partition", part, "--model-out", model,
+               "--outer-iters", 2, "--warm-iters", 1) == 0
+    assert run("predict", "--model", model, "--input", data, "--scores-out", scores) == 0
+    stamp = scores.read_text(encoding="utf-8").splitlines()[0]
+    assert stamp == f"# glocal predict model={model} input={tmp_path / stamped}"
+    assert run("eval", "--scores", scores, "--hidden", hidden, "--out", report) == 0
 
 
 def test_missing_input_exits_nonzero(tmp_path, capsys):

@@ -70,6 +70,14 @@ def test_g_out_of_range():
         kmeans(feats, 5, seed=0)
 
 
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_max_iter_below_one_is_rejected(max_iter):
+    feats = FeatureMatrix(np.arange(8.0).reshape(2, 4))
+    with pytest.raises(ValueError, match="^max_iter must be >= 1$"):
+        kmeans(feats, 2, seed=0, max_iter=max_iter)
+    assert kmeans(feats, 2, seed=0, max_iter=1).g == 2
+
+
 def test_deterministic_per_seed():
     rng = np.random.default_rng(3)
     feats = FeatureMatrix(rng.standard_normal((4, 30)))

@@ -26,7 +26,9 @@ from glocal.data import (
     parse_gml,
     write_gml,
 )
+from glocal.metrics import EvaluationReport
 from glocal.model import GlocalModel, ModelFormatError, load_model, parse_model, save_model
+from glocal.solver import FitTrace, TraceRecord
 
 # deterministic, bounded runs keep tier-1 repeatable and fast
 FUZZ = settings(derandomize=True, max_examples=400, deadline=None)
@@ -418,3 +420,44 @@ def test_writers_output_is_frozen():
         "V 1 3\nAQAAAAAAAACX1EZG9Q5nPAAAAAAAAABA\n"
         "Z_1 2 1\nAAAAAAAA8D8=\nAAAAAAAA8L8=\nZ_2 2 1\nMzMzMzMz4z8=\nmpmZmZmZ6b8=\n"
     )
+
+
+# ---- (e) comment stamps ---------------------------------------------------
+
+def _model_text(comments):
+    model = GlocalModel(U=np.ones((2, 1)), V=np.ones((1, 3)), W=np.ones((1, 1)),
+                        factors=(np.array([[1.0], [-1.0]]),), provenance={"seed": 1})
+    buf = io.StringIO()
+    save_model(model, buf, comments=comments)
+    return buf.getvalue()
+
+
+WRITERS = {
+    "write_gml": lambda c: write_gml(
+        Dataset(FeatureMatrix([[0.5, 0.0]]), LabelMatrix([[1, 0], [-1, 1]])), comments=c),
+    "write_hidden": lambda c: write_hidden([(0, 1, 1)], comments=c),
+    "write_matrix": lambda c: write_matrix(np.eye(2), comments=c),
+    "write_partition": lambda c: write_partition(
+        partition_from_assignment(FeatureMatrix(np.zeros((1, 3))), [1, 2, 1]), comments=c),
+    "FitTrace.to_csv": lambda c: FitTrace(
+        records=(TraceRecord(0, 1.5, {}, 0.0),), converged=True).to_csv(comments=c),
+    "EvaluationReport.to_csv": lambda c: EvaluationReport(
+        0.25, 0.75, 1.0, 0.5, 0, 1).to_csv(comments=c),
+    "save_model": _model_text,
+}
+
+# every character str.splitlines breaks at, a lone surrogate (an
+# undecodable path byte under surrogateescape) and a literal backslash
+HOSTILE = "a\nb\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029|\udcff\ud800|c\\d"
+ESCAPED = r"# a\nb\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029|\udcff\ud800|c\d"
+
+
+@pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS.keys())
+def test_comment_stamps_are_one_utf8_line_each(writer):
+    plain = writer(["stamp", "/data/run 1/train.gml"])
+    text = writer([HOSTILE, "/data/run 1/train.gml"])
+    # only the hostile comment's own line differs, and it is escaped
+    assert text == plain.replace("# stamp\n", ESCAPED + "\n", 1)
+    assert len(text.splitlines()) == len(plain.splitlines())
+    text.encode("utf-8")
+    assert "# /data/run 1/train.gml\n" in text  # an ordinary path as it is

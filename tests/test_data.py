@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,25 @@ def test_write_emits_comments():
     assert parse_gml(text).n == 1
 
 
+@pytest.mark.parametrize("full_first", [True, False])
+def test_datasets_sharing_features_write_as_from_fresh_copies(full_first):
+    # the feature text is formatted once per matrix and reused: writing
+    # two datasets that share one matrix, in either order, must give the
+    # bytes each gives from a matrix of its own
+    rng = np.random.default_rng(11)
+    full = random_dataset(rng, l=6, n=9, d=5, zero_frac=0.0)
+    masked, _ = apply_mask(full, MaskSpec(rho=40.0, seed=2))
+    assert masked.features is full.features
+    fresh = [
+        write_gml(Dataset(FeatureMatrix(d.features.values.copy()), d.labels))
+        for d in (full, masked)
+    ]
+    order = [0, 1] if full_first else [1, 0]
+    shared = {i: write_gml((full, masked)[i]) for i in order}
+    assert [shared[0], shared[1]] == fresh
+    assert write_gml(full) == fresh[0]  # and again, from the kept text
+
+
 def test_arrays_read_only():
     data = parse_gml("1 2 2\n+:1|-:2|1:1.0\n")
     with pytest.raises(ValueError):
@@ -215,6 +235,21 @@ def test_split_deterministic_and_errors():
         split(data, 0.01, seed=0)
     with pytest.raises(ValueError):
         split(data, 0.99, seed=0)
+
+
+@pytest.mark.parametrize("fraction", [np.nan, np.inf, -np.inf])
+def test_split_rejects_non_finite_fraction(fraction):
+    data = random_dataset(np.random.default_rng(5), n=10)
+    with pytest.raises(ValueError, match="^train_fraction must be finite"):
+        split(data, fraction, seed=0)
+
+
+@pytest.mark.parametrize("fraction", [1e308, -1e308, 1.5, -0.5])
+def test_split_fraction_outside_unit_interval_leaves_an_empty_side(fraction):
+    # 1e308 * n overflows to inf; the fraction must still be named
+    data = random_dataset(np.random.default_rng(5), n=10)
+    with pytest.raises(ValueError, match=re.escape(f"train_fraction {fraction!r} leaves")):
+        split(data, fraction, seed=0)
 
 
 def test_take_instances_orders_columns():
