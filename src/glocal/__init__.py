@@ -17,7 +17,6 @@ from .clustering import (
 from .correlation import (
     combine_correlations,
     cosine_correlation,
-    factored_trace,
     init_factor,
     laplacian_of,
     project_unit_rows,
@@ -61,15 +60,14 @@ from .solver import (
     gradients,
     make_context,
     objective,
-    update_Z_step,
     warm_start,
 )
 
 __all__ = [
     "Partition", "kmeans", "partition_from_assignment", "read_partition",
     "write_partition",
-    "combine_correlations", "cosine_correlation", "factored_trace",
-    "init_factor", "laplacian_of", "project_unit_rows",
+    "combine_correlations", "cosine_correlation", "init_factor",
+    "laplacian_of", "project_unit_rows",
     "Dataset", "FeatureMatrix", "GmlFormatError", "LabelMatrix", "MaskSpec",
     "apply_mask", "parse_gml", "split", "take_instances", "write_gml",
     "EvaluationReport", "UndefinedMetricError", "average_auc",
@@ -77,7 +75,7 @@ __all__ = [
     "GlocalModel", "Hyperparams", "ModelFormatError", "load_model",
     "parse_model", "predict", "save_model", "score",
     "FitTrace", "ObjectiveContext", "closed_form_V", "fit", "gradients",
-    "make_context", "objective", "update_Z_step", "warm_start",
+    "make_context", "objective", "warm_start",
 ]
 
 __version__ = "0.1.0"

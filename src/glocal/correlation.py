@@ -1,10 +1,9 @@
 """Label-correlation algebra: cosine similarity, Laplacians, factors.
 
 The solver never materializes a full Laplacian: correlation structure
-is carried by low-rank factors Z with unit-norm rows, and quadratic
-forms tr(F' Z Z' F) are evaluated through the factor.  The dense
-cosine/Laplacian helpers exist for analysis of a label matrix and for
-checking the factored path against the ground truth algebra.
+is carried by low-rank factors Z with unit-norm rows, made and kept on
+unit rows here.  The dense cosine/Laplacian helpers exist for analysis
+of a label matrix and for checking the factored algebra against it.
 """
 
 from __future__ import annotations
@@ -94,9 +93,3 @@ def init_factor(l, k, seed):
     """Random l x k factor with unit-norm rows, deterministic per seed."""
     Z = np.random.default_rng(seed).standard_normal((l, k))
     return project_unit_rows(Z)
-
-
-def factored_trace(Z, F):
-    """tr(F' Z Z' F) evaluated as ||Z' F||_F^2, never forming Z Z'."""
-    ZtF = Z.T @ F
-    return float(np.einsum("ij,ij->", ZtF, ZtF))

@@ -44,7 +44,8 @@ class Hyperparams:
     action, and majorize-minimize steps of length 1 / (2 lambda_max) for
     the correlation factors.  warm_iters alternating iterations are run
     without the correlation terms before the full objective takes over.
-    The lambdas and tol must be finite and non-negative.
+    The lambdas and tol must be finite and non-negative, and the seed
+    non-negative.
     """
 
     k: int
@@ -73,6 +74,8 @@ class Hyperparams:
             raise ValueError("warm_iters must be >= 0")
         if self.tol < 0:
             raise ValueError("tol must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)

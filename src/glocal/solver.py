@@ -7,22 +7,22 @@ unit-row factor Z_m per instance group is
   + lambda  * || V - W' X ||_F^2
   + lambda2 * (||U||_F^2 + ||V||_F^2 + ||W||_F^2)
   + sum_m [ (lambda3 * n_m / n) * tr(F0' Z_m Z_m' F0)
-            + lambda4 * tr(F_m' Z_m Z_m' F_m) ]        s.t. diag(Z_m Z_m') = 1
+            + lambda4 * tr(F0_m' Z_m Z_m' F0_m) ]      s.t. diag(Z_m Z_m') = 1
 
 with J the observation indicator, F0 = U W' X the classifier outputs on
-all instances and F_m its restriction to group m.  Each outer iteration
+all instances and F0_m its restriction to group m.  Each outer iteration
 updates the blocks in the order Z_1..Z_g, V, U, W.  Z updates are
 majorize-minimize steps: the restricted objective h(Z) = tr(Z'KZ),
-K = U C_m U', is a PSD quadratic and tr(Z'Z) = l on unit rows, so with
-L = lambda_max(K) the step Z <- rows of Z - G / (2L) scaled to unit
-norm minimizes a majorizer of h and cannot increase it (Hunter & Lange
-2004).  The objective is exactly quadratic in each of U, V and W, and
-each block is written once as a Hessian action H and a right-hand side
-b (for Z_m, H(Z) = 2KZ and b = 0): the gradient is H(x) - b, and U and
-W take exact line-minimizing gradient steps of length
-||G||^2 / <G, H(G)>, after which the gradient is G - t H(G).  V solves
-H(V) = b per instance column while k <= 256 and takes the same exact
-gradient steps above that.
+K = PP' with P = U F_m' (below), is a PSD quadratic and tr(Z'Z) = l on
+unit rows, so with L = lambda_max(K) the step Z <- rows of
+Z - G / (2L) scaled to unit norm minimizes a majorizer of h and cannot
+increase it (Hunter & Lange 2004).  The objective is exactly quadratic
+in each of U, V and W, and each block is written once as a Hessian
+action H and a right-hand side b (for Z_m, H(Z) = 2KZ and b = 0): the
+gradient is H(x) - b, and U and W take exact line-minimizing gradient
+steps of length ||G||^2 / <G, H(G)>, after which the gradient is
+G - t H(G).  V solves H(V) = b per instance column while k <= 256 and
+takes the same exact gradient steps above that.
 
 Optimization starts from a warm start: the same alternating scheme with
 lambda3 = lambda4 = 0 (no correlation terms), after which randomly
@@ -30,15 +30,13 @@ initialized unit-row factors are attached.  No l x l or n x n
 intermediate is formed, and the correlation terms never form F0.  X
 enters them through factors computed once per fit (make_context): per
 group T_m with T_m'T_m = X_m X_m' and min(n_m, d) rows, X_m' itself or
-its QR R factor when n_m > d, so XX' = sum_m T_m'T_m.  Group m
-contributes tr((Z_m'U) C_m (Z_m'U)') with the k x k
-C_m = (lambda3 n_m / n) B0 + lambda4 B_m, B0 = W'XX'W and
-B_m = (T_m W)'(T_m W).  C_m has rank at most min(n, d) + min(n_m, d):
-where its factor Q_m = [sqrt(lambda3 n_m / n) T0 W; sqrt(lambda4) T_m W]
-(T0'T0 = XX', min(n, d) rows) has fewer rows than k, the U, Z and
-objective products go through Q_m and P = U Q_m' instead, and form no
-k x k matrix; otherwise they use C_m.  The W Hessian action uses the
-T_m in place of X.
+its QR R factor when n_m > d, so XX' = sum_m T_m'T_m, and T0 with
+T0'T0 = XX' and min(n, d) rows.  Group m contributes ||Z_m'P||^2 with
+P = U F_m', where F_m'F_m = (lambda3 n_m / n) W'XX'W + lambda4 W'X_m X_m'W
+and F_m has min(k, min(n, d) + min(n_m, d)) rows: the stack
+[sqrt(lambda3 n_m / n) T0 W; sqrt(lambda4) T_m W], kept as it is when it
+has fewer rows than k and compressed to its k x k QR R factor
+otherwise.  The W Hessian action uses the T_m in place of X.
 """
 
 from __future__ import annotations
@@ -64,8 +62,7 @@ class ObjectiveContext:
     T stacks one factor T_m per group with T_m'T_m = X_m X_m' and
     min(n_m, d) rows: X_m' itself when n_m <= d, else its QR R factor.
     The groups partition the instances, so T'T = XX'.  T0 is a factor
-    of XX' with min(n, d) rows, kept only when some group's short
-    factor [T0 W; T_m W] has fewer rows than k, and None otherwise.
+    of XX' with min(n, d) rows.
     """
 
     Y: np.ndarray  # l x n observed labels as float (-1, 0, +1)
@@ -76,17 +73,12 @@ class ObjectiveContext:
     hp: "Hyperparams"
     T: np.ndarray  # stacked T_m, sum_m min(n_m, d) x d
     T_rows: tuple  # g slices, the rows of T holding each T_m
-    T0: np.ndarray | None  # min(n, d) x d, or None
+    T0: np.ndarray  # min(n, d) x d
 
 
 def _gram_factor(A):
     # T with T'T = A'A and min(rows, cols) rows
     return A if A.shape[0] <= A.shape[1] else np.linalg.qr(A, mode="r")
-
-
-def _short_factor_rows(T, T_rows):
-    # rows of each group's factor [T0 W; T_m W], T0 having min(T.shape)
-    return [min(T.shape) + r.stop - r.start for r in T_rows]
 
 
 def make_context(dataset, partition, hp):
@@ -101,7 +93,6 @@ def make_context(dataset, partition, hp):
     T = np.vstack(Ts)
     ends = np.cumsum([len(Tm) for Tm in Ts])
     T_rows = tuple(slice(e - len(Tm), e) for e, Tm in zip(ends, Ts))
-    short = any(r < hp.k for r in _short_factor_rows(T, T_rows))
     return ObjectiveContext(
         Y=dataset.labels.values.astype(np.float64),
         J=dataset.labels.indicator,
@@ -111,7 +102,7 @@ def make_context(dataset, partition, hp):
         hp=hp,
         T=T,
         T_rows=T_rows,
-        T0=_gram_factor(T) if short else None,
+        T0=_gram_factor(T),
     )
 
 
@@ -128,42 +119,23 @@ def _has_correlation(hp):
 
 
 def _correlation_weights(W, ctx):
-    # group m's weight on its correlation terms, the k x k
-    # C_m = w3 B0 + lambda4 B_m with w3 = lambda3 n_m / n, B0 = W'XX'W and
-    # B_m = W'X_m X_m'W.  Where the factor Q_m = [sqrt(w3) T0 W;
-    # sqrt(lambda4) T_m W] of C_m = Q_m'Q_m has fewer rows than k, Q_m
-    # stands in for C_m
+    # group m's weight on its correlation terms: F_m with
+    # F_m'F_m = w3 W'XX'W + lambda4 W'X_m X_m'W, w3 = lambda3 n_m / n, and
+    # at most k rows; the global part T0 W is compressed once for all groups
     hp = ctx.hp
     TW = ctx.T @ W
-    T0W = None if ctx.T0 is None else ctx.T0 @ W
-    short = [r < W.shape[1] for r in _short_factor_rows(ctx.T, ctx.T_rows)]
-    B0 = None if all(short) else TW.T @ TW
-    weights = []
-    for idx, rows, is_short in zip(ctx.groups, ctx.T_rows, short):
-        w3 = hp.lambda3 * idx.size / ctx.n
-        TmW = TW[rows]
-        if is_short:
-            weights.append(np.vstack((np.sqrt(w3) * T0W, np.sqrt(hp.lambda4) * TmW)))
-        else:
-            weights.append(w3 * B0 + hp.lambda4 * (TmW.T @ TmW))
-    return weights
+    R0 = _gram_factor(ctx.T0 @ W)
+    return [
+        _gram_factor(np.vstack((np.sqrt(hp.lambda3 * idx.size / ctx.n) * R0,
+                                np.sqrt(hp.lambda4) * TW[rows])))
+        for idx, rows in zip(ctx.groups, ctx.T_rows)
+    ]
 
 
-def _is_factor(C):
-    # a weight with fewer rows than columns is the factor Q_m of C_m
-    return C.shape[0] < C.shape[1]
-
-
-def _k_split(U, C):
-    # (A, M) with K = U C_m U' = A M A': (U Q', None) for a factor Q, M
-    # standing for the identity, else (U, C_m)
-    return (U @ C.T, None) if _is_factor(C) else (U, C)
-
-
-def _correlation_term(Z, A, M):
-    # tr(Z'KZ), K = A M A': one group's correlation terms without F0
-    B = Z.T @ A
-    return _sumsq(B) if M is None else _inner(B @ M, B)
+def _correlation_term(Z, P):
+    # tr(Z'KZ), K = PP' with P = U F_m': one group's correlation terms
+    # without F0
+    return _sumsq(Z.T @ P)
 
 
 def _objective_arrays(U, V, W, Zs, ctx):
@@ -175,8 +147,8 @@ def _objective_arrays(U, V, W, Zs, ctx):
         val += hp.lambda_ * _sumsq(D)
         val += hp.lambda2 * (_sumsq(U) + _sumsq(V) + _sumsq(W))
         if _has_correlation(hp):
-            for Z, C in zip(Zs, _correlation_weights(W, ctx)):
-                val += _correlation_term(Z, *_k_split(U, C))
+            for Z, F in zip(Zs, _correlation_weights(W, ctx)):
+                val += _correlation_term(Z, U @ F.T)
     return val
 
 
@@ -189,20 +161,17 @@ def objective(model, ctx):
 # other blocks fixed, f(x) = 1/2 <x, H(x)> - <b, x> + const: the gradient
 # is H(x) - b, the step t = ||G||^2 / <G, H(G)> along G is the line
 # minimum and leaves the gradient G - t H(G) (Nocedal & Wright, ch. 5).
-# Y is zero where J is, so J o Y = Y.  The correlation weights Cs (for U,
-# each C_m or its factor Q_m) and the factor grams Ms (for W) are None
-# when lambda3 = lambda4 = 0.  X enters the W Hessian only through T,
-# with T'T = XX', so it never forms the n x k X'G.
+# Y is zero where J is, so J o Y = Y.  The correlation weights Fs (for U)
+# and the factor grams Ms (for W) are None when lambda3 = lambda4 = 0.  X
+# enters the W Hessian only through T, with T'T = XX', so it never forms
+# the n x k X'G.
 
 
-def _hess_U(G, V, Zs, Cs, ctx):
+def _hess_U(G, V, Zs, Fs, ctx):
     H = 2.0 * ((ctx.J * (G @ V)) @ V.T) + 2.0 * ctx.hp.lambda2 * G
-    if Cs is not None:
-        for Z, C in zip(Zs, Cs):
-            if _is_factor(C):
-                H += 2.0 * ((Z @ (Z.T @ (G @ C.T))) @ C)
-            else:
-                H += 2.0 * Z @ ((Z.T @ G) @ C)
+    if Fs is not None:
+        for Z, F in zip(Zs, Fs):
+            H += 2.0 * ((Z @ (Z.T @ (G @ F.T))) @ F)
     return H
 
 
@@ -242,11 +211,10 @@ def _rhs_W(V, ctx):
     return 2.0 * ctx.hp.lambda_ * (ctx.X @ V.T)
 
 
-def _grad_Z(A, M, Z):
-    # H(Z) of the restricted objective h(Z) = tr(Z'KZ), K = A M A' from
-    # _k_split; b = 0, so also its gradient
-    B = A.T @ Z
-    return 2.0 * A @ (B if M is None else M @ B)
+def _grad_Z(P, Z):
+    # H(Z) of the restricted objective h(Z) = tr(Z'KZ), K = PP'; b = 0, so
+    # also its gradient
+    return 2.0 * P @ (P.T @ Z)
 
 
 def gradients(model, ctx):
@@ -262,11 +230,11 @@ def gradients(model, ctx):
         constraint.
     """
     U, V, W, Zs = model.U, model.V, model.W, model.factors
-    Cs = _correlation_weights(W, ctx)
-    G_U = _hess_U(U, V, Zs, Cs, ctx) - _rhs_U(V, ctx)
+    Fs = _correlation_weights(W, ctx)
+    G_U = _hess_U(U, V, Zs, Fs, ctx) - _rhs_U(V, ctx)
     G_V = _hess_V(U, V, ctx) - _rhs_V(U, W, ctx)
     G_W = _hess_W(W, _factor_grams(U, Zs), ctx) - _rhs_W(V, ctx)
-    G_Zs = tuple(_grad_Z(*_k_split(U, C), Z) for Z, C in zip(Zs, Cs))
+    G_Zs = tuple(_grad_Z(U @ F.T, Z) for Z, F in zip(Zs, Fs))
     return G_U, G_V, G_W, G_Zs
 
 
@@ -314,21 +282,15 @@ def _exact_descent(x, hess, b, steps):
     return x, accepted
 
 
-def _z_descend(U, C, Z0, steps):
-    # majorize-minimize steps on h(Z) = tr(Z'KZ), K = U C U': with
-    # L = lambda_max(K), h(Z) - L tr(Z'Z) is concave and tr(Z'Z) = l on
-    # unit rows, so there h lies below that part's tangent plus L l, and
+def _z_descend(U, F, Z0, steps):
+    # majorize-minimize steps on h(Z) = tr(Z'KZ), K = PP' with P = U F':
+    # with L = lambda_max(K), h(Z) - L tr(Z'Z) is concave and tr(Z'Z) = l
+    # on unit rows, so there h lies below that part's tangent plus L l, and
     # Z - G / (2L) scaled to unit rows minimizes the bound.  K is never
-    # formed: for a factor Q (C = Q'Q, fewer rows than k) K = PP' with
-    # P = UQ' formed once here, and L is the top eigenvalue of P'P;
-    # otherwise L comes from R C R' with U = QR, at most k x k
-    A, M = _k_split(U, C)
-    if M is None:
-        L = float(np.linalg.eigvalsh(A.T @ A)[-1])
-    else:
-        R = np.linalg.qr(A, mode="r")
-        L = float(np.linalg.eigvalsh(R @ M @ R.T)[-1])
-    Z, G = Z0, _grad_Z(A, M, Z0)
+    # formed: L is the top eigenvalue of the k x k P'P
+    P = U @ F.T
+    L = float(np.linalg.eigvalsh(P.T @ P)[-1])
+    Z, G = Z0, _grad_Z(P, Z0)
     h_val = 0.5 * _inner(Z, G)
     accepted = []
     for _ in range(steps):
@@ -336,27 +298,13 @@ def _z_descend(U, C, Z0, steps):
             break
         t = 0.5 / L
         cand = project_unit_rows(Z - t * G)
-        G_new = _grad_Z(A, M, cand)
+        G_new = _grad_Z(P, cand)
         h_new = 0.5 * _inner(cand, G_new)
         if h_new > h_val:  # only rounding can make h rise; stop there
             break
         Z, G, h_val = cand, G_new, h_new
         accepted.append(t)
     return Z, accepted
-
-
-def update_Z_step(model, ctx, m, steps=1):
-    """Majorize-minimize update of group factor m, other blocks fixed.
-
-    Each step takes Z - K Z / L to unit rows, with K = U C_m U' the
-    restricted objective's matrix and L = lambda_max(K).  Returns the
-    updated l x k factor; rows stay unit-norm and the restricted
-    objective never increases.  With lambda3 = lambda4 = 0 the gradient
-    vanishes and the factor is returned unchanged.
-    """
-    C = _correlation_weights(model.W, ctx)[m]
-    Z, _ = _z_descend(model.U, C, model.factors[m], steps)
-    return Z
 
 
 def _unit_row_error(Zs):
@@ -370,11 +318,11 @@ def _sweep(U, V, W, Zs, ctx):
     # one outer iteration: Z_1..Z_g, then V, then U, then W
     hp = ctx.hp
     steps = {}
-    Cs = _correlation_weights(W, ctx) if _has_correlation(hp) else None
+    Fs = _correlation_weights(W, ctx) if _has_correlation(hp) else None
     z_steps = []
-    if Cs is not None:
-        for m, C in enumerate(Cs):
-            Zs[m], acc = _z_descend(U, C, Zs[m], hp.inner_steps)
+    if Fs is not None:
+        for m, F in enumerate(Fs):
+            Zs[m], acc = _z_descend(U, F, Zs[m], hp.inner_steps)
             z_steps.extend(acc)
     steps["Z"] = tuple(z_steps)
     z_err = _unit_row_error(Zs)
@@ -389,11 +337,11 @@ def _sweep(U, V, W, Zs, ctx):
         steps["V"] = tuple(acc)
 
     U, acc = _exact_descent(
-        U, lambda G: _hess_U(G, V, Zs, Cs, ctx), _rhs_U(V, ctx), hp.inner_steps
+        U, lambda G: _hess_U(G, V, Zs, Fs, ctx), _rhs_U(V, ctx), hp.inner_steps
     )
     steps["U"] = tuple(acc)
 
-    Ms = None if Cs is None else _factor_grams(U, Zs)
+    Ms = None if Fs is None else _factor_grams(U, Zs)
     W, acc = _exact_descent(
         W, lambda G: _hess_W(G, Ms, ctx), _rhs_W(V, ctx), hp.inner_steps
     )

@@ -320,6 +320,8 @@ def _base_argv(command, tmp_path, full):
                   "--train-out", out[0], "--test-out", out[1]],
         "cluster": ["cluster", "--input", full, "--groups", 2, "--seed", 1,
                     "--max-iter", 10, "--out", out[0]],
+        "train": ["train", "--input", full, "--outer-iters", 1, "--warm-iters", 1,
+                  "--seed", 1, "--model-out", out[0]],
     }[command]
 
 
@@ -349,6 +351,15 @@ def test_numeric_flags_exit_cleanly_on_hostile_values(
         assert sum("error:" in line for line in err.splitlines()) == 1
         if rc == 1:
             assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["synth", "mask", "split", "cluster", "train"])
+def test_negative_seed_is_rejected_by_name(tmp_path, synth_files, capsys, command):
+    argv = _base_argv(command, tmp_path, synth_files[0])
+    argv[argv.index("--seed") + 1] = -1
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

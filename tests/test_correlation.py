@@ -4,7 +4,6 @@ import pytest
 from glocal.correlation import (
     combine_correlations,
     cosine_correlation,
-    factored_trace,
     init_factor,
     laplacian_of,
     project_unit_rows,
@@ -162,15 +161,3 @@ def test_init_factor():
     # k = 1 forces entries to exactly +-1
     Z1 = init_factor(5, 1, seed=3)
     assert np.isin(Z1, (-1.0, 1.0)).all()
-
-
-def test_factored_trace_matches_dense():
-    rng = np.random.default_rng(7)
-    for _ in range(30):
-        l, k, n = rng.integers(2, 10), rng.integers(1, 5), rng.integers(1, 12)
-        Z = rng.standard_normal((l, k))
-        F = rng.standard_normal((l, n))
-        got = factored_trace(Z, F)
-        want = float(np.trace(F.T @ Z @ Z.T @ F))
-        assert got >= 0.0
-        assert abs(got - want) < 1e-10 * max(1.0, abs(want))

@@ -213,6 +213,8 @@ def test_hyperparams_defaults_and_validation():
         Hyperparams(k=1, warm_iters=-1)
     with pytest.raises(ValueError, match="tol"):
         Hyperparams(k=1, tol=-1e-9)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        Hyperparams(k=1, seed=-1)
     for name in ("lambda_", "lambda2", "lambda3", "lambda4", "tol"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"^{name} must be finite$"):

@@ -17,14 +17,12 @@ from glocal.solver import (
     _hess_U,
     _hess_V,
     _hess_W,
-    _is_factor,
-    _k_split,
+    _z_descend,
     closed_form_V,
     fit,
     gradients,
     make_context,
     objective,
-    update_Z_step,
     warm_start,
 )
 
@@ -41,11 +39,11 @@ def build_problem(seed, l=5, n=12, d=4, g=2, rho=70, **hp_kwargs):
 
 
 # Shapes on both sides of each choice the correlation algebra makes:
-# group m's weight is C_m (k x k) or its factor Q_m, which has
-# min(n, d) + min(n_m, d) rows and is used when that is below k, and
-# T_m is X_m' for n_m <= d or an R factor for n_m > d.  Each case is
+# group m's weight factor F_m stacks min(n, d) + min(n_m, d) rows, kept
+# thin when that is below k and compressed to k x k otherwise, and T_m
+# is X_m' for n_m <= d or an R factor for n_m > d.  Each case is
 # (l, n, d, k, group labels, lambda3, lambda4, weight kind per group),
-# "Q" for the factor and "C" for the k x k matrix.
+# "Q" for a thin factor (fewer rows than k) and "C" for a compressed one.
 FACTOR_CASES = [
     (5, 12, 4, 3, "halves", 0.3, 0.2, "CC"),  # n_m > d
     (4, 12, 2, 6, "halves", 0.3, 0.2, "QQ"),  # n_m > d
@@ -77,7 +75,7 @@ def factor_case(case, seed, **hp_kwargs):
     ctx = make_context(data, partition, hp)
     model = random_model(ctx, seed + 1)
     weights = _correlation_weights(model.W, ctx)
-    assert "".join("Q" if _is_factor(C) else "C" for C in weights) == kinds
+    assert "".join("Q" if len(F) < k else "C" for F in weights) == kinds
     return ctx, model
 
 
@@ -323,7 +321,9 @@ def test_z_step_keeps_unit_rows_and_never_increases():
         model = random_model(ctx, 600 + trial)
         f_before = objective(model, ctx)
         for m in range(len(ctx.groups)):
-            Z_new = update_Z_step(model, ctx, m, steps=3)
+            Z_new = _z_descend(
+                model.U, _correlation_weights(model.W, ctx)[m], model.factors[m], 3
+            )[0]
             rows = np.einsum("ij,ij->i", Z_new, Z_new)
             assert np.abs(rows - 1.0).max() < 1e-12
             Zs = list(model.factors)
@@ -340,20 +340,20 @@ def check_mm_step(model, ctx):
     # F0 = U W'X as the objective defines them, and L = lambda_max(K)
     hp = ctx.hp
     F0 = model.U @ model.W.T @ ctx.X
-    Cs = _correlation_weights(model.W, ctx)
+    Fs = _correlation_weights(model.W, ctx)
     for m, idx in enumerate(ctx.groups):
         Fm = F0[:, idx]
         K = hp.lambda3 * idx.size / ctx.n * F0 @ F0.T + hp.lambda4 * Fm @ Fm.T
         L = np.linalg.eigvalsh(K)[-1]
         Z = model.factors[m]
         want = project_unit_rows(Z - K @ Z / L)
-        got = update_Z_step(model, ctx, m, steps=1)
+        got = _z_descend(model.U, Fs[m], Z, 1)[0]
         assert not np.array_equal(got, Z)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
         # the step's h(Z) = <Z, H(Z)> / 2 is the objective's group term
-        A, M = _k_split(model.U, Cs[m])
-        h = 0.5 * float((Z * _grad_Z(A, M, Z)).sum())
-        assert h == pytest.approx(_correlation_term(Z, A, M), rel=1e-12)
+        P = model.U @ Fs[m].T
+        h = 0.5 * float((Z * _grad_Z(P, Z)).sum())
+        assert h == pytest.approx(_correlation_term(Z, P), rel=1e-12)
 
 
 def test_z_step_is_the_majorize_minimize_step():
@@ -381,7 +381,7 @@ def test_z_step_is_the_majorize_minimize_step():
 
 def test_cached_factors_reproduce_the_feature_grams():
     # T_m'T_m = X_m X_m' with min(n_m, d) rows, T'T = sum_m T_m'T_m = XX',
-    # and T0'T0 = XX' with min(n, d) rows where a short factor needs it
+    # and T0'T0 = XX' with min(n, d) rows
     cases = FACTOR_CASES + [(6, 40, 5, 3, "halves", 0.1, 0.1, "CC")]
     for trial, case in enumerate(cases):
         ctx, _ = factor_case(case, 1200 + trial)
@@ -393,17 +393,36 @@ def test_cached_factors_reproduce_the_feature_grams():
             Xm = X[:, idx]
             assert rel_err(Tm.T @ Tm, Xm @ Xm.T) <= 1e-12
         assert rel_err(ctx.T.T @ ctx.T, XXt) <= 1e-12
-        assert (ctx.T0 is not None) == ("Q" in case[-1])
-        if ctx.T0 is not None:
-            assert ctx.T0.shape == (min(ctx.n, d), d)
-            assert rel_err(ctx.T0.T @ ctx.T0, XXt) <= 1e-12
+        assert ctx.T0.shape == (min(ctx.n, d), d)
+        assert rel_err(ctx.T0.T @ ctx.T0, XXt) <= 1e-12
+
+
+def test_weight_factors_reproduce_the_dense_weights():
+    # F_m'F_m = w3 W'XX'W + lambda4 W'X_m X_m'W, w3 = lambda3 n_m / n,
+    # with min(k, min(n, d) + min(n_m, d)) rows, thin or compressed
+    cases = FACTOR_CASES + [
+        (6, 40, 5, 3, "halves", 0.0, 0.1, "CC"),  # lambda3 = 0, compressed
+        (6, 40, 5, 3, "halves", 0.1, 0.0, "CC"),  # lambda4 = 0, compressed
+    ]
+    for trial, case in enumerate(cases):
+        ctx, model = factor_case(case, 1300 + trial)
+        hp, W, X, d = ctx.hp, model.W, ctx.X, ctx.X.shape[0]
+        for idx, F in zip(ctx.groups, _correlation_weights(W, ctx)):
+            Xm = X[:, idx]
+            want = (hp.lambda3 * idx.size / ctx.n * W.T @ X @ X.T @ W
+                    + hp.lambda4 * W.T @ Xm @ Xm.T @ W)
+            assert rel_err(F.T @ F, want) <= 1e-12, (trial, case)
+            assert F.shape == (min(hp.k, min(ctx.n, d) + min(idx.size, d)), hp.k)
 
 
 def test_z_step_is_identity_without_correlation_terms():
     _, _, ctx = build_problem(7, lambda3=0.0, lambda4=0.0)
     model = random_model(ctx, 8)
     for m in range(len(ctx.groups)):
-        assert np.array_equal(update_Z_step(model, ctx, m, steps=5), model.factors[m])
+        Z = _z_descend(
+            model.U, _correlation_weights(model.W, ctx)[m], model.factors[m], 5
+        )[0]
+        assert np.array_equal(Z, model.factors[m])
 
 
 def test_warm_start_heavy_ridge_shrinks_blocks():
