@@ -113,6 +113,14 @@ def _hidden_error(text):
 def read_hidden(text):
     """Parse a hidden-entry sidecar back to 0-based entries.
 
+    Per chunk of _HIDDEN_CHUNK lines, the lines are joined and split
+    once and converted with one numpy call; comment and blank lines are
+    filtered out line by line only in a chunk that holds a '#' or the
+    wrong token count.  Per file, the entries are range-checked at once
+    and checked for repeats: by one pass when (label_idx, instance_idx)
+    strictly increases, as write_hidden writes it, and by a lexsort
+    otherwise.
+
     Returns:
         (m, 3) int64 array of (label_idx, instance_idx, value) rows in
         file order.
@@ -121,13 +129,20 @@ def read_hidden(text):
         ValueError: naming the line of the first malformed entry, or of
             the first one repeating an earlier (label_idx, instance_idx).
     """
-    entries = [ln for ln in text.splitlines() if not ln.startswith("#") and ln.strip()]
+    lines = text.splitlines()
     blocks = []
-    for start in range(0, len(entries), _HIDDEN_CHUNK):
-        chunk = entries[start : start + _HIDDEN_CHUNK]
+    for start in range(0, len(lines), _HIDDEN_CHUNK):
+        chunk = lines[start : start + _HIDDEN_CHUNK]
         # ';' ends each line; it sits at every fourth token only when
         # every line holds exactly three tokens
-        tokens = " ; ".join(chunk).split()
+        joined = " ; ".join(chunk)
+        tokens = joined.split()
+        # a comment may hold three tokens, so a '#' alone calls for the filter
+        if "#" in joined or len(tokens) != 4 * len(chunk) - 1:
+            chunk = [ln for ln in chunk if not ln.startswith("#") and ln.strip()]
+            if not chunk:
+                continue
+            tokens = " ; ".join(chunk).split()
         if len(tokens) != 4 * len(chunk) - 1 or tokens[3::4] != [";"] * (len(chunk) - 1):
             _hidden_error(text)
         del tokens[3::4]
@@ -139,9 +154,11 @@ def read_hidden(text):
     j, i, v = hidden.T
     if not ((j >= 1) & (i >= 1) & (np.abs(v) == 1)).all():
         _hidden_error(text)
-    order = np.lexsort((i, j))
-    if ((np.diff(j[order]) == 0) & (np.diff(i[order]) == 0)).any():
-        _hidden_error(text)
+    dj, di = np.diff(j), np.diff(i)
+    if not ((dj > 0) | ((dj == 0) & (di > 0))).all():
+        order = np.lexsort((i, j))
+        if ((np.diff(j[order]) == 0) & (np.diff(i[order]) == 0)).any():
+            _hidden_error(text)
     return hidden - (1, 1, 0)
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .textio import comment_lines
+from .textio import _BATCH, comment_lines
 
 
 class GmlFormatError(ValueError):
@@ -159,56 +159,6 @@ def _fail(line_no, message):
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :")
 
 
-def _ints(csv):
-    """Comma-separated integers, each read as int() reads it, as int64."""
-    return np.array(csv.split(",") if csv else [], dtype=np.int64)
-
-
-def _decode_instance(raw, x, y):
-    """Write one instance line into its feature column x and label column y.
-
-    Each field is converted with one numpy call.  Returns False, with x
-    and y partly written, when the line breaks the format.
-    """
-    fields = raw.split("|")
-    if len(fields) != 3:
-        return False
-    pos_f, neg_f, feat_f = fields
-    if not pos_f.startswith("+:") or not neg_f.startswith("-:"):
-        return False
-    tokens = feat_f.split()
-    m = len(tokens)
-    joined = " ".join(tokens)
-    # the separators alternate ':' and ' ': one colon in every token
-    separators = joined.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
-    if separators != (b": " * m)[:-1]:
-        return False
-    parts = joined.replace(":", " ").split()
-    if len(parts) != 2 * m:  # an empty index or value
-        return False
-    try:
-        pos, neg = _ints(pos_f[2:]), _ints(neg_f[2:])
-        fid = np.array(parts[0::2], dtype=np.int64)
-        val = np.array(parts[1::2], dtype=np.float64)
-    except (ValueError, OverflowError):
-        return False
-    lid = np.concatenate((pos, neg))
-    for ids, limit in ((lid, y.size), (fid, x.size)):
-        if ids.size and (ids.min() < 1 or ids.max() > limit):
-            return False
-    if not np.isfinite(val).all():
-        return False
-    y[pos - 1] = 1
-    y[neg - 1] = -1
-    hit = np.zeros(x.size, dtype=bool)
-    hit[fid - 1] = True
-    # fewer positions written than indices listed: an index repeats
-    if np.count_nonzero(y) != lid.size or np.count_nonzero(hit) != fid.size:
-        return False
-    x[fid - 1] = val
-    return True
-
-
 def _check_index(tok, limit, line_no, seen, kind):
     try:
         idx = int(tok)
@@ -221,8 +171,8 @@ def _check_index(tok, limit, line_no, seen, kind):
     seen.add(idx)
 
 
-def _reject(line_no, raw, l, d):
-    """Raise the error for an instance line that _decode_instance rejected.
+def _check_line(line_no, raw, l, d):
+    """Raise the error for the first fault of one instance line, if any.
 
     Reads the line one token at a time, in format order, so the message
     names the first offending token.
@@ -249,7 +199,54 @@ def _reject(line_no, raw, l, d):
             _fail(line_no, f"non-numeric feature value {val!r}")
         if not math.isfinite(value):
             _fail(line_no, f"non-finite feature value {val!r}")
-    _fail(line_no, "malformed instance line")
+
+
+def _reject(rows, l, d):
+    """Raise the error for instance lines the batch decoder rejected.
+
+    Checks the lines one at a time, in file order, so the error names
+    the first bad line whichever batch or file-wide check caught it.
+    """
+    for line_no, raw in rows:
+        _check_line(line_no, raw, l, d)
+    raise GmlFormatError("malformed instance lines")
+
+
+def _decode_batch(first, counts, pos_t, neg_t, fid_t, val_t, X, Y):
+    """Convert one batch of instance tokens and write it into X and Y.
+
+    The token lists hold the batch's positive label, negative label,
+    feature index and feature value strings, `counts` (positives,
+    negatives, features) of each line in turn, and `first` is the column
+    of its first line.  Each kind is converted with one numpy call.
+    Returns False, with nothing written, when a token is not a number,
+    an index is out of range, a value is not finite or a line repeats a
+    feature index.
+    """
+    try:
+        pos = np.array(pos_t, dtype=np.int64)
+        neg = np.array(neg_t, dtype=np.int64)
+        fid = np.array(fid_t, dtype=np.int64)
+        val = np.array(val_t, dtype=np.float64)
+    except (ValueError, OverflowError):
+        return False
+    for ids, limit in ((pos, Y.shape[0]), (neg, Y.shape[0]), (fid, X.shape[0])):
+        if ids.size and (ids.min() < 1 or ids.max() > limit):
+            return False
+    if not np.isfinite(val).all():
+        return False
+    cols = np.arange(first, first + len(counts) // 3)
+    per_line = np.array(counts, dtype=np.int64).reshape(-1, 3)
+    fcols = np.repeat(cols, per_line[:, 2])
+    # a line can repeat a feature index only where its indices stop
+    # rising, which write_gml's never do; only other lines pay for a sort
+    if ((fcols[1:] == fcols[:-1]) & (fid[1:] <= fid[:-1])).any():
+        if not np.diff(np.sort(fcols * X.shape[0] + fid)).all():
+            return False
+    Y[pos - 1, np.repeat(cols, per_line[:, 0])] = 1
+    Y[neg - 1, np.repeat(cols, per_line[:, 1])] = -1
+    X[fid - 1, fcols] = val
+    return True
 
 
 def parse_gml(text):
@@ -259,6 +256,15 @@ def parse_gml(text):
     form "+:<csv>|-:<csv>|<idx:value pairs>".  Indices are 1-based.
     Lines starting with '#' are comments and are skipped.  Indices are
     read as int() reads them and values as float() does.
+
+    Per line, only strings are split and the field and separator layout
+    is checked.  Per batch of about textio._BATCH tokens, the indices and
+    values are converted with one numpy call per kind, range- and
+    finite-checked, checked for feature indices a line repeats, and
+    written into X and Y.  Per file, repeated label indices are found by
+    counting: fewer labels set in Y than listed.  On any fault the lines
+    are read again one token at a time, in order, to name the first bad
+    one.
 
     Args:
         text: full file contents as a string.
@@ -302,9 +308,42 @@ def parse_gml(text):
         Y = np.zeros((l, n), dtype=np.int8)
     except ValueError:  # numpy cannot even describe an array that large
         _fail(header_line, f"dimensions n={n} d={d} l={l} are too large")
-    for col, (line_no, raw) in enumerate(rows):
-        if not _decode_instance(raw, X[:, col], Y[:, col]):
-            _reject(line_no, raw, l, d)
+    n_labels = 0
+    first = 0  # column of the batch's first line
+    pos_t, neg_t, fid_t, val_t, counts = [], [], [], [], []
+    for col, (_, raw) in enumerate(rows):
+        fields = raw.split("|")
+        if len(fields) != 3:
+            _reject(rows, l, d)
+        pos_f, neg_f, feat_f = fields
+        if not pos_f.startswith("+:") or not neg_f.startswith("-:"):
+            _reject(rows, l, d)
+        pos = pos_f[2:].split(",") if len(pos_f) > 2 else []
+        neg = neg_f[2:].split(",") if len(neg_f) > 2 else []
+        feats = feat_f.split()
+        m = len(feats)
+        joined = " ".join(feats)
+        # the separators alternate ':' and ' ': one colon in every token
+        separators = joined.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
+        if separators != (b": " * m)[:-1]:
+            _reject(rows, l, d)
+        parts = joined.replace(":", " ").split()
+        if len(parts) != 2 * m:  # an empty index or value
+            _reject(rows, l, d)
+        pos_t += pos
+        neg_t += neg
+        fid_t += parts[0::2]
+        val_t += parts[1::2]
+        counts += (len(pos), len(neg), m)
+        n_labels += len(pos) + len(neg)
+        if len(pos_t) + len(neg_t) + 2 * len(fid_t) >= _BATCH or col == n - 1:
+            if not _decode_batch(first, counts, pos_t, neg_t, fid_t, val_t, X, Y):
+                _reject(rows, l, d)
+            first = col + 1
+            pos_t, neg_t, fid_t, val_t, counts = [], [], [], [], []
+    # fewer labels set than listed: a line repeats a label index
+    if np.count_nonzero(Y) != n_labels:
+        _reject(rows, l, d)
 
     return Dataset(FeatureMatrix(X), LabelMatrix(Y))
 

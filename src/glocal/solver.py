@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import _DIST_BLOCK_BYTES
 from .correlation import init_factor, project_unit_rows
 from .model import GlocalModel
 from .textio import comment_lines
@@ -239,21 +240,34 @@ def gradients(model, ctx):
 
 
 def _closed_form_V(U, W, ctx):
+    # per column i: (U' Diag(j_i) U + (lambda+lambda2) I) v_i = b_i / 2,
+    # with U' Diag(j_i) U = sum_a J[a, i] u_a u_a', solved a chunk of
+    # instances at a time (see closed_form_V)
     hp = ctx.hp
     l, k = U.shape
     n = ctx.J.shape[1]
-    # per column i: (U' Diag(j_i) U + (lambda+lambda2) I) v_i = b_i / 2,
-    # all n systems at once: U' Diag(j_i) U = sum_a J[a, i] u_a u_a'
     outer = (U[:, :, None] * U[:, None, :]).reshape(l, k * k)
-    A = (ctx.J.T @ outer).reshape(n, k, k)
-    A[:, np.arange(k), np.arange(k)] += hp.lambda_ + hp.lambda2
-    B = 0.5 * _rhs_V(U, W, ctx).T  # n x k
-    sol = np.linalg.solve(A, B[:, :, None])[:, :, 0]
-    return sol.T.copy()
+    B = 0.5 * _rhs_V(U, W, ctx)  # k x n
+    V = np.empty((k, n))
+    diag = np.arange(k)
+    chunk = max(1, _DIST_BLOCK_BYTES // (8 * k * k))
+    for start in range(0, n, chunk):
+        cols = slice(start, start + chunk)
+        A = (ctx.J[:, cols].T @ outer).reshape(-1, k, k)
+        A[:, diag, diag] += hp.lambda_ + hp.lambda2
+        V[:, cols] = np.linalg.solve(A, B[:, cols].T[:, :, None])[:, :, 0].T
+        del A  # else it is alive while the next chunk's is built
+    return V
 
 
 def closed_form_V(model, ctx):
-    """Exact minimizer of the objective in V with all other blocks fixed."""
+    """Exact minimizer of the objective in V with all other blocks fixed.
+
+    One k x k system per instance, built and solved in instance chunks
+    of at most _DIST_BLOCK_BYTES (8 MiB) of systems, so no n x k x k
+    tensor is formed.  The l x k^2 table of outer products u_a u_a' is
+    still formed whole.
+    """
     return _closed_form_V(model.U, model.W, ctx)
 
 
@@ -428,9 +442,11 @@ def fit(dataset, partition, hp):
         once the relative objective change drops below hp.tol.
     """
     ctx = make_context(dataset, partition, hp)
+    # no update writes a block in place, so the warm start's arrays are
+    # taken as they are and each is freed once its block moves on
     start = warm_start(ctx)
-    U, V, W = start.U.copy(), start.V.copy(), start.W.copy()
-    Zs = [Z.copy() for Z in start.factors]
+    U, V, W, Zs = start.U, start.V, start.W, list(start.factors)
+    del start
 
     f = _objective_arrays(U, V, W, Zs, ctx)
     if not np.isfinite(f):

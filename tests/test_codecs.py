@@ -384,6 +384,67 @@ def test_readers_accept_any_line_layout():
         parse_model("\n".join([magic, lines[0], header, "", *lines[2:]]))
 
 
+# ---- (b'') the batch decoders' error order and chunk edges ---------------
+
+
+def test_gml_error_names_the_first_bad_line_of_a_batch():
+    # line 3's value is converted only with its batch, after line 4's
+    # separators were read; the error must still name line 3
+    text = "3 4 3\n+:1|-:2|1:0.5\n+:|-:|2:x\n+:3|-:|1:2:3\n"
+    with pytest.raises(GmlFormatError) as want:
+        parse_gml_reference(text)
+    with pytest.raises(GmlFormatError) as got:
+        parse_gml(text)
+    assert str(got.value) == str(want.value) == "line 3: non-numeric feature value 'x'"
+
+
+def test_gml_repeat_in_the_last_line_of_many_batches():
+    rng = np.random.default_rng(7)
+    n, d, l = 150, 50, 6  # 100 feature tokens a line: several batches
+    lines = [f"{n} {d} {l}"]
+    for _ in range(n):
+        feats = " ".join(f"{j}:{rng.standard_normal()!r}" for j in range(1, d + 1))
+        lines.append(f"+:1,3|-:2|{feats}")
+    ok = "\n".join(lines) + "\n"
+    got, want = parse_gml(ok), parse_gml_reference(ok)
+    assert same_bits(got.features.values, want.features.values)
+    assert same_bits(got.labels.values, want.labels.values)
+    lines[-1] += " 17:1.5"
+    bad = "\n".join(lines) + "\n"
+    with pytest.raises(GmlFormatError) as want_err:
+        parse_gml_reference(bad)
+    with pytest.raises(GmlFormatError) as got_err:
+        parse_gml(bad)
+    assert str(got_err.value) == str(want_err.value)
+    assert str(got_err.value) == f"line {n + 1}: duplicate feature index 17"
+
+
+def test_sidecar_comments_and_blanks_mid_file_and_across_a_chunk_edge():
+    rng = np.random.default_rng(8)
+    m = 9000  # past two 4096-line chunks
+    hidden = np.column_stack((np.arange(m) // 50, np.arange(m) % 50,
+                              rng.choice([-1, 1], size=m)))
+    lines = write_hidden(hidden, comments=["source: toy"]).splitlines()
+    # a 3-token comment, blank and whitespace-only lines mid-file, on both
+    # sides of the first chunk edge and as the last lines
+    for at, extra in ((8000, "# a b"), (4097, ""), (4096, "# source: toy"),
+                      (4095, " \t"), (100, ""), (99, "# c d")):
+        lines.insert(at, extra)
+    text = "\n".join(lines + ["", "# end"]) + "\n"
+    assert same_bits(read_hidden(text), hidden.astype(np.int64))
+
+
+def test_sidecar_unsorted_entries_and_repeats():
+    entries = [(3, 1, 1), (1, 2, -1), (2, 2, 1), (1, 1, 1)]
+    text = "# h\n" + "".join(f"{j} {i} {v}\n" for j, i, v in entries)
+    assert same_bits(read_hidden(text), np.array(entries, dtype=np.int64) - (1, 1, 0))
+    # a repeat out of order, and one in a sorted file, name the later line
+    with pytest.raises(ValueError, match=r"^line 6: duplicate hidden entry '2 2 -1'$"):
+        read_hidden(text + "2 2 -1\n")
+    with pytest.raises(ValueError, match=r"^line 3: duplicate hidden entry '1 2 1'$"):
+        read_hidden("1 1 1\n1 2 -1\n1 2 1\n2 1 1\n")
+
+
 # ---- (c) the writers' bytes, frozen --------------------------------------
 
 

@@ -287,6 +287,24 @@ def test_random_cases_match_oracle():
     assert agreements > 400
 
 
+def test_evaluate_matches_oracle_past_the_pairwise_block():
+    # columns hold more than 8 positives and the means run over more than
+    # 8 values, past numpy's unrolled blocks: a real-valued mean may then
+    # differ from the oracle's left-to-right sum in the last bits, while
+    # coverage averages integers and stays exact
+    rng = np.random.default_rng(6)
+    l, p = 40, 30
+    for _ in range(3):
+        scores = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0], size=(l, p))
+        truth = rng.choice([-1, 0, 1], p=[0.3, 0.2, 0.5], size=(l, p))
+        assert (np.count_nonzero(truth == 1, axis=0) > 8).all()
+        report = evaluate(scores, truth)
+        assert report.cvg == oracle_cvg(scores, truth)
+        for got, oracle in ((report.rkl, oracle_rkl), (report.auc, oracle_auc),
+                            (report.ap, oracle_ap)):
+            assert got == pytest.approx(oracle(scores, truth), rel=1e-15, abs=0)
+
+
 def test_evaluate_report_and_csv():
     scores = np.array([[0.9, 0.2], [0.5, 0.4], [0.1, 0.6]])
     truth = np.array([[1, 1], [-1, 1], [1, 1]])

@@ -17,6 +17,7 @@ from glocal.solver import (
     _hess_U,
     _hess_V,
     _hess_W,
+    _rhs_V,
     _z_descend,
     closed_form_V,
     fit,
@@ -313,6 +314,29 @@ def test_closed_form_v_singular_system_raises():
     model = random_model(ctx, 6)
     with pytest.raises(np.linalg.LinAlgError):
         closed_form_V(model, ctx)
+
+
+def test_closed_form_v_runs_in_bounded_memory_and_matches_one_solve():
+    import tracemalloc
+
+    _, _, ctx = build_problem(19, l=20, n=1000, d=6, g=1, k=64)
+    model = random_model(ctx, 20)
+    tracemalloc.start()
+    try:
+        V = closed_form_V(model, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the one-piece system tensor alone is n k^2 float64 values, 33 MB
+    assert peak < 16 << 20
+    U, hp = model.U, ctx.hp
+    l, k = U.shape
+    outer = (U[:, :, None] * U[:, None, :]).reshape(l, k * k)
+    A = (ctx.J.T @ outer).reshape(-1, k, k)
+    A[:, np.arange(k), np.arange(k)] += hp.lambda_ + hp.lambda2
+    B = 0.5 * _rhs_V(U, model.W, ctx).T
+    want = np.linalg.solve(A, B[:, :, None])[:, :, 0].T
+    assert V.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_z_step_keeps_unit_rows_and_never_increases():
