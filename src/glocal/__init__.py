@@ -58,6 +58,7 @@ from .solver import (
     closed_form_V,
     fit,
     gradients,
+    grid_search,
     make_context,
     objective,
     warm_start,
@@ -75,7 +76,7 @@ __all__ = [
     "GlocalModel", "Hyperparams", "ModelFormatError", "load_model",
     "parse_model", "predict", "save_model", "score",
     "FitTrace", "ObjectiveContext", "closed_form_V", "fit", "gradients",
-    "make_context", "objective", "warm_start",
+    "grid_search", "make_context", "objective", "warm_start",
 ]
 
 __version__ = "0.1.0"

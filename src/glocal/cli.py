@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -32,13 +31,12 @@ from .data import (
     apply_mask,
     parse_gml,
     split,
-    take_instances,
     write_gml,
 )
-from .metrics import evaluate, ranking_loss
+from .metrics import evaluate
 from .model import Hyperparams, load_model, predict, save_model, score
-from .solver import fit
-from .textio import TokenStream, comment_lines, format_rows
+from .solver import fit, grid_search
+from .textio import _BATCH, comment_lines, format_rows
 
 
 def make_synthetic(l, n, d, k_true, noise, seed):
@@ -173,13 +171,23 @@ def write_matrix(A, comments=()):
 def read_matrix(text):
     """Parse a matrix written by write_matrix.
 
+    The values are a whitespace-separated token stream in which '#'
+    lines are comments, so a header or a row may span lines or share
+    them.  The values are converted in batches of at most _BATCH.
+
     Raises:
         ValueError: on a missing, non-integer or negative 'rows cols'
             header or one with a side numpy cannot hold, a non-numeric
-            value, or a value count other than rows * cols.
+            value (with float()'s message), or a value count other than
+            rows * cols.
     """
-    tokens = TokenStream(text.splitlines())
-    header = tokens.words(2)
+    lines = (line.split() for line in text.splitlines() if not line.startswith("#"))
+    batch = []
+    for tokens in lines:
+        batch += tokens
+        if len(batch) >= 2:
+            break
+    header, batch = batch[:2], batch[2:]
     if len(header) < 2:
         raise ValueError("matrix file needs a 'rows cols' header")
     bad_header = f"bad matrix header {' '.join(header)!r}, expected 'rows cols'"
@@ -189,7 +197,14 @@ def read_matrix(text):
             raise ValueError
     except ValueError:
         raise ValueError(bad_header) from None
-    vals = tokens.floats()
+    parts = []
+    for tokens in lines:
+        batch += tokens
+        while len(batch) >= _BATCH:
+            parts.append(np.array(batch[:_BATCH], dtype=np.float64))
+            del batch[:_BATCH]
+    parts.append(np.array(batch, dtype=np.float64))
+    vals = np.concatenate(parts)
     if vals.size != rows * cols:
         raise ValueError(f"expected {rows * cols} values, found {vals.size}")
     try:  # an empty matrix may still name a side numpy cannot hold
@@ -252,16 +267,16 @@ def parse_grid(spec):
                 values = [float(v) for v in vals.split(",")]
         except ValueError:
             raise ValueError(f"bad grid values for axis {name!r}: {vals!r}") from None
-        if not values:
-            raise ValueError(f"empty grid axis {name!r}")
+        if name == "g" and min(values) < 1:
+            raise ValueError(f"grid axis 'g' needs values >= 1, got {min(values)}")
         axes[name] = values
     if not axes:
         raise ValueError("empty grid")
     return axes
 
 
-def _hp_from_args(args, **overrides):
-    fields = dict(
+def _hp_from_args(args):
+    return Hyperparams(
         k=args.latent_k,
         lambda_=args.lam,
         lambda2=args.lambda2,
@@ -273,54 +288,6 @@ def _hp_from_args(args, **overrides):
         tol=args.tol,
         seed=args.seed,
     )
-    fields.update(overrides)
-    return Hyperparams(**fields)
-
-
-def _cv_folds(n, seed, folds=5):
-    perm = np.random.default_rng(seed).permutation(n)
-    return [np.sort(f) for f in np.array_split(perm, folds) if f.size]
-
-
-def _grid_search(data, args, axes):
-    """5-fold CV over the grid; selection criterion is mean ranking loss."""
-    folds = _cv_folds(data.n, args.seed)
-    if len(folds) < 2:
-        raise ValueError("grid search needs at least 2 instances")
-    combos = list(itertools.product(*axes.values()))
-    names = list(axes.keys())
-    best = None
-    for combo in combos:
-        chosen = dict(zip(names, combo))
-        g = chosen.pop("g", args.groups)
-        overrides = {
-            {"lambda": "lambda_"}.get(k, k): v for k, v in chosen.items()
-        }
-        hp = _hp_from_args(args, **overrides)
-        losses = []
-        usable = True
-        for f, val_idx in enumerate(folds):
-            train_idx = np.sort(np.concatenate(folds[:f] + folds[f + 1 :]))
-            sub = take_instances(data, train_idx)
-            try:
-                part = kmeans(sub.features, g, args.seed)
-                model, _ = fit(sub, part, hp)
-                val = take_instances(data, val_idx)
-                losses.append(
-                    ranking_loss(score(model, val.features), val.labels.values)
-                )
-            except (ValueError, np.linalg.LinAlgError):
-                # degenerate fold for this combination; skip the combo
-                usable = False
-                break
-        if not usable:
-            continue
-        mean_loss = float(np.mean(losses))
-        if best is None or mean_loss < best[0]:
-            best = (mean_loss, dict(zip(names, combo)), g, hp)
-    if best is None:
-        raise ValueError("no grid combination produced a usable CV score")
-    return best
 
 
 def _cmd_synth(args):
@@ -389,22 +356,19 @@ def _cmd_train(args):
     if args.partition:
         _require_file(args.partition, "partition")
     data = _load_dataset(args.input, add_bias=args.add_bias)
-
-    grid_note = None
-    if args.grid:
-        axes = parse_grid(args.grid)
-        if args.partition and "g" in axes:
-            raise ValueError("cannot vary g in --grid while --partition is fixed")
-        loss, chosen, g, hp = _grid_search(data, args, axes)
-        grid_note = ", ".join(f"{k}={v}" for k, v in chosen.items())
-        print(f"grid: selected {grid_note} (cv ranking loss {loss:.4f})")
-    else:
-        hp = _hp_from_args(args)
-        g = args.groups
-
+    part = None
     if args.partition:
         part = read_partition(_read(args.partition), data.features)
-    else:
+
+    hp, g, grid_note = _hp_from_args(args), args.groups, None
+    if args.grid:
+        axes = parse_grid(args.grid)
+        fields = {{"lambda": "lambda_"}.get(a, a): v for a, v in axes.items()}
+        groups = g if part is None else part
+        loss, chosen, g, hp = grid_search(data, hp, fields, groups, args.seed)
+        grid_note = ", ".join(f"{a}={v}" for a, v in zip(axes, chosen.values()))
+        print(f"grid: selected {grid_note} (cv ranking loss {loss:.4f})")
+    if part is None:
         part = kmeans(data.features, g, args.seed)
 
     model, trace = fit(data, part, hp)

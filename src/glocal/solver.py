@@ -37,18 +37,24 @@ and F_m has min(k, min(n, d) + min(n_m, d)) rows: the stack
 [sqrt(lambda3 n_m / n) T0 W; sqrt(lambda4) T_m W], kept as it is when it
 has fewer rows than k and compressed to its k x k QR R factor
 otherwise.  The W Hessian action uses the T_m in place of X.
+
+grid_search picks fit's hyperparameters and group count by 5-fold
+cross-validation on ranking loss.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _DIST_BLOCK_BYTES
+from .clustering import _DIST_BLOCK_BYTES, Partition, kmeans
 from .correlation import init_factor, project_unit_rows
-from .model import GlocalModel
+from .data import take_instances
+from .metrics import ranking_loss
+from .model import GlocalModel, score
 from .textio import comment_lines
 
 # above this latent dimension the per-column closed-form V solves get
@@ -464,3 +470,82 @@ def fit(dataset, partition, hp):
             break
     model = GlocalModel(U=U, V=V, W=W, factors=tuple(Zs))
     return model, FitTrace(records=tuple(records), converged=converged)
+
+
+def grid_search(dataset, hp, axes, groups, seed):
+    """Pick hyperparameters by 5-fold cross-validation on mean ranking loss.
+
+    A permutation seeded with `seed` splits the instances into 5 folds.
+    Each combination of axis values, in itertools.product order, is fit
+    on every fold's training side and scored by ranking loss on its
+    validation side; the first combination with the lowest mean wins.
+    A combination that raises ValueError or LinAlgError on some fold
+    (say, a g larger than the fold) is skipped.  Each fold's datasets
+    are cut once and its groups formed once per g, which changes no
+    result: kmeans is deterministic in (features, g, seed).
+
+    Args:
+        dataset: Dataset to cross-validate on.
+        hp: Hyperparams holding every value the axes do not vary.
+        axes: dict mapping Hyperparams field names, and "g" for the
+            group count, to sequences of values.
+        groups: the group count when "g" is not an axis, or a fixed
+            Partition of the dataset.  A Partition is restricted to each
+            training fold and keeps all its groups, so a fold that
+            empties one is degenerate.
+        seed: seeds the fold permutation and kmeans.
+
+    Returns:
+        (mean loss, chosen values as a dict keyed like axes, g,
+        Hyperparams) of the winning combination.
+
+    Raises:
+        ValueError: if g is an axis while the partition is fixed, the
+            dataset has fewer than 2 instances, a combination makes
+            invalid Hyperparams, or no combination is usable.
+    """
+    fixed = isinstance(groups, Partition)
+    if fixed and "g" in axes:
+        raise ValueError("cannot vary g in the grid while the partition is fixed")
+    perm = np.random.default_rng(seed).permutation(dataset.n)
+    folds = [np.sort(f) for f in np.array_split(perm, 5) if f.size]
+    if len(folds) < 2:
+        raise ValueError("grid search needs at least 2 instances")
+    combos = []
+    for values in itertools.product(*axes.values()):
+        chosen = dict(zip(axes, values))
+        fields = {name: v for name, v in chosen.items() if name != "g"}
+        g = groups.g if fixed else chosen.get("g", groups)
+        combos.append((chosen, g, dataclasses.replace(hp, **fields)))
+    losses = [[] for _ in combos]  # a combination's entry is None once skipped
+    for f, val_idx in enumerate(folds):
+        train_idx = np.sort(np.concatenate(folds[:f] + folds[f + 1 :]))
+        train = take_instances(dataset, train_idx)
+        val = take_instances(dataset, val_idx)
+        parts = {}  # g -> this fold's partition
+        for c, (_, g, combo_hp) in enumerate(combos):
+            if losses[c] is None:
+                continue
+            try:
+                if g not in parts:
+                    if fixed:
+                        assign = groups.assignment[train_idx]
+                        sizes = np.bincount(assign, minlength=g + 1)[1:]
+                        parts[g] = Partition(g=g, assignment=assign, sizes=sizes)
+                    else:
+                        parts[g] = kmeans(train.features, g, seed)
+                model, _ = fit(train, parts[g], combo_hp)
+                S = score(model, val.features)
+                losses[c].append(ranking_loss(S, val.labels.values))
+            except (ValueError, np.linalg.LinAlgError):
+                losses[c] = None  # degenerate fold for this combination
+    best = None
+    for (chosen, g, combo_hp), fold_losses in zip(combos, losses):
+        if fold_losses is None:
+            continue
+        mean_loss = float(np.mean(fold_losses))
+        if best is None or mean_loss < best[0]:
+            best = (mean_loss, chosen, g, combo_hp)
+    if best is None:
+        raise ValueError("no grid combination produced a usable CV score")
+    return best

@@ -30,7 +30,6 @@ from glocal.data import (
     MaskSpec,
     apply_mask,
     split,
-    take_instances,
 )
 from glocal.metrics import (
     UndefinedMetricError,
@@ -45,6 +44,7 @@ from glocal.solver import (
     closed_form_V,
     fit,
     gradients,
+    grid_search,
     make_context,
     objective,
     warm_start,
@@ -378,39 +378,13 @@ def test_criterion_10_image_dataset_full_label_benchmark():
     data = parse_gml(open(path, encoding="utf-8").read())
     train, test = split(data, 0.6, seed=0)
 
-    grid = [
-        (k, g, lam3, lam4)
-        for k in (3, 4)
-        for g in (4, 8)
-        for lam3 in (0.01, 0.1, 1.0)
-        for lam4 in (0.01, 0.1, 1.0)
-    ]
-    folds = np.array_split(np.random.default_rng(0).permutation(train.n), 5)
-    best = None
-    for k, g, lam3, lam4 in grid:
-        hp = Hyperparams(k=k, lambda3=lam3, lambda4=lam4, seed=0)
-        losses = []
-        try:
-            for f in range(5):
-                val_idx = np.sort(folds[f])
-                tr_idx = np.sort(
-                    np.concatenate([folds[j] for j in range(5) if j != f])
-                )
-                sub = take_instances(train, tr_idx)
-                part = kmeans(sub.features, g, seed=0)
-                model, _ = fit(sub, part, hp)
-                val = take_instances(train, val_idx)
-                losses.append(
-                    ranking_loss(model_score(model, val.features), val.labels.values)
-                )
-        except (ValueError, np.linalg.LinAlgError):
-            continue
-        mean = float(np.mean(losses))
-        if best is None or mean < best[0]:
-            best = (mean, k, g, lam3, lam4)
-    assert best is not None
-    _, k, g, lam3, lam4 = best
-    hp = Hyperparams(k=k, lambda3=lam3, lambda4=lam4, seed=0)
+    axes = {
+        "k": (3, 4),
+        "g": (4, 8),
+        "lambda3": (0.01, 0.1, 1.0),
+        "lambda4": (0.01, 0.1, 1.0),
+    }
+    _, _, g, hp = grid_search(train, Hyperparams(k=3, seed=0), axes, 1, 0)
     part = kmeans(train.features, g, seed=0)
     model, _ = fit(train, part, hp)
     S = model_score(model, test.features)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from glocal import cli, solver
 from glocal.cli import (
     main,
     make_synthetic,
@@ -10,6 +11,7 @@ from glocal.cli import (
     write_hidden,
     write_matrix,
 )
+from glocal.clustering import kmeans
 from glocal.data import parse_gml
 from glocal.metrics import ranking_loss
 from glocal.model import load_model
@@ -108,6 +110,8 @@ def test_parse_grid():
         parse_grid("k=1;k=2")
     with pytest.raises(ValueError, match="bad grid values"):
         parse_grid("k=one")
+    with pytest.raises(ValueError, match="grid axis 'g' needs values >= 1, got 0"):
+        parse_grid("g=0,2")
 
 
 def test_synth_outputs_consistent(synth_files):
@@ -248,6 +252,38 @@ def test_train_grid_with_fixed_partition_cannot_vary_g(
              "--model-out", tmp_path / "m.model", "--grid", "g=2,3")
     assert rc == 1
     assert "cannot vary g" in capsys.readouterr().err
+
+
+def test_train_grid_rejects_a_group_count_below_one(tmp_path, synth_files, capsys):
+    _, masked, _ = synth_files
+    rc = run("train", "--input", masked, "--model-out", tmp_path / "m.model",
+             "--grid", "g=0,2")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: grid axis 'g' needs values >= 1, got 0\n"
+
+
+def test_train_grid_under_a_partition_file_never_runs_kmeans(
+    tmp_path, synth_files, monkeypatch
+):
+    # cross-validation restricts the file's groups to each fold
+    _, masked, _ = synth_files
+    part = tmp_path / "p.txt"
+    assert run("cluster", "--input", masked, "--groups", 4, "--seed", 0,
+               "--out", part) == 0
+    calls = []
+
+    def counting_kmeans(*args, **kwargs):
+        calls.append(args[1])
+        return kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "kmeans", counting_kmeans)
+    monkeypatch.setattr(solver, "kmeans", counting_kmeans, raising=False)
+    model_path = tmp_path / "m.model"
+    assert run("train", "--input", masked, "--partition", part,
+               "--model-out", model_path, "--grid", "lambda3=0,0.5",
+               "--latent-k", 2, "--outer-iters", 2, "--warm-iters", 2) == 0
+    assert calls == []
+    assert load_model(model_path).g == 4
 
 
 def test_add_bias_appends_constant_feature(tmp_path, synth_files):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import glocal
 
 
@@ -7,3 +10,9 @@ def test_every_exported_name_resolves_once():
     assert not repeated, f"exported more than once: {repeated}"
     missing = [name for name in names if not hasattr(glocal, name)]
     assert not missing, f"exported but not defined: {missing}"
+
+
+def test_sources_parse_as_python_3_10():
+    # requires-python is >=3.10; this checks syntax only, not stdlib APIs
+    for path in sorted(Path(glocal.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -1,14 +1,24 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glocal import solver
 from glocal.clustering import kmeans, partition_from_assignment
 from glocal.correlation import init_factor, project_unit_rows
-from glocal.data import Dataset, FeatureMatrix, LabelMatrix, MaskSpec, apply_mask
-from glocal.model import GlocalModel, Hyperparams
+from glocal.data import (
+    Dataset,
+    FeatureMatrix,
+    LabelMatrix,
+    MaskSpec,
+    apply_mask,
+    take_instances,
+)
+from glocal.metrics import ranking_loss
+from glocal.model import GlocalModel, Hyperparams, score
 from glocal.solver import (
     _correlation_weights,
     _correlation_term,
@@ -22,6 +32,7 @@ from glocal.solver import (
     closed_form_V,
     fit,
     gradients,
+    grid_search,
     make_context,
     objective,
     warm_start,
@@ -626,3 +637,81 @@ def test_make_context_rejects_mismatched_partition():
     )
     with pytest.raises(ValueError, match="partition covers"):
         make_context(data, other, Hyperparams(k=2))
+
+
+def grid_problem(n=30, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((3, n))
+    Y = np.where(rng.standard_normal((4, n)) > 0, 1, -1).astype(np.int8)
+    hp = Hyperparams(k=2, outer_iters=3, warm_iters=2, seed=seed)
+    return Dataset(FeatureMatrix(X), LabelMatrix(Y)), hp
+
+
+def test_grid_search_groups_each_fold_once_per_g_and_matches_the_plain_protocol(
+    monkeypatch,
+):
+    # the plain protocol cuts every fold and runs kmeans for every
+    # combination; grid_search does so once per fold and once per (fold, g)
+    data, hp = grid_problem()
+    axes = {"lambda3": [0.0, 0.5], "g": [2, 3], "k": [1, 2]}
+    perm = np.random.default_rng(0).permutation(data.n)
+    folds = [np.sort(f) for f in np.array_split(perm, 5)]
+    want = None
+    for lam3, g, k in itertools.product(*axes.values()):
+        combo_hp = dataclasses.replace(hp, lambda3=lam3, k=k)
+        losses = []
+        for f, val_idx in enumerate(folds):
+            train_idx = np.sort(np.concatenate(folds[:f] + folds[f + 1:]))
+            train = take_instances(data, train_idx)
+            val = take_instances(data, val_idx)
+            model, _ = fit(train, kmeans(train.features, g, 0), combo_hp)
+            losses.append(ranking_loss(score(model, val.features), val.labels.values))
+        mean = float(np.mean(losses))
+        if want is None or mean < want[0]:
+            want = (mean, {"lambda3": lam3, "g": g, "k": k}, g, combo_hp)
+
+    calls = []
+
+    def counting_kmeans(features, g, seed):
+        calls.append((features.n, g))
+        return kmeans(features, g, seed)
+
+    monkeypatch.setattr(solver, "kmeans", counting_kmeans)
+    got = grid_search(data, hp, axes, 1, 0)
+    assert calls == [(24, 2), (24, 3)] * 5  # once per (fold, g), not per combination
+    assert got[0] == want[0]  # the same mean-loss bits
+    assert got[1:] == want[1:]
+
+
+def test_grid_search_restricts_a_fixed_partition_to_each_fold(monkeypatch):
+    data, hp = grid_problem()
+    assign = np.arange(data.n) % 3 + 1
+    partition = partition_from_assignment(data.features, assign)
+    perm = np.random.default_rng(4).permutation(data.n)
+    folds = [np.sort(f) for f in np.array_split(perm, 5)]
+    train_sides = [np.sort(np.concatenate(folds[:f] + folds[f + 1:])) for f in range(5)]
+    seen = []
+
+    def recording_fit(train, part, combo_hp):
+        seen.append((train.features.values, part))
+        return fit(train, part, combo_hp)
+
+    def no_kmeans(*args):
+        raise AssertionError("kmeans called under a fixed partition")
+
+    monkeypatch.setattr(solver, "fit", recording_fit)
+    monkeypatch.setattr(solver, "kmeans", no_kmeans)
+    _, chosen, g, _ = grid_search(data, hp, {"lambda4": [0.0, 1.0]}, partition, 4)
+    assert g == 3 and set(chosen) == {"lambda4"}
+    assert len(seen) == 10
+    for (X, part), idx in zip(seen, [t for t in train_sides for _ in range(2)]):
+        assert np.array_equal(X, data.features.values[:, idx])
+        assert part.g == 3
+        assert np.array_equal(part.assignment, assign[idx])
+
+    # a fold that empties a group is degenerate, here for every combination
+    lonely = partition_from_assignment(data.features, np.r_[2, np.ones(data.n - 1)])
+    with pytest.raises(ValueError, match="no grid combination"):
+        grid_search(data, hp, {"lambda4": [0.0, 1.0]}, lonely, 4)
+    with pytest.raises(ValueError, match="cannot vary g"):
+        grid_search(data, hp, {"g": [2, 3]}, partition, 4)
