@@ -275,8 +275,10 @@ def parse_grid(spec):
     return axes
 
 
-def _hp_from_args(args):
-    return Hyperparams(
+def _hp_from_args(args, axes):
+    """Hyperparams from the train flags; a grid axis's first value stands
+    in for its flag, so a flag the grid replaces is not validated."""
+    fields = dict(
         k=args.latent_k,
         lambda_=args.lam,
         lambda2=args.lambda2,
@@ -288,6 +290,8 @@ def _hp_from_args(args):
         tol=args.tol,
         seed=args.seed,
     )
+    fields.update((name, values[0]) for name, values in axes.items() if name != "g")
+    return Hyperparams(**fields)
 
 
 def _cmd_synth(args):
@@ -360,12 +364,12 @@ def _cmd_train(args):
     if args.partition:
         part = read_partition(_read(args.partition), data.features)
 
-    hp, g, grid_note = _hp_from_args(args), args.groups, None
-    if args.grid:
-        axes = parse_grid(args.grid)
-        fields = {{"lambda": "lambda_"}.get(a, a): v for a, v in axes.items()}
+    axes = parse_grid(args.grid) if args.grid else {}
+    fields = {{"lambda": "lambda_"}.get(a, a): v for a, v in axes.items()}
+    hp, g, grid_note = _hp_from_args(args, fields), args.groups, None
+    if axes:
         groups = g if part is None else part
-        loss, chosen, g, hp = grid_search(data, hp, fields, groups, args.seed)
+        loss, chosen, g, hp = grid_search(data, hp, fields, groups)
         grid_note = ", ".join(f"{a}={v}" for a, v in zip(axes, chosen.values()))
         print(f"grid: selected {grid_note} (cv ranking loss {loss:.4f})")
     if part is None:

@@ -384,7 +384,7 @@ def test_criterion_10_image_dataset_full_label_benchmark():
         "lambda3": (0.01, 0.1, 1.0),
         "lambda4": (0.01, 0.1, 1.0),
     }
-    _, _, g, hp = grid_search(train, Hyperparams(k=3, seed=0), axes, 1, 0)
+    _, _, g, hp = grid_search(train, Hyperparams(k=3, seed=0), axes, 1)
     part = kmeans(train.features, g, seed=0)
     model, _ = fit(train, part, hp)
     S = model_score(model, test.features)

@@ -262,6 +262,20 @@ def test_train_grid_rejects_a_group_count_below_one(tmp_path, synth_files, capsy
     assert capsys.readouterr().err == "error: grid axis 'g' needs values >= 1, got 0\n"
 
 
+def test_train_grid_replaces_the_flags_it_varies(tmp_path, synth_files, capsys):
+    # a flag the grid varies is not validated; one it keeps still is
+    _, masked, _ = synth_files
+    model_path = tmp_path / "m.model"
+    assert run("train", "--input", masked, "--model-out", model_path,
+               "--latent-k", 0, "--grid", "k=2", "--outer-iters", 2,
+               "--warm-iters", 2) == 0
+    assert load_model(model_path).k == 2
+    capsys.readouterr()
+    assert run("train", "--input", masked, "--model-out", model_path,
+               "--latent-k", 0, "--grid", "lambda3=0,0.5") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_train_grid_under_a_partition_file_never_runs_kmeans(
     tmp_path, synth_files, monkeypatch
 ):

@@ -677,7 +677,7 @@ def test_grid_search_groups_each_fold_once_per_g_and_matches_the_plain_protocol(
         return kmeans(features, g, seed)
 
     monkeypatch.setattr(solver, "kmeans", counting_kmeans)
-    got = grid_search(data, hp, axes, 1, 0)
+    got = grid_search(data, hp, axes, 1)
     assert calls == [(24, 2), (24, 3)] * 5  # once per (fold, g), not per combination
     assert got[0] == want[0]  # the same mean-loss bits
     assert got[1:] == want[1:]
@@ -685,6 +685,7 @@ def test_grid_search_groups_each_fold_once_per_g_and_matches_the_plain_protocol(
 
 def test_grid_search_restricts_a_fixed_partition_to_each_fold(monkeypatch):
     data, hp = grid_problem()
+    hp = dataclasses.replace(hp, seed=4)  # hp.seed seeds the folds
     assign = np.arange(data.n) % 3 + 1
     partition = partition_from_assignment(data.features, assign)
     perm = np.random.default_rng(4).permutation(data.n)
@@ -701,7 +702,7 @@ def test_grid_search_restricts_a_fixed_partition_to_each_fold(monkeypatch):
 
     monkeypatch.setattr(solver, "fit", recording_fit)
     monkeypatch.setattr(solver, "kmeans", no_kmeans)
-    _, chosen, g, _ = grid_search(data, hp, {"lambda4": [0.0, 1.0]}, partition, 4)
+    _, chosen, g, _ = grid_search(data, hp, {"lambda4": [0.0, 1.0]}, partition)
     assert g == 3 and set(chosen) == {"lambda4"}
     assert len(seen) == 10
     for (X, part), idx in zip(seen, [t for t in train_sides for _ in range(2)]):
@@ -712,6 +713,13 @@ def test_grid_search_restricts_a_fixed_partition_to_each_fold(monkeypatch):
     # a fold that empties a group is degenerate, here for every combination
     lonely = partition_from_assignment(data.features, np.r_[2, np.ones(data.n - 1)])
     with pytest.raises(ValueError, match="no grid combination"):
-        grid_search(data, hp, {"lambda4": [0.0, 1.0]}, lonely, 4)
+        grid_search(data, hp, {"lambda4": [0.0, 1.0]}, lonely)
     with pytest.raises(ValueError, match="cannot vary g"):
-        grid_search(data, hp, {"g": [2, 3]}, partition, 4)
+        grid_search(data, hp, {"g": [2, 3]}, partition)
+    # a partition of another instance count is refused, longer or shorter
+    for n in (data.n + 1, data.n - 1):
+        other = partition_from_assignment(
+            FeatureMatrix(np.zeros((3, n))), np.arange(n) % 3 + 1
+        )
+        with pytest.raises(ValueError, match=f"partition covers {n} instances"):
+            grid_search(data, hp, {"lambda4": [0.0, 1.0]}, other)
