@@ -63,9 +63,6 @@ def make_synthetic(l, n, d, k_true, noise, seed):
     return Dataset(FeatureMatrix(X), LabelMatrix(Y))
 
 
-_HIDDEN_CHUNK = 4096  # sidecar lines formatted or converted per call
-
-
 def write_hidden(hidden, comments=()):
     """Serialize hidden entries as 1-based 'label_idx instance_idx value' lines.
 
@@ -76,8 +73,8 @@ def write_hidden(hidden, comments=()):
     """
     rows = np.asarray(hidden, dtype=np.int64).reshape(-1, 3) + (1, 1, 0)
     lines = comment_lines(comments)
-    for start in range(0, len(rows), _HIDDEN_CHUNK):
-        block = rows[start : start + _HIDDEN_CHUNK]
+    for start in range(0, len(rows), _BATCH):
+        block = rows[start : start + _BATCH]
         lines.append(("%d %d %d\n" * len(block))[:-1] % tuple(block.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
@@ -111,7 +108,7 @@ def _hidden_error(text):
 def read_hidden(text):
     """Parse a hidden-entry sidecar back to 0-based entries.
 
-    Per chunk of _HIDDEN_CHUNK lines, the lines are joined and split
+    Per chunk of _BATCH lines, the lines are joined and split
     once and converted with one numpy call; comment and blank lines are
     filtered out line by line only in a chunk that holds a '#' or the
     wrong token count.  Per file, the entries are range-checked at once
@@ -129,8 +126,8 @@ def read_hidden(text):
     """
     lines = text.splitlines()
     blocks = []
-    for start in range(0, len(lines), _HIDDEN_CHUNK):
-        chunk = lines[start : start + _HIDDEN_CHUNK]
+    for start in range(0, len(lines), _BATCH):
+        chunk = lines[start : start + _BATCH]
         # ';' ends each line; it sits at every fourth token only when
         # every line holds exactly three tokens
         joined = " ; ".join(chunk)
@@ -278,18 +275,7 @@ def parse_grid(spec):
 def _hp_from_args(args, axes):
     """Hyperparams from the train flags; a grid axis's first value stands
     in for its flag, so a flag the grid replaces is not validated."""
-    fields = dict(
-        k=args.latent_k,
-        lambda_=args.lam,
-        lambda2=args.lambda2,
-        lambda3=args.lambda3,
-        lambda4=args.lambda4,
-        inner_steps=args.inner_steps,
-        outer_iters=args.outer_iters,
-        warm_iters=args.warm_iters,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(Hyperparams)}
     fields.update((name, values[0]) for name, values in axes.items() if name != "g")
     return Hyperparams(**fields)
 
@@ -451,21 +437,26 @@ def _cmd_eval(args):
     return 0
 
 
+_TRAIN_HELP = {
+    "lambda_": "latent-to-feature coupling weight",
+    "lambda2": "ridge weight",
+    "lambda3": "global correlation weight",
+    "lambda4": "local correlation weight",
+}
+
+
 def _add_train_flags(p):
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="latent-to-feature coupling weight")
-    p.add_argument("--lambda2", type=float, default=0.01, help="ridge weight")
-    p.add_argument("--lambda3", type=float, default=0.1,
-                   help="global correlation weight")
-    p.add_argument("--lambda4", type=float, default=0.1,
-                   help="local correlation weight")
-    p.add_argument("--latent-k", type=int, default=3, help="latent dimension")
+    # one flag per Hyperparams field, named and defaulted after it; only k
+    # has no default there, and the group count is no Hyperparams field
+    p.add_argument("--latent-k", dest="k", metavar="LATENT_K", type=int, default=3,
+                   help="latent dimension")
     p.add_argument("--groups", type=int, default=1, help="instance groups")
-    p.add_argument("--inner-steps", type=int, default=5)
-    p.add_argument("--outer-iters", type=int, default=50)
-    p.add_argument("--warm-iters", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(Hyperparams):
+        if f.name != "k":
+            name = f.name.rstrip("_")
+            p.add_argument("--" + name.replace("_", "-"), dest=f.name,
+                           metavar=name.upper(), type=type(f.default),
+                           default=f.default, help=_TRAIN_HELP.get(f.name))
 
 
 def build_parser():
@@ -549,7 +540,7 @@ def main(argv=None):
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

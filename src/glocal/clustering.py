@@ -8,7 +8,7 @@ indices are 1-based to match the file format; instance indices are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,28 +17,27 @@ from .textio import comment_lines
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Assignment of every instance to one of g nonempty groups."""
+    """Assignment of every instance to one of g nonempty groups; sizes
+    is counted from the assignment."""
 
     g: int
     assignment: np.ndarray  # length n, values in 1..g
-    sizes: np.ndarray  # length g, all >= 1
+    sizes: np.ndarray = field(init=False)  # length g, all >= 1
 
     def __post_init__(self):
         assign = np.array(self.assignment, dtype=np.int64, copy=True)
         assign.setflags(write=False)
         object.__setattr__(self, "assignment", assign)
-        sizes = np.array(self.sizes, dtype=np.int64, copy=True)
-        sizes.setflags(write=False)
-        object.__setattr__(self, "sizes", sizes)
         if self.g < 1:
             raise ValueError("need at least one group")
         if assign.min(initial=1) < 1 or assign.max(initial=self.g) > self.g:
             raise ValueError("assignment values must lie in 1..g")
-        counts = np.bincount(assign, minlength=self.g + 1)[1:]
-        if not np.array_equal(counts, sizes):
-            raise ValueError("sizes do not match assignment counts")
+        sizes = np.bincount(assign, minlength=self.g + 1)[1:].astype(np.int64)
         if (sizes < 1).any():
-            raise ValueError("every group must be nonempty")
+            empty = int(np.flatnonzero(sizes < 1)[0]) + 1
+            raise ValueError(f"group {empty} is empty")
+        sizes.setflags(write=False)
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def n(self):
@@ -56,12 +55,7 @@ def partition_from_assignment(features, assignment):
         raise ValueError("assignment length must equal the instance count")
     if assign.min() < 1:
         raise ValueError("group indices are 1-based")
-    g = int(assign.max())
-    sizes = np.bincount(assign, minlength=g + 1)[1:]
-    if (sizes < 1).any():
-        empty = int(np.flatnonzero(sizes < 1)[0]) + 1
-        raise ValueError(f"group {empty} is empty")
-    return Partition(g=g, assignment=assign, sizes=sizes)
+    return Partition(g=int(assign.max()), assignment=assign)
 
 
 # bytes of the (instances x g x d) difference block _sq_dists holds at once

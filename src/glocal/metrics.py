@@ -16,8 +16,8 @@ what remains; if nothing remains the metric is undefined and raises.
 evaluate ranks every column once, with one stable argsort of the whole
 matrix, and takes coverage and average precision from those ranks with
 whole-matrix numpy calls and no per-instance loop.  ranking_loss and
-average_auc keep one sort and searchsorted per instance or label: a
-whole-matrix sort with tie groups measured slower.
+average_auc share one pair count, a sort and searchsorted per instance
+or label: a whole-matrix sort with tie groups measured slower.
 """
 
 from __future__ import annotations
@@ -57,38 +57,37 @@ def _ranks(scores):
     return ranks
 
 
+def _pair_counts(scores, truth, side):
+    # for each row holding a positive and a negative: (how many negatives
+    # each positive's score sorts past on `side` of ties, summed; pairs)
+    counts = []
+    for s, t in zip(scores, truth):
+        fp = s[t == 1]
+        fn = np.sort(s[t == -1])
+        if fp.size and fn.size:
+            passed = int(np.searchsorted(fn, fp, side=side).sum())
+            counts.append((passed, fp.size * fn.size))
+    return counts
+
+
 def ranking_loss(scores, truth):
     """Mean fraction of positive/negative pairs ordered wrongly (ties count)."""
     scores, truth = _check(scores, truth)
-    vals = []
-    for i in range(scores.shape[1]):
-        fp = scores[truth[:, i] == 1, i]
-        fn = np.sort(scores[truth[:, i] == -1, i])
-        if fp.size == 0 or fn.size == 0:
-            continue
-        # pairs with fp <= fn: each positive loses to the negatives at or above it
-        bad = int(fp.size * fn.size - np.searchsorted(fn, fp, side="left").sum())
-        vals.append(bad / (fp.size * fn.size))
-    if not vals:
+    # per instance, the pairs with fp > fn; the rest, fp <= fn, are wrong
+    counts = _pair_counts(scores.T, truth.T, "left")
+    if not counts:
         raise UndefinedMetricError("ranking_loss: every instance was skipped")
-    return float(np.mean(vals))
+    return float(np.mean([(pairs - good) / pairs for good, pairs in counts]))
 
 
 def average_auc(scores, truth):
     """Mean per-label fraction of correctly ordered instance pairs (ties count)."""
     scores, truth = _check(scores, truth)
-    vals = []
-    for j in range(scores.shape[0]):
-        fp = scores[j, truth[j] == 1]
-        fn = np.sort(scores[j, truth[j] == -1])
-        if fp.size == 0 or fn.size == 0:
-            continue
-        # pairs with fp >= fn: each positive beats the negatives at or below it
-        good = int(np.searchsorted(fn, fp, side="right").sum())
-        vals.append(good / (fp.size * fn.size))
-    if not vals:
+    # per label, the pairs with fp >= fn
+    counts = _pair_counts(scores, truth, "right")
+    if not counts:
         raise UndefinedMetricError("average_auc: every label was skipped")
-    return float(np.mean(vals))
+    return float(np.mean([good / pairs for good, pairs in counts]))
 
 
 def _coverage(ranks, truth):

@@ -88,12 +88,16 @@ def _gram_factor(A):
     return A if A.shape[0] <= A.shape[1] else np.linalg.qr(A, mode="r")
 
 
-def make_context(dataset, partition, hp):
-    """Bundle a dataset, a partition and hyperparams for the solver."""
+def _require_cover(partition, dataset):
     if partition.n != dataset.n:
         raise ValueError(
             f"partition covers {partition.n} instances, dataset has {dataset.n}"
         )
+
+
+def make_context(dataset, partition, hp):
+    """Bundle a dataset, a partition and hyperparams for the solver."""
+    _require_cover(partition, dataset)
     X = dataset.features.values
     groups = tuple(partition.groups())
     Ts = [_gram_factor(X[:, idx].T) for idx in groups]
@@ -334,6 +338,9 @@ def _unit_row_error(Zs):
     return err
 
 
+# huge finite hyperparameters can overflow a step; the curvature and h
+# guards refuse a step that is not finite, and fit a non-finite objective
+@np.errstate(over="ignore", invalid="ignore")
 def _sweep(U, V, W, Zs, ctx):
     # one outer iteration: Z_1..Z_g, then V, then U, then W
     hp = ctx.hp
@@ -462,6 +469,8 @@ def fit(dataset, partition, hp):
     for it in range(1, hp.outer_iters + 1):
         U, V, W, Zs, steps, z_err = _sweep(U, V, W, Zs, ctx)
         f_new = _objective_arrays(U, V, W, Zs, ctx)
+        if not np.isfinite(f_new):
+            raise ValueError(f"objective is not finite after sweep {it}")
         records.append(TraceRecord(it, f_new, steps, z_err))
         rel = (f - f_new) / max(f, 1e-30)
         f = f_new
@@ -480,8 +489,8 @@ def grid_search(dataset, hp, axes, groups):
     Each combination of axis values, in itertools.product order, is fit
     on every fold's training side and scored by ranking loss on its
     validation side; the first combination with the lowest mean wins.
-    A combination that raises ValueError or LinAlgError on some fold
-    (say, a g larger than the fold) is skipped.  Each fold's datasets
+    A combination that raises ValueError (LinAlgError is one) on some
+    fold (say, a g larger than the fold) is skipped.  Each fold's datasets
     are cut once and its groups formed once per g, which changes no
     result: kmeans is deterministic in (features, g, seed).  It is a
     tidy-up, not a speed-up: kmeans takes about 2% of a grid's time.
@@ -509,10 +518,8 @@ def grid_search(dataset, hp, axes, groups):
     fixed = isinstance(groups, Partition)
     if fixed and "g" in axes:
         raise ValueError("cannot vary g in the grid while the partition is fixed")
-    if fixed and groups.n != dataset.n:
-        raise ValueError(
-            f"partition covers {groups.n} instances, dataset has {dataset.n}"
-        )
+    if fixed:
+        _require_cover(groups, dataset)
     perm = np.random.default_rng(hp.seed).permutation(dataset.n)
     folds = [np.sort(f) for f in np.array_split(perm, 5) if f.size]
     if len(folds) < 2:
@@ -535,15 +542,13 @@ def grid_search(dataset, hp, axes, groups):
             try:
                 if g not in parts:
                     if fixed:
-                        assign = groups.assignment[train_idx]
-                        sizes = np.bincount(assign, minlength=g + 1)[1:]
-                        parts[g] = Partition(g=g, assignment=assign, sizes=sizes)
+                        parts[g] = Partition(g, groups.assignment[train_idx])
                     else:
                         parts[g] = kmeans(train.features, g, hp.seed)
                 model, _ = fit(train, parts[g], combo_hp)
                 S = score(model, val.features)
                 losses[c].append(ranking_loss(S, val.labels.values))
-            except (ValueError, np.linalg.LinAlgError):
+            except ValueError:  # LinAlgError included
                 losses[c] = None  # degenerate fold for this combination
     best = None
     for (chosen, g, combo_hp), fold_losses in zip(combos, losses):

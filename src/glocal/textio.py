@@ -32,7 +32,8 @@ def comment_lines(comments):
     ]
 
 
-# tokens converted per numpy call: short rows are batched across lines
+# tokens, or sidecar lines, converted per numpy call: short rows are
+# batched across lines
 _BATCH = 4096
 
 

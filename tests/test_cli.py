@@ -345,17 +345,21 @@ def test_train_records_provenance_and_predict_checks_add_bias(
                "--scores-out", scores_path, *bias_flag) == 0
 
 
-# every numeric flag of the data commands, with small sizes, so no value
-# can make a command allocate a large array
+# every numeric flag of the data commands and of train, with small sizes,
+# so no value can make a command allocate a large array
 _NUMERIC_FLAGS = {
     "synth": ("--labels", "--instances", "--features", "--latent-k", "--noise",
               "--rho", "--seed"),
     "mask": ("--rho", "--seed"),
     "split": ("--fraction", "--seed"),
     "cluster": ("--groups", "--seed", "--max-iter"),
+    "train": ("--latent-k", "--groups", "--lambda", "--lambda2", "--lambda3",
+              "--lambda4", "--inner-steps", "--outer-iters", "--warm-iters",
+              "--tol", "--seed"),
 }
 _INT_FLAGS = {"--labels", "--instances", "--features", "--latent-k", "--seed",
-              "--groups", "--max-iter"}
+              "--groups", "--max-iter", "--inner-steps", "--outer-iters",
+              "--warm-iters"}
 
 
 def _base_argv(command, tmp_path, full):
@@ -370,15 +374,18 @@ def _base_argv(command, tmp_path, full):
                   "--train-out", out[0], "--test-out", out[1]],
         "cluster": ["cluster", "--input", full, "--groups", 2, "--seed", 1,
                     "--max-iter", 10, "--out", out[0]],
-        "train": ["train", "--input", full, "--outer-iters", 1, "--warm-iters", 1,
-                  "--seed", 1, "--model-out", out[0]],
+        "train": ["train", "--input", full, "--latent-k", 2, "--groups", 2,
+                  "--lambda", 1, "--lambda2", 0.01, "--lambda3", 0.1,
+                  "--lambda4", 0.1, "--inner-steps", 2, "--outer-iters", 1,
+                  "--warm-iters", 1, "--tol", 1e-5, "--seed", 1,
+                  "--model-out", out[0]],
     }[command]
 
 
 @pytest.mark.parametrize(
     "command, flag", [(c, f) for c, flags in _NUMERIC_FLAGS.items() for f in flags]
 )
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e300"])
 def test_numeric_flags_exit_cleanly_on_hostile_values(
     tmp_path, synth_files, capsys, command, flag, value
 ):
@@ -389,7 +396,7 @@ def test_numeric_flags_exit_cleanly_on_hostile_values(
         rc = run(*argv)
     except SystemExit as exc:
         # argparse's usage error: the text is no value of an int flag
-        assert flag in _INT_FLAGS and value in ("nan", "inf", "-inf")
+        assert flag in _INT_FLAGS and value in ("nan", "inf", "-inf", "1e300")
         rc = exc.code
         assert rc == 2
     err = capsys.readouterr().err
@@ -401,6 +408,19 @@ def test_numeric_flags_exit_cleanly_on_hostile_values(
         assert sum("error:" in line for line in err.splitlines()) == 1
         if rc == 1:
             assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flag", [("synth", "--labels"), ("train", "--latent-k")])
+def test_allocation_beyond_the_address_space_exits_with_one_line(
+    tmp_path, synth_files, capsys, command, flag
+):
+    # 10**15 rows of float64 lie beyond a 47-bit address space, so the
+    # allocation fails at once and touches no memory
+    argv = _base_argv(command, tmp_path, synth_files[0])
+    argv[argv.index(flag) + 1] = 10**15
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["synth", "mask", "split", "cluster", "train"])

@@ -143,8 +143,8 @@ def test_partition_validation():
         partition_from_assignment(feats, [1, 1, 3, 3])
     with pytest.raises(ValueError):
         partition_from_assignment(feats, [0, 1, 1, 2])
-    with pytest.raises(ValueError):
-        Partition(g=2, assignment=[1, 1], sizes=[1, 1])
+    with pytest.raises(ValueError, match="^group 2 is empty$"):
+        Partition(g=2, assignment=[1, 1])
 
 
 def test_groups_are_0_based_indices():

@@ -617,6 +617,24 @@ def test_fit_with_latent_dimension_above_closed_form_cutoff():
     assert len(trace.records[1].steps["V"]) > 0
 
 
+def test_fit_refuses_a_non_finite_objective_after_a_sweep(monkeypatch):
+    # a sweep whose blocks stay finite but overflow the objective; without
+    # the check the relative change reads -inf and the fit "converges"
+    data, partition, _ = build_problem(16)
+    hp = Hyperparams(k=2, warm_iters=1, outer_iters=3, seed=16)
+    sweep = solver._sweep
+    calls = []
+
+    def overflowing(U, *rest):
+        calls.append(None)
+        out = sweep(U, *rest)
+        return (out[0] * 1e200 if len(calls) > hp.warm_iters else out[0],) + out[1:]
+
+    monkeypatch.setattr(solver, "_sweep", overflowing)
+    with pytest.raises(ValueError, match="^objective is not finite after sweep 1$"):
+        fit(data, partition, hp)
+
+
 def test_trace_csv_layout():
     data, partition, _ = build_problem(17)
     hp = Hyperparams(k=2, outer_iters=3, warm_iters=2, tol=0.0, seed=17)
