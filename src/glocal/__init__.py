@@ -10,8 +10,10 @@ Prediction for an instance x is sign(U W' x).
 from .clustering import (
     Partition,
     kmeans,
+    load_partition,
     partition_from_assignment,
     read_partition,
+    save_partition,
     write_partition,
 )
 from .correlation import (
@@ -28,7 +30,9 @@ from .data import (
     LabelMatrix,
     MaskSpec,
     apply_mask,
+    load_gml,
     parse_gml,
+    save_gml,
     split,
     take_instances,
     write_gml,
@@ -65,12 +69,13 @@ from .solver import (
 )
 
 __all__ = [
-    "Partition", "kmeans", "partition_from_assignment", "read_partition",
-    "write_partition",
+    "Partition", "kmeans", "load_partition", "partition_from_assignment",
+    "read_partition", "save_partition", "write_partition",
     "combine_correlations", "cosine_correlation", "init_factor",
     "laplacian_of", "project_unit_rows",
     "Dataset", "FeatureMatrix", "GmlFormatError", "LabelMatrix", "MaskSpec",
-    "apply_mask", "parse_gml", "split", "take_instances", "write_gml",
+    "apply_mask", "load_gml", "parse_gml", "save_gml", "split", "take_instances",
+    "write_gml",
     "EvaluationReport", "UndefinedMetricError", "average_auc",
     "average_precision", "coverage", "evaluate", "ranking_loss",
     "GlocalModel", "Hyperparams", "ModelFormatError", "load_model",

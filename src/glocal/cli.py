@@ -4,6 +4,8 @@ Subcommands: cluster, train, predict, eval, mask, split, synth.  Every
 subcommand is deterministic given its flags; seeds are echoed into the
 output files as '#' comment lines.  Paths are validated before any
 work starts and errors exit with status 1 and a one-line diagnostic.
+Every file is read and written a batch of lines at a time (see
+glocal.textio), through the load_* and save_* functions of its format.
 
 File formats owned here (all others live with their module):
   * scores/labels files: comments, a "l n" header line, then l rows of
@@ -18,25 +20,26 @@ import argparse
 import dataclasses
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .clustering import kmeans, read_partition, write_partition
+from .clustering import kmeans, load_partition, save_partition
 from .data import (
     Dataset,
     FeatureMatrix,
     LabelMatrix,
     MaskSpec,
     apply_mask,
-    parse_gml,
+    load_gml,
+    save_gml,
     split,
-    write_gml,
 )
 from .metrics import evaluate
 from .model import Hyperparams, load_model, predict, save_model, score
 from .solver import fit, grid_search
-from .textio import _BATCH, comment_lines, format_rows
+from .textio import _BATCH, comment_lines, format_rows, line_batches, write_lines
 
 
 def make_synthetic(l, n, d, k_true, noise, seed):
@@ -63,6 +66,15 @@ def make_synthetic(l, n, d, k_true, noise, seed):
     return Dataset(FeatureMatrix(X), LabelMatrix(Y))
 
 
+def _hidden_lines(hidden, comments):
+    rows = np.asarray(hidden, dtype=np.int64).reshape(-1, 3) + (1, 1, 0)
+    head = comment_lines(comments)
+    # one string per _BATCH entries: '%' formats a whole block at once
+    blocks = (rows[start : start + _BATCH] for start in range(0, len(rows), _BATCH))
+    return chain(head, (("%d %d %d\n" * len(block))[:-1] % tuple(block.ravel().tolist())
+                        for block in blocks))
+
+
 def write_hidden(hidden, comments=()):
     """Serialize hidden entries as 1-based 'label_idx instance_idx value' lines.
 
@@ -71,22 +83,22 @@ def write_hidden(hidden, comments=()):
             (label_idx, instance_idx, value) entries.
         comments: optional strings emitted as leading '#' lines.
     """
-    rows = np.asarray(hidden, dtype=np.int64).reshape(-1, 3) + (1, 1, 0)
-    lines = comment_lines(comments)
-    for start in range(0, len(rows), _BATCH):
-        block = rows[start : start + _BATCH]
-        lines.append(("%d %d %d\n" * len(block))[:-1] % tuple(block.ravel().tolist()))
-    return "\n".join(lines) + "\n"
+    return "\n".join(_hidden_lines(hidden, comments)) + "\n"
 
 
-def _hidden_error(text):
-    """Raise the error for a sidecar that read_hidden's array decode rejected.
+def save_hidden(hidden, path, comments=()):
+    """Write write_hidden's text to a file, a block of lines at a time."""
+    write_lines(path, _hidden_lines(hidden, comments))
 
-    Reads the entries one at a time, in file order, and names the line of
-    the first offending one.
+
+def _hidden_error(batches):
+    """Raise the error for a sidecar that the array decode rejected.
+
+    Reads the entries again from the start, one at a time, in file order,
+    and names the line of the first offending one.
     """
     seen = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(chain.from_iterable(batches()), start=1):
         if raw.startswith("#") or raw.strip() == "":
             continue
         parts = raw.split()
@@ -105,16 +117,67 @@ def _hidden_error(text):
     raise ValueError("malformed hidden-entry sidecar")
 
 
+def _decode_hidden(batches):
+    """The 0-based entries of a sidecar's lines (see read_hidden).
+
+    `batches` returns a fresh iterable of line lists on each call: once
+    to size the output, at one entry per line at most, once to decode,
+    and once more on the error path.
+    """
+    out = np.empty((sum(map(len, batches())), 3), dtype=np.int64)
+    m, ordered = 0, True
+    for batch in batches():
+        for start in range(0, len(batch), _BATCH):
+            chunk = batch[start : start + _BATCH]
+            # ';' ends each line; it sits at every fourth token only when
+            # every line holds exactly three tokens
+            joined = " ; ".join(chunk)
+            tokens = joined.split()
+            # a comment may hold three tokens, so a '#' alone calls for the filter
+            if "#" in joined or len(tokens) != 4 * len(chunk) - 1:
+                chunk = [ln for ln in chunk if not ln.startswith("#") and ln.strip()]
+                if not chunk:
+                    continue
+                tokens = " ; ".join(chunk).split()
+            if len(tokens) != 4 * len(chunk) - 1 or tokens[3::4] != [";"] * (len(chunk) - 1):
+                _hidden_error(batches)
+            del tokens[3::4]
+            try:
+                block = np.array(tokens, dtype=np.int64).reshape(-1, 3)
+            except (ValueError, OverflowError):
+                _hidden_error(batches)
+            j, i, v = block.T
+            if not ((j >= 1) & (i >= 1) & (np.abs(v) == 1)).all():
+                _hidden_error(batches)
+            out[m : m + len(block)] = block - (1, 1, 0)
+            # (label_idx, instance_idx) strictly increases from the entry
+            # before the block on
+            keys = out[max(m - 1, 0) : m + len(block)]
+            dj, di = np.diff(keys[:, 0]), np.diff(keys[:, 1])
+            ordered = ordered and bool(((dj > 0) | ((dj == 0) & (di > 0))).all())
+            m += len(block)
+    hidden = out[:m]
+    if not ordered:
+        j, i = hidden[:, 0], hidden[:, 1]
+        order = np.lexsort((i, j))
+        if ((np.diff(j[order]) == 0) & (np.diff(i[order]) == 0)).any():
+            _hidden_error(batches)
+    return hidden
+
+
 def read_hidden(text):
     """Parse a hidden-entry sidecar back to 0-based entries.
 
     Per chunk of _BATCH lines, the lines are joined and split
     once and converted with one numpy call; comment and blank lines are
     filtered out line by line only in a chunk that holds a '#' or the
-    wrong token count.  Per file, the entries are range-checked at once
-    and checked for repeats: by one pass when (label_idx, instance_idx)
-    strictly increases, as write_hidden writes it, and by a lexsort
-    otherwise.
+    wrong token count.  Each chunk's entries are range-checked at once,
+    written to an output sized by the line count, and checked to
+    strictly increase in (label_idx, instance_idx), as write_hidden
+    writes them; only a file where they do not is checked for repeats
+    by a lexsort.  On any fault the lines are read again one at a time
+    to name the first bad one.  load_hidden runs the same decoder on a
+    file's lines.
 
     Returns:
         (m, 3) int64 array of (label_idx, instance_idx, value) rows in
@@ -125,60 +188,37 @@ def read_hidden(text):
             the first one repeating an earlier (label_idx, instance_idx).
     """
     lines = text.splitlines()
-    blocks = []
-    for start in range(0, len(lines), _BATCH):
-        chunk = lines[start : start + _BATCH]
-        # ';' ends each line; it sits at every fourth token only when
-        # every line holds exactly three tokens
-        joined = " ; ".join(chunk)
-        tokens = joined.split()
-        # a comment may hold three tokens, so a '#' alone calls for the filter
-        if "#" in joined or len(tokens) != 4 * len(chunk) - 1:
-            chunk = [ln for ln in chunk if not ln.startswith("#") and ln.strip()]
-            if not chunk:
-                continue
-            tokens = " ; ".join(chunk).split()
-        if len(tokens) != 4 * len(chunk) - 1 or tokens[3::4] != [";"] * (len(chunk) - 1):
-            _hidden_error(text)
-        del tokens[3::4]
-        try:
-            blocks.append(np.array(tokens, dtype=np.int64).reshape(-1, 3))
-        except (ValueError, OverflowError):
-            _hidden_error(text)
-    hidden = np.concatenate(blocks) if blocks else np.empty((0, 3), dtype=np.int64)
-    j, i, v = hidden.T
-    if not ((j >= 1) & (i >= 1) & (np.abs(v) == 1)).all():
-        _hidden_error(text)
-    dj, di = np.diff(j), np.diff(i)
-    if not ((dj > 0) | ((dj == 0) & (di > 0))).all():
-        order = np.lexsort((i, j))
-        if ((np.diff(j[order]) == 0) & (np.diff(i[order]) == 0)).any():
-            _hidden_error(text)
-    return hidden - (1, 1, 0)
+    return _decode_hidden(lambda: [lines])
+
+
+def load_hidden(path):
+    """Read a sidecar file as read_hidden reads its text.
+
+    The file is read in batches of lines twice, to count its lines and
+    then to decode them, so what it holds besides the entries is one
+    batch, never the file's text.
+    """
+    return _decode_hidden(lambda: line_batches(path))
+
+
+def _matrix_lines(A, comments):
+    head = [*comment_lines(comments), f"{A.shape[0]} {A.shape[1]}"]
+    return chain(head, format_rows(A))
 
 
 def write_matrix(A, comments=()):
     """Serialize a matrix with a 'rows cols' header, full precision."""
-    lines = comment_lines(comments)
-    lines.append(f"{A.shape[0]} {A.shape[1]}")
-    lines.extend(format_rows(A))
-    return "\n".join(lines) + "\n"
+    return "\n".join(_matrix_lines(A, comments)) + "\n"
 
 
-def read_matrix(text):
-    """Parse a matrix written by write_matrix.
+def save_matrix(A, path, comments=()):
+    """Write write_matrix's text to a file one row at a time."""
+    write_lines(path, _matrix_lines(A, comments))
 
-    The values are a whitespace-separated token stream in which '#'
-    lines are comments, so a header or a row may span lines or share
-    them.  The values are converted in batches of at most _BATCH.
 
-    Raises:
-        ValueError: on a missing, non-integer or negative 'rows cols'
-            header or one with a side numpy cannot hold, a non-numeric
-            value (with float()'s message), or a value count other than
-            rows * cols.
-    """
-    lines = (line.split() for line in text.splitlines() if not line.startswith("#"))
+def _decode_matrix(lines):
+    """The matrix of a matrix file's lines, read once (see read_matrix)."""
+    lines = (line.split() for line in lines if not line.startswith("#"))
     batch = []
     for tokens in lines:
         batch += tokens
@@ -210,6 +250,28 @@ def read_matrix(text):
         raise ValueError(bad_header) from None
 
 
+def read_matrix(text):
+    """Parse a matrix written by write_matrix.
+
+    The values are a whitespace-separated token stream in which '#'
+    lines are comments, so a header or a row may span lines or share
+    them.  The values are converted in batches of at most _BATCH.
+    load_matrix runs the same decoder on a file's lines.
+
+    Raises:
+        ValueError: on a missing, non-integer or negative 'rows cols'
+            header or one with a side numpy cannot hold, a non-numeric
+            value (with float()'s message), or a value count other than
+            rows * cols.
+    """
+    return _decode_matrix(text.splitlines())
+
+
+def load_matrix(path):
+    """Read a matrix file as read_matrix reads its text, a batch of lines at a time."""
+    return _decode_matrix(chain.from_iterable(line_batches(path)))
+
+
 def _require_file(path, what):
     if not Path(path).is_file():
         raise ValueError(f"{what} file not found: {path}")
@@ -221,14 +283,6 @@ def _require_parent(path, what):
         raise ValueError(f"directory for {what} does not exist: {parent}")
 
 
-def _read(path):
-    return Path(path).read_text(encoding="utf-8")
-
-
-def _write(path, text):
-    Path(path).write_text(text, encoding="utf-8")
-
-
 def _with_bias(features):
     return FeatureMatrix(
         np.vstack([features.values, np.ones((1, features.n))])
@@ -236,7 +290,7 @@ def _with_bias(features):
 
 
 def _load_dataset(path, add_bias=False):
-    data = parse_gml(_read(path))
+    data = load_gml(path)
     if add_bias:
         data = Dataset(_with_bias(data.features), data.labels)
     return data
@@ -292,9 +346,9 @@ def _cmd_synth(args):
         f" l={args.labels} n={args.instances} d={args.features} k={args.latent_k}"
     )
     masked, hidden = apply_mask(data, MaskSpec(rho=args.rho, seed=args.seed))
-    _write(args.out_full, write_gml(data, comments=[stamp]))
-    _write(args.out_masked, write_gml(masked, comments=[stamp]))
-    _write(args.out_hidden, write_hidden(hidden, comments=[stamp]))
+    # one pass over the shared features writes both files
+    save_gml({args.out_full: data, args.out_masked: masked}, comments=[stamp])
+    save_hidden(hidden, args.out_hidden, comments=[stamp])
     print(f"synth: wrote {args.out_full}, {args.out_masked}, {args.out_hidden}")
     return 0
 
@@ -306,8 +360,8 @@ def _cmd_mask(args):
     data = _load_dataset(args.input)
     masked, hidden = apply_mask(data, MaskSpec(rho=args.rho, seed=args.seed))
     stamp = f"glocal mask seed={args.seed} rho={args.rho} input={args.input}"
-    _write(args.out, write_gml(masked, comments=[stamp]))
-    _write(args.hidden_out, write_hidden(hidden, comments=[stamp]))
+    save_gml({args.out: masked}, comments=[stamp])
+    save_hidden(hidden, args.hidden_out, comments=[stamp])
     observed = int(masked.labels.indicator.sum())
     print(f"mask: {observed} observed positions kept, {len(hidden)} entries hidden")
     return 0
@@ -320,8 +374,8 @@ def _cmd_split(args):
     data = _load_dataset(args.input)
     train, test = split(data, args.fraction, args.seed)
     stamp = f"glocal split seed={args.seed} fraction={args.fraction} input={args.input}"
-    _write(args.train_out, write_gml(train, comments=[stamp + " side=train"]))
-    _write(args.test_out, write_gml(test, comments=[stamp + " side=test"]))
+    save_gml({args.train_out: train}, comments=[stamp + " side=train"])
+    save_gml({args.test_out: test}, comments=[stamp + " side=test"])
     print(f"split: {train.n} train / {test.n} test instances")
     return 0
 
@@ -332,7 +386,7 @@ def _cmd_cluster(args):
     data = _load_dataset(args.input)
     part = kmeans(data.features, args.groups, args.seed, max_iter=args.max_iter)
     stamp = f"glocal cluster seed={args.seed} groups={args.groups} input={args.input}"
-    _write(args.out, write_partition(part, comments=[stamp]))
+    save_partition(part, args.out, comments=[stamp])
     sizes = " ".join(str(int(s)) for s in part.sizes)
     print(f"cluster: {part.g} groups with sizes {sizes}")
     return 0
@@ -348,7 +402,7 @@ def _cmd_train(args):
     data = _load_dataset(args.input, add_bias=args.add_bias)
     part = None
     if args.partition:
-        part = read_partition(_read(args.partition), data.features)
+        part = load_partition(args.partition, data.features)
 
     axes = parse_grid(args.grid) if args.grid else {}
     fields = {{"lambda": "lambda_"}.get(a, a): v for a, v in axes.items()}
@@ -375,7 +429,7 @@ def _cmd_train(args):
         comments.append(f"grid selection: {grid_note}")
     save_model(model, args.model_out, comments=comments)
     if args.trace:
-        _write(args.trace, trace.to_csv(comments=[stamp]))
+        write_lines(args.trace, trace.to_csv(comments=[stamp]).splitlines())
     final = trace.records[-1]
     print(
         f"train: objective {final.objective:.6g} after {final.iteration} iterations"
@@ -400,10 +454,10 @@ def _cmd_predict(args):
     data = _load_dataset(args.input, add_bias=args.add_bias)
     S = score(model, data.features)
     stamp = f"glocal predict model={args.model} input={args.input}"
-    _write(args.scores_out, write_matrix(S, comments=[stamp]))
+    save_matrix(S, args.scores_out, comments=[stamp])
     if args.labels_out:
         L = predict(model, data.features)
-        _write(args.labels_out, write_matrix(L.astype(np.float64), comments=[stamp]))
+        save_matrix(L.astype(np.float64), args.labels_out, comments=[stamp])
     print(f"predict: scored {data.n} instances over {model.l} labels")
     return 0
 
@@ -413,13 +467,13 @@ def _cmd_eval(args):
     _require_parent(args.out, "out")
     if (args.truth is None) == (args.hidden is None):
         raise ValueError("pass exactly one of --truth or --hidden")
-    S = read_matrix(_read(args.scores))
+    S = load_matrix(args.scores)
     if args.truth:
         _require_file(args.truth, "truth")
-        truth = parse_gml(_read(args.truth)).labels.values
+        truth = load_gml(args.truth).labels.values
     else:
         _require_file(args.hidden, "hidden")
-        j, i, v = read_hidden(_read(args.hidden)).T
+        j, i, v = load_hidden(args.hidden).T
         outside = np.flatnonzero((j >= S.shape[0]) | (i >= S.shape[1]))
         if outside.size:
             e = outside[0]
@@ -429,7 +483,8 @@ def _cmd_eval(args):
         truth = np.zeros(S.shape, dtype=np.int8)
         truth[j, i] = v
     report = evaluate(S, truth)
-    _write(args.out, report.to_csv(comments=[f"glocal eval scores={args.scores}"]))
+    stamp = f"glocal eval scores={args.scores}"
+    write_lines(args.out, report.to_csv(comments=[stamp]).splitlines())
     print(
         f"eval: rkl={report.rkl:.4f} auc={report.auc:.4f}"
         f" cvg={report.cvg:.4f} ap={report.ap:.4f}"

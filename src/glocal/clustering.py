@@ -9,10 +9,11 @@ indices are 1-based to match the file format; instance indices are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .textio import comment_lines
+from .textio import comment_lines, line_batches, write_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,24 +144,28 @@ def kmeans(features, g, seed, max_iter=100):
     return partition_from_assignment(features, assign + 1)
 
 
+def _partition_lines(partition, comments):
+    head = comment_lines(comments)
+    pairs = enumerate(partition.assignment.tolist(), start=1)
+    return chain(head, (f"{i} {m}" for i, m in pairs))
+
+
 def write_partition(partition, comments=()):
     """Serialize as 'instance_idx group_idx' lines, 1-based, one per instance."""
-    lines = comment_lines(comments)
-    for i, m in enumerate(partition.assignment, start=1):
-        lines.append(f"{i} {m}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_partition_lines(partition, comments)) + "\n"
 
 
-def read_partition(text, features):
-    """Parse a partition file and validate it against the instance count.
+def save_partition(partition, path, comments=()):
+    """Write write_partition's text to a file one line at a time."""
+    write_lines(path, _partition_lines(partition, comments))
 
-    Every instance 1..n must appear exactly once and every group up to
-    the largest index must be nonempty, so no group index exceeds n.
-    """
+
+def _decode_partition(lines, features):
+    """The Partition of a partition file's lines, read once (see read_partition)."""
     n = features.n
     assign = np.zeros(n, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         if raw.startswith("#") or raw.strip() == "":
             continue
         parts = raw.split()
@@ -184,3 +189,18 @@ def read_partition(text, features):
         missing = int(np.flatnonzero(~seen)[0]) + 1
         raise ValueError(f"partition does not cover instance {missing}")
     return partition_from_assignment(features, assign)
+
+
+def read_partition(text, features):
+    """Parse a partition file and validate it against the instance count.
+
+    Every instance 1..n must appear exactly once and every group up to
+    the largest index must be nonempty, so no group index exceeds n.
+    load_partition runs the same decoder on a file's lines.
+    """
+    return _decode_partition(text.splitlines(), features)
+
+
+def load_partition(path, features):
+    """Read a partition file as read_partition reads its text, a batch of lines at a time."""
+    return _decode_partition(chain.from_iterable(line_batches(path)), features)

@@ -12,13 +12,15 @@ can be shared freely; masking and splitting return new objects.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .textio import _BATCH, comment_lines
+from .textio import _BATCH, comment_lines, line_batches
 
 
 class GmlFormatError(ValueError):
@@ -38,13 +40,7 @@ def round_half_away(x):
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Dense d x n feature matrix, one instance per column.
-
-    The GML text of each instance's features is formatted once per
-    matrix, on first use by write_gml, and kept with it: the values are
-    read-only, so the text cannot go stale, and every dataset sharing
-    the matrix reuses it.
-    """
+    """Dense d x n feature matrix, one instance per column."""
 
     values: np.ndarray
 
@@ -63,18 +59,6 @@ class FeatureMatrix:
     @property
     def n(self):
         return self.values.shape[1]
-
-    @cached_property
-    def _gml_fields(self):
-        """Each instance's GML feature field: 'idx:value' for every nonzero."""
-        fields = []
-        for x in self.values.T:
-            fid = np.flatnonzero(x)
-            pairs = [None] * (2 * fid.size)
-            pairs[0::2] = (fid + 1).tolist()
-            pairs[1::2] = x[fid].tolist()
-            fields.append(" ".join(["%d:%r"] * fid.size) % tuple(pairs))
-        return fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,12 +185,22 @@ def _check_line(line_no, raw, l, d):
             _fail(line_no, f"non-finite feature value {val!r}")
 
 
-def _reject(rows, l, d):
+def _require_count(n, found):
+    if found != n:
+        raise GmlFormatError(f"expected {n} instance lines, found {found}")
+
+
+def _reject(rows, rest, first, n, l, d):
     """Raise the error for instance lines the batch decoder rejected.
 
-    Checks the lines one at a time, in file order, so the error names
-    the first bad line whichever batch or file-wide check caught it.
+    `rows` are the (line_no, line) pairs of the batch, the bad one among
+    them, `first` the count of instance lines decoded before it and
+    `rest` the ones not yet read.  A wrong line count outranks any
+    line's fault, so the rest are counted first.  Then the rows are
+    checked one at a time, in file order, so the error names the first
+    bad line whichever batch check caught it.
     """
+    _require_count(n, first + len(rows) + sum(1 for _ in rest))
     for line_no, raw in rows:
         _check_line(line_no, raw, l, d)
     raise GmlFormatError("malformed instance lines")
@@ -219,9 +213,9 @@ def _decode_batch(first, counts, pos_t, neg_t, fid_t, val_t, X, Y):
     feature index and feature value strings, `counts` (positives,
     negatives, features) of each line in turn, and `first` is the column
     of its first line.  Each kind is converted with one numpy call.
-    Returns False, with nothing written, when a token is not a number,
-    an index is out of range, a value is not finite or a line repeats a
-    feature index.
+    Returns False when a token is not a number, an index is out of
+    range, a value is not finite or a line repeats a feature or label
+    index; the batch's columns may then be part written.
     """
     try:
         pos = np.array(pos_t, dtype=np.int64)
@@ -235,7 +229,8 @@ def _decode_batch(first, counts, pos_t, neg_t, fid_t, val_t, X, Y):
             return False
     if not np.isfinite(val).all():
         return False
-    cols = np.arange(first, first + len(counts) // 3)
+    last = first + len(counts) // 3
+    cols = np.arange(first, last)
     per_line = np.array(counts, dtype=np.int64).reshape(-1, 3)
     fcols = np.repeat(cols, per_line[:, 2])
     # a line can repeat a feature index only where its indices stop
@@ -246,46 +241,14 @@ def _decode_batch(first, counts, pos_t, neg_t, fid_t, val_t, X, Y):
     Y[pos - 1, np.repeat(cols, per_line[:, 0])] = 1
     Y[neg - 1, np.repeat(cols, per_line[:, 1])] = -1
     X[fid - 1, fcols] = val
-    return True
+    # fewer labels set than listed: a line repeats a label index
+    return np.count_nonzero(Y[:, first:last]) == pos.size + neg.size
 
 
-def parse_gml(text):
-    """Parse GML text into a Dataset.
-
-    Format: a header line "n d l", then one line per instance of the
-    form "+:<csv>|-:<csv>|<idx:value pairs>".  Indices are 1-based.
-    Lines starting with '#' are comments and are skipped.  Indices are
-    read as int() reads them and values as float() does.
-
-    Per line, only strings are split and the field and separator layout
-    is checked.  Per batch of about textio._BATCH tokens, the indices and
-    values are converted with one numpy call per kind, range- and
-    finite-checked, checked for feature indices a line repeats, and
-    written into X and Y.  Per file, repeated label indices are found by
-    counting: fewer labels set in Y than listed.  On any fault the lines
-    are read again one token at a time, in order, to name the first bad
-    one.
-
-    Args:
-        text: full file contents as a string.
-
-    Returns:
-        Dataset with float64 features and int8 labels.
-
-    Raises:
-        GmlFormatError: on any malformed line, with its line number.
-    """
-    header = None
-    header_line = 0
-    rows = []  # (line_no, content)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("#"):
-            continue
-        if header is None:
-            header = raw
-            header_line = line_no
-        else:
-            rows.append((line_no, raw))
+def _decode_gml(lines):
+    """The Dataset of GML lines, read once, in order (see parse_gml)."""
+    numbered = ((no, raw) for no, raw in enumerate(lines, start=1) if not raw.startswith("#"))
+    header_line, header = next(numbered, (0, None))
     if header is None:
         raise GmlFormatError("line 1: missing header")
 
@@ -298,26 +261,29 @@ def parse_gml(text):
         _fail(header_line, f"malformed header {header!r}, expected 'n d l'")
     if n < 1 or d < 1 or l < 2:
         _fail(header_line, f"bad dimensions n={n} d={d} l={l} (need n>=1, d>=1, l>=2)")
-    if len(rows) != n:
-        raise GmlFormatError(
-            f"expected {n} instance lines, found {len(rows)}"
-        )
 
     try:
         X = np.zeros((d, n), dtype=np.float64)
         Y = np.zeros((l, n), dtype=np.int8)
     except ValueError:  # numpy cannot even describe an array that large
+        _require_count(n, sum(1 for _ in numbered))
         _fail(header_line, f"dimensions n={n} d={d} l={l} are too large")
-    n_labels = 0
+    except MemoryError:  # a wrong line count is still the error to report
+        _require_count(n, sum(1 for _ in numbered))
+        raise
     first = 0  # column of the batch's first line
+    rows = []  # (line_no, line) of the batch, kept to name a bad one
     pos_t, neg_t, fid_t, val_t, counts = [], [], [], [], []
-    for col, (_, raw) in enumerate(rows):
+    for line_no, raw in numbered:
+        if first + len(rows) == n:  # one line more than the header says
+            _require_count(n, n + 1 + sum(1 for _ in numbered))
+        rows.append((line_no, raw))
         fields = raw.split("|")
         if len(fields) != 3:
-            _reject(rows, l, d)
+            _reject(rows, numbered, first, n, l, d)
         pos_f, neg_f, feat_f = fields
         if not pos_f.startswith("+:") or not neg_f.startswith("-:"):
-            _reject(rows, l, d)
+            _reject(rows, numbered, first, n, l, d)
         pos = pos_f[2:].split(",") if len(pos_f) > 2 else []
         neg = neg_f[2:].split(",") if len(neg_f) > 2 else []
         feats = feat_f.split()
@@ -326,26 +292,101 @@ def parse_gml(text):
         # the separators alternate ':' and ' ': one colon in every token
         separators = joined.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
         if separators != (b": " * m)[:-1]:
-            _reject(rows, l, d)
+            _reject(rows, numbered, first, n, l, d)
         parts = joined.replace(":", " ").split()
         if len(parts) != 2 * m:  # an empty index or value
-            _reject(rows, l, d)
+            _reject(rows, numbered, first, n, l, d)
         pos_t += pos
         neg_t += neg
         fid_t += parts[0::2]
         val_t += parts[1::2]
         counts += (len(pos), len(neg), m)
-        n_labels += len(pos) + len(neg)
-        if len(pos_t) + len(neg_t) + 2 * len(fid_t) >= _BATCH or col == n - 1:
+        if len(pos_t) + len(neg_t) + 2 * len(fid_t) >= _BATCH or first + len(rows) == n:
             if not _decode_batch(first, counts, pos_t, neg_t, fid_t, val_t, X, Y):
-                _reject(rows, l, d)
-            first = col + 1
+                _reject(rows, numbered, first, n, l, d)
+            first += len(rows)
+            rows = []
             pos_t, neg_t, fid_t, val_t, counts = [], [], [], [], []
-    # fewer labels set than listed: a line repeats a label index
-    if np.count_nonzero(Y) != n_labels:
-        _reject(rows, l, d)
+    _require_count(n, first + len(rows))
 
     return Dataset(FeatureMatrix(X), LabelMatrix(Y))
+
+
+def parse_gml(text):
+    """Parse GML text into a Dataset.
+
+    Format: a header line "n d l", then one line per instance of the
+    form "+:<csv>|-:<csv>|<idx:value pairs>".  Indices are 1-based.
+    Lines starting with '#' are comments and are skipped.  Indices are
+    read as int() reads them and values as float() does.
+
+    The lines are decoded in one pass, in order, holding one batch of
+    them.  Per line, only strings are split and the field and separator
+    layout is checked.  Per batch of about textio._BATCH tokens, the
+    indices and values are converted with one numpy call per kind,
+    range- and finite-checked, checked for feature indices a line
+    repeats, and written into X and Y; repeated label indices are found
+    by counting: fewer labels set in the batch's columns of Y than
+    listed.  On any fault the rest of the lines are counted, since a
+    wrong instance line count is the error to report, and then the
+    batch's lines are read again one token at a time, in order, to name
+    the first bad one.  load_gml runs the same decoder on a file's lines.
+
+    Args:
+        text: full file contents as a string.
+
+    Returns:
+        Dataset with float64 features and int8 labels.
+
+    Raises:
+        GmlFormatError: on any malformed line, with its line number.
+    """
+    return _decode_gml(text.splitlines())
+
+
+def load_gml(path):
+    """Read a GML file into a Dataset, as parse_gml reads its text.
+
+    The file is read in batches of lines (textio.line_batches), so what
+    it holds besides the arrays is one batch, never the file's text.
+    """
+    return _decode_gml(chain.from_iterable(line_batches(path)))
+
+
+def _feature_field(x):
+    """One instance's GML feature field: 'idx:value' for every nonzero."""
+    fid = np.flatnonzero(x)
+    pairs = [None] * (2 * fid.size)
+    pairs[0::2] = (fid + 1).tolist()
+    pairs[1::2] = x[fid].tolist()
+    return " ".join(["%d:%r"] * fid.size) % tuple(pairs)
+
+
+def _gml_rows(datasets, comments):
+    """The GML lines of datasets sharing one FeatureMatrix, in lockstep.
+
+    Item i lists every dataset's i-th line.  Each instance's feature
+    field is formatted once, for all of them.  The datasets and comments
+    are checked at the call; the lines are made as they are taken.
+    """
+    features = datasets[0].features
+    if any(data.features is not features for data in datasets):
+        raise ValueError("datasets written together must share one FeatureMatrix")
+    head = [[line] * len(datasets) for line in comment_lines(comments)]
+    head.append([f"{data.n} {data.d} {data.l}" for data in datasets])
+
+    def instance_rows():
+        for col, x in enumerate(features.values.T):
+            feats = _feature_field(x)
+            row = []
+            for data in datasets:
+                y = data.labels.values[:, col]
+                pos = ",".join(map(str, (np.flatnonzero(y == 1) + 1).tolist()))
+                neg = ",".join(map(str, (np.flatnonzero(y == -1) + 1).tolist()))
+                row.append(f"+:{pos}|-:{neg}|{feats}")
+            yield row
+
+    return chain(head, instance_rows())
 
 
 def write_gml(data, comments=()):
@@ -353,10 +394,7 @@ def write_gml(data, comments=()):
 
     Feature values are printed with full round-trip precision, so
     parse_gml(write_gml(d)) reproduces d exactly.  Only nonzero
-    features are written.  The feature text is formatted once per
-    FeatureMatrix and kept with it, so writing several datasets that
-    share one matrix (say, fully and partly observed labels) formats
-    its values once; only the label fields are formatted per call.
+    features are written.
 
     Args:
         data: Dataset to serialize.
@@ -365,13 +403,32 @@ def write_gml(data, comments=()):
     Returns:
         GML text ending with a newline.
     """
-    lines = comment_lines(comments)
-    lines.append(f"{data.n} {data.d} {data.l}")
-    for feats, y in zip(data.features._gml_fields, data.labels.values.T):
-        pos = ",".join(map(str, (np.flatnonzero(y == 1) + 1).tolist()))
-        neg = ",".join(map(str, (np.flatnonzero(y == -1) + 1).tolist()))
-        lines.append(f"+:{pos}|-:{neg}|{feats}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(row[0] for row in _gml_rows([data], comments)) + "\n"
+
+
+def save_gml(files, comments=()):
+    """Write datasets to GML files, each as write_gml writes it, in one pass.
+
+    The lines are made as they are written, one instance at a time, so
+    no file's text is held.  The datasets share one FeatureMatrix, whose
+    feature text is formatted once per instance for every file: the full
+    and partly observed copies of a dataset cost one formatting pass.
+
+    Args:
+        files: map from path to Dataset.  Where two paths name one file,
+            it gets the later dataset, as writing them in turn would.
+        comments: optional strings emitted as leading '#' lines.
+    """
+    rows = _gml_rows(list(files.values()), comments)
+    with contextlib.ExitStack() as stack:
+        sinks = {}  # file identity -> (dataset position, stream)
+        for at, path in enumerate(files):
+            stream = stack.enter_context(open(path, "w", encoding="utf-8"))
+            stat = os.fstat(stream.fileno())
+            sinks[stat.st_dev, stat.st_ino] = (at, stream)
+        for row in rows:
+            for at, stream in sinks.values():
+                stream.write(row[at] + "\n")
 
 
 def apply_mask(data, spec):

@@ -20,11 +20,11 @@ import base64
 import math
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
+from itertools import chain
 
 import numpy as np
 
-from .textio import comment_lines
+from .textio import comment_lines, line_batches, write_lines
 
 MODEL_MAGIC = "GLOCAL-MODEL v2"
 
@@ -169,11 +169,11 @@ class ModelFormatError(ValueError):
     """Raised when a model file cannot be parsed."""
 
 
-def _format_block(name, block):
+def _block_lines(name, block):
     rows, cols = block.shape
-    encoded = (base64.b64encode(row.tobytes()).decode("ascii")
-               for row in np.ascontiguousarray(block, dtype="<f8"))
-    return [f"{name} {rows} {cols}", *encoded]
+    yield f"{name} {rows} {cols}"
+    for row in np.ascontiguousarray(block, dtype="<f8"):
+        yield base64.b64encode(row.tobytes()).decode("ascii")
 
 
 def save_model(model, sink, comments=()):
@@ -181,27 +181,21 @@ def save_model(model, sink, comments=()):
 
     Each block row is one line holding the base64 of its little-endian
     float64 values, so a load reproduces every float bit-exactly.  The
-    model's provenance follows the comments as '# key=value' lines.
+    model's provenance follows the comments as '# key=value' lines.  The
+    lines are encoded as they are written, so no file text is held
+    beyond one row's.
 
     Args:
         model: GlocalModel to write.
         sink: path or text file object.
         comments: optional strings emitted as '#' lines after the magic.
     """
-    lines = [MODEL_MAGIC]
-    lines.extend(comment_lines(comments))
-    lines.extend(f"# {key}={value}" for key, value in model.provenance.items())
-    lines.append(f"{model.l} {model.d} {model.k} {model.g}")
-    lines.extend(_format_block("U", model.U))
-    lines.extend(_format_block("W", model.W))
-    lines.extend(_format_block("V", model.V))
-    for m, Z in enumerate(model.factors, start=1):
-        lines.extend(_format_block(f"Z_{m}", Z))
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text, encoding="utf-8")
+    head = [MODEL_MAGIC, *comment_lines(comments),
+            *(f"# {key}={value}" for key, value in model.provenance.items()),
+            f"{model.l} {model.d} {model.k} {model.g}"]
+    blocks = [("U", model.U), ("W", model.W), ("V", model.V),
+              *((f"Z_{m}", Z) for m, Z in enumerate(model.factors, start=1))]
+    write_lines(sink, chain(head, *(_block_lines(name, B) for name, B in blocks)))
 
 
 def _next_tokens(lines):
@@ -230,7 +224,9 @@ def _read_block(lines, name, rows, cols):
     if got_cols < 0:  # V's column count is the one the dimension line leaves free
         raise ModelFormatError(f"bad shape header for block {name}")
     width = 8 * got_cols
-    payload = []
+    # the rows' bytes, appended as they are read; the header's row count
+    # is not trusted to size a buffer before the rows are there
+    payload = bytearray()
     for r in range(1, got_rows + 1):
         line = next(lines, None)
         if line is None:
@@ -245,49 +241,37 @@ def _read_block(lines, name, rows, cols):
             raise ModelFormatError(
                 f"block {name} row {r}: expected {width} bytes, found {len(row)}"
             )
-        payload.append(row)
-    flat = np.frombuffer(b"".join(payload), dtype="<f8")
+        payload += row
+    # a writable view of the bytearray, copied only where native order
+    # is not little-endian
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=False)
     if not np.isfinite(flat).all():
         raise ModelFormatError(f"block {name}: non-finite value")
-    # a writable copy in native byte order; frombuffer's view is read-only
-    return flat.astype(np.float64).reshape(got_rows, got_cols)
+    return flat.reshape(got_rows, got_cols)
 
 
-def parse_model(text):
-    """Parse model file contents written by save_model.
-
-    '#' comment lines may appear anywhere after the magic line; those of
-    the form '# key=value' before the dimension line are the provenance.
-    Blank lines are skipped outside the block rows.
-
-    Args:
-        text: the file contents as a string.
-
-    Returns:
-        GlocalModel.
-
-    Raises:
-        ModelFormatError: on version mismatch or any malformed content.
-    """
-    all_lines = text.splitlines()
-    if not all_lines:
+def _decode_model(lines):
+    """The GlocalModel of a model file's lines, read once (see parse_model)."""
+    lines = iter(lines)
+    magic = next(lines, None)
+    if magic is None:
         raise ModelFormatError("empty model file")
-    magic = all_lines[0].strip()
+    magic = magic.strip()
     if magic != MODEL_MAGIC:
         if magic.startswith("GLOCAL-MODEL"):
             raise ModelFormatError(f"unsupported model version {magic!r}")
         raise ModelFormatError("not a GLOCAL model file")
 
-    provenance, at = {}, 1
-    while at < len(all_lines) and (
-        all_lines[at].startswith("#") or not all_lines[at].strip()
-    ):
-        entry = _PROVENANCE.fullmatch(all_lines[at])
-        if entry:
-            provenance[entry[1]] = entry[2]
-        at += 1
-    lines = (line for line in all_lines[at:] if not line.startswith("#"))
-    dims = _next_tokens(lines)
+    provenance, dims = {}, None
+    for line in lines:
+        if line.startswith("#") or not line.strip():
+            entry = _PROVENANCE.fullmatch(line)
+            if entry:
+                provenance[entry[1]] = entry[2]
+            continue
+        dims = line.split()
+        break
+    lines = (line for line in lines if not line.startswith("#"))
     if dims is None:
         raise ModelFormatError("unexpected end of file: wanted the dimension line")
     try:
@@ -305,8 +289,32 @@ def parse_model(text):
     return GlocalModel(U=U, V=V, W=W, factors=factors, provenance=provenance)
 
 
+def parse_model(text):
+    """Parse model file contents written by save_model.
+
+    '#' comment lines may appear anywhere after the magic line; those of
+    the form '# key=value' before the dimension line are the provenance.
+    Blank lines are skipped outside the block rows.  load_model runs the
+    same decoder on a file's lines.
+
+    Args:
+        text: the file contents as a string.
+
+    Returns:
+        GlocalModel.
+
+    Raises:
+        ModelFormatError: on version mismatch or any malformed content.
+    """
+    return _decode_model(text.splitlines())
+
+
 def load_model(source):
     """Read a model file written by save_model.
+
+    The file is read in batches of lines (textio.line_batches) and each
+    block's rows are decoded as they arrive, so what it holds besides
+    the blocks is one batch of lines, never the file's text.
 
     Args:
         source: path or text file object.
@@ -318,6 +326,4 @@ def load_model(source):
         FileNotFoundError: if a path names no file.
         ModelFormatError: on version mismatch or any malformed content.
     """
-    if hasattr(source, "read"):
-        return parse_model(source.read())
-    return parse_model(Path(source).read_text(encoding="utf-8"))
+    return _decode_model(chain.from_iterable(line_batches(source)))

@@ -436,8 +436,11 @@ def warm_start(ctx):
 
     plain_hp = dataclasses.replace(hp, lambda3=0.0, lambda4=0.0)
     plain_ctx = dataclasses.replace(ctx, hp=plain_hp)
-    for _ in range(hp.warm_iters):
+    for it in range(1, hp.warm_iters + 1):
         U, V, W, Zs, _, _ = _sweep(U, V, W, Zs, plain_ctx)
+        # huge finite lambdas can overflow a block; say so, not which block
+        if not (np.isfinite(U).all() and np.isfinite(V).all() and np.isfinite(W).all()):
+            raise ValueError(f"warm start is not finite after sweep {it}")
     return GlocalModel(U=U, V=V, W=W, factors=tuple(Zs))
 
 

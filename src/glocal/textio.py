@@ -1,7 +1,15 @@
-"""Text shared by every file format: comment lines and rows of floats.
+"""Text shared by every file format: comment lines, rows of floats, and
+reading and writing a file in bounded batches of lines.
 
 Every writer emits its comments with comment_lines, so a comment stays
 one '#' line of valid UTF-8 whatever text it stamps.
+
+Files are read with line_batches and written with write_lines, so no
+file's full text is held in memory: a reader holds one batch of lines
+(about _CHUNK characters) and a writer one line at a time.  The lines
+line_batches yields are exactly those of Path.read_text().splitlines(),
+so a decoder given a file's batches sees what it would see given the
+file's text.
 
 Score and label matrix files are decimal text, like GML, because people
 read them.  A 2-D block is printed one row per line with '%.17g', which
@@ -12,11 +20,15 @@ glocal.model.)
 
 from __future__ import annotations
 
+import contextlib
 import re
 
-# every character str.splitlines breaks a line at, and the lone
-# surrogates (how undecodable bytes of a path arrive) UTF-8 cannot encode
-_UNSAFE_IN_COMMENT = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]")
+# every character str.splitlines breaks a line at
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+# the line breaks, and the lone surrogates (how undecodable bytes of a
+# path arrive) UTF-8 cannot encode
+_UNSAFE_IN_COMMENT = re.compile(f"[{_BREAKS}\ud800-\udfff]")
 
 
 def comment_lines(comments):
@@ -36,8 +48,68 @@ def comment_lines(comments):
 # batched across lines
 _BATCH = 4096
 
+# characters read from a file per call; a batch holds the lines that end
+# in one such chunk
+_CHUNK = 1 << 14
+
+
+def _opened(file, mode):
+    """A text file object as it is, or a path opened as UTF-8 in mode."""
+    if hasattr(file, "read" if mode == "r" else "write"):
+        return contextlib.nullcontext(file)
+    return open(file, mode, encoding="utf-8")
+
+
+def line_batches(source):
+    """Yield the lines of a UTF-8 text file as lists, a chunk at a time.
+
+    Joined, the lists are exactly Path(source).read_text().splitlines():
+    every str.splitlines break ends a line, a '\\r\\n' pair is one break
+    (newlines are translated on reading, as read_text does), and a line
+    that crosses a chunk edge arrives whole, in the batch of the chunk
+    where it ends.
+
+    Args:
+        source: path, or text file object read from where it stands.
+    """
+    with _opened(source, "r") as stream:
+        pending = []  # pieces of a line that crosses chunk edges
+        while chunk := stream.read(_CHUNK):
+            # a stream that keeps '\r\n' must not split the pair at the edge
+            while chunk[-1] == "\r" and (more := stream.read(1)):
+                chunk += more
+            lines = chunk.splitlines()
+            unfinished = None if chunk[-1] in _BREAKS else lines.pop()
+            if lines and pending:
+                pending.append(lines[0])
+                lines[0] = "".join(pending)
+                pending = []
+            if unfinished is not None:
+                pending.append(unfinished)
+            if lines:
+                yield lines
+        if pending:
+            yield ["".join(pending)]
+
+
+def write_lines(sink, lines):
+    """Write each line followed by '\\n', so the file holds '\\n'.join(lines) + '\\n'.
+
+    Args:
+        sink: path, or text file object written where it stands.
+        lines: iterable of strings without their line ends; one may hold
+            several lines joined by '\\n'.
+    """
+    with _opened(sink, "w") as stream:
+        for line in lines:
+            stream.write(line + "\n")
+
 
 def format_rows(block):
-    """Lines of a 2-D array, one per row, each value printed with '%.17g'."""
+    """Lines of a 2-D array, one per row, each value printed with '%.17g'.
+
+    The lines are made as they are taken; the row format is fixed at the
+    call, so a block that is not 2-D is refused at once.
+    """
     row_format = " ".join(["%.17g"] * block.shape[1])
-    return [row_format % tuple(row.tolist()) for row in block]
+    return (row_format % tuple(row.tolist()) for row in block)

@@ -488,3 +488,15 @@ def test_train_rejects_non_finite_hyperparameters(
     assert rc == 1
     assert capsys.readouterr().err == f"error: {field} must be finite\n"
     assert not model_out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--lambda2", "1e200"), ("--lambda", "1e308")])
+def test_train_names_a_warm_start_that_overflows(tmp_path, synth_files, capsys, flag, value):
+    # finite but so large that a warm-start block overflows: the error
+    # names the warm start, not the model block that holds the inf
+    _, masked, _ = synth_files
+    model_out = tmp_path / "m.model"
+    rc = run("train", "--input", masked, "--model-out", model_out, flag, value)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: warm start is not finite after sweep 1\n"
+    assert not model_out.exists()

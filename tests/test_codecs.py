@@ -4,7 +4,9 @@ The array decoders must accept exactly what the per-token reference
 accepts, the partition, matrix and sidecar readers may reject input
 only with ValueError and the model parser only with ModelFormatError,
 every writer must round-trip bit-exactly, and the bytes each writer
-produces are frozen against literal strings.
+produces are frozen against literal strings.  A file read in line
+batches must give exactly its text's lines, and a file written line by
+line exactly its writer's text, or nothing at all on bad input.
 """
 
 import io
@@ -16,14 +18,28 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gml_reference import parse_gml_reference
-from glocal.clustering import partition_from_assignment, read_partition, write_partition
-from glocal.cli import read_hidden, read_matrix, write_hidden, write_matrix
+from glocal import textio
+from glocal.clustering import (
+    partition_from_assignment,
+    read_partition,
+    save_partition,
+    write_partition,
+)
+from glocal.cli import (
+    read_hidden,
+    read_matrix,
+    save_hidden,
+    save_matrix,
+    write_hidden,
+    write_matrix,
+)
 from glocal.data import (
     Dataset,
     FeatureMatrix,
     GmlFormatError,
     LabelMatrix,
     parse_gml,
+    save_gml,
     write_gml,
 )
 from glocal.metrics import EvaluationReport
@@ -443,6 +459,11 @@ def test_sidecar_unsorted_entries_and_repeats():
         read_hidden(text + "2 2 -1\n")
     with pytest.raises(ValueError, match=r"^line 3: duplicate hidden entry '1 2 1'$"):
         read_hidden("1 1 1\n1 2 -1\n1 2 1\n2 1 1\n")
+    # a sorted file whose repeat is the first line after a 4096-line chunk
+    lines = [f"{j} {i} 1" for j in range(1, 101) for i in range(1, 51)]
+    lines.insert(4096, lines[4095])
+    with pytest.raises(ValueError, match=rf"^line 4097: duplicate hidden entry '{lines[4095]}'$"):
+        read_hidden("\n".join(lines) + "\n")
 
 
 # ---- (c) the writers' bytes, frozen --------------------------------------
@@ -522,3 +543,96 @@ def test_comment_stamps_are_one_utf8_line_each(writer):
     assert len(text.splitlines()) == len(plain.splitlines())
     text.encode("utf-8")
     assert "# /data/run 1/train.gml\n" in text  # an ordinary path as it is
+
+
+# ---- (f) reading and writing files a batch of lines at a time -------------
+
+# the characters of HOSTILE that str.splitlines breaks a line at
+BREAKS = sorted({c for c in HOSTILE if len(f"a{c}b".splitlines()) == 2})
+LINE_TEXT = st.lists(
+    st.one_of(st.sampled_from(BREAKS), st.just("\r\n"), st.sampled_from(["a", "é", " ", "#"])),
+    max_size=40,
+).map("".join)
+
+
+@FUZZ
+@given(LINE_TEXT, st.integers(1, 7))
+def test_line_batches_join_to_read_text_splitlines(tmp_path_factory, text, chunk):
+    path = tmp_path_factory.mktemp("lines") / "f.txt"
+    path.write_bytes(text.encode("utf-8"))
+    want = path.read_text(encoding="utf-8").splitlines()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textio, "_CHUNK", chunk)
+        from_path = list(textio.line_batches(path))
+        # a stream that keeps '\r\n' pairs, as a StringIO does
+        from_stream = list(textio.line_batches(io.StringIO(text)))
+    for batches in (from_path, from_stream):
+        assert all(batches)  # no empty batch
+        assert [line for batch in batches for line in batch] == want
+
+
+@pytest.mark.parametrize("text, want", [
+    ("", []),
+    ("ab", ["ab"]),  # no final newline
+    ("\n\nab\n\n", ["", "", "ab", ""]),  # blank lines
+    ("abc\r\nd", ["abc", "d"]),  # '\r\n' across the 3-character chunk edge
+    ("ab\r\ncd", ["ab", "cd"]),  # '\r' ends a chunk, '\n' starts the next
+])
+def test_line_batches_edge_cases(tmp_path, monkeypatch, text, want):
+    monkeypatch.setattr(textio, "_CHUNK", 3)
+    path = tmp_path / "f.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert path.read_text(encoding="utf-8").splitlines() == want
+    for source in (path, io.StringIO(text)):
+        assert [line for batch in textio.line_batches(source) for line in batch] == want
+
+
+def _model(comments, sink):
+    model = GlocalModel(U=np.ones((2, 1)), V=np.ones((1, 3)), W=np.ones((1, 1)),
+                        factors=(np.array([[1.0], [-1.0]]),), provenance={"seed": 1})
+    save_model(model, sink, comments=comments)
+
+
+_PART = partition_from_assignment(FeatureMatrix(np.zeros((1, 3))), [1, 2, 1])
+_DATA = Dataset(FeatureMatrix([[0.5, 0.0, 1 / 3]]), LabelMatrix([[1, 0, -1], [-1, 1, 0]]))
+_HIDDEN = np.column_stack((np.arange(9000) // 50, np.arange(9000) % 50,
+                           np.resize([1, -1, -1], 9000)))  # past two _BATCH blocks
+# each streamed file writer, and the text it must write; save_model's text
+# is what it writes to a StringIO
+STREAMED = {
+    "save_gml": (lambda c, p: save_gml({p: _DATA}, comments=c),
+                 lambda c: write_gml(_DATA, comments=c)),
+    "save_hidden": (lambda c, p: save_hidden(_HIDDEN, p, comments=c),
+                    lambda c: write_hidden(_HIDDEN, comments=c)),
+    "save_matrix": (lambda c, p: save_matrix(np.eye(3) / 3, p, comments=c),
+                    lambda c: write_matrix(np.eye(3) / 3, comments=c)),
+    "save_partition": (lambda c, p: save_partition(_PART, p, comments=c),
+                       lambda c: write_partition(_PART, comments=c)),
+    "save_model": (_model, _model_text),
+}
+
+
+@pytest.mark.parametrize("save, text", STREAMED.values(), ids=STREAMED.keys())
+def test_streamed_files_hold_the_writers_text(tmp_path, save, text):
+    comments = [HOSTILE, "/data/run 1/train.gml"]
+    path = tmp_path / "out.txt"
+    save(comments, path)
+    assert path.read_bytes() == text(comments).encode("utf-8")
+
+
+class Unprintable:
+    def __str__(self):
+        raise ValueError("no text")
+
+
+@pytest.mark.parametrize("save, comments, error", [
+    *((save, [Unprintable()], ValueError) for save, _ in STREAMED.values()),
+    (lambda c, p: save_hidden(np.zeros((2, 2)), p, comments=c), [], ValueError),
+    (lambda c, p: save_matrix(np.zeros(3), p, comments=c), [], IndexError),
+], ids=[*(f"{name}-comment" for name in STREAMED), "save_hidden-shape", "save_matrix-1d"])
+def test_writer_input_errors_leave_an_existing_file_untouched(tmp_path, save, comments, error):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"keep\n")
+    with pytest.raises(error):
+        save(comments, path)
+    assert path.read_bytes() == b"keep\n"

@@ -13,6 +13,7 @@ from glocal.data import (
     apply_mask,
     parse_gml,
     round_half_away,
+    save_gml,
     split,
     take_instances,
     write_gml,
@@ -126,10 +127,10 @@ def test_write_emits_comments():
 
 
 @pytest.mark.parametrize("full_first", [True, False])
-def test_datasets_sharing_features_write_as_from_fresh_copies(full_first):
-    # the feature text is formatted once per matrix and reused: writing
-    # two datasets that share one matrix, in either order, must give the
-    # bytes each gives from a matrix of its own
+def test_datasets_sharing_features_write_as_from_fresh_copies(tmp_path, full_first):
+    # writing two datasets that share one matrix, in either order or in
+    # one save_gml pass, must give the bytes each gives from a matrix of
+    # its own
     rng = np.random.default_rng(11)
     full = random_dataset(rng, l=6, n=9, d=5, zero_frac=0.0)
     masked, _ = apply_mask(full, MaskSpec(rho=40.0, seed=2))
@@ -141,7 +142,16 @@ def test_datasets_sharing_features_write_as_from_fresh_copies(full_first):
     order = [0, 1] if full_first else [1, 0]
     shared = {i: write_gml((full, masked)[i]) for i in order}
     assert [shared[0], shared[1]] == fresh
-    assert write_gml(full) == fresh[0]  # and again, from the kept text
+    assert write_gml(full) == fresh[0]  # and again
+    paths = [tmp_path / "full.gml", tmp_path / "masked.gml"]
+    save_gml({paths[i]: (full, masked)[i] for i in order})
+    assert [p.read_text(encoding="utf-8") for p in paths] == fresh
+    # two paths naming one file: it gets the later dataset
+    save_gml({str(paths[0]): full, f"{tmp_path}/./full.gml": masked})
+    assert paths[0].read_text(encoding="utf-8") == fresh[1]
+    with pytest.raises(ValueError, match="must share one FeatureMatrix"):
+        save_gml({paths[0]: full, paths[1]: Dataset(FeatureMatrix(full.features.values),
+                                                    full.labels)})
 
 
 def test_arrays_read_only():

@@ -1,0 +1,80 @@
+"""Memory regression tests of the file codecs.
+
+Each file is read or written a batch of lines at a time, so what a call
+holds at its peak, beyond the arrays it returns, must stay below the
+size of the file itself: a codec that held the file's text, or a list
+of its lines, would exceed it.  The shapes are the benchmark's: the
+corel-pipeline training file and sidecar, and the large-k model.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from glocal import cli
+from glocal.data import MaskSpec, apply_mask, save_gml
+from glocal.model import GlocalModel, load_model, save_model
+
+
+def peak_beyond(result_bytes, call):
+    """Run call() under tracemalloc; its peak bytes less result_bytes(result)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - result_bytes(result)
+
+
+@pytest.fixture(scope="module")
+def corel_files(tmp_path_factory):
+    # corel-pipeline's shape: l=374, n=400, d=499, 30% of labels observed
+    data = cli.make_synthetic(l=374, n=400, d=499, k_true=5, noise=0.3, seed=1)
+    masked, hidden = apply_mask(data, MaskSpec(rho=30, seed=1))
+    root = tmp_path_factory.mktemp("corel")
+    files = {root / "full.gml": data, root / "train.gml": masked}
+    # as synth writes them: both files in one pass over the shared features
+    held = peak_beyond(lambda _: 0, lambda: save_gml(files, comments=["corel-pipeline"]))
+    cli.save_hidden(hidden, root / "hidden.txt", comments=["corel-pipeline"])
+    return root / "train.gml", root / "hidden.txt", held
+
+
+def test_saving_gml_files_holds_no_file_text(corel_files):
+    path, _, held = corel_files
+    assert held < path.stat().st_size
+
+
+def test_loading_a_gml_file_holds_no_file_text(corel_files):
+    path = corel_files[0]
+    held = peak_beyond(lambda d: d.features.values.nbytes + d.labels.values.nbytes,
+                       lambda: cli._load_dataset(path))
+    assert held < path.stat().st_size
+
+
+def test_reading_a_sidecar_holds_no_file_text(corel_files):
+    path = corel_files[1]
+    held = peak_beyond(lambda hidden: hidden.nbytes, lambda: cli.load_hidden(path))
+    assert held < path.stat().st_size
+
+
+def _blocks(model):
+    return (model.U, model.V, model.W, *model.factors)
+
+
+def test_saving_and_loading_a_large_model_holds_no_file_text(tmp_path):
+    # large-k's shape: l=200, d=30, k=300, n=400, g=4
+    rng = np.random.default_rng(3)
+    l, d, k, n, g = 200, 30, 300, 400, 4
+    model = GlocalModel(U=rng.standard_normal((l, k)), V=rng.standard_normal((k, n)),
+                        W=rng.standard_normal((d, k)),
+                        factors=tuple(rng.standard_normal((l, k)) for _ in range(g)))
+    path = tmp_path / "model.txt"
+    held = peak_beyond(lambda _: 0, lambda: save_model(model, path))
+    size = path.stat().st_size
+    assert held < size
+    held = peak_beyond(lambda m: sum(B.nbytes for B in _blocks(m)), lambda: load_model(path))
+    assert held < size
+    back = load_model(path)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(_blocks(back), _blocks(model)))

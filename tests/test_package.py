@@ -20,3 +20,57 @@ def test_sources_parse_as_python_3_10():
     assert tests
     for path in sources + tests:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+# stdlib names newer than requires-python's 3.10, as (module, name); a
+# module alone is given with name None, and a keyword as (function, keyword)
+NEWER_THAN_3_10 = {
+    ("itertools", "batched"),  # 3.12
+    ("contextlib", "chdir"),  # 3.11
+    ("tomllib", None),  # 3.11
+    ("hashlib", "file_digest"),  # 3.11
+    ("typing", "Self"),  # 3.11
+    ("datetime", "UTC"),  # 3.11
+}
+NEWER_KEYWORDS = {("a2b_base64", "strict_mode")}  # 3.11
+
+
+def newer_stdlib_uses(source):
+    """Names from NEWER_THAN_3_10 and NEWER_KEYWORDS that source uses."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if (a.name, None) in NEWER_THAN_3_10]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module, None) in NEWER_THAN_3_10:
+                found.append(node.module)
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if (node.module, a.name) in NEWER_THAN_3_10]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id, node.attr) in NEWER_THAN_3_10:
+                found.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Call):
+            func = getattr(node.func, "attr", getattr(node.func, "id", None))
+            found += [f"{func}({k.arg}=)" for k in node.keywords
+                      if (func, k.arg) in NEWER_KEYWORDS]
+    return found
+
+
+def test_the_stdlib_guard_finds_each_newer_name():
+    source = "\n".join([
+        "import itertools, tomllib", "from contextlib import chdir",
+        "from typing import Self", "import hashlib, datetime, binascii",
+        "itertools.batched(x, 2)", "hashlib.file_digest(f, 'sha256')",
+        "datetime.UTC", "binascii.a2b_base64(s, strict_mode=True)",
+    ])
+    assert sorted(newer_stdlib_uses(source)) == sorted([
+        "tomllib", "contextlib.chdir", "typing.Self", "itertools.batched",
+        "hashlib.file_digest", "datetime.UTC", "a2b_base64(strict_mode=)",
+    ])
+
+
+def test_sources_use_no_stdlib_name_newer_than_3_10():
+    package = Path(glocal.__file__).parent
+    for path in sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
+        uses = newer_stdlib_uses(path.read_text(encoding="utf-8"))
+        assert not uses, f"{path.name} uses {uses}, which Python 3.10 lacks"
