@@ -12,9 +12,7 @@ from .clustering import (
     kmeans,
     load_partition,
     partition_from_assignment,
-    read_partition,
     save_partition,
-    write_partition,
 )
 from .correlation import (
     combine_correlations,
@@ -35,7 +33,6 @@ from .data import (
     save_gml,
     split,
     take_instances,
-    write_gml,
 )
 from .metrics import (
     EvaluationReport,
@@ -51,7 +48,6 @@ from .model import (
     Hyperparams,
     ModelFormatError,
     load_model,
-    parse_model,
     predict,
     save_model,
     score,
@@ -70,16 +66,15 @@ from .solver import (
 
 __all__ = [
     "Partition", "kmeans", "load_partition", "partition_from_assignment",
-    "read_partition", "save_partition", "write_partition",
+    "save_partition",
     "combine_correlations", "cosine_correlation", "init_factor",
     "laplacian_of", "project_unit_rows",
     "Dataset", "FeatureMatrix", "GmlFormatError", "LabelMatrix", "MaskSpec",
     "apply_mask", "load_gml", "parse_gml", "save_gml", "split", "take_instances",
-    "write_gml",
     "EvaluationReport", "UndefinedMetricError", "average_auc",
     "average_precision", "coverage", "evaluate", "ranking_loss",
     "GlocalModel", "Hyperparams", "ModelFormatError", "load_model",
-    "parse_model", "predict", "save_model", "score",
+    "predict", "save_model", "score",
     "FitTrace", "ObjectiveContext", "closed_form_V", "fit", "gradients",
     "grid_search", "make_context", "objective", "warm_start",
 ]

@@ -9,7 +9,11 @@ glocal.textio), through the load_* and save_* functions of its format.
 
 File formats owned here (all others live with their module):
   * scores/labels files: comments, a "l n" header line, then l rows of
-    n whitespace-separated values;
+    n whitespace-separated values.  They are decimal text, like GML,
+    because people read them: each row is one line of '%.17g' values,
+    which round-trip every float64 bit-exactly, and the reader accepts
+    any line layout (model files carry binary rows instead; see
+    glocal.model);
   * hidden-entry sidecar: "label_idx instance_idx value" lines, 1-based;
   * report CSV: header rkl,auc,cvg,ap,skipped_instances,skipped_labels.
 """
@@ -39,7 +43,7 @@ from .data import (
 from .metrics import evaluate
 from .model import Hyperparams, load_model, predict, save_model, score
 from .solver import fit, grid_search
-from .textio import _BATCH, comment_lines, format_rows, line_batches, write_lines
+from .textio import _BATCH, comment_lines, line_batches, write_lines
 
 
 def make_synthetic(l, n, d, k_true, noise, seed):
@@ -66,29 +70,24 @@ def make_synthetic(l, n, d, k_true, noise, seed):
     return Dataset(FeatureMatrix(X), LabelMatrix(Y))
 
 
-def _hidden_lines(hidden, comments):
-    rows = np.asarray(hidden, dtype=np.int64).reshape(-1, 3) + (1, 1, 0)
-    head = comment_lines(comments)
-    # one string per _BATCH entries: '%' formats a whole block at once
-    blocks = (rows[start : start + _BATCH] for start in range(0, len(rows), _BATCH))
-    return chain(head, (("%d %d %d\n" * len(block))[:-1] % tuple(block.ravel().tolist())
-                        for block in blocks))
+def save_hidden(hidden, path, comments=()):
+    """Write hidden entries as 1-based 'label_idx instance_idx value' lines.
 
-
-def write_hidden(hidden, comments=()):
-    """Serialize hidden entries as 1-based 'label_idx instance_idx value' lines.
+    The lines are formatted a block of _BATCH entries at a time and
+    written as they are made.
 
     Args:
         hidden: (m, 3) integer array, or rows, of 0-based
             (label_idx, instance_idx, value) entries.
+        path: path, or text file object written where it stands.
         comments: optional strings emitted as leading '#' lines.
     """
-    return "\n".join(_hidden_lines(hidden, comments)) + "\n"
-
-
-def save_hidden(hidden, path, comments=()):
-    """Write write_hidden's text to a file, a block of lines at a time."""
-    write_lines(path, _hidden_lines(hidden, comments))
+    rows = np.asarray(hidden, dtype=np.int64).reshape(-1, 3) + (1, 1, 0)
+    head = comment_lines(comments)
+    # one string per _BATCH entries: '%' formats a whole block at once
+    blocks = (rows[start : start + _BATCH] for start in range(0, len(rows), _BATCH))
+    write_lines(path, chain(head, (("%d %d %d\n" * len(block))[:-1]
+                                   % tuple(block.ravel().tolist()) for block in blocks)))
 
 
 def _hidden_error(batches):
@@ -166,18 +165,21 @@ def _decode_hidden(batches):
 
 
 def read_hidden(text):
-    """Parse a hidden-entry sidecar back to 0-based entries.
+    """Parse a hidden-entry sidecar held in a string back to 0-based entries.
+
+    The CLI reads sidecar files with load_hidden; this text form is kept
+    for bench/run.py, which checks the sidecar it wrote by reading its
+    text.  Both run the same decoder.
 
     Per chunk of _BATCH lines, the lines are joined and split
     once and converted with one numpy call; comment and blank lines are
     filtered out line by line only in a chunk that holds a '#' or the
     wrong token count.  Each chunk's entries are range-checked at once,
     written to an output sized by the line count, and checked to
-    strictly increase in (label_idx, instance_idx), as write_hidden
+    strictly increase in (label_idx, instance_idx), as save_hidden
     writes them; only a file where they do not is checked for repeats
     by a lexsort.  On any fault the lines are read again one at a time
-    to name the first bad one.  load_hidden runs the same decoder on a
-    file's lines.
+    to name the first bad one.
 
     Returns:
         (m, 3) int64 array of (label_idx, instance_idx, value) rows in
@@ -196,24 +198,28 @@ def load_hidden(path):
 
     The file is read in batches of lines twice, to count its lines and
     then to decode them, so what it holds besides the entries is one
-    batch, never the file's text.
+    batch, never the file's text.  It takes a path, not a text stream,
+    since a stream cannot be read from its start again.
     """
     return _decode_hidden(lambda: line_batches(path))
 
 
-def _matrix_lines(A, comments):
-    head = [*comment_lines(comments), f"{A.shape[0]} {A.shape[1]}"]
-    return chain(head, format_rows(A))
-
-
-def write_matrix(A, comments=()):
-    """Serialize a matrix with a 'rows cols' header, full precision."""
-    return "\n".join(_matrix_lines(A, comments)) + "\n"
-
-
 def save_matrix(A, path, comments=()):
-    """Write write_matrix's text to a file one row at a time."""
-    write_lines(path, _matrix_lines(A, comments))
+    """Write a 2-D matrix with a 'rows cols' header, one row per line.
+
+    Each value is printed with '%.17g', so the file reads back bit-exactly.
+    The rows are formatted as they are written; the row format is fixed
+    at the call, so a block that is not 2-D is refused before the file
+    is opened.
+
+    Args:
+        A: 2-D float array.
+        path: path, or text file object written where it stands.
+        comments: optional strings emitted as leading '#' lines.
+    """
+    head = [*comment_lines(comments), f"{A.shape[0]} {A.shape[1]}"]
+    row_format = " ".join(["%.17g"] * A.shape[1])
+    write_lines(path, chain(head, (row_format % tuple(row.tolist()) for row in A)))
 
 
 def _decode_matrix(lines):
@@ -251,12 +257,15 @@ def _decode_matrix(lines):
 
 
 def read_matrix(text):
-    """Parse a matrix written by write_matrix.
+    """Parse a matrix file's contents held in a string.
+
+    The CLI reads matrix files with load_matrix; this text form is kept
+    for bench/run.py, which checks the scores it wrote by reading their
+    text.  Both run the same decoder.
 
     The values are a whitespace-separated token stream in which '#'
     lines are comments, so a header or a row may span lines or share
     them.  The values are converted in batches of at most _BATCH.
-    load_matrix runs the same decoder on a file's lines.
 
     Raises:
         ValueError: on a missing, non-integer or negative 'rows cols'
@@ -268,7 +277,8 @@ def read_matrix(text):
 
 
 def load_matrix(path):
-    """Read a matrix file as read_matrix reads its text, a batch of lines at a time."""
+    """Read a matrix file (path or text file object) as read_matrix reads
+    its text, a batch of lines at a time."""
     return _decode_matrix(chain.from_iterable(line_batches(path)))
 
 

@@ -144,28 +144,34 @@ def kmeans(features, g, seed, max_iter=100):
     return partition_from_assignment(features, assign + 1)
 
 
-def _partition_lines(partition, comments):
+def save_partition(partition, path, comments=()):
+    """Write 'instance_idx group_idx' lines, 1-based, one per instance.
+
+    Args:
+        partition: Partition to write.
+        path: path, or text file object written where it stands.
+        comments: optional strings emitted as leading '#' lines.
+    """
     head = comment_lines(comments)
     pairs = enumerate(partition.assignment.tolist(), start=1)
-    return chain(head, (f"{i} {m}" for i, m in pairs))
+    write_lines(path, chain(head, (f"{i} {m}" for i, m in pairs)))
 
 
-def write_partition(partition, comments=()):
-    """Serialize as 'instance_idx group_idx' lines, 1-based, one per instance."""
-    return "\n".join(_partition_lines(partition, comments)) + "\n"
+def load_partition(path, features):
+    """Read a partition file and validate it against the instance count.
 
+    Every instance 1..n must appear exactly once and every group up to
+    the largest index must be nonempty, so no group index exceeds n.
+    The file is read a batch of lines at a time.
 
-def save_partition(partition, path, comments=()):
-    """Write write_partition's text to a file one line at a time."""
-    write_lines(path, _partition_lines(partition, comments))
-
-
-def _decode_partition(lines, features):
-    """The Partition of a partition file's lines, read once (see read_partition)."""
+    Args:
+        path: path, or text file object read from where it stands.
+        features: FeatureMatrix of the instances partitioned.
+    """
     n = features.n
     assign = np.zeros(n, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(chain.from_iterable(line_batches(path)), start=1):
         if raw.startswith("#") or raw.strip() == "":
             continue
         parts = raw.split()
@@ -189,18 +195,3 @@ def _decode_partition(lines, features):
         missing = int(np.flatnonzero(~seen)[0]) + 1
         raise ValueError(f"partition does not cover instance {missing}")
     return partition_from_assignment(features, assign)
-
-
-def read_partition(text, features):
-    """Parse a partition file and validate it against the instance count.
-
-    Every instance 1..n must appear exactly once and every group up to
-    the largest index must be nonempty, so no group index exceeds n.
-    load_partition runs the same decoder on a file's lines.
-    """
-    return _decode_partition(text.splitlines(), features)
-
-
-def load_partition(path, features):
-    """Read a partition file as read_partition reads its text, a batch of lines at a time."""
-    return _decode_partition(chain.from_iterable(line_batches(path)), features)

@@ -234,7 +234,7 @@ def _decode_batch(first, counts, pos_t, neg_t, fid_t, val_t, X, Y):
     per_line = np.array(counts, dtype=np.int64).reshape(-1, 3)
     fcols = np.repeat(cols, per_line[:, 2])
     # a line can repeat a feature index only where its indices stop
-    # rising, which write_gml's never do; only other lines pay for a sort
+    # rising, which save_gml's never do; only other lines pay for a sort
     if ((fcols[1:] == fcols[:-1]) & (fid[1:] <= fid[:-1])).any():
         if not np.diff(np.sort(fcols * X.shape[0] + fid)).all():
             return False
@@ -313,7 +313,12 @@ def _decode_gml(lines):
 
 
 def parse_gml(text):
-    """Parse GML text into a Dataset.
+    """Parse GML text held in a string into a Dataset.
+
+    The CLI reads GML files with load_gml; this text form is kept for
+    bench/run.py, which checks the data it wrote by reading its text,
+    and for the optional real-data acceptance test.  Both run the same
+    decoder.
 
     Format: a header line "n d l", then one line per instance of the
     form "+:<csv>|-:<csv>|<idx:value pairs>".  Indices are 1-based.
@@ -330,7 +335,7 @@ def parse_gml(text):
     listed.  On any fault the rest of the lines are counted, since a
     wrong instance line count is the error to report, and then the
     batch's lines are read again one token at a time, in order, to name
-    the first bad one.  load_gml runs the same decoder on a file's lines.
+    the first bad one.
 
     Args:
         text: full file contents as a string.
@@ -349,6 +354,9 @@ def load_gml(path):
 
     The file is read in batches of lines (textio.line_batches), so what
     it holds besides the arrays is one batch, never the file's text.
+
+    Args:
+        path: path, or text file object read from where it stands.
     """
     return _decode_gml(chain.from_iterable(line_batches(path)))
 
@@ -362,73 +370,43 @@ def _feature_field(x):
     return " ".join(["%d:%r"] * fid.size) % tuple(pairs)
 
 
-def _gml_rows(datasets, comments):
-    """The GML lines of datasets sharing one FeatureMatrix, in lockstep.
-
-    Item i lists every dataset's i-th line.  Each instance's feature
-    field is formatted once, for all of them.  The datasets and comments
-    are checked at the call; the lines are made as they are taken.
-    """
-    features = datasets[0].features
-    if any(data.features is not features for data in datasets):
-        raise ValueError("datasets written together must share one FeatureMatrix")
-    head = [[line] * len(datasets) for line in comment_lines(comments)]
-    head.append([f"{data.n} {data.d} {data.l}" for data in datasets])
-
-    def instance_rows():
-        for col, x in enumerate(features.values.T):
-            feats = _feature_field(x)
-            row = []
-            for data in datasets:
-                y = data.labels.values[:, col]
-                pos = ",".join(map(str, (np.flatnonzero(y == 1) + 1).tolist()))
-                neg = ",".join(map(str, (np.flatnonzero(y == -1) + 1).tolist()))
-                row.append(f"+:{pos}|-:{neg}|{feats}")
-            yield row
-
-    return chain(head, instance_rows())
-
-
-def write_gml(data, comments=()):
-    """Serialize a Dataset to GML text.
+def save_gml(files, comments=()):
+    """Write datasets sharing one FeatureMatrix to GML files, in one pass.
 
     Feature values are printed with full round-trip precision, so
-    parse_gml(write_gml(d)) reproduces d exactly.  Only nonzero
-    features are written.
-
-    Args:
-        data: Dataset to serialize.
-        comments: optional strings emitted as leading '#' lines.
-
-    Returns:
-        GML text ending with a newline.
-    """
-    return "\n".join(row[0] for row in _gml_rows([data], comments)) + "\n"
-
-
-def save_gml(files, comments=()):
-    """Write datasets to GML files, each as write_gml writes it, in one pass.
-
-    The lines are made as they are written, one instance at a time, so
-    no file's text is held.  The datasets share one FeatureMatrix, whose
-    feature text is formatted once per instance for every file: the full
-    and partly observed copies of a dataset cost one formatting pass.
+    load_gml reproduces each dataset exactly; only nonzero features are
+    written.  The lines are made as they are written, one instance at a
+    time, so no file's text is held.  Each instance's feature field is
+    formatted once for every file: the full and partly observed copies
+    of a dataset cost one formatting pass.  The datasets and comments
+    are checked before any file is opened.
 
     Args:
         files: map from path to Dataset.  Where two paths name one file,
             it gets the later dataset, as writing them in turn would.
         comments: optional strings emitted as leading '#' lines.
     """
-    rows = _gml_rows(list(files.values()), comments)
+    datasets = list(files.values())
+    features = datasets[0].features
+    if any(data.features is not features for data in datasets):
+        raise ValueError("datasets written together must share one FeatureMatrix")
+    head = comment_lines(comments)
     with contextlib.ExitStack() as stack:
-        sinks = {}  # file identity -> (dataset position, stream)
-        for at, path in enumerate(files):
+        sinks = {}  # file identity -> (dataset, stream)
+        for path, data in files.items():
             stream = stack.enter_context(open(path, "w", encoding="utf-8"))
             stat = os.fstat(stream.fileno())
-            sinks[stat.st_dev, stat.st_ino] = (at, stream)
-        for row in rows:
-            for at, stream in sinks.values():
-                stream.write(row[at] + "\n")
+            sinks[stat.st_dev, stat.st_ino] = (data, stream)
+        for data, stream in sinks.values():
+            for line in [*head, f"{data.n} {data.d} {data.l}"]:
+                stream.write(line + "\n")
+        for col, x in enumerate(features.values.T):
+            feats = _feature_field(x)
+            for data, stream in sinks.values():
+                y = data.labels.values[:, col]
+                pos = ",".join(map(str, (np.flatnonzero(y == 1) + 1).tolist()))
+                neg = ",".join(map(str, (np.flatnonzero(y == -1) + 1).tolist()))
+                stream.write(f"+:{pos}|-:{neg}|{feats}\n")
 
 
 def apply_mask(data, spec):

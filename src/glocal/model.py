@@ -250,9 +250,27 @@ def _read_block(lines, name, rows, cols):
     return flat.reshape(got_rows, got_cols)
 
 
-def _decode_model(lines):
-    """The GlocalModel of a model file's lines, read once (see parse_model)."""
-    lines = iter(lines)
+def load_model(source):
+    """Read a model file written by save_model.
+
+    '#' comment lines may appear anywhere after the magic line; those of
+    the form '# key=value' before the dimension line are the provenance.
+    Blank lines are skipped outside the block rows.  The file is read in
+    batches of lines (textio.line_batches) and each block's rows are
+    decoded as they arrive, so what it holds besides the blocks is one
+    batch of lines, never the file's text.
+
+    Args:
+        source: path, or text file object read from where it stands.
+
+    Returns:
+        GlocalModel.
+
+    Raises:
+        FileNotFoundError: if a path names no file.
+        ModelFormatError: on version mismatch or any malformed content.
+    """
+    lines = chain.from_iterable(line_batches(source))
     magic = next(lines, None)
     if magic is None:
         raise ModelFormatError("empty model file")
@@ -288,42 +306,3 @@ def _decode_model(lines):
         raise ModelFormatError("trailing content after the last block")
     return GlocalModel(U=U, V=V, W=W, factors=factors, provenance=provenance)
 
-
-def parse_model(text):
-    """Parse model file contents written by save_model.
-
-    '#' comment lines may appear anywhere after the magic line; those of
-    the form '# key=value' before the dimension line are the provenance.
-    Blank lines are skipped outside the block rows.  load_model runs the
-    same decoder on a file's lines.
-
-    Args:
-        text: the file contents as a string.
-
-    Returns:
-        GlocalModel.
-
-    Raises:
-        ModelFormatError: on version mismatch or any malformed content.
-    """
-    return _decode_model(text.splitlines())
-
-
-def load_model(source):
-    """Read a model file written by save_model.
-
-    The file is read in batches of lines (textio.line_batches) and each
-    block's rows are decoded as they arrive, so what it holds besides
-    the blocks is one batch of lines, never the file's text.
-
-    Args:
-        source: path or text file object.
-
-    Returns:
-        GlocalModel.
-
-    Raises:
-        FileNotFoundError: if a path names no file.
-        ModelFormatError: on version mismatch or any malformed content.
-    """
-    return _decode_model(chain.from_iterable(line_batches(source)))

@@ -1,21 +1,15 @@
-"""Text shared by every file format: comment lines, rows of floats, and
-reading and writing a file in bounded batches of lines.
+"""Text shared by every file format: comment lines, and reading and
+writing a file in bounded batches of lines.
 
 Every writer emits its comments with comment_lines, so a comment stays
 one '#' line of valid UTF-8 whatever text it stamps.
 
 Files are read with line_batches and written with write_lines, so no
 file's full text is held in memory: a reader holds one batch of lines
-(about _CHUNK characters) and a writer one line at a time.  The lines
-line_batches yields are exactly those of Path.read_text().splitlines(),
-so a decoder given a file's batches sees what it would see given the
-file's text.
-
-Score and label matrix files are decimal text, like GML, because people
-read them.  A 2-D block is printed one row per line with '%.17g', which
-round-trips every float64 bit-exactly; its reader (glocal.cli.read_matrix)
-accepts any line layout.  (Model files carry binary rows instead; see
-glocal.model.)
+(about _CHUNK characters plus the rest of the line they end in) and a
+writer one line at a time.  The lines line_batches yields are exactly
+those of Path.read_text().splitlines(), so a decoder given a file's
+batches sees what it would see given the file's text.
 """
 
 from __future__ import annotations
@@ -64,32 +58,21 @@ def line_batches(source):
     """Yield the lines of a UTF-8 text file as lists, a chunk at a time.
 
     Joined, the lists are exactly Path(source).read_text().splitlines():
-    every str.splitlines break ends a line, a '\\r\\n' pair is one break
-    (newlines are translated on reading, as read_text does), and a line
-    that crosses a chunk edge arrives whole, in the batch of the chunk
-    where it ends.
+    every str.splitlines break ends a line and a '\\r\\n' pair is one
+    break.  Each batch is a chunk of _CHUNK characters finished by the
+    stream's readline(), so a line that crosses the chunk edge arrives
+    whole, and so does a '\\r\\n' pair.  This holds for a path (opened
+    with universal newlines, as read_text does), for an io.StringIO in
+    any newline mode, and for a file opened with newline set to None,
+    '', '\\n' or '\\r\\n'; a file opened with newline='\\r' may split a
+    '\\r\\n' pair between batches.
 
     Args:
         source: path, or text file object read from where it stands.
     """
     with _opened(source, "r") as stream:
-        pending = []  # pieces of a line that crosses chunk edges
         while chunk := stream.read(_CHUNK):
-            # a stream that keeps '\r\n' must not split the pair at the edge
-            while chunk[-1] == "\r" and (more := stream.read(1)):
-                chunk += more
-            lines = chunk.splitlines()
-            unfinished = None if chunk[-1] in _BREAKS else lines.pop()
-            if lines and pending:
-                pending.append(lines[0])
-                lines[0] = "".join(pending)
-                pending = []
-            if unfinished is not None:
-                pending.append(unfinished)
-            if lines:
-                yield lines
-        if pending:
-            yield ["".join(pending)]
+            yield (chunk + stream.readline()).splitlines()
 
 
 def write_lines(sink, lines):
@@ -104,12 +87,3 @@ def write_lines(sink, lines):
         for line in lines:
             stream.write(line + "\n")
 
-
-def format_rows(block):
-    """Lines of a 2-D array, one per row, each value printed with '%.17g'.
-
-    The lines are made as they are taken; the row format is fixed at the
-    call, so a block that is not 2-D is refused at once.
-    """
-    row_format = " ".join(["%.17g"] * block.shape[1])
-    return (row_format % tuple(row.tolist()) for row in block)

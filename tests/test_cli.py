@@ -3,13 +3,15 @@ import pytest
 
 from glocal import cli, solver
 from glocal.cli import (
+    load_hidden,
+    load_matrix,
     main,
     make_synthetic,
     parse_grid,
     read_hidden,
     read_matrix,
-    write_hidden,
-    write_matrix,
+    save_hidden,
+    save_matrix,
 )
 from glocal.clustering import kmeans
 from glocal.data import parse_gml
@@ -66,12 +68,14 @@ def test_make_synthetic_huge_noise_keeps_label_signs():
     assert (huge == 1).any() and (huge == -1).any()
 
 
-def test_hidden_sidecar_round_trip():
+def test_hidden_sidecar_round_trip(tmp_path):
     hidden = [(0, 3, 1), (2, 0, -1)]
-    text = write_hidden(hidden, comments=["source: toy"])
-    assert text.splitlines()[0] == "# source: toy"
-    assert text.splitlines()[1] == "1 4 1"
-    assert np.array_equal(read_hidden(text), hidden)
+    path = tmp_path / "hidden.txt"
+    save_hidden(hidden, path, comments=["source: toy"])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "# source: toy"
+    assert lines[1] == "1 4 1"
+    assert np.array_equal(load_hidden(path), hidden)
     with pytest.raises(ValueError, match="line 1"):
         read_hidden("1 2\n")
     with pytest.raises(ValueError, match="three integers"):
@@ -82,10 +86,12 @@ def test_hidden_sidecar_round_trip():
         read_hidden("1 1 1\n1 1 -1\n")
 
 
-def test_matrix_round_trip():
+def test_matrix_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     A = rng.standard_normal((3, 4))
-    assert np.array_equal(read_matrix(write_matrix(A, comments=["x"])), A)
+    path = tmp_path / "m.txt"
+    save_matrix(A, path, comments=["x"])
+    assert np.array_equal(load_matrix(path), A)
     with pytest.raises(ValueError, match="header"):
         read_matrix("# only a comment\n")
     with pytest.raises(ValueError, match="expected 6 values"):
@@ -218,7 +224,7 @@ def test_cluster_train_predict_eval_pipeline(tmp_path, synth_files, capsys):
 def test_eval_requires_exactly_one_truth_source(tmp_path, synth_files, capsys):
     full, _, hidden = synth_files
     scores = tmp_path / "s.txt"
-    scores.write_text(write_matrix(np.zeros((6, 40))))
+    save_matrix(np.zeros((6, 40)), scores)
     out = tmp_path / "r.csv"
     assert run("eval", "--scores", scores, "--out", out) == 1
     assert run("eval", "--scores", scores, "--truth", full,

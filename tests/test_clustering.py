@@ -1,3 +1,4 @@
+import io
 import itertools
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from glocal.clustering import (
     Partition,
     kmeans,
+    load_partition,
     partition_from_assignment,
-    read_partition,
-    write_partition,
+    save_partition,
 )
 from glocal.data import FeatureMatrix
 
@@ -159,15 +160,20 @@ def test_partition_file_roundtrip():
     rng = np.random.default_rng(5)
     feats = FeatureMatrix(rng.standard_normal((3, 12)))
     part = kmeans(feats, 3, seed=9)
-    text = write_partition(part, comments=["seed=9"])
-    assert text.startswith("# seed=9\n")
-    back = read_partition(text, feats)
+    buf = io.StringIO()
+    save_partition(part, buf, comments=["seed=9"])
+    assert buf.getvalue().startswith("# seed=9\n")
+    back = load_partition(io.StringIO(buf.getvalue()), feats)
     assert np.array_equal(back.assignment, part.assignment)
     assert np.array_equal(back.sizes, part.sizes)
 
 
 def test_read_partition_errors():
     feats = FeatureMatrix(np.zeros((2, 3)))
+
+    def read_partition(text, features):
+        return load_partition(io.StringIO(text), features)
+
     with pytest.raises(ValueError, match="does not cover"):
         read_partition("1 1\n2 1\n", feats)
     with pytest.raises(ValueError, match="assigned twice"):

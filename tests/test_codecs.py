@@ -2,11 +2,12 @@
 
 The array decoders must accept exactly what the per-token reference
 accepts, the partition, matrix and sidecar readers may reject input
-only with ValueError and the model parser only with ModelFormatError,
-every writer must round-trip bit-exactly, and the bytes each writer
-produces are frozen against literal strings.  A file read in line
-batches must give exactly its text's lines, and a file written line by
-line exactly its writer's text, or nothing at all on bad input.
+only with ValueError and the model reader only with ModelFormatError,
+every save/load pair must round-trip bit-exactly, and the bytes each
+writer produces are frozen against literal strings.  A file read in
+line batches must give exactly its text's lines, and a file written
+line by line exactly what its writer gives a text stream, or nothing at
+all on bad input.
 """
 
 import io
@@ -19,31 +20,26 @@ from hypothesis.extra.numpy import arrays
 
 from gml_reference import parse_gml_reference
 from glocal import textio
-from glocal.clustering import (
-    partition_from_assignment,
-    read_partition,
-    save_partition,
-    write_partition,
-)
+from glocal.clustering import load_partition, partition_from_assignment, save_partition
 from glocal.cli import (
+    load_hidden,
+    load_matrix,
     read_hidden,
     read_matrix,
     save_hidden,
     save_matrix,
-    write_hidden,
-    write_matrix,
 )
 from glocal.data import (
     Dataset,
     FeatureMatrix,
     GmlFormatError,
     LabelMatrix,
+    load_gml,
     parse_gml,
     save_gml,
-    write_gml,
 )
 from glocal.metrics import EvaluationReport
-from glocal.model import GlocalModel, ModelFormatError, load_model, parse_model, save_model
+from glocal.model import GlocalModel, ModelFormatError, load_model, save_model
 from glocal.solver import FitTrace, TraceRecord
 
 # deterministic, bounded runs keep tier-1 repeatable and fast
@@ -56,6 +52,20 @@ AWKWARD = (5e-324, -0.0, 1e-17, -2.5e300, 1 / 3, 2.0**-1074 * 3, 1.7976931348623
 
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def saved(save, *args, **kwargs):
+    """The text save(*args, sink, **kwargs) writes to a text stream."""
+    buf = io.StringIO()
+    save(*args, buf, **kwargs)
+    return buf.getvalue()
+
+
+def gml_saved(directory, data, comments=()):
+    """The text save_gml writes to a GML file of data in directory."""
+    path = directory / "data.gml"
+    save_gml({path: data}, comments=comments)
+    return path.read_bytes().decode("utf-8")
 
 
 # ---- (a) the array GML decoder against the per-token reference ----------
@@ -185,7 +195,7 @@ def partition_text(draw):
 def test_read_partition_rejects_only_with_value_error(case):
     text, n = case
     try:
-        part = read_partition(text, FeatureMatrix(np.zeros((1, n))))
+        part = load_partition(io.StringIO(text), FeatureMatrix(np.zeros((1, n))))
     except ValueError:
         return
     assert part.n == n and part.sizes.sum() == n and (part.sizes >= 1).all()
@@ -206,8 +216,8 @@ SMALL_FLOAT = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(AWKWARD))
 def matrix_text(draw):
     rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     A = draw(arrays(np.float64, (rows, cols), elements=SMALL_FLOAT))
-    return mangle(draw, write_matrix(A, comments=draw(st.sampled_from([[], ["m"]]))),
-                  READER_SNIPPETS)
+    comments = draw(st.sampled_from([[], ["m"]]))
+    return mangle(draw, saved(save_matrix, A, comments=comments), READER_SNIPPETS)
 
 
 @st.composite
@@ -217,8 +227,8 @@ def hidden_text(draw):
                            max_size=len(positions)))
     hidden = np.array([(j, i, v) for (j, i), v in zip(positions, values)],
                       dtype=np.int64).reshape(-1, 3)
-    return mangle(draw, write_hidden(hidden, comments=draw(st.sampled_from([[], ["h"]]))),
-                  READER_SNIPPETS)
+    comments = draw(st.sampled_from([[], ["h"]]))
+    return mangle(draw, saved(save_hidden, hidden, comments=comments), READER_SNIPPETS)
 
 
 @st.composite
@@ -231,9 +241,8 @@ def model_text(draw):
         factors=tuple(draw(arrays(np.float64, (l, k), elements=SMALL_FLOAT))
                       for _ in range(g)),
     )
-    buf = io.StringIO()
-    save_model(model, buf, comments=draw(st.sampled_from([[], ["c"]])))
-    return mangle(draw, buf.getvalue(), READER_SNIPPETS)
+    comments = draw(st.sampled_from([[], ["c"]]))
+    return mangle(draw, saved(save_model, model, comments=comments), READER_SNIPPETS)
 
 
 @FUZZ
@@ -261,7 +270,7 @@ def test_read_hidden_rejects_only_with_value_error(text):
 @given(model_text())
 def test_parse_model_rejects_only_with_model_format_error(text):
     try:
-        model = parse_model(text)
+        model = load_model(io.StringIO(text))
     except ModelFormatError:
         return
     blocks = (model.U, model.V, model.W, *model.factors)
@@ -282,12 +291,14 @@ def float_block(rows, cols):
 
 @ROUND_TRIP
 @given(st.data())
-def test_gml_round_trip_is_bit_exact(data):
+def test_gml_round_trip_is_bit_exact(tmp_path_factory, data):
     d, n, l = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(
         st.integers(2, 4))
     X = data.draw(float_block(d, n))
     Y = data.draw(arrays(np.int8, (l, n), elements=st.sampled_from([-1, 0, 1])))
-    back = parse_gml(write_gml(Dataset(FeatureMatrix(X), LabelMatrix(Y))))
+    path = tmp_path_factory.mktemp("gml") / "data.gml"
+    save_gml({path: Dataset(FeatureMatrix(X), LabelMatrix(Y))})
+    back = load_gml(path)
     # only nonzero features are written, so -0.0 reads back as 0.0
     assert same_bits(back.features.values, X + 0.0)
     assert same_bits(back.labels.values, Y)
@@ -297,7 +308,7 @@ def test_gml_round_trip_is_bit_exact(data):
 @given(st.data())
 def test_matrix_round_trip_is_bit_exact(data):
     A = data.draw(float_block(data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))))
-    assert same_bits(read_matrix(write_matrix(A, comments=["x"])), A)
+    assert same_bits(read_matrix(saved(save_matrix, A, comments=["x"])), A)
 
 
 @ROUND_TRIP
@@ -308,7 +319,7 @@ def test_hidden_round_trip_is_exact(positions, rnd):
         [(j, i, rnd.choice((-1, 1))) for j, i in sorted(positions, key=str)],
         dtype=np.int64,
     ).reshape(-1, 3)
-    assert same_bits(read_hidden(write_hidden(hidden, comments=["h"])), hidden)
+    assert same_bits(read_hidden(saved(save_hidden, hidden, comments=["h"])), hidden)
 
 
 @ROUND_TRIP
@@ -321,12 +332,10 @@ def test_model_round_trip_is_bit_exact(data):
         W=data.draw(float_block(d, k)),
         factors=tuple(data.draw(float_block(l, k)) for _ in range(g)),
     )
-    buf = io.StringIO()
-    save_model(model, buf, comments=["c"])
-    for back in (parse_model(buf.getvalue()), load_model(io.StringIO(buf.getvalue()))):
-        for got, want in zip((back.U, back.V, back.W, *back.factors),
-                             (model.U, model.V, model.W, *model.factors)):
-            assert same_bits(got, want)
+    back = load_model(io.StringIO(saved(save_model, model, comments=["c"])))
+    for got, want in zip((back.U, back.V, back.W, *back.factors),
+                         (model.U, model.V, model.W, *model.factors)):
+        assert same_bits(got, want)
 
 
 def test_large_model_round_trip_is_bit_exact_and_repeatable():
@@ -342,13 +351,9 @@ def test_large_model_round_trip_is_bit_exact_and_repeatable():
     model = GlocalModel(U=block(l, k), V=block(k, n), W=block(d, k),
                         factors=tuple(block(l, k) for _ in range(g)),
                         provenance={"k": k, "lambda3": 0.1})
-    texts = []
-    for _ in range(2):
-        buf = io.StringIO()
-        save_model(model, buf)
-        texts.append(buf.getvalue())
+    texts = [saved(save_model, model) for _ in range(2)]
     assert texts[0] == texts[1]
-    back = parse_model(texts[0])
+    back = load_model(io.StringIO(texts[0]))
     for got, want in zip((back.U, back.V, back.W, *back.factors),
                          (model.U, model.V, model.W, *model.factors)):
         assert same_bits(got, want)
@@ -367,9 +372,9 @@ def test_partition_round_trip_is_exact(data):
     features = FeatureMatrix(X)
     part = partition_from_assignment(features, assignment)
     # lines may come in any order, between comments and blank lines
-    lines = write_partition(part, comments=["g"]).splitlines()
+    lines = saved(save_partition, part, comments=["g"]).splitlines()
     lines = data.draw(st.permutations(lines)) + ["", "# end"]
-    back = read_partition("\n".join(lines), features)
+    back = load_partition(io.StringIO("\n".join(lines)), features)
     assert same_bits(back.assignment, part.assignment)
     assert same_bits(back.sizes, part.sizes)
 
@@ -382,22 +387,24 @@ def test_readers_accept_any_line_layout():
     # the magic and blank lines anywhere but in place of a row
     model = GlocalModel(U=np.ones((2, 1)), V=np.ones((1, 2)), W=np.ones((1, 1)),
                         factors=(np.ones((2, 1)),))
-    buf = io.StringIO()
-    save_model(model, buf)
-    magic, *lines = buf.getvalue().splitlines()
+    magic, *lines = saved(save_model, model).splitlines()
+
+    def load(*text):
+        return load_model(io.StringIO("\n".join(text)))
+
     spaced = [magic]
     for line in lines:
         spaced += ["# c", "", line] if " " in line else ["# c", line]
-    assert same_bits(parse_model("\n".join(spaced) + "\n\n").V, model.V)
+    assert same_bits(load(*spaced, "", "").V, model.V)
     with pytest.raises(ModelFormatError, match="^bad dimension line"):
-        parse_model(magic + "\n" + " ".join(lines))
+        load(magic, " ".join(lines))
     header, row = lines[1], lines[2]  # "U 2 1" and U's first row
     with pytest.raises(ModelFormatError, match="^bad shape header for block U$"):
-        parse_model("\n".join([magic, lines[0], f"{header} {row}", *lines[3:]]))
+        load(magic, lines[0], f"{header} {row}", *lines[3:])
     with pytest.raises(ModelFormatError, match="^block U row 1: expected 8 bytes, found 6$"):
-        parse_model("\n".join([magic, lines[0], header, row[:8], row[8:], *lines[3:]]))
+        load(magic, lines[0], header, row[:8], row[8:], *lines[3:])
     with pytest.raises(ModelFormatError, match="^block U row 1: expected 8 bytes, found 0$"):
-        parse_model("\n".join([magic, lines[0], header, "", *lines[2:]]))
+        load(magic, lines[0], header, "", *lines[2:])
 
 
 # ---- (b'') the batch decoders' error order and chunk edges ---------------
@@ -440,7 +447,7 @@ def test_sidecar_comments_and_blanks_mid_file_and_across_a_chunk_edge():
     m = 9000  # past two 4096-line chunks
     hidden = np.column_stack((np.arange(m) // 50, np.arange(m) % 50,
                               rng.choice([-1, 1], size=m)))
-    lines = write_hidden(hidden, comments=["source: toy"]).splitlines()
+    lines = saved(save_hidden, hidden, comments=["source: toy"]).splitlines()
     # a 3-token comment, blank and whitespace-only lines mid-file, on both
     # sides of the first chunk edge and as the last lines
     for at, extra in ((8000, "# a b"), (4097, ""), (4096, "# source: toy"),
@@ -469,22 +476,31 @@ def test_sidecar_unsorted_entries_and_repeats():
 # ---- (c) the writers' bytes, frozen --------------------------------------
 
 
-def test_writers_output_is_frozen():
+def test_writers_output_is_frozen(tmp_path):
+    path = tmp_path / "out.txt"
     X = np.array([[0.5, -0.0, 1 / 3], [0.0, 5e-324, -2.5e300]])
     Y = np.array([[1, -1, 0], [0, 1, 1], [-1, 0, -1]])
-    assert write_gml(Dataset(FeatureMatrix(X), LabelMatrix(Y)), comments=["seed=1"]) == (
-        "# seed=1\n3 2 3\n+:1|-:3|1:0.5\n+:2|-:1|2:5e-324\n"
-        "+:2|-:3|1:0.3333333333333333 2:-2.5e+300\n"
+    save_gml({path: Dataset(FeatureMatrix(X), LabelMatrix(Y))}, comments=["seed=1"])
+    assert path.read_bytes() == (
+        b"# seed=1\n3 2 3\n+:1|-:3|1:0.5\n+:2|-:1|2:5e-324\n"
+        b"+:2|-:3|1:0.3333333333333333 2:-2.5e+300\n"
     )
     A = np.array([[1 / 3, -0.0, 1e-17], [5e-324, -2.5e300, 2.0]])
-    assert write_matrix(A, comments=["scores"]) == (
-        "# scores\n2 3\n0.33333333333333331 -0 1.0000000000000001e-17\n"
-        "4.9406564584124654e-324 -2.5000000000000001e+300 2\n"
+    save_matrix(A, path, comments=["scores"])
+    assert path.read_bytes() == (
+        b"# scores\n2 3\n0.33333333333333331 -0 1.0000000000000001e-17\n"
+        b"4.9406564584124654e-324 -2.5000000000000001e+300 2\n"
     )
     hidden = [(0, 3, 1), (2, 0, -1), (12, 7, 1)]
-    assert write_hidden(hidden, comments=["toy"]) == "# toy\n1 4 1\n3 1 -1\n13 8 1\n"
-    assert write_hidden(np.array(hidden)) == "1 4 1\n3 1 -1\n13 8 1\n"
-    assert write_hidden([]) == "\n"
+    save_hidden(hidden, path, comments=["toy"])
+    assert path.read_bytes() == b"# toy\n1 4 1\n3 1 -1\n13 8 1\n"
+    save_hidden(np.array(hidden), path)
+    assert path.read_bytes() == b"1 4 1\n3 1 -1\n13 8 1\n"
+    save_hidden([], path)
+    assert path.read_bytes() == b""  # no entries, no lines
+    part = partition_from_assignment(FeatureMatrix(np.zeros((1, 3))), [1, 2, 1])
+    save_partition(part, path, comments=["groups"])
+    assert path.read_bytes() == b"# groups\n1 1\n2 2\n3 1\n"
     model = GlocalModel(
         U=np.array([[1 / 3], [-0.0]]),
         V=np.array([[5e-324, 1e-17, 2.0]]),
@@ -492,40 +508,36 @@ def test_writers_output_is_frozen():
         factors=(np.array([[1.0], [-1.0]]), np.array([[0.6], [-0.8]])),
         provenance={"seed": 1, "add_bias": False},
     )
-    buf = io.StringIO()
-    save_model(model, buf, comments=["trained"])
+    save_model(model, path, comments=["trained"])
     # rows are the base64 of little-endian float64: 1.0 is 00..00 f0 3f
-    assert buf.getvalue() == (
-        "GLOCAL-MODEL v2\n# trained\n# seed=1\n# add_bias=False\n2 1 1 2\n"
-        "U 2 1\nVVVVVVVV1T8=\nAAAAAAAAAIA=\n"
-        "W 1 1\nA5MAqkvdTf4=\n"
-        "V 1 3\nAQAAAAAAAACX1EZG9Q5nPAAAAAAAAABA\n"
-        "Z_1 2 1\nAAAAAAAA8D8=\nAAAAAAAA8L8=\nZ_2 2 1\nMzMzMzMz4z8=\nmpmZmZmZ6b8=\n"
+    assert path.read_bytes() == (
+        b"GLOCAL-MODEL v2\n# trained\n# seed=1\n# add_bias=False\n2 1 1 2\n"
+        b"U 2 1\nVVVVVVVV1T8=\nAAAAAAAAAIA=\n"
+        b"W 1 1\nA5MAqkvdTf4=\n"
+        b"V 1 3\nAQAAAAAAAACX1EZG9Q5nPAAAAAAAAABA\n"
+        b"Z_1 2 1\nAAAAAAAA8D8=\nAAAAAAAA8L8=\nZ_2 2 1\nMzMzMzMz4z8=\nmpmZmZmZ6b8=\n"
     )
 
 
 # ---- (e) comment stamps ---------------------------------------------------
 
-def _model_text(comments):
-    model = GlocalModel(U=np.ones((2, 1)), V=np.ones((1, 3)), W=np.ones((1, 1)),
-                        factors=(np.array([[1.0], [-1.0]]),), provenance={"seed": 1})
-    buf = io.StringIO()
-    save_model(model, buf, comments=comments)
-    return buf.getvalue()
+_FEATURES = FeatureMatrix(np.zeros((1, 3)))
+_PART = partition_from_assignment(_FEATURES, [1, 2, 1])
+_MODEL = GlocalModel(U=np.ones((2, 1)), V=np.ones((1, 3)), W=np.ones((1, 1)),
+                     factors=(np.array([[1.0], [-1.0]]),), provenance={"seed": 1})
 
-
+# each writer, as the text it writes given comments and a temporary directory
 WRITERS = {
-    "write_gml": lambda c: write_gml(
-        Dataset(FeatureMatrix([[0.5, 0.0]]), LabelMatrix([[1, 0], [-1, 1]])), comments=c),
-    "write_hidden": lambda c: write_hidden([(0, 1, 1)], comments=c),
-    "write_matrix": lambda c: write_matrix(np.eye(2), comments=c),
-    "write_partition": lambda c: write_partition(
-        partition_from_assignment(FeatureMatrix(np.zeros((1, 3))), [1, 2, 1]), comments=c),
-    "FitTrace.to_csv": lambda c: FitTrace(
+    "save_gml": lambda c, tmp: gml_saved(
+        tmp, Dataset(FeatureMatrix([[0.5, 0.0]]), LabelMatrix([[1, 0], [-1, 1]])), comments=c),
+    "save_hidden": lambda c, tmp: saved(save_hidden, [(0, 1, 1)], comments=c),
+    "save_matrix": lambda c, tmp: saved(save_matrix, np.eye(2), comments=c),
+    "save_partition": lambda c, tmp: saved(save_partition, _PART, comments=c),
+    "FitTrace.to_csv": lambda c, tmp: FitTrace(
         records=(TraceRecord(0, 1.5, {}, 0.0),), converged=True).to_csv(comments=c),
-    "EvaluationReport.to_csv": lambda c: EvaluationReport(
+    "EvaluationReport.to_csv": lambda c, tmp: EvaluationReport(
         0.25, 0.75, 1.0, 0.5, 0, 1).to_csv(comments=c),
-    "save_model": _model_text,
+    "save_model": lambda c, tmp: saved(save_model, _MODEL, comments=c),
 }
 
 # every character str.splitlines breaks at, a lone surrogate (an
@@ -535,9 +547,9 @@ ESCAPED = r"# a\nb\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029|\udcff\ud800|c\d"
 
 
 @pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS.keys())
-def test_comment_stamps_are_one_utf8_line_each(writer):
-    plain = writer(["stamp", "/data/run 1/train.gml"])
-    text = writer([HOSTILE, "/data/run 1/train.gml"])
+def test_comment_stamps_are_one_utf8_line_each(tmp_path, writer):
+    plain = writer(["stamp", "/data/run 1/train.gml"], tmp_path)
+    text = writer([HOSTILE, "/data/run 1/train.gml"], tmp_path)
     # only the hostile comment's own line differs, and it is escaped
     assert text == plain.replace("# stamp\n", ESCAPED + "\n", 1)
     assert len(text.splitlines()) == len(plain.splitlines())
@@ -583,41 +595,57 @@ def test_line_batches_edge_cases(tmp_path, monkeypatch, text, want):
     path = tmp_path / "f.txt"
     path.write_bytes(text.encode("utf-8"))
     assert path.read_text(encoding="utf-8").splitlines() == want
-    for source in (path, io.StringIO(text)):
-        assert [line for batch in textio.line_batches(source) for line in batch] == want
+    # open streams that keep '\r\n' pairs and that translate them
+    with open(path, encoding="utf-8", newline="") as kept, open(path, encoding="utf-8") as translated:
+        for source in (path, io.StringIO(text), kept, translated):
+            assert [line for batch in textio.line_batches(source) for line in batch] == want
 
 
-def _model(comments, sink):
-    model = GlocalModel(U=np.ones((2, 1)), V=np.ones((1, 3)), W=np.ones((1, 1)),
-                        factors=(np.array([[1.0], [-1.0]]),), provenance={"seed": 1})
-    save_model(model, sink, comments=comments)
-
-
-_PART = partition_from_assignment(FeatureMatrix(np.zeros((1, 3))), [1, 2, 1])
 _DATA = Dataset(FeatureMatrix([[0.5, 0.0, 1 / 3]]), LabelMatrix([[1, 0, -1], [-1, 1, 0]]))
 _HIDDEN = np.column_stack((np.arange(9000) // 50, np.arange(9000) % 50,
                            np.resize([1, -1, -1], 9000)))  # past two _BATCH blocks
-# each streamed file writer, and the text it must write; save_model's text
-# is what it writes to a StringIO
+_MATRIX = np.eye(3) / 3
+
+
+def _same_data(back, data):
+    return (same_bits(back.features.values, data.features.values)
+            and same_bits(back.labels.values, data.labels.values))
+
+
+def _same_model(back, model):
+    blocks = zip((back.U, back.V, back.W, *back.factors),
+                 (model.U, model.V, model.W, *model.factors))
+    return all(same_bits(got, want) for got, want in blocks) and (
+        back.provenance == model.provenance)
+
+
+# each file writer, given comments and a sink, and whether a file it wrote
+# reads back exactly through its format's reader
 STREAMED = {
     "save_gml": (lambda c, p: save_gml({p: _DATA}, comments=c),
-                 lambda c: write_gml(_DATA, comments=c)),
+                 lambda p: _same_data(load_gml(p), _DATA)),
     "save_hidden": (lambda c, p: save_hidden(_HIDDEN, p, comments=c),
-                    lambda c: write_hidden(_HIDDEN, comments=c)),
-    "save_matrix": (lambda c, p: save_matrix(np.eye(3) / 3, p, comments=c),
-                    lambda c: write_matrix(np.eye(3) / 3, comments=c)),
+                    lambda p: same_bits(load_hidden(p), _HIDDEN)),
+    "save_matrix": (lambda c, p: save_matrix(_MATRIX, p, comments=c),
+                    lambda p: same_bits(load_matrix(p), _MATRIX)),
     "save_partition": (lambda c, p: save_partition(_PART, p, comments=c),
-                       lambda c: write_partition(_PART, comments=c)),
-    "save_model": (_model, _model_text),
+                       lambda p: same_bits(load_partition(p, _FEATURES).assignment,
+                                           _PART.assignment)),
+    "save_model": (lambda c, p: save_model(_MODEL, p, comments=c),
+                   lambda p: _same_model(load_model(p), _MODEL)),
 }
 
 
-@pytest.mark.parametrize("save, text", STREAMED.values(), ids=STREAMED.keys())
-def test_streamed_files_hold_the_writers_text(tmp_path, save, text):
+@pytest.mark.parametrize("name", STREAMED)
+def test_streamed_files_hold_the_writers_text(tmp_path, name):
+    save, reads_back = STREAMED[name]
     comments = [HOSTILE, "/data/run 1/train.gml"]
     path = tmp_path / "out.txt"
     save(comments, path)
-    assert path.read_bytes() == text(comments).encode("utf-8")
+    # a file holds what its writer gives a text stream
+    if name != "save_gml":  # which takes paths only
+        assert path.read_bytes() == saved(save, comments).encode("utf-8")
+    assert reads_back(path)
 
 
 class Unprintable:

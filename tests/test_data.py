@@ -11,12 +11,12 @@ from glocal.data import (
     LabelMatrix,
     MaskSpec,
     apply_mask,
+    load_gml,
     parse_gml,
     round_half_away,
     save_gml,
     split,
     take_instances,
-    write_gml,
 )
 
 
@@ -25,6 +25,13 @@ def random_dataset(rng, l=5, n=8, d=4, zero_frac=0.3):
     Y = rng.choice([-1, 1], size=(l, n))
     Y[rng.random((l, n)) < zero_frac] = 0
     return Dataset(FeatureMatrix(X), LabelMatrix(Y))
+
+
+def gml_text(directory, data, comments=()):
+    """The text save_gml writes for data alone."""
+    path = directory / "alone.gml"
+    save_gml({path: data}, comments=comments)
+    return path.read_text(encoding="utf-8")
 
 
 def test_round_half_away():
@@ -100,28 +107,30 @@ def test_parse_wrong_instance_count():
         parse_gml("3 2 2\n+:|-:|\n+:|-:|\n")
 
 
-def test_roundtrip_exact():
+def test_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(7)
     for trial in range(20):
         data = random_dataset(rng, l=rng.integers(2, 7), n=rng.integers(1, 9),
                               d=rng.integers(1, 6))
-        back = parse_gml(write_gml(data))
+        save_gml({tmp_path / "d.gml": data})
+        back = load_gml(tmp_path / "d.gml")
         assert np.array_equal(back.features.values, data.features.values)
         assert np.array_equal(back.labels.values, data.labels.values)
 
 
-def test_roundtrip_full_precision():
+def test_roundtrip_full_precision(tmp_path):
     # awkward floats must survive the text round trip bit-exactly
     X = np.array([[1 / 3, 1e-17], [np.pi, -2.5e300]])
     Y = np.array([[1, -1], [0, 1]])
     data = Dataset(FeatureMatrix(X), LabelMatrix(Y))
-    back = parse_gml(write_gml(data))
+    save_gml({tmp_path / "d.gml": data})
+    back = load_gml(tmp_path / "d.gml")
     assert np.array_equal(back.features.values, X)
 
 
-def test_write_emits_comments():
+def test_write_emits_comments(tmp_path):
     data = parse_gml("1 2 2\n+:1|-:2|1:1.0\n")
-    text = write_gml(data, comments=["seed=5"])
+    text = gml_text(tmp_path, data, comments=["seed=5"])
     assert text.splitlines()[0] == "# seed=5"
     assert parse_gml(text).n == 1
 
@@ -136,13 +145,13 @@ def test_datasets_sharing_features_write_as_from_fresh_copies(tmp_path, full_fir
     masked, _ = apply_mask(full, MaskSpec(rho=40.0, seed=2))
     assert masked.features is full.features
     fresh = [
-        write_gml(Dataset(FeatureMatrix(d.features.values.copy()), d.labels))
+        gml_text(tmp_path, Dataset(FeatureMatrix(d.features.values.copy()), d.labels))
         for d in (full, masked)
     ]
     order = [0, 1] if full_first else [1, 0]
-    shared = {i: write_gml((full, masked)[i]) for i in order}
+    shared = {i: gml_text(tmp_path, (full, masked)[i]) for i in order}
     assert [shared[0], shared[1]] == fresh
-    assert write_gml(full) == fresh[0]  # and again
+    assert gml_text(tmp_path, full) == fresh[0]  # and again
     paths = [tmp_path / "full.gml", tmp_path / "masked.gml"]
     save_gml({paths[i]: (full, masked)[i] for i in order})
     assert [p.read_text(encoding="utf-8") for p in paths] == fresh

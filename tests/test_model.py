@@ -13,11 +13,15 @@ from glocal.model import (
     Hyperparams,
     ModelFormatError,
     load_model,
-    parse_model,
     predict,
     save_model,
     score,
 )
+
+
+def load_text(text):
+    """load_model on a model file's contents held in a string."""
+    return load_model(io.StringIO(text))
 
 
 def random_model(rng, l=4, d=3, k=2, g=2):
@@ -93,8 +97,7 @@ def test_save_load_via_file_objects_and_text():
     text = buf.getvalue()
     assert text.splitlines()[0] == MODEL_MAGIC
     assert text.splitlines()[1] == "# seed 4"
-    for back in (load_model(io.StringIO(text)), parse_model(text)):
-        assert np.array_equal(back.U, model.U)
+    assert np.array_equal(load_model(io.StringIO(text)).U, model.U)
 
 
 def test_load_rejects_foreign_and_future_files(tmp_path):
@@ -102,16 +105,16 @@ def test_load_rejects_foreign_and_future_files(tmp_path):
     with pytest.raises(FileNotFoundError, match="missing.model"):
         load_model(str(missing))
     with pytest.raises(ModelFormatError, match="not a GLOCAL model"):
-        parse_model("n d l\nwhatever")
+        load_text("n d l\nwhatever")
     with pytest.raises(ModelFormatError, match="unsupported model version"):
-        parse_model("GLOCAL-MODEL v3\n1 1 1 1\n")
+        load_text("GLOCAL-MODEL v3\n1 1 1 1\n")
     # the decimal v1 format is gone: such files must be retrained
     v1 = "GLOCAL-MODEL v1\n1 1 1 1\nU 1 1\n1\nW 1 1\n1\nV 1 1\n1\nZ_1 1 1\n1\n"
     with pytest.raises(ModelFormatError,
                        match="^unsupported model version 'GLOCAL-MODEL v1'$"):
-        parse_model(v1)
+        load_text(v1)
     with pytest.raises(ModelFormatError, match="empty"):
-        parse_model("")
+        load_text("")
 
 
 def model_text(mutate=None):
@@ -126,9 +129,9 @@ def model_text(mutate=None):
 
 def test_load_rejects_malformed_content():
     with pytest.raises(ModelFormatError, match="expected block 'U'"):
-        parse_model(model_text(lambda ls: [ls[0], ls[1], "Q 4 2"] + ls[3:]))
+        load_text(model_text(lambda ls: [ls[0], ls[1], "Q 4 2"] + ls[3:]))
     with pytest.raises(ModelFormatError, match="expected 4 rows"):
-        parse_model(
+        load_text(
             model_text(lambda ls: [ls[0], ls[1], "U 3 2"] + ls[3:])
         )
     # ls[3] is U's first row: the base64 of two little-endian float64
@@ -137,28 +140,28 @@ def test_load_rejects_malformed_content():
 
     for bad in ("!" + row(0.5, 1.0)[1:], row(0.5, 1.0)[:-1], row(0.5, 1.0) + " x"):
         with pytest.raises(ModelFormatError, match="^block U row 1: not base64$"):
-            parse_model(model_text(lambda ls: ls[:3] + [bad] + ls[4:]))
+            load_text(model_text(lambda ls: ls[:3] + [bad] + ls[4:]))
     with pytest.raises(ModelFormatError, match="^block U row 1: expected 16 bytes, found 8$"):
-        parse_model(model_text(lambda ls: ls[:3] + [row(0.5)] + ls[4:]))
+        load_text(model_text(lambda ls: ls[:3] + [row(0.5)] + ls[4:]))
     # without its last row, U reads W's header in that row's place
     with pytest.raises(ModelFormatError, match="^block U row 4: not base64$"):
-        parse_model(model_text(lambda ls: ls[:6] + ls[7:]))
+        load_text(model_text(lambda ls: ls[:6] + ls[7:]))
     for value in (np.nan, np.inf, -np.inf):
         with pytest.raises(ModelFormatError, match="^block U: non-finite value$"):
-            parse_model(model_text(lambda ls: ls[:3] + [row(0.5, value)] + ls[4:]))
+            load_text(model_text(lambda ls: ls[:3] + [row(0.5, value)] + ls[4:]))
     with pytest.raises(ModelFormatError, match="trailing content"):
-        parse_model(model_text(lambda ls: ls + ["0.0"]))
+        load_text(model_text(lambda ls: ls + ["0.0"]))
     with pytest.raises(ModelFormatError, match="unexpected end of file"):
-        parse_model(model_text(lambda ls: ls[:-1]))
+        load_text(model_text(lambda ls: ls[:-1]))
     with pytest.raises(ModelFormatError, match="bad dimensions"):
-        parse_model(model_text(lambda ls: [ls[0], "0 3 2 2"] + ls[2:]))
+        load_text(model_text(lambda ls: [ls[0], "0 3 2 2"] + ls[2:]))
 
 
 def test_documented_model_example_parses():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     # the fenced block under the File formats entry for models
     example = text.split("**Model**", 1)[1].split("```\n", 2)[1]
-    model = parse_model(example)
+    model = load_text(example)
     assert (model.l, model.d, model.k, model.g, model.n) == (2, 1, 1, 1, 2)
     assert model.U.ravel().tolist() == [0.5, -1.25]
     assert model.W.ravel().tolist() == [0.75]
@@ -177,11 +180,11 @@ def test_provenance_round_trips_and_must_read_back_as_written():
     assert model.provenance == {"seed": "3", "lambda_": "0.1", "ok": "a=b"}
     buf = io.StringIO()
     save_model(model, buf, comments=["free text=not provenance"])
-    assert parse_model(buf.getvalue()).provenance == model.provenance
+    assert load_text(buf.getvalue()).provenance == model.provenance
     # only '# key=value' lines before the dimension line count
     lines = buf.getvalue().splitlines()
     late = "\n".join(lines[:6] + ["# late=1"] + lines[6:])
-    assert parse_model(late).provenance == model.provenance
+    assert load_text(late).provenance == model.provenance
     for bad in ({"two words": 1}, {"k": "a b"}, {"k": ""}, {"a=b": 1}, {1: 2}):
         with pytest.raises(ValueError, match="bad provenance entry"):
             dataclasses.replace(model, provenance=bad)
@@ -191,7 +194,7 @@ def test_load_allows_comments_between_blocks():
     def inject(lines):
         return lines[:3] + ["# a mid-file note"] + lines[3:]
 
-    back = parse_model(model_text(inject))
+    back = load_text(model_text(inject))
     assert back.l == 4 and back.k == 2
 
 
