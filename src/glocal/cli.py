@@ -194,13 +194,18 @@ def read_hidden(text):
 
 
 def load_hidden(path):
-    """Read a sidecar file as read_hidden reads its text.
+    """Read a sidecar file (path or text file object) as read_hidden
+    reads its text.
 
-    The file is read in batches of lines twice, to count its lines and
+    A path is read in batches of lines twice, to count its lines and
     then to decode them, so what it holds besides the entries is one
-    batch, never the file's text.  It takes a path, not a text stream,
-    since a stream cannot be read from its start again.
+    batch, never the file's text.  A text stream cannot be read from its
+    start again, so its lines are read once, from where it stands, and
+    held while they are decoded, as read_hidden holds a string's.
     """
+    if hasattr(path, "read"):
+        batches = list(line_batches(path))
+        return _decode_hidden(lambda: batches)
     return _decode_hidden(lambda: line_batches(path))
 
 
@@ -472,6 +477,22 @@ def _cmd_predict(args):
     return 0
 
 
+def _hidden_truth(path, shape):
+    """The label matrix of a sidecar's entries: their values at their
+    positions, 0 elsewhere.  The entries are freed on return, before
+    anything is ranked."""
+    j, i, v = load_hidden(path).T
+    outside = np.flatnonzero((j >= shape[0]) | (i >= shape[1]))
+    if outside.size:
+        e = outside[0]
+        raise ValueError(
+            f"hidden entry ({j[e] + 1}, {i[e] + 1}) outside score matrix {shape}"
+        )
+    truth = np.zeros(shape, dtype=np.int8)
+    truth[j, i] = v
+    return truth
+
+
 def _cmd_eval(args):
     _require_file(args.scores, "scores")
     _require_parent(args.out, "out")
@@ -483,15 +504,7 @@ def _cmd_eval(args):
         truth = load_gml(args.truth).labels.values
     else:
         _require_file(args.hidden, "hidden")
-        j, i, v = load_hidden(args.hidden).T
-        outside = np.flatnonzero((j >= S.shape[0]) | (i >= S.shape[1]))
-        if outside.size:
-            e = outside[0]
-            raise ValueError(
-                f"hidden entry ({j[e] + 1}, {i[e] + 1}) outside score matrix {S.shape}"
-            )
-        truth = np.zeros(S.shape, dtype=np.int8)
-        truth[j, i] = v
+        truth = _hidden_truth(args.hidden, S.shape)
     report = evaluate(S, truth)
     stamp = f"glocal eval scores={args.scores}"
     write_lines(args.out, report.to_csv(comments=[stamp]).splitlines())

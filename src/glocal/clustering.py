@@ -59,21 +59,53 @@ def partition_from_assignment(features, assignment):
     return Partition(g=int(assign.max()), assignment=assign)
 
 
-# bytes of the (instances x g x d) difference block _sq_dists holds at once
+# bytes of the (instances x d) difference buffer every distance in
+# kmeans goes through; solver's closed-form V sizes its blocks by it too
 _DIST_BLOCK_BYTES = 8 << 20
 
 
-def _sq_dists(points, centers):
-    # n x g matrix of squared euclidean distances, over instance chunks
-    # so the difference block stays small; each entry is the same einsum
-    # reduction over d as without chunks, so results are bitwise unchanged
+def _row_blocks(points):
+    """(rows, diff) pairs over row chunks of the n x d points: rows a
+    slice, diff a (rows, d) view of one buffer of at most
+    _DIST_BLOCK_BYTES (at least one row), reused by every chunk."""
     n, d = points.shape
-    g = centers.shape[0]
-    chunk = max(1, _DIST_BLOCK_BYTES // (8 * g * max(d, 1)))
-    out = np.empty((n, g))
+    chunk = max(1, min(n, _DIST_BLOCK_BYTES // (8 * max(d, 1))))
+    buf = np.empty((chunk, d))
     for start in range(0, n, chunk):
-        diff = points[start : start + chunk, None, :] - centers[None, :, :]
-        out[start : start + chunk] = np.einsum("ngd,ngd->ng", diff, diff)
+        rows = slice(start, min(start + chunk, n))
+        yield rows, buf[: rows.stop - start]
+
+
+def _sq_dists(points, centers):
+    # n x g matrix of squared euclidean distances, one center at a time
+    # over row chunks, so the difference block is one capped n x d
+    # buffer whatever g is; each entry is the same einsum reduction over
+    # a contiguous d as the whole n x g x d block's, so results are
+    # bitwise unchanged
+    out = np.empty((points.shape[0], centers.shape[0]))
+    for rows, diff in _row_blocks(points):
+        for m, center in enumerate(centers):
+            np.subtract(points[rows], center, out=diff)
+            np.einsum("nd,nd->n", diff, diff, out=out[rows, m])
+    return out
+
+
+def _sq_dists_to(points, centers, owner):
+    # n-vector of squared euclidean distances from each point to
+    # centers[owner], where owner is one index for every point or an
+    # array of one index per point; bitwise
+    # ((points - centers[owner]) ** 2).sum(axis=1), through the buffer
+    # of _row_blocks
+    out = np.empty(points.shape[0])
+    for rows, diff in _row_blocks(points):
+        if np.ndim(owner):
+            # mode="clip" writes straight into diff; "raise" would buffer
+            np.take(centers, owner[rows], axis=0, out=diff, mode="clip")
+            np.subtract(points[rows], diff, out=diff)
+        else:
+            np.subtract(points[rows], centers[owner], out=diff)
+        np.square(diff, out=diff)
+        diff.sum(axis=1, out=out[rows])
     return out
 
 
@@ -82,7 +114,7 @@ def _plusplus_init(points, g, rng):
     # not-yet-chosen points when all remaining distances are zero
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    d2 = _sq_dists_to(points, points, chosen[0])
     while len(chosen) < g:
         total = d2.sum()
         if total > 0.0:
@@ -91,7 +123,7 @@ def _plusplus_init(points, g, rng):
             remaining = np.setdiff1d(np.arange(n), chosen)
             idx = int(rng.choice(remaining))
         chosen.append(idx)
-        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
+        np.minimum(d2, _sq_dists_to(points, points, idx), out=d2)
     return points[chosen].copy()
 
 
@@ -102,7 +134,12 @@ def kmeans(features, g, seed, max_iter=100):
     assignment stops changing or max_iter is reached.  Distance ties go
     to the lowest group index.  A group left empty by an assignment
     step is reseeded with the point farthest from its own centroid
-    (taken from a group that keeps at least 2 members).
+    (taken from a group that keeps at least 2 members).  Every distance,
+    in seeding, assignment and reseeding, goes through one n x d buffer
+    of at most _DIST_BLOCK_BYTES, one center at a time, so what kmeans
+    holds besides the features is an instance-major copy of them and,
+    whatever g is, either that buffer or, while a centroid is updated,
+    a copy of its group's rows.
 
     Args:
         features: FeatureMatrix of the instances to cluster.
@@ -128,7 +165,7 @@ def kmeans(features, g, seed, max_iter=100):
         # reseed empty groups before declaring a fixpoint
         counts = np.bincount(new_assign, minlength=g)
         for m in np.flatnonzero(counts == 0):
-            dist_own = ((points - centers[new_assign]) ** 2).sum(axis=1)
+            dist_own = _sq_dists_to(points, centers, new_assign)
             donors = np.flatnonzero(counts[new_assign] >= 2)
             far = donors[np.argmax(dist_own[donors])]
             counts[new_assign[far]] -= 1

@@ -33,6 +33,18 @@ def _frozen_array(values, dtype):
     return out
 
 
+def _adopt(cls, values):
+    """A FeatureMatrix or LabelMatrix around `values` itself, made
+    read-only and checked but not copied.  Only for an array its maker
+    gives up, as the GML decoder does; the constructor copies the array
+    a caller passes, so the caller cannot change the matrix later."""
+    values.setflags(write=False)
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "values", values)
+    obj._check()
+    return obj
+
+
 def round_half_away(x):
     """Round to the nearest integer, halves away from zero."""
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
@@ -45,12 +57,14 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _frozen_array(self.values, np.float64)
-        if vals.ndim != 2:
+        object.__setattr__(self, "values", _frozen_array(self.values, np.float64))
+        self._check()
+
+    def _check(self):
+        if self.values.ndim != 2:
             raise ValueError("feature matrix must be 2-D (d x n)")
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("feature matrix contains non-finite values")
-        object.__setattr__(self, "values", vals)
 
     @property
     def d(self):
@@ -73,14 +87,17 @@ class LabelMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _frozen_array(self.values, np.int8)
+        object.__setattr__(self, "values", _frozen_array(self.values, np.int8))
+        self._check()
+
+    def _check(self):
+        vals = self.values
         if vals.ndim != 2:
             raise ValueError("label matrix must be 2-D (l x n)")
         if vals.shape[0] < 2:
             raise ValueError("label matrix needs at least 2 labels")
         if not np.isin(vals, (-1, 0, 1)).all():
             raise ValueError("label entries must be -1, 0 or +1")
-        object.__setattr__(self, "values", vals)
 
     @property
     def l(self):
@@ -309,7 +326,8 @@ def _decode_gml(lines):
             pos_t, neg_t, fid_t, val_t, counts = [], [], [], [], []
     _require_count(n, first + len(rows))
 
-    return Dataset(FeatureMatrix(X), LabelMatrix(Y))
+    # X and Y are this decoder's own, so the containers take them uncopied
+    return Dataset(_adopt(FeatureMatrix, X), _adopt(LabelMatrix, Y))
 
 
 def parse_gml(text):

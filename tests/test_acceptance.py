@@ -372,10 +372,9 @@ def test_criterion_10_image_dataset_full_label_benchmark():
     # optional real-data benchmark: 60/40 split, 5-fold CV over the
     # documented grid, full labels; rkl/auc/ap within 0.02 of the
     # reference operating point (0.179, 0.819, 0.795)
-    from glocal.data import parse_gml
+    from glocal.data import load_gml
 
-    path = os.environ["GLOCAL_IMAGE_DATASET"]
-    data = parse_gml(open(path, encoding="utf-8").read())
+    data = load_gml(os.environ["GLOCAL_IMAGE_DATASET"])
     train, test = split(data, 0.6, seed=0)
 
     axes = {

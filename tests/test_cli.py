@@ -122,9 +122,9 @@ def test_parse_grid():
 
 def test_synth_outputs_consistent(synth_files):
     full, masked, hidden = synth_files
-    full_ds = parse_gml(full.read_text())
-    masked_ds = parse_gml(masked.read_text())
-    entries = read_hidden(hidden.read_text())
+    full_ds = parse_gml(full.read_text(encoding="utf-8"))
+    masked_ds = parse_gml(masked.read_text(encoding="utf-8"))
+    entries = read_hidden(hidden.read_text(encoding="utf-8"))
     assert full_ds.n == masked_ds.n == 40
     total = full_ds.l * full_ds.n
     kept = int(masked_ds.labels.indicator.sum())
@@ -133,7 +133,7 @@ def test_synth_outputs_consistent(synth_files):
     for j, i, v in entries:
         assert masked_ds.labels.values[j, i] == 0
         assert full_ds.labels.values[j, i] == v
-    assert full.read_text().startswith("# glocal synth seed=7")
+    assert full.read_text(encoding="utf-8").startswith("# glocal synth seed=7")
 
 
 def test_cli_runs_are_deterministic(tmp_path, synth_files):
@@ -155,14 +155,15 @@ def test_mask_and_split_commands(tmp_path, synth_files):
     hid = tmp_path / "re-hidden.txt"
     assert run("mask", "--input", full, "--rho", 25, "--seed", 3,
                "--out", out, "--hidden-out", hid) == 0
-    masked = parse_gml(out.read_text())
+    masked = parse_gml(out.read_text(encoding="utf-8"))
     assert int(masked.labels.indicator.sum()) == round(0.25 * 6 * 40)
 
     tr = tmp_path / "train.gml"
     te = tmp_path / "test.gml"
     assert run("split", "--input", full, "--fraction", 0.75, "--seed", 1,
                "--train-out", tr, "--test-out", te) == 0
-    train, test = parse_gml(tr.read_text()), parse_gml(te.read_text())
+    train = parse_gml(tr.read_text(encoding="utf-8"))
+    test = parse_gml(te.read_text(encoding="utf-8"))
     assert train.n == 30 and test.n == 10
     assert train.d == test.d == 5
 
@@ -173,7 +174,7 @@ def test_cluster_train_predict_eval_pipeline(tmp_path, synth_files, capsys):
     assert run("cluster", "--input", masked, "--groups", 3, "--seed", 0,
                "--out", part) == 0
     lines = [
-        ln for ln in part.read_text().splitlines() if not ln.startswith("#")
+        ln for ln in part.read_text(encoding="utf-8").splitlines() if not ln.startswith("#")
     ]
     assert len(lines) == 40
     assert {int(ln.split()[1]) for ln in lines} == {1, 2, 3}
@@ -187,7 +188,7 @@ def test_cluster_train_predict_eval_pipeline(tmp_path, synth_files, capsys):
     model = load_model(model_path)
     assert model.g == 3 and model.k == 2 and model.l == 6
     rows = [
-        ln for ln in trace_path.read_text().splitlines()
+        ln for ln in trace_path.read_text(encoding="utf-8").splitlines()
         if not ln.startswith("#")
     ]
     assert rows[0] == "iter,objective"
@@ -198,8 +199,8 @@ def test_cluster_train_predict_eval_pipeline(tmp_path, synth_files, capsys):
     labels_path = tmp_path / "labels.txt"
     assert run("predict", "--model", model_path, "--input", masked,
                "--scores-out", scores_path, "--labels-out", labels_path) == 0
-    S = read_matrix(scores_path.read_text())
-    L = read_matrix(labels_path.read_text())
+    S = read_matrix(scores_path.read_text(encoding="utf-8"))
+    L = read_matrix(labels_path.read_text(encoding="utf-8"))
     assert S.shape == L.shape == (6, 40)
     assert np.array_equal(L, np.where(S > 0, 1.0, -1.0))
 
@@ -209,11 +210,11 @@ def test_cluster_train_predict_eval_pipeline(tmp_path, synth_files, capsys):
     report_truth = tmp_path / "report-truth.csv"
     assert run("eval", "--scores", scores_path, "--truth", full,
                "--out", report_truth) == 0
-    header = report_truth.read_text().splitlines()
+    header = report_truth.read_text(encoding="utf-8").splitlines()
     assert header[1] == "rkl,auc,cvg,ap,skipped_instances,skipped_labels"
 
     # the truth-file route must agree with computing the metric directly
-    truth = parse_gml(full.read_text()).labels.values
+    truth = parse_gml(full.read_text(encoding="utf-8")).labels.values
     want = ranking_loss(S, truth)
     got = float(header[2].split(",")[0])
     assert got == pytest.approx(want, abs=1e-12)
@@ -243,7 +244,7 @@ def test_train_with_grid_search(tmp_path, synth_files, capsys):
     assert "grid: selected" in out and "cv ranking loss" in out
     model = load_model(model_path)
     assert model.g == 2
-    text = model_path.read_text()
+    text = model_path.read_text(encoding="utf-8")
     assert "# grid selection:" in text
 
 
@@ -473,7 +474,7 @@ def test_partition_not_covering_dataset_exits_nonzero(
 ):
     _, masked, _ = synth_files
     bad = tmp_path / "bad.txt"
-    bad.write_text("1 1\n2 1\n")  # covers 2 of 40 instances
+    bad.write_text("1 1\n2 1\n", encoding="utf-8")  # covers 2 of 40 instances
     rc = run("train", "--input", masked, "--partition", bad,
              "--model-out", tmp_path / "m.model")
     assert rc == 1

@@ -186,17 +186,45 @@ def test_read_partition_errors():
         read_partition("1 1\n2 1\n3 3\n", feats)
 
 
-def test_chunked_distances_match_one_einsum_bitwise():
+def _draws(rng, d):
+    # rows a thousandfold apart in scale, so rounding differs row to row
+    for n in (1, 2, 3, 5, 8):
+        yield rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+
+
+# (d, rows per distance buffer): d = 1 and buffers of 1 to 3 rows put a
+# chunk boundary inside every draw of _draws
+_BLOCKS = list(itertools.product((1, 7, 64), (1, 2, 3)))
+
+
+def test_chunked_distances_match_one_einsum_bitwise(monkeypatch):
     import glocal.clustering as clustering
 
     rng = np.random.default_rng(0)
-    g, d = 64, 256
-    chunk = clustering._DIST_BLOCK_BYTES // (8 * g * d)  # instances per block
-    assert chunk > 1
-    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
-        points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+    for (d, rows_per_block), g in itertools.product(_BLOCKS, (1, 2, 64)):
+        monkeypatch.setattr(clustering, "_DIST_BLOCK_BYTES", 8 * d * rows_per_block)
         centers = rng.standard_normal((g, d))
-        diff = points[:, None, :] - centers[None, :, :]
-        want = np.einsum("ngd,ngd->ng", diff, diff)
-        got = clustering._sq_dists(points, centers)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for points in _draws(rng, d):
+            diff = points[:, None, :] - centers[None, :, :]
+            want = np.einsum("ngd,ngd->ng", diff, diff)
+            got = clustering._sq_dists(points, centers)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_chunked_seeding_and_reseed_distances_match_bitwise(monkeypatch):
+    import glocal.clustering as clustering
+
+    rng = np.random.default_rng(1)
+    for d, rows_per_block in _BLOCKS:
+        monkeypatch.setattr(clustering, "_DIST_BLOCK_BYTES", 8 * d * rows_per_block)
+        for points in _draws(rng, d):
+            n = len(points)
+            for idx in range(n):  # k-means++: every point to one chosen point
+                want = ((points - points[idx]) ** 2).sum(axis=1)
+                got = clustering._sq_dists_to(points, points, idx)
+                assert got.tobytes() == want.tobytes()
+            centers = rng.standard_normal((3, d))
+            owner = rng.integers(0, 3, n)  # reseed: every point to its own center
+            want = ((points - centers[owner]) ** 2).sum(axis=1)
+            got = clustering._sq_dists_to(points, centers, owner)
+            assert got.tobytes() == want.tobytes()

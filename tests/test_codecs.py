@@ -648,6 +648,19 @@ def test_streamed_files_hold_the_writers_text(tmp_path, name):
     assert reads_back(path)
 
 
+def test_load_hidden_reads_a_text_stream_once(tmp_path):
+    path = tmp_path / "hidden.txt"
+    save_hidden(_HIDDEN, path, comments=["toy"])
+    assert same_bits(load_hidden(io.StringIO("1 1 1\n2 1 -1\n")),
+                     np.array([[0, 0, 1], [1, 0, -1]]))
+    assert same_bits(load_hidden(io.StringIO(path.read_text(encoding="utf-8"))), _HIDDEN)
+    with open(path, encoding="utf-8") as stream:
+        assert same_bits(load_hidden(stream), _HIDDEN)
+    # the error path reads the lines again: a stream's are held for it
+    with pytest.raises(ValueError, match=r"^line 3: duplicate hidden entry '1 1 1'$"):
+        load_hidden(io.StringIO("1 1 1\n2 1 -1\n1 1 1\n"))
+
+
 class Unprintable:
     def __str__(self):
         raise ValueError("no text")

@@ -171,6 +171,20 @@ def test_arrays_read_only():
         data.labels.values[0, 0] = 0
 
 
+def test_containers_copy_a_callers_arrays():
+    X = np.array([[1.0, 2.0], [3.0, 4.0]])
+    Y = np.array([[1, -1], [0, 1]], dtype=np.int8)
+    frozen = X.copy()
+    frozen.setflags(write=False)  # read-only, but its owner may unfreeze it
+    matrices = (FeatureMatrix(X), LabelMatrix(Y), FeatureMatrix(frozen))
+    X[0, 0], Y[0, 0] = 9.0, 0
+    frozen.setflags(write=True)
+    frozen[1, 1] = 9.0
+    assert matrices[0].values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert matrices[1].values.tolist() == [[1, -1], [0, 1]]
+    assert matrices[2].values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 def test_label_matrix_validation():
     with pytest.raises(ValueError):
         LabelMatrix(np.array([[1, 0, -1]]))  # l = 1

@@ -1,10 +1,12 @@
-"""Memory regression tests of the file codecs.
+"""Memory regression tests of the file codecs and the pipeline stages.
 
 Each file is read or written a batch of lines at a time, so what a call
 holds at its peak, beyond the arrays it returns, must stay below the
 size of the file itself: a codec that held the file's text, or a list
-of its lines, would exceed it.  The shapes are the benchmark's: the
-corel-pipeline training file and sidecar, and the large-k model.
+of its lines, would exceed it.  A stage's peak must stay a small
+multiple of the data it works on, not of a fixed-size scratch block.
+The shapes are the benchmark's: the corel-pipeline training file and
+sidecar, and the large-k model.
 """
 
 import tracemalloc
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from glocal import cli
+from glocal.clustering import kmeans
 from glocal.data import MaskSpec, apply_mask, save_gml
 from glocal.model import GlocalModel, load_model, save_model
 
@@ -57,6 +60,27 @@ def test_reading_a_sidecar_holds_no_file_text(corel_files):
     path = corel_files[1]
     held = peak_beyond(lambda hidden: hidden.nbytes, lambda: cli.load_hidden(path))
     assert held < path.stat().st_size
+
+
+def test_kmeans_peak_tracks_the_features(corel_files):
+    # a copy of the points and one capped difference buffer, whatever g is
+    X = cli._load_dataset(corel_files[0]).features
+    held = peak_beyond(lambda _: 0, lambda: kmeans(X, 8, seed=1))
+    assert held <= 3 * X.values.nbytes
+
+
+def test_eval_peak_tracks_the_scores(corel_files, tmp_path):
+    # the sidecar's entries are freed once the truth matrix is built,
+    # before anything is ranked
+    _, hidden, _ = corel_files
+    S = np.random.default_rng(1).standard_normal((374, 400))
+    scores = tmp_path / "scores.txt"
+    cli.save_matrix(S, scores)
+    argv = ["eval", "--scores", str(scores), "--hidden", str(hidden),
+            "--out", str(tmp_path / "report.csv")]
+    assert cli.main(argv) == 0  # warm up: imports and first-call caches
+    held = peak_beyond(lambda _: 0, lambda: cli.main(argv))
+    assert held <= 5 * S.nbytes
 
 
 def _blocks(model):
