@@ -245,14 +245,16 @@ def _decode_matrix(lines):
             raise ValueError
     except ValueError:
         raise ValueError(bad_header) from None
-    parts = []
+    # each batch's values appended as bytes to one buffer, so the matrix
+    # is held once; the header's count is not trusted to size it
+    payload = bytearray()
     for tokens in lines:
         batch += tokens
         while len(batch) >= _BATCH:
-            parts.append(np.array(batch[:_BATCH], dtype=np.float64))
+            payload += memoryview(np.array(batch[:_BATCH], dtype=np.float64))
             del batch[:_BATCH]
-    parts.append(np.array(batch, dtype=np.float64))
-    vals = np.concatenate(parts)
+    payload += memoryview(np.array(batch, dtype=np.float64))
+    vals = np.frombuffer(payload, dtype=np.float64)
     if vals.size != rows * cols:
         raise ValueError(f"expected {rows * cols} values, found {vals.size}")
     try:  # an empty matrix may still name a side numpy cannot hold

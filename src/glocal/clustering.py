@@ -64,48 +64,22 @@ def partition_from_assignment(features, assignment):
 _DIST_BLOCK_BYTES = 8 << 20
 
 
-def _row_blocks(points):
-    """(rows, diff) pairs over row chunks of the n x d points: rows a
-    slice, diff a (rows, d) view of one buffer of at most
-    _DIST_BLOCK_BYTES (at least one row), reused by every chunk."""
+def _sq_dists(points, centers):
+    # n x g matrix of squared euclidean distances, one center at a time
+    # over row chunks of one n x d difference buffer of at most
+    # _DIST_BLOCK_BYTES (at least one row), whatever g is; each entry is
+    # the same einsum reduction over a contiguous d as the whole
+    # n x g x d block's, so results are bitwise unchanged
     n, d = points.shape
     chunk = max(1, min(n, _DIST_BLOCK_BYTES // (8 * max(d, 1))))
     buf = np.empty((chunk, d))
+    out = np.empty((n, centers.shape[0]))
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
-        yield rows, buf[: rows.stop - start]
-
-
-def _sq_dists(points, centers):
-    # n x g matrix of squared euclidean distances, one center at a time
-    # over row chunks, so the difference block is one capped n x d
-    # buffer whatever g is; each entry is the same einsum reduction over
-    # a contiguous d as the whole n x g x d block's, so results are
-    # bitwise unchanged
-    out = np.empty((points.shape[0], centers.shape[0]))
-    for rows, diff in _row_blocks(points):
+        diff = buf[: rows.stop - start]
         for m, center in enumerate(centers):
             np.subtract(points[rows], center, out=diff)
             np.einsum("nd,nd->n", diff, diff, out=out[rows, m])
-    return out
-
-
-def _sq_dists_to(points, centers, owner):
-    # n-vector of squared euclidean distances from each point to
-    # centers[owner], where owner is one index for every point or an
-    # array of one index per point; bitwise
-    # ((points - centers[owner]) ** 2).sum(axis=1), through the buffer
-    # of _row_blocks
-    out = np.empty(points.shape[0])
-    for rows, diff in _row_blocks(points):
-        if np.ndim(owner):
-            # mode="clip" writes straight into diff; "raise" would buffer
-            np.take(centers, owner[rows], axis=0, out=diff, mode="clip")
-            np.subtract(points[rows], diff, out=diff)
-        else:
-            np.subtract(points[rows], centers[owner], out=diff)
-        np.square(diff, out=diff)
-        diff.sum(axis=1, out=out[rows])
     return out
 
 
@@ -114,7 +88,7 @@ def _plusplus_init(points, g, rng):
     # not-yet-chosen points when all remaining distances are zero
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists_to(points, points, chosen[0])
+    d2 = _sq_dists(points, points[chosen])[:, 0]
     while len(chosen) < g:
         total = d2.sum()
         if total > 0.0:
@@ -123,7 +97,7 @@ def _plusplus_init(points, g, rng):
             remaining = np.setdiff1d(np.arange(n), chosen)
             idx = int(rng.choice(remaining))
         chosen.append(idx)
-        np.minimum(d2, _sq_dists_to(points, points, idx), out=d2)
+        np.minimum(d2, _sq_dists(points, points[[idx]])[:, 0], out=d2)
     return points[chosen].copy()
 
 
@@ -134,12 +108,13 @@ def kmeans(features, g, seed, max_iter=100):
     assignment stops changing or max_iter is reached.  Distance ties go
     to the lowest group index.  A group left empty by an assignment
     step is reseeded with the point farthest from its own centroid
-    (taken from a group that keeps at least 2 members).  Every distance,
-    in seeding, assignment and reseeding, goes through one n x d buffer
-    of at most _DIST_BLOCK_BYTES, one center at a time, so what kmeans
-    holds besides the features is an instance-major copy of them and,
-    whatever g is, either that buffer or, while a centroid is updated,
-    a copy of its group's rows.
+    (taken from a group that keeps at least 2 members); those distances
+    are read from the assignment step's.  Every distance, in seeding
+    and assignment, goes through one n x d buffer of at most
+    _DIST_BLOCK_BYTES, one center at a time, so what kmeans holds
+    besides the features is an instance-major copy of them, the n x g
+    distance matrix and, whatever g is, either that buffer or, while a
+    centroid is updated, a copy of its group's rows.
 
     Args:
         features: FeatureMatrix of the instances to cluster.
@@ -161,11 +136,14 @@ def kmeans(features, g, seed, max_iter=100):
 
     assign = np.full(n, -1, dtype=np.int64)  # 0-based during iteration
     for _ in range(max_iter):
-        new_assign = np.argmin(_sq_dists(points, centers), axis=1)
+        dists = _sq_dists(points, centers)
+        new_assign = np.argmin(dists, axis=1)
         # reseed empty groups before declaring a fixpoint
         counts = np.bincount(new_assign, minlength=g)
+        # a moved point is the one member of its new group, so it is no
+        # donor again and its stale entry here is never read
+        dist_own = dists[np.arange(n), new_assign]
         for m in np.flatnonzero(counts == 0):
-            dist_own = _sq_dists_to(points, centers, new_assign)
             donors = np.flatnonzero(counts[new_assign] >= 2)
             far = donors[np.argmax(dist_own[donors])]
             counts[new_assign[far]] -= 1

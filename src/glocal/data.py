@@ -334,9 +334,8 @@ def parse_gml(text):
     """Parse GML text held in a string into a Dataset.
 
     The CLI reads GML files with load_gml; this text form is kept for
-    bench/run.py, which checks the data it wrote by reading its text,
-    and for the optional real-data acceptance test.  Both run the same
-    decoder.
+    bench/run.py, which checks the data it wrote by reading its text.
+    Both run the same decoder.
 
     Format: a header line "n d l", then one line per instance of the
     form "+:<csv>|-:<csv>|<idx:value pairs>".  Indices are 1-based.
@@ -455,11 +454,16 @@ def apply_mask(data, spec):
     mask = mask.reshape(l, n)
 
     Y = data.labels.values
-    masked = np.where(mask, Y, 0).astype(np.int8)
-    # argwhere lists positions in row-major order: by label, then instance
-    pos = np.argwhere((Y != 0) & ~mask)
-    hidden = np.column_stack((pos, Y[pos[:, 0], pos[:, 1]])).astype(np.int64)
-    return Dataset(data.features, LabelMatrix(masked)), hidden
+    # the masked labels are made and checked before the hidden entries
+    # are, so the check's scratch arrays are gone by then
+    masked = Dataset(data.features, LabelMatrix(np.where(mask, Y, 0)))
+    # flat positions in row-major order: by label, then instance
+    pos = np.flatnonzero((Y != 0) & ~mask)
+    del mask
+    hidden = np.empty((pos.size, 3), dtype=np.int64)
+    np.divmod(pos, n, out=(hidden[:, 0], hidden[:, 1]))
+    hidden[:, 2] = Y.ravel()[pos]
+    return masked, hidden
 
 
 def take_instances(data, indices):

@@ -198,6 +198,8 @@ _BLOCKS = list(itertools.product((1, 7, 64), (1, 2, 3)))
 
 
 def test_chunked_distances_match_one_einsum_bitwise(monkeypatch):
+    # g = 1 is also the k-means++ seeding's call: every point to one
+    # chosen point
     import glocal.clustering as clustering
 
     rng = np.random.default_rng(0)
@@ -211,20 +213,69 @@ def test_chunked_distances_match_one_einsum_bitwise(monkeypatch):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_chunked_seeding_and_reseed_distances_match_bitwise(monkeypatch):
+def reference_kmeans(points, g, seed, max_iter=100):
+    """kmeans as its docstring describes it, in plain numpy: the same
+    rng calls, every distance from one whole n x g x d einsum, and a
+    reseed that computes the own-center distances afresh after each
+    move.  Returns the 1-based assignment and the number of reseeds."""
+    n = len(points)
+
+    def sq_dists(centers):
+        diff = points[:, None, :] - centers[None, :, :]
+        return np.einsum("ngd,ngd->ng", diff, diff)
+
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(n))]
+    d2 = sq_dists(points[chosen])[:, 0]
+    while len(chosen) < g:
+        total = d2.sum()
+        if total > 0.0:
+            chosen.append(int(rng.choice(n, p=d2 / total)))
+        else:
+            chosen.append(int(rng.choice(np.setdiff1d(np.arange(n), chosen))))
+        d2 = np.minimum(d2, sq_dists(points[chosen[-1:]])[:, 0])
+    centers = points[chosen].copy()
+    assign, reseeds = None, 0
+    for _ in range(max_iter):
+        new = np.argmin(sq_dists(centers), axis=1)
+        for m in range(g):
+            counts = np.bincount(new, minlength=g)
+            if counts[m] > 0:
+                continue
+            own = sq_dists(centers)[np.arange(n), new]
+            donors = np.flatnonzero(counts[new] >= 2)
+            far = donors[np.argmax(own[donors])]
+            new[far] = m
+            centers[m] = points[far]
+            reseeds += 1
+        if assign is not None and np.array_equal(new, assign):
+            break
+        assign = new
+        for m in range(g):
+            centers[m] = points[assign == m].mean(axis=0)
+    return assign + 1, reseeds
+
+
+def test_kmeans_matches_a_plain_reference(monkeypatch):
+    # rounded draws make distance ties and duplicate-heavy ones make
+    # empty groups; buffers of 1 to 3 rows put chunk boundaries inside
+    # the draws
     import glocal.clustering as clustering
 
-    rng = np.random.default_rng(1)
-    for d, rows_per_block in _BLOCKS:
+    rng = np.random.default_rng(11)
+    reseeded = 0
+    for draw in range(600):
+        n, d = int(rng.integers(1, 16)), int(rng.integers(1, 4))
+        points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4)
+        if draw % 3 == 0:
+            points = np.round(points)
+        if draw % 7 == 0:
+            points[: n // 2] = points[rng.integers(0, n, n // 2)]
+        g, seed = int(rng.integers(1, n + 1)), int(rng.integers(1000))
+        rows_per_block = (1, 2, 3, n)[draw % 4]
         monkeypatch.setattr(clustering, "_DIST_BLOCK_BYTES", 8 * d * rows_per_block)
-        for points in _draws(rng, d):
-            n = len(points)
-            for idx in range(n):  # k-means++: every point to one chosen point
-                want = ((points - points[idx]) ** 2).sum(axis=1)
-                got = clustering._sq_dists_to(points, points, idx)
-                assert got.tobytes() == want.tobytes()
-            centers = rng.standard_normal((3, d))
-            owner = rng.integers(0, 3, n)  # reseed: every point to its own center
-            want = ((points - centers[owner]) ** 2).sum(axis=1)
-            got = clustering._sq_dists_to(points, centers, owner)
-            assert got.tobytes() == want.tobytes()
+        want, reseeds = reference_kmeans(points, g, seed)
+        got = kmeans(FeatureMatrix(points.T), g, seed=seed).assignment
+        assert np.array_equal(got, want), f"draw {draw}"
+        reseeded += reseeds > 0
+    assert reseeded >= 50

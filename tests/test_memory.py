@@ -83,6 +83,25 @@ def test_eval_peak_tracks_the_scores(corel_files, tmp_path):
     assert held <= 5 * S.nbytes
 
 
+def test_loading_a_matrix_holds_it_once(tmp_path):
+    # corel-pipeline's scores: each batch's values are appended to one
+    # buffer, not concatenated from per-batch parts at the end
+    S = np.random.default_rng(2).standard_normal((374, 400))
+    scores = tmp_path / "scores.txt"
+    cli.save_matrix(S, scores)
+    held = peak_beyond(lambda M: M.nbytes, lambda: cli.load_matrix(scores))
+    assert held <= 0.6 * S.nbytes
+
+
+def test_masking_peak_tracks_the_hidden_entries():
+    # corel-pipeline's shape: the masked labels are checked before the
+    # hidden entries are written straight into their (m, 3) array
+    data = cli.make_synthetic(l=374, n=400, d=499, k_true=5, noise=0.3, seed=1)
+    _, hidden = apply_mask(data, MaskSpec(rho=30, seed=1))
+    held = peak_beyond(lambda _: 0, lambda: apply_mask(data, MaskSpec(rho=30, seed=1)))
+    assert held <= 2.4 * hidden.nbytes
+
+
 def _blocks(model):
     return (model.U, model.V, model.W, *model.factors)
 
