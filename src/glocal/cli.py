@@ -35,6 +35,7 @@ from .data import (
     FeatureMatrix,
     LabelMatrix,
     MaskSpec,
+    _adopt,
     apply_mask,
     load_gml,
     save_gml,
@@ -66,28 +67,66 @@ def make_synthetic(l, n, d, k_true, noise, seed):
         # a huge noise may overflow to +-inf; the sign is still right
         with np.errstate(over="ignore"):
             scores = scores + noise * rng.standard_normal((l, n))
-    Y = np.where(scores > 0.0, 1, -1).astype(np.int8)
-    return Dataset(FeatureMatrix(X), LabelMatrix(Y))
+    Y = np.where(scores > 0.0, np.int8(1), np.int8(-1))
+    # X and Y are made here, so the containers take them uncopied
+    return Dataset(_adopt(FeatureMatrix, X), _adopt(LabelMatrix, Y))
+
+
+def _hidden_lines(block):
+    """The '\n'-joined sidecar lines of a block of checked 0-based entries.
+
+    Each distinct instance_idx of the block is formatted once, as the
+    text of its (instance_idx, -1) and (instance_idx, 1) pairs, and each
+    run of entries with one label_idx is one join after that label's
+    text.  The distinct indices come from a set, not np.unique: its
+    int64 sort would page in numpy code that no other stage before
+    training runs, which adds to the process's peak RSS.
+    """
+    inst = (block[:, 1] + 1).tolist()
+    pairs = {i: ("%d -1" % i, "%d 1" % i) for i in set(inst)}
+    entries = [pairs[i][positive] for i, positive in zip(inst, (block[:, 2] > 0).tolist())]
+    labels = block[:, 0]
+    cut = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(block)]
+    runs = []
+    for s, e in zip(cut, cut[1:]):
+        prefix = "%d " % (labels[s] + 1)
+        runs.append(prefix + ("\n" + prefix).join(entries[s:e]))
+    return "\n".join(runs)
 
 
 def save_hidden(hidden, path, comments=()):
     """Write hidden entries as 1-based 'label_idx instance_idx value' lines.
 
-    The lines are formatted a block of _BATCH entries at a time and
-    written as they are made.
+    The entries are checked before the file is opened.  The lines are
+    made and written a block of _BATCH entries at a time: a block holds
+    its 1-based instance indices, the text of each distinct one's
+    (instance_idx, value) pairs, formatted once, and its lines.
 
     Args:
-        hidden: (m, 3) integer array, or rows, of 0-based
-            (label_idx, instance_idx, value) entries.
+        hidden: (m, 3) integer array, or rows of three, of 0-based
+            (label_idx, instance_idx, value) entries; [] is no entries.
         path: path, or text file object written where it stands.
         comments: optional strings emitted as leading '#' lines.
+
+    Raises:
+        ValueError: if the entries are not (m, 3), an index is negative
+            or too large to write as a 1-based int64, or a value is not
+            -1 or +1.
     """
-    rows = np.asarray(hidden, dtype=np.int64).reshape(-1, 3) + (1, 1, 0)
+    rows = np.asarray(hidden, dtype=np.int64)
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"hidden entries must be an (m, 3) array, got shape {rows.shape}")
+    if len(rows):
+        idx, vals = rows[:, :2], rows[:, 2]
+        if idx.min() < 0 or idx.max() >= np.iinfo(np.int64).max:
+            raise ValueError("hidden entry indices must lie in 0..2**63 - 2")
+        if vals.min() < -1 or vals.max() > 1 or np.count_nonzero(vals) < len(vals):
+            raise ValueError("hidden entry values must be -1 or +1")
     head = comment_lines(comments)
-    # one string per _BATCH entries: '%' formats a whole block at once
     blocks = (rows[start : start + _BATCH] for start in range(0, len(rows), _BATCH))
-    write_lines(path, chain(head, (("%d %d %d\n" * len(block))[:-1]
-                                   % tuple(block.ravel().tolist()) for block in blocks)))
+    write_lines(path, chain(head, map(_hidden_lines, blocks)))
 
 
 def _hidden_error(batches):

@@ -96,7 +96,8 @@ class LabelMatrix:
             raise ValueError("label matrix must be 2-D (l x n)")
         if vals.shape[0] < 2:
             raise ValueError("label matrix needs at least 2 labels")
-        if not np.isin(vals, (-1, 0, 1)).all():
+        # int8 entries: the range check is the set check, with no scratch
+        if vals.size and (vals.min() < -1 or vals.max() > 1):
             raise ValueError("label entries must be -1, 0 or +1")
 
     @property
@@ -387,13 +388,25 @@ def _feature_field(x):
     return " ".join(["%d:%r"] * fid.size) % tuple(pairs)
 
 
+def _id_fields(mask, ids):
+    """The comma-joined ids of each row's True entries: ids[j] for column j."""
+    rows, cols = np.nonzero(mask)
+    strs = ids[cols].tolist()
+    cut = [0, *np.cumsum(np.bincount(rows, minlength=mask.shape[0])).tolist()]
+    return [",".join(strs[s:e]) for s, e in zip(cut, cut[1:])]
+
+
 def save_gml(files, comments=()):
     """Write datasets sharing one FeatureMatrix to GML files, in one pass.
 
     Feature values are printed with full round-trip precision, so
     load_gml reproduces each dataset exactly; only nonzero features are
-    written.  The lines are made as they are written, one instance at a
-    time, so no file's text is held.  Each instance's feature field is
+    written.  The lines are made as they are written, a batch of
+    instances at a time, so no file's text is held: a batch spans about
+    textio._BATCH label entries, and only its instances' fields are
+    held.  The str of each label id is made once per call; per batch and
+    file, one np.nonzero per sign finds the ids of every instance, whose
+    strings are looked up and joined.  Each instance's feature field is
     formatted once for every file: the full and partly observed copies
     of a dataset cost one formatting pass.  The datasets and comments
     are checked before any file is opened.
@@ -408,6 +421,9 @@ def save_gml(files, comments=()):
     if any(data.features is not features for data in datasets):
         raise ValueError("datasets written together must share one FeatureMatrix")
     head = comment_lines(comments)
+    l = max(data.l for data in datasets)
+    ids = np.array([str(j) for j in range(1, l + 1)], dtype=object)
+    step = max(1, _BATCH // l)
     with contextlib.ExitStack() as stack:
         sinks = {}  # file identity -> (dataset, stream)
         for path, data in files.items():
@@ -417,13 +433,12 @@ def save_gml(files, comments=()):
         for data, stream in sinks.values():
             for line in [*head, f"{data.n} {data.d} {data.l}"]:
                 stream.write(line + "\n")
-        for col, x in enumerate(features.values.T):
-            feats = _feature_field(x)
+        for first in range(0, features.n, step):
+            feats = [_feature_field(x) for x in features.values[:, first : first + step].T]
             for data, stream in sinks.values():
-                y = data.labels.values[:, col]
-                pos = ",".join(map(str, (np.flatnonzero(y == 1) + 1).tolist()))
-                neg = ",".join(map(str, (np.flatnonzero(y == -1) + 1).tolist()))
-                stream.write(f"+:{pos}|-:{neg}|{feats}\n")
+                Y = data.labels.values[:, first : first + step].T
+                for pos, neg, x in zip(_id_fields(Y == 1, ids), _id_fields(Y == -1, ids), feats):
+                    stream.write(f"+:{pos}|-:{neg}|{x}\n")
 
 
 def apply_mask(data, spec):

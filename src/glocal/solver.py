@@ -173,9 +173,9 @@ def objective(model, ctx):
 # is H(x) - b, the step t = ||G||^2 / <G, H(G)> along G is the line
 # minimum and leaves the gradient G - t H(G) (Nocedal & Wright, ch. 5).
 # Y is zero where J is, so J o Y = Y.  The correlation weights Fs (for U)
-# and the factor grams Ms (for W) are None when lambda3 = lambda4 = 0.  X
-# enters the W Hessian only through T, with T'T = XX', so it never forms
-# the n x k X'G.
+# and the factor grams (Ms, Mbar) (for W) are None when
+# lambda3 = lambda4 = 0.  X enters the W Hessian only through T, with
+# T'T = XX', so it never forms the n x k X'G.
 
 
 def _hess_U(G, V, Zs, Fs, ctx):
@@ -199,19 +199,24 @@ def _rhs_V(U, W, ctx):
     return 2.0 * (U.T @ ctx.Y) + 2.0 * ctx.hp.lambda_ * (W.T @ ctx.X)
 
 
-def _factor_grams(U, Zs):
-    # M_m = (Z_m'U)'(Z_m'U), k x k; the W step keeps U and Z fixed
-    return [A.T @ A for A in (Z.T @ U for Z in Zs)]
+def _factor_grams(U, Zs, ctx):
+    # M_m = (Z_m'U)'(Z_m'U), k x k, and Mbar = sum_m (lambda3 n_m / n) M_m;
+    # the W step keeps U and Z fixed, so each W update forms them once
+    Ms = [A.T @ A for A in (Z.T @ U for Z in Zs)]
+    Mbar = np.zeros_like(Ms[0])
+    for idx, M in zip(ctx.groups, Ms):
+        Mbar += ctx.hp.lambda3 * idx.size / ctx.n * M
+    return Ms, Mbar
 
 
-def _hess_W(G, Ms, ctx):
+def _hess_W(G, grams, ctx):
     # 2 sum_m T_m'((T_m G)(lambda I + Mbar + lambda4 M_m)) + 2 lambda2 G,
-    # Mbar = sum_m (lambda3 n_m / n) M_m
+    # from grams = _factor_grams(U, Zs, ctx)
     hp = ctx.hp
     P = ctx.T @ G
     R = hp.lambda_ * P
-    if Ms is not None:
-        Mbar = sum(hp.lambda3 * idx.size / ctx.n * M for idx, M in zip(ctx.groups, Ms))
+    if grams is not None:
+        Ms, Mbar = grams
         R += P @ Mbar
         for rows, M in zip(ctx.T_rows, Ms):
             R[rows] += hp.lambda4 * (P[rows] @ M)
@@ -244,7 +249,7 @@ def gradients(model, ctx):
     Fs = _correlation_weights(W, ctx)
     G_U = _hess_U(U, V, Zs, Fs, ctx) - _rhs_U(V, ctx)
     G_V = _hess_V(U, V, ctx) - _rhs_V(U, W, ctx)
-    G_W = _hess_W(W, _factor_grams(U, Zs), ctx) - _rhs_W(V, ctx)
+    G_W = _hess_W(W, _factor_grams(U, Zs, ctx), ctx) - _rhs_W(V, ctx)
     G_Zs = tuple(_grad_Z(U @ F.T, Z) for Z, F in zip(Zs, Fs))
     return G_U, G_V, G_W, G_Zs
 
@@ -341,8 +346,12 @@ def _unit_row_error(Zs):
 # huge finite hyperparameters can overflow a step; the curvature and h
 # guards refuse a step that is not finite, and fit a non-finite objective
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep(U, V, W, Zs, ctx):
-    # one outer iteration: Z_1..Z_g, then V, then U, then W
+def _sweep(blocks, ctx):
+    # one outer iteration: Z_1..Z_g, then V, then U, then W, on the list
+    # [U, V, W, Zs], which ends holding the new blocks; it is emptied
+    # first, so each old block is freed once it is replaced
+    U, V, W, Zs = blocks
+    blocks.clear()
     hp = ctx.hp
     steps = {}
     Fs = _correlation_weights(W, ctx) if _has_correlation(hp) else None
@@ -368,12 +377,13 @@ def _sweep(U, V, W, Zs, ctx):
     )
     steps["U"] = tuple(acc)
 
-    Ms = None if Fs is None else _factor_grams(U, Zs)
+    grams = None if Fs is None else _factor_grams(U, Zs, ctx)
     W, acc = _exact_descent(
-        W, lambda G: _hess_W(G, Ms, ctx), _rhs_W(V, ctx), hp.inner_steps
+        W, lambda G: _hess_W(G, grams, ctx), _rhs_W(V, ctx), hp.inner_steps
     )
     steps["W"] = tuple(acc)
-    return U, V, W, Zs, steps, z_err
+    blocks[:] = U, V, W, Zs
+    return steps, z_err
 
 
 @dataclass(frozen=True)
@@ -436,11 +446,14 @@ def warm_start(ctx):
 
     plain_hp = dataclasses.replace(hp, lambda3=0.0, lambda4=0.0)
     plain_ctx = dataclasses.replace(ctx, hp=plain_hp)
+    blocks = [U, V, W, Zs]
+    del U, V, W, Zs
     for it in range(1, hp.warm_iters + 1):
-        U, V, W, Zs, _, _ = _sweep(U, V, W, Zs, plain_ctx)
+        _sweep(blocks, plain_ctx)
         # huge finite lambdas can overflow a block; say so, not which block
-        if not (np.isfinite(U).all() and np.isfinite(V).all() and np.isfinite(W).all()):
+        if not all(np.isfinite(B).all() for B in blocks[:3]):
             raise ValueError(f"warm start is not finite after sweep {it}")
+    U, V, W, Zs = blocks
     return GlocalModel(U=U, V=V, W=W, factors=tuple(Zs))
 
 
@@ -461,17 +474,17 @@ def fit(dataset, partition, hp):
     # no update writes a block in place, so the warm start's arrays are
     # taken as they are and each is freed once its block moves on
     start = warm_start(ctx)
-    U, V, W, Zs = start.U, start.V, start.W, list(start.factors)
+    blocks = [start.U, start.V, start.W, list(start.factors)]
     del start
 
-    f = _objective_arrays(U, V, W, Zs, ctx)
+    f = _objective_arrays(*blocks, ctx)
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the warm-start point")
-    records = [TraceRecord(0, f, {}, _unit_row_error(Zs))]
+    records = [TraceRecord(0, f, {}, _unit_row_error(blocks[3]))]
     converged = False
     for it in range(1, hp.outer_iters + 1):
-        U, V, W, Zs, steps, z_err = _sweep(U, V, W, Zs, ctx)
-        f_new = _objective_arrays(U, V, W, Zs, ctx)
+        steps, z_err = _sweep(blocks, ctx)
+        f_new = _objective_arrays(*blocks, ctx)
         if not np.isfinite(f_new):
             raise ValueError(f"objective is not finite after sweep {it}")
         records.append(TraceRecord(it, f_new, steps, z_err))
@@ -480,6 +493,7 @@ def fit(dataset, partition, hp):
         if rel < hp.tol:
             converged = True
             break
+    U, V, W, Zs = blocks
     model = GlocalModel(U=U, V=V, W=W, factors=tuple(Zs))
     return model, FitTrace(records=tuple(records), converged=converged)
 

@@ -7,9 +7,10 @@ one '#' line of valid UTF-8 whatever text it stamps.
 Files are read with line_batches and written with write_lines, so no
 file's full text is held in memory: a reader holds one batch of lines
 (about _CHUNK characters plus the rest of the line they end in) and a
-writer one line at a time.  The lines line_batches yields are exactly
-those of Path.read_text().splitlines(), so a decoder given a file's
-batches sees what it would see given the file's text.
+writer one line, or the fields of one _BATCH-sized batch, at a time.
+The lines line_batches yields are exactly those of
+Path.read_text().splitlines(), so a decoder given a file's batches sees
+what it would see given the file's text.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ def comment_lines(comments):
     ]
 
 
-# tokens, or sidecar lines, converted per numpy call: short rows are
-# batched across lines
+# tokens, sidecar lines or GML label entries handled per numpy call:
+# short rows are batched across lines
 _BATCH = 4096
 
 # characters read from a file per call; a batch holds the lines that end

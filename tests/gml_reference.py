@@ -1,18 +1,30 @@
-"""Per-token GML parser: the reference the array decoder is tested against.
+"""Per-token GML parser and per-instance writers: the references the
+array codecs are tested against.
 
-This is the library's earlier `parse_gml`, kept as it was apart from
-the header check: one Python int() or float() call per token.  A header
-whose sizes numpy cannot allocate raises GmlFormatError naming the
-header line, as `parse_gml` does.  tests/test_codecs.py requires
-`glocal.data.parse_gml` to accept exactly the inputs this accepts, with
-identical arrays, and to name the same line when it rejects one.
+`parse_gml_reference` is the library's earlier `parse_gml`, kept as it
+was apart from the header check: one Python int() or float() call per
+token.  A header whose sizes numpy cannot allocate raises GmlFormatError
+naming the header line, as `parse_gml` does.  tests/test_codecs.py
+requires `glocal.data.parse_gml` to accept exactly the inputs this
+accepts, with identical arrays, and to name the same line when it
+rejects one.
+
+`save_gml_reference` and `save_hidden_reference` are the library's
+earlier writers, kept as they were: every label id of every instance
+line, and every int of every sidecar entry, is formatted where it is
+written.  tests/test_codecs.py requires `save_gml` and `save_hidden` to
+write exactly their bytes.
 """
 
+import contextlib
 import math
+import os
+from itertools import chain
 
 import numpy as np
 
 from glocal.data import Dataset, FeatureMatrix, GmlFormatError, LabelMatrix
+from glocal.textio import _BATCH, comment_lines, write_lines
 
 
 def _fail(line_no, message):
@@ -107,3 +119,49 @@ def parse_gml_reference(text):
             X[idx - 1, col] = val
 
     return Dataset(FeatureMatrix(X), LabelMatrix(Y))
+
+
+def _feature_field(x):
+    """One instance's GML feature field: 'idx:value' for every nonzero."""
+    fid = np.flatnonzero(x)
+    pairs = [None] * (2 * fid.size)
+    pairs[0::2] = (fid + 1).tolist()
+    pairs[1::2] = x[fid].tolist()
+    return " ".join(["%d:%r"] * fid.size) % tuple(pairs)
+
+
+def save_gml_reference(files, comments=()):
+    """Write datasets sharing one FeatureMatrix to GML files, one
+    instance at a time, each file's label fields formatted per line."""
+    datasets = list(files.values())
+    features = datasets[0].features
+    if any(data.features is not features for data in datasets):
+        raise ValueError("datasets written together must share one FeatureMatrix")
+    head = comment_lines(comments)
+    with contextlib.ExitStack() as stack:
+        sinks = {}  # file identity -> (dataset, stream)
+        for path, data in files.items():
+            stream = stack.enter_context(open(path, "w", encoding="utf-8"))
+            stat = os.fstat(stream.fileno())
+            sinks[stat.st_dev, stat.st_ino] = (data, stream)
+        for data, stream in sinks.values():
+            for line in [*head, f"{data.n} {data.d} {data.l}"]:
+                stream.write(line + "\n")
+        for col, x in enumerate(features.values.T):
+            feats = _feature_field(x)
+            for data, stream in sinks.values():
+                y = data.labels.values[:, col]
+                pos = ",".join(map(str, (np.flatnonzero(y == 1) + 1).tolist()))
+                neg = ",".join(map(str, (np.flatnonzero(y == -1) + 1).tolist()))
+                stream.write(f"+:{pos}|-:{neg}|{feats}\n")
+
+
+def save_hidden_reference(hidden, path, comments=()):
+    """Write hidden entries as 1-based 'label_idx instance_idx value'
+    lines, every int of every entry formatted by '%d'."""
+    rows = np.asarray(hidden, dtype=np.int64).reshape(-1, 3) + (1, 1, 0)
+    head = comment_lines(comments)
+    # one string per _BATCH entries: '%' formats a whole block at once
+    blocks = (rows[start : start + _BATCH] for start in range(0, len(rows), _BATCH))
+    write_lines(path, chain(head, (("%d %d %d\n" * len(block))[:-1]
+                                   % tuple(block.ravel().tolist()) for block in blocks)))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,33 @@ def test_synth_outputs_consistent(synth_files):
         assert masked_ds.labels.values[j, i] == 0
         assert full_ds.labels.values[j, i] == v
     assert full.read_text(encoding="utf-8").startswith("# glocal synth seed=7")
+
+
+# blake2b digests (16 bytes) of synth's files, frozen from the writers
+# that formatted every id of every line where they wrote it: (l, n, d,
+# k, noise, rho, seed) -> full.gml, train.gml, hidden.txt.  The larger
+# shape crosses batch edges of both writers.
+SYNTH_DIGESTS = {
+    (3, 9, 2, 1, 0, 50, 1): ("014d5a3f004bd5bb4a85d1d580f5af57",
+                             "7c97f826557a5f695e38bbdb66d4cea6",
+                             "d9cb03f78063d10bbd985d1aa6f8e06d"),
+    (40, 200, 10, 3, 0.3, 30, 7): ("96d81e2cd4b483721477321e6d449ff0",
+                                   "7b074d2c3e68c8b80d04f02eab0eb5a6",
+                                   "b4468af9d311ecbab1661078230f1ead"),
+}
+
+
+@pytest.mark.parametrize("shape", SYNTH_DIGESTS)
+def test_synth_files_are_frozen(tmp_path, shape):
+    l, n, d, k, noise, rho, seed = shape
+    files = [tmp_path / name for name in ("full.gml", "train.gml", "hidden.txt")]
+    assert run("synth", "--labels", l, "--instances", n, "--features", d,
+               "--latent-k", k, "--noise", noise, "--rho", rho, "--seed", seed,
+               "--out-full", files[0], "--out-masked", files[1],
+               "--out-hidden", files[2]) == 0
+    digests = tuple(hashlib.blake2b(f.read_bytes(), digest_size=16).hexdigest()
+                    for f in files)
+    assert digests == SYNTH_DIGESTS[shape]
 
 
 def test_cli_runs_are_deterministic(tmp_path, synth_files):

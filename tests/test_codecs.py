@@ -4,7 +4,8 @@ The array decoders must accept exactly what the per-token reference
 accepts, the partition, matrix and sidecar readers may reject input
 only with ValueError and the model reader only with ModelFormatError,
 every save/load pair must round-trip bit-exactly, and the bytes each
-writer produces are frozen against literal strings.  A file read in
+writer produces are frozen against literal strings and equal to those
+of its per-instance reference, whatever the batch size.  A file read in
 line batches must give exactly its text's lines, and a file written
 line by line exactly what its writer gives a text stream, or nothing at
 all on bad input.
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gml_reference import parse_gml_reference
+from gml_reference import parse_gml_reference, save_gml_reference, save_hidden_reference
 from glocal import textio
 from glocal.clustering import load_partition, partition_from_assignment, save_partition
 from glocal.cli import (
@@ -519,6 +520,70 @@ def test_writers_output_is_frozen(tmp_path):
     )
 
 
+# ---- (d) the batched writers against the per-instance references ---------
+
+WRITE = settings(derandomize=True, max_examples=150, deadline=None)
+# features whose text is easy to get wrong, and zeros, which are not written
+GML_FLOAT = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308)),
+                      st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def shared_datasets(draw):
+    """A full dataset and a partly observed copy sharing its features, as
+    synth writes them, with all-zero feature columns and all-unobserved
+    and all-observed label columns among the mixed ones."""
+    l, d, n = draw(st.integers(2, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    X = draw(arrays(np.float64, (d, n), elements=GML_FLOAT))
+    full = draw(arrays(np.int8, (l, n), elements=st.sampled_from([-1, 1])))
+    kept = draw(arrays(np.int8, (l, n), elements=st.sampled_from([0, 1])))
+    for col in range(n):
+        kind = draw(st.sampled_from(["mixed", "zero features", "unobserved", "observed"]))
+        if kind == "zero features":
+            X[:, col] = 0.0
+        elif kind != "mixed":
+            kept[:, col] = kind == "observed"
+    features = FeatureMatrix(X)
+    return Dataset(features, LabelMatrix(full)), Dataset(features, LabelMatrix(full * kept))
+
+
+@WRITE
+@given(shared_datasets(), st.integers(1, 7))
+def test_save_gml_writes_the_per_instance_bytes(tmp_path_factory, case, batch):
+    full, masked = case
+    root = tmp_path_factory.mktemp("gml")
+    save_gml_reference({root / "want_full.gml": full, root / "want_train.gml": masked},
+                       comments=["c"])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("glocal.data._BATCH", batch)
+        save_gml({root / "full.gml": full, root / "train.gml": masked}, comments=["c"])
+    for name in ("full", "train"):
+        assert (root / f"{name}.gml").read_bytes() == (root / f"want_{name}.gml").read_bytes()
+
+
+@st.composite
+def sidecars(draw):
+    """Hidden entries in runs of one label index, sorted or not, with
+    indices up to 2**62 and repeated (instance_idx, value) pairs."""
+    index = st.one_of(st.integers(0, 3), st.integers(0, 2**62))
+    runs = draw(st.lists(st.tuples(index, st.integers(1, 9)), max_size=5))
+    entries = [(j, draw(index), draw(st.sampled_from([-1, 1])))
+               for j, size in runs for _ in range(size)]
+    if draw(st.booleans()):
+        entries = draw(st.permutations(entries))
+    return np.array(entries, dtype=np.int64).reshape(-1, 3)
+
+
+@WRITE
+@given(sidecars(), st.integers(1, 7))
+def test_save_hidden_writes_the_per_entry_bytes(hidden, batch):
+    want = saved(save_hidden_reference, hidden, comments=["h"])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("glocal.cli._BATCH", batch)
+        assert saved(save_hidden, hidden, comments=["h"]) == want
+        assert saved(save_hidden, hidden.tolist()) == saved(save_hidden_reference, hidden)
+
+
 # ---- (e) comment stamps ---------------------------------------------------
 
 _FEATURES = FeatureMatrix(np.zeros((1, 3)))
@@ -669,8 +734,20 @@ class Unprintable:
 @pytest.mark.parametrize("save, comments, error", [
     *((save, [Unprintable()], ValueError) for save, _ in STREAMED.values()),
     (lambda c, p: save_hidden(np.zeros((2, 2)), p, comments=c), [], ValueError),
+    # 12 values are four rows of three, but not an (m, 3) array
+    (lambda c, p: save_hidden(np.arange(12).reshape(2, 6), p, comments=c), [], ValueError),
+    (lambda c, p: save_hidden([0, 1, 1], p, comments=c), [], ValueError),
+    (lambda c, p: save_hidden([(0, 1, 1), (2, -1, 1)], p, comments=c), [], ValueError),
+    (lambda c, p: save_hidden([(-1, 0, 1)], p, comments=c), [], ValueError),
+    # its 1-based index would overflow int64
+    (lambda c, p: save_hidden([(2**63 - 1, 0, 1)], p, comments=c), [], ValueError),
+    (lambda c, p: save_hidden([(0, 1, 1), (1, 1, 0)], p, comments=c), [], ValueError),
+    (lambda c, p: save_hidden([(0, 1, 2)], p, comments=c), [], ValueError),
     (lambda c, p: save_matrix(np.zeros(3), p, comments=c), [], IndexError),
-], ids=[*(f"{name}-comment" for name in STREAMED), "save_hidden-shape", "save_matrix-1d"])
+], ids=[*(f"{name}-comment" for name in STREAMED), "save_hidden-shape",
+        "save_hidden-2x6", "save_hidden-1d", "save_hidden-negative-instance",
+        "save_hidden-negative-label", "save_hidden-int64-max", "save_hidden-value-0",
+        "save_hidden-value-2", "save_matrix-1d"])
 def test_writer_input_errors_leave_an_existing_file_untouched(tmp_path, save, comments, error):
     path = tmp_path / "out.txt"
     path.write_bytes(b"keep\n")

@@ -190,6 +190,9 @@ def test_label_matrix_validation():
         LabelMatrix(np.array([[1, 0, -1]]))  # l = 1
     with pytest.raises(ValueError):
         LabelMatrix(np.array([[2, 0], [0, 1]]))  # bad entry
+    with pytest.raises(ValueError, match="^label entries must be -1, 0 or \\+1$"):
+        LabelMatrix(np.array([[-2, 0], [0, 1]]))  # bad entry below the range
+    assert LabelMatrix(np.zeros((3, 0))).values.shape == (3, 0)  # no instances
 
 
 def test_dataset_count_mismatch():

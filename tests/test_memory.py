@@ -16,8 +16,9 @@ import pytest
 
 from glocal import cli
 from glocal.clustering import kmeans
-from glocal.data import MaskSpec, apply_mask, save_gml
-from glocal.model import GlocalModel, load_model, save_model
+from glocal.data import LabelMatrix, MaskSpec, apply_mask, save_gml
+from glocal.model import GlocalModel, Hyperparams, load_model, save_model
+from glocal.solver import fit
 
 
 def peak_beyond(result_bytes, call):
@@ -31,11 +32,19 @@ def peak_beyond(result_bytes, call):
     return peak - result_bytes(result)
 
 
+# corel-pipeline's shape: l=374, n=400, d=499, 30% of labels observed
+COREL = dict(l=374, n=400, d=499, k_true=5, noise=0.3, seed=1)
+
+
 @pytest.fixture(scope="module")
-def corel_files(tmp_path_factory):
-    # corel-pipeline's shape: l=374, n=400, d=499, 30% of labels observed
-    data = cli.make_synthetic(l=374, n=400, d=499, k_true=5, noise=0.3, seed=1)
-    masked, hidden = apply_mask(data, MaskSpec(rho=30, seed=1))
+def corel_data():
+    data = cli.make_synthetic(**COREL)
+    return data, *apply_mask(data, MaskSpec(rho=30, seed=1))
+
+
+@pytest.fixture(scope="module")
+def corel_files(tmp_path_factory, corel_data):
+    data, masked, hidden = corel_data
     root = tmp_path_factory.mktemp("corel")
     files = {root / "full.gml": data, root / "train.gml": masked}
     # as synth writes them: both files in one pass over the shared features
@@ -46,6 +55,14 @@ def corel_files(tmp_path_factory):
 
 def test_saving_gml_files_holds_no_file_text(corel_files):
     path, _, held = corel_files
+    assert held < path.stat().st_size
+
+
+def test_saving_a_sidecar_holds_no_file_text(corel_data, tmp_path):
+    # one block of entries at a time: no 1-based copy of the whole array
+    hidden = corel_data[2]
+    path = tmp_path / "hidden.txt"
+    held = peak_beyond(lambda _: 0, lambda: cli.save_hidden(hidden, path, comments=["c"]))
     assert held < path.stat().st_size
 
 
@@ -93,17 +110,47 @@ def test_loading_a_matrix_holds_it_once(tmp_path):
     assert held <= 0.6 * S.nbytes
 
 
-def test_masking_peak_tracks_the_hidden_entries():
-    # corel-pipeline's shape: the masked labels are checked before the
-    # hidden entries are written straight into their (m, 3) array
-    data = cli.make_synthetic(l=374, n=400, d=499, k_true=5, noise=0.3, seed=1)
-    _, hidden = apply_mask(data, MaskSpec(rho=30, seed=1))
+def test_masking_peak_tracks_the_hidden_entries(corel_data):
+    # the masked labels are checked before the hidden entries are
+    # written straight into their (m, 3) array
+    data, _, hidden = corel_data
     held = peak_beyond(lambda _: 0, lambda: apply_mask(data, MaskSpec(rho=30, seed=1)))
     assert held <= 2.4 * hidden.nbytes
 
 
+def test_making_a_synthetic_set_holds_its_scores_twice_at_most(corel_data):
+    # the features are drawn into the matrix itself and the labels made
+    # as int8: beyond X and Y, the l x n scores and one l x n noise draw
+    # (numpy reuses the draw's buffer for the noisy sum)
+    scores_nbytes = COREL["l"] * COREL["n"] * 8
+    held = peak_beyond(lambda d: d.features.values.nbytes + d.labels.values.nbytes,
+                       lambda: cli.make_synthetic(**COREL))
+    assert held <= 3 * scores_nbytes
+
+
+def test_checking_a_label_matrix_takes_no_scratch(corel_data):
+    # the entry check is a range check: beyond its own copy, a label
+    # matrix holds no array of the matrix's size while it is checked
+    Y = corel_data[0].labels.values.copy()
+    held = peak_beyond(lambda L: L.values.nbytes, lambda: LabelMatrix(Y))
+    assert held <= 0.1 * Y.nbytes
+
+
 def _blocks(model):
     return (model.U, model.V, model.W, *model.factors)
+
+
+def test_fitting_frees_each_old_block_once_it_is_replaced():
+    # large-k's shape: a sweep holds the old and new copy of the block it
+    # updates, not the whole previous model next to the new one
+    data = cli.make_synthetic(l=200, n=400, d=30, k_true=5, noise=0.3, seed=1)
+    masked, _ = apply_mask(data, MaskSpec(rho=30, seed=1))
+    part = kmeans(masked.features, 4, seed=1)
+    hp = Hyperparams(k=300, warm_iters=1, outer_iters=1, tol=0.0, seed=1)
+    model, _ = fit(masked, part, hp)  # warm up: imports and first-call caches
+    model_bytes = sum(B.nbytes for B in _blocks(model))
+    held = peak_beyond(lambda _: model_bytes, lambda: fit(masked, part, hp))
+    assert held <= 2.2 * model_bytes
 
 
 def test_saving_and_loading_a_large_model_holds_no_file_text(tmp_path):

@@ -218,11 +218,11 @@ def block_quadratic_error(model, ctx, rng, trial):
     # error of q(G) against the objective's central second difference
     U, V, W, Zs = model.U, model.V, model.W, model.factors
     Cs = _correlation_weights(W, ctx)
-    Ms = _factor_grams(U, Zs)
+    grams = _factor_grams(U, Zs, ctx)
     hessians = {
         "U": lambda G: _hess_U(G, V, Zs, Cs, ctx),
         "V": lambda G: _hess_V(U, G, ctx),
-        "W": lambda G: _hess_W(G, Ms, ctx),
+        "W": lambda G: _hess_W(G, grams, ctx),
     }
     grads = dict(zip("UVW", gradients(model, ctx)[:3]))
     f0 = objective(model, ctx)
@@ -625,10 +625,12 @@ def test_fit_refuses_a_non_finite_objective_after_a_sweep(monkeypatch):
     sweep = solver._sweep
     calls = []
 
-    def overflowing(U, *rest):
+    def overflowing(blocks, ctx):
         calls.append(None)
-        out = sweep(U, *rest)
-        return (out[0] * 1e200 if len(calls) > hp.warm_iters else out[0],) + out[1:]
+        out = sweep(blocks, ctx)
+        if len(calls) > hp.warm_iters:
+            blocks[0] = blocks[0] * 1e200  # U
+        return out
 
     monkeypatch.setattr(solver, "_sweep", overflowing)
     with pytest.raises(ValueError, match="^objective is not finite after sweep 1$"):
