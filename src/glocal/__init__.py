@@ -29,7 +29,6 @@ from .data import (
     MaskSpec,
     apply_mask,
     load_gml,
-    parse_gml,
     save_gml,
     split,
     take_instances,
@@ -70,7 +69,7 @@ __all__ = [
     "combine_correlations", "cosine_correlation", "init_factor",
     "laplacian_of", "project_unit_rows",
     "Dataset", "FeatureMatrix", "GmlFormatError", "LabelMatrix", "MaskSpec",
-    "apply_mask", "load_gml", "parse_gml", "save_gml", "split", "take_instances",
+    "apply_mask", "load_gml", "save_gml", "split", "take_instances",
     "EvaluationReport", "UndefinedMetricError", "average_auc",
     "average_precision", "coverage", "evaluate", "ranking_loss",
     "GlocalModel", "Hyperparams", "ModelFormatError", "load_model",

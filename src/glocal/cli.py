@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import math
 import sys
 from itertools import chain
@@ -155,15 +156,42 @@ def _hidden_error(batches):
     raise ValueError("malformed hidden-entry sidecar")
 
 
-def _decode_hidden(batches):
-    """The 0-based entries of a sidecar's lines (see read_hidden).
+def load_hidden(path):
+    """Read a hidden-entry sidecar back to 0-based entries.
 
-    `batches` returns a fresh iterable of line lists on each call: once
-    to size the output, at one entry per line at most, once to decode,
-    and once more on the error path.
+    The file is read in batches of lines (textio.line_batches) and
+    decoded in one pass.  Per chunk of _BATCH lines, the lines are
+    joined and split once and converted with one numpy call; comment
+    and blank lines are filtered out line by line only in a chunk that
+    holds a '#' or the wrong token count.  Each chunk's entries are
+    range-checked at once, appended to one buffer, so the entries are
+    held once, and checked to strictly increase in (label_idx,
+    instance_idx), as save_hidden writes them; only a file where they do
+    not is checked for repeats by a lexsort.  On any fault the lines are
+    read again from the start, one at a time, to name the first bad one:
+    a path is read again, and a text stream, which cannot be read from
+    its start again, has its lines held from where it stood.
+
+    Args:
+        path: path, or text file object read from where it stands; an
+            io.StringIO decodes text held in a string.
+
+    Returns:
+        (m, 3) int64 array of (label_idx, instance_idx, value) rows in
+        file order.
+
+    Raises:
+        ValueError: naming the line of the first malformed entry, or of
+            the first one repeating an earlier (label_idx, instance_idx).
     """
-    out = np.empty((sum(map(len, batches())), 3), dtype=np.int64)
-    m, ordered = 0, True
+    held = list(line_batches(path)) if hasattr(path, "read") else None
+
+    def batches():
+        return line_batches(path) if held is None else held
+
+    payload = bytearray()
+    last = np.empty((0, 2), dtype=np.int64)  # the key of the entry before the chunk
+    ordered = True
     for batch in batches():
         for start in range(0, len(batch), _BATCH):
             chunk = batch[start : start + _BATCH]
@@ -187,14 +215,15 @@ def _decode_hidden(batches):
             j, i, v = block.T
             if not ((j >= 1) & (i >= 1) & (np.abs(v) == 1)).all():
                 _hidden_error(batches)
-            out[m : m + len(block)] = block - (1, 1, 0)
+            block[:, :2] -= 1
             # (label_idx, instance_idx) strictly increases from the entry
-            # before the block on
-            keys = out[max(m - 1, 0) : m + len(block)]
+            # before the chunk on
+            keys = np.concatenate((last, block[:, :2]))
             dj, di = np.diff(keys[:, 0]), np.diff(keys[:, 1])
             ordered = ordered and bool(((dj > 0) | ((dj == 0) & (di > 0))).all())
-            m += len(block)
-    hidden = out[:m]
+            last = block[-1:, :2]
+            payload += memoryview(block)
+    hidden = np.frombuffer(payload, dtype=np.int64).reshape(-1, 3)
     if not ordered:
         j, i = hidden[:, 0], hidden[:, 1]
         order = np.lexsort((i, j))
@@ -204,48 +233,12 @@ def _decode_hidden(batches):
 
 
 def read_hidden(text):
-    """Parse a hidden-entry sidecar held in a string back to 0-based entries.
+    """load_hidden of a sidecar's contents held in a string.
 
-    The CLI reads sidecar files with load_hidden; this text form is kept
-    for bench/run.py, which checks the sidecar it wrote by reading its
-    text.  Both run the same decoder.
-
-    Per chunk of _BATCH lines, the lines are joined and split
-    once and converted with one numpy call; comment and blank lines are
-    filtered out line by line only in a chunk that holds a '#' or the
-    wrong token count.  Each chunk's entries are range-checked at once,
-    written to an output sized by the line count, and checked to
-    strictly increase in (label_idx, instance_idx), as save_hidden
-    writes them; only a file where they do not is checked for repeats
-    by a lexsort.  On any fault the lines are read again one at a time
-    to name the first bad one.
-
-    Returns:
-        (m, 3) int64 array of (label_idx, instance_idx, value) rows in
-        file order.
-
-    Raises:
-        ValueError: naming the line of the first malformed entry, or of
-            the first one repeating an earlier (label_idx, instance_idx).
+    Kept only for bench/run.py's check_rep, until ROADMAP item 1 moves
+    it to load_hidden and deletes this.
     """
-    lines = text.splitlines()
-    return _decode_hidden(lambda: [lines])
-
-
-def load_hidden(path):
-    """Read a sidecar file (path or text file object) as read_hidden
-    reads its text.
-
-    A path is read in batches of lines twice, to count its lines and
-    then to decode them, so what it holds besides the entries is one
-    batch, never the file's text.  A text stream cannot be read from its
-    start again, so its lines are read once, from where it stands, and
-    held while they are decoded, as read_hidden holds a string's.
-    """
-    if hasattr(path, "read"):
-        batches = list(line_batches(path))
-        return _decode_hidden(lambda: batches)
-    return _decode_hidden(lambda: line_batches(path))
+    return load_hidden(io.StringIO(text))
 
 
 def save_matrix(A, path, comments=()):
@@ -266,9 +259,26 @@ def save_matrix(A, path, comments=()):
     write_lines(path, chain(head, (row_format % tuple(row.tolist()) for row in A)))
 
 
-def _decode_matrix(lines):
-    """The matrix of a matrix file's lines, read once (see read_matrix)."""
-    lines = (line.split() for line in lines if not line.startswith("#"))
+def load_matrix(path):
+    """Read a matrix file.
+
+    The values are a whitespace-separated token stream in which '#'
+    lines are comments, so a header or a row may span lines or share
+    them.  The file is read in batches of lines (textio.line_batches)
+    and the values are converted in batches of at most _BATCH.
+
+    Args:
+        path: path, or text file object read from where it stands; an
+            io.StringIO decodes text held in a string.
+
+    Raises:
+        ValueError: on a missing, non-integer or negative 'rows cols'
+            header or one with a side numpy cannot hold, a non-numeric
+            value (with float()'s message), or a value count other than
+            rows * cols.
+    """
+    lines = (line.split() for line in chain.from_iterable(line_batches(path))
+             if not line.startswith("#"))
     batch = []
     for tokens in lines:
         batch += tokens
@@ -303,29 +313,12 @@ def _decode_matrix(lines):
 
 
 def read_matrix(text):
-    """Parse a matrix file's contents held in a string.
+    """load_matrix of a matrix file's contents held in a string.
 
-    The CLI reads matrix files with load_matrix; this text form is kept
-    for bench/run.py, which checks the scores it wrote by reading their
-    text.  Both run the same decoder.
-
-    The values are a whitespace-separated token stream in which '#'
-    lines are comments, so a header or a row may span lines or share
-    them.  The values are converted in batches of at most _BATCH.
-
-    Raises:
-        ValueError: on a missing, non-integer or negative 'rows cols'
-            header or one with a side numpy cannot hold, a non-numeric
-            value (with float()'s message), or a value count other than
-            rows * cols.
+    Kept only for bench/run.py's check_rep, until ROADMAP item 1 moves
+    it to load_matrix and deletes this.
     """
-    return _decode_matrix(text.splitlines())
-
-
-def load_matrix(path):
-    """Read a matrix file (path or text file object) as read_matrix reads
-    its text, a batch of lines at a time."""
-    return _decode_matrix(chain.from_iterable(line_batches(path)))
+    return load_matrix(io.StringIO(text))
 
 
 def _require_file(path, what):
@@ -418,7 +411,7 @@ def _cmd_mask(args):
     stamp = f"glocal mask seed={args.seed} rho={args.rho} input={args.input}"
     save_gml({args.out: masked}, comments=[stamp])
     save_hidden(hidden, args.hidden_out, comments=[stamp])
-    observed = int(masked.labels.indicator.sum())
+    observed = np.count_nonzero(masked.labels.values)
     print(f"mask: {observed} observed positions kept, {len(hidden)} entries hidden")
     return 0
 

@@ -13,6 +13,7 @@ can be shared freely; masking and splitting return new objects.
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -263,9 +264,39 @@ def _decode_batch(first, counts, pos_t, neg_t, fid_t, val_t, X, Y):
     return np.count_nonzero(Y[:, first:last]) == pos.size + neg.size
 
 
-def _decode_gml(lines):
-    """The Dataset of GML lines, read once, in order (see parse_gml)."""
-    numbered = ((no, raw) for no, raw in enumerate(lines, start=1) if not raw.startswith("#"))
+def load_gml(path):
+    """Read a GML file into a Dataset.
+
+    Format: a header line "n d l", then one line per instance of the
+    form "+:<csv>|-:<csv>|<idx:value pairs>".  Indices are 1-based.
+    Lines starting with '#' are comments and are skipped.  Indices are
+    read as int() reads them and values as float() does.
+
+    The file is read in batches of lines (textio.line_batches) and
+    decoded in one pass, in order, so what it holds besides the arrays
+    is one batch, never the file's text.  Per line, only strings are
+    split and the field and separator layout is checked.  Per batch of
+    about textio._BATCH tokens, the indices and values are converted
+    with one numpy call per kind, range- and finite-checked, checked for
+    feature indices a line repeats, and written into X and Y; repeated
+    label indices are found by counting: fewer labels set in the batch's
+    columns of Y than listed.  On any fault the rest of the lines are
+    counted, since a wrong instance line count is the error to report,
+    and then the batch's lines are read again one token at a time, in
+    order, to name the first bad one.
+
+    Args:
+        path: path, or text file object read from where it stands; an
+            io.StringIO decodes text held in a string.
+
+    Returns:
+        Dataset with float64 features and int8 labels.
+
+    Raises:
+        GmlFormatError: on any malformed line, with its line number.
+    """
+    lines = enumerate(chain.from_iterable(line_batches(path)), start=1)
+    numbered = ((no, raw) for no, raw in lines if not raw.startswith("#"))
     header_line, header = next(numbered, (0, None))
     if header is None:
         raise GmlFormatError("line 1: missing header")
@@ -332,51 +363,12 @@ def _decode_gml(lines):
 
 
 def parse_gml(text):
-    """Parse GML text held in a string into a Dataset.
+    """load_gml of GML text held in a string.
 
-    The CLI reads GML files with load_gml; this text form is kept for
-    bench/run.py, which checks the data it wrote by reading its text.
-    Both run the same decoder.
-
-    Format: a header line "n d l", then one line per instance of the
-    form "+:<csv>|-:<csv>|<idx:value pairs>".  Indices are 1-based.
-    Lines starting with '#' are comments and are skipped.  Indices are
-    read as int() reads them and values as float() does.
-
-    The lines are decoded in one pass, in order, holding one batch of
-    them.  Per line, only strings are split and the field and separator
-    layout is checked.  Per batch of about textio._BATCH tokens, the
-    indices and values are converted with one numpy call per kind,
-    range- and finite-checked, checked for feature indices a line
-    repeats, and written into X and Y; repeated label indices are found
-    by counting: fewer labels set in the batch's columns of Y than
-    listed.  On any fault the rest of the lines are counted, since a
-    wrong instance line count is the error to report, and then the
-    batch's lines are read again one token at a time, in order, to name
-    the first bad one.
-
-    Args:
-        text: full file contents as a string.
-
-    Returns:
-        Dataset with float64 features and int8 labels.
-
-    Raises:
-        GmlFormatError: on any malformed line, with its line number.
+    Kept only for bench/run.py's check_rep, until ROADMAP item 1 moves
+    it to load_gml and deletes this.
     """
-    return _decode_gml(text.splitlines())
-
-
-def load_gml(path):
-    """Read a GML file into a Dataset, as parse_gml reads its text.
-
-    The file is read in batches of lines (textio.line_batches), so what
-    it holds besides the arrays is one batch, never the file's text.
-
-    Args:
-        path: path, or text file object read from where it stands.
-    """
-    return _decode_gml(chain.from_iterable(line_batches(path)))
+    return load_gml(io.StringIO(text))
 
 
 def _feature_field(x):

@@ -135,7 +135,8 @@ def _correlation_weights(W, ctx):
     # at most k rows; the global part T0 W is compressed once for all groups
     hp = ctx.hp
     TW = ctx.T @ W
-    R0 = _gram_factor(ctx.T0 @ W)
+    # T0 is T itself when every group has at most d instances
+    R0 = _gram_factor(TW if ctx.T0 is ctx.T else ctx.T0 @ W)
     return [
         _gram_factor(np.vstack((np.sqrt(hp.lambda3 * idx.size / ctx.n) * R0,
                                 np.sqrt(hp.lambda4) * TW[rows])))

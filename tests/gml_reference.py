@@ -1,11 +1,11 @@
 """Per-token GML parser and per-instance writers: the references the
 array codecs are tested against.
 
-`parse_gml_reference` is the library's earlier `parse_gml`, kept as it
+`parse_gml_reference` is the library's earlier GML parser, kept as it
 was apart from the header check: one Python int() or float() call per
 token.  A header whose sizes numpy cannot allocate raises GmlFormatError
-naming the header line, as `parse_gml` does.  tests/test_codecs.py
-requires `glocal.data.parse_gml` to accept exactly the inputs this
+naming the header line, as `load_gml` does.  tests/test_codecs.py
+requires `glocal.data.load_gml` to accept exactly the inputs this
 accepts, with identical arrays, and to name the same line when it
 rejects one.
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -10,13 +11,11 @@ from glocal.cli import (
     main,
     make_synthetic,
     parse_grid,
-    read_hidden,
-    read_matrix,
     save_hidden,
     save_matrix,
 )
 from glocal.clustering import kmeans
-from glocal.data import parse_gml
+from glocal.data import load_gml
 from glocal.metrics import ranking_loss
 from glocal.model import load_model
 
@@ -79,13 +78,13 @@ def test_hidden_sidecar_round_trip(tmp_path):
     assert lines[1] == "1 4 1"
     assert np.array_equal(load_hidden(path), hidden)
     with pytest.raises(ValueError, match="line 1"):
-        read_hidden("1 2\n")
+        load_hidden(io.StringIO("1 2\n"))
     with pytest.raises(ValueError, match="three integers"):
-        read_hidden("1 2 x\n")
+        load_hidden(io.StringIO("1 2 x\n"))
     with pytest.raises(ValueError, match="bad hidden entry"):
-        read_hidden("1 2 0\n")
+        load_hidden(io.StringIO("1 2 0\n"))
     with pytest.raises(ValueError, match="^line 2: duplicate hidden entry"):
-        read_hidden("1 1 1\n1 1 -1\n")
+        load_hidden(io.StringIO("1 1 1\n1 1 -1\n"))
 
 
 def test_matrix_round_trip(tmp_path):
@@ -95,18 +94,18 @@ def test_matrix_round_trip(tmp_path):
     save_matrix(A, path, comments=["x"])
     assert np.array_equal(load_matrix(path), A)
     with pytest.raises(ValueError, match="header"):
-        read_matrix("# only a comment\n")
+        load_matrix(io.StringIO("# only a comment\n"))
     with pytest.raises(ValueError, match="expected 6 values"):
-        read_matrix("2 3\n1 2 3 4 5\n")
+        load_matrix(io.StringIO("2 3\n1 2 3 4 5\n"))
     with pytest.raises(ValueError, match="bad matrix header"):
-        read_matrix("x 2\n1 2\n")
+        load_matrix(io.StringIO("x 2\n1 2\n"))
     with pytest.raises(ValueError, match="bad matrix header"):
-        read_matrix("-1 -1\n5\n")
+        load_matrix(io.StringIO("-1 -1\n5\n"))
     # an empty matrix with a side numpy cannot hold
     for header in ("99999999999999999999 0", "4611686018427387904 0",
                    "0 99999999999999999999"):
         with pytest.raises(ValueError, match=f"^bad matrix header '{header}'"):
-            read_matrix(header + "\n")
+            load_matrix(io.StringIO(header + "\n"))
 
 
 def test_parse_grid():
@@ -124,9 +123,9 @@ def test_parse_grid():
 
 def test_synth_outputs_consistent(synth_files):
     full, masked, hidden = synth_files
-    full_ds = parse_gml(full.read_text(encoding="utf-8"))
-    masked_ds = parse_gml(masked.read_text(encoding="utf-8"))
-    entries = read_hidden(hidden.read_text(encoding="utf-8"))
+    full_ds = load_gml(full)
+    masked_ds = load_gml(masked)
+    entries = load_hidden(hidden)
     assert full_ds.n == masked_ds.n == 40
     total = full_ds.l * full_ds.n
     kept = int(masked_ds.labels.indicator.sum())
@@ -184,15 +183,15 @@ def test_mask_and_split_commands(tmp_path, synth_files):
     hid = tmp_path / "re-hidden.txt"
     assert run("mask", "--input", full, "--rho", 25, "--seed", 3,
                "--out", out, "--hidden-out", hid) == 0
-    masked = parse_gml(out.read_text(encoding="utf-8"))
+    masked = load_gml(out)
     assert int(masked.labels.indicator.sum()) == round(0.25 * 6 * 40)
 
     tr = tmp_path / "train.gml"
     te = tmp_path / "test.gml"
     assert run("split", "--input", full, "--fraction", 0.75, "--seed", 1,
                "--train-out", tr, "--test-out", te) == 0
-    train = parse_gml(tr.read_text(encoding="utf-8"))
-    test = parse_gml(te.read_text(encoding="utf-8"))
+    train = load_gml(tr)
+    test = load_gml(te)
     assert train.n == 30 and test.n == 10
     assert train.d == test.d == 5
 
@@ -228,8 +227,8 @@ def test_cluster_train_predict_eval_pipeline(tmp_path, synth_files, capsys):
     labels_path = tmp_path / "labels.txt"
     assert run("predict", "--model", model_path, "--input", masked,
                "--scores-out", scores_path, "--labels-out", labels_path) == 0
-    S = read_matrix(scores_path.read_text(encoding="utf-8"))
-    L = read_matrix(labels_path.read_text(encoding="utf-8"))
+    S = load_matrix(scores_path)
+    L = load_matrix(labels_path)
     assert S.shape == L.shape == (6, 40)
     assert np.array_equal(L, np.where(S > 0, 1.0, -1.0))
 
@@ -243,7 +242,7 @@ def test_cluster_train_predict_eval_pipeline(tmp_path, synth_files, capsys):
     assert header[1] == "rkl,auc,cvg,ap,skipped_instances,skipped_labels"
 
     # the truth-file route must agree with computing the metric directly
-    truth = parse_gml(full.read_text(encoding="utf-8")).labels.values
+    truth = load_gml(full).labels.values
     want = ranking_loss(S, truth)
     got = float(header[2].split(",")[0])
     assert got == pytest.approx(want, abs=1e-12)

@@ -12,6 +12,7 @@ all on bad input.
 """
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -138,10 +139,10 @@ def test_parse_gml_matches_per_token_reference(text):
         want = parse_gml_reference(text)
     except ValueError as exc:  # GmlFormatError, or numpy refusing a huge header
         with pytest.raises(type(exc)) as got:
-            parse_gml(text)
+            load_gml(io.StringIO(text))
         assert str(got.value) == str(exc)
         return
-    got = parse_gml(text)
+    got = load_gml(io.StringIO(text))
     assert same_bits(got.features.values, want.features.values)
     assert same_bits(got.labels.values, want.labels.values)
 
@@ -250,7 +251,7 @@ def model_text(draw):
 @given(matrix_text())
 def test_read_matrix_rejects_only_with_value_error(text):
     try:
-        A = read_matrix(text)
+        A = load_matrix(io.StringIO(text))
     except ValueError:
         return
     assert A.dtype == np.float64 and A.ndim == 2
@@ -260,7 +261,7 @@ def test_read_matrix_rejects_only_with_value_error(text):
 @given(hidden_text())
 def test_read_hidden_rejects_only_with_value_error(text):
     try:
-        hidden = read_hidden(text)
+        hidden = load_hidden(io.StringIO(text))
     except ValueError:
         return
     assert hidden.dtype == np.int64 and hidden.shape[1] == 3
@@ -309,7 +310,7 @@ def test_gml_round_trip_is_bit_exact(tmp_path_factory, data):
 @given(st.data())
 def test_matrix_round_trip_is_bit_exact(data):
     A = data.draw(float_block(data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))))
-    assert same_bits(read_matrix(saved(save_matrix, A, comments=["x"])), A)
+    assert same_bits(load_matrix(io.StringIO(saved(save_matrix, A, comments=["x"]))), A)
 
 
 @ROUND_TRIP
@@ -320,7 +321,8 @@ def test_hidden_round_trip_is_exact(positions, rnd):
         [(j, i, rnd.choice((-1, 1))) for j, i in sorted(positions, key=str)],
         dtype=np.int64,
     ).reshape(-1, 3)
-    assert same_bits(read_hidden(saved(save_hidden, hidden, comments=["h"])), hidden)
+    text = saved(save_hidden, hidden, comments=["h"])
+    assert same_bits(load_hidden(io.StringIO(text)), hidden)
 
 
 @ROUND_TRIP
@@ -382,7 +384,7 @@ def test_partition_round_trip_is_exact(data):
 
 def test_readers_accept_any_line_layout():
     # matrix values are a token stream: blocks may span lines or share them
-    assert same_bits(read_matrix("2\n2 1\n\n2\n# c\n3 4\n"),
+    assert same_bits(load_matrix(io.StringIO("2\n2 1\n\n2\n# c\n3 4\n")),
                      np.array([[1.0, 2.0], [3.0, 4.0]]))
     # a model row is exactly one line; comment lines may sit anywhere after
     # the magic and blank lines anywhere but in place of a row
@@ -418,7 +420,7 @@ def test_gml_error_names_the_first_bad_line_of_a_batch():
     with pytest.raises(GmlFormatError) as want:
         parse_gml_reference(text)
     with pytest.raises(GmlFormatError) as got:
-        parse_gml(text)
+        load_gml(io.StringIO(text))
     assert str(got.value) == str(want.value) == "line 3: non-numeric feature value 'x'"
 
 
@@ -430,7 +432,7 @@ def test_gml_repeat_in_the_last_line_of_many_batches():
         feats = " ".join(f"{j}:{rng.standard_normal()!r}" for j in range(1, d + 1))
         lines.append(f"+:1,3|-:2|{feats}")
     ok = "\n".join(lines) + "\n"
-    got, want = parse_gml(ok), parse_gml_reference(ok)
+    got, want = load_gml(io.StringIO(ok)), parse_gml_reference(ok)
     assert same_bits(got.features.values, want.features.values)
     assert same_bits(got.labels.values, want.labels.values)
     lines[-1] += " 17:1.5"
@@ -438,7 +440,7 @@ def test_gml_repeat_in_the_last_line_of_many_batches():
     with pytest.raises(GmlFormatError) as want_err:
         parse_gml_reference(bad)
     with pytest.raises(GmlFormatError) as got_err:
-        parse_gml(bad)
+        load_gml(io.StringIO(bad))
     assert str(got_err.value) == str(want_err.value)
     assert str(got_err.value) == f"line {n + 1}: duplicate feature index 17"
 
@@ -455,23 +457,24 @@ def test_sidecar_comments_and_blanks_mid_file_and_across_a_chunk_edge():
                       (4095, " \t"), (100, ""), (99, "# c d")):
         lines.insert(at, extra)
     text = "\n".join(lines + ["", "# end"]) + "\n"
-    assert same_bits(read_hidden(text), hidden.astype(np.int64))
+    assert same_bits(load_hidden(io.StringIO(text)), hidden.astype(np.int64))
 
 
 def test_sidecar_unsorted_entries_and_repeats():
     entries = [(3, 1, 1), (1, 2, -1), (2, 2, 1), (1, 1, 1)]
     text = "# h\n" + "".join(f"{j} {i} {v}\n" for j, i, v in entries)
-    assert same_bits(read_hidden(text), np.array(entries, dtype=np.int64) - (1, 1, 0))
+    assert same_bits(load_hidden(io.StringIO(text)),
+                     np.array(entries, dtype=np.int64) - (1, 1, 0))
     # a repeat out of order, and one in a sorted file, name the later line
     with pytest.raises(ValueError, match=r"^line 6: duplicate hidden entry '2 2 -1'$"):
-        read_hidden(text + "2 2 -1\n")
+        load_hidden(io.StringIO(text + "2 2 -1\n"))
     with pytest.raises(ValueError, match=r"^line 3: duplicate hidden entry '1 2 1'$"):
-        read_hidden("1 1 1\n1 2 -1\n1 2 1\n2 1 1\n")
+        load_hidden(io.StringIO("1 1 1\n1 2 -1\n1 2 1\n2 1 1\n"))
     # a sorted file whose repeat is the first line after a 4096-line chunk
     lines = [f"{j} {i} 1" for j in range(1, 101) for i in range(1, 51)]
     lines.insert(4096, lines[4095])
     with pytest.raises(ValueError, match=rf"^line 4097: duplicate hidden entry '{lines[4095]}'$"):
-        read_hidden("\n".join(lines) + "\n")
+        load_hidden(io.StringIO("\n".join(lines) + "\n"))
 
 
 # ---- (c) the writers' bytes, frozen --------------------------------------
@@ -724,6 +727,77 @@ def test_load_hidden_reads_a_text_stream_once(tmp_path):
     # the error path reads the lines again: a stream's are held for it
     with pytest.raises(ValueError, match=r"^line 3: duplicate hidden entry '1 1 1'$"):
         load_hidden(io.StringIO("1 1 1\n2 1 -1\n1 1 1\n"))
+
+
+def test_load_hidden_reads_a_path_once(tmp_path, monkeypatch):
+    reads = []
+
+    def spy(source):
+        reads.append(source)
+        return textio.line_batches(source)
+
+    monkeypatch.setattr("glocal.cli.line_batches", spy)
+    path = tmp_path / "hidden.txt"
+    save_hidden(_HIDDEN, path, comments=["toy"])
+    assert same_bits(load_hidden(path), _HIDDEN)
+    assert reads == [path]
+    # only the error path reads it again, to name the bad line
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[5000] = "1 2 x"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    reads.clear()
+    with pytest.raises(ValueError, match="^line 5001: expected three integers$"):
+        load_hidden(path)
+    assert reads == [path, path]
+
+
+# the string readers kept for the benchmark, each with its format's reader
+SHIMS = {"gml": (parse_gml, load_gml), "matrix": (read_matrix, load_matrix),
+         "hidden": (read_hidden, load_hidden)}
+
+
+def _outcome(read, text):
+    """The arrays read(text) returns, or the type and text of its error."""
+    try:
+        got = read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    arrays = (got.features.values, got.labels.values) if isinstance(got, Dataset) else (got,)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+SHIM_CASES = [
+    ("gml", "# c\n2 3 3\n+:1|-:2|1:0.5 3:1.0\n# mid\n+:2|-:|2:2.0\n", None),
+    ("gml", "2 3 3\r\n+:1|-:2|1:0.5\r\n+:2|-:|2:2.0\r\n", None),
+    ("gml", "2 3\n+:|-:|\n", "^line 1: malformed header"),
+    ("gml", "1 3 3\n+:1|-:2|1:abc\n", "^line 2: non-numeric feature value 'abc'$"),
+    ("gml", "1 3 3\n+:1|-:2|1:0.5 1:0.7\n", "^line 2: duplicate feature index 1$"),
+    ("gml", "3 3 3\n+:1|-:|\n\n+:|-:|\n", "^line 3: expected 3 '[|]'-separated fields$"),
+    ("matrix", "# m\n2 2\n1 2\n\n# c\n3 4\n", None),
+    ("matrix", "2 1\r\n1.5\r\n-2\r\n", None),
+    ("matrix", "x 2\n1 2\n", "^bad matrix header 'x 2'"),
+    ("matrix", "1 2\n1 abc\n", "abc"),
+    ("matrix", "2 2\n1 2 3\n", "^expected 4 values, found 3$"),
+    ("hidden", "# h\n1 1 1\n\n# c d e\n2 3 -1\n", None),
+    ("hidden", "1 1 1\r\n2 1 -1\r\n", None),
+    ("hidden", "3 1 1\n1 2 -1\n", None),
+    ("hidden", "1 2\n", "^line 1: expected 'label_idx instance_idx value'$"),
+    ("hidden", "1 1 1\n1 2 x\n", "^line 2: expected three integers$"),
+    ("hidden", "1 1 1\n1 1 -1\n", "^line 2: duplicate hidden entry '1 1 -1'$"),
+    ("hidden", "3 1 1\n\n1 2 -1\n3 1 -1\n", "^line 4: duplicate hidden entry '3 1 -1'$"),
+]
+
+
+@pytest.mark.parametrize("fmt, text, error", SHIM_CASES,
+                         ids=[f"{fmt}-{i}" for i, (fmt, _, _) in enumerate(SHIM_CASES)])
+def test_string_readers_read_as_load_of_a_text_stream(fmt, text, error):
+    shim, load = SHIMS[fmt]
+    want = _outcome(lambda t: load(io.StringIO(t)), text)
+    assert _outcome(shim, text) == want
+    if error is None:
+        assert isinstance(want, list)
+    else:
+        assert isinstance(want, tuple) and re.search(error, want[1])
 
 
 class Unprintable:

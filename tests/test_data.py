@@ -1,3 +1,4 @@
+import io
 import re
 from pathlib import Path
 
@@ -12,7 +13,6 @@ from glocal.data import (
     MaskSpec,
     apply_mask,
     load_gml,
-    parse_gml,
     round_half_away,
     save_gml,
     split,
@@ -46,7 +46,7 @@ def test_round_half_away():
 
 def test_parse_minimal():
     text = "2 3 3\n+:1|-:2|1:0.5 3:1.0\n+:2|-:|2:2.0\n"
-    data = parse_gml(text)
+    data = load_gml(io.StringIO(text))
     assert (data.n, data.d, data.l) == (2, 3, 3)
     assert data.labels.values[:, 0].tolist() == [1, -1, 0]
     assert data.labels.values[:, 1].tolist() == [0, 1, 0]
@@ -56,7 +56,7 @@ def test_parse_minimal():
 
 def test_parse_skips_comments():
     text = "# made by a tool\n2 3 3\n# another note\n+:1|-:|\n+:|-:3|1:4.25\n"
-    data = parse_gml(text)
+    data = load_gml(io.StringIO(text))
     assert data.n == 2
     assert data.features.values[0, 1] == 4.25
 
@@ -66,14 +66,14 @@ def test_documented_gml_example_parses(doc):
     text = (Path(__file__).resolve().parents[1] / doc).read_text(encoding="utf-8")
     # the fenced block under the File formats entry for datasets
     example = text.split("**Dataset (`.gml`)**", 1)[1].split("```\n", 2)[1]
-    data = parse_gml(example)
+    data = load_gml(io.StringIO(example))
     assert (data.n, data.d, data.l) == (3, 4, 2)
     assert data.labels.values.T.tolist() == [[1, -1], [-1, -1], [-1, 1]]
     assert data.features.values[:, 1].tolist() == [0.0, 2.0, 0.0, 0.0]
 
 
 def test_indicator_tracks_values():
-    data = parse_gml("2 3 3\n+:1|-:2|1:0.5 3:1.0\n+:2|-:|2:2.0\n")
+    data = load_gml(io.StringIO("2 3 3\n+:1|-:2|1:0.5 3:1.0\n+:2|-:|2:2.0\n"))
     assert np.array_equal(data.labels.indicator, (data.labels.values != 0))
 
 
@@ -99,12 +99,12 @@ def test_indicator_tracks_values():
 )
 def test_parse_errors_carry_line_numbers(text, line_no):
     with pytest.raises(GmlFormatError, match=f"line {line_no}"):
-        parse_gml(text)
+        load_gml(io.StringIO(text))
 
 
 def test_parse_wrong_instance_count():
     with pytest.raises(GmlFormatError, match="expected 3 instance lines"):
-        parse_gml("3 2 2\n+:|-:|\n+:|-:|\n")
+        load_gml(io.StringIO("3 2 2\n+:|-:|\n+:|-:|\n"))
 
 
 def test_roundtrip_exact(tmp_path):
@@ -129,10 +129,10 @@ def test_roundtrip_full_precision(tmp_path):
 
 
 def test_write_emits_comments(tmp_path):
-    data = parse_gml("1 2 2\n+:1|-:2|1:1.0\n")
+    data = load_gml(io.StringIO("1 2 2\n+:1|-:2|1:1.0\n"))
     text = gml_text(tmp_path, data, comments=["seed=5"])
     assert text.splitlines()[0] == "# seed=5"
-    assert parse_gml(text).n == 1
+    assert load_gml(io.StringIO(text)).n == 1
 
 
 @pytest.mark.parametrize("full_first", [True, False])
@@ -164,7 +164,7 @@ def test_datasets_sharing_features_write_as_from_fresh_copies(tmp_path, full_fir
 
 
 def test_arrays_read_only():
-    data = parse_gml("1 2 2\n+:1|-:2|1:1.0\n")
+    data = load_gml(io.StringIO("1 2 2\n+:1|-:2|1:1.0\n"))
     with pytest.raises(ValueError):
         data.features.values[0, 0] = 9.0
     with pytest.raises(ValueError):

@@ -1,4 +1,7 @@
 import ast
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import glocal
@@ -10,6 +13,28 @@ def test_every_exported_name_resolves_once():
     assert not repeated, f"exported more than once: {repeated}"
     missing = [name for name in names if not hasattr(glocal, name)]
     assert not missing, f"exported but not defined: {missing}"
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    # the ini makes a DeprecationWarning an error, and Hypothesis reports a
+    # failure through libcst, whose import of mypy_extensions.TypedDict
+    # warns; unfiltered, that ends the run with INTERNALERROR (exit 3)
+    (tmp_path / "test_property.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None)
+        @given(st.integers())
+        def test_small(x):
+            assert x < 10
+    """), encoding="utf-8")
+    ini = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ini),
+         "--rootdir", str(tmp_path), "test_property.py"],
+        cwd=tmp_path, capture_output=True, encoding="utf-8", timeout=300,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
 
 
 def test_sources_parse_as_python_3_10():
