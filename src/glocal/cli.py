@@ -14,7 +14,8 @@ File formats owned here (all others live with their module):
     which round-trip every float64 bit-exactly, and the reader accepts
     any line layout (model files carry binary rows instead; see
     glocal.model);
-  * hidden-entry sidecar: "label_idx instance_idx value" lines, 1-based;
+  * hidden-entry sidecar: "label_idx instance_idx value" lines, 1-based,
+    strictly increasing by label_idx, then instance_idx;
   * report CSV: header rkl,auc,cvg,ap,skipped_instances,skipped_labels.
 """
 
@@ -95,24 +96,35 @@ def _hidden_lines(block):
     return "\n".join(runs)
 
 
+def _increasing(j, i):
+    """Whether the (j, i) pairs strictly increase, by j, then i.
+
+    Compared, not differenced, so the temporaries are booleans only.
+    """
+    return bool(((j[1:] > j[:-1]) | ((j[1:] == j[:-1]) & (i[1:] > i[:-1]))).all())
+
+
 def save_hidden(hidden, path, comments=()):
     """Write hidden entries as 1-based 'label_idx instance_idx value' lines.
 
-    The entries are checked before the file is opened.  The lines are
-    made and written a block of _BATCH entries at a time: a block holds
-    its 1-based instance indices, the text of each distinct one's
-    (instance_idx, value) pairs, formatted once, and its lines.
+    The entries are checked before the file is opened, so every file
+    written loads back (see load_hidden).  The lines are made and written
+    a block of _BATCH entries at a time: a block holds its 1-based
+    instance indices, the text of each distinct one's (instance_idx,
+    value) pairs, formatted once, and its lines.
 
     Args:
         hidden: (m, 3) integer array, or rows of three, of 0-based
-            (label_idx, instance_idx, value) entries; [] is no entries.
+            (label_idx, instance_idx, value) entries strictly increasing
+            by label_idx, then instance_idx, as apply_mask returns them;
+            [] is no entries.
         path: path, or text file object written where it stands.
         comments: optional strings emitted as leading '#' lines.
 
     Raises:
         ValueError: if the entries are not (m, 3), an index is negative
-            or too large to write as a 1-based int64, or a value is not
-            -1 or +1.
+            or too large to write as a 1-based int64, a value is not -1
+            or +1, or an entry does not follow the one before it.
     """
     rows = np.asarray(hidden, dtype=np.int64)
     if rows.shape == (0,):
@@ -125,19 +137,22 @@ def save_hidden(hidden, path, comments=()):
             raise ValueError("hidden entry indices must lie in 0..2**63 - 2")
         if vals.min() < -1 or vals.max() > 1 or np.count_nonzero(vals) < len(vals):
             raise ValueError("hidden entry values must be -1 or +1")
+        if not _increasing(rows[:, 0], rows[:, 1]):
+            raise ValueError("hidden entries must strictly increase by label_idx, then instance_idx")
     head = comment_lines(comments)
     blocks = (rows[start : start + _BATCH] for start in range(0, len(rows), _BATCH))
     write_lines(path, chain(head, map(_hidden_lines, blocks)))
 
 
-def _hidden_error(batches):
-    """Raise the error for a sidecar that the array decode rejected.
+def _hidden_error(lines, line_no, prev):
+    """Raise the error for a chunk of sidecar lines the array decode rejected.
 
-    Reads the entries again from the start, one at a time, in file order,
-    and names the line of the first offending one.
+    Checks the chunk's entries one at a time, by the rules load_hidden
+    applies, from its first line's number line_no and the 1-based key
+    prev of the entry before it (() before the first), and names the
+    line of the first offending one.
     """
-    seen = set()
-    for line_no, raw in enumerate(chain.from_iterable(batches()), start=1):
+    for line_no, raw in enumerate(lines, start=line_no):
         if raw.startswith("#") or raw.strip() == "":
             continue
         parts = raw.split()
@@ -150,27 +165,26 @@ def _hidden_error(batches):
         # the int64 bound: no score matrix has that many rows or columns
         if not (1 <= j < 2**63 and 1 <= i < 2**63 and v in (-1, 1)):
             raise ValueError(f"line {line_no}: bad hidden entry {raw!r}")
-        if (j, i) in seen:
-            raise ValueError(f"line {line_no}: duplicate hidden entry {raw!r}")
-        seen.add((j, i))
+        if (j, i) <= prev:
+            fault = "duplicate" if (j, i) == prev else "out-of-order"
+            raise ValueError(f"line {line_no}: {fault} hidden entry {raw!r}")
+        prev = (j, i)
     raise ValueError("malformed hidden-entry sidecar")
 
 
 def load_hidden(path):
     """Read a hidden-entry sidecar back to 0-based entries.
 
-    The file is read in batches of lines (textio.line_batches) and
-    decoded in one pass.  Per chunk of _BATCH lines, the lines are
-    joined and split once and converted with one numpy call; comment
-    and blank lines are filtered out line by line only in a chunk that
-    holds a '#' or the wrong token count.  Each chunk's entries are
-    range-checked at once, appended to one buffer, so the entries are
-    held once, and checked to strictly increase in (label_idx,
-    instance_idx), as save_hidden writes them; only a file where they do
-    not is checked for repeats by a lexsort.  On any fault the lines are
-    read again from the start, one at a time, to name the first bad one:
-    a path is read again, and a text stream, which cannot be read from
-    its start again, has its lines held from where it stood.
+    The entries must strictly increase by (label_idx, instance_idx), as
+    save_hidden writes them.  The file is read once, in batches of lines
+    (textio.line_batches), and decoded a chunk of _BATCH lines at a time:
+    the lines are joined and split once and converted with one numpy
+    call; comment and blank lines are filtered out line by line only in
+    a chunk that holds a '#' or the wrong token count.  Each chunk's
+    entries are range-checked at once, checked to increase from the
+    entry before the chunk on, and appended to one buffer, so the
+    entries are held once.  A chunk that fails a check is read again
+    alone, one line at a time, to name its first bad line.
 
     Args:
         path: path, or text file object read from where it stands; an
@@ -182,19 +196,16 @@ def load_hidden(path):
 
     Raises:
         ValueError: naming the line of the first malformed entry, or of
-            the first one repeating an earlier (label_idx, instance_idx).
+            the first one not following the entry before it: a repeat of
+            it is a duplicate, a smaller one out of order.
     """
-    held = list(line_batches(path)) if hasattr(path, "read") else None
-
-    def batches():
-        return line_batches(path) if held is None else held
-
     payload = bytearray()
-    last = np.empty((0, 2), dtype=np.int64)  # the key of the entry before the chunk
-    ordered = True
-    for batch in batches():
+    prev = ()  # the 1-based key of the entry before the chunk
+    line_no = 1  # of the chunk's first line
+    for batch in line_batches(path):
         for start in range(0, len(batch), _BATCH):
-            chunk = batch[start : start + _BATCH]
+            chunk = lines = batch[start : start + _BATCH]
+            first, line_no = line_no, line_no + len(lines)
             # ';' ends each line; it sits at every fourth token only when
             # every line holds exactly three tokens
             joined = " ; ".join(chunk)
@@ -206,30 +217,21 @@ def load_hidden(path):
                     continue
                 tokens = " ; ".join(chunk).split()
             if len(tokens) != 4 * len(chunk) - 1 or tokens[3::4] != [";"] * (len(chunk) - 1):
-                _hidden_error(batches)
+                _hidden_error(lines, first, prev)
             del tokens[3::4]
             try:
                 block = np.array(tokens, dtype=np.int64).reshape(-1, 3)
             except (ValueError, OverflowError):
-                _hidden_error(batches)
+                _hidden_error(lines, first, prev)
             j, i, v = block.T
-            if not ((j >= 1) & (i >= 1) & (np.abs(v) == 1)).all():
-                _hidden_error(batches)
+            # in range, and (label_idx, instance_idx) strictly increasing from prev on
+            if not (((j >= 1) & (i >= 1) & (np.abs(v) == 1)).all()
+                    and (j[0], i[0]) > prev and _increasing(j, i)):
+                _hidden_error(lines, first, prev)
+            prev = (int(j[-1]), int(i[-1]))
             block[:, :2] -= 1
-            # (label_idx, instance_idx) strictly increases from the entry
-            # before the chunk on
-            keys = np.concatenate((last, block[:, :2]))
-            dj, di = np.diff(keys[:, 0]), np.diff(keys[:, 1])
-            ordered = ordered and bool(((dj > 0) | ((dj == 0) & (di > 0))).all())
-            last = block[-1:, :2]
             payload += memoryview(block)
-    hidden = np.frombuffer(payload, dtype=np.int64).reshape(-1, 3)
-    if not ordered:
-        j, i = hidden[:, 0], hidden[:, 1]
-        order = np.lexsort((i, j))
-        if ((np.diff(j[order]) == 0) & (np.diff(i[order]) == 0)).any():
-            _hidden_error(batches)
-    return hidden
+    return np.frombuffer(payload, dtype=np.int64).reshape(-1, 3)
 
 
 def read_hidden(text):

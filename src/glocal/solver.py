@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -439,7 +440,7 @@ def warm_start(ctx):
     d = ctx.X.shape[0]
     k = hp.k
     rng = np.random.default_rng(hp.seed)
-    scale = 1.0 / np.sqrt(k)
+    scale = 1.0 / math.sqrt(k)
     U = rng.standard_normal((l, k)) * scale
     W = rng.standard_normal((d, k)) * scale
     V = rng.standard_normal((k, n)) * scale

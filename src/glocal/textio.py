@@ -6,8 +6,9 @@ one '#' line of valid UTF-8 whatever text it stamps.
 
 Files are read with line_batches and written with write_lines, so no
 file's full text is held in memory: a reader holds one batch of lines
-(about _CHUNK characters plus the rest of the line they end in) and a
-writer one line, or the fields of one _BATCH-sized batch, at a time.
+(those that end in one chunk of _CHUNK characters, the first of which
+may begin in the chunk before) and a writer one line, or the fields of
+one _BATCH-sized batch, at a time.
 The lines line_batches yields are exactly those of
 Path.read_text().splitlines(), so a decoder given a file's batches sees
 what it would see given the file's text.
@@ -60,20 +61,32 @@ def line_batches(source):
 
     Joined, the lists are exactly Path(source).read_text().splitlines():
     every str.splitlines break ends a line and a '\\r\\n' pair is one
-    break.  Each batch is a chunk of _CHUNK characters finished by the
-    stream's readline(), so a line that crosses the chunk edge arrives
-    whole, and so does a '\\r\\n' pair.  This holds for a path (opened
-    with universal newlines, as read_text does), for an io.StringIO in
-    any newline mode, and for a file opened with newline set to None,
-    '', '\\n' or '\\r\\n'; a file opened with newline='\\r' may split a
-    '\\r\\n' pair between batches.
+    break.  Each batch is the lines that end in one chunk of _CHUNK
+    characters: when a chunk does not end in a break, its last line goes
+    on into the next chunk, and so does a final '\\r', which may open a
+    '\\r\\n' pair.  This holds for a path (opened with universal newlines,
+    as read_text does), for an io.StringIO in any newline mode, and for a
+    file opened with any newline setting.  A line longer than a chunk
+    makes the next read as long as the part of it read so far, so it is
+    read in time linear in its length.
 
     Args:
         source: path, or text file object read from where it stands.
     """
     with _opened(source, "r") as stream:
-        while chunk := stream.read(_CHUNK):
-            yield (chunk + stream.readline()).splitlines()
+        tail = ""  # the last line read, which may go on in the next chunk
+        while chunk := stream.read(max(_CHUNK, len(tail))):
+            lines = (tail + chunk).splitlines()
+            if chunk[-1] not in _BREAKS:
+                tail = lines.pop()
+            elif chunk[-1] == "\r":
+                tail = lines.pop() + "\r"
+            else:
+                tail = ""
+            if lines:
+                yield lines
+        if tail:
+            yield tail.splitlines()
 
 
 def write_lines(sink, lines):

@@ -1,5 +1,7 @@
 import hashlib
 import io
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +252,20 @@ def test_cluster_train_predict_eval_pipeline(tmp_path, synth_files, capsys):
     assert "eval: rkl=" in out
 
 
+def test_documented_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    # the fenced sh block under "## Command line", synth to eval --hidden
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.strip() and not line.startswith("#")]
+    assert [argv[:2] for argv in commands] == [
+        ["glocal", c] for c in ("synth", "cluster", "train", "predict", "eval")]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, capsys.readouterr().err
+    assert (tmp_path / "report.csv").is_file()
+
+
 def test_eval_requires_exactly_one_truth_source(tmp_path, synth_files, capsys):
     full, _, hidden = synth_files
     scores = tmp_path / "s.txt"
@@ -456,6 +472,25 @@ def test_allocation_beyond_the_address_space_exits_with_one_line(
     assert run(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flag", [
+    *(("synth", f) for f in ("--labels", "--instances", "--features", "--latent-k")),
+    ("cluster", "--groups"), ("train", "--latent-k"), ("train", "--groups"),
+    ("train", "k="), ("train", "g="),
+])
+@pytest.mark.parametrize("value", [2**63 - 1, 2**63, 2**64, 10**20])
+def test_sizes_beyond_int64_exit_with_one_line(tmp_path, synth_files, capsys, command, flag, value):
+    # a size numpy cannot take as an int64, or one no array can have,
+    # reaching any size flag or grid axis
+    argv = _base_argv(command, tmp_path, synth_files[0])
+    if flag.endswith("="):
+        argv += ["--grid", f"{flag}{value}"]
+    else:
+        argv[argv.index(flag) + 1] = value
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["synth", "mask", "split", "cluster", "train"])

@@ -230,7 +230,10 @@ def hidden_text(draw):
     hidden = np.array([(j, i, v) for (j, i), v in zip(positions, values)],
                       dtype=np.int64).reshape(-1, 3)
     comments = draw(st.sampled_from([[], ["h"]]))
-    return mangle(draw, saved(save_hidden, hidden, comments=comments), READER_SNIPPETS)
+    # the reference writes entries in any order, so the reader also meets
+    # repeats and entries out of order
+    return mangle(draw, saved(save_hidden_reference, hidden, comments=comments),
+                  READER_SNIPPETS)
 
 
 @st.composite
@@ -318,7 +321,7 @@ def test_matrix_round_trip_is_bit_exact(data):
        st.randoms(use_true_random=False))
 def test_hidden_round_trip_is_exact(positions, rnd):
     hidden = np.array(
-        [(j, i, rnd.choice((-1, 1))) for j, i in sorted(positions, key=str)],
+        [(j, i, rnd.choice((-1, 1))) for j, i in sorted(positions)],
         dtype=np.int64,
     ).reshape(-1, 3)
     text = saved(save_hidden, hidden, comments=["h"])
@@ -461,20 +464,38 @@ def test_sidecar_comments_and_blanks_mid_file_and_across_a_chunk_edge():
 
 
 def test_sidecar_unsorted_entries_and_repeats():
-    entries = [(3, 1, 1), (1, 2, -1), (2, 2, 1), (1, 1, 1)]
+    # entries must strictly increase by label_idx, then instance_idx: the
+    # first one that does not is named, a repeat as a duplicate
+    entries = [(1, 1, 1), (1, 2, -1), (2, 2, 1), (3, 1, 1)]
     text = "# h\n" + "".join(f"{j} {i} {v}\n" for j, i, v in entries)
     assert same_bits(load_hidden(io.StringIO(text)),
                      np.array(entries, dtype=np.int64) - (1, 1, 0))
-    # a repeat out of order, and one in a sorted file, name the later line
-    with pytest.raises(ValueError, match=r"^line 6: duplicate hidden entry '2 2 -1'$"):
+    with pytest.raises(ValueError, match=r"^line 6: out-of-order hidden entry '2 2 -1'$"):
         load_hidden(io.StringIO(text + "2 2 -1\n"))
-    with pytest.raises(ValueError, match=r"^line 3: duplicate hidden entry '1 2 1'$"):
-        load_hidden(io.StringIO("1 1 1\n1 2 -1\n1 2 1\n2 1 1\n"))
-    # a sorted file whose repeat is the first line after a 4096-line chunk
-    lines = [f"{j} {i} 1" for j in range(1, 101) for i in range(1, 51)]
-    lines.insert(4096, lines[4095])
-    with pytest.raises(ValueError, match=rf"^line 4097: duplicate hidden entry '{lines[4095]}'$"):
-        load_hidden(io.StringIO("\n".join(lines) + "\n"))
+    with pytest.raises(ValueError, match=r"^line 6: duplicate hidden entry '3 1 -1'$"):
+        load_hidden(io.StringIO(text + "3 1 -1\n"))
+    with pytest.raises(ValueError, match=r"^line 2: out-of-order hidden entry '1 2 -1'$"):
+        load_hidden(io.StringIO("3 1 1\n1 2 -1\n"))
+    # a smaller instance_idx under the same label_idx is out of order too
+    with pytest.raises(ValueError, match=r"^line 3: out-of-order hidden entry '1 1 1'$"):
+        load_hidden(io.StringIO("1 1 1\n1 2 -1\n1 1 1\n"))
+
+
+@pytest.mark.parametrize("chunk", [None, 1 << 20], ids=["default-batches", "one-batch"])
+@pytest.mark.parametrize("fault", ["duplicate", "out-of-order"])
+def test_sidecar_fault_past_a_chunk_edge_names_its_line(monkeypatch, chunk, fault):
+    # one batch of lines holds every line, so the first 4096-line chunk
+    # ends just before the bad line; by default the batch edges fall elsewhere
+    if chunk is not None:
+        monkeypatch.setattr(textio, "_CHUNK", chunk)
+    lines = ["# h", ""] + [f"{j} {i} 1" for j in range(1, 101) for i in range(1, 51)]
+    # comment and blank lines between the entry before the chunk edge and the bad one
+    lines[4094:4096] = ["# c d e", " \t"]
+    bad = lines[4093] if fault == "duplicate" else "1 1 -1"
+    lines.insert(4096, bad)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ValueError, match=rf"^line 4097: {fault} hidden entry '{bad}'$"):
+        load_hidden(io.StringIO(text))
 
 
 # ---- (c) the writers' bytes, frozen --------------------------------------
@@ -566,13 +587,17 @@ def test_save_gml_writes_the_per_instance_bytes(tmp_path_factory, case, batch):
 
 @st.composite
 def sidecars(draw):
-    """Hidden entries in runs of one label index, sorted or not, with
-    indices up to 2**62 and repeated (instance_idx, value) pairs."""
+    """Hidden entries in runs of one label index, strictly increasing or
+    not, with indices up to 2**62 and repeated (instance_idx, value)
+    pairs."""
     index = st.one_of(st.integers(0, 3), st.integers(0, 2**62))
     runs = draw(st.lists(st.tuples(index, st.integers(1, 9)), max_size=5))
     entries = [(j, draw(index), draw(st.sampled_from([-1, 1])))
                for j, size in runs for _ in range(size)]
     if draw(st.booleans()):
+        # as apply_mask returns them: each position once, by label, then instance
+        entries = [(j, i, v) for (j, i), v in sorted({(j, i): v for j, i, v in entries}.items())]
+    elif draw(st.booleans()):
         entries = draw(st.permutations(entries))
     return np.array(entries, dtype=np.int64).reshape(-1, 3)
 
@@ -581,8 +606,13 @@ def sidecars(draw):
 @given(sidecars(), st.integers(1, 7))
 def test_save_hidden_writes_the_per_entry_bytes(hidden, batch):
     want = saved(save_hidden_reference, hidden, comments=["h"])
+    keys = hidden[:, :2].tolist()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("glocal.cli._BATCH", batch)
+        if not all(a < b for a, b in zip(keys, keys[1:])):
+            with pytest.raises(ValueError, match="^hidden entries must strictly increase"):
+                saved(save_hidden, hidden)
+            return
         assert saved(save_hidden, hidden, comments=["h"]) == want
         assert saved(save_hidden, hidden.tolist()) == saved(save_hidden_reference, hidden)
 
@@ -669,6 +699,45 @@ def test_line_batches_edge_cases(tmp_path, monkeypatch, text, want):
             assert [line for batch in textio.line_batches(source) for line in batch] == want
 
 
+@pytest.mark.parametrize("brk", [*BREAKS, "\r\n"], ids=ascii)
+def test_line_batches_hold_a_chunk_and_a_line_for_every_break(tmp_path, monkeypatch, brk):
+    monkeypatch.setattr(textio, "_CHUNK", 64)
+    lines = [f"{j} {i} -1" for j in range(1, 41) for i in range(1, 51)]
+    path = tmp_path / "f.txt"
+    path.write_bytes((brk.join(lines) + brk).encode("utf-8"))
+    want = path.read_text(encoding="utf-8").splitlines()
+    assert want == lines
+    with open(path, encoding="utf-8", newline="") as kept, \
+            open(path, encoding="utf-8", newline="\r") as cr:
+        # each source, with the width of a break in the text it reads: a
+        # path is read with universal newlines, which make every '\r\n' one '\n'
+        for source, width in ((path, 1), (io.StringIO(brk.join(lines) + brk), len(brk)),
+                              (kept, len(brk)), (cr, len(brk))):
+            batches = list(textio.line_batches(source))
+            assert [line for batch in batches for line in batch] == want
+            # a batch is the lines that end in one chunk, the first of
+            # which may begin in the chunk before
+            held = max(sum(len(x) + width for x in batch) for batch in batches)
+            assert held <= 64 + max(map(len, lines)) + width
+
+
+def test_line_batches_read_a_long_line_in_few_reads(monkeypatch):
+    # while a line goes on past a chunk, each read is as long as the part
+    # of it carried, so the reads double
+    monkeypatch.setattr(textio, "_CHUNK", 16)
+    reads = []
+
+    class Counted(io.StringIO):
+        def read(self, size=-1):
+            reads.append(size)
+            return super().read(size)
+
+    text = "1.5 " * 4096 + "\n2\n"
+    batches = textio.line_batches(Counted(text))
+    assert [line for batch in batches for line in batch] == ["1.5 " * 4096, "2"]
+    assert len(reads) < 20  # one chunk at a time would take over 1,000 reads
+
+
 _DATA = Dataset(FeatureMatrix([[0.5, 0.0, 1 / 3]]), LabelMatrix([[1, 0, -1], [-1, 1, 0]]))
 _HIDDEN = np.column_stack((np.arange(9000) // 50, np.arange(9000) % 50,
                            np.resize([1, -1, -1], 9000)))  # past two _BATCH blocks
@@ -724,8 +793,10 @@ def test_load_hidden_reads_a_text_stream_once(tmp_path):
     assert same_bits(load_hidden(io.StringIO(path.read_text(encoding="utf-8"))), _HIDDEN)
     with open(path, encoding="utf-8") as stream:
         assert same_bits(load_hidden(stream), _HIDDEN)
-    # the error path reads the lines again: a stream's are held for it
-    with pytest.raises(ValueError, match=r"^line 3: duplicate hidden entry '1 1 1'$"):
+    # the error path names the line from its chunk: no line is held for it
+    with pytest.raises(ValueError, match=r"^line 3: duplicate hidden entry '2 1 -1'$"):
+        load_hidden(io.StringIO("1 1 1\n2 1 -1\n2 1 -1\n"))
+    with pytest.raises(ValueError, match=r"^line 3: out-of-order hidden entry '1 1 1'$"):
         load_hidden(io.StringIO("1 1 1\n2 1 -1\n1 1 1\n"))
 
 
@@ -741,14 +812,14 @@ def test_load_hidden_reads_a_path_once(tmp_path, monkeypatch):
     save_hidden(_HIDDEN, path, comments=["toy"])
     assert same_bits(load_hidden(path), _HIDDEN)
     assert reads == [path]
-    # only the error path reads it again, to name the bad line
+    # the error path names the bad line without reading the file again
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[5000] = "1 2 x"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     reads.clear()
     with pytest.raises(ValueError, match="^line 5001: expected three integers$"):
         load_hidden(path)
-    assert reads == [path, path]
+    assert reads == [path]
 
 
 # the string readers kept for the benchmark, each with its format's reader
@@ -780,11 +851,11 @@ SHIM_CASES = [
     ("matrix", "2 2\n1 2 3\n", "^expected 4 values, found 3$"),
     ("hidden", "# h\n1 1 1\n\n# c d e\n2 3 -1\n", None),
     ("hidden", "1 1 1\r\n2 1 -1\r\n", None),
-    ("hidden", "3 1 1\n1 2 -1\n", None),
+    ("hidden", "3 1 1\n1 2 -1\n", "^line 2: out-of-order hidden entry '1 2 -1'$"),
     ("hidden", "1 2\n", "^line 1: expected 'label_idx instance_idx value'$"),
     ("hidden", "1 1 1\n1 2 x\n", "^line 2: expected three integers$"),
     ("hidden", "1 1 1\n1 1 -1\n", "^line 2: duplicate hidden entry '1 1 -1'$"),
-    ("hidden", "3 1 1\n\n1 2 -1\n3 1 -1\n", "^line 4: duplicate hidden entry '3 1 -1'$"),
+    ("hidden", "3 1 1\n\n1 2 -1\n3 1 -1\n", "^line 3: out-of-order hidden entry '1 2 -1'$"),
 ]
 
 
@@ -817,11 +888,15 @@ class Unprintable:
     (lambda c, p: save_hidden([(2**63 - 1, 0, 1)], p, comments=c), [], ValueError),
     (lambda c, p: save_hidden([(0, 1, 1), (1, 1, 0)], p, comments=c), [], ValueError),
     (lambda c, p: save_hidden([(0, 1, 2)], p, comments=c), [], ValueError),
+    # entries must strictly increase by label_idx, then instance_idx
+    (lambda c, p: save_hidden([(1, 0, 1), (0, 5, 1)], p, comments=c), [], ValueError),
+    (lambda c, p: save_hidden([(0, 1, 1), (0, 1, -1)], p, comments=c), [], ValueError),
     (lambda c, p: save_matrix(np.zeros(3), p, comments=c), [], IndexError),
 ], ids=[*(f"{name}-comment" for name in STREAMED), "save_hidden-shape",
         "save_hidden-2x6", "save_hidden-1d", "save_hidden-negative-instance",
         "save_hidden-negative-label", "save_hidden-int64-max", "save_hidden-value-0",
-        "save_hidden-value-2", "save_matrix-1d"])
+        "save_hidden-value-2", "save_hidden-decrease", "save_hidden-repeat",
+        "save_matrix-1d"])
 def test_writer_input_errors_leave_an_existing_file_untouched(tmp_path, save, comments, error):
     path = tmp_path / "out.txt"
     path.write_bytes(b"keep\n")

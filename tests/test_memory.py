@@ -9,6 +9,7 @@ The shapes are the benchmark's: the corel-pipeline training file and
 sidecar, and the large-k model.
 """
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -76,6 +77,30 @@ def test_loading_a_gml_file_holds_no_file_text(corel_files):
 def test_reading_a_sidecar_holds_no_file_text(corel_files):
     path = corel_files[1]
     held = peak_beyond(lambda hidden: hidden.nbytes, lambda: cli.load_hidden(path))
+    assert held < path.stat().st_size
+
+
+def test_reading_a_sidecar_stream_holds_no_file_text(corel_files):
+    # the stream holds the text before tracing starts
+    path = corel_files[1]
+    stream = io.StringIO(path.read_text(encoding="utf-8"))
+    held = peak_beyond(lambda hidden: hidden.nbytes, lambda: cli.load_hidden(stream))
+    assert held < path.stat().st_size
+
+
+def test_naming_a_bad_last_sidecar_line_holds_no_file_text(corel_data, corel_files, tmp_path):
+    # the entries before it are decoded, then its chunk alone is checked
+    # line by line to name it
+    text = corel_files[1].read_text(encoding="utf-8")
+    path = tmp_path / "hidden.txt"
+    path.write_text(text + "1 1 1\n", encoding="utf-8")
+    bad_line = len(text.splitlines()) + 1
+
+    def load():
+        with pytest.raises(ValueError, match=f"^line {bad_line}: out-of-order hidden entry"):
+            cli.load_hidden(path)
+
+    held = peak_beyond(lambda _: corel_data[2].nbytes, load)
     assert held < path.stat().st_size
 
 
