@@ -61,17 +61,17 @@ def partition_from_assignment(features, assignment):
 
 # bytes of the (instances x d) difference buffer every distance in
 # kmeans goes through; solver's closed-form V sizes its blocks by it too
-_DIST_BLOCK_BYTES = 8 << 20
+BLOCK_BYTES = 8 << 20
 
 
 def _sq_dists(points, centers):
     # n x g matrix of squared euclidean distances, one center at a time
     # over row chunks of one n x d difference buffer of at most
-    # _DIST_BLOCK_BYTES (at least one row), whatever g is; each entry is
+    # BLOCK_BYTES (at least one row), whatever g is; each entry is
     # the same einsum reduction over a contiguous d as the whole
     # n x g x d block's, so results are bitwise unchanged
     n, d = points.shape
-    chunk = max(1, min(n, _DIST_BLOCK_BYTES // (8 * max(d, 1))))
+    chunk = max(1, min(n, BLOCK_BYTES // (8 * max(d, 1))))
     buf = np.empty((chunk, d))
     out = np.empty((n, centers.shape[0]))
     for start in range(0, n, chunk):
@@ -111,7 +111,7 @@ def kmeans(features, g, seed, max_iter=100):
     (taken from a group that keeps at least 2 members); those distances
     are read from the assignment step's.  Every distance, in seeding
     and assignment, goes through one n x d buffer of at most
-    _DIST_BLOCK_BYTES, one center at a time, so what kmeans holds
+    BLOCK_BYTES, one center at a time, so what kmeans holds
     besides the features is an instance-major copy of them, the n x g
     distance matrix and, whatever g is, either that buffer or, while a
     centroid is updated, a copy of its group's rows.

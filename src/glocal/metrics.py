@@ -70,9 +70,7 @@ def _pair_counts(scores, truth, side):
     return counts
 
 
-def ranking_loss(scores, truth):
-    """Mean fraction of positive/negative pairs ordered wrongly (ties count)."""
-    scores, truth = _check(scores, truth)
+def _ranking_loss(scores, truth):
     # per instance, the pairs with fp > fn; the rest, fp <= fn, are wrong
     counts = _pair_counts(scores.T, truth.T, "left")
     if not counts:
@@ -80,9 +78,7 @@ def ranking_loss(scores, truth):
     return float(np.mean([(pairs - good) / pairs for good, pairs in counts]))
 
 
-def average_auc(scores, truth):
-    """Mean per-label fraction of correctly ordered instance pairs (ties count)."""
-    scores, truth = _check(scores, truth)
+def _average_auc(scores, truth):
     # per label, the pairs with fp >= fn
     counts = _pair_counts(scores, truth, "right")
     if not counts:
@@ -116,6 +112,16 @@ def _average_precision(ranks, truth):
     return float(np.mean(precision.sum(axis=0)[keep] / n_pos[keep]))
 
 
+def ranking_loss(scores, truth):
+    """Mean fraction of positive/negative pairs ordered wrongly (ties count)."""
+    return _ranking_loss(*_check(scores, truth))
+
+
+def average_auc(scores, truth):
+    """Mean per-label fraction of correctly ordered instance pairs (ties count)."""
+    return _average_auc(*_check(scores, truth))
+
+
 def coverage(scores, truth):
     """Mean depth (worst positive's rank - 1) needed to cover all positives."""
     scores, truth = _check(scores, truth)
@@ -146,6 +152,9 @@ class EvaluationReport:
     skipped_labels: int
 
     def to_csv(self, comments=()):
+        """Report CSV: the comment lines, the header
+        rkl,auc,cvg,ap,skipped_instances,skipped_labels and one row of
+        values, each float as '%.17g'."""
         lines = comment_lines(comments)
         lines.append("rkl,auc,cvg,ap,skipped_instances,skipped_labels")
         lines.append(
@@ -177,8 +186,8 @@ def evaluate(scores, truth):
     skipped_labels = int(np.sum(~(lab_pos & lab_neg)))
     ranks = _ranks(scores)  # shared by coverage and average precision
     return EvaluationReport(
-        rkl=ranking_loss(scores, truth),
-        auc=average_auc(scores, truth),
+        rkl=_ranking_loss(scores, truth),
+        auc=_average_auc(scores, truth),
         cvg=_coverage(ranks, truth),
         ap=_average_precision(ranks, truth),
         skipped_instances=skipped_instances,

@@ -21,8 +21,9 @@ in each of U, V and W, and each block is written once as a Hessian
 action H and a right-hand side b (for Z_m, H(Z) = 2KZ and b = 0): the
 gradient is H(x) - b, and U and W take exact line-minimizing gradient
 steps of length ||G||^2 / <G, H(G)>, after which the gradient is
-G - t H(G).  V solves H(V) = b per instance column while k <= 256 and
-takes the same exact gradient steps above that.
+G - t H(G).  V solves H(V) = b per instance column while
+k <= _CLOSED_FORM_MAX_K and takes the same exact gradient steps above
+that.
 
 Optimization starts from a warm start: the same alternating scheme with
 lambda3 = lambda4 = 0 (no correlation terms), after which randomly
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _DIST_BLOCK_BYTES, Partition, kmeans
+from .clustering import BLOCK_BYTES, Partition, kmeans
 from .correlation import init_factor, project_unit_rows
 from .data import take_instances
 from .metrics import ranking_loss
@@ -267,7 +268,7 @@ def _closed_form_V(U, W, ctx):
     B = 0.5 * _rhs_V(U, W, ctx)  # k x n
     V = np.empty((k, n))
     diag = np.arange(k)
-    chunk = max(1, _DIST_BLOCK_BYTES // (8 * k * k))
+    chunk = max(1, BLOCK_BYTES // (8 * k * k))
     for start in range(0, n, chunk):
         cols = slice(start, start + chunk)
         A = (ctx.J[:, cols].T @ outer).reshape(-1, k, k)
@@ -281,7 +282,7 @@ def closed_form_V(model, ctx):
     """Exact minimizer of the objective in V with all other blocks fixed.
 
     One k x k system per instance, built and solved in instance chunks
-    of at most _DIST_BLOCK_BYTES (8 MiB) of systems, so no n x k x k
+    of at most clustering.BLOCK_BYTES (8 MiB) of systems, so no n x k x k
     tensor is formed.  The l x k^2 table of outer products u_a u_a' is
     still formed whole.
     """
@@ -532,7 +533,8 @@ def grid_search(dataset, hp, axes, groups):
         ValueError: if g is an axis while the partition is fixed, a
             fixed partition does not cover the dataset, the dataset has
             fewer than 2 instances, a combination makes
-            invalid Hyperparams, or no combination is usable.
+            invalid Hyperparams, or no combination is usable (naming
+            the first combination's error).
     """
     fixed = isinstance(groups, Partition)
     if fixed and "g" in axes:
@@ -549,14 +551,16 @@ def grid_search(dataset, hp, axes, groups):
         fields = {name: v for name, v in chosen.items() if name != "g"}
         g = groups.g if fixed else chosen.get("g", groups)
         combos.append((chosen, g, dataclasses.replace(hp, **fields)))
-    losses = [[] for _ in combos]  # a combination's entry is None once skipped
+    # a combination's fold losses, or the message of the error that skipped
+    # it (kept as text: the exception would hold its frames' arrays)
+    losses = [[] for _ in combos]
     for f, val_idx in enumerate(folds):
         train_idx = np.sort(np.concatenate(folds[:f] + folds[f + 1 :]))
         train = take_instances(dataset, train_idx)
         val = take_instances(dataset, val_idx)
         parts = {}  # g -> this fold's partition
         for c, (_, g, combo_hp) in enumerate(combos):
-            if losses[c] is None:
+            if isinstance(losses[c], str):
                 continue
             try:
                 if g not in parts:
@@ -567,15 +571,16 @@ def grid_search(dataset, hp, axes, groups):
                 model, _ = fit(train, parts[g], combo_hp)
                 S = score(model, val.features)
                 losses[c].append(ranking_loss(S, val.labels.values))
-            except ValueError:  # LinAlgError included
-                losses[c] = None  # degenerate fold for this combination
+            except ValueError as exc:  # LinAlgError included
+                losses[c] = str(exc)  # degenerate fold for this combination
     best = None
     for (chosen, g, combo_hp), fold_losses in zip(combos, losses):
-        if fold_losses is None:
+        if isinstance(fold_losses, str):
             continue
         mean_loss = float(np.mean(fold_losses))
         if best is None or mean_loss < best[0]:
             best = (mean_loss, chosen, g, combo_hp)
     if best is None:
-        raise ValueError("no grid combination produced a usable CV score")
+        raise ValueError("no grid combination produced a usable CV score;"
+                         f" the first failed with: {losses[0]}")
     return best

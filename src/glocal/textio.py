@@ -7,8 +7,8 @@ one '#' line of valid UTF-8 whatever text it stamps.
 Files are read with line_batches and written with write_lines, so no
 file's full text is held in memory: a reader holds one batch of lines
 (those that end in one chunk of _CHUNK characters, the first of which
-may begin in the chunk before) and a writer one line, or the fields of
-one _BATCH-sized batch, at a time.
+may begin in the chunk before) and a writer one line, or the lines of
+one batch its format makes, at a time.
 The lines line_batches yields are exactly those of
 Path.read_text().splitlines(), so a decoder given a file's batches sees
 what it would see given the file's text.
@@ -39,10 +39,6 @@ def comment_lines(comments):
         for c in comments
     ]
 
-
-# tokens, sidecar lines or GML label entries handled per numpy call:
-# short rows are batched across lines
-_BATCH = 4096
 
 # characters read from a file per call; a batch holds the lines that end
 # in one such chunk

@@ -23,8 +23,8 @@ from itertools import chain
 
 import numpy as np
 
-from glocal.data import Dataset, FeatureMatrix, GmlFormatError, LabelMatrix
-from glocal.textio import _BATCH, comment_lines, write_lines
+from glocal.data import _BATCH, Dataset, FeatureMatrix, GmlFormatError, LabelMatrix
+from glocal.textio import comment_lines, write_lines
 
 
 def _fail(line_no, message):

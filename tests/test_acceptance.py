@@ -15,7 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from glocal.cli import make_synthetic
 from glocal.clustering import kmeans
 from glocal.correlation import (
     combine_correlations,
@@ -29,6 +28,7 @@ from glocal.data import (
     LabelMatrix,
     MaskSpec,
     apply_mask,
+    make_synthetic,
     split,
 )
 from glocal.metrics import (

@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 
 from glocal import cli, solver
-from glocal.cli import (
+from glocal.cli import main, parse_grid
+from glocal.clustering import kmeans
+from glocal.data import (
+    load_gml,
     load_hidden,
     load_matrix,
-    main,
     make_synthetic,
-    parse_grid,
     save_hidden,
     save_matrix,
 )
-from glocal.clustering import kmeans
-from glocal.data import load_gml
 from glocal.metrics import ranking_loss
 from glocal.model import load_model
 
@@ -313,6 +312,18 @@ def test_train_grid_rejects_a_group_count_below_one(tmp_path, synth_files, capsy
     assert capsys.readouterr().err == "error: grid axis 'g' needs values >= 1, got 0\n"
 
 
+def test_train_grid_names_the_first_cause_when_every_combination_fails(
+    tmp_path, synth_files, capsys
+):
+    _, masked, _ = synth_files
+    rc = run("train", "--input", masked, "--model-out", tmp_path / "m.model",
+             "--grid", "g=100000")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no grid combination produced a usable CV score")
+    assert err.count("\n") == 1 and "g must lie in 1.." in err
+
+
 def test_train_grid_replaces_the_flags_it_varies(tmp_path, synth_files, capsys):
     # a flag the grid varies is not validated; one it keeps still is
     _, masked, _ = synth_files
@@ -530,6 +541,82 @@ def test_missing_input_exits_nonzero(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not found" in err
+
+
+def test_eval_checks_every_path_before_reading_scores(tmp_path, capsys):
+    scores = tmp_path / "scores.txt"
+    scores.write_text("not a matrix\n", encoding="utf-8")
+    missing = tmp_path / "missing.gml"
+    assert run("eval", "--scores", scores, "--truth", missing,
+               "--out", tmp_path / "r.csv") == 1
+    assert capsys.readouterr().err == f"error: truth file not found: {missing}\n"
+    # an empty path is a missing file too, not a missing --truth
+    assert run("eval", "--scores", scores, "--truth", "", "--out", tmp_path / "r.csv") == 1
+    assert capsys.readouterr().err == "error: truth file not found: \n"
+
+
+@pytest.fixture
+def pipeline_files(tmp_path, synth_files):
+    """The synth files plus a partition, a model and a scores file."""
+    full, masked, hidden = synth_files
+    part, model, scores = tmp_path / "part.txt", tmp_path / "m.model", tmp_path / "s.txt"
+    assert run("cluster", "--input", masked, "--groups", 2, "--out", part) == 0
+    assert run("train", "--input", masked, "--partition", part, "--model-out", model,
+               "--outer-iters", 1, "--warm-iters", 1) == 0
+    assert run("predict", "--model", model, "--input", masked, "--scores-out", scores) == 0
+    return dict(full=full, masked=masked, hidden=hidden, part=part, model=model,
+                scores=scores)
+
+
+def _path_argv(command, f, out):
+    # every path flag of the subcommand given (eval takes one truth source)
+    return {
+        "synth": ["synth", "--labels", 3, "--instances", 6, "--features", 2,
+                  "--latent-k", 1, "--out-full", out / "a", "--out-masked", out / "b",
+                  "--out-hidden", out / "c"],
+        "mask": ["mask", "--input", f["full"], "--rho", 50, "--out", out / "a",
+                 "--hidden-out", out / "b"],
+        "split": ["split", "--input", f["full"], "--fraction", 0.5,
+                  "--train-out", out / "a", "--test-out", out / "b"],
+        "cluster": ["cluster", "--input", f["masked"], "--groups", 2, "--out", out / "a"],
+        "train": ["train", "--input", f["masked"], "--partition", f["part"],
+                  "--model-out", out / "a", "--trace", out / "b",
+                  "--outer-iters", 1, "--warm-iters", 1],
+        "predict": ["predict", "--model", f["model"], "--input", f["masked"],
+                    "--scores-out", out / "a", "--labels-out", out / "b"],
+        "eval-truth": ["eval", "--scores", f["scores"], "--truth", f["full"],
+                       "--out", out / "a"],
+        "eval-hidden": ["eval", "--scores", f["scores"], "--hidden", f["hidden"],
+                        "--out", out / "a"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["synth", "mask", "split", "cluster", "train",
+                                     "predict", "eval-truth", "eval-hidden"])
+def test_every_path_flag_is_checked_before_the_command_runs(
+    tmp_path, pipeline_files, capsys, command
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [str(a) for a in _path_argv(command, pipeline_files, out)]
+    args = cli.build_parser().parse_args(argv)
+    flags = {argv[i]: i + 1 for i in range(len(argv) - 1)
+             if argv[i].startswith("--") and argv[i + 1].startswith(str(tmp_path))}
+    declared = [n for n in (*args.inputs, *args.outputs) if getattr(args, n) is not None]
+    assert sorted("--" + n.replace("_", "-") for n in declared) == sorted(flags)
+    for name in declared:
+        bad = list(argv)
+        if name in args.inputs:
+            bad[flags["--" + name]] = missing = str(tmp_path / "missing")
+            want = f"error: {name} file not found: {missing}\n"
+        else:
+            flag = "--" + name.replace("_", "-")
+            bad[flags[flag]] = str(tmp_path / "nodir" / "x")
+            want = f"error: directory for {flag[2:]} does not exist: {tmp_path / 'nodir'}\n"
+        assert run(*bad) == 1
+        assert capsys.readouterr() == ("", want)
+        assert not any(out.iterdir()), "a command ran past a bad path"
+    assert run(*argv) == 0
 
 
 def test_partition_not_covering_dataset_exits_nonzero(

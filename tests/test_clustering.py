@@ -204,7 +204,7 @@ def test_chunked_distances_match_one_einsum_bitwise(monkeypatch):
 
     rng = np.random.default_rng(0)
     for (d, rows_per_block), g in itertools.product(_BLOCKS, (1, 2, 64)):
-        monkeypatch.setattr(clustering, "_DIST_BLOCK_BYTES", 8 * d * rows_per_block)
+        monkeypatch.setattr(clustering, "BLOCK_BYTES", 8 * d * rows_per_block)
         centers = rng.standard_normal((g, d))
         for points in _draws(rng, d):
             diff = points[:, None, :] - centers[None, :, :]
@@ -273,7 +273,7 @@ def test_kmeans_matches_a_plain_reference(monkeypatch):
             points[: n // 2] = points[rng.integers(0, n, n // 2)]
         g, seed = int(rng.integers(1, n + 1)), int(rng.integers(1000))
         rows_per_block = (1, 2, 3, n)[draw % 4]
-        monkeypatch.setattr(clustering, "_DIST_BLOCK_BYTES", 8 * d * rows_per_block)
+        monkeypatch.setattr(clustering, "BLOCK_BYTES", 8 * d * rows_per_block)
         want, reseeds = reference_kmeans(points, g, seed)
         got = kmeans(FeatureMatrix(points.T), g, seed=seed).assignment
         assert np.array_equal(got, want), f"draw {draw}"

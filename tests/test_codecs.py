@@ -23,22 +23,19 @@ from hypothesis.extra.numpy import arrays
 from gml_reference import parse_gml_reference, save_gml_reference, save_hidden_reference
 from glocal import textio
 from glocal.clustering import load_partition, partition_from_assignment, save_partition
-from glocal.cli import (
-    load_hidden,
-    load_matrix,
-    read_hidden,
-    read_matrix,
-    save_hidden,
-    save_matrix,
-)
+from glocal.cli import read_hidden, read_matrix
 from glocal.data import (
     Dataset,
     FeatureMatrix,
     GmlFormatError,
     LabelMatrix,
     load_gml,
+    load_hidden,
+    load_matrix,
     parse_gml,
     save_gml,
+    save_hidden,
+    save_matrix,
 )
 from glocal.metrics import EvaluationReport
 from glocal.model import GlocalModel, ModelFormatError, load_model, save_model
@@ -608,7 +605,7 @@ def test_save_hidden_writes_the_per_entry_bytes(hidden, batch):
     want = saved(save_hidden_reference, hidden, comments=["h"])
     keys = hidden[:, :2].tolist()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("glocal.cli._BATCH", batch)
+        mp.setattr("glocal.data._BATCH", batch)
         if not all(a < b for a, b in zip(keys, keys[1:])):
             with pytest.raises(ValueError, match="^hidden entries must strictly increase"):
                 saved(save_hidden, hidden)
@@ -807,7 +804,7 @@ def test_load_hidden_reads_a_path_once(tmp_path, monkeypatch):
         reads.append(source)
         return textio.line_batches(source)
 
-    monkeypatch.setattr("glocal.cli.line_batches", spy)
+    monkeypatch.setattr("glocal.data.line_batches", spy)
     path = tmp_path / "hidden.txt"
     save_hidden(_HIDDEN, path, comments=["toy"])
     assert same_bits(load_hidden(path), _HIDDEN)

@@ -17,7 +17,17 @@ import pytest
 
 from glocal import cli
 from glocal.clustering import kmeans
-from glocal.data import LabelMatrix, MaskSpec, apply_mask, save_gml
+from glocal.data import (
+    LabelMatrix,
+    MaskSpec,
+    apply_mask,
+    load_hidden,
+    load_matrix,
+    make_synthetic,
+    save_gml,
+    save_hidden,
+    save_matrix,
+)
 from glocal.model import GlocalModel, Hyperparams, load_model, save_model
 from glocal.solver import fit
 
@@ -39,7 +49,7 @@ COREL = dict(l=374, n=400, d=499, k_true=5, noise=0.3, seed=1)
 
 @pytest.fixture(scope="module")
 def corel_data():
-    data = cli.make_synthetic(**COREL)
+    data = make_synthetic(**COREL)
     return data, *apply_mask(data, MaskSpec(rho=30, seed=1))
 
 
@@ -50,7 +60,7 @@ def corel_files(tmp_path_factory, corel_data):
     files = {root / "full.gml": data, root / "train.gml": masked}
     # as synth writes them: both files in one pass over the shared features
     held = peak_beyond(lambda _: 0, lambda: save_gml(files, comments=["corel-pipeline"]))
-    cli.save_hidden(hidden, root / "hidden.txt", comments=["corel-pipeline"])
+    save_hidden(hidden, root / "hidden.txt", comments=["corel-pipeline"])
     return root / "train.gml", root / "hidden.txt", held
 
 
@@ -63,7 +73,7 @@ def test_saving_a_sidecar_holds_no_file_text(corel_data, tmp_path):
     # one block of entries at a time: no 1-based copy of the whole array
     hidden = corel_data[2]
     path = tmp_path / "hidden.txt"
-    held = peak_beyond(lambda _: 0, lambda: cli.save_hidden(hidden, path, comments=["c"]))
+    held = peak_beyond(lambda _: 0, lambda: save_hidden(hidden, path, comments=["c"]))
     assert held < path.stat().st_size
 
 
@@ -76,7 +86,7 @@ def test_loading_a_gml_file_holds_no_file_text(corel_files):
 
 def test_reading_a_sidecar_holds_no_file_text(corel_files):
     path = corel_files[1]
-    held = peak_beyond(lambda hidden: hidden.nbytes, lambda: cli.load_hidden(path))
+    held = peak_beyond(lambda hidden: hidden.nbytes, lambda: load_hidden(path))
     assert held < path.stat().st_size
 
 
@@ -84,7 +94,7 @@ def test_reading_a_sidecar_stream_holds_no_file_text(corel_files):
     # the stream holds the text before tracing starts
     path = corel_files[1]
     stream = io.StringIO(path.read_text(encoding="utf-8"))
-    held = peak_beyond(lambda hidden: hidden.nbytes, lambda: cli.load_hidden(stream))
+    held = peak_beyond(lambda hidden: hidden.nbytes, lambda: load_hidden(stream))
     assert held < path.stat().st_size
 
 
@@ -98,7 +108,7 @@ def test_naming_a_bad_last_sidecar_line_holds_no_file_text(corel_data, corel_fil
 
     def load():
         with pytest.raises(ValueError, match=f"^line {bad_line}: out-of-order hidden entry"):
-            cli.load_hidden(path)
+            load_hidden(path)
 
     held = peak_beyond(lambda _: corel_data[2].nbytes, load)
     assert held < path.stat().st_size
@@ -117,7 +127,7 @@ def test_eval_peak_tracks_the_scores(corel_files, tmp_path):
     _, hidden, _ = corel_files
     S = np.random.default_rng(1).standard_normal((374, 400))
     scores = tmp_path / "scores.txt"
-    cli.save_matrix(S, scores)
+    save_matrix(S, scores)
     argv = ["eval", "--scores", str(scores), "--hidden", str(hidden),
             "--out", str(tmp_path / "report.csv")]
     assert cli.main(argv) == 0  # warm up: imports and first-call caches
@@ -130,8 +140,8 @@ def test_loading_a_matrix_holds_it_once(tmp_path):
     # buffer, not concatenated from per-batch parts at the end
     S = np.random.default_rng(2).standard_normal((374, 400))
     scores = tmp_path / "scores.txt"
-    cli.save_matrix(S, scores)
-    held = peak_beyond(lambda M: M.nbytes, lambda: cli.load_matrix(scores))
+    save_matrix(S, scores)
+    held = peak_beyond(lambda M: M.nbytes, lambda: load_matrix(scores))
     assert held <= 0.6 * S.nbytes
 
 
@@ -149,7 +159,7 @@ def test_making_a_synthetic_set_holds_its_scores_twice_at_most(corel_data):
     # (numpy reuses the draw's buffer for the noisy sum)
     scores_nbytes = COREL["l"] * COREL["n"] * 8
     held = peak_beyond(lambda d: d.features.values.nbytes + d.labels.values.nbytes,
-                       lambda: cli.make_synthetic(**COREL))
+                       lambda: make_synthetic(**COREL))
     assert held <= 3 * scores_nbytes
 
 
@@ -168,7 +178,7 @@ def _blocks(model):
 def test_fitting_frees_each_old_block_once_it_is_replaced():
     # large-k's shape: a sweep holds the old and new copy of the block it
     # updates, not the whole previous model next to the new one
-    data = cli.make_synthetic(l=200, n=400, d=30, k_true=5, noise=0.3, seed=1)
+    data = make_synthetic(l=200, n=400, d=30, k_true=5, noise=0.3, seed=1)
     masked, _ = apply_mask(data, MaskSpec(rho=30, seed=1))
     part = kmeans(masked.features, 4, seed=1)
     hp = Hyperparams(k=300, warm_iters=1, outer_iters=1, tol=0.0, seed=1)

@@ -350,3 +350,25 @@ def test_evaluate_ranks_once_and_matches_the_metrics(monkeypatch):
         assert report.ap == average_precision(scores, truth)
         assert report.rkl == ranking_loss(scores, truth)
         assert report.auc == average_auc(scores, truth)
+
+
+def test_evaluate_checks_its_inputs_once(monkeypatch):
+    import glocal.metrics as metrics
+
+    calls = []
+    real_check = metrics._check
+
+    def counting_check(scores, truth):
+        calls.append(np.shape(scores))
+        return real_check(scores, truth)
+
+    monkeypatch.setattr(metrics, "_check", counting_check)
+    scores = np.array([[0.9, 0.1, 0.4], [0.2, 0.8, 0.4], [0.5, 0.5, 0.1]])
+    truth = np.array([[1, -1, 1], [-1, 1, -1], [1, -1, 0]])
+    evaluate(scores, truth)
+    assert calls == [(3, 3)]
+    # the public metrics still check what they are given
+    for metric in (ranking_loss, average_auc, coverage, average_precision):
+        calls.clear()
+        metric(scores, truth)
+        assert calls == [(3, 3)]

@@ -99,3 +99,15 @@ def test_sources_use_no_stdlib_name_newer_than_3_10():
     for path in sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
         uses = newer_stdlib_uses(path.read_text(encoding="utf-8"))
         assert not uses, f"{path.name} uses {uses}, which Python 3.10 lacks"
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a leading-underscore name is its module's own; another module that
+    # needs it needs a public name
+    crossings = []
+    for path in sorted(Path(glocal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                crossings += [f"{path.name}: from .{node.module} import {a.name}"
+                              for a in node.names if a.name.startswith("_")]
+    assert not crossings, crossings

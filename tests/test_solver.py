@@ -743,3 +743,29 @@ def test_grid_search_restricts_a_fixed_partition_to_each_fold(monkeypatch):
         )
         with pytest.raises(ValueError, match=f"partition covers {n} instances"):
             grid_search(data, hp, {"lambda4": [0.0, 1.0]}, other)
+
+
+def test_learned_correlation_term_vanishes_at_convergence():
+    # the correlation prior is inert at convergence (ROADMAP item 2): the
+    # Z steps find unit rows with P_m'Z_m = 0, P_m = U F_m', so a converged
+    # fit's correlation term is ~0 and its objective that of the fit
+    # without the term.  A change that breaks this changes the paper's
+    # formulation as implemented here.
+    from test_acceptance import planted_problem
+
+    _, masked, _, partition = planted_problem(0)
+    hp = Hyperparams(k=3, lambda3=0.1, lambda4=0.1, tol=1e-5, outer_iters=400)
+    model, trace = fit(masked, partition, hp)
+    _, plain = fit(masked, partition, dataclasses.replace(hp, lambda3=0.0, lambda4=0.0))
+    assert trace.converged and plain.converged
+
+    Fs = _correlation_weights(model.W, make_context(masked, partition, hp))
+
+    def term(Zs):
+        return sum(_correlation_term(Z, model.U @ F.T) for Z, F in zip(Zs, Fs))
+
+    # the factors fit starts from (see warm_start)
+    start = [init_factor(masked.l, hp.k, hp.seed + m + 1) for m in range(partition.g)]
+    assert term(model.factors) / term(start) < 1e-5
+    f, f_plain = trace.objectives[-1], plain.objectives[-1]
+    assert abs(f - f_plain) <= 1e-4 * f_plain
