@@ -82,11 +82,9 @@ def project_unit_rows(Z, zero_row_seed=0):
         for r in zero_rows:
             row = rng.standard_normal(Z.shape[1])
             Z[r] = row / np.linalg.norm(row)
-            norms[r] = 1.0
-        nonzero = np.setdiff1d(np.arange(Z.shape[0]), zero_rows)
-        Z[nonzero] /= norms[nonzero, None]
-        return Z
-    return Z / norms[:, None]
+            norms[r] = 1.0  # the new row is unit already; x / 1.0 is x
+    Z /= norms[:, None]
+    return Z
 
 
 def init_factor(l, k, seed):

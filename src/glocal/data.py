@@ -130,8 +130,10 @@ class LabelMatrix:
 
     @property
     def indicator(self):
-        """0/1 observation mask as float64 (1 where a label is observed)."""
-        return (self.values != 0).astype(np.float64)
+        """Read-only bool observation mask, True where a label is observed."""
+        mask = self.values != 0
+        mask.setflags(write=False)
+        return mask
 
 
 @dataclass(frozen=True, eq=False)

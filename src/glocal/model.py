@@ -63,12 +63,14 @@ class Hyperparams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        # each message names the field as its command-line flag does:
+        # lambda_ is --lambda
         for name in ("lambda_", "lambda2", "lambda3", "lambda4", "tol"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ValueError(f"{name.rstrip('_')} must be finite")
         for name in ("lambda_", "lambda2", "lambda3", "lambda4"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ValueError(f"{name.rstrip('_')} must be >= 0")
         if self.inner_steps < 1 or self.outer_iters < 1:
             raise ValueError("inner_steps and outer_iters must be >= 1")
         if self.warm_iters < 0:

@@ -10,7 +10,9 @@ unit-row factor Z_m per instance group is
             + lambda4 * tr(F0_m' Z_m Z_m' F0_m) ]      s.t. diag(Z_m Z_m') = 1
 
 with J the observation indicator, F0 = U W' X the classifier outputs on
-all instances and F0_m its restriction to group m.  Each outer iteration
+all instances and F0_m its restriction to group m.  The labels are held
+once, as the dataset's int8 array Y and its bool mask J (make_context),
+and every masked product is formed in place.  Each outer iteration
 updates the blocks in the order Z_1..Z_g, V, U, W.  Z updates are
 majorize-minimize steps: the restricted objective h(Z) = tr(Z'KZ),
 K = PP' with P = U F_m' (below), is a PSD quadratic and tr(Z'Z) = l on
@@ -74,8 +76,8 @@ class ObjectiveContext:
     of XX' with min(n, d) rows.
     """
 
-    Y: np.ndarray  # l x n observed labels as float (-1, 0, +1)
-    J: np.ndarray  # l x n observation indicator as float (0/1)
+    Y: np.ndarray  # l x n int8 labels (-1, 0, +1): the dataset's own array
+    J: np.ndarray  # l x n bool observation mask, Y != 0
     X: np.ndarray  # d x n features
     groups: tuple  # g arrays of 0-based instance indices
     n: int
@@ -98,7 +100,14 @@ def _require_cover(partition, dataset):
 
 
 def make_context(dataset, partition, hp):
-    """Bundle a dataset, a partition and hyperparams for the solver."""
+    """Bundle a dataset, a partition and hyperparams for the solver.
+
+    Y is the dataset's read-only int8 label array, not a copy, and J its
+    read-only bool mask Y != 0 (LabelMatrix.indicator).  Masked products
+    are made in place (R *= J); where labels are a matmul operand they
+    are cast to float64 first, since a bool or int8 operand keeps numpy's
+    matmul off BLAS.
+    """
     _require_cover(partition, dataset)
     X = dataset.features.values
     groups = tuple(partition.groups())
@@ -107,7 +116,7 @@ def make_context(dataset, partition, hp):
     ends = np.cumsum([len(Tm) for Tm in Ts])
     T_rows = tuple(slice(e - len(Tm), e) for e, Tm in zip(ends, Ts))
     return ObjectiveContext(
-        Y=dataset.labels.values.astype(np.float64),
+        Y=dataset.labels.values,
         J=dataset.labels.indicator,
         X=X,
         groups=groups,
@@ -155,7 +164,9 @@ def _correlation_term(Z, P):
 def _objective_arrays(U, V, W, Zs, ctx):
     hp = ctx.hp
     with np.errstate(over="ignore", invalid="ignore"):
-        R = ctx.J * (U @ V - ctx.Y)
+        R = U @ V
+        R -= ctx.Y
+        R *= ctx.J
         val = _sumsq(R)
         D = V - W.T @ ctx.X
         val += hp.lambda_ * _sumsq(D)
@@ -182,7 +193,9 @@ def objective(model, ctx):
 
 
 def _hess_U(G, V, Zs, Fs, ctx):
-    H = 2.0 * ((ctx.J * (G @ V)) @ V.T) + 2.0 * ctx.hp.lambda2 * G
+    A = G @ V
+    A *= ctx.J
+    H = 2.0 * (A @ V.T) + 2.0 * ctx.hp.lambda2 * G
     if Fs is not None:
         for Z, F in zip(Zs, Fs):
             H += 2.0 * ((Z @ (Z.T @ (G @ F.T))) @ F)
@@ -190,16 +203,18 @@ def _hess_U(G, V, Zs, Fs, ctx):
 
 
 def _rhs_U(V, ctx):
-    return 2.0 * (ctx.Y @ V.T)
+    return 2.0 * (ctx.Y.astype(np.float64) @ V.T)
 
 
 def _hess_V(U, G, ctx):
     hp = ctx.hp
-    return 2.0 * (U.T @ (ctx.J * (U @ G))) + 2.0 * (hp.lambda_ + hp.lambda2) * G
+    A = U @ G
+    A *= ctx.J
+    return 2.0 * (U.T @ A) + 2.0 * (hp.lambda_ + hp.lambda2) * G
 
 
 def _rhs_V(U, W, ctx):
-    return 2.0 * (U.T @ ctx.Y) + 2.0 * ctx.hp.lambda_ * (W.T @ ctx.X)
+    return 2.0 * (U.T @ ctx.Y.astype(np.float64)) + 2.0 * ctx.hp.lambda_ * (W.T @ ctx.X)
 
 
 def _factor_grams(U, Zs, ctx):
@@ -271,7 +286,7 @@ def _closed_form_V(U, W, ctx):
     chunk = max(1, BLOCK_BYTES // (8 * k * k))
     for start in range(0, n, chunk):
         cols = slice(start, start + chunk)
-        A = (ctx.J[:, cols].T @ outer).reshape(-1, k, k)
+        A = (ctx.J[:, cols].T.astype(np.float64) @ outer).reshape(-1, k, k)
         A[:, diag, diag] += hp.lambda_ + hp.lambda2
         V[:, cols] = np.linalg.solve(A, B[:, cols].T[:, :, None])[:, :, 0].T
         del A  # else it is alive while the next chunk's is built

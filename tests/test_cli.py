@@ -643,7 +643,19 @@ def test_train_rejects_non_finite_hyperparameters(
     model_out = tmp_path / "m.model"
     rc = run("train", "--input", masked, "--model-out", model_out, flag, value)
     assert rc == 1
-    assert capsys.readouterr().err == f"error: {field} must be finite\n"
+    # the message names the flag: the field lambda_ is --lambda
+    assert capsys.readouterr().err == f"error: {field.rstrip('_')} must be finite\n"
+    assert not model_out.exists()
+
+
+@pytest.mark.parametrize("value, message", [("nan", "lambda must be finite"),
+                                            ("-1", "lambda must be >= 0")])
+def test_train_names_the_lambda_flag(tmp_path, synth_files, capsys, value, message):
+    _, masked, _ = synth_files
+    model_out = tmp_path / "m.model"
+    rc = run("train", "--input", masked, "--model-out", model_out, "--lambda", value)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not model_out.exists()
 
 

@@ -133,7 +133,11 @@ def test_laplacian_linearity():
 def test_project_unit_rows():
     rng = np.random.default_rng(6)
     Z = rng.standard_normal((7, 3)) * 10
+    before = Z.copy()
     P = project_unit_rows(Z)
+    assert np.array_equal(Z, before)  # the input is left as it was
+    # bitwise the plain row scaling, made in the function's own copy
+    assert P.tobytes() == (Z / np.linalg.norm(Z, axis=1)[:, None]).tobytes()
     assert np.abs((P * P).sum(axis=1) - 1.0).max() < 1e-12
     # directions survive
     assert np.allclose(P * np.linalg.norm(Z, axis=1)[:, None], Z)
@@ -145,8 +149,11 @@ def test_project_reinitializes_zero_rows():
     Z = np.array([[3.0, 4.0], [0.0, 0.0]])
     with pytest.warns(UserWarning, match="zero row"):
         P = project_unit_rows(Z, zero_row_seed=42)
-    assert np.allclose(P[0], [0.6, 0.8])
+    assert P[0].tobytes() == (Z[0] / 5.0).tobytes()
     assert abs(np.linalg.norm(P[1]) - 1.0) < 1e-12
+    # the new row is the seeded draw scaled once
+    row = np.random.default_rng(42).standard_normal(2)
+    assert P[1].tobytes() == (row / np.linalg.norm(row)).tobytes()
     with pytest.warns(UserWarning):
         P2 = project_unit_rows(Z, zero_row_seed=42)
     assert np.array_equal(P, P2)

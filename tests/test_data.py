@@ -74,7 +74,9 @@ def test_documented_gml_example_parses(doc):
 
 def test_indicator_tracks_values():
     data = load_gml(io.StringIO("2 3 3\n+:1|-:2|1:0.5 3:1.0\n+:2|-:|2:2.0\n"))
-    assert np.array_equal(data.labels.indicator, (data.labels.values != 0))
+    mask = data.labels.indicator
+    assert mask.dtype == np.bool_ and not mask.flags.writeable
+    assert np.array_equal(mask, data.labels.values != 0)
 
 
 @pytest.mark.parametrize(

@@ -188,6 +188,23 @@ def test_fitting_frees_each_old_block_once_it_is_replaced():
     assert held <= 2.2 * model_bytes
 
 
+def test_fitting_holds_the_labels_once(corel_data):
+    # corel-pipeline's shape at k=5, where the labels outweigh the model:
+    # the fit reads the dataset's int8 labels through a bool mask, so
+    # beyond the model it holds the stacked feature factor (one copy of
+    # X), the mask and one l x n float64 array at a time (a masked product
+    # or a label cast): 3.24 MB measured against a bound of 3.99 MB, which
+    # has no room for float64 copies of Y and J (2.39 MB more)
+    masked = corel_data[1]
+    part = kmeans(masked.features, 4, seed=1)
+    hp = Hyperparams(k=5, warm_iters=1, outer_iters=1, tol=0.0, seed=1)
+    model, _ = fit(masked, part, hp)  # warm up: imports and first-call caches
+    model_bytes = sum(B.nbytes for B in _blocks(model))
+    held = peak_beyond(lambda _: model_bytes, lambda: fit(masked, part, hp))
+    label_bytes = masked.l * masked.n * 8
+    assert held <= masked.features.values.nbytes + 2 * label_bytes
+
+
 def test_saving_and_loading_a_large_model_holds_no_file_text(tmp_path):
     # large-k's shape: l=200, d=30, k=300, n=400, g=4
     rng = np.random.default_rng(3)

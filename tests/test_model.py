@@ -208,8 +208,10 @@ def test_hyperparams_defaults_and_validation():
     assert hp.tol == 1e-5 and hp.seed == 0
     with pytest.raises(ValueError, match="k must be"):
         Hyperparams(k=0)
-    with pytest.raises(ValueError, match="lambda3"):
+    with pytest.raises(ValueError, match="^lambda3 must be >= 0$"):
         Hyperparams(k=1, lambda3=-0.1)
+    with pytest.raises(ValueError, match="^lambda must be >= 0$"):
+        Hyperparams(k=1, lambda_=-0.1)
     with pytest.raises(ValueError, match="inner_steps"):
         Hyperparams(k=1, inner_steps=0)
     with pytest.raises(ValueError, match="warm_iters"):
@@ -220,7 +222,7 @@ def test_hyperparams_defaults_and_validation():
         Hyperparams(k=1, seed=-1)
     for name in ("lambda_", "lambda2", "lambda3", "lambda4", "tol"):
         for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            with pytest.raises(ValueError, match=f"^{name.rstrip('_')} must be finite$"):
                 Hyperparams(k=1, **{name: bad})
 
 

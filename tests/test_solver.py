@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glocal import solver
-from glocal.clustering import kmeans, partition_from_assignment
+from glocal.clustering import BLOCK_BYTES, kmeans, partition_from_assignment
 from glocal.correlation import init_factor, project_unit_rows
 from glocal.data import (
     Dataset,
@@ -27,7 +27,10 @@ from glocal.solver import (
     _hess_U,
     _hess_V,
     _hess_W,
+    _objective_arrays,
+    _rhs_U,
     _rhs_V,
+    _sumsq,
     _z_descend,
     closed_form_V,
     fit,
@@ -343,11 +346,89 @@ def test_closed_form_v_runs_in_bounded_memory_and_matches_one_solve():
     U, hp = model.U, ctx.hp
     l, k = U.shape
     outer = (U[:, :, None] * U[:, None, :]).reshape(l, k * k)
-    A = (ctx.J.T @ outer).reshape(-1, k, k)
+    A = (ctx.J.T.astype(np.float64) @ outer).reshape(-1, k, k)
     A[:, np.arange(k), np.arange(k)] += hp.lambda_ + hp.lambda2
     B = 0.5 * _rhs_V(U, model.W, ctx).T
     want = np.linalg.solve(A, B[:, :, None])[:, :, 0].T
     assert V.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+# Reference expressions with the labels and the mask as float64 arrays,
+# J * (U V - Y) and friends, which the int8 Y and bool J must reproduce.
+
+
+def float_labels(ctx):
+    return ctx.Y.astype(np.float64), ctx.J.astype(np.float64)
+
+
+def float_label_objective(U, V, W, Zs, ctx):
+    Y, J = float_labels(ctx)
+    hp = ctx.hp
+    R = J * (U @ V - Y)
+    val = _sumsq(R)
+    val += hp.lambda_ * _sumsq(V - W.T @ ctx.X)
+    val += hp.lambda2 * (_sumsq(U) + _sumsq(V) + _sumsq(W))
+    for Z, F in zip(Zs, _correlation_weights(W, ctx)):
+        val += _correlation_term(Z, U @ F.T)
+    return val
+
+
+def float_label_hess_U(G, V, Zs, Fs, ctx):
+    _, J = float_labels(ctx)
+    H = 2.0 * ((J * (G @ V)) @ V.T) + 2.0 * ctx.hp.lambda2 * G
+    for Z, F in zip(Zs, Fs):
+        H += 2.0 * ((Z @ (Z.T @ (G @ F.T))) @ F)
+    return H
+
+
+def float_label_hess_V(U, G, ctx):
+    _, J = float_labels(ctx)
+    hp = ctx.hp
+    return 2.0 * (U.T @ (J * (U @ G))) + 2.0 * (hp.lambda_ + hp.lambda2) * G
+
+
+def float_label_closed_form_V(U, W, ctx):
+    Y, J = float_labels(ctx)
+    hp = ctx.hp
+    l, k = U.shape
+    n = J.shape[1]
+    outer = (U[:, :, None] * U[:, None, :]).reshape(l, k * k)
+    B = 0.5 * (2.0 * (U.T @ Y) + 2.0 * hp.lambda_ * (W.T @ ctx.X))
+    V = np.empty((k, n))
+    chunk = max(1, solver.BLOCK_BYTES // (8 * k * k))
+    for start in range(0, n, chunk):
+        cols = slice(start, start + chunk)
+        A = (J[:, cols].T @ outer).reshape(-1, k, k)
+        A[:, np.arange(k), np.arange(k)] += hp.lambda_ + hp.lambda2
+        V[:, cols] = np.linalg.solve(A, B[:, cols].T[:, :, None])[:, :, 0].T
+    return V
+
+
+def same_bytes(got, want):
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("block_bytes", [BLOCK_BYTES, 8 * 3 * 3 * 2], ids=["whole", "chunked"])
+def test_masked_products_equal_the_float_label_ones_byte_for_byte(monkeypatch, block_bytes):
+    # an int8 Y and a bool J change no bit of any result, signed zeros
+    # included; the small block splits the closed-form table over instances
+    monkeypatch.setattr(solver, "BLOCK_BYTES", block_bytes)
+    for trial, case in enumerate(FACTOR_CASES):
+        ctx, model = factor_case(case, 1200 + trial, lambda2=0.05)
+        assert ctx.Y.dtype == np.int8 and ctx.J.dtype == np.bool_
+        U, V, W, Zs = model.U, model.V, model.W, model.factors
+        Fs = _correlation_weights(W, ctx)
+        Y, _ = float_labels(ctx)
+        rng = np.random.default_rng(trial)
+        assert same_bytes(_objective_arrays(U, V, W, Zs, ctx),
+                          float_label_objective(U, V, W, Zs, ctx))
+        for G in (U, rng.standard_normal(U.shape)):
+            assert same_bytes(_hess_U(G, V, Zs, Fs, ctx), float_label_hess_U(G, V, Zs, Fs, ctx))
+        for G in (V, rng.standard_normal(V.shape)):
+            assert same_bytes(_hess_V(U, G, ctx), float_label_hess_V(U, G, ctx))
+        assert same_bytes(_rhs_U(V, ctx), 2.0 * (Y @ V.T))
+        assert same_bytes(_rhs_V(U, W, ctx), 2.0 * (U.T @ Y) + 2.0 * ctx.hp.lambda_ * (W.T @ ctx.X))
+        assert same_bytes(closed_form_V(model, ctx), float_label_closed_form_V(U, W, ctx))
 
 
 def test_z_step_keeps_unit_rows_and_never_increases():
