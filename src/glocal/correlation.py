@@ -64,11 +64,11 @@ def combine_correlations(parts, weights):
     return out
 
 
-def project_unit_rows(Z, zero_row_seed=0):
+def project_unit_rows(Z):
     """Scale every row of Z to unit euclidean norm.
 
-    A row of exact zeros cannot be scaled; it is replaced by a seeded
-    random unit vector and a warning is emitted.
+    A row of exact zeros cannot be scaled; it is replaced by a random
+    unit vector drawn with seed 0 and a warning is emitted.
     """
     Z = np.array(Z, dtype=np.float64, copy=True)
     norms = np.linalg.norm(Z, axis=1)
@@ -78,7 +78,7 @@ def project_unit_rows(Z, zero_row_seed=0):
             f"reinitializing {zero_rows.size} zero row(s) during projection",
             stacklevel=2,
         )
-        rng = np.random.default_rng(zero_row_seed)
+        rng = np.random.default_rng(0)
         for r in zero_rows:
             row = rng.standard_normal(Z.shape[1])
             Z[r] = row / np.linalg.norm(row)

@@ -466,7 +466,12 @@ def save_matrix(A, path, comments=()):
         A: 2-D float array.
         path: path, or text file object written where it stands.
         comments: optional strings emitted as leading '#' lines.
+
+    Raises:
+        ValueError: if A is not 2-D.
     """
+    if A.ndim != 2:
+        raise ValueError(f"matrix must be 2-D, got {A.ndim}-D")
     head = [*comment_lines(comments), f"{A.shape[0]} {A.shape[1]}"]
     row_format = " ".join(["%.17g"] * A.shape[1])
     write_lines(path, chain(head, (row_format % tuple(row.tolist()) for row in A)))

@@ -27,14 +27,20 @@ G - t H(G).  V solves H(V) = b per instance column while
 k <= _CLOSED_FORM_MAX_K and takes the same exact gradient steps above
 that.
 
-Optimization starts from a warm start: the same alternating scheme with
-lambda3 = lambda4 = 0 (no correlation terms), after which randomly
-initialized unit-row factors are attached.  No l x l or n x n
-intermediate is formed, and the correlation terms never form F0.  X
-enters them through factors computed once per fit (make_context): per
-group T_m with T_m'T_m = X_m X_m' and min(n_m, d) rows, X_m' itself or
-its QR R factor when n_m > d, so XX' = sum_m T_m'T_m, and T0 with
-T0'T0 = XX' and min(n, d) rows.  Group m contributes ||Z_m'P||^2 with
+Optimization starts from a warm start: the same sweeps with no
+correlation terms, after which randomly initialized unit-row factors
+are attached.  A sweep is handed the correlation weights F_m (below) at
+the W it starts from, one per group, and with an empty tuple it is the
+sweep without the terms: the warm start's, and every sweep of a fit
+with lambda3 = lambda4 = 0.  fit makes each W's weights once and hands
+them to both the objective at that W and the next sweep.
+
+No l x l or n x n intermediate is formed, and the correlation terms
+never form F0.  X enters them through factors computed once per fit
+(make_context): per group T_m with T_m'T_m = X_m X_m' and min(n_m, d)
+rows, X_m' itself or its QR R factor when n_m > d, so
+XX' = sum_m T_m'T_m, and T0 with T0'T0 = XX' and min(n, d) rows.
+Group m contributes ||Z_m'P||^2 with
 P = U F_m', where F_m'F_m = (lambda3 n_m / n) W'XX'W + lambda4 W'X_m X_m'W
 and F_m has min(k, min(n, d) + min(n_m, d)) rows: the stack
 [sqrt(lambda3 n_m / n) T0 W; sqrt(lambda4) T_m W], kept as it is when it
@@ -136,23 +142,29 @@ def _sumsq(A):
     return _inner(A, A)
 
 
-def _has_correlation(hp):
-    return hp.lambda3 != 0.0 or hp.lambda4 != 0.0
+def _global_weights(ctx):
+    # w3 = lambda3 n_m / n, group m's weight on the global term
+    return [ctx.hp.lambda3 * idx.size / ctx.n for idx in ctx.groups]
 
 
 def _correlation_weights(W, ctx):
     # group m's weight on its correlation terms: F_m with
-    # F_m'F_m = w3 W'XX'W + lambda4 W'X_m X_m'W, w3 = lambda3 n_m / n, and
-    # at most k rows; the global part T0 W is compressed once for all groups
-    hp = ctx.hp
+    # F_m'F_m = w3 W'XX'W + lambda4 W'X_m X_m'W and at most k rows; the
+    # global part T0 W is compressed once for all groups
     TW = ctx.T @ W
     # T0 is T itself when every group has at most d instances
     R0 = _gram_factor(TW if ctx.T0 is ctx.T else ctx.T0 @ W)
-    return [
-        _gram_factor(np.vstack((np.sqrt(hp.lambda3 * idx.size / ctx.n) * R0,
-                                np.sqrt(hp.lambda4) * TW[rows])))
-        for idx, rows in zip(ctx.groups, ctx.T_rows)
-    ]
+    return tuple(
+        _gram_factor(np.vstack((np.sqrt(w3) * R0, np.sqrt(ctx.hp.lambda4) * TW[rows])))
+        for w3, rows in zip(_global_weights(ctx), ctx.T_rows)
+    )
+
+
+def _weights(W, ctx):
+    # the correlation weights the fit uses, and no terms at all when
+    # lambda3 = lambda4 = 0
+    hp = ctx.hp
+    return _correlation_weights(W, ctx) if hp.lambda3 or hp.lambda4 else ()
 
 
 def _correlation_term(Z, P):
@@ -161,7 +173,8 @@ def _correlation_term(Z, P):
     return _sumsq(Z.T @ P)
 
 
-def _objective_arrays(U, V, W, Zs, ctx):
+def _objective_arrays(U, V, W, Zs, Fs, ctx):
+    # Fs: the correlation weights at W (_weights), () for no terms
     hp = ctx.hp
     with np.errstate(over="ignore", invalid="ignore"):
         R = U @ V
@@ -171,15 +184,15 @@ def _objective_arrays(U, V, W, Zs, ctx):
         D = V - W.T @ ctx.X
         val += hp.lambda_ * _sumsq(D)
         val += hp.lambda2 * (_sumsq(U) + _sumsq(V) + _sumsq(W))
-        if _has_correlation(hp):
-            for Z, F in zip(Zs, _correlation_weights(W, ctx)):
-                val += _correlation_term(Z, U @ F.T)
+        for Z, F in zip(Zs, Fs):
+            val += _correlation_term(Z, U @ F.T)
     return val
 
 
 def objective(model, ctx):
     """Full objective value at the model's parameter blocks."""
-    return _objective_arrays(model.U, model.V, model.W, model.factors, ctx)
+    Fs = _weights(model.W, ctx)
+    return _objective_arrays(model.U, model.V, model.W, model.factors, Fs, ctx)
 
 
 # Each block is its Hessian action H and right-hand side b with the
@@ -187,18 +200,17 @@ def objective(model, ctx):
 # is H(x) - b, the step t = ||G||^2 / <G, H(G)> along G is the line
 # minimum and leaves the gradient G - t H(G) (Nocedal & Wright, ch. 5).
 # Y is zero where J is, so J o Y = Y.  The correlation weights Fs (for U)
-# and the factor grams (Ms, Mbar) (for W) are None when
-# lambda3 = lambda4 = 0.  X enters the W Hessian only through T, with
-# T'T = XX', so it never forms the n x k X'G.
+# and the factor grams (Ms, Mbar) made from them (for W) hold one entry
+# per correlation term, none when lambda3 = lambda4 = 0.  X enters the W
+# Hessian only through T, with T'T = XX', so it never forms the n x k X'G.
 
 
 def _hess_U(G, V, Zs, Fs, ctx):
     A = G @ V
     A *= ctx.J
     H = 2.0 * (A @ V.T) + 2.0 * ctx.hp.lambda2 * G
-    if Fs is not None:
-        for Z, F in zip(Zs, Fs):
-            H += 2.0 * ((Z @ (Z.T @ (G @ F.T))) @ F)
+    for Z, F in zip(Zs, Fs):
+        H += 2.0 * ((Z @ (Z.T @ (G @ F.T))) @ F)
     return H
 
 
@@ -217,27 +229,25 @@ def _rhs_V(U, W, ctx):
     return 2.0 * (U.T @ ctx.Y.astype(np.float64)) + 2.0 * ctx.hp.lambda_ * (W.T @ ctx.X)
 
 
-def _factor_grams(U, Zs, ctx):
-    # M_m = (Z_m'U)'(Z_m'U), k x k, and Mbar = sum_m (lambda3 n_m / n) M_m;
-    # the W step keeps U and Z fixed, so each W update forms them once
-    Ms = [A.T @ A for A in (Z.T @ U for Z in Zs)]
-    Mbar = np.zeros_like(Ms[0])
-    for idx, M in zip(ctx.groups, Ms):
-        Mbar += ctx.hp.lambda3 * idx.size / ctx.n * M
-    return Ms, Mbar
+def _factor_grams(U, Zs, Fs, ctx):
+    # M_m = (Z_m'U)'(Z_m'U), k x k, one per weight in Fs, and
+    # Mbar = sum_m w3 M_m (0 with no weights); the W step keeps U and Z
+    # fixed, so each W update forms them once
+    Ms = [A.T @ A for A in (Z.T @ U for Z, _ in zip(Zs, Fs))]
+    return Ms, sum(w3 * M for w3, M in zip(_global_weights(ctx), Ms))
 
 
 def _hess_W(G, grams, ctx):
     # 2 sum_m T_m'((T_m G)(lambda I + Mbar + lambda4 M_m)) + 2 lambda2 G,
-    # from grams = _factor_grams(U, Zs, ctx)
+    # from grams = _factor_grams(U, Zs, Fs, ctx)
     hp = ctx.hp
+    Ms, Mbar = grams
     P = ctx.T @ G
     R = hp.lambda_ * P
-    if grams is not None:
-        Ms, Mbar = grams
+    if Ms:
         R += P @ Mbar
-        for rows, M in zip(ctx.T_rows, Ms):
-            R[rows] += hp.lambda4 * (P[rows] @ M)
+    for rows, M in zip(ctx.T_rows, Ms):
+        R[rows] += hp.lambda4 * (P[rows] @ M)
     return 2.0 * (ctx.T.T @ R) + 2.0 * hp.lambda2 * G
 
 
@@ -267,7 +277,7 @@ def gradients(model, ctx):
     Fs = _correlation_weights(W, ctx)
     G_U = _hess_U(U, V, Zs, Fs, ctx) - _rhs_U(V, ctx)
     G_V = _hess_V(U, V, ctx) - _rhs_V(U, W, ctx)
-    G_W = _hess_W(W, _factor_grams(U, Zs, ctx), ctx) - _rhs_W(V, ctx)
+    G_W = _hess_W(W, _factor_grams(U, Zs, Fs, ctx), ctx) - _rhs_W(V, ctx)
     G_Zs = tuple(_grad_Z(U @ F.T, Z) for Z, F in zip(Zs, Fs))
     return G_U, G_V, G_W, G_Zs
 
@@ -364,20 +374,19 @@ def _unit_row_error(Zs):
 # huge finite hyperparameters can overflow a step; the curvature and h
 # guards refuse a step that is not finite, and fit a non-finite objective
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep(blocks, ctx):
+def _sweep(blocks, Fs, ctx):
     # one outer iteration: Z_1..Z_g, then V, then U, then W, on the list
     # [U, V, W, Zs], which ends holding the new blocks; it is emptied
-    # first, so each old block is freed once it is replaced
+    # first, so each old block is freed once it is replaced.  Fs are the
+    # correlation weights at the W it starts from, () for none
     U, V, W, Zs = blocks
     blocks.clear()
     hp = ctx.hp
     steps = {}
-    Fs = _correlation_weights(W, ctx) if _has_correlation(hp) else None
     z_steps = []
-    if Fs is not None:
-        for m, F in enumerate(Fs):
-            Zs[m], acc = _z_descend(U, F, Zs[m], hp.inner_steps)
-            z_steps.extend(acc)
+    for m, F in enumerate(Fs):
+        Zs[m], acc = _z_descend(U, F, Zs[m], hp.inner_steps)
+        z_steps.extend(acc)
     steps["Z"] = tuple(z_steps)
     z_err = _unit_row_error(Zs)
 
@@ -395,7 +404,7 @@ def _sweep(blocks, ctx):
     )
     steps["U"] = tuple(acc)
 
-    grams = None if Fs is None else _factor_grams(U, Zs, ctx)
+    grams = _factor_grams(U, Zs, Fs, ctx)
     W, acc = _exact_descent(
         W, lambda G: _hess_W(G, grams, ctx), _rhs_W(V, ctx), hp.inner_steps
     )
@@ -441,9 +450,9 @@ def warm_start(ctx):
     """Initial model: alternating minimization without correlation terms.
 
     U, V, W start from seeded gaussian noise and are refined for
-    hp.warm_iters iterations of the usual block updates with
-    lambda3 = lambda4 = 0.  Unit-row factors (seeded per group) are
-    attached untouched, ready for the full objective.
+    hp.warm_iters iterations of the usual block updates with no
+    correlation terms.  Unit-row factors (seeded per group) are attached
+    untouched, ready for the full objective.
 
     Args:
         ctx: ObjectiveContext carrying data and hyperparams.
@@ -462,12 +471,10 @@ def warm_start(ctx):
     V = rng.standard_normal((k, n)) * scale
     Zs = [init_factor(l, k, hp.seed + m + 1) for m in range(len(ctx.groups))]
 
-    plain_hp = dataclasses.replace(hp, lambda3=0.0, lambda4=0.0)
-    plain_ctx = dataclasses.replace(ctx, hp=plain_hp)
     blocks = [U, V, W, Zs]
     del U, V, W, Zs
     for it in range(1, hp.warm_iters + 1):
-        _sweep(blocks, plain_ctx)
+        _sweep(blocks, (), ctx)
         # huge finite lambdas can overflow a block; say so, not which block
         if not all(np.isfinite(B).all() for B in blocks[:3]):
             raise ValueError(f"warm start is not finite after sweep {it}")
@@ -495,14 +502,18 @@ def fit(dataset, partition, hp):
     blocks = [start.U, start.V, start.W, list(start.factors)]
     del start
 
-    f = _objective_arrays(*blocks, ctx)
+    # the correlation weights at each W, made once for the objective there
+    # and the sweep that starts from it
+    Fs = _weights(blocks[2], ctx)
+    f = _objective_arrays(*blocks, Fs, ctx)
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the warm-start point")
     records = [TraceRecord(0, f, {}, _unit_row_error(blocks[3]))]
     converged = False
     for it in range(1, hp.outer_iters + 1):
-        steps, z_err = _sweep(blocks, ctx)
-        f_new = _objective_arrays(*blocks, ctx)
+        steps, z_err = _sweep(blocks, Fs, ctx)
+        Fs = _weights(blocks[2], ctx)
+        f_new = _objective_arrays(*blocks, Fs, ctx)
         if not np.isfinite(f_new):
             raise ValueError(f"objective is not finite after sweep {it}")
         records.append(TraceRecord(it, f_new, steps, z_err))
@@ -545,12 +556,15 @@ def grid_search(dataset, hp, axes, groups):
         Hyperparams) of the winning combination.
 
     Raises:
-        ValueError: if g is an axis while the partition is fixed, a
-            fixed partition does not cover the dataset, the dataset has
-            fewer than 2 instances, a combination makes
-            invalid Hyperparams, or no combination is usable (naming
-            the first combination's error).
+        ValueError: if an axis has no values, g is an axis while the
+            partition is fixed, a fixed partition does not cover the
+            dataset, the dataset has fewer than 2 instances, a
+            combination makes invalid Hyperparams, or no combination is
+            usable (naming the first combination's error).
     """
+    for name, values in axes.items():
+        if len(values) == 0:
+            raise ValueError(f"grid axis {name!r} has no values")
     fixed = isinstance(groups, Partition)
     if fixed and "g" in axes:
         raise ValueError("cannot vary g in the grid while the partition is fixed")

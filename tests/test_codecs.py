@@ -888,12 +888,13 @@ class Unprintable:
     # entries must strictly increase by label_idx, then instance_idx
     (lambda c, p: save_hidden([(1, 0, 1), (0, 5, 1)], p, comments=c), [], ValueError),
     (lambda c, p: save_hidden([(0, 1, 1), (0, 1, -1)], p, comments=c), [], ValueError),
-    (lambda c, p: save_matrix(np.zeros(3), p, comments=c), [], IndexError),
+    (lambda c, p: save_matrix(np.zeros(3), p, comments=c), [], ValueError),
+    (lambda c, p: save_matrix(np.zeros((2, 2, 2)), p, comments=c), [], ValueError),
 ], ids=[*(f"{name}-comment" for name in STREAMED), "save_hidden-shape",
         "save_hidden-2x6", "save_hidden-1d", "save_hidden-negative-instance",
         "save_hidden-negative-label", "save_hidden-int64-max", "save_hidden-value-0",
         "save_hidden-value-2", "save_hidden-decrease", "save_hidden-repeat",
-        "save_matrix-1d"])
+        "save_matrix-1d", "save_matrix-3d"])
 def test_writer_input_errors_leave_an_existing_file_untouched(tmp_path, save, comments, error):
     path = tmp_path / "out.txt"
     path.write_bytes(b"keep\n")

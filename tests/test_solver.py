@@ -221,7 +221,7 @@ def block_quadratic_error(model, ctx, rng, trial):
     # error of q(G) against the objective's central second difference
     U, V, W, Zs = model.U, model.V, model.W, model.factors
     Cs = _correlation_weights(W, ctx)
-    grams = _factor_grams(U, Zs, ctx)
+    grams = _factor_grams(U, Zs, Cs, ctx)
     hessians = {
         "U": lambda G: _hess_U(G, V, Zs, Cs, ctx),
         "V": lambda G: _hess_V(U, G, ctx),
@@ -420,7 +420,7 @@ def test_masked_products_equal_the_float_label_ones_byte_for_byte(monkeypatch, b
         Fs = _correlation_weights(W, ctx)
         Y, _ = float_labels(ctx)
         rng = np.random.default_rng(trial)
-        assert same_bytes(_objective_arrays(U, V, W, Zs, ctx),
+        assert same_bytes(_objective_arrays(U, V, W, Zs, Fs, ctx),
                           float_label_objective(U, V, W, Zs, ctx))
         for G in (U, rng.standard_normal(U.shape)):
             assert same_bytes(_hess_U(G, V, Zs, Fs, ctx), float_label_hess_U(G, V, Zs, Fs, ctx))
@@ -532,13 +532,47 @@ def test_weight_factors_reproduce_the_dense_weights():
 
 
 def test_z_step_is_identity_without_correlation_terms():
-    _, _, ctx = build_problem(7, lambda3=0.0, lambda4=0.0)
+    # a sweep handed no correlation weights takes no Z step and leaves each
+    # factor as it was, whatever lambda3 and lambda4 the context holds
+    # (the warm start's sweeps); its U, V and W are those of the sweep in
+    # a context with lambda3 = lambda4 = 0
+    _, _, plain = build_problem(7, lambda3=0.0, lambda4=0.0)
+    ctx = dataclasses.replace(plain, hp=dataclasses.replace(plain.hp, lambda3=0.4, lambda4=0.6))
     model = random_model(ctx, 8)
-    for m in range(len(ctx.groups)):
-        Z = _z_descend(
-            model.U, _correlation_weights(model.W, ctx)[m], model.factors[m], 5
-        )[0]
-        assert np.array_equal(Z, model.factors[m])
+    assert solver._weights(model.W, plain) == ()
+    swept = []
+    for c in (plain, ctx):
+        blocks = [model.U, model.V, model.W, list(model.factors)]
+        steps, _ = solver._sweep(blocks, (), c)
+        assert steps["Z"] == ()
+        assert all(Z is Z0 for Z, Z0 in zip(blocks[3], model.factors))
+        swept.append(blocks[:3])
+    for A, B in zip(*swept):
+        assert same_bytes(A, B)
+
+
+@pytest.mark.parametrize("lam3, lam4", [(0.3, 0.2), (0.0, 0.4), (0.5, 0.0), (0.0, 0.0)])
+def test_fit_makes_each_ws_correlation_weights_once(monkeypatch, lam3, lam4):
+    # at the warm-start point and after each W step, none when
+    # lambda3 = lambda4 = 0, the warm start included
+    data, partition, _ = build_problem(21)
+    hp = Hyperparams(k=3, lambda3=lam3, lambda4=lam4, warm_iters=3, outer_iters=4,
+                     tol=0.0, seed=21)
+    weights = solver._correlation_weights
+    seen = []
+
+    def counting(W, ctx):
+        seen.append(W)
+        return weights(W, ctx)
+
+    monkeypatch.setattr(solver, "_correlation_weights", counting)
+    model, trace = fit(data, partition, hp)
+    assert trace.total_iterations == hp.outer_iters
+    if lam3 or lam4:
+        assert len(seen) == 1 + hp.outer_iters
+        assert seen[-1] is model.W
+    else:
+        assert seen == []
 
 
 def test_warm_start_heavy_ridge_shrinks_blocks():
@@ -706,9 +740,9 @@ def test_fit_refuses_a_non_finite_objective_after_a_sweep(monkeypatch):
     sweep = solver._sweep
     calls = []
 
-    def overflowing(blocks, ctx):
+    def overflowing(blocks, Fs, ctx):
         calls.append(None)
-        out = sweep(blocks, ctx)
+        out = sweep(blocks, Fs, ctx)
         if len(calls) > hp.warm_iters:
             blocks[0] = blocks[0] * 1e200  # U
         return out
@@ -824,6 +858,14 @@ def test_grid_search_restricts_a_fixed_partition_to_each_fold(monkeypatch):
         )
         with pytest.raises(ValueError, match=f"partition covers {n} instances"):
             grid_search(data, hp, {"lambda4": [0.0, 1.0]}, other)
+    # an axis with no values is refused, by name, before any fold is cut
+    def no_folds(*args):
+        raise AssertionError("a fold was cut")
+
+    monkeypatch.setattr(solver, "take_instances", no_folds)
+    for axes, name in (({"k": []}, "'k'"), ({"lambda4": [0.0], "g": []}, "'g'")):
+        with pytest.raises(ValueError, match=f"^grid axis {name} has no values$"):
+            grid_search(data, hp, axes, 2)
 
 
 def test_learned_correlation_term_vanishes_at_convergence():
