@@ -172,17 +172,14 @@ def _cmd_train(args):
     provenance = {**dataclasses.asdict(hp), "add_bias": args.add_bias,
                   "n": data.n, "d": data.d, "l": data.l, "g": part.g}
     model = dataclasses.replace(model, provenance=provenance)
-    stamp = (
-        f"glocal train seed={args.seed} k={hp.k} g={part.g}"
-        f" lambda={hp.lambda_} lambda2={hp.lambda2}"
-        f" lambda3={hp.lambda3} lambda4={hp.lambda4}"
-    )
     comments = ["glocal train"]  # the provenance lines carry the settings
     if grid_note:
         comments.append(f"grid selection: {grid_note}")
     save_model(model, args.model_out, comments=comments)
     if args.trace:
-        write_lines(args.trace, trace.to_csv(comments=[stamp]).splitlines())
+        # the model file's header comments: its comments, then its provenance
+        comments += [f"{key}={value}" for key, value in model.provenance.items()]
+        write_lines(args.trace, trace.to_csv(comments=comments).splitlines())
     final = trace.records[-1]
     print(
         f"train: objective {final.objective:.6g} after {final.iteration} iterations"
@@ -193,13 +190,12 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     model = load_model(args.model)
-    trained = model.provenance.get("add_bias")
-    if trained is not None and trained != str(args.add_bias):
-        raise ValueError(
-            f"model was trained with add_bias={trained} but predict got"
-            f" add_bias={args.add_bias}; pass --add-bias exactly when train did"
-        )
-    data = _load_dataset(args.input, add_bias=args.add_bias)
+    # the features are built as train built them; a model with no add_bias
+    # entry (saved from the library) is scored on the features as given
+    add_bias = model.provenance.get("add_bias", "False")
+    if add_bias not in ("True", "False"):
+        raise ValueError(f"model provenance has add_bias={add_bias}; expected True or False")
+    data = _load_dataset(args.input, add_bias=add_bias == "True")
     S = score(model, data.features)
     stamp = f"glocal predict model={args.model} input={args.input}"
     save_matrix(S, args.scores_out, comments=[stamp])
@@ -285,10 +281,11 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--partition", help="partition file overriding k-means")
     p.add_argument("--model-out", required=True)
-    p.add_argument("--trace", help="write iter,objective CSV here")
+    p.add_argument("--trace", help="write iter,objective CSV here, under the"
+                   " model file's comment and provenance lines")
     p.add_argument("--grid", help="e.g. 'lambda3=0.1,1;lambda4=0.1,1;k=3,5;g=2,4'")
     p.add_argument("--add-bias", action="store_true",
-                   help="append a constant feature before training")
+                   help="append a constant feature; predict follows the model")
     _add_train_flags(p)
     p.set_defaults(func=_cmd_train, inputs=("input", "partition"),
                    outputs=("model_out", "trace"))
@@ -298,8 +295,6 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--scores-out", required=True)
     p.add_argument("--labels-out")
-    p.add_argument("--add-bias", action="store_true",
-                   help="append a constant feature (match the train flag)")
     p.set_defaults(func=_cmd_predict, inputs=("model", "input"),
                    outputs=("scores_out", "labels_out"))
 

@@ -745,7 +745,7 @@ def apply_mask(data, spec):
     Y = data.labels.values
     # the masked labels are made and checked before the hidden entries
     # are, so the check's scratch arrays are gone by then
-    masked = Dataset(data.features, LabelMatrix(np.where(mask, Y, 0)))
+    masked = Dataset(data.features, _adopt(LabelMatrix, np.where(mask, Y, np.int8(0))))
     # flat positions in row-major order: by label, then instance
     pos = np.flatnonzero((Y != 0) & ~mask)
     del mask
@@ -758,9 +758,10 @@ def apply_mask(data, spec):
 def take_instances(data, indices):
     """New Dataset restricted to the given instance columns, in order."""
     idx = np.asarray(indices, dtype=int)
+    # fancy indexing makes private copies, so the containers take them
     return Dataset(
-        FeatureMatrix(data.features.values[:, idx]),
-        LabelMatrix(data.labels.values[:, idx]),
+        _adopt(FeatureMatrix, data.features.values[:, idx]),
+        _adopt(LabelMatrix, data.labels.values[:, idx]),
     )
 
 

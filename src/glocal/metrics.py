@@ -70,17 +70,23 @@ def _pair_counts(scores, truth, side):
     return counts
 
 
-def _ranking_loss(scores, truth):
+def _instance_counts(scores, truth):
     # per instance, the pairs with fp > fn; the rest, fp <= fn, are wrong
-    counts = _pair_counts(scores.T, truth.T, "left")
+    return _pair_counts(scores.T, truth.T, "left")
+
+
+def _label_counts(scores, truth):
+    # per label, the pairs with fp >= fn
+    return _pair_counts(scores, truth, "right")
+
+
+def _ranking_loss(counts):
     if not counts:
         raise UndefinedMetricError("ranking_loss: every instance was skipped")
     return float(np.mean([(pairs - good) / pairs for good, pairs in counts]))
 
 
-def _average_auc(scores, truth):
-    # per label, the pairs with fp >= fn
-    counts = _pair_counts(scores, truth, "right")
+def _average_auc(counts):
     if not counts:
         raise UndefinedMetricError("average_auc: every label was skipped")
     return float(np.mean([good / pairs for good, pairs in counts]))
@@ -114,12 +120,12 @@ def _average_precision(ranks, truth):
 
 def ranking_loss(scores, truth):
     """Mean fraction of positive/negative pairs ordered wrongly (ties count)."""
-    return _ranking_loss(*_check(scores, truth))
+    return _ranking_loss(_instance_counts(*_check(scores, truth)))
 
 
 def average_auc(scores, truth):
     """Mean per-label fraction of correctly ordered instance pairs (ties count)."""
-    return _average_auc(*_check(scores, truth))
+    return _average_auc(_label_counts(*_check(scores, truth)))
 
 
 def coverage(scores, truth):
@@ -178,18 +184,15 @@ def evaluate(scores, truth):
         UndefinedMetricError: if any metric has nothing left to average.
     """
     scores, truth = _check(scores, truth)
-    has_pos = (truth == 1).any(axis=0)
-    has_neg = (truth == -1).any(axis=0)
-    skipped_instances = int(np.sum(~(has_pos & has_neg)))
-    lab_pos = (truth == 1).any(axis=1)
-    lab_neg = (truth == -1).any(axis=1)
-    skipped_labels = int(np.sum(~(lab_pos & lab_neg)))
+    # a row the pair count skips is the row its metric skips
+    instances = _instance_counts(scores, truth)
+    labels = _label_counts(scores, truth)
     ranks = _ranks(scores)  # shared by coverage and average precision
     return EvaluationReport(
-        rkl=_ranking_loss(scores, truth),
-        auc=_average_auc(scores, truth),
+        rkl=_ranking_loss(instances),
+        auc=_average_auc(labels),
         cvg=_coverage(ranks, truth),
         ap=_average_precision(ranks, truth),
-        skipped_instances=skipped_instances,
-        skipped_labels=skipped_labels,
+        skipped_instances=scores.shape[1] - len(instances),
+        skipped_labels=scores.shape[0] - len(labels),
     )

@@ -40,9 +40,9 @@ class Hyperparams:
     on U/V/W, lambda3 the global correlation term, lambda4 the local
     ones.  inner_steps steps are taken per block per outer iteration:
     exact line-minimizing gradient steps for U and W (and for V when
-    k > solver._CLOSED_FORM_MAX_K), of length ||G||^2 / <G, H(G)> with
-    H the block's Hessian action, and majorize-minimize steps of length
-    1 / (2 lambda_max) for the correlation factors.  warm_iters
+    k > 256), of length ||G||^2 / <G, H(G)> with H the block's Hessian
+    action, and majorize-minimize steps of length 1 / (2 lambda_max)
+    for the correlation factors.  warm_iters
     alternating iterations are run without the correlation terms before
     the full objective takes over.
     The lambdas and tol must be finite and non-negative, and the seed

@@ -10,6 +10,7 @@ from glocal import cli, solver
 from glocal.cli import main, parse_grid
 from glocal.clustering import kmeans
 from glocal.data import (
+    FeatureMatrix,
     load_gml,
     load_hidden,
     load_matrix,
@@ -18,7 +19,8 @@ from glocal.data import (
     save_matrix,
 )
 from glocal.metrics import ranking_loss
-from glocal.model import load_model
+from glocal.model import GlocalModel, Hyperparams, load_model, save_model, score
+from glocal.solver import fit
 
 
 def run(*argv):
@@ -362,6 +364,14 @@ def test_train_grid_under_a_partition_file_never_runs_kmeans(
     assert load_model(model_path).g == 4
 
 
+def _scores_of(model, gml, bias):
+    """score(model, features) on the file's features, with the bias row or not."""
+    X = load_gml(gml).features.values
+    if bias:
+        X = np.vstack([X, np.ones((1, X.shape[1]))])
+    return score(model, FeatureMatrix(X))
+
+
 def test_add_bias_appends_constant_feature(tmp_path, synth_files):
     _, masked, _ = synth_files
     model_path = tmp_path / "bias.model"
@@ -369,17 +379,19 @@ def test_add_bias_appends_constant_feature(tmp_path, synth_files):
                "--add-bias", "--latent-k", 2, "--outer-iters", 2,
                "--warm-iters", 2) == 0
     assert load_model(model_path).d == 6  # 5 features plus the bias row
-    # prediction must then also be given the bias flag
+    # predict takes the bias row from the model, with no flag of its own
     scores_path = tmp_path / "s.txt"
     assert run("predict", "--model", model_path, "--input", masked,
-               "--scores-out", scores_path) == 1
-    assert run("predict", "--model", model_path, "--input", masked,
-               "--scores-out", scores_path, "--add-bias") == 0
+               "--scores-out", scores_path) == 0
+    assert load_matrix(scores_path).shape == (6, 40)
+    with pytest.raises(SystemExit):
+        run("predict", "--model", model_path, "--input", masked,
+            "--scores-out", scores_path, "--add-bias")
 
 
 @pytest.mark.parametrize("bias", [True, False])
 def test_train_records_provenance_and_predict_checks_add_bias(
-    tmp_path, synth_files, capsys, bias
+    tmp_path, synth_files, bias
 ):
     _, masked, _ = synth_files
     model_path = tmp_path / "m.model"
@@ -387,24 +399,67 @@ def test_train_records_provenance_and_predict_checks_add_bias(
     assert run("train", "--input", masked, "--model-out", model_path, *bias_flag,
                "--latent-k", 2, "--groups", 2, "--lambda3", 0.25, "--outer-iters", 2,
                "--warm-iters", 1, "--seed", 4) == 0
-    assert load_model(model_path).provenance == {
+    model = load_model(model_path)
+    assert model.provenance == {
         "k": "2", "lambda_": "1.0", "lambda2": "0.01", "lambda3": "0.25",
         "lambda4": "0.1", "inner_steps": "5", "outer_iters": "2", "warm_iters": "1",
         "tol": "1e-05", "seed": "4", "add_bias": str(bias),
         "n": "40", "d": str(5 + bias), "l": "6", "g": "2",
     }
-    capsys.readouterr()
     scores_path = tmp_path / "s.txt"
-    wrong_flag = [] if bias else ["--add-bias"]
     assert run("predict", "--model", model_path, "--input", masked,
-               "--scores-out", scores_path, *wrong_flag) == 1
+               "--scores-out", scores_path) == 0
+    assert load_matrix(scores_path).tobytes() == _scores_of(model, masked, bias).tobytes()
+
+
+def test_predict_scores_a_model_without_provenance_as_given(tmp_path, synth_files):
+    # the library's fit sets no provenance: no add_bias entry, no bias row
+    _, masked, _ = synth_files
+    data = load_gml(masked)
+    model, _ = fit(data, kmeans(data.features, 2, seed=0),
+                   Hyperparams(k=2, outer_iters=2, warm_iters=1))
+    assert model.provenance == {}
+    model_path, scores_path = tmp_path / "m.model", tmp_path / "s.txt"
+    save_model(model, model_path)
+    assert run("predict", "--model", model_path, "--input", masked,
+               "--scores-out", scores_path) == 0
+    assert load_matrix(scores_path).tobytes() == _scores_of(model, masked, False).tobytes()
+
+
+def test_predict_rejects_an_add_bias_entry_that_is_no_bool(tmp_path, synth_files, capsys):
+    _, masked, _ = synth_files
+    rng = np.random.default_rng(0)
+    model = GlocalModel(U=rng.standard_normal((6, 2)), V=rng.standard_normal((2, 40)),
+                        W=rng.standard_normal((5, 2)), factors=(np.ones((6, 2)) / np.sqrt(2),),
+                        provenance={"add_bias": "yes"})
+    model_path, scores_path = tmp_path / "m.model", tmp_path / "s.txt"
+    save_model(model, model_path)
+    capsys.readouterr()
+    assert run("predict", "--model", model_path, "--input", masked,
+               "--scores-out", scores_path) == 1
     assert capsys.readouterr().err == (
-        f"error: model was trained with add_bias={bias} but predict got"
-        f" add_bias={not bias}; pass --add-bias exactly when train did\n"
+        "error: model provenance has add_bias=yes; expected True or False\n"
     )
     assert not scores_path.exists()
-    assert run("predict", "--model", model_path, "--input", masked,
-               "--scores-out", scores_path, *bias_flag) == 0
+
+
+@pytest.mark.parametrize("grid", [[], ["--grid", "lambda3=0,0.5"]])
+def test_the_trace_carries_the_model_header(tmp_path, synth_files, grid):
+    # the trace's comment lines are the model file's: its comments (and
+    # any grid note), then every provenance entry
+    _, masked, _ = synth_files
+    model_path, trace_path = tmp_path / "m.model", tmp_path / "trace.csv"
+    assert run("train", "--input", masked, "--model-out", model_path,
+               "--trace", trace_path, "--add-bias", "--latent-k", 2, "--groups", 2,
+               "--outer-iters", 2, "--warm-iters", 1, "--seed", 3, *grid) == 0
+    model_lines = model_path.read_text(encoding="utf-8").splitlines()
+    trace_lines = trace_path.read_text(encoding="utf-8").splitlines()
+    header = [ln for ln in model_lines[1:] if ln.startswith("#")]
+    note = ["# grid selection: lambda3=0.0"] if grid else []
+    entries = [f"# {key}={value}" for key, value in load_model(model_path).provenance.items()]
+    assert header == ["# glocal train", *note, *entries] and len(entries) == 15
+    assert [ln for ln in trace_lines if ln.startswith("#")] == header
+    assert trace_lines[len(header)] == "iter,objective"
 
 
 # every numeric flag of the data commands and of train, with small sizes,

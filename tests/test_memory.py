@@ -27,6 +27,7 @@ from glocal.data import (
     save_gml,
     save_hidden,
     save_matrix,
+    take_instances,
 )
 from glocal.model import GlocalModel, Hyperparams, load_model, save_model
 from glocal.solver import fit
@@ -151,6 +152,15 @@ def test_masking_peak_tracks_the_hidden_entries(corel_data):
     data, _, hidden = corel_data
     held = peak_beyond(lambda _: 0, lambda: apply_mask(data, MaskSpec(rho=30, seed=1)))
     assert held <= 2.4 * hidden.nbytes
+
+
+def test_taking_instances_copies_each_subset_once(corel_data):
+    # the fancy-indexed subsets are the containers' own arrays: a second
+    # copy of the features alone would hold their bytes again
+    data = corel_data[0]
+    held = peak_beyond(lambda d: d.features.values.nbytes + d.labels.values.nbytes,
+                       lambda: take_instances(data, np.arange(0, data.n, 2)))
+    assert held < 0.5 * (data.d * (data.n // 2) * 8)
 
 
 def test_making_a_synthetic_set_holds_its_scores_twice_at_most(corel_data):

@@ -216,6 +216,25 @@ def test_metrics_invariant_under_permutation_and_increasing_maps(case, data):
         assert ref(scores[:, perm], truth[:, perm]) == pytest.approx(want, rel=1e-12)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(problem())
+def test_evaluate_counts_the_instances_and_labels_it_skips(case):
+    scores, truth = case
+    # brute force: a column or row is skipped when it lacks a +1 or a -1
+    def lacking(rows):
+        return sum(1 for row in rows.tolist() if 1 not in row or -1 not in row)
+
+    instances, labels = lacking(truth.T), lacking(truth)
+    try:
+        report = evaluate(scores, truth)
+    except UndefinedMetricError:
+        # every instance or every label was skipped (an instance with both
+        # signs keeps coverage and average precision defined)
+        assert instances == truth.shape[1] or labels == truth.shape[0]
+        return
+    assert (report.skipped_instances, report.skipped_labels) == (instances, labels)
+
+
 def test_degenerate_rows_skipped_with_reduced_denominator():
     scores = np.array([[0.9, 0.1], [0.5, 0.2], [0.1, 0.3]])
     truth = np.array([[1, 1], [-1, 1], [1, 1]])

@@ -56,8 +56,21 @@ NEWER_THAN_3_10 = {
     ("hashlib", "file_digest"),  # 3.11
     ("typing", "Self"),  # 3.11
     ("datetime", "UTC"),  # 3.11
+    ("sys", "exception"),  # 3.11
+    ("math", "cbrt"),  # 3.11
+    ("math", "exp2"),  # 3.11
+    ("enum", "StrEnum"),  # 3.11
+    ("operator", "call"),  # 3.11
+    ("typing", "Never"),  # 3.11
+    ("typing", "assert_never"),  # 3.11
+    ("typing", "LiteralString"),  # 3.11
+    ("math", "sumprod"),  # 3.12
+    ("typing", "override"),  # 3.12
 }
-NEWER_KEYWORDS = {("a2b_base64", "strict_mode")}  # 3.11
+NEWER_KEYWORDS = {
+    ("a2b_base64", "strict_mode"),  # 3.11
+    ("fmean", "weights"),  # 3.11
+}
 
 
 def newer_stdlib_uses(source):
@@ -87,10 +100,18 @@ def test_the_stdlib_guard_finds_each_newer_name():
         "from typing import Self", "import hashlib, datetime, binascii",
         "itertools.batched(x, 2)", "hashlib.file_digest(f, 'sha256')",
         "datetime.UTC", "binascii.a2b_base64(s, strict_mode=True)",
+        "import sys, math, enum, operator, typing, statistics",
+        "from typing import Never, LiteralString", "from typing import override",
+        "sys.exception()", "math.cbrt(8.0)", "math.exp2(3)", "math.sumprod(a, b)",
+        "enum.StrEnum", "operator.call(f)", "typing.assert_never(x)",
+        "statistics.fmean(xs, weights=ws)",
     ])
     assert sorted(newer_stdlib_uses(source)) == sorted([
         "tomllib", "contextlib.chdir", "typing.Self", "itertools.batched",
         "hashlib.file_digest", "datetime.UTC", "a2b_base64(strict_mode=)",
+        "typing.Never", "typing.LiteralString", "typing.override", "sys.exception",
+        "math.cbrt", "math.exp2", "math.sumprod", "enum.StrEnum", "operator.call",
+        "typing.assert_never", "fmean(weights=)",
     ])
 
 
