@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: cluster, train, predict, eval, mask, split, synth.  Every
-subcommand is deterministic given its flags; seeds are echoed into the
-output files as '#' comment lines.  Each subcommand declares its path
-flags with its other flags, as input files and output paths, and main
-checks every path given before the command runs, so a missing file or
-output directory is reported before any work starts.  Errors exit with
+subcommand is deterministic given its flags, and every file it writes
+opens with the same '#' stamp: the command and each setting it ran with,
+which main builds from the parsed flags (see _stamp).  Each subcommand
+declares its path flags with its other flags, as input files and output
+paths, and main checks every path given before the command runs, so a
+missing file or output directory, or two outputs naming one file, is
+reported before any work starts.  Errors exit with
 status 1 and a one-line diagnostic.  Every file is read and written a
 batch of lines at a time (see glocal.textio), through the load_* and
 save_* functions of its format, which live with their modules.
@@ -24,7 +26,6 @@ import numpy as np
 from .clustering import kmeans, load_partition, save_partition
 from .data import (
     Dataset,
-    FeatureMatrix,
     MaskSpec,
     apply_mask,
     load_gml,
@@ -52,16 +53,10 @@ def read_matrix(text):
     return load_matrix(io.StringIO(text))
 
 
-def _with_bias(features):
-    return FeatureMatrix(
-        np.vstack([features.values, np.ones((1, features.n))])
-    )
-
-
 def _load_dataset(path, add_bias=False):
     data = load_gml(path)
     if add_bias:
-        data = Dataset(_with_bias(data.features), data.labels)
+        data = Dataset(data.features.with_bias(), data.labels)
     return data
 
 
@@ -103,14 +98,10 @@ def _hp_from_args(args, axes):
     return Hyperparams(**fields)
 
 
-def _cmd_synth(args):
+def _cmd_synth(args, stamp):
     data = make_synthetic(
         args.labels, args.instances, args.features, args.latent_k,
         args.noise, args.seed,
-    )
-    stamp = (
-        f"glocal synth seed={args.seed} noise={args.noise} rho={args.rho}"
-        f" l={args.labels} n={args.instances} d={args.features} k={args.latent_k}"
     )
     masked, hidden = apply_mask(data, MaskSpec(rho=args.rho, seed=args.seed))
     # one pass over the shared features writes both files
@@ -120,10 +111,9 @@ def _cmd_synth(args):
     return 0
 
 
-def _cmd_mask(args):
+def _cmd_mask(args, stamp):
     data = _load_dataset(args.input)
     masked, hidden = apply_mask(data, MaskSpec(rho=args.rho, seed=args.seed))
-    stamp = f"glocal mask seed={args.seed} rho={args.rho} input={args.input}"
     save_gml({args.out: masked}, comments=[stamp])
     save_hidden(hidden, args.hidden_out, comments=[stamp])
     observed = np.count_nonzero(masked.labels.values)
@@ -131,27 +121,25 @@ def _cmd_mask(args):
     return 0
 
 
-def _cmd_split(args):
+def _cmd_split(args, stamp):
     data = _load_dataset(args.input)
     train, test = split(data, args.fraction, args.seed)
-    stamp = f"glocal split seed={args.seed} fraction={args.fraction} input={args.input}"
     save_gml({args.train_out: train}, comments=[stamp + " side=train"])
     save_gml({args.test_out: test}, comments=[stamp + " side=test"])
     print(f"split: {train.n} train / {test.n} test instances")
     return 0
 
 
-def _cmd_cluster(args):
+def _cmd_cluster(args, stamp):
     data = _load_dataset(args.input)
     part = kmeans(data.features, args.groups, args.seed, max_iter=args.max_iter)
-    stamp = f"glocal cluster seed={args.seed} groups={args.groups} input={args.input}"
     save_partition(part, args.out, comments=[stamp])
     sizes = " ".join(str(int(s)) for s in part.sizes)
     print(f"cluster: {part.g} groups with sizes {sizes}")
     return 0
 
 
-def _cmd_train(args):
+def _cmd_train(args, stamp):
     data = _load_dataset(args.input, add_bias=args.add_bias)
     part = None
     if args.partition:
@@ -159,12 +147,12 @@ def _cmd_train(args):
 
     axes = parse_grid(args.grid) if args.grid else {}
     fields = {{"lambda": "lambda_"}.get(a, a): v for a, v in axes.items()}
-    hp, g, grid_note = _hp_from_args(args, fields), args.groups, None
+    hp, g = _hp_from_args(args, fields), args.groups
     if axes:
         groups = g if part is None else part
         loss, chosen, g, hp = grid_search(data, hp, fields, groups)
-        grid_note = ", ".join(f"{a}={v}" for a, v in zip(axes, chosen.values()))
-        print(f"grid: selected {grid_note} (cv ranking loss {loss:.4f})")
+        picked = ", ".join(f"{a}={v}" for a, v in zip(axes, chosen.values()))
+        print(f"grid: selected {picked} (cv ranking loss {loss:.4f})")
     if part is None:
         part = kmeans(data.features, g, args.seed)
 
@@ -172,13 +160,11 @@ def _cmd_train(args):
     provenance = {**dataclasses.asdict(hp), "add_bias": args.add_bias,
                   "n": data.n, "d": data.d, "l": data.l, "g": part.g}
     model = dataclasses.replace(model, provenance=provenance)
-    comments = ["glocal train"]  # the provenance lines carry the settings
-    if grid_note:
-        comments.append(f"grid selection: {grid_note}")
-    save_model(model, args.model_out, comments=comments)
+    # the stamp records what was asked for, the provenance what was fitted
+    save_model(model, args.model_out, comments=[stamp])
     if args.trace:
-        # the model file's header comments: its comments, then its provenance
-        comments += [f"{key}={value}" for key, value in model.provenance.items()]
+        # the model file's header lines: the stamp, then the provenance
+        comments = [stamp, *(f"{key}={value}" for key, value in model.provenance.items())]
         write_lines(args.trace, trace.to_csv(comments=comments).splitlines())
     final = trace.records[-1]
     print(
@@ -188,7 +174,7 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_predict(args):
+def _cmd_predict(args, stamp):
     model = load_model(args.model)
     # the features are built as train built them; a model with no add_bias
     # entry (saved from the library) is scored on the features as given
@@ -197,7 +183,6 @@ def _cmd_predict(args):
         raise ValueError(f"model provenance has add_bias={add_bias}; expected True or False")
     data = _load_dataset(args.input, add_bias=add_bias == "True")
     S = score(model, data.features)
-    stamp = f"glocal predict model={args.model} input={args.input}"
     save_matrix(S, args.scores_out, comments=[stamp])
     if args.labels_out:
         L = predict(model, data.features)
@@ -222,7 +207,7 @@ def _hidden_truth(path, shape):
     return truth
 
 
-def _cmd_eval(args):
+def _cmd_eval(args, stamp):
     if (args.truth is None) == (args.hidden is None):
         raise ValueError("pass exactly one of --truth or --hidden")
     S = load_matrix(args.scores)
@@ -231,7 +216,6 @@ def _cmd_eval(args):
     else:
         truth = _hidden_truth(args.hidden, S.shape)
     report = evaluate(S, truth)
-    stamp = f"glocal eval scores={args.scores}"
     write_lines(args.out, report.to_csv(comments=[stamp]).splitlines())
     print(
         f"eval: rkl={report.rkl:.4f} auc={report.auc:.4f}"
@@ -282,7 +266,7 @@ def build_parser():
     p.add_argument("--partition", help="partition file overriding k-means")
     p.add_argument("--model-out", required=True)
     p.add_argument("--trace", help="write iter,objective CSV here, under the"
-                   " model file's comment and provenance lines")
+                   " model file's header lines")
     p.add_argument("--grid", help="e.g. 'lambda3=0.1,1;lambda4=0.1,1;k=3,5;g=2,4'")
     p.add_argument("--add-bias", action="store_true",
                    help="append a constant feature; predict follows the model")
@@ -339,6 +323,17 @@ def build_parser():
     return parser
 
 
+def _stamp(args):
+    """The header line of every file a run writes: 'glocal <command>',
+    then name=value for each flag given or defaulted, in the parser's
+    order.  The output paths are left out, since each names the file
+    itself, and so are argparse's own entries and unset flags."""
+    skip = {"command", "func", "inputs", "outputs", *args.outputs}
+    settings = (f"{name.rstrip('_')}={value}" for name, value in vars(args).items()
+                if name not in skip and value is not None)
+    return " ".join([f"glocal {args.command}", *settings])
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -349,11 +344,18 @@ def main(argv=None):
             path = getattr(args, name)
             if path is not None and not Path(path).is_file():
                 raise ValueError(f"{name} file not found: {path}")
+        written = {}  # resolved output path -> its flag
         for name in args.outputs:
-            path = getattr(args, name)
-            if path is not None and not (parent := Path(path).resolve().parent).is_dir():
-                raise ValueError(f"directory for {name.replace('_', '-')} does not exist: {parent}")
-        return args.func(args)
+            path, flag = getattr(args, name), name.replace("_", "-")
+            if path is None:
+                continue
+            target = Path(path).resolve()
+            if not target.parent.is_dir():
+                raise ValueError(f"directory for {flag} does not exist: {target.parent}")
+            if target in written:
+                raise ValueError(f"--{written[target]} and --{flag} name the same file: {target}")
+            written[target] = flag
+        return args.func(args, _stamp(args))
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

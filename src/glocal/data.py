@@ -94,6 +94,11 @@ class FeatureMatrix:
     def n(self):
         return self.values.shape[1]
 
+    def with_bias(self):
+        """This matrix with a constant all-ones feature row appended.
+        The stacked array becomes the new matrix's own, uncopied."""
+        return _adopt(FeatureMatrix, np.vstack([self.values, np.ones((1, self.n))]))
+
 
 @dataclass(frozen=True, eq=False)
 class LabelMatrix:

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import io
+import re
 import shlex
 from pathlib import Path
 
@@ -137,20 +139,23 @@ def test_synth_outputs_consistent(synth_files):
     for j, i, v in entries:
         assert masked_ds.labels.values[j, i] == 0
         assert full_ds.labels.values[j, i] == v
-    assert full.read_text(encoding="utf-8").startswith("# glocal synth seed=7")
+    assert full.read_text(encoding="utf-8").startswith(
+        "# glocal synth labels=6 instances=40 features=5 latent_k=2 noise=0.0"
+        " rho=60.0 seed=7\n")
 
 
-# blake2b digests (16 bytes) of synth's files, frozen from the writers
-# that formatted every id of every line where they wrote it: (l, n, d,
-# k, noise, rho, seed) -> full.gml, train.gml, hidden.txt.  The larger
-# shape crosses batch edges of both writers.
+# blake2b digests (16 bytes) of synth's files with their '#' lines
+# dropped, frozen from the writers that formatted every id of every line
+# where they wrote it: (l, n, d, k, noise, rho, seed) -> full.gml,
+# train.gml, hidden.txt.  The larger shape crosses batch edges of both
+# writers.
 SYNTH_DIGESTS = {
-    (3, 9, 2, 1, 0, 50, 1): ("014d5a3f004bd5bb4a85d1d580f5af57",
-                             "7c97f826557a5f695e38bbdb66d4cea6",
-                             "d9cb03f78063d10bbd985d1aa6f8e06d"),
-    (40, 200, 10, 3, 0.3, 30, 7): ("96d81e2cd4b483721477321e6d449ff0",
-                                   "7b074d2c3e68c8b80d04f02eab0eb5a6",
-                                   "b4468af9d311ecbab1661078230f1ead"),
+    (3, 9, 2, 1, 0, 50, 1): ("3f90655916fe96319d561e219227e252",
+                             "36a539c388ada628abe588fc20fbd494",
+                             "70dc69d0aa68b35eef18b165d54297d9"),
+    (40, 200, 10, 3, 0.3, 30, 7): ("2986be13da9e586cda5078780b230437",
+                                   "5a83fbb05a79ab9f1f17693ddad649b0",
+                                   "4224aacbaaeb203e28cd5d7b6558b22e"),
 }
 
 
@@ -162,8 +167,9 @@ def test_synth_files_are_frozen(tmp_path, shape):
                "--latent-k", k, "--noise", noise, "--rho", rho, "--seed", seed,
                "--out-full", files[0], "--out-masked", files[1],
                "--out-hidden", files[2]) == 0
-    digests = tuple(hashlib.blake2b(f.read_bytes(), digest_size=16).hexdigest()
-                    for f in files)
+    data = [b"".join(ln for ln in f.read_bytes().splitlines(keepends=True)
+                     if not ln.startswith(b"#")) for f in files]
+    digests = tuple(hashlib.blake2b(b, digest_size=16).hexdigest() for b in data)
     assert digests == SYNTH_DIGESTS[shape]
 
 
@@ -289,8 +295,10 @@ def test_train_with_grid_search(tmp_path, synth_files, capsys):
     assert "grid: selected" in out and "cv ranking loss" in out
     model = load_model(model_path)
     assert model.g == 2
-    text = model_path.read_text(encoding="utf-8")
-    assert "# grid selection:" in text
+    # the stamp names the grid asked for, the provenance what was fitted
+    stamp = model_path.read_text(encoding="utf-8").splitlines()[1]
+    assert stamp.startswith(f"# glocal train input={masked} grid=lambda3=0,0.5;g=2 ")
+    assert model.provenance["lambda3"] in ("0.0", "0.5")
 
 
 def test_train_grid_with_fixed_partition_cannot_vary_g(
@@ -445,8 +453,8 @@ def test_predict_rejects_an_add_bias_entry_that_is_no_bool(tmp_path, synth_files
 
 @pytest.mark.parametrize("grid", [[], ["--grid", "lambda3=0,0.5"]])
 def test_the_trace_carries_the_model_header(tmp_path, synth_files, grid):
-    # the trace's comment lines are the model file's: its comments (and
-    # any grid note), then every provenance entry
+    # the trace's comment lines are the model file's: the run's stamp,
+    # then every provenance entry
     _, masked, _ = synth_files
     model_path, trace_path = tmp_path / "m.model", tmp_path / "trace.csv"
     assert run("train", "--input", masked, "--model-out", model_path,
@@ -455,9 +463,11 @@ def test_the_trace_carries_the_model_header(tmp_path, synth_files, grid):
     model_lines = model_path.read_text(encoding="utf-8").splitlines()
     trace_lines = trace_path.read_text(encoding="utf-8").splitlines()
     header = [ln for ln in model_lines[1:] if ln.startswith("#")]
-    note = ["# grid selection: lambda3=0.0"] if grid else []
+    stamp = (f"# glocal train input={masked}{' grid=lambda3=0,0.5' if grid else ''}"
+             " add_bias=True k=2 groups=2 lambda=1.0 lambda2=0.01 lambda3=0.1"
+             " lambda4=0.1 inner_steps=5 outer_iters=2 warm_iters=1 tol=1e-05 seed=3")
     entries = [f"# {key}={value}" for key, value in load_model(model_path).provenance.items()]
-    assert header == ["# glocal train", *note, *entries] and len(entries) == 15
+    assert header == [stamp, *entries] and len(entries) == 15
     assert [ln for ln in trace_lines if ln.startswith("#")] == header
     assert trace_lines[len(header)] == "iter,objective"
 
@@ -581,9 +591,12 @@ def test_stamps_of_hostile_paths_stay_one_utf8_line(tmp_path, synth_files, name,
     part, model = tmp_path / "part.txt", tmp_path / "m.model"
     scores, report = tmp_path / "scores.txt", tmp_path / "report.csv"
     assert run("cluster", "--input", data, "--groups", 2, "--out", part) == 0
-    assert part.read_text(encoding="utf-8").splitlines()[0].endswith(f"input={tmp_path / stamped}")
+    assert part.read_text(encoding="utf-8").splitlines()[0] == (
+        f"# glocal cluster input={tmp_path / stamped} groups=2 seed=0 max_iter=100")
     assert run("train", "--input", data, "--partition", part, "--model-out", model,
                "--outer-iters", 2, "--warm-iters", 1) == 0
+    assert model.read_text(encoding="utf-8").splitlines()[1].startswith(
+        f"# glocal train input={tmp_path / stamped} partition={part} add_bias=False ")
     assert run("predict", "--model", model, "--input", data, "--scores-out", scores) == 0
     stamp = scores.read_text(encoding="utf-8").splitlines()[0]
     assert stamp == f"# glocal predict model={model} input={tmp_path / stamped}"
@@ -672,6 +685,89 @@ def test_every_path_flag_is_checked_before_the_command_runs(
         assert capsys.readouterr() == ("", want)
         assert not any(out.iterdir()), "a command ran past a bad path"
     assert run(*argv) == 0
+
+
+def _subcommands():
+    """The parser of each subcommand, by name, as build_parser makes them."""
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+_PATH_CASES = ["synth", "mask", "split", "cluster", "train", "predict", "eval-truth",
+               "eval-hidden"]
+
+
+@pytest.mark.parametrize("case", _PATH_CASES)
+def test_every_output_opens_with_the_stamp_of_its_flags(tmp_path, pipeline_files, case):
+    # the expected stamp is read off the subcommand's parser: 'glocal
+    # <command>', then name=value for each flag in its declared order,
+    # but the output paths and the flags left unset; lambda_ is 'lambda'
+    command = case.split("-")[0]
+    parser = _subcommands()[command]
+    assert {c.split("-")[0] for c in _PATH_CASES} == set(_subcommands())
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [str(a) for a in _path_argv(case, pipeline_files, out)]
+    args = parser.parse_args(argv[1:])
+    flags = [a.dest for a in parser._actions if a.option_strings and a.dest != "help"]
+    assert set(args.inputs) <= set(flags) and set(args.outputs) <= set(flags)
+    stamp = " ".join([f"# glocal {command}", *(
+        f"{name.rstrip('_')}={getattr(args, name)}" for name in flags
+        if name not in args.outputs and getattr(args, name) is not None)])
+    assert run(*argv) == 0
+    outputs = [n for n in args.outputs if getattr(args, n) is not None]
+    assert len(outputs) >= 1 and sorted(out.iterdir()) == sorted(
+        Path(getattr(args, n)) for n in outputs)
+    for name in outputs:
+        lines = Path(getattr(args, name)).read_text(encoding="utf-8").splitlines()
+        side = {"train_out": " side=train", "test_out": " side=test"}.get(name, "")
+        assert next(ln for ln in lines if ln.startswith("#")) == stamp + side
+
+
+@pytest.mark.parametrize("case, first, second, how", [
+    ("synth", "--out-full", "--out-hidden", "same"),
+    ("synth", "--out-full", "--out-masked", "all"),
+    ("mask", "--out", "--hidden-out", "same"),
+    ("split", "--train-out", "--test-out", "same"),
+    ("train", "--model-out", "--trace", "same"),
+    ("train", "--model-out", "--trace", "dotted"),
+    ("predict", "--scores-out", "--labels-out", "same"),
+])
+def test_two_outputs_naming_one_file_are_refused_before_any_work(
+    tmp_path, pipeline_files, capsys, case, first, second, how
+):
+    # the second write would replace the first: refused, naming both
+    # flags, and the file that is there is left as it was
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "same.txt"
+    target.write_bytes(b"kept\r\n")
+    argv = [str(a) for a in _path_argv(case, pipeline_files, out)]
+    path = str(target) if how != "dotted" else str(out / ".." / "out" / "same.txt")
+    argv[argv.index(first) + 1] = str(target)
+    argv[argv.index(second) + 1] = path
+    if how == "all":
+        argv[argv.index("--out-hidden") + 1] = str(target)
+    assert run(*argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {first} and {second} name the same file: {target}\n")
+    assert target.read_bytes() == b"kept\r\n"
+    assert list(out.iterdir()) == [target]
+
+
+def test_readme_defaults_table_matches_the_train_parser():
+    # every numeric train flag, with its default compared as a number
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("### Defaults", 1)[1].split("\n\n", 2)[1]
+    rows = [re.fullmatch(r"\| `(--[a-z0-9-]+)` \| ([^|]+) \|.*", ln)
+            for ln in table.splitlines()[2:]]
+    assert all(rows), table
+    documented = {m[1]: float(m[2]) for m in rows}
+    parser = _subcommands()["train"]
+    defaults = {a.option_strings[0]: float(a.default) for a in parser._actions
+                if isinstance(a.default, (int, float)) and not isinstance(a.default, bool)}
+    assert documented == defaults
 
 
 def test_partition_not_covering_dataset_exits_nonzero(

@@ -85,6 +85,17 @@ def test_loading_a_gml_file_holds_no_file_text(corel_files):
     assert held < path.stat().st_size
 
 
+def test_loading_with_the_bias_row_holds_the_features_once_more(corel_files):
+    # the stacked array is the new matrix's own: beyond the result, the
+    # decoded features and the decoder's scratch, not a copy of the stack
+    path = corel_files[0]
+    result = cli._load_dataset(path, add_bias=True)
+    held = peak_beyond(lambda d: d.features.values.nbytes + d.labels.values.nbytes,
+                       lambda: cli._load_dataset(path, add_bias=True))
+    features_bytes = (result.d - 1) * result.n * 8
+    assert held < 1.5 * features_bytes
+
+
 def test_reading_a_sidecar_holds_no_file_text(corel_files):
     path = corel_files[1]
     held = peak_beyond(lambda hidden: hidden.nbytes, lambda: load_hidden(path))

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from glocal import cli
 from glocal.data import FeatureMatrix
 from glocal.model import (
     MODEL_MAGIC,
@@ -168,9 +169,12 @@ def test_documented_model_example_parses():
     assert model.V.ravel().tolist() == [1.0, -2.0]
     assert model.factors[0].ravel().tolist() == [1.0, -1.0]
     assert model.provenance == {"k": "1", "seed": "0", "add_bias": "False"}
-    # and the example is exactly what save_model writes
+    # and the example is exactly what save_model writes under the stamp
+    # of 'glocal train --input train.gml --model-out model.txt --latent-k 1'
+    args = cli.build_parser().parse_args(["train", "--input", "train.gml", "--model-out",
+                                          "model.txt", "--latent-k", "1"])
     buf = io.StringIO()
-    save_model(model, buf, comments=["glocal train"])
+    save_model(model, buf, comments=[cli._stamp(args)])
     assert buf.getvalue() == example
 
 
