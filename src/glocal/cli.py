@@ -5,12 +5,15 @@ subcommand is deterministic given its flags, and every file it writes
 opens with the same '#' stamp: the command and each setting it ran with,
 which main builds from the parsed flags (see _stamp).  Each subcommand
 declares its path flags with its other flags, as input files and output
-paths, and main checks every path given before the command runs, so a
-missing file or output directory, or two outputs naming one file, is
-reported before any work starts.  Errors exit with
-status 1 and a one-line diagnostic.  Every file is read and written a
-batch of lines at a time (see glocal.textio), through the load_* and
-save_* functions of its format, which live with their modules.
+paths, and main checks every path given in one pass before the command
+runs.  A missing input file or output directory, an output that names a
+directory, and an output that names the file of any other path of the
+run, input or output (through a link too, as glocal.textio.file_key
+decides), are reported before any work starts; two inputs may name one
+file.  Errors exit with status 1 and a one-line diagnostic.  Every file
+is read and written a batch of lines at a time (see glocal.textio),
+through the load_* and save_* functions of its format, which live with
+their modules.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .data import (
 from .metrics import evaluate
 from .model import Hyperparams, load_model, predict, save_model, score
 from .solver import fit, grid_search
-from .textio import write_lines
+from .textio import file_key, write_lines
 
 
 def read_hidden(text):
@@ -339,22 +342,24 @@ def main(argv=None):
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        # every path flag the subcommand declared and was given, before any work
-        for name in args.inputs:
-            path = getattr(args, name)
-            if path is not None and not Path(path).is_file():
-                raise ValueError(f"{name} file not found: {path}")
-        written = {}  # resolved output path -> its flag
-        for name in args.outputs:
+        # every path flag the subcommand declared and was given, before any
+        # work: an output may share its file with no other path of the run
+        seen = {}  # file_key -> (flag, resolved path) of the first path naming it
+        for name in (*args.inputs, *args.outputs):
             path, flag = getattr(args, name), name.replace("_", "-")
             if path is None:
                 continue
-            target = Path(path).resolve()
-            if not target.parent.is_dir():
+            target, key = Path(path).resolve(), file_key(path)
+            if name in args.inputs:
+                if not Path(path).is_file():
+                    raise ValueError(f"{name} file not found: {path}")
+            elif target.is_dir():  # the empty path too: it names the working directory
+                raise ValueError(f"--{flag} names a directory: {target}")
+            elif not target.parent.is_dir():
                 raise ValueError(f"directory for {flag} does not exist: {target.parent}")
-            if target in written:
-                raise ValueError(f"--{written[target]} and --{flag} name the same file: {target}")
-            written[target] = flag
+            elif key in seen:
+                raise ValueError(f"--{seen[key][0]} and --{flag} name the same file: {seen[key][1]}")
+            seen.setdefault(key, (flag, target))
         return args.func(args, _stamp(args))
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

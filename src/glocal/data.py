@@ -30,13 +30,12 @@ from __future__ import annotations
 import contextlib
 import io
 import math
-import os
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .textio import comment_lines, line_batches, write_lines
+from .textio import comment_lines, file_key, line_batches, write_lines
 
 # tokens, sidecar lines or GML label entries handled per numpy call:
 # short rows are batched across lines
@@ -430,8 +429,10 @@ def save_gml(files, comments=()):
     are checked before any file is opened.
 
     Args:
-        files: map from path to Dataset.  Where two paths name one file,
-            it gets the later dataset, as writing them in turn would.
+        files: map from path to Dataset.  Where two paths name one file
+            (as textio.file_key decides: through a link too), the file is
+            opened once and gets the later dataset, as writing them in
+            turn would.
         comments: optional strings emitted as leading '#' lines.
     """
     datasets = list(files.values())
@@ -442,18 +443,17 @@ def save_gml(files, comments=()):
     l = max(data.l for data in datasets)
     ids = np.array([str(j) for j in range(1, l + 1)], dtype=object)
     step = max(1, _BATCH // l)
+    # one path per file, with the dataset given last for it
+    targets = {file_key(path): (path, data) for path, data in files.items()}
     with contextlib.ExitStack() as stack:
-        sinks = {}  # file identity -> (dataset, stream)
-        for path, data in files.items():
-            stream = stack.enter_context(open(path, "w", encoding="utf-8"))
-            stat = os.fstat(stream.fileno())
-            sinks[stat.st_dev, stat.st_ino] = (data, stream)
-        for data, stream in sinks.values():
+        sinks = [(data, stack.enter_context(open(path, "w", encoding="utf-8")))
+                 for path, data in targets.values()]
+        for data, stream in sinks:
             for line in [*head, f"{data.n} {data.d} {data.l}"]:
                 stream.write(line + "\n")
         for first in range(0, features.n, step):
             feats = [_feature_field(x) for x in features.values[:, first : first + step].T]
-            for data, stream in sinks.values():
+            for data, stream in sinks:
                 Y = data.labels.values[:, first : first + step].T
                 for pos, neg, x in zip(_id_fields(Y == 1, ids), _id_fields(Y == -1, ids), feats):
                     stream.write(f"+:{pos}|-:{neg}|{x}\n")

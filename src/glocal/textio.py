@@ -12,12 +12,16 @@ one batch its format makes, at a time.
 The lines line_batches yields are exactly those of
 Path.read_text().splitlines(), so a decoder given a file's batches sees
 what it would see given the file's text.
+
+Whether two paths name one file is decided here too, by file_key: the
+CLI checks a run's paths with it and save_gml keys its files by it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import re
+from pathlib import Path
 
 # every character str.splitlines breaks a line at
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -97,3 +101,14 @@ def write_lines(sink, lines):
         for line in lines:
             stream.write(line + "\n")
 
+
+def file_key(path):
+    """What path names: two paths name one file exactly when their keys are equal.
+
+    For an existing file, the (st_ino, st_dev) of its resolved path, so
+    every spelling of it, symbolic or hard link included, has one key;
+    for any other path, the resolved path, which is what a file written
+    there would be named.
+    """
+    target = Path(path).resolve()
+    return target.stat()[1:3] if target.is_file() else target  # (st_ino, st_dev)

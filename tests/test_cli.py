@@ -1,12 +1,17 @@
 import argparse
+import contextlib
 import hashlib
 import io
+import os
 import re
 import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glocal import cli, solver
 from glocal.cli import main, parse_grid
@@ -662,10 +667,14 @@ def _path_argv(command, f, out):
 @pytest.mark.parametrize("command", ["synth", "mask", "split", "cluster", "train",
                                      "predict", "eval-truth", "eval-hidden"])
 def test_every_path_flag_is_checked_before_the_command_runs(
-    tmp_path, pipeline_files, capsys, command
+    tmp_path, pipeline_files, capsys, monkeypatch, command
 ):
+    # an output may not name a directory: the directory itself, a link to
+    # it, or the empty path, which names the working directory
     out = tmp_path / "out"
     out.mkdir()
+    os.symlink(out, tmp_path / "link")
+    monkeypatch.chdir(out)
     argv = [str(a) for a in _path_argv(command, pipeline_files, out)]
     args = cli.build_parser().parse_args(argv)
     flags = {argv[i]: i + 1 for i in range(len(argv) - 1)
@@ -673,17 +682,21 @@ def test_every_path_flag_is_checked_before_the_command_runs(
     declared = [n for n in (*args.inputs, *args.outputs) if getattr(args, n) is not None]
     assert sorted("--" + n.replace("_", "-") for n in declared) == sorted(flags)
     for name in declared:
-        bad = list(argv)
+        flag = "--" + name.replace("_", "-")
         if name in args.inputs:
-            bad[flags["--" + name]] = missing = str(tmp_path / "missing")
-            want = f"error: {name} file not found: {missing}\n"
+            missing = str(tmp_path / "missing")
+            cases = [(missing, f"error: {name} file not found: {missing}\n")]
         else:
-            flag = "--" + name.replace("_", "-")
-            bad[flags[flag]] = str(tmp_path / "nodir" / "x")
-            want = f"error: directory for {flag[2:]} does not exist: {tmp_path / 'nodir'}\n"
-        assert run(*bad) == 1
-        assert capsys.readouterr() == ("", want)
-        assert not any(out.iterdir()), "a command ran past a bad path"
+            cases = [(str(tmp_path / "nodir" / "x"),
+                      f"error: directory for {flag[2:]} does not exist: {tmp_path / 'nodir'}\n"),
+                     *((str(d), f"error: {flag} names a directory: {out}\n")
+                       for d in (out, tmp_path / "link", ""))]
+        for value, want in cases:
+            bad = list(argv)
+            bad[flags[flag]] = value
+            assert run(*bad) == 1
+            assert capsys.readouterr() == ("", want)
+            assert not any(out.iterdir()), "a command ran past a bad path"
     assert run(*argv) == 0
 
 
@@ -725,26 +738,48 @@ def test_every_output_opens_with_the_stamp_of_its_flags(tmp_path, pipeline_files
         assert next(ln for ln in lines if ln.startswith("#")) == stamp + side
 
 
+def _spell(path, how, links):
+    """Another path naming the file at path: a symbolic or hard link made
+    in the directory links, or else path itself."""
+    alias = links / f"{how}-{Path(path).name}"
+    if how == "symlink":
+        os.symlink(path, alias)
+    elif how == "hardlink":
+        os.link(path, alias)
+    return str(alias) if how in ("symlink", "hardlink") else str(path)
+
+
+def _files_under(root):
+    """Every file under root, by path, with its bytes (a link's, its target's)."""
+    return {p: p.read_bytes() for p in Path(root).rglob("*") if p.is_file()}
+
+
 @pytest.mark.parametrize("case, first, second, how", [
     ("synth", "--out-full", "--out-hidden", "same"),
     ("synth", "--out-full", "--out-masked", "all"),
+    ("synth", "--out-full", "--out-masked", "hardlink"),
     ("mask", "--out", "--hidden-out", "same"),
+    ("mask", "--out", "--hidden-out", "symlink"),
     ("split", "--train-out", "--test-out", "same"),
     ("train", "--model-out", "--trace", "same"),
     ("train", "--model-out", "--trace", "dotted"),
+    ("train", "--model-out", "--trace", "hardlink"),
     ("predict", "--scores-out", "--labels-out", "same"),
+    ("predict", "--scores-out", "--labels-out", "symlink"),
 ])
 def test_two_outputs_naming_one_file_are_refused_before_any_work(
     tmp_path, pipeline_files, capsys, case, first, second, how
 ):
     # the second write would replace the first: refused, naming both
     # flags, and the file that is there is left as it was
-    out = tmp_path / "out"
+    out, links = tmp_path / "out", tmp_path / "links"
     out.mkdir()
+    links.mkdir()
     target = out / "same.txt"
     target.write_bytes(b"kept\r\n")
     argv = [str(a) for a in _path_argv(case, pipeline_files, out)]
-    path = str(target) if how != "dotted" else str(out / ".." / "out" / "same.txt")
+    path = (str(out / ".." / "out" / "same.txt") if how == "dotted"
+            else _spell(target, how, links))
     argv[argv.index(first) + 1] = str(target)
     argv[argv.index(second) + 1] = path
     if how == "all":
@@ -754,6 +789,81 @@ def test_two_outputs_naming_one_file_are_refused_before_any_work(
         "", f"error: {first} and {second} name the same file: {target}\n")
     assert target.read_bytes() == b"kept\r\n"
     assert list(out.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("case", _PATH_CASES[1:])
+def test_an_output_naming_an_input_is_refused_before_any_work(
+    tmp_path, pipeline_files, capsys, case
+):
+    # every input/output pair, with the output spelled as the input, as a
+    # symbolic or a hard link to it: refused before any work, naming both
+    # flags and the input, and no file changes or appears
+    out, links = tmp_path / "out", tmp_path / "links"
+    out.mkdir()
+    links.mkdir()
+    argv = [str(a) for a in _path_argv(case, pipeline_files, out)]
+    args = cli.build_parser().parse_args(argv)
+    inputs = [n for n in args.inputs if getattr(args, n) is not None]
+    outputs = [n for n in args.outputs if getattr(args, n) is not None]
+    assert inputs and outputs
+    for name in inputs:
+        path = getattr(args, name)
+        for how in ("same", "symlink", "hardlink"):
+            alias = _spell(path, how, links)
+            before = _files_under(tmp_path)
+            for output in outputs:
+                flag = "--" + output.replace("_", "-")
+                bad = list(argv)
+                bad[argv.index(flag) + 1] = alias
+                assert run(*bad) == 1
+                assert capsys.readouterr() == ("", f"error: --{name} and {flag} name the"
+                                                   f" same file: {Path(path).resolve()}\n")
+                assert _files_under(tmp_path) == before
+    assert not any(out.iterdir())
+
+
+# a dataset mask reads, and the files of the property below: two holding
+# it, two not there yet
+_TINY_GML = "3 2 2\n+:1|-:2|1:1.0\n+:2|-:|2:0.5\n+:|-:1,2|1:2.0 2:1.0\n"
+_TARGETS = ("a.gml", "b.gml", "c", "d")
+
+
+def _spelled_target(existing):
+    hows = ["plain", "dotted", "updir", "symlink"] + ["hardlink"] * existing
+    targets = _TARGETS[:2] if existing else _TARGETS
+    return st.tuples(st.sampled_from(targets), st.sampled_from(hows))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_spelled_target(True), _spelled_target(False), _spelled_target(False))
+def test_a_run_is_refused_exactly_when_an_output_shares_a_file(source, out, hidden):
+    # mask's three paths, each naming one of the four files (the input one
+    # that holds the dataset) in one of five spellings (a hard link only to
+    # a file that is there); a refusal leaves every file, links included,
+    # as it was
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "sub").mkdir()
+        for name in _TARGETS[:2]:
+            (root / name).write_text(_TINY_GML, encoding="utf-8")
+            os.link(root / name, root / f"hard-{name}")
+        for name in _TARGETS:
+            os.symlink(root / name, root / f"sym-{name}")
+        spell = {"plain": "{}", "dotted": "./{}", "updir": "sub/../{}",
+                 "symlink": "sym-{}", "hardlink": "hard-{}"}
+        # joined as strings: a Path would drop the '.' of './x'
+        paths = [f"{root}/" + spell[how].format(name) for name, how in (source, out, hidden)]
+        before = _files_under(root)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = run("mask", "--input", paths[0], "--rho", 50, "--out", paths[1],
+                     "--hidden-out", paths[2])
+        shared = out[0] == source[0] or hidden[0] in (source[0], out[0])
+        assert rc == (1 if shared else 0), err.getvalue()
+        if shared:
+            assert re.fullmatch(r"error: --[a-z-]+ and --[a-z-]+ name the same file: \S+\n",
+                                err.getvalue())
+            assert _files_under(root) == before
 
 
 def test_readme_defaults_table_matches_the_train_parser():

@@ -8,10 +8,11 @@ writer produces are frozen against literal strings and equal to those
 of its per-instance reference, whatever the batch size.  A file read in
 line batches must give exactly its text's lines, and a file written
 line by line exactly what its writer gives a text stream, or nothing at
-all on bad input.
+all on bad input.  Every spelling of one file has one textio.file_key.
 """
 
 import io
+import os
 import re
 
 import numpy as np
@@ -817,6 +818,24 @@ def test_load_hidden_reads_a_path_once(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="^line 5001: expected three integers$"):
         load_hidden(path)
     assert reads == [path]
+
+
+def test_file_key_is_one_key_per_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    root = tmp_path.resolve()
+    (root / "sub").mkdir()
+    for name in ("x", "y"):
+        (root / name).write_text("same text\n", encoding="utf-8")
+    os.symlink(root / "x", root / "sym")
+    os.link(root / "x", root / "hard")
+    os.symlink(root / "new", root / "dangling")
+    key = textio.file_key
+    assert len({key(p) for p in ("x", "./x", "sub/../x", root / "x", "sym", "hard")}) == 1
+    assert key("x") != key("y")
+    # a path with no file yet is keyed by where a file written there goes
+    assert key("new") == key("sub/../new") == key("dangling") == root / "new"
+    assert key("x") != key("new") != key("y")
+    assert key("sub") == root / "sub" and key("") == root
 
 
 # the string readers kept for the benchmark, each with its format's reader

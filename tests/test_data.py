@@ -1,10 +1,12 @@
 import io
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from glocal import data as data_module
 from glocal.data import (
     Dataset,
     FeatureMatrix,
@@ -138,7 +140,9 @@ def test_write_emits_comments(tmp_path):
 
 
 @pytest.mark.parametrize("full_first", [True, False])
-def test_datasets_sharing_features_write_as_from_fresh_copies(tmp_path, full_first):
+def test_datasets_sharing_features_write_as_from_fresh_copies(
+    tmp_path, monkeypatch, full_first
+):
     # writing two datasets that share one matrix, in either order or in
     # one save_gml pass, must give the bytes each gives from a matrix of
     # its own
@@ -157,9 +161,20 @@ def test_datasets_sharing_features_write_as_from_fresh_copies(tmp_path, full_fir
     paths = [tmp_path / "full.gml", tmp_path / "masked.gml"]
     save_gml({paths[i]: (full, masked)[i] for i in order})
     assert [p.read_text(encoding="utf-8") for p in paths] == fresh
-    # two paths naming one file: it gets the later dataset
+    # two paths naming one file, through a hard link too: it is opened
+    # once and gets the later dataset
+    os.link(paths[1], tmp_path / "hard.gml")
+    opened = []
+
+    def counted_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(data_module, "open", counted_open, raising=False)
     save_gml({str(paths[0]): full, f"{tmp_path}/./full.gml": masked})
-    assert paths[0].read_text(encoding="utf-8") == fresh[1]
+    save_gml({paths[1]: masked, tmp_path / "hard.gml": full})
+    assert len(opened) == 2
+    assert [p.read_text(encoding="utf-8") for p in paths] == [fresh[1], fresh[0]]
     with pytest.raises(ValueError, match="must share one FeatureMatrix"):
         save_gml({paths[0]: full, paths[1]: Dataset(FeatureMatrix(full.features.values),
                                                     full.labels)})
