@@ -60,7 +60,7 @@ def partition_from_assignment(features, assignment):
 
 
 # bytes of the (instances x d) difference buffer every distance in
-# kmeans goes through; solver's closed-form V sizes its blocks by it too
+# kmeans goes through
 BLOCK_BYTES = 8 << 20
 
 

@@ -39,10 +39,10 @@ class Hyperparams:
     lambda_ weighs the latent-to-feature coupling, lambda2 the ridge
     on U/V/W, lambda3 the global correlation term, lambda4 the local
     ones.  inner_steps steps are taken per block per outer iteration:
-    exact line-minimizing gradient steps for U and W (and for V when
-    k > 256), of length ||G||^2 / <G, H(G)> with H the block's Hessian
-    action, and majorize-minimize steps of length 1 / (2 lambda_max)
-    for the correlation factors.  warm_iters
+    linear conjugate-gradient steps on H(x) = b for U, V and W, with H
+    the block's Hessian action (one system per instance for V, so V is
+    exact when k <= inner_steps), and majorize-minimize steps of length
+    1 / (2 lambda_max) for the correlation factors.  warm_iters
     alternating iterations are run without the correlation terms before
     the full objective takes over.
     The lambdas and tol must be finite and non-negative, and the seed

@@ -21,11 +21,11 @@ Z - G / (2L) scaled to unit norm minimizes a majorizer of h and cannot
 increase it (Hunter & Lange 2004).  The objective is exactly quadratic
 in each of U, V and W, and each block is written once as a Hessian
 action H and a right-hand side b (for Z_m, H(Z) = 2KZ and b = 0): the
-gradient is H(x) - b, and U and W take exact line-minimizing gradient
-steps of length ||G||^2 / <G, H(G)>, after which the gradient is
-G - t H(G).  V solves H(V) = b per instance column while
-k <= _CLOSED_FORM_MAX_K and takes the same exact gradient steps above
-that.
+gradient is H(x) - b, and every one of the three takes the same linear
+conjugate-gradient steps on H(x) = b (_cg), each the exact line minimum
+along a direction H-conjugate to the earlier ones.  U and W are one
+system each; V is one k x k system per instance column, all run side
+by side, so V is exact once it has taken k steps.
 
 Optimization starts from a warm start: the same sweeps with no
 correlation terms, after which randomly initialized unit-row factors
@@ -60,16 +60,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import BLOCK_BYTES, Partition, kmeans
+from .clustering import Partition, kmeans
 from .correlation import init_factor, project_unit_rows
 from .data import take_instances
 from .metrics import ranking_loss
 from .model import GlocalModel, score
 from .textio import comment_lines
-
-# above this latent dimension the per-column closed-form V solves get
-# replaced by gradient steps
-_CLOSED_FORM_MAX_K = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +193,7 @@ def objective(model, ctx):
 
 # Each block is its Hessian action H and right-hand side b with the
 # other blocks fixed, f(x) = 1/2 <x, H(x)> - <b, x> + const: the gradient
-# is H(x) - b, the step t = ||G||^2 / <G, H(G)> along G is the line
-# minimum and leaves the gradient G - t H(G) (Nocedal & Wright, ch. 5).
+# is H(x) - b, and _cg minimizes f by conjugate gradient on H(x) = b.
 # Y is zero where J is, so J o Y = Y.  The correlation weights Fs (for U)
 # and the factor grams (Ms, Mbar) made from them (for W) hold one entry
 # per correlation term, none when lambda3 = lambda4 = 0.  X enters the W
@@ -282,61 +277,70 @@ def gradients(model, ctx):
     return G_U, G_V, G_W, G_Zs
 
 
-def _closed_form_V(U, W, ctx):
-    # per column i: (U' Diag(j_i) U + (lambda+lambda2) I) v_i = b_i / 2,
-    # with U' Diag(j_i) U = sum_a J[a, i] u_a u_a', solved a chunk of
-    # instances at a time (see closed_form_V)
-    hp = ctx.hp
-    l, k = U.shape
-    n = ctx.J.shape[1]
-    outer = (U[:, :, None] * U[:, None, :]).reshape(l, k * k)
-    B = 0.5 * _rhs_V(U, W, ctx)  # k x n
-    V = np.empty((k, n))
-    diag = np.arange(k)
-    chunk = max(1, BLOCK_BYTES // (8 * k * k))
-    for start in range(0, n, chunk):
-        cols = slice(start, start + chunk)
-        A = (ctx.J[:, cols].T.astype(np.float64) @ outer).reshape(-1, k, k)
-        A[:, diag, diag] += hp.lambda_ + hp.lambda2
-        V[:, cols] = np.linalg.solve(A, B[:, cols].T[:, :, None])[:, :, 0].T
-        del A  # else it is alive while the next chunk's is built
-    return V
+def _block_dot(A, B):
+    # one inner product for the whole block, a numpy scalar
+    return np.einsum("ij,ij->", A, B)
+
+
+def _column_dot(A, B):
+    # one inner product per column: V's instance columns are independent
+    # systems
+    return np.einsum("ij,ij->j", A, B)
+
+
+def _cg(x, hess, b, steps, dot):
+    # linear conjugate gradient on the block (H, b) = (hess, b) from x, one
+    # system per value dot returns (_block_dot: the whole block;
+    # _column_dot: each of V's columns).  Each step is the exact line
+    # minimum along a direction H-conjugate to the earlier ones, so a
+    # system of m unknowns is solved in m steps in exact arithmetic
+    # (Nocedal & Wright, ch. 5).  A system stops once its residual is 0 or
+    # a direction's curvature per unit length is within eps of the largest
+    # it has seen: on a singular H rounding leaves residual in the null
+    # space, and a step along it is long and amplifies that noise.  A NaN
+    # curvature does not stop it, so an overflow reaches the block.
+    # Returns the new block and each step's largest length
+    R = b  # the residual b - H(x), made in b's own array
+    R -= hess(x)
+    P = R.copy()
+    rr = dot(R, R)
+    top = 0.0
+    accepted = []
+    for _ in range(steps):
+        HP = hess(P)
+        curv, pp = dot(P, HP), dot(P, P)
+        live = (rr != 0.0) & ~(curv <= np.finfo(np.float64).eps * top * pp)
+        if not live.any():
+            break
+        top = np.maximum(top, curv / np.where(live, pp, np.inf))
+        alpha = rr / np.where(live, curv, np.inf)
+        x = alpha * P + x
+        HP *= alpha
+        R -= HP
+        del HP
+        rr_new = dot(R, R)
+        P = rr_new / np.where(live, rr, np.inf) * P + R
+        rr = rr_new
+        accepted.append(float(np.max(alpha)))
+    return x, accepted
 
 
 def closed_form_V(model, ctx):
     """Exact minimizer of the objective in V with all other blocks fixed.
 
-    One k x k system per instance, built and solved in instance chunks
-    of at most clustering.BLOCK_BYTES (8 MiB) of systems, so no n x k x k
-    tensor is formed.  The l x k^2 table of outer products u_a u_a' is
-    still formed whole.
+    Each instance column of V is its own k x k system, and k steps of
+    conjugate gradient per column (_cg), all columns in one vectorized
+    pass from the model's V, solve it exactly in exact arithmetic.  In
+    floating point the tests hold it to a direct per-column solve within
+    a relative error of 1e-10 for k = 1..8 and 1e-12 at k = 64.  No k x k
+    system is formed: it holds a few k x n arrays.  A column with
+    nothing to solve (no label observed and lambda = lambda2 = 0) keeps
+    the model's value.
     """
-    return _closed_form_V(model.U, model.W, ctx)
-
-
-def _exact_descent(x, hess, b, steps):
-    # exact gradient steps on the block (H, b) = (hess, b); returns the
-    # new block and the step lengths.  b and each hess(G) are freed once
-    # used, so at most one of them is alive next to x and G
-    G = hess(x)
-    G -= b
-    del b
-    accepted = []
-    for _ in range(steps):
-        gnorm2 = _sumsq(G)
-        if gnorm2 == 0.0:
-            break
-        HG = hess(G)
-        curv = _inner(G, HG)
-        if not curv > 0.0:
-            break
-        t = gnorm2 / curv
-        x = x - t * G
-        HG *= t
-        G -= HG
-        del HG
-        accepted.append(t)
-    return x, accepted
+    U, W = model.U, model.W
+    V, _ = _cg(model.V, lambda G: _hess_V(U, G, ctx), _rhs_V(U, W, ctx),
+               U.shape[1], _column_dot)
+    return V
 
 
 def _z_descend(U, F, Z0, steps):
@@ -371,8 +375,8 @@ def _unit_row_error(Zs):
     return err
 
 
-# huge finite hyperparameters can overflow a step; the curvature and h
-# guards refuse a step that is not finite, and fit a non-finite objective
+# huge finite hyperparameters can overflow a step: a block that overflows
+# is left non-finite, for warm_start and fit to refuse
 @np.errstate(over="ignore", invalid="ignore")
 def _sweep(blocks, Fs, ctx):
     # one outer iteration: Z_1..Z_g, then V, then U, then W, on the list
@@ -390,24 +394,17 @@ def _sweep(blocks, Fs, ctx):
     steps["Z"] = tuple(z_steps)
     z_err = _unit_row_error(Zs)
 
-    if hp.k <= _CLOSED_FORM_MAX_K:
-        V = _closed_form_V(U, W, ctx)
-        steps["V"] = ()
-    else:
-        V, acc = _exact_descent(
-            V, lambda G: _hess_V(U, G, ctx), _rhs_V(U, W, ctx), hp.inner_steps
-        )
-        steps["V"] = tuple(acc)
+    V, acc = _cg(V, lambda G: _hess_V(U, G, ctx), _rhs_V(U, W, ctx),
+                 hp.inner_steps, _column_dot)
+    steps["V"] = tuple(acc)
 
-    U, acc = _exact_descent(
-        U, lambda G: _hess_U(G, V, Zs, Fs, ctx), _rhs_U(V, ctx), hp.inner_steps
-    )
+    U, acc = _cg(U, lambda G: _hess_U(G, V, Zs, Fs, ctx), _rhs_U(V, ctx),
+                 hp.inner_steps, _block_dot)
     steps["U"] = tuple(acc)
 
     grams = _factor_grams(U, Zs, Fs, ctx)
-    W, acc = _exact_descent(
-        W, lambda G: _hess_W(G, grams, ctx), _rhs_W(V, ctx), hp.inner_steps
-    )
+    W, acc = _cg(W, lambda G: _hess_W(G, grams, ctx), _rhs_W(V, ctx),
+                 hp.inner_steps, _block_dot)
     steps["W"] = tuple(acc)
     blocks[:] = U, V, W, Zs
     return steps, z_err
@@ -415,7 +412,14 @@ def _sweep(blocks, Fs, ctx):
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One outer iteration: objective, accepted steps, factor drift."""
+    """One outer iteration: objective, accepted steps, factor drift.
+
+    steps maps each block name ("Z", "V", "U", "W") to the lengths of the
+    steps it took, one entry per step: for Z, one per factor step over
+    all groups; for U and W, one per conjugate-gradient step; for V, one
+    per conjugate-gradient step, the largest step over its instance
+    columns.  The warm-start record 0 has no steps.
+    """
 
     iteration: int
     objective: float

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glocal import solver
-from glocal.clustering import BLOCK_BYTES, kmeans, partition_from_assignment
+from glocal.clustering import kmeans, partition_from_assignment
 from glocal.correlation import init_factor, project_unit_rows
 from glocal.data import (
     Dataset,
@@ -20,6 +20,9 @@ from glocal.data import (
 from glocal.metrics import ranking_loss
 from glocal.model import GlocalModel, Hyperparams, score
 from glocal.solver import (
+    _block_dot,
+    _cg,
+    _column_dot,
     _correlation_weights,
     _correlation_term,
     _factor_grams,
@@ -30,6 +33,7 @@ from glocal.solver import (
     _objective_arrays,
     _rhs_U,
     _rhs_V,
+    _rhs_W,
     _sumsq,
     _z_descend,
     closed_form_V,
@@ -316,7 +320,9 @@ def test_closed_form_v_is_stationary():
         assert objective(at_opt, ctx) <= objective(model, ctx) + 1e-12
 
 
-def test_closed_form_v_singular_system_raises():
+def test_closed_form_v_keeps_a_column_with_nothing_to_solve():
+    # nothing observed and lambda = lambda2 = 0: every column's system is
+    # H = 0, b = 0, which any V solves, so V comes back as it was
     rng = np.random.default_rng(5)
     n = 4
     data = Dataset(
@@ -326,8 +332,19 @@ def test_closed_form_v_singular_system_raises():
     part = partition_from_assignment(data.features, np.ones(n, dtype=int))
     ctx = make_context(data, part, Hyperparams(k=2, lambda_=0.0, lambda2=0.0))
     model = random_model(ctx, 6)
-    with pytest.raises(np.linalg.LinAlgError):
-        closed_form_V(model, ctx)
+    assert np.array_equal(closed_form_V(model, ctx), model.V)
+
+
+def solve_V(U, W, ctx):
+    # V's exact minimizer by one batched dense solve: per column i,
+    # (U' Diag(j_i) U + (lambda + lambda2) I) v_i = b_i / 2
+    hp = ctx.hp
+    l, k = U.shape
+    outer = (U[:, :, None] * U[:, None, :]).reshape(l, k * k)
+    A = (ctx.J.T.astype(np.float64) @ outer).reshape(-1, k, k)
+    A[:, np.arange(k), np.arange(k)] += hp.lambda_ + hp.lambda2
+    B = 0.5 * _rhs_V(U, W, ctx).T
+    return np.linalg.solve(A, B[:, :, None])[:, :, 0].T
 
 
 def test_closed_form_v_runs_in_bounded_memory_and_matches_one_solve():
@@ -343,14 +360,112 @@ def test_closed_form_v_runs_in_bounded_memory_and_matches_one_solve():
         tracemalloc.stop()
     # the one-piece system tensor alone is n k^2 float64 values, 33 MB
     assert peak < 16 << 20
-    U, hp = model.U, ctx.hp
-    l, k = U.shape
-    outer = (U[:, :, None] * U[:, None, :]).reshape(l, k * k)
-    A = (ctx.J.T.astype(np.float64) @ outer).reshape(-1, k, k)
-    A[:, np.arange(k), np.arange(k)] += hp.lambda_ + hp.lambda2
-    B = 0.5 * _rhs_V(U, model.W, ctx).T
-    want = np.linalg.solve(A, B[:, :, None])[:, :, 0].T
-    assert V.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert rel_err(V, solve_V(model.U, model.W, ctx)) <= 1e-12
+
+
+def test_closed_form_v_matches_the_per_column_solve_for_small_k():
+    # k conjugate-gradient steps per column solve each k x k system
+    for k in range(1, 9):
+        for trial in range(3):
+            _, _, ctx = build_problem(1400 + 10 * k + trial, l=6, n=30, d=4, k=k,
+                                      lambda3=0.2, lambda4=0.2)
+            model = random_model(ctx, 1500 + 10 * k + trial)
+            err = rel_err(closed_form_V(model, ctx), solve_V(model.U, model.W, ctx))
+            assert err <= 1e-10, (k, trial, err)
+
+
+def dense_block_solve(hess, b):
+    # the block's minimizer from its Hessian as a dense matrix, one column
+    # per unit direction
+    size = b.size
+    H = np.column_stack([hess(e.reshape(b.shape)).ravel() for e in np.eye(size)])
+    return np.linalg.solve(H, b.ravel()).reshape(b.shape)
+
+
+def block_systems(model, ctx):
+    # each block's (Hessian action, right-hand side) with the others fixed
+    U, V, W, Zs = model.U, model.V, model.W, model.factors
+    Fs = _correlation_weights(W, ctx)
+    grams = _factor_grams(U, Zs, Fs, ctx)
+    return {
+        "U": (lambda G: _hess_U(G, V, Zs, Fs, ctx), lambda: _rhs_U(V, ctx)),
+        "W": (lambda G: _hess_W(G, grams, ctx), lambda: _rhs_W(V, ctx)),
+    }
+
+
+def test_whole_block_cg_solves_u_and_w_exactly():
+    # in exact arithmetic as many steps as the block has entries reach the
+    # dense solve; rounding erodes conjugacy, so twice as many are taken
+    for trial, case in enumerate(FACTOR_CASES):
+        ctx, model = factor_case(case, 1600 + trial, lambda2=0.05)
+        for name, (hess, rhs) in block_systems(model, ctx).items():
+            x0 = getattr(model, name)
+            got, _ = _cg(x0, hess, rhs(), 2 * x0.size, _block_dot)
+            err = rel_err(got, dense_block_solve(hess, rhs()))
+            assert err <= 1e-10, (trial, name, err)
+
+
+def quadratic(x, hess, b, dot):
+    # 1/2 <x, H(x)> - <b, x>, per system as dot splits them
+    return 0.5 * dot(x, hess(x)) - dot(b, x)
+
+
+def test_no_cg_step_raises_the_block_objective():
+    # step s of _cg(..., s + 1, ...) extends _cg(..., s, ...); each one is
+    # a line minimum, so no system's quadratic rises, V's columns one by one
+    for trial, case in enumerate(FACTOR_CASES):
+        ctx, model = factor_case(case, 1700 + trial, lambda2=0.05)
+        U, V, W = model.U, model.V, model.W
+        systems = {name: (*hb, _block_dot) for name, hb in block_systems(model, ctx).items()}
+        systems["V"] = (lambda G: _hess_V(U, G, ctx), lambda: _rhs_V(U, W, ctx), _column_dot)
+        for name, (hess, rhs, dot) in systems.items():
+            x0, b = getattr(model, name), rhs()
+            values = [quadratic(_cg(x0, hess, rhs(), s, dot)[0], hess, b, dot)
+                      for s in range(x0.shape[0] + 3)]
+            for before, after in zip(values, values[1:]):
+                assert np.all(after <= before + 1e-12 * np.abs(before)), (trial, name)
+
+
+def test_a_sweep_solves_v_exactly_when_k_is_at_most_inner_steps():
+    for k in range(1, 6):
+        _, _, ctx = build_problem(1800 + k, l=6, n=30, d=4, k=k, lambda3=0.3, lambda4=0.3)
+        assert k <= ctx.hp.inner_steps
+        model = random_model(ctx, 1900 + k)
+        blocks = [model.U, model.V, model.W, list(model.factors)]
+        solver._sweep(blocks, _correlation_weights(model.W, ctx), ctx)
+        # Z steps do not move U or W, so V's system is the one at the model
+        err = rel_err(blocks[1], solve_V(model.U, model.W, ctx))
+        assert err <= 1e-10, (k, err)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(2, 5), st.integers(1, 6), st.integers(1, 4)),
+    k=st.integers(1, 8),  # above l and n too
+    lam=st.sampled_from([0.0, 1.0]),
+    lam2=st.sampled_from([0.0, 0.01]),
+    lam34=st.sampled_from([0.0, 0.3]),
+    blank=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_sweep_never_raises_the_objective(shape, k, lam, lam2, lam34, blank, seed):
+    # an instance with no observed label, no ridge, no correlation terms
+    # and k above l or n included
+    l, n, d = shape
+    rng = np.random.default_rng(seed)
+    Y = rng.choice([-1, 0, 1], size=(l, n)).astype(np.int8)
+    if blank:
+        Y[:, 0] = 0
+    data = Dataset(FeatureMatrix(rng.standard_normal((d, n))), LabelMatrix(Y))
+    part = partition_from_assignment(data.features, 1 + np.arange(n) % 2)
+    hp = Hyperparams(k=k, lambda_=lam, lambda2=lam2, lambda3=lam34, lambda4=lam34, seed=seed)
+    ctx = make_context(data, part, hp)
+    model = random_model(ctx, seed)
+    blocks = [model.U, model.V, model.W, list(model.factors)]
+    f0 = _objective_arrays(*blocks, solver._weights(model.W, ctx), ctx)
+    solver._sweep(blocks, solver._weights(model.W, ctx), ctx)
+    f1 = _objective_arrays(*blocks, solver._weights(blocks[2], ctx), ctx)
+    assert f1 <= f0 + 1e-12 * abs(f0), (f0, f1)
 
 
 # Reference expressions with the labels and the mask as float64 arrays,
@@ -387,32 +502,13 @@ def float_label_hess_V(U, G, ctx):
     return 2.0 * (U.T @ (J * (U @ G))) + 2.0 * (hp.lambda_ + hp.lambda2) * G
 
 
-def float_label_closed_form_V(U, W, ctx):
-    Y, J = float_labels(ctx)
-    hp = ctx.hp
-    l, k = U.shape
-    n = J.shape[1]
-    outer = (U[:, :, None] * U[:, None, :]).reshape(l, k * k)
-    B = 0.5 * (2.0 * (U.T @ Y) + 2.0 * hp.lambda_ * (W.T @ ctx.X))
-    V = np.empty((k, n))
-    chunk = max(1, solver.BLOCK_BYTES // (8 * k * k))
-    for start in range(0, n, chunk):
-        cols = slice(start, start + chunk)
-        A = (J[:, cols].T @ outer).reshape(-1, k, k)
-        A[:, np.arange(k), np.arange(k)] += hp.lambda_ + hp.lambda2
-        V[:, cols] = np.linalg.solve(A, B[:, cols].T[:, :, None])[:, :, 0].T
-    return V
-
-
 def same_bytes(got, want):
     return np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-@pytest.mark.parametrize("block_bytes", [BLOCK_BYTES, 8 * 3 * 3 * 2], ids=["whole", "chunked"])
-def test_masked_products_equal_the_float_label_ones_byte_for_byte(monkeypatch, block_bytes):
+def test_masked_products_equal_the_float_label_ones_byte_for_byte():
     # an int8 Y and a bool J change no bit of any result, signed zeros
-    # included; the small block splits the closed-form table over instances
-    monkeypatch.setattr(solver, "BLOCK_BYTES", block_bytes)
+    # included; V's update is built from _hess_V and _rhs_V alone
     for trial, case in enumerate(FACTOR_CASES):
         ctx, model = factor_case(case, 1200 + trial, lambda2=0.05)
         assert ctx.Y.dtype == np.int8 and ctx.J.dtype == np.bool_
@@ -428,7 +524,6 @@ def test_masked_products_equal_the_float_label_ones_byte_for_byte(monkeypatch, b
             assert same_bytes(_hess_V(U, G, ctx), float_label_hess_V(U, G, ctx))
         assert same_bytes(_rhs_U(V, ctx), 2.0 * (Y @ V.T))
         assert same_bytes(_rhs_V(U, W, ctx), 2.0 * (U.T @ Y) + 2.0 * ctx.hp.lambda_ * (W.T @ ctx.X))
-        assert same_bytes(closed_form_V(model, ctx), float_label_closed_form_V(U, W, ctx))
 
 
 def test_z_step_keeps_unit_rows_and_never_increases():
@@ -631,7 +726,7 @@ def test_fit_descends_monotonically_with_correlation_terms():
 @settings(derandomize=True, max_examples=16, deadline=None)
 @given(
     shape=st.tuples(st.integers(3, 6), st.integers(6, 15), st.integers(2, 4)),
-    k=st.one_of(st.integers(1, 4), st.integers(257, 300)),  # both V paths
+    k=st.one_of(st.integers(1, 4), st.integers(257, 300)),  # V exact and not
     singletons=st.booleans(),
     unobserved_rows=st.integers(1, 2),
     lam2=st.sampled_from([0.0, 0.01]),
@@ -715,7 +810,7 @@ def test_fit_without_correlation_matches_longer_warm_start():
     assert np.array_equal(model.W, reference.W)
 
 
-def test_fit_with_latent_dimension_above_closed_form_cutoff():
+def test_fit_with_a_latent_dimension_far_above_the_data_shape():
     rng = np.random.default_rng(16)
     n, d, l = 8, 3, 4
     Y = rng.choice([-1, 1], size=(l, n)).astype(np.int8)
@@ -728,7 +823,7 @@ def test_fit_with_latent_dimension_above_closed_form_cutoff():
     objs = trace.objectives
     assert np.isfinite(objs).all()
     assert (objs[1:] <= objs[:-1] + 1e-9 * np.maximum(1.0, objs[:-1])).all()
-    # the V block was updated by accepted gradient steps, not the solve
+    # V takes conjugate-gradient steps at any k
     assert len(trace.records[1].steps["V"]) > 0
 
 
