@@ -506,9 +506,11 @@ def same_bytes(got, want):
     return np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def test_masked_products_equal_the_float_label_ones_byte_for_byte():
+@pytest.mark.parametrize("dot", [_block_dot, _column_dot], ids=["whole", "chunked"])
+def test_masked_products_equal_the_float_label_ones_byte_for_byte(dot):
     # an int8 Y and a bool J change no bit of any result, signed zeros
-    # included; V's update is built from _hess_V and _rhs_V alone
+    # included, nor of the conjugate-gradient V update built from them,
+    # with V one system (whole) or one system per instance column (chunked)
     for trial, case in enumerate(FACTOR_CASES):
         ctx, model = factor_case(case, 1200 + trial, lambda2=0.05)
         assert ctx.Y.dtype == np.int8 and ctx.J.dtype == np.bool_
@@ -523,7 +525,13 @@ def test_masked_products_equal_the_float_label_ones_byte_for_byte():
         for G in (V, rng.standard_normal(V.shape)):
             assert same_bytes(_hess_V(U, G, ctx), float_label_hess_V(U, G, ctx))
         assert same_bytes(_rhs_U(V, ctx), 2.0 * (Y @ V.T))
-        assert same_bytes(_rhs_V(U, W, ctx), 2.0 * (U.T @ Y) + 2.0 * ctx.hp.lambda_ * (W.T @ ctx.X))
+        float_rhs_V = 2.0 * (U.T @ Y) + 2.0 * ctx.hp.lambda_ * (W.T @ ctx.X)
+        assert same_bytes(_rhs_V(U, W, ctx), float_rhs_V)
+        k = U.shape[1]
+        got = _cg(V, lambda G: _hess_V(U, G, ctx), _rhs_V(U, W, ctx), k, dot)
+        want = _cg(V, lambda G: float_label_hess_V(U, G, ctx), float_rhs_V, k, dot)
+        assert got[1] == want[1]
+        assert same_bytes(got[0], want[0])
 
 
 def test_z_step_keeps_unit_rows_and_never_increases():
