@@ -148,8 +148,7 @@ def _correlation_weights(W, ctx):
     # F_m'F_m = w3 W'XX'W + lambda4 W'X_m X_m'W and at most k rows; the
     # global part T0 W is compressed once for all groups
     TW = ctx.T @ W
-    # T0 is T itself when every group has at most d instances
-    R0 = _gram_factor(TW if ctx.T0 is ctx.T else ctx.T0 @ W)
+    R0 = _gram_factor(ctx.T0 @ W)
     return tuple(
         _gram_factor(np.vstack((np.sqrt(w3) * R0, np.sqrt(ctx.hp.lambda4) * TW[rows])))
         for w3, rows in zip(_global_weights(ctx), ctx.T_rows)
@@ -348,7 +347,8 @@ def _z_descend(U, F, Z0, steps):
     # with L = lambda_max(K), h(Z) - L tr(Z'Z) is concave and tr(Z'Z) = l
     # on unit rows, so there h lies below that part's tangent plus L l, and
     # Z - G / (2L) scaled to unit rows minimizes the bound.  K is never
-    # formed: L is the top eigenvalue of the k x k P'P
+    # formed: L is the top eigenvalue of P'P, r x r for the r <= k rows
+    # of F
     P = U @ F.T
     L = float(np.linalg.eigvalsh(P.T @ P)[-1])
     Z, G = Z0, _grad_Z(P, Z0)

@@ -18,6 +18,7 @@ import pytest
 from glocal import cli
 from glocal.clustering import kmeans
 from glocal.data import (
+    FeatureMatrix,
     LabelMatrix,
     MaskSpec,
     apply_mask,
@@ -78,21 +79,28 @@ def test_saving_a_sidecar_holds_no_file_text(corel_data, tmp_path):
     assert held < path.stat().st_size
 
 
-def test_loading_a_gml_file_holds_no_file_text(corel_files):
+def test_loading_with_the_bias_row_holds_the_features_once_more(
+        corel_data, corel_files, monkeypatch):
+    # one traced load in two phases.  The decode, whose peak is read as
+    # the bias row is added, holds no file text beyond the arrays it
+    # returns.  The stacked array is the new matrix's own: beyond the
+    # result, the decoded features and the decoder's scratch, not a copy
+    # of the stack
     path = corel_files[0]
-    held = peak_beyond(lambda d: d.features.values.nbytes + d.labels.values.nbytes,
-                       lambda: cli._load_dataset(path))
-    assert held < path.stat().st_size
+    decode_peaks = []
+    with_bias = FeatureMatrix.with_bias
 
+    def traced_with_bias(features):
+        decode_peaks.append(tracemalloc.get_traced_memory()[1])
+        return with_bias(features)
 
-def test_loading_with_the_bias_row_holds_the_features_once_more(corel_files):
-    # the stacked array is the new matrix's own: beyond the result, the
-    # decoded features and the decoder's scratch, not a copy of the stack
-    path = corel_files[0]
-    result = cli._load_dataset(path, add_bias=True)
+    monkeypatch.setattr(FeatureMatrix, "with_bias", traced_with_bias)
     held = peak_beyond(lambda d: d.features.values.nbytes + d.labels.values.nbytes,
                        lambda: cli._load_dataset(path, add_bias=True))
-    features_bytes = (result.d - 1) * result.n * 8
+    masked = corel_data[1]
+    features_bytes = masked.features.values.nbytes
+    [decode_peak] = decode_peaks
+    assert decode_peak - (features_bytes + masked.labels.values.nbytes) < path.stat().st_size
     assert held < 1.5 * features_bytes
 
 

@@ -972,7 +972,7 @@ def test_grid_search_restricts_a_fixed_partition_to_each_fold(monkeypatch):
 
 
 def test_learned_correlation_term_vanishes_at_convergence():
-    # the correlation prior is inert at convergence (ROADMAP item 2): the
+    # the correlation prior is inert at convergence (ROADMAP item 5): the
     # Z steps find unit rows with P_m'Z_m = 0, P_m = U F_m', so a converged
     # fit's correlation term is ~0 and its objective that of the fit
     # without the term.  A change that breaks this changes the paper's
