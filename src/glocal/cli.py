@@ -88,8 +88,6 @@ def parse_grid(spec):
         if name == "g" and min(values) < 1:
             raise ValueError(f"grid axis 'g' needs values >= 1, got {min(values)}")
         axes[name] = values
-    if not axes:
-        raise ValueError("empty grid")
     return axes
 
 

@@ -108,6 +108,9 @@ class GlocalModel:
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "factors", factors)
+        for name, block in (("U", U), ("V", V), ("W", W)):
+            if block.ndim != 2:
+                raise ValueError(f"{name} must be 2-D, got {block.ndim}-D")
         l, k = U.shape
         if V.shape[0] != k:
             raise ValueError(f"V has {V.shape[0]} rows, expected k={k}")

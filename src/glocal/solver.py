@@ -130,12 +130,8 @@ def make_context(dataset, partition, hp):
     )
 
 
-def _inner(A, B):
-    return float(np.einsum("ij,ij->", A, B))
-
-
 def _sumsq(A):
-    return _inner(A, A)
+    return float(_block_dot(A, A))
 
 
 def _global_weights(ctx):
@@ -171,21 +167,28 @@ def _correlation_term(Z, P):
 def _objective_arrays(U, V, W, Zs, Fs, ctx):
     # Fs: the correlation weights at W (_weights), () for no terms
     hp = ctx.hp
-    with np.errstate(over="ignore", invalid="ignore"):
-        R = U @ V
-        R -= ctx.Y
-        R *= ctx.J
-        val = _sumsq(R)
-        D = V - W.T @ ctx.X
-        val += hp.lambda_ * _sumsq(D)
-        val += hp.lambda2 * (_sumsq(U) + _sumsq(V) + _sumsq(W))
-        for Z, F in zip(Zs, Fs):
-            val += _correlation_term(Z, U @ F.T)
+    R = U @ V
+    R -= ctx.Y
+    R *= ctx.J
+    val = _sumsq(R)
+    D = V - W.T @ ctx.X
+    val += hp.lambda_ * _sumsq(D)
+    val += hp.lambda2 * (_sumsq(U) + _sumsq(V) + _sumsq(W))
+    for Z, F in zip(Zs, Fs):
+        val += _correlation_term(Z, U @ F.T)
     return val
+
+
+def _require_factors(model, ctx):
+    if model.g != len(ctx.groups):
+        raise ValueError(
+            f"model has {model.g} factors, context has {len(ctx.groups)} groups"
+        )
 
 
 def objective(model, ctx):
     """Full objective value at the model's parameter blocks."""
+    _require_factors(model, ctx)
     Fs = _weights(model.W, ctx)
     return _objective_arrays(model.U, model.V, model.W, model.factors, Fs, ctx)
 
@@ -267,6 +270,7 @@ def gradients(model, ctx):
         gradient per group factor, taken without the unit-row
         constraint.
     """
+    _require_factors(model, ctx)
     U, V, W, Zs = model.U, model.V, model.W, model.factors
     Fs = _correlation_weights(W, ctx)
     G_U = _hess_U(U, V, Zs, Fs, ctx) - _rhs_U(V, ctx)
@@ -352,7 +356,7 @@ def _z_descend(U, F, Z0, steps):
     P = U @ F.T
     L = float(np.linalg.eigvalsh(P.T @ P)[-1])
     Z, G = Z0, _grad_Z(P, Z0)
-    h_val = 0.5 * _inner(Z, G)
+    h_val = 0.5 * _block_dot(Z, G)
     accepted = []
     for _ in range(steps):
         if _sumsq(G) == 0.0 or not L > 0.0:
@@ -360,7 +364,7 @@ def _z_descend(U, F, Z0, steps):
         t = 0.5 / L
         cand = project_unit_rows(Z - t * G)
         G_new = _grad_Z(P, cand)
-        h_new = 0.5 * _inner(cand, G_new)
+        h_new = 0.5 * _block_dot(cand, G_new)
         if h_new > h_val:  # only rounding can make h rise; stop there
             break
         Z, G, h_val = cand, G_new, h_new
@@ -375,9 +379,6 @@ def _unit_row_error(Zs):
     return err
 
 
-# huge finite hyperparameters can overflow a step: a block that overflows
-# is left non-finite, for warm_start and fit to refuse
-@np.errstate(over="ignore", invalid="ignore")
 def _sweep(blocks, Fs, ctx):
     # one outer iteration: Z_1..Z_g, then V, then U, then W, on the list
     # [U, V, W, Zs], which ends holding the new blocks; it is emptied
@@ -486,8 +487,14 @@ def warm_start(ctx):
     return GlocalModel(U=U, V=V, W=W, factors=tuple(Zs))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit(dataset, partition, hp):
     """Train a model by warm start plus alternating minimization.
+
+    Huge finite hyperparameters can overflow a step or the correlation
+    weights.  numpy's overflow warnings are silenced for the whole fit: a
+    block or objective that overflows is left non-finite, and the warm
+    start or fit refuses it with a ValueError.
 
     Args:
         dataset: training Dataset (labels may be partially observed).
@@ -560,13 +567,17 @@ def grid_search(dataset, hp, axes, groups):
         Hyperparams) of the winning combination.
 
     Raises:
-        ValueError: if an axis has no values, g is an axis while the
+        ValueError: if an axis names neither a Hyperparams field nor
+            g, an axis has no values, g is an axis while the
             partition is fixed, a fixed partition does not cover the
             dataset, the dataset has fewer than 2 instances, a
             combination makes invalid Hyperparams, or no combination is
             usable (naming the first combination's error).
     """
+    known = {f.name for f in dataclasses.fields(hp)}
     for name, values in axes.items():
+        if name != "g" and name not in known:
+            raise ValueError(f"grid axis {name!r} is not a Hyperparams field or 'g'")
         if len(values) == 0:
             raise ValueError(f"grid axis {name!r} has no values")
     fixed = isinstance(groups, Partition)

@@ -290,6 +290,16 @@ def test_eval_requires_exactly_one_truth_source(tmp_path, synth_files, capsys):
     assert "exactly one of --truth or --hidden" in err
 
 
+def test_eval_refuses_a_hidden_entry_outside_the_score_matrix(tmp_path, capsys):
+    scores, hidden, out = tmp_path / "s.txt", tmp_path / "h.txt", tmp_path / "r.csv"
+    save_matrix(np.zeros((2, 3)), scores)
+    save_hidden([(0, 1, 1), (1, 3, -1)], hidden)  # instance 4 of 3
+    assert run("eval", "--scores", scores, "--hidden", hidden, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        "error: hidden entry (2, 4) outside score matrix (2, 3)\n")
+    assert not out.exists()
+
+
 def test_train_with_grid_search(tmp_path, synth_files, capsys):
     _, masked, _ = synth_files
     model_path = tmp_path / "grid.model"
@@ -517,7 +527,7 @@ def _base_argv(command, tmp_path, full):
 @pytest.mark.parametrize(
     "command, flag", [(c, f) for c, flags in _NUMERIC_FLAGS.items() for f in flags]
 )
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e300"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e300", "1e308"])
 def test_numeric_flags_exit_cleanly_on_hostile_values(
     tmp_path, synth_files, capsys, command, flag, value
 ):
@@ -528,7 +538,7 @@ def test_numeric_flags_exit_cleanly_on_hostile_values(
         rc = run(*argv)
     except SystemExit as exc:
         # argparse's usage error: the text is no value of an int flag
-        assert flag in _INT_FLAGS and value in ("nan", "inf", "-inf", "1e300")
+        assert flag in _INT_FLAGS and value in ("nan", "inf", "-inf", "1e300", "1e308")
         rc = exc.code
         assert rc == 2
     err = capsys.readouterr().err

@@ -865,6 +865,9 @@ SHIM_CASES = [
     ("hidden", "1 1 1\n1 2 x\n", "^line 2: expected three integers$"),
     ("hidden", "1 1 1\n1 1 -1\n", "^line 2: duplicate hidden entry '1 1 -1'$"),
     ("hidden", "3 1 1\n\n1 2 -1\n3 1 -1\n", "^line 3: out-of-order hidden entry '1 2 -1'$"),
+    # appended, so the cases above keep their ids
+    ("gml", "", "^line 1: missing header$"),
+    ("gml", "# only a comment\n# and another\n", "^line 1: missing header$"),
 ]
 
 

@@ -156,6 +156,16 @@ def test_load_rejects_malformed_content():
         load_text(model_text(lambda ls: ls[:-1]))
     with pytest.raises(ModelFormatError, match="bad dimensions"):
         load_text(model_text(lambda ls: [ls[0], "0 3 2 2"] + ls[2:]))
+    # a file that ends before the dimension line or before block W, and a
+    # V header with a negative column count
+    with pytest.raises(ModelFormatError,
+                       match="^unexpected end of file: wanted the dimension line$"):
+        load_text(model_text(lambda ls: ls[:1]))
+    with pytest.raises(ModelFormatError, match="^unexpected end of file: wanted block W$"):
+        load_text(model_text(lambda ls: ls[:7]))
+    assert model_text().splitlines()[11] == "V 2 5"
+    with pytest.raises(ModelFormatError, match="^bad shape header for block V$"):
+        load_text(model_text(lambda ls: ls[:11] + ["V 2 -1"] + ls[12:]))
 
 
 def test_documented_model_example_parses():
@@ -246,6 +256,13 @@ def test_model_validation():
         GlocalModel(U=U, V=V, W=W, factors=(Z, rng.standard_normal((4, 3))))
     with pytest.raises(ValueError, match="non-finite"):
         GlocalModel(U=U * np.inf, V=V, W=W, factors=(Z,))
+    # every block is 2-D: a 1-D V of k values or a 1-D W is refused by name
+    with pytest.raises(ValueError, match="^V must be 2-D, got 1-D$"):
+        GlocalModel(U=U, V=V[:, 0], W=W, factors=(Z,))
+    with pytest.raises(ValueError, match="^W must be 2-D, got 1-D$"):
+        GlocalModel(U=U, V=V, W=W[:, 0], factors=(Z,))
+    with pytest.raises(ValueError, match="^U must be 2-D, got 3-D$"):
+        GlocalModel(U=U[None], V=V, W=W, factors=(Z,))
 
 
 def test_model_and_hyperparams_are_frozen():

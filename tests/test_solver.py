@@ -44,6 +44,7 @@ from glocal.solver import (
     objective,
     warm_start,
 )
+from test_acceptance import block_rel_err, fd_gradient, planted_problem
 
 
 def build_problem(seed, l=5, n=12, d=4, g=2, rho=70, **hp_kwargs):
@@ -137,23 +138,6 @@ def naive_objective(model, ctx):
     return total
 
 
-def fd_gradient(fun, x, h=1e-6):
-    g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        ij = it.multi_index
-        xp, xm = x.copy(), x.copy()
-        xp[ij] += h
-        xm[ij] -= h
-        g[ij] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return g
-
-
-def rel_err(got, want):
-    denom = max(np.linalg.norm(got), np.linalg.norm(want), 1e-12)
-    return np.linalg.norm(got - want) / denom
-
-
 def test_objective_of_zero_model_counts_observed_entries():
     data, partition, ctx = build_problem(0, rho=50)
     k = ctx.hp.k
@@ -195,16 +179,28 @@ def check_gradients(model, ctx):
             factors=model.factors if Zs is None else tuple(Zs),
         )
 
-    assert rel_err(G_U, fd_gradient(lambda U: objective(at(U=U), ctx), model.U)) < 1e-6
-    assert rel_err(G_V, fd_gradient(lambda V: objective(at(V=V), ctx), model.V)) < 1e-6
-    assert rel_err(G_W, fd_gradient(lambda W: objective(at(W=W), ctx), model.W)) < 1e-6
+    assert block_rel_err(G_U, fd_gradient(lambda U: objective(at(U=U), ctx), model.U)) < 1e-6
+    assert block_rel_err(G_V, fd_gradient(lambda V: objective(at(V=V), ctx), model.V)) < 1e-6
+    assert block_rel_err(G_W, fd_gradient(lambda W: objective(at(W=W), ctx), model.W)) < 1e-6
     for m in range(len(ctx.groups)):
         def obj_z(Z, m=m):
             Zs = list(model.factors)
             Zs[m] = Z
             return objective(at(Zs=Zs), ctx)
 
-        assert rel_err(G_Zs[m], fd_gradient(obj_z, model.factors[m])) < 1e-6
+        assert block_rel_err(G_Zs[m], fd_gradient(obj_z, model.factors[m])) < 1e-6
+
+
+def test_objective_and_gradients_refuse_a_model_of_another_group_count():
+    # one factor per group: zip would drop the groups or factors left over
+    _, _, ctx = build_problem(0, g=3)
+    model = random_model(ctx, 1)
+    for factors in (model.factors[:2], model.factors + model.factors[:1]):
+        other = dataclasses.replace(model, factors=factors)
+        for probe in (objective, gradients):
+            with pytest.raises(ValueError,
+                               match=f"^model has {len(factors)} factors, context has 3 groups$"):
+                probe(other, ctx)
 
 
 def test_gradients_match_finite_differences():
@@ -360,7 +356,7 @@ def test_closed_form_v_runs_in_bounded_memory_and_matches_one_solve():
         tracemalloc.stop()
     # the one-piece system tensor alone is n k^2 float64 values, 33 MB
     assert peak < 16 << 20
-    assert rel_err(V, solve_V(model.U, model.W, ctx)) <= 1e-12
+    assert block_rel_err(V, solve_V(model.U, model.W, ctx)) <= 1e-12
 
 
 def test_closed_form_v_matches_the_per_column_solve_for_small_k():
@@ -370,7 +366,7 @@ def test_closed_form_v_matches_the_per_column_solve_for_small_k():
             _, _, ctx = build_problem(1400 + 10 * k + trial, l=6, n=30, d=4, k=k,
                                       lambda3=0.2, lambda4=0.2)
             model = random_model(ctx, 1500 + 10 * k + trial)
-            err = rel_err(closed_form_V(model, ctx), solve_V(model.U, model.W, ctx))
+            err = block_rel_err(closed_form_V(model, ctx), solve_V(model.U, model.W, ctx))
             assert err <= 1e-10, (k, trial, err)
 
 
@@ -401,7 +397,7 @@ def test_whole_block_cg_solves_u_and_w_exactly():
         for name, (hess, rhs) in block_systems(model, ctx).items():
             x0 = getattr(model, name)
             got, _ = _cg(x0, hess, rhs(), 2 * x0.size, _block_dot)
-            err = rel_err(got, dense_block_solve(hess, rhs()))
+            err = block_rel_err(got, dense_block_solve(hess, rhs()))
             assert err <= 1e-10, (trial, name, err)
 
 
@@ -434,7 +430,7 @@ def test_a_sweep_solves_v_exactly_when_k_is_at_most_inner_steps():
         blocks = [model.U, model.V, model.W, list(model.factors)]
         solver._sweep(blocks, _correlation_weights(model.W, ctx), ctx)
         # Z steps do not move U or W, so V's system is the one at the model
-        err = rel_err(blocks[1], solve_V(model.U, model.W, ctx))
+        err = block_rel_err(blocks[1], solve_V(model.U, model.W, ctx))
         assert err <= 1e-10, (k, err)
 
 
@@ -610,10 +606,10 @@ def test_cached_factors_reproduce_the_feature_grams():
             Tm = ctx.T[rows]
             assert Tm.shape == (min(idx.size, d), d)
             Xm = X[:, idx]
-            assert rel_err(Tm.T @ Tm, Xm @ Xm.T) <= 1e-12
-        assert rel_err(ctx.T.T @ ctx.T, XXt) <= 1e-12
+            assert block_rel_err(Tm.T @ Tm, Xm @ Xm.T) <= 1e-12
+        assert block_rel_err(ctx.T.T @ ctx.T, XXt) <= 1e-12
         assert ctx.T0.shape == (min(ctx.n, d), d)
-        assert rel_err(ctx.T0.T @ ctx.T0, XXt) <= 1e-12
+        assert block_rel_err(ctx.T0.T @ ctx.T0, XXt) <= 1e-12
 
 
 def test_weight_factors_reproduce_the_dense_weights():
@@ -630,7 +626,7 @@ def test_weight_factors_reproduce_the_dense_weights():
             Xm = X[:, idx]
             want = (hp.lambda3 * idx.size / ctx.n * W.T @ X @ X.T @ W
                     + hp.lambda4 * W.T @ Xm @ Xm.T @ W)
-            assert rel_err(F.T @ F, want) <= 1e-12, (trial, case)
+            assert block_rel_err(F.T @ F, want) <= 1e-12, (trial, case)
             assert F.shape == (min(hp.k, min(ctx.n, d) + min(idx.size, d)), hp.k)
 
 
@@ -774,6 +770,22 @@ def test_fit_invariants_on_degenerate_inputs(shape, k, singletons, unobserved_ro
     for a, b in zip((m1.U, m1.V, m1.W, *m1.factors), (m2.U, m2.V, m2.W, *m2.factors)):
         assert np.array_equal(a, b)
     assert np.array_equal(t1.objectives, t2.objectives)
+
+
+def test_fit_on_all_zero_features_takes_no_z_step():
+    # with X = 0 every correlation weight F_m is 0, so P = U F_m' = 0 and
+    # each Z step stops at zero curvature before its first step
+    data, partition, _ = build_problem(19)
+    zero = Dataset(FeatureMatrix(np.zeros((data.d, data.n))), data.labels)
+    hp = Hyperparams(k=3, lambda3=0.1, lambda4=0.1, warm_iters=2, outer_iters=5,
+                     tol=0.0, seed=19)
+    model, trace = fit(zero, partition, hp)
+    assert trace.total_iterations == hp.outer_iters
+    assert all(r.steps["Z"] == () for r in trace.records[1:])
+    for m, Z in enumerate(model.factors):
+        assert np.array_equal(Z, init_factor(data.l, hp.k, hp.seed + m + 1))
+    objs = trace.objectives
+    assert (objs[1:] <= objs[:-1]).all()
 
 
 def test_fit_stops_on_relative_tolerance():
@@ -969,6 +981,15 @@ def test_grid_search_restricts_a_fixed_partition_to_each_fold(monkeypatch):
     for axes, name in (({"k": []}, "'k'"), ({"lambda4": [0.0], "g": []}, "'g'")):
         with pytest.raises(ValueError, match=f"^grid axis {name} has no values$"):
             grid_search(data, hp, axes, 2)
+    # and so is an axis that is neither a Hyperparams field nor g
+    with pytest.raises(ValueError,
+                       match="^grid axis 'lambda' is not a Hyperparams field or 'g'$"):
+        grid_search(data, hp, {"lambda": [1.0]}, 2)
+    # one instance makes one fold
+    one = Dataset(FeatureMatrix(data.features.values[:, :1]),
+                  LabelMatrix(data.labels.values[:, :1]))
+    with pytest.raises(ValueError, match="^grid search needs at least 2 instances$"):
+        grid_search(one, hp, {"lambda4": [0.0]}, 1)
 
 
 def test_learned_correlation_term_vanishes_at_convergence():
@@ -977,8 +998,6 @@ def test_learned_correlation_term_vanishes_at_convergence():
     # fit's correlation term is ~0 and its objective that of the fit
     # without the term.  A change that breaks this changes the paper's
     # formulation as implemented here.
-    from test_acceptance import planted_problem
-
     _, masked, _, partition = planted_problem(0)
     hp = Hyperparams(k=3, lambda3=0.1, lambda4=0.1, tol=1e-5, outer_iters=400)
     model, trace = fit(masked, partition, hp)
