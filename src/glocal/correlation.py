@@ -1,14 +1,13 @@
 """Label-correlation algebra: cosine similarity, Laplacians, factors.
 
 The solver never materializes a full Laplacian: correlation structure
-is carried by low-rank factors Z with unit-norm rows, made and kept on
-unit rows here.  The dense cosine/Laplacian helpers exist for analysis
-of a label matrix and for checking the factored algebra against it.
+is carried by low-rank factors Z with unit-norm rows, made here
+(init_factor) and kept on unit rows by the solver's own Z step.  The
+dense cosine/Laplacian helpers exist for analysis of a label matrix and
+for checking the factored algebra against it.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -65,24 +64,17 @@ def combine_correlations(parts, weights):
 
 
 def project_unit_rows(Z):
-    """Scale every row of Z to unit euclidean norm.
+    """Scale every row of Z to unit euclidean norm, in a copy.
 
-    A row of exact zeros cannot be scaled; it is replaced by a random
-    unit vector drawn with seed 0 and a warning is emitted.
+    Raises:
+        ValueError: if a row is all zeros, naming the first such row; it
+            has no direction to keep.
     """
     Z = np.array(Z, dtype=np.float64, copy=True)
     norms = np.linalg.norm(Z, axis=1)
     zero_rows = np.flatnonzero(norms == 0.0)
     if zero_rows.size:
-        warnings.warn(
-            f"reinitializing {zero_rows.size} zero row(s) during projection",
-            stacklevel=2,
-        )
-        rng = np.random.default_rng(0)
-        for r in zero_rows:
-            row = rng.standard_normal(Z.shape[1])
-            Z[r] = row / np.linalg.norm(row)
-            norms[r] = 1.0  # the new row is unit already; x / 1.0 is x
+        raise ValueError(f"row {zero_rows[0]} is zero and has no unit direction")
     Z /= norms[:, None]
     return Z
 

@@ -18,14 +18,15 @@ majorize-minimize steps: the restricted objective h(Z) = tr(Z'KZ),
 K = PP' with P = U F_m' (below), is a PSD quadratic and tr(Z'Z) = l on
 unit rows, so with L = lambda_max(K) the step Z <- rows of
 Z - G / (2L) scaled to unit norm minimizes a majorizer of h and cannot
-increase it (Hunter & Lange 2004).  The objective is exactly quadratic
-in each of U, V and W, and each block is written once as a Hessian
-action H and a right-hand side b (for Z_m, H(Z) = 2KZ and b = 0): the
-gradient is H(x) - b, and every one of the three takes the same linear
-conjugate-gradient steps on H(x) = b (_cg), each the exact line minimum
-along a direction H-conjugate to the earlier ones.  U and W are one
-system each; V is one k x k system per instance column, all run side
-by side, so V is exact once it has taken k steps.
+increase it (Hunter & Lange 2004); a row that Z - G / (2L) sends to 0
+keeps its value, which minimizes the majorizer too.  The objective is
+exactly quadratic in each of U, V and W, and each block is written once
+as a Hessian action H and a right-hand side b (for Z_m, H(Z) = 2KZ and
+b = 0): the gradient is H(x) - b, and every one of the three takes the
+same linear conjugate-gradient steps on H(x) = b (_cg), each the exact
+line minimum along a direction H-conjugate to the earlier ones.  U and
+W are one system each; V is one k x k system per instance column, all
+run side by side, so V is exact once it has taken k steps.
 
 Optimization starts from a warm start: the same sweeps with no
 correlation terms, after which randomly initialized unit-row factors
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Partition, kmeans
-from .correlation import init_factor, project_unit_rows
+from .correlation import init_factor
 from .data import take_instances
 from .metrics import ranking_loss
 from .model import GlocalModel, score
@@ -297,12 +298,15 @@ def _cg(x, hess, b, steps, dot):
     # _column_dot: each of V's columns).  Each step is the exact line
     # minimum along a direction H-conjugate to the earlier ones, so a
     # system of m unknowns is solved in m steps in exact arithmetic
-    # (Nocedal & Wright, ch. 5).  A system stops once its residual is 0 or
-    # a direction's curvature per unit length is within eps of the largest
-    # it has seen: on a singular H rounding leaves residual in the null
-    # space, and a step along it is long and amplifies that noise.  A NaN
-    # curvature does not stop it, so an overflow reaches the block.
-    # Returns the new block and each step's largest length
+    # (Nocedal & Wright, ch. 5).  A system stops once its search direction
+    # is 0 or a direction's curvature per unit length is within eps of the
+    # largest it has seen: on a singular H rounding leaves residual in the
+    # null space, and a step along it is long and amplifies that noise.
+    # The direction is the residual itself whenever the residual is 0, and
+    # past exactness it can shrink until its squared norm underflows to 0,
+    # so testing it keeps every division by it defined.  A NaN curvature
+    # does not stop a system, so an overflow reaches the block.  Returns
+    # the new block and each step's largest length
     R = b  # the residual b - H(x), made in b's own array
     R -= hess(x)
     P = R.copy()
@@ -312,7 +316,7 @@ def _cg(x, hess, b, steps, dot):
     for _ in range(steps):
         HP = hess(P)
         curv, pp = dot(P, HP), dot(P, P)
-        live = (rr != 0.0) & ~(curv <= np.finfo(np.float64).eps * top * pp)
+        live = (pp != 0.0) & ~(curv <= np.finfo(np.float64).eps * top * pp)
         if not live.any():
             break
         top = np.maximum(top, curv / np.where(live, pp, np.inf))
@@ -350,7 +354,10 @@ def _z_descend(U, F, Z0, steps):
     # majorize-minimize steps on h(Z) = tr(Z'KZ), K = PP' with P = U F':
     # with L = lambda_max(K), h(Z) - L tr(Z'Z) is concave and tr(Z'Z) = l
     # on unit rows, so there h lies below that part's tangent plus L l, and
-    # Z - G / (2L) scaled to unit rows minimizes the bound.  K is never
+    # Z - G / (2L) scaled to unit rows minimizes the bound.  There the
+    # bound is a sum over rows, each linear in its row with slope -2L times
+    # that row of Z - G / (2L), so a row that the step sends to exactly 0
+    # leaves every unit row a minimizer: it keeps its value.  K is never
     # formed: L is the top eigenvalue of P'P, r x r for the r <= k rows
     # of F
     P = U @ F.T
@@ -362,7 +369,9 @@ def _z_descend(U, F, Z0, steps):
         if _sumsq(G) == 0.0 or not L > 0.0:
             break
         t = 0.5 / L
-        cand = project_unit_rows(Z - t * G)
+        cand = Z - t * G
+        norms = np.linalg.norm(cand, axis=1)[:, None]
+        cand = np.divide(cand, norms, out=Z.copy(), where=norms != 0.0)
         G_new = _grad_Z(P, cand)
         h_new = 0.5 * _block_dot(cand, G_new)
         if h_new > h_val:  # only rounding can make h rise; stop there

@@ -1,11 +1,13 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
 import re
 import shlex
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +24,14 @@ from glocal.data import (
     load_hidden,
     load_matrix,
     make_synthetic,
+    save_gml,
     save_hidden,
     save_matrix,
 )
 from glocal.metrics import ranking_loss
 from glocal.model import GlocalModel, Hyperparams, load_model, save_model, score
 from glocal.solver import fit
+from test_solver import hyperparams_domain
 
 
 def run(*argv):
@@ -940,3 +944,68 @@ def test_train_names_a_warm_start_that_overflows(tmp_path, synth_files, capsys, 
     assert rc == 1
     assert capsys.readouterr().err == "error: warm start is not finite after sweep 1\n"
     assert not model_out.exists()
+
+
+def run_and_stderr(*argv):
+    # main's exit code and what the run shows on stderr: its own lines,
+    # then each warning as Python would print it
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        rc = run(*argv)
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                    for w in caught)
+    return rc, err.getvalue() + shown
+
+
+def test_train_with_far_more_inner_steps_than_k_exits_cleanly(tmp_path):
+    # past exactness a V column's conjugate-gradient direction shrinks
+    # until its squared norm underflows to 0; the column stops there
+    # rather than divide by it.  The default 20 warm sweeps reach it
+    full, masked, hidden = (tmp_path / f for f in ("full.gml", "masked.gml", "hidden.txt"))
+    assert run("synth", "--labels", 20, "--instances", 200, "--features", 10,
+               "--latent-k", 3, "--noise", 0.3, "--rho", 30, "--seed", 0,
+               "--out-full", full, "--out-masked", masked, "--out-hidden", hidden) == 0
+    rc, err = run_and_stderr("train", "--input", masked, "--latent-k", 3,
+                             "--inner-steps", 100, "--outer-iters", 1, "--tol", 0,
+                             "--model-out", tmp_path / "m.model")
+    assert (rc, err) == (0, "")
+
+
+# three instances with one feature each: a factor step sends a row of Z
+# to exactly 0 at k = 1, 2 and 4
+_ZERO_ROW_GML = ("3 1 3\n+:2|-:|1:2.4950131871728485\n+:2|-:|1:0.1287480784987166\n"
+                 "+:|-:|1:-1.2780490190910927\n")
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_train_keeps_a_factor_row_its_step_zeroes(tmp_path, k):
+    gml = tmp_path / "z.gml"
+    gml.write_text(_ZERO_ROW_GML, encoding="utf-8")
+    model_out = tmp_path / "m.model"
+    rc, err = run_and_stderr("train", "--input", gml, "--latent-k", k, "--model-out", model_out)
+    assert (rc, err) == (0, "")
+    for Z in load_model(model_out).factors:
+        assert np.abs(np.einsum("ij,ij->i", Z, Z) - 1.0).max() <= 1e-12
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(hyperparams_domain())
+def test_train_exits_cleanly_over_the_hyperparameter_domain(problem):
+    # the library property's draws through main, one flag per Hyperparams
+    # field: exit 0 with nothing on stderr, or exit 1 with one error line
+    data, g, hp = problem
+    flags = [f"--latent-k={hp.k}", f"--groups={g}"]
+    for f in dataclasses.fields(hp):
+        if f.name != "k":
+            flags.append(f"--{f.name.rstrip('_').replace('_', '-')}={getattr(hp, f.name)!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        gml = Path(tmp) / "train.gml"
+        save_gml({gml: data})
+        rc, err = run_and_stderr("train", "--input", gml, *flags,
+                                 "--model-out", Path(tmp) / "m.model")
+    if rc == 0:
+        assert err == ""
+    else:
+        assert rc == 1 and re.fullmatch(r"error: [^\n]*\n", err), err

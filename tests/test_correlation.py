@@ -145,18 +145,12 @@ def test_project_unit_rows():
     assert np.abs(project_unit_rows(P) - P).max() < 1e-14
 
 
-def test_project_reinitializes_zero_rows():
-    Z = np.array([[3.0, 4.0], [0.0, 0.0]])
-    with pytest.warns(UserWarning, match="zero row"):
-        P = project_unit_rows(Z)
-    assert P[0].tobytes() == (Z[0] / 5.0).tobytes()
-    assert abs(np.linalg.norm(P[1]) - 1.0) < 1e-12
-    # the new row is the seeded draw scaled once
-    row = np.random.default_rng(0).standard_normal(2)
-    assert P[1].tobytes() == (row / np.linalg.norm(row)).tobytes()
-    with pytest.warns(UserWarning):
-        P2 = project_unit_rows(Z)
-    assert np.array_equal(P, P2)
+def test_project_refuses_zero_rows():
+    # a zero row has no direction to scale; the solver's Z step keeps the
+    # old row where its step lands on 0, so only a caller's input has one
+    Z = np.array([[3.0, 4.0], [0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="^row 1 is zero and has no unit direction$"):
+        project_unit_rows(Z)
 
 
 def test_init_factor():

@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from glocal.data import (
     take_instances,
 )
 from glocal.metrics import ranking_loss
-from glocal.model import GlocalModel, Hyperparams, score
+from glocal.model import GlocalModel, Hyperparams, load_model, save_model, score
 from glocal.solver import (
     _block_dot,
     _cg,
@@ -549,6 +551,23 @@ def test_z_step_keeps_unit_rows_and_never_increases():
             assert objective(moved, ctx) <= f_before + 1e-12 * (1.0 + abs(f_before))
 
 
+def test_z_step_keeps_a_row_its_step_zeroes():
+    # P = U F' = e_1 gives K = e_1 e_1' and L = 1, so the first candidate
+    # Z - KZ / L has row 0 exactly 0: every unit row minimizes the
+    # majorizer there, and the step keeps the old one
+    U, F = np.array([[1.0], [0.0]]), np.array([[1.0]])
+    Z0 = np.array([[1.0], [1.0]])
+    P = U @ F.T
+    assert not (Z0 - P @ (P.T @ Z0)).any(axis=1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Z, steps = _z_descend(U, F, Z0, 3)
+    assert len(steps) == 3
+    assert same_bytes(Z, Z0)
+    assert np.abs(np.einsum("ij,ij->i", Z, Z) - 1.0).max() <= 1e-12
+    assert _correlation_term(Z, P) <= _correlation_term(Z0, P)
+
+
 def check_mm_step(model, ctx):
     # one step maps Z to the unit rows of Z - K Z / L, with K the dense
     # l x l matrix of group m's correlation terms, tr(Z'KZ), built from
@@ -770,6 +789,70 @@ def test_fit_invariants_on_degenerate_inputs(shape, k, singletons, unobserved_ro
     for a, b in zip((m1.U, m1.V, m1.W, *m1.factors), (m2.U, m2.V, m2.W, *m2.factors)):
         assert np.array_equal(a, b)
     assert np.array_equal(t1.objectives, t2.objectives)
+
+
+# every lambda from 0 through a subnormal to near overflow
+_LAMBDAS = st.sampled_from([0.0, 5e-324, 1e-8, 1.0, 1e8, 1e300])
+
+
+@st.composite
+def hyperparams_domain(draw):
+    # a tiny problem, labels from {-1, 0, +1} (whole unobserved label rows
+    # occur), a group count g in 1..n and Hyperparams over their whole
+    # valid domain: k above l and n, inner_steps far above k
+    l, n, d = draw(st.integers(2, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    g = draw(st.integers(1, n))
+    k = draw(st.integers(1, 12))
+    hp = Hyperparams(
+        k=k,
+        lambda_=draw(_LAMBDAS),
+        lambda2=draw(_LAMBDAS),
+        lambda3=draw(_LAMBDAS),
+        lambda4=draw(_LAMBDAS),
+        inner_steps=draw(st.integers(1, 3 * k + 40)),
+        outer_iters=draw(st.integers(1, 5)),
+        warm_iters=draw(st.integers(0, 3)),
+        tol=draw(st.sampled_from([0.0, 1e-5, 1.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    rng = np.random.default_rng(hp.seed)
+    Y = rng.choice([-1, 0, 1], size=(l, n)).astype(np.int8)
+    data = Dataset(FeatureMatrix(rng.standard_normal((d, n))), LabelMatrix(Y))
+    return data, g, hp
+
+
+def model_blocks(model):
+    return (model.U, model.V, model.W, *model.factors)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(hyperparams_domain())
+def test_fit_keeps_its_promises_over_the_hyperparameter_domain(problem):
+    # fit returns or raises ValueError, and warns of nothing; a fit that
+    # returns has a finite trace, unit factor rows, reruns bit for bit and
+    # round-trips through the model file bit-exactly.  Non-increase is not
+    # asserted here: with lambda2 = 0 nothing bounds the scale of U against
+    # V, and at huge lambdas a W step can then raise the objective
+    data, g, hp = problem
+    partition = partition_from_assignment(data.features, 1 + np.arange(data.n) % g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            m1, t1 = fit(data, partition, hp)
+        except ValueError:
+            return
+        m2, t2 = fit(data, partition, hp)
+    assert np.isfinite(t1.objectives).all()
+    for Z in m1.factors:
+        assert np.abs(np.einsum("ij,ij->i", Z, Z) - 1.0).max() <= 1e-12
+    assert all(same_bytes(a, b) for a, b in zip(model_blocks(m1), model_blocks(m2)))
+    assert same_bytes(t1.objectives, t2.objectives)
+    text = io.StringIO()
+    save_model(m1, text)
+    text.seek(0)
+    loaded = model_blocks(load_model(text))
+    assert len(loaded) == len(model_blocks(m1))
+    assert all(same_bytes(a, b) for a, b in zip(loaded, model_blocks(m1)))
 
 
 def test_fit_on_all_zero_features_takes_no_z_step():
