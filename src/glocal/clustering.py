@@ -54,9 +54,9 @@ def partition_from_assignment(features, assignment):
     assign = np.asarray(assignment, dtype=np.int64)
     if assign.shape != (features.n,):
         raise ValueError("assignment length must equal the instance count")
-    if assign.min() < 1:
+    if assign.min(initial=1) < 1:
         raise ValueError("group indices are 1-based")
-    return Partition(g=int(assign.max()), assignment=assign)
+    return Partition(g=int(assign.max(initial=0)), assignment=assign)
 
 
 # bytes of the (instances x d) difference buffer every distance in

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import base64
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from itertools import chain
@@ -45,8 +46,12 @@ class Hyperparams:
     1 / (2 lambda_max) for the correlation factors.  warm_iters
     alternating iterations are run without the correlation terms before
     the full objective takes over.
-    The lambdas and tol must be finite and non-negative, and the seed
-    non-negative.
+    k, inner_steps, outer_iters, warm_iters and seed are integers
+    (numbers.Integral, so numpy integers too); k, inner_steps and
+    outer_iters must be >= 1, warm_iters and seed >= 0.  The lambdas and
+    tol must be finite and non-negative.  A count that is not an integer,
+    or a value outside its field's range, raises a ValueError that names
+    the field.
     """
 
     k: int
@@ -61,24 +66,21 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        for name, floor in (("k", 1), ("inner_steps", 1), ("outer_iters", 1),
+                            ("warm_iters", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < floor:
+                raise ValueError(f"{name} must be >= {floor}")
         # each message names the field as its command-line flag does:
         # lambda_ is --lambda
         for name in ("lambda_", "lambda2", "lambda3", "lambda4", "tol"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise ValueError(f"{name.rstrip('_')} must be finite")
-        for name in ("lambda_", "lambda2", "lambda3", "lambda4"):
-            if getattr(self, name) < 0:
+            if value < 0:
                 raise ValueError(f"{name.rstrip('_')} must be >= 0")
-        if self.inner_steps < 1 or self.outer_iters < 1:
-            raise ValueError("inner_steps and outer_iters must be >= 1")
-        if self.warm_iters < 0:
-            raise ValueError("warm_iters must be >= 0")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,17 +102,14 @@ class GlocalModel:
             if not (entry and entry[1] == key):  # reads back as written
                 raise ValueError(f"bad provenance entry {key!r}={value!r}")
         object.__setattr__(self, "provenance", provenance)
-        U = np.asarray(self.U, dtype=np.float64)
-        V = np.asarray(self.V, dtype=np.float64)
-        W = np.asarray(self.W, dtype=np.float64)
-        factors = tuple(np.asarray(Z, dtype=np.float64) for Z in self.factors)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "factors", factors)
-        for name, block in (("U", U), ("V", V), ("W", W)):
+        for name in ("U", "V", "W"):
+            block = np.asarray(getattr(self, name), dtype=np.float64)
             if block.ndim != 2:
                 raise ValueError(f"{name} must be 2-D, got {block.ndim}-D")
+            object.__setattr__(self, name, block)
+        factors = tuple(np.asarray(Z, dtype=np.float64) for Z in self.factors)
+        object.__setattr__(self, "factors", factors)
+        U, V, W = self.U, self.V, self.W
         l, k = U.shape
         if V.shape[0] != k:
             raise ValueError(f"V has {V.shape[0]} rows, expected k={k}")
@@ -121,12 +120,11 @@ class GlocalModel:
         for m, Z in enumerate(factors, start=1):
             if Z.shape != (l, k):
                 raise ValueError(f"factor {m} has shape {Z.shape}, expected ({l}, {k})")
-        for name, block in (("U", U), ("V", V), ("W", W)):
+        blocks = [("U", U), ("V", V), ("W", W),
+                  *((f"factor {m}", Z) for m, Z in enumerate(factors, start=1))]
+        for name, block in blocks:
             if not np.all(np.isfinite(block)):
                 raise ValueError(f"{name} contains non-finite values")
-        for m, Z in enumerate(factors, start=1):
-            if not np.all(np.isfinite(Z)):
-                raise ValueError(f"factor {m} contains non-finite values")
 
     @property
     def l(self):
@@ -223,7 +221,7 @@ def _read_block(lines, name, rows, cols):
         got_rows, got_cols = (int(t) for t in header[1:])
     except ValueError:
         raise ModelFormatError(f"bad shape header for block {name}") from None
-    if rows is not None and got_rows != rows:
+    if got_rows != rows:
         raise ModelFormatError(f"block {name}: expected {rows} rows, found {got_rows}")
     if cols is not None and got_cols != cols:
         raise ModelFormatError(f"block {name}: expected {cols} cols, found {got_cols}")

@@ -512,8 +512,11 @@ def fit(dataset, partition, hp):
 
     Returns:
         (GlocalModel, FitTrace).  The trace's objective sequence is
-        non-increasing; iteration stops after hp.outer_iters sweeps or
-        once the relative objective change drops below hp.tol.
+        non-increasing but for one known case: with lambda2 = 0 and
+        huge lambda_ and lambda3, a W step can raise it by rounding
+        (README, Known behaviour).  Iteration stops after hp.outer_iters
+        sweeps or once the relative objective change drops below hp.tol,
+        so such a rise, a negative change, stops the fit as converged.
     """
     ctx = make_context(dataset, partition, hp)
     # no update writes a block in place, so the warm start's arrays are

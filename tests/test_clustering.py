@@ -146,6 +146,16 @@ def test_partition_validation():
         partition_from_assignment(feats, [0, 1, 1, 2])
     with pytest.raises(ValueError, match="^group 2 is empty$"):
         Partition(g=2, assignment=[1, 1])
+    with pytest.raises(ValueError, match="^need at least one group$"):
+        Partition(g=0, assignment=[])
+    with pytest.raises(ValueError, match="^assignment values must lie in 1..g$"):
+        Partition(g=2, assignment=[1, 3])
+    with pytest.raises(ValueError,
+                       match="^assignment length must equal the instance count$"):
+        partition_from_assignment(feats, [1, 1, 2])
+    # no instances make no group, refused by Partition, not by numpy's min
+    with pytest.raises(ValueError, match="^need at least one group$"):
+        partition_from_assignment(FeatureMatrix(np.zeros((2, 0))), [])
 
 
 def test_groups_are_0_based_indices():

@@ -209,7 +209,17 @@ def test_label_matrix_validation():
         LabelMatrix(np.array([[2, 0], [0, 1]]))  # bad entry
     with pytest.raises(ValueError, match="^label entries must be -1, 0 or \\+1$"):
         LabelMatrix(np.array([[-2, 0], [0, 1]]))  # bad entry below the range
+    with pytest.raises(ValueError, match="^label matrix must be 2-D \\(l x n\\)$"):
+        LabelMatrix(np.array([1, 0, -1]))
     assert LabelMatrix(np.zeros((3, 0))).values.shape == (3, 0)  # no instances
+
+
+def test_feature_matrix_validation():
+    with pytest.raises(ValueError, match="^feature matrix must be 2-D \\(d x n\\)$"):
+        FeatureMatrix(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="^feature matrix contains non-finite values$"):
+        FeatureMatrix(np.array([[1.0, np.inf]]))
+    assert FeatureMatrix(np.zeros((2, 0))).values.shape == (2, 0)  # no instances
 
 
 def test_dataset_count_mismatch():

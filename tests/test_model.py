@@ -238,6 +238,15 @@ def test_hyperparams_defaults_and_validation():
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"^{name.rstrip('_')} must be finite$"):
                 Hyperparams(k=1, **{name: bad})
+    # a count must be an integer: a float one is refused by name, numpy's
+    # integers are accepted
+    for name in ("k", "inner_steps", "outer_iters", "warm_iters", "seed"):
+        for bad in (2.0, np.float64(2)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                Hyperparams(**{"k": 1, name: bad})
+    hp = Hyperparams(k=np.int64(2), inner_steps=np.int64(3), outer_iters=np.int64(4),
+                     warm_iters=np.int64(0), seed=np.int64(5))
+    assert (hp.k, hp.inner_steps, hp.outer_iters, hp.warm_iters, hp.seed) == (2, 3, 4, 0, 5)
 
 
 def test_model_validation():
@@ -256,6 +265,8 @@ def test_model_validation():
         GlocalModel(U=U, V=V, W=W, factors=(Z, rng.standard_normal((4, 3))))
     with pytest.raises(ValueError, match="non-finite"):
         GlocalModel(U=U * np.inf, V=V, W=W, factors=(Z,))
+    with pytest.raises(ValueError, match="^factor 2 contains non-finite values$"):
+        GlocalModel(U=U, V=V, W=W, factors=(Z, np.where(Z > 0, np.nan, Z)))
     # every block is 2-D: a 1-D V of k values or a 1-D W is refused by name
     with pytest.raises(ValueError, match="^V must be 2-D, got 1-D$"):
         GlocalModel(U=U, V=V[:, 0], W=W, factors=(Z,))

@@ -1068,6 +1068,9 @@ def test_grid_search_restricts_a_fixed_partition_to_each_fold(monkeypatch):
     with pytest.raises(ValueError,
                        match="^grid axis 'lambda' is not a Hyperparams field or 'g'$"):
         grid_search(data, hp, {"lambda": [1.0]}, 2)
+    # and so is a combination that makes invalid Hyperparams, here a float k
+    with pytest.raises(ValueError, match="^k must be an integer, got 2.0$"):
+        grid_search(data, hp, {"k": [2.0]}, 1)
     # one instance makes one fold
     one = Dataset(FeatureMatrix(data.features.values[:, :1]),
                   LabelMatrix(data.labels.values[:, :1]))
