@@ -11,7 +11,6 @@ from .clustering import (
     Partition,
     kmeans,
     load_partition,
-    partition_from_assignment,
     save_partition,
 )
 from .correlation import (
@@ -64,8 +63,7 @@ from .solver import (
 )
 
 __all__ = [
-    "Partition", "kmeans", "load_partition", "partition_from_assignment",
-    "save_partition",
+    "Partition", "kmeans", "load_partition", "save_partition",
     "combine_correlations", "cosine_correlation", "init_factor",
     "laplacian_of", "project_unit_rows",
     "Dataset", "FeatureMatrix", "GmlFormatError", "LabelMatrix", "MaskSpec",

@@ -13,6 +13,7 @@ from itertools import chain
 
 import numpy as np
 
+from .data import check_integer, check_integers
 from .textio import comment_lines, line_batches, write_lines
 
 
@@ -26,14 +27,20 @@ class Partition:
     sizes: np.ndarray = field(init=False)  # length g, all >= 1
 
     def __post_init__(self):
-        assign = np.array(self.assignment, dtype=np.int64, copy=True)
+        given = check_integers("assignment values", self.assignment)
+        assign = np.array(given, dtype=np.int64, copy=True)
         assign.setflags(write=False)
         object.__setattr__(self, "assignment", assign)
-        if self.g < 1:
+        if check_integer("g", self.g) < 1:
             raise ValueError("need at least one group")
-        if assign.min(initial=1) < 1 or assign.max(initial=self.g) > self.g:
+        if assign.min(initial=1) < 1 or assign.max(initial=1) > self.g:
             raise ValueError("assignment values must lie in 1..g")
-        sizes = np.bincount(assign, minlength=self.g + 1)[1:].astype(np.int64)
+        # n instances leave one of groups 1..n+1 empty, so the groups past
+        # n+1 share its count, and no count array outgrows the assignment
+        # whatever g is
+        n = assign.size
+        top = min(self.g, n + 1)
+        sizes = np.bincount(np.minimum(assign, top), minlength=top + 1)[1:].astype(np.int64)
         if (sizes < 1).any():
             empty = int(np.flatnonzero(sizes < 1)[0]) + 1
             raise ValueError(f"group {empty} is empty")
@@ -47,16 +54,6 @@ class Partition:
     def groups(self):
         """List of 0-based instance index arrays, one per group 1..g."""
         return [np.flatnonzero(self.assignment == m + 1) for m in range(self.g)]
-
-
-def partition_from_assignment(features, assignment):
-    """Build a Partition from 1-based group labels."""
-    assign = np.asarray(assignment, dtype=np.int64)
-    if assign.shape != (features.n,):
-        raise ValueError("assignment length must equal the instance count")
-    if assign.min(initial=1) < 1:
-        raise ValueError("group indices are 1-based")
-    return Partition(g=int(assign.max(initial=0)), assignment=assign)
 
 
 # bytes of the (instances x d) difference buffer every distance in
@@ -126,7 +123,7 @@ def kmeans(features, g, seed, max_iter=100):
         Partition with 1-based group labels.
     """
     n = features.n
-    if g < 1 or g > n:
+    if not 1 <= check_integer("g", g) <= n:
         raise ValueError(f"g must lie in 1..{n}, got {g}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -156,7 +153,7 @@ def kmeans(features, g, seed, max_iter=100):
         for m in range(g):
             centers[m] = points[assign == m].mean(axis=0)
 
-    return partition_from_assignment(features, assign + 1)
+    return Partition(g, assign + 1)
 
 
 def save_partition(partition, path, comments=()):
@@ -209,4 +206,4 @@ def load_partition(path, features):
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0]) + 1
         raise ValueError(f"partition does not cover instance {missing}")
-    return partition_from_assignment(features, assign)
+    return Partition(int(assign.max(initial=0)), assign)

@@ -8,7 +8,9 @@ Conventions used throughout the package:
   * lines starting with '#' in any of our text formats are comments.
 
 All containers are frozen and their arrays are marked read-only, so they
-can be shared freely; masking and splitting return new objects.
+can be shared freely; masking and splitting return new objects.  Every
+container checks the values it is given, not a cast of them, with the
+check_* functions here, which the other modules' constructors share.
 
 File formats owned here (the partition, model, trace and report files
 live with their modules):
@@ -30,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 
@@ -52,15 +55,58 @@ def _frozen_array(values, dtype):
     return out
 
 
+def check_integer(name, value):
+    """`value` itself if it is an integer (numbers.Integral, so numpy
+    integers too, but not a bool), else a ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_real(name, value):
+    """`value` as a float if it is an integer or a float (numpy's too, but
+    not a bool) that float64 holds as a finite number, else a ValueError
+    naming `name`.  A Fraction or a Decimal is refused, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond float64's range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+def check_integers(name, values):
+    """`values` as an array, if it holds integers or nothing, else a
+    ValueError saying `name` must be integers: a cast would truncate a
+    fraction and turn a bool into an index."""
+    given = np.asarray(values)
+    if given.size and given.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers")
+    return given
+
+
+def check_reals(name, values):
+    """`values` as an array, if its dtype is an integer or a float one,
+    else a ValueError naming `name`: a float64 cast would drop an
+    imaginary part, parse text and turn a bool into a number."""
+    given = np.asarray(values)
+    if given.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {given.dtype}")
+    return given
+
+
 def _adopt(cls, values):
     """A FeatureMatrix or LabelMatrix around `values` itself, made
     read-only and checked but not copied.  Only for an array its maker
     gives up, as the GML decoder does; the constructor copies the array
     a caller passes, so the caller cannot change the matrix later."""
     values.setflags(write=False)
+    cls._check(values)
     obj = object.__new__(cls)
     object.__setattr__(obj, "values", values)
-    obj._check()
     return obj
 
 
@@ -76,13 +122,15 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, np.float64))
-        self._check()
+        given = check_reals("feature matrix", self.values)
+        object.__setattr__(self, "values", _frozen_array(given, np.float64))
+        self._check(self.values)
 
-    def _check(self):
-        if self.values.ndim != 2:
+    @staticmethod
+    def _check(values):
+        if values.ndim != 2:
             raise ValueError("feature matrix must be 2-D (d x n)")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("feature matrix contains non-finite values")
 
     @property
@@ -111,17 +159,23 @@ class LabelMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, np.int8))
-        self._check()
+        # the given entries are checked, so a cast to int8 changes none
+        given = np.asarray(self.values)
+        self._check(given)
+        object.__setattr__(self, "values", _frozen_array(given, np.int8))
 
-    def _check(self):
-        vals = self.values
+    @staticmethod
+    def _check(vals):
         if vals.ndim != 2:
             raise ValueError("label matrix must be 2-D (l x n)")
         if vals.shape[0] < 2:
             raise ValueError("label matrix needs at least 2 labels")
-        # int8 entries: the range check is the set check, with no scratch
-        if vals.size and (vals.min() < -1 or vals.max() > 1):
+        if vals.dtype.kind in "iu":
+            # the range check is the set check, with no scratch
+            bad = vals.size and (vals.min() < -1 or vals.max() > 1)
+        else:  # a float entry is compared, so a fraction or NaN is refused
+            bad = vals.dtype.kind != "f" or not np.isin(vals, (-1, 0, 1)).all()
+        if bad:
             raise ValueError("label entries must be -1, 0 or +1")
 
     @property
@@ -175,8 +229,12 @@ class MaskSpec:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 <= self.rho <= 100.0:
+        rho = check_real("rho", self.rho)
+        if not 0.0 <= rho <= 100.0:
             raise ValueError(f"rho must lie in [0, 100], got {self.rho}")
+        object.__setattr__(self, "rho", rho)
+        if check_integer("seed", self.seed) < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _fail(line_no, message):
@@ -587,7 +645,7 @@ def save_hidden(hidden, path, comments=()):
             or too large to write as a 1-based int64, a value is not -1
             or +1, or an entry does not follow the one before it.
     """
-    rows = np.asarray(hidden, dtype=np.int64)
+    rows = np.asarray(check_integers("hidden entries", hidden), dtype=np.int64)
     if rows.shape == (0,):
         rows = rows.reshape(0, 3)
     if rows.ndim != 2 or rows.shape[1] != 3:
@@ -762,7 +820,7 @@ def apply_mask(data, spec):
 
 def take_instances(data, indices):
     """New Dataset restricted to the given instance columns, in order."""
-    idx = np.asarray(indices, dtype=int)
+    idx = np.asarray(check_integers("instance indices", indices), dtype=int)
     # fancy indexing makes private copies, so the containers take them
     return Dataset(
         _adopt(FeatureMatrix, data.features.values[:, idx]),

@@ -17,14 +17,13 @@ magic.
 from __future__ import annotations
 
 import base64
-import math
-import numbers
 import re
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
+from .data import check_integer, check_real, check_reals
 from .textio import comment_lines, line_batches, write_lines
 
 MODEL_MAGIC = "GLOCAL-MODEL v2"
@@ -47,11 +46,13 @@ class Hyperparams:
     alternating iterations are run without the correlation terms before
     the full objective takes over.
     k, inner_steps, outer_iters, warm_iters and seed are integers
-    (numbers.Integral, so numpy integers too); k, inner_steps and
-    outer_iters must be >= 1, warm_iters and seed >= 0.  The lambdas and
-    tol must be finite and non-negative.  A count that is not an integer,
-    or a value outside its field's range, raises a ValueError that names
-    the field.
+    (numbers.Integral, so numpy integers too, but not bools); k,
+    inner_steps and outer_iters must be >= 1, warm_iters and seed >= 0.
+    The lambdas and tol are ints or floats (numpy's too, not bools,
+    Fractions or Decimals) that are finite as float64 and non-negative;
+    they are stored as floats.  A count that is not an integer, a real
+    that is not a real number, or a value outside its field's range,
+    raises a ValueError that names the field.
     """
 
     k: int
@@ -68,19 +69,15 @@ class Hyperparams:
     def __post_init__(self):
         for name, floor in (("k", 1), ("inner_steps", 1), ("outer_iters", 1),
                             ("warm_iters", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < floor:
+            if check_integer(name, getattr(self, name)) < floor:
                 raise ValueError(f"{name} must be >= {floor}")
         # each message names the field as its command-line flag does:
         # lambda_ is --lambda
         for name in ("lambda_", "lambda2", "lambda3", "lambda4", "tol"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name.rstrip('_')} must be finite")
+            value = check_real(name.rstrip("_"), getattr(self, name))
             if value < 0:
                 raise ValueError(f"{name.rstrip('_')} must be >= 0")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +100,12 @@ class GlocalModel:
                 raise ValueError(f"bad provenance entry {key!r}={value!r}")
         object.__setattr__(self, "provenance", provenance)
         for name in ("U", "V", "W"):
-            block = np.asarray(getattr(self, name), dtype=np.float64)
+            block = np.asarray(check_reals(name, getattr(self, name)), dtype=np.float64)
             if block.ndim != 2:
                 raise ValueError(f"{name} must be 2-D, got {block.ndim}-D")
             object.__setattr__(self, name, block)
-        factors = tuple(np.asarray(Z, dtype=np.float64) for Z in self.factors)
+        factors = tuple(np.asarray(check_reals(f"factor {m}", Z), dtype=np.float64)
+                        for m, Z in enumerate(self.factors, start=1))
         object.__setattr__(self, "factors", factors)
         U, V, W = self.U, self.V, self.W
         l, k = U.shape

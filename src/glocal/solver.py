@@ -63,7 +63,7 @@ import numpy as np
 
 from .clustering import Partition, kmeans
 from .correlation import init_factor
-from .data import take_instances
+from .data import check_integer, take_instances
 from .metrics import ranking_loss
 from .model import GlocalModel, score
 from .textio import comment_lines
@@ -583,8 +583,9 @@ def grid_search(dataset, hp, axes, groups):
             g, an axis has no values, g is an axis while the
             partition is fixed, a fixed partition does not cover the
             dataset, the dataset has fewer than 2 instances, a
-            combination makes invalid Hyperparams, or no combination is
-            usable (naming the first combination's error).
+            combination makes invalid Hyperparams or a group count
+            that is not an integer, or no combination is usable (naming
+            the first combination's error).
     """
     known = {f.name for f in dataclasses.fields(hp)}
     for name, values in axes.items():
@@ -605,7 +606,7 @@ def grid_search(dataset, hp, axes, groups):
     for values in itertools.product(*axes.values()):
         chosen = dict(zip(axes, values))
         fields = {name: v for name, v in chosen.items() if name != "g"}
-        g = groups.g if fixed else chosen.get("g", groups)
+        g = groups.g if fixed else check_integer("g", chosen.get("g", groups))
         combos.append((chosen, g, dataclasses.replace(hp, **fields)))
     # a combination's fold losses, or the message of the error that skipped
     # it (kept as text: the exception would hold its frames' arrays)

@@ -1,5 +1,6 @@
 import io
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from glocal.clustering import (
     Partition,
     kmeans,
     load_partition,
-    partition_from_assignment,
     save_partition,
 )
 from glocal.data import FeatureMatrix
@@ -69,6 +69,10 @@ def test_g_out_of_range():
         kmeans(feats, 0, seed=0)
     with pytest.raises(ValueError):
         kmeans(feats, 5, seed=0)
+    # a group count is an integer: a float or a bool one is refused by name
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match=f"^g must be an integer, got {bad}$"):
+            kmeans(feats, bad, seed=0)
 
 
 @pytest.mark.parametrize("max_iter", [0, -5])
@@ -133,34 +137,38 @@ def test_lloyd_vs_exhaustive_oracle(trial):
 
 
 def test_partition_validation():
-    feats = FeatureMatrix(np.arange(8.0).reshape(2, 4))
-    part = partition_from_assignment(feats, [1, 1, 2, 2])
+    part = Partition(2, [1, 1, 2, 2])
     assert part.g == 2
     assert part.sizes.tolist() == [2, 2]
-    # features play no part: values whose mean overflows are accepted
-    huge = partition_from_assignment(FeatureMatrix([[1.7e308, 1.7e308]]), [1, 1])
-    assert huge.g == 1 and huge.sizes.tolist() == [2]
     with pytest.raises(ValueError, match="empty"):
-        partition_from_assignment(feats, [1, 1, 3, 3])
+        Partition(3, [1, 1, 3, 3])
     with pytest.raises(ValueError):
-        partition_from_assignment(feats, [0, 1, 1, 2])
+        Partition(2, [0, 1, 1, 2])
     with pytest.raises(ValueError, match="^group 2 is empty$"):
         Partition(g=2, assignment=[1, 1])
     with pytest.raises(ValueError, match="^need at least one group$"):
         Partition(g=0, assignment=[])
     with pytest.raises(ValueError, match="^assignment values must lie in 1..g$"):
         Partition(g=2, assignment=[1, 3])
-    with pytest.raises(ValueError,
-                       match="^assignment length must equal the instance count$"):
-        partition_from_assignment(feats, [1, 1, 2])
     # no instances make no group, refused by Partition, not by numpy's min
     with pytest.raises(ValueError, match="^need at least one group$"):
-        partition_from_assignment(FeatureMatrix(np.zeros((2, 0))), [])
+        load_partition(io.StringIO(""), FeatureMatrix(np.zeros((2, 0))))
+    # the values given are checked, not their int64 cast: a fraction, an
+    # integral float or a bool is refused, not truncated
+    for bad in ([1.9, 2.2], [1.0, 2.0], [True, True]):
+        with pytest.raises(ValueError, match="^assignment values must be integers$"):
+            Partition(2, bad)
+    for bad in (True, 2.5, np.float64(2)):
+        with pytest.raises(ValueError, match="^g must be an integer, got " + re.escape(repr(bad))):
+            Partition(bad, [1, 2])
+    # a g past the instance count names its first empty group, counting no
+    # group beyond n + 1
+    with pytest.raises(ValueError, match="^group 3 is empty$"):
+        Partition(10**400, [1, 2, 1])
 
 
 def test_groups_are_0_based_indices():
-    feats = FeatureMatrix(np.arange(10.0).reshape(2, 5))
-    part = partition_from_assignment(feats, [2, 1, 2, 1, 2])
+    part = Partition(2, [2, 1, 2, 1, 2])
     groups = part.groups()
     assert groups[0].tolist() == [1, 3]
     assert groups[1].tolist() == [0, 2, 4]

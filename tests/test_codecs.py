@@ -23,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 
 from gml_reference import parse_gml_reference, save_gml_reference, save_hidden_reference
 from glocal import textio
-from glocal.clustering import load_partition, partition_from_assignment, save_partition
+from glocal.clustering import Partition, load_partition, save_partition
 from glocal.cli import read_hidden, read_matrix
 from glocal.data import (
     Dataset,
@@ -364,10 +364,11 @@ def test_large_model_round_trip_is_bit_exact_and_repeatable():
 def test_partition_round_trip_is_exact(data):
     n = data.draw(st.integers(1, 12))
     raw = data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
-    assignment = np.unique(raw, return_inverse=True)[1].reshape(n) + 1  # no empty group
+    groups, inverse = np.unique(raw, return_inverse=True)
+    assignment = inverse.reshape(n) + 1  # no empty group
     X = data.draw(arrays(np.float64, (2, n), elements=st.floats(-1e300, 1e300)))
     features = FeatureMatrix(X)
-    part = partition_from_assignment(features, assignment)
+    part = Partition(len(groups), assignment)
     # lines may come in any order, between comments and blank lines
     lines = saved(save_partition, part, comments=["g"]).splitlines()
     lines = data.draw(st.permutations(lines)) + ["", "# end"]
@@ -514,7 +515,7 @@ def test_writers_output_is_frozen(tmp_path):
     assert path.read_bytes() == b"1 4 1\n3 1 -1\n13 8 1\n"
     save_hidden([], path)
     assert path.read_bytes() == b""  # no entries, no lines
-    part = partition_from_assignment(FeatureMatrix(np.zeros((1, 3))), [1, 2, 1])
+    part = Partition(2, [1, 2, 1])
     save_partition(part, path, comments=["groups"])
     assert path.read_bytes() == b"# groups\n1 1\n2 2\n3 1\n"
     model = GlocalModel(
@@ -611,7 +612,7 @@ def test_save_hidden_writes_the_per_entry_bytes(hidden, batch):
 # ---- (e) comment stamps ---------------------------------------------------
 
 _FEATURES = FeatureMatrix(np.zeros((1, 3)))
-_PART = partition_from_assignment(_FEATURES, [1, 2, 1])
+_PART = Partition(2, [1, 2, 1])
 _MODEL = GlocalModel(U=np.ones((2, 1)), V=np.ones((1, 3)), W=np.ones((1, 1)),
                      factors=(np.array([[1.0], [-1.0]]),), provenance={"seed": 1})
 
@@ -900,6 +901,8 @@ class Unprintable:
     (lambda c, p: save_hidden([(2**63 - 1, 0, 1)], p, comments=c), [], ValueError),
     (lambda c, p: save_hidden([(0, 1, 1), (1, 1, 0)], p, comments=c), [], ValueError),
     (lambda c, p: save_hidden([(0, 1, 2)], p, comments=c), [], ValueError),
+    # the entries given are checked, not their int64 cast: 0.5 is not label 0
+    (lambda c, p: save_hidden([(0.5, 1, 1)], p, comments=c), [], ValueError),
     # entries must strictly increase by label_idx, then instance_idx
     (lambda c, p: save_hidden([(1, 0, 1), (0, 5, 1)], p, comments=c), [], ValueError),
     (lambda c, p: save_hidden([(0, 1, 1), (0, 1, -1)], p, comments=c), [], ValueError),
@@ -908,8 +911,8 @@ class Unprintable:
 ], ids=[*(f"{name}-comment" for name in STREAMED), "save_hidden-shape",
         "save_hidden-2x6", "save_hidden-1d", "save_hidden-negative-instance",
         "save_hidden-negative-label", "save_hidden-int64-max", "save_hidden-value-0",
-        "save_hidden-value-2", "save_hidden-decrease", "save_hidden-repeat",
-        "save_matrix-1d", "save_matrix-3d"])
+        "save_hidden-value-2", "save_hidden-fraction", "save_hidden-decrease",
+        "save_hidden-repeat", "save_matrix-1d", "save_matrix-3d"])
 def test_writer_input_errors_leave_an_existing_file_untouched(tmp_path, save, comments, error):
     path = tmp_path / "out.txt"
     path.write_bytes(b"keep\n")

@@ -211,6 +211,15 @@ def test_label_matrix_validation():
         LabelMatrix(np.array([[-2, 0], [0, 1]]))  # bad entry below the range
     with pytest.raises(ValueError, match="^label matrix must be 2-D \\(l x n\\)$"):
         LabelMatrix(np.array([1, 0, -1]))
+    # the entries given are checked, not their int8 cast: 257 is not +1, a
+    # fraction is not "unobserved", and NaN or 1e10 raise no numpy warning
+    for bad in (257, 0.5, np.nan, 1e10, 1 + 0j):
+        with pytest.raises(ValueError, match="^label entries must be -1, 0 or \\+1$"):
+            LabelMatrix(np.array([[bad, 1], [1, -1]]))
+    with pytest.raises(ValueError, match="^label entries must be -1, 0 or \\+1$"):
+        LabelMatrix(np.array([[True, False], [False, True]]))
+    # floats that are exactly -1, 0 or +1 are labels
+    assert LabelMatrix(np.array([[1.0, 0.0], [-1.0, 1.0]])).values.tolist() == [[1, 0], [-1, 1]]
     assert LabelMatrix(np.zeros((3, 0))).values.shape == (3, 0)  # no instances
 
 
@@ -219,6 +228,12 @@ def test_feature_matrix_validation():
         FeatureMatrix(np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="^feature matrix contains non-finite values$"):
         FeatureMatrix(np.array([[1.0, np.inf]]))
+    # what float64 cannot hold is refused, not cast: an imaginary part is
+    # not dropped, text is not parsed
+    for bad, dtype in ((1 + 1j, "complex128"), ("1.5", "<U3"), (True, "bool")):
+        with pytest.raises(ValueError,
+                           match=f"^feature matrix must hold real numbers, got dtype {dtype}$"):
+            FeatureMatrix(np.array([[bad]]))
     assert FeatureMatrix(np.zeros((2, 0))).values.shape == (2, 0)  # no instances
 
 
@@ -232,6 +247,17 @@ def test_mask_spec_validation():
         MaskSpec(rho=-1, seed=0)
     with pytest.raises(ValueError):
         MaskSpec(rho=100.5, seed=0)
+    # a rate is a real number and a seed an integer, each refused by name
+    for bad in ("30", True, None):
+        with pytest.raises(ValueError, match=f"^rho must be a real number, got {bad!r}$"):
+            MaskSpec(rho=bad, seed=0)
+    with pytest.raises(ValueError, match="^rho must be finite$"):
+        MaskSpec(rho=np.nan, seed=0)
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.0$"):
+        MaskSpec(rho=30, seed=1.0)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        MaskSpec(rho=30, seed=-1)
+    assert type(MaskSpec(rho=30, seed=0).rho) is float
 
 
 def test_mask_counts_fully_observed():
@@ -321,3 +347,6 @@ def test_take_instances_orders_columns():
     sub = take_instances(data, [3, 0])
     assert np.array_equal(sub.features.values[:, 0], data.features.values[:, 3])
     assert np.array_equal(sub.labels.values[:, 1], data.labels.values[:, 0])
+    # a fraction is refused, not truncated to an index
+    with pytest.raises(ValueError, match="^instance indices must be integers$"):
+        take_instances(data, [0.7, 2.2])

@@ -1,6 +1,9 @@
 import base64
 import dataclasses
 import io
+import re
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +250,23 @@ def test_hyperparams_defaults_and_validation():
     hp = Hyperparams(k=np.int64(2), inner_steps=np.int64(3), outer_iters=np.int64(4),
                      warm_iters=np.int64(0), seed=np.int64(5))
     assert (hp.k, hp.inner_steps, hp.outer_iters, hp.warm_iters, hp.seed) == (2, 3, 4, 0, 5)
+    # a bool is no count
+    for name in ("k", "inner_steps", "outer_iters", "warm_iters", "seed"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
+            Hyperparams(**{"k": 1, name: True})
+    # a real is an int or a float that float64 holds, stored as a float;
+    # each other value is refused by name
+    for name in ("lambda_", "lambda2", "lambda3", "lambda4", "tol"):
+        flag = name.rstrip("_")
+        for bad in (True, "0.1", None, 1 + 0j, Decimal("0.5"), Fraction(1, 2)):
+            message = f"^{flag} must be a real number, got " + re.escape(repr(bad))
+            with pytest.raises(ValueError, match=message):
+                Hyperparams(k=1, **{name: bad})
+        with pytest.raises(ValueError, match=f"^{flag} must be finite$"):
+            Hyperparams(k=1, **{name: 10**400})
+        for good in (1, np.int64(1), np.float32(0.5)):
+            value = getattr(Hyperparams(k=1, **{name: good}), name)
+            assert type(value) is float and value == good
 
 
 def test_model_validation():
@@ -267,6 +287,11 @@ def test_model_validation():
         GlocalModel(U=U * np.inf, V=V, W=W, factors=(Z,))
     with pytest.raises(ValueError, match="^factor 2 contains non-finite values$"):
         GlocalModel(U=U, V=V, W=W, factors=(Z, np.where(Z > 0, np.nan, Z)))
+    # a complex block is refused by name, its imaginary part not dropped
+    with pytest.raises(ValueError, match="^U must hold real numbers, got dtype complex128$"):
+        GlocalModel(U=U + 1j, V=V, W=W, factors=(Z,))
+    with pytest.raises(ValueError, match="^factor 2 must hold real numbers, got dtype complex"):
+        GlocalModel(U=U, V=V, W=W, factors=(Z, Z * 1j))
     # every block is 2-D: a 1-D V of k values or a 1-D W is refused by name
     with pytest.raises(ValueError, match="^V must be 2-D, got 1-D$"):
         GlocalModel(U=U, V=V[:, 0], W=W, factors=(Z,))

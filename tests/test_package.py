@@ -1,10 +1,21 @@
 import ast
+import dataclasses
+import numbers
 import subprocess
 import sys
 import textwrap
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import glocal
+from glocal import FeatureMatrix, GlocalModel, Hyperparams, LabelMatrix, MaskSpec, Partition
 
 
 def test_every_exported_name_resolves_once():
@@ -132,3 +143,80 @@ def test_no_module_imports_a_private_name_from_another():
                 crossings += [f"{path.name}: from .{node.module} import {a.name}"
                               for a in node.names if a.name.startswith("_")]
     assert not crossings, crossings
+
+
+# values a caller may hand a constructor in place of a number
+HOSTILE = (0.5, 1.9, -0.5, 257, -257, float("nan"), float("inf"), float("-inf"),
+           1 + 1j, 1 + 0j, True, False, "30", "0.1", None,
+           Decimal("0.5"), Fraction(1, 2), 10**400, -10**400)
+COUNTS = {"k", "inner_steps", "outer_iters", "warm_iters", "seed"}
+
+
+def placed(base, value, data):
+    """The rows of base with value at one drawn entry, or at every entry."""
+    rows = [list(row) for row in base]
+    if data.draw(st.booleans()):
+        return [[value] * len(row) for row in rows]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    rows[i][data.draw(st.integers(0, len(rows[i]) - 1))] = value
+    return rows
+
+
+def holds_array(held, given, kinds):
+    # numbers of an accepted dtype kind, held at their own values
+    given = np.asarray(given)
+    return given.dtype.kind in kinds and held.tolist() == given.tolist()
+
+
+def holds_scalar(held, given, count):
+    # a count is an integer that is no bool, a real is stored as a float
+    typed = (isinstance(held, numbers.Integral) and not isinstance(held, bool)
+             if count else type(held) is float)
+    return typed and held == given
+
+
+def hostile_case(kind, value, data):
+    """(a constructor call with value in one place, what holding it means)."""
+    if kind == "labels":
+        rows = placed([[1, -1, 0], [0, 1, -1]], value, data)
+        return lambda: LabelMatrix(rows), lambda L: holds_array(L.values, rows, "iuf")
+    if kind == "features":
+        rows = placed([[0.5, -2.0], [3.0, 1.0]], value, data)
+        return lambda: FeatureMatrix(rows), lambda F: holds_array(F.values, rows, "iuf")
+    if kind == "assignment":
+        (assign,) = placed([[1, 2, 1]], value, data)
+        return lambda: Partition(2, assign), lambda P: holds_array(P.assignment, assign, "iu")
+    if kind == "g":
+        return lambda: Partition(value, [1, 2, 1]), lambda P: holds_scalar(P.g, value, True)
+    if kind == "model":
+        blocks = {"U": [[1.0], [0.5]], "V": [[1.0, 2.0]], "W": [[0.5]], "Z": [[1.0], [-1.0]]}
+        name = data.draw(st.sampled_from(sorted(blocks)))
+        blocks[name] = placed(blocks[name], value, data)
+        Z = blocks.pop("Z")
+        return (lambda: GlocalModel(factors=(Z,), **blocks),
+                lambda M: holds_array(M.factors[0], Z, "iuf")
+                and all(holds_array(getattr(M, b), rows, "iuf") for b, rows in blocks.items()))
+    if kind == "hyperparams":
+        name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(Hyperparams)]))
+        return (lambda: Hyperparams(**{"k": 1, name: value}),
+                lambda hp: holds_scalar(getattr(hp, name), value, name in COUNTS))
+    name = data.draw(st.sampled_from(["rho", "seed"]))
+    return (lambda: MaskSpec(**{"rho": 30.0, "seed": 0, name: value}),
+            lambda spec: holds_scalar(getattr(spec, name), value, name == "seed"))
+
+
+@pytest.mark.parametrize(
+    "kind", ["labels", "features", "assignment", "g", "model", "hyperparams", "mask"])
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(value=st.sampled_from(HOSTILE), data=st.data())
+def test_each_constructor_holds_the_values_given_or_raises_value_error(kind, value, data):
+    # no value is cast to something else, and none ends in another
+    # exception or a numpy warning
+    build, holds = hostile_case(kind, value, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            made = build()
+        except ValueError:
+            return
+    assert holds(made)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glocal import solver
-from glocal.clustering import kmeans, partition_from_assignment
+from glocal.clustering import Partition, kmeans
 from glocal.correlation import init_factor, project_unit_rows
 from glocal.data import (
     Dataset,
@@ -87,12 +87,12 @@ def factor_case(case, seed, **hp_kwargs):
     X = rng.standard_normal((d, n))
     Y = rng.choice([-1, 0, 1], size=(l, n)).astype(np.int8)
     data = Dataset(FeatureMatrix(X), LabelMatrix(Y))
-    labels = {
-        "halves": 1 + np.arange(n) % 2,
-        "singletons": np.arange(1, n + 1),
-        "one+rest": np.minimum(np.arange(1, n + 1), 2),
+    g, labels = {
+        "halves": (2, 1 + np.arange(n) % 2),
+        "singletons": (n, np.arange(1, n + 1)),
+        "one+rest": (2, np.minimum(np.arange(1, n + 1), 2)),
     }[layout]
-    partition = partition_from_assignment(data.features, labels)
+    partition = Partition(g, labels)
     hp = Hyperparams(k=k, lambda3=lam3, lambda4=lam4, seed=seed, **hp_kwargs)
     ctx = make_context(data, partition, hp)
     model = random_model(ctx, seed + 1)
@@ -279,7 +279,7 @@ def test_closed_form_v_identity_cases():
     # fully observed labels, U = I, no coupling, no ridge: V is Y itself
     Y = rng.choice([-1, 1], size=(3, n)).astype(np.int8)
     data = Dataset(FeatureMatrix(rng.standard_normal((d, n))), LabelMatrix(Y))
-    part = partition_from_assignment(data.features, np.ones(n, dtype=int))
+    part = Partition(1, np.ones(n, dtype=int))
     ctx = make_context(data, part, Hyperparams(k=3, lambda_=0.0, lambda2=0.0))
     model = GlocalModel(
         U=np.eye(3),
@@ -294,7 +294,7 @@ def test_closed_form_v_identity_cases():
         FeatureMatrix(rng.standard_normal((d, n))),
         LabelMatrix(np.zeros((2, n), dtype=np.int8)),
     )
-    part0 = partition_from_assignment(data0.features, np.ones(n, dtype=int))
+    part0 = Partition(1, np.ones(n, dtype=int))
     ctx0 = make_context(data0, part0, Hyperparams(k=2, lambda_=1.0, lambda2=0.0))
     W = rng.standard_normal((d, 2))
     model0 = GlocalModel(
@@ -327,7 +327,7 @@ def test_closed_form_v_keeps_a_column_with_nothing_to_solve():
         FeatureMatrix(rng.standard_normal((2, n))),
         LabelMatrix(np.zeros((2, n), dtype=np.int8)),
     )
-    part = partition_from_assignment(data.features, np.ones(n, dtype=int))
+    part = Partition(1, np.ones(n, dtype=int))
     ctx = make_context(data, part, Hyperparams(k=2, lambda_=0.0, lambda2=0.0))
     model = random_model(ctx, 6)
     assert np.array_equal(closed_form_V(model, ctx), model.V)
@@ -455,7 +455,7 @@ def test_one_sweep_never_raises_the_objective(shape, k, lam, lam2, lam34, blank,
     if blank:
         Y[:, 0] = 0
     data = Dataset(FeatureMatrix(rng.standard_normal((d, n))), LabelMatrix(Y))
-    part = partition_from_assignment(data.features, 1 + np.arange(n) % 2)
+    part = Partition(min(n, 2), 1 + np.arange(n) % 2)
     hp = Hyperparams(k=k, lambda_=lam, lambda2=lam2, lambda3=lam34, lambda4=lam34, seed=seed)
     ctx = make_context(data, part, hp)
     model = random_model(ctx, seed)
@@ -603,8 +603,8 @@ def test_z_step_is_the_majorize_minimize_step():
         X = rng.standard_normal((d, n))
         Y = rng.choice([-1, 1], size=(l, n)).astype(np.int8)
         data = Dataset(FeatureMatrix(X), LabelMatrix(Y))
-        labels = np.arange(1, n + 1) if singletons else 1 + np.arange(n) % 2
-        partition = partition_from_assignment(data.features, labels)
+        g = n if singletons else 2
+        partition = Partition(g, 1 + np.arange(n) % g)
         hp = Hyperparams(k=k, lambda3=lam3, lambda4=lam4, seed=trial)
         ctx = make_context(data, partition, hp)
         check_mm_step(random_model(ctx, 800 + trial), ctx)
@@ -698,7 +698,7 @@ def test_warm_start_heavy_ridge_shrinks_blocks():
     n, d, l = 20, 4, 5
     Y = rng.choice([-1, 1], size=(l, n)).astype(np.int8)
     data = Dataset(FeatureMatrix(rng.standard_normal((d, n))), LabelMatrix(Y))
-    part = partition_from_assignment(data.features, np.ones(n, dtype=int))
+    part = Partition(1, np.ones(n, dtype=int))
     hp = Hyperparams(k=2, lambda2=1e6, warm_iters=10, seed=1)
     model = warm_start(make_context(data, part, hp))
     assert np.linalg.norm(model.U) < 0.05
@@ -715,7 +715,7 @@ def test_warm_start_recovers_planted_low_rank_labels():
     ).astype(np.int8)
     assert np.linalg.matrix_rank(Y.astype(np.float64)) == 2
     data = Dataset(FeatureMatrix(rng.standard_normal((3, n))), LabelMatrix(Y))
-    part = partition_from_assignment(data.features, np.ones(n, dtype=int))
+    part = Partition(1, np.ones(n, dtype=int))
     hp = Hyperparams(k=2, lambda_=0.0, lambda2=0.0, warm_iters=80, seed=3)
     model = warm_start(make_context(data, part, hp))
     assert np.abs(model.U @ model.V - Y).max() < 1e-6
@@ -766,7 +766,7 @@ def test_fit_invariants_on_degenerate_inputs(shape, k, singletons, unobserved_ro
     Y[rng.choice(l, size=unobserved_rows, replace=False)] = 0
     data = Dataset(FeatureMatrix(rng.standard_normal((d, n))), LabelMatrix(Y))
     if singletons:
-        partition = partition_from_assignment(data.features, np.arange(1, n + 1))
+        partition = Partition(n, np.arange(1, n + 1))
     else:
         partition = kmeans(data.features, 2, seed=seed)
     lam3, lam4 = 10.0 ** rng.uniform(-2, 0.5, size=2)
@@ -834,7 +834,7 @@ def test_fit_keeps_its_promises_over_the_hyperparameter_domain(problem):
     # asserted here: with lambda2 = 0 nothing bounds the scale of U against
     # V, and at huge lambdas a W step can then raise the objective
     data, g, hp = problem
-    partition = partition_from_assignment(data.features, 1 + np.arange(data.n) % g)
+    partition = Partition(g, 1 + np.arange(data.n) % g)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -918,7 +918,7 @@ def test_fit_with_a_latent_dimension_far_above_the_data_shape():
     n, d, l = 8, 3, 4
     Y = rng.choice([-1, 1], size=(l, n)).astype(np.int8)
     data = Dataset(FeatureMatrix(rng.standard_normal((d, n))), LabelMatrix(Y))
-    partition = partition_from_assignment(data.features, np.ones(n, dtype=int))
+    partition = Partition(1, np.ones(n, dtype=int))
     hp = Hyperparams(
         k=300, lambda3=0.1, lambda4=0.1, warm_iters=2, outer_iters=3, tol=0.0, seed=16
     )
@@ -965,9 +965,7 @@ def test_trace_csv_layout():
 
 def test_make_context_rejects_mismatched_partition():
     data, _, _ = build_problem(18)
-    other = partition_from_assignment(
-        FeatureMatrix(np.zeros((2, data.n + 1))), np.ones(data.n + 1, dtype=int)
-    )
+    other = Partition(1, np.ones(data.n + 1, dtype=int))
     with pytest.raises(ValueError, match="partition covers"):
         make_context(data, other, Hyperparams(k=2))
 
@@ -1020,7 +1018,7 @@ def test_grid_search_restricts_a_fixed_partition_to_each_fold(monkeypatch):
     data, hp = grid_problem()
     hp = dataclasses.replace(hp, seed=4)  # hp.seed seeds the folds
     assign = np.arange(data.n) % 3 + 1
-    partition = partition_from_assignment(data.features, assign)
+    partition = Partition(3, assign)
     perm = np.random.default_rng(4).permutation(data.n)
     folds = [np.sort(f) for f in np.array_split(perm, 5)]
     train_sides = [np.sort(np.concatenate(folds[:f] + folds[f + 1:])) for f in range(5)]
@@ -1044,16 +1042,14 @@ def test_grid_search_restricts_a_fixed_partition_to_each_fold(monkeypatch):
         assert np.array_equal(part.assignment, assign[idx])
 
     # a fold that empties a group is degenerate, here for every combination
-    lonely = partition_from_assignment(data.features, np.r_[2, np.ones(data.n - 1)])
+    lonely = Partition(2, np.r_[2, np.ones(data.n - 1, dtype=int)])
     with pytest.raises(ValueError, match="no grid combination"):
         grid_search(data, hp, {"lambda4": [0.0, 1.0]}, lonely)
     with pytest.raises(ValueError, match="cannot vary g"):
         grid_search(data, hp, {"g": [2, 3]}, partition)
     # a partition of another instance count is refused, longer or shorter
     for n in (data.n + 1, data.n - 1):
-        other = partition_from_assignment(
-            FeatureMatrix(np.zeros((3, n))), np.arange(n) % 3 + 1
-        )
+        other = Partition(3, np.arange(n) % 3 + 1)
         with pytest.raises(ValueError, match=f"partition covers {n} instances"):
             grid_search(data, hp, {"lambda4": [0.0, 1.0]}, other)
     # an axis with no values is refused, by name, before any fold is cut
@@ -1071,6 +1067,10 @@ def test_grid_search_restricts_a_fixed_partition_to_each_fold(monkeypatch):
     # and so is a combination that makes invalid Hyperparams, here a float k
     with pytest.raises(ValueError, match="^k must be an integer, got 2.0$"):
         grid_search(data, hp, {"k": [2.0]}, 1)
+    # and so is a group count that is not an integer, on the axis or not
+    for axes, groups in (({"g": [2.0]}, 1), ({"lambda4": [0.0]}, 2.0)):
+        with pytest.raises(ValueError, match="^g must be an integer, got 2.0$"):
+            grid_search(data, hp, axes, groups)
     # one instance makes one fold
     one = Dataset(FeatureMatrix(data.features.values[:, :1]),
                   LabelMatrix(data.labels.values[:, :1]))
