@@ -47,12 +47,12 @@ from .textio import file_key, write_lines
 
 
 def read_hidden(text):
-    """load_hidden of text held in a string, for bench/run.py (ROADMAP item 1)."""
+    """load_hidden of text held in a string, for bench/run.py (ROADMAP item 1a)."""
     return load_hidden(io.StringIO(text))
 
 
 def read_matrix(text):
-    """load_matrix of text held in a string, for bench/run.py (ROADMAP item 1)."""
+    """load_matrix of text held in a string, for bench/run.py (ROADMAP item 1a)."""
     return load_matrix(io.StringIO(text))
 
 

@@ -115,18 +115,18 @@ def kmeans(features, g, seed, max_iter=100):
 
     Args:
         features: FeatureMatrix of the instances to cluster.
-        g: number of groups, 1 <= g <= n.
-        seed: RNG seed; results are deterministic given (features, g, seed).
-        max_iter: cap on Lloyd iterations, at least 1.
+        g: number of groups, an integer, 1 <= g <= n.
+        seed: RNG seed, an integer >= 0; results are deterministic given
+            (features, g, seed).
+        max_iter: cap on Lloyd iterations, an integer, at least 1.
 
     Returns:
         Partition with 1-based group labels.
     """
     n = features.n
-    if not 1 <= check_integer("g", g) <= n:
-        raise ValueError(f"g must lie in 1..{n}, got {g}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    check_integer("g", g, 1, n)
+    check_integer("seed", seed, 0)
+    check_integer("max_iter", max_iter, 1)
     points = features.values.T.copy()  # n x d
     rng = np.random.default_rng(seed)
     centers = _plusplus_init(points, g, rng)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import check_reals
+
 
 def cosine_correlation(labels):
     """Cosine similarity between label rows.
@@ -36,10 +38,11 @@ def cosine_correlation(labels):
 
 
 def laplacian_of(S):
-    """Graph Laplacian diag(S 1) - S of a symmetric correlation matrix."""
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("correlation matrix must be square")
+    """Graph Laplacian diag(S 1) - S of a symmetric correlation matrix
+    of real numbers, all finite."""
+    S = np.asarray(check_reals("correlation matrix", S), dtype=np.float64)
+    if S.ndim != 2 or S.shape[0] != S.shape[1] or not np.isfinite(S).all():
+        raise ValueError("correlation matrix must be square and finite")
     scale = max(1.0, np.abs(S).max(initial=0.0))
     if np.abs(S - S.T).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("correlation matrix must be symmetric")
@@ -56,7 +59,7 @@ def combine_correlations(parts, weights):
     shape = np.shape(parts[0])
     out = np.zeros(shape, dtype=np.float64)
     for S, w in zip(parts, weights):
-        S = np.asarray(S, dtype=np.float64)
+        S = np.asarray(check_reals("correlation matrix", S), dtype=np.float64)
         if S.shape != shape:
             raise ValueError("correlation matrices must share a shape")
         out += w * S

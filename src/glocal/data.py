@@ -55,18 +55,29 @@ def _frozen_array(values, dtype):
     return out
 
 
-def check_integer(name, value):
-    """`value` itself if it is an integer (numbers.Integral, so numpy
-    integers too, but not a bool), else a ValueError naming `name`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _within(name, value, low, high, span):
+    """`value` if no bound it is given excludes it, else a ValueError
+    naming `name`: '>= low' without a high bound, else the `span`."""
+    if (low is not None and value < low) or (high is not None and value > high):
+        raise ValueError(f"{name} must be >= {low}" if high is None
+                         else f"{name} must lie in {span}, got {value}")
     return value
 
 
-def check_real(name, value):
+def check_integer(name, value, low=None, high=None):
+    """`value` itself if it is an integer (numbers.Integral, so numpy
+    integers too, but not a bool) in low..high, a None bound being open,
+    else a ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return _within(name, value, low, high, f"{low}..{high}")
+
+
+def check_real(name, value, low=None, high=None):
     """`value` as a float if it is an integer or a float (numpy's too, but
-    not a bool) that float64 holds as a finite number, else a ValueError
-    naming `name`.  A Fraction or a Decimal is refused, not rounded."""
+    not a bool) that float64 holds as a finite number in [low, high], a
+    None bound being open, else a ValueError naming `name`.  A Fraction
+    or a Decimal is refused, not rounded."""
     if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
@@ -75,7 +86,7 @@ def check_real(name, value):
         value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite")
-    return value
+    return _within(name, value, low, high, f"[{low}, {high}]")
 
 
 def check_integers(name, values):
@@ -229,12 +240,8 @@ class MaskSpec:
     seed: int
 
     def __post_init__(self):
-        rho = check_real("rho", self.rho)
-        if not 0.0 <= rho <= 100.0:
-            raise ValueError(f"rho must lie in [0, 100], got {self.rho}")
-        object.__setattr__(self, "rho", rho)
-        if check_integer("seed", self.seed) < 0:
-            raise ValueError("seed must be >= 0")
+        object.__setattr__(self, "rho", check_real("rho", self.rho, 0, 100))
+        check_integer("seed", self.seed, 0)
 
 
 def _fail(line_no, message):
@@ -448,7 +455,7 @@ def load_gml(path):
 def parse_gml(text):
     """load_gml of GML text held in a string.
 
-    Kept only for bench/run.py's check_rep, until ROADMAP item 1 moves
+    Kept only for bench/run.py's check_rep, until ROADMAP item 1a moves
     it to load_gml and deletes this.
     """
     return load_gml(io.StringIO(text))
@@ -526,13 +533,15 @@ def save_matrix(A, path, comments=()):
     is opened.
 
     Args:
-        A: 2-D float array.
+        A: 2-D array of an integer or a float dtype.
         path: path, or text file object written where it stands.
         comments: optional strings emitted as leading '#' lines.
 
     Raises:
-        ValueError: if A is not 2-D.
+        ValueError: if A is not 2-D or holds anything but real numbers
+            (complex, text, bools, objects), before the file is opened.
     """
+    A = check_reals("matrix", A)
     if A.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got {A.ndim}-D")
     head = [*comment_lines(comments), f"{A.shape[0]} {A.shape[1]}"]
@@ -759,11 +768,14 @@ def make_synthetic(l, n, d, k_true, noise, seed):
     X is standard gaussian, the planted factors are scaled so the clean
     scores are O(1), and `noise` is the std of gaussian score noise.
     With noise=0 the labels are exactly the sign of the planted scores.
+    The counts l >= 2, n, d, k_true >= 1 and the seed >= 0 are integers
+    that are no bools, noise a finite real >= 0; any other value raises
+    a ValueError that names its argument.
     """
-    if l < 2 or n < 1 or d < 1 or k_true < 1:
-        raise ValueError("need l >= 2, n >= 1, d >= 1, k >= 1")
-    if not (math.isfinite(noise) and noise >= 0):
-        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    for name, value, low in (("l", l, 2), ("n", n, 1), ("d", d, 1), ("k_true", k_true, 1),
+                             ("seed", seed, 0)):
+        check_integer(name, value, low)
+    noise = check_real("noise", noise, 0)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((d, n))
     W_true = rng.standard_normal((d, k_true)) / np.sqrt(d)
@@ -837,17 +849,17 @@ def split(data, train_fraction, seed):
     Args:
         data: Dataset to split.
         train_fraction: fraction of instances for the train side.
-        seed: RNG seed.
+        seed: RNG seed, an integer >= 0.
 
     Returns:
         (train Dataset, test Dataset).
 
     Raises:
-        ValueError: if train_fraction is not finite or either side
-            would be empty.
+        ValueError: if train_fraction is not a finite real, seed is not
+            an integer >= 0 or either side would be empty.
     """
-    if not math.isfinite(train_fraction):
-        raise ValueError(f"train_fraction must be finite, got {train_fraction}")
+    train_fraction = check_real("train_fraction", train_fraction)
+    check_integer("seed", seed, 0)
     n = data.n
     # a fraction outside [0, 1] empties a side either way; clipping keeps
     # the product finite where, say, 1e308 * n would overflow

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_reals
 from .textio import comment_lines
 
 
@@ -34,7 +35,7 @@ class UndefinedMetricError(ValueError):
 
 
 def _check(scores, truth):
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(check_reals("scores", scores), dtype=np.float64)
     truth = np.asarray(truth)
     if scores.ndim != 2 or scores.shape != truth.shape:
         raise ValueError(

@@ -69,15 +69,11 @@ class Hyperparams:
     def __post_init__(self):
         for name, floor in (("k", 1), ("inner_steps", 1), ("outer_iters", 1),
                             ("warm_iters", 0), ("seed", 0)):
-            if check_integer(name, getattr(self, name)) < floor:
-                raise ValueError(f"{name} must be >= {floor}")
+            check_integer(name, getattr(self, name), floor)
         # each message names the field as its command-line flag does:
         # lambda_ is --lambda
         for name in ("lambda_", "lambda2", "lambda3", "lambda4", "tol"):
-            value = check_real(name.rstrip("_"), getattr(self, name))
-            if value < 0:
-                raise ValueError(f"{name.rstrip('_')} must be >= 0")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, check_real(name.rstrip("_"), getattr(self, name), 0))
 
 
 @dataclass(frozen=True, eq=False)

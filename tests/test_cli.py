@@ -31,6 +31,7 @@ from glocal.data import (
 from glocal.metrics import ranking_loss
 from glocal.model import GlocalModel, Hyperparams, load_model, save_model, score
 from glocal.solver import fit
+from test_data import refuse_feature_block
 from test_solver import hyperparams_domain
 
 
@@ -331,6 +332,17 @@ def test_train_grid_with_fixed_partition_cannot_vary_g(
              "--model-out", tmp_path / "m.model", "--grid", "g=2,3")
     assert rc == 1
     assert "cannot vary g" in capsys.readouterr().err
+
+
+def test_train_reports_a_feature_block_it_cannot_allocate_in_one_line(
+    tmp_path, monkeypatch, capsys
+):
+    path, model_path = tmp_path / "d.gml", tmp_path / "m.model"
+    path.write_text("3 5 2\n+:1|-:2|\n+:2|-:1|\n+:1|-:2|\n", encoding="utf-8")
+    refuse_feature_block(monkeypatch, (5, 3))
+    assert run("train", "--input", path, "--model-out", model_path) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate an array with shape (5, 3)\n"
+    assert not model_path.exists()
 
 
 def test_train_grid_rejects_a_group_count_below_one(tmp_path, synth_files, capsys):

@@ -111,6 +111,32 @@ def test_parse_wrong_instance_count():
         load_gml(io.StringIO("3 2 2\n+:|-:|\n+:|-:|\n"))
 
 
+def refuse_feature_block(monkeypatch, shape):
+    """Make numpy fail to allocate a float64 block of `shape` as it would
+    with too little memory, so whether a header's feature block fits
+    does not depend on the host."""
+    zeros = np.zeros
+
+    def fake(size, dtype=float, *args, **kwargs):
+        if size == shape and dtype is np.float64:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return zeros(size, dtype, *args, **kwargs)
+
+    monkeypatch.setattr(data_module.np, "zeros", fake)
+
+
+@pytest.mark.parametrize("lines, error, message", [
+    # a wrong line count is still the error reported
+    ("+:|-:|\n+:|-:|\n", GmlFormatError, "^expected 3 instance lines, found 2$"),
+    ("+:|-:|\n+:|-:|\n+:|-:|\n", MemoryError,
+     "^Unable to allocate an array with shape \\(5, 3\\)$"),
+])
+def test_a_feature_block_that_cannot_be_allocated(monkeypatch, lines, error, message):
+    refuse_feature_block(monkeypatch, (5, 3))
+    with pytest.raises(error, match=message):
+        load_gml(io.StringIO("3 5 2\n" + lines))
+
+
 def test_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(7)
     for trial in range(20):
