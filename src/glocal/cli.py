@@ -85,8 +85,6 @@ def parse_grid(spec):
                 values = [float(v) for v in vals.split(",")]
         except ValueError:
             raise ValueError(f"bad grid values for axis {name!r}: {vals!r}") from None
-        if name == "g" and min(values) < 1:
-            raise ValueError(f"grid axis 'g' needs values >= 1, got {min(values)}")
         axes[name] = values
     return axes
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import check_reals
+from .data import check_real, check_reals
 
 
 def cosine_correlation(labels):
@@ -39,19 +39,24 @@ def cosine_correlation(labels):
 
 def laplacian_of(S):
     """Graph Laplacian diag(S 1) - S of a symmetric correlation matrix
-    of real numbers, all finite."""
+    of real numbers, all finite, whose Laplacian float64 holds."""
     S = np.asarray(check_reals("correlation matrix", S), dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1] or not np.isfinite(S).all():
         raise ValueError("correlation matrix must be square and finite")
     scale = max(1.0, np.abs(S).max(initial=0.0))
-    if np.abs(S - S.T).max(initial=0.0) > 1e-12 * scale:
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        asymmetry = np.abs(S - S.T).max(initial=0.0)
+        L = np.diag(S.sum(axis=1)) - S
+    if asymmetry > 1e-12 * scale:
         raise ValueError("correlation matrix must be symmetric")
-    row_sums = S.sum(axis=1)
-    return np.diag(row_sums) - S
+    if not np.isfinite(L).all():
+        raise ValueError("correlation matrix rows must sum within float64's range")
+    return L
 
 
 def combine_correlations(parts, weights):
-    """Weighted elementwise sum of correlation matrices."""
+    """Weighted elementwise sum of correlation matrices, each weight a
+    finite real; a sum that is not finite is refused."""
     if len(parts) != len(weights):
         raise ValueError("need one weight per correlation matrix")
     if len(parts) == 0:
@@ -59,10 +64,14 @@ def combine_correlations(parts, weights):
     shape = np.shape(parts[0])
     out = np.zeros(shape, dtype=np.float64)
     for S, w in zip(parts, weights):
+        w = check_real("weight", w)
         S = np.asarray(check_reals("correlation matrix", S), dtype=np.float64)
         if S.shape != shape:
             raise ValueError("correlation matrices must share a shape")
-        out += w * S
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            out += w * S
+    if not np.isfinite(out).all():
+        raise ValueError("weighted sum of the correlation matrices must be finite")
     return out
 
 

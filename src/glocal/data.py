@@ -99,6 +99,21 @@ def check_integers(name, values):
     return given
 
 
+def check_labels(name, values):
+    """`values` as an array, if it holds integers within -1..1 or floats
+    that are exactly -1, 0 or +1, else a ValueError naming `name`: a
+    cast would turn a bool, a complex or a text entry into a label."""
+    given = np.asarray(values)
+    if given.dtype.kind in "iu":
+        # the range check is the set check, with no scratch
+        bad = given.size and (given.min() < -1 or given.max() > 1)
+    else:  # a float entry is compared, so a fraction or NaN is refused
+        bad = given.dtype.kind != "f" or not np.isin(given, (-1, 0, 1)).all()
+    if bad:
+        raise ValueError(f"{name} entries must be -1, 0 or +1")
+    return given
+
+
 def check_reals(name, values):
     """`values` as an array, if its dtype is an integer or a float one,
     else a ValueError naming `name`: a float64 cast would drop an
@@ -181,13 +196,7 @@ class LabelMatrix:
             raise ValueError("label matrix must be 2-D (l x n)")
         if vals.shape[0] < 2:
             raise ValueError("label matrix needs at least 2 labels")
-        if vals.dtype.kind in "iu":
-            # the range check is the set check, with no scratch
-            bad = vals.size and (vals.min() < -1 or vals.max() > 1)
-        else:  # a float entry is compared, so a fraction or NaN is refused
-            bad = vals.dtype.kind != "f" or not np.isin(vals, (-1, 0, 1)).all()
-        if bad:
-            raise ValueError("label entries must be -1, 0 or +1")
+        check_labels("label", vals)
 
     @property
     def l(self):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_reals
+from .data import check_labels, check_reals
 from .textio import comment_lines
 
 
@@ -43,9 +43,7 @@ def _check(scores, truth):
         )
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores contain non-finite values")
-    if not np.isin(truth, (-1, 0, 1)).all():
-        raise ValueError("truth entries must be -1, 0 or +1")
-    return scores, truth
+    return scores, check_labels("truth", truth)
 
 
 def _ranks(scores):

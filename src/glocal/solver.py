@@ -584,8 +584,8 @@ def grid_search(dataset, hp, axes, groups):
             partition is fixed, a fixed partition does not cover the
             dataset, the dataset has fewer than 2 instances, a
             combination makes invalid Hyperparams or a group count
-            that is not an integer, or no combination is usable (naming
-            the first combination's error).
+            that is not an integer or is below 1, or no combination is
+            usable (naming the first combination's error).
     """
     known = {f.name for f in dataclasses.fields(hp)}
     for name, values in axes.items():
@@ -606,7 +606,7 @@ def grid_search(dataset, hp, axes, groups):
     for values in itertools.product(*axes.values()):
         chosen = dict(zip(axes, values))
         fields = {name: v for name, v in chosen.items() if name != "g"}
-        g = groups.g if fixed else check_integer("g", chosen.get("g", groups))
+        g = groups.g if fixed else check_integer("g", chosen.get("g", groups), 1)
         combos.append((chosen, g, dataclasses.replace(hp, **fields)))
     # a combination's fold losses, or the message of the error that skipped
     # it (kept as text: the exception would hold its frames' arrays)

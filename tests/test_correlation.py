@@ -74,6 +74,9 @@ def test_factor_gram_psd_with_unit_diagonal():
 def test_laplacian_rejects_asymmetry():
     with pytest.raises(ValueError, match="symmetric"):
         laplacian_of(np.array([[1.0, 0.2], [0.3, 1.0]]))
+    # a difference beyond float64's range is asymmetry too, not an overflow
+    with pytest.raises(ValueError, match="symmetric"):
+        laplacian_of(np.array([[0.0, 1e308], [-1e308, 0.0]]))
     with pytest.raises(ValueError, match="square"):
         laplacian_of(np.zeros((2, 3)))
 

@@ -25,6 +25,7 @@ from glocal import (
     LabelMatrix,
     MaskSpec,
     Partition,
+    combine_correlations,
     evaluate,
     kmeans,
     laplacian_of,
@@ -63,100 +64,6 @@ def test_a_failing_property_reports_its_falsifying_example(tmp_path):
     assert "Falsifying example" in run.stdout
 
 
-# the benchmark's sources, which CI runs under 3.10 too
-BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
-
-
-def test_sources_parse_as_python_3_10():
-    # requires-python is >=3.10, and CI imports the tests under 3.10 too;
-    # this checks syntax only, not stdlib APIs
-    sources = sorted(Path(glocal.__file__).parent.glob("*.py"))
-    tests = sorted(Path(__file__).parent.glob("*.py"))
-    assert tests and BENCH
-    for path in sources + tests + BENCH:
-        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
-
-
-# stdlib names newer than requires-python's 3.10, as (module, name); a
-# module alone is given with name None, and a keyword as (function, keyword)
-NEWER_THAN_3_10 = {
-    ("itertools", "batched"),  # 3.12
-    ("contextlib", "chdir"),  # 3.11
-    ("tomllib", None),  # 3.11
-    ("hashlib", "file_digest"),  # 3.11
-    ("typing", "Self"),  # 3.11
-    ("datetime", "UTC"),  # 3.11
-    ("sys", "exception"),  # 3.11
-    ("math", "cbrt"),  # 3.11
-    ("math", "exp2"),  # 3.11
-    ("enum", "StrEnum"),  # 3.11
-    ("operator", "call"),  # 3.11
-    ("typing", "Never"),  # 3.11
-    ("typing", "assert_never"),  # 3.11
-    ("typing", "LiteralString"),  # 3.11
-    ("math", "sumprod"),  # 3.12
-    ("typing", "override"),  # 3.12
-}
-NEWER_KEYWORDS = {
-    ("a2b_base64", "strict_mode"),  # 3.11
-    ("fmean", "weights"),  # 3.11
-}
-
-
-def newer_stdlib_uses(source):
-    """Names from NEWER_THAN_3_10 and NEWER_KEYWORDS that source uses."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found += [a.name for a in node.names if (a.name, None) in NEWER_THAN_3_10]
-        elif isinstance(node, ast.ImportFrom):
-            if (node.module, None) in NEWER_THAN_3_10:
-                found.append(node.module)
-            found += [f"{node.module}.{a.name}" for a in node.names
-                      if (node.module, a.name) in NEWER_THAN_3_10]
-        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if (node.value.id, node.attr) in NEWER_THAN_3_10:
-                found.append(f"{node.value.id}.{node.attr}")
-        elif isinstance(node, ast.Call):
-            func = getattr(node.func, "attr", getattr(node.func, "id", None))
-            found += [f"{func}({k.arg}=)" for k in node.keywords
-                      if (func, k.arg) in NEWER_KEYWORDS]
-    return found
-
-
-def test_the_stdlib_guard_finds_each_newer_name():
-    source = "\n".join([
-        "import itertools, tomllib", "from contextlib import chdir",
-        "from typing import Self", "import hashlib, datetime, binascii",
-        "itertools.batched(x, 2)", "hashlib.file_digest(f, 'sha256')",
-        "datetime.UTC", "binascii.a2b_base64(s, strict_mode=True)",
-        "import sys, math, enum, operator, typing, statistics",
-        "from typing import Never, LiteralString", "from typing import override",
-        "sys.exception()", "math.cbrt(8.0)", "math.exp2(3)", "math.sumprod(a, b)",
-        "enum.StrEnum", "operator.call(f)", "typing.assert_never(x)",
-        "statistics.fmean(xs, weights=ws)",
-    ])
-    assert sorted(newer_stdlib_uses(source)) == sorted([
-        "tomllib", "contextlib.chdir", "typing.Self", "itertools.batched",
-        "hashlib.file_digest", "datetime.UTC", "a2b_base64(strict_mode=)",
-        "typing.Never", "typing.LiteralString", "typing.override", "sys.exception",
-        "math.cbrt", "math.exp2", "math.sumprod", "enum.StrEnum", "operator.call",
-        "typing.assert_never", "fmean(weights=)",
-    ])
-
-
-def test_sources_use_no_stdlib_name_newer_than_3_10():
-    package = Path(glocal.__file__).parent
-    for path in sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
-        uses = newer_stdlib_uses(path.read_text(encoding="utf-8"))
-        assert not uses, f"{path.name} uses {uses}, which Python 3.10 lacks"
-    # bench/run.py's chdir is ROADMAP item 1a's to remove; this set then
-    # becomes empty, and until then any other finding fails here
-    found = {path.name: newer_stdlib_uses(path.read_text(encoding="utf-8")) for path in BENCH}
-    assert {name: uses for name, uses in found.items() if uses} == {
-        "run.py": ["contextlib.chdir"]}
-
-
 def test_no_module_imports_a_private_name_from_another():
     # a leading-underscore name is its module's own; another module that
     # needs it needs a public name
@@ -172,7 +79,7 @@ def test_no_module_imports_a_private_name_from_another():
 # values a caller may hand a constructor in place of a number
 HOSTILE = (0.5, 1.9, -0.5, 257, -257, float("nan"), float("inf"), float("-inf"),
            1 + 1j, 1 + 0j, True, False, "30", "0.1", None,
-           Decimal("0.5"), Fraction(1, 2), 10**400, -10**400)
+           Decimal("0.5"), Fraction(1, 2), 10**400, -10**400, 1e308, -1e308)
 COUNTS = {"k", "inner_steps", "outer_iters", "warm_iters", "seed"}
 
 
@@ -215,6 +122,7 @@ def finite_reals(rows):
 # four instances in two clear groups, and labels every metric is defined on
 FEATURES = FeatureMatrix([[0.0, 0.0, 5.0, 5.0], [0.0, 1.0, 0.0, 1.0]])
 DATASET = Dataset(FEATURES, LabelMatrix([[1, -1, 1, -1], [-1, 1, 0, 1]]))
+SCORES = [[0.9, 0.1, 0.5], [0.2, 0.8, 0.4]]
 TRUTH = [[1, -1, 1], [-1, 1, -1]]
 
 
@@ -266,12 +174,26 @@ def hostile_case(kind, value, data):
                 lambda made: takes(value, name != "noise")
                 and (made.l, made.n, made.d) == (args["l"], args["n"], args["d"]))
     if kind == "scores":
-        rows = placed([[0.9, 0.1, 0.5], [0.2, 0.8, 0.4]], value, data)
+        rows = placed(SCORES, value, data)
         return lambda: evaluate(rows, TRUTH), lambda report: finite_reals(rows)
+    if kind == "truth":
+        # no hostile value is a label, unless a list of ints casts it to one
+        rows = placed(TRUTH, value, data)
+        return (lambda: evaluate(SCORES, rows),
+                lambda report: np.asarray(rows).dtype.kind in "iuf"
+                and np.isin(rows, (-1, 0, 1)).all())
+    if kind == "weights":
+        parts = [[[0.0, 2.0], [2.0, 0.0]], [[1.0, 0.5], [0.5, 1.0]]]
+        (weights,) = placed([[1.0, -0.5]], value, data)
+        return (lambda: combine_correlations(parts, weights),
+                lambda out: all(takes(w, False) for w in weights) and np.array_equal(
+                    out, sum(w * np.asarray(S) for w, S in zip(weights, parts))))
     if kind == "laplacian":
+        # symmetric, with value at two entries of one row
         S = [[0.0, 0.5, 0.2], [0.5, 0.0, 0.1], [0.2, 0.1, 0.0]]
-        i, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
-        S[i][j] = S[j][i] = value
+        i = data.draw(st.integers(0, 2))
+        for j in data.draw(st.lists(st.integers(0, 2), min_size=2, max_size=2, unique=True)):
+            S[i][j] = S[j][i] = value
         return (lambda: laplacian_of(S),
                 lambda L: finite_reals(S)
                 and np.array_equal(L, np.diag(np.sum(S, axis=1)) - np.asarray(S)))
@@ -285,7 +207,8 @@ def hostile_case(kind, value, data):
 
 @pytest.mark.parametrize(
     "kind", ["labels", "features", "assignment", "g", "model", "hyperparams", "mask",
-             "kmeans", "split", "synthetic", "scores", "laplacian", "save_matrix"])
+             "kmeans", "split", "synthetic", "scores", "truth", "weights", "laplacian",
+             "save_matrix"])
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(value=st.sampled_from(HOSTILE), data=st.data())
 def test_each_constructor_holds_the_values_given_or_raises_value_error(kind, value, data):

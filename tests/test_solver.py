@@ -1071,6 +1071,10 @@ def test_grid_search_restricts_a_fixed_partition_to_each_fold(monkeypatch):
     for axes, groups in (({"g": [2.0]}, 1), ({"lambda4": [0.0]}, 2.0)):
         with pytest.raises(ValueError, match="^g must be an integer, got 2.0$"):
             grid_search(data, hp, axes, groups)
+    # and so is one below 1, which would otherwise be skipped on every fold
+    for axes, groups in (({"g": [0, 2]}, 1), ({"lambda4": [0.0]}, 0)):
+        with pytest.raises(ValueError, match="^g must be >= 1$"):
+            grid_search(data, hp, axes, groups)
     # one instance makes one fold
     one = Dataset(FeatureMatrix(data.features.values[:, :1]),
                   LabelMatrix(data.labels.values[:, :1]))
