@@ -40,8 +40,10 @@ import numpy as np
 
 from .textio import comment_lines, file_key, line_batches, write_lines
 
-# tokens, sidecar lines or GML label entries handled per numpy call:
-# short rows are batched across lines
+# GML tokens load_gml converts per numpy call, and label entries (save_gml)
+# or sidecar entries (save_hidden) a writer makes per block: short rows
+# are batched across lines.  The matrix and sidecar readers convert a
+# whole textio.line_batches batch per call instead
 _BATCH = 4096
 
 
@@ -563,8 +565,8 @@ def load_matrix(path):
 
     The values are a whitespace-separated token stream in which '#'
     lines are comments, so a header or a row may span lines or share
-    them.  The file is read in batches of lines (textio.line_batches)
-    and the values are converted in batches of at most _BATCH.
+    them.  The file is read in batches of lines (textio.line_batches),
+    and each batch's values are converted with one numpy call.
 
     Args:
         path: path, or text file object read from where it stands; an
@@ -576,14 +578,14 @@ def load_matrix(path):
             value (with float()'s message), or a value count other than
             rows * cols.
     """
-    lines = (line.split() for line in chain.from_iterable(line_batches(path))
-             if not line.startswith("#"))
-    batch = []
-    for tokens in lines:
-        batch += tokens
-        if len(batch) >= 2:
+    batches = (" ".join(line for line in batch if not line.startswith("#")).split()
+               for batch in line_batches(path))
+    head = []
+    for tokens in batches:
+        head += tokens
+        if len(head) >= 2:
             break
-    header, batch = batch[:2], batch[2:]
+    header, values = head[:2], head[2:]
     if len(header) < 2:
         raise ValueError("matrix file needs a 'rows cols' header")
     bad_header = f"bad matrix header {' '.join(header)!r}, expected 'rows cols'"
@@ -596,12 +598,8 @@ def load_matrix(path):
     # each batch's values appended as bytes to one buffer, so the matrix
     # is held once; the header's count is not trusted to size it
     payload = bytearray()
-    for tokens in lines:
-        batch += tokens
-        while len(batch) >= _BATCH:
-            payload += memoryview(np.array(batch[:_BATCH], dtype=np.float64))
-            del batch[:_BATCH]
-    payload += memoryview(np.array(batch, dtype=np.float64))
+    for tokens in chain([values], batches):
+        payload += memoryview(np.array(tokens, dtype=np.float64))
     vals = np.frombuffer(payload, dtype=np.float64)
     if vals.size != rows * cols:
         raise ValueError(f"expected {rows * cols} values, found {vals.size}")
@@ -682,9 +680,9 @@ def save_hidden(hidden, path, comments=()):
 
 
 def _hidden_error(lines, line_no, prev):
-    """Raise the error for a chunk of sidecar lines the array decode rejected.
+    """Raise the error for a batch of sidecar lines the array decode rejected.
 
-    Checks the chunk's entries one at a time, by the rules load_hidden
+    Checks the batch's entries one at a time, by the rules load_hidden
     applies, from its first line's number line_no and the 1-based key
     prev of the entry before it (() before the first), and names the
     line of the first offending one.
@@ -714,14 +712,14 @@ def load_hidden(path):
 
     The entries must strictly increase by (label_idx, instance_idx), as
     save_hidden writes them.  The file is read once, in batches of lines
-    (textio.line_batches), and decoded a chunk of _BATCH lines at a time:
-    the lines are joined and split once and converted with one numpy
-    call; comment and blank lines are filtered out line by line only in
-    a chunk that holds a '#' or the wrong token count.  Each chunk's
-    entries are range-checked at once, checked to increase from the
-    entry before the chunk on, and appended to one buffer, so the
-    entries are held once.  A chunk that fails a check is read again
-    alone, one line at a time, to name its first bad line.
+    (textio.line_batches), and decoded a batch at a time: its lines are
+    joined and split once and converted with one numpy call; comment and
+    blank lines are filtered out line by line only in a batch that holds
+    a '#' or the wrong token count.  Each batch's entries are
+    range-checked at once, checked to increase from the entry before the
+    batch on, and appended to one buffer, so the entries are held once.
+    A batch that fails a check is read again alone, one line at a time,
+    to name its first bad line.
 
     Args:
         path: path, or text file object read from where it stands; an
@@ -737,37 +735,36 @@ def load_hidden(path):
             it is a duplicate, a smaller one out of order.
     """
     payload = bytearray()
-    prev = ()  # the 1-based key of the entry before the chunk
-    line_no = 1  # of the chunk's first line
-    for batch in line_batches(path):
-        for start in range(0, len(batch), _BATCH):
-            chunk = lines = batch[start : start + _BATCH]
-            first, line_no = line_no, line_no + len(lines)
-            # ';' ends each line; it sits at every fourth token only when
-            # every line holds exactly three tokens
-            joined = " ; ".join(chunk)
-            tokens = joined.split()
-            # a comment may hold three tokens, so a '#' alone calls for the filter
-            if "#" in joined or len(tokens) != 4 * len(chunk) - 1:
-                chunk = [ln for ln in chunk if not ln.startswith("#") and ln.strip()]
-                if not chunk:
-                    continue
-                tokens = " ; ".join(chunk).split()
-            if len(tokens) != 4 * len(chunk) - 1 or tokens[3::4] != [";"] * (len(chunk) - 1):
-                _hidden_error(lines, first, prev)
-            del tokens[3::4]
-            try:
-                block = np.array(tokens, dtype=np.int64).reshape(-1, 3)
-            except (ValueError, OverflowError):
-                _hidden_error(lines, first, prev)
-            j, i, v = block.T
-            # in range, and (label_idx, instance_idx) strictly increasing from prev on
-            if not (((j >= 1) & (i >= 1) & (np.abs(v) == 1)).all()
-                    and (j[0], i[0]) > prev and _increasing(j, i)):
-                _hidden_error(lines, first, prev)
-            prev = (int(j[-1]), int(i[-1]))
-            block[:, :2] -= 1
-            payload += memoryview(block)
+    prev = ()  # the 1-based key of the entry before the batch
+    line_no = 1  # of the batch's first line
+    for lines in line_batches(path):
+        first, line_no = line_no, line_no + len(lines)
+        # ';' ends each line; it sits at every fourth token only when
+        # every line holds exactly three tokens
+        joined = " ; ".join(lines)
+        tokens = joined.split()
+        entries = lines
+        # a comment may hold three tokens, so a '#' alone calls for the filter
+        if "#" in joined or len(tokens) != 4 * len(lines) - 1:
+            entries = [ln for ln in lines if not ln.startswith("#") and ln.strip()]
+            if not entries:
+                continue
+            tokens = " ; ".join(entries).split()
+        if len(tokens) != 4 * len(entries) - 1 or tokens[3::4] != [";"] * (len(entries) - 1):
+            _hidden_error(lines, first, prev)
+        del tokens[3::4]
+        try:
+            block = np.array(tokens, dtype=np.int64).reshape(-1, 3)
+        except (ValueError, OverflowError):
+            _hidden_error(lines, first, prev)
+        j, i, v = block.T
+        # in range, and (label_idx, instance_idx) strictly increasing from prev on
+        if not (((j >= 1) & (i >= 1) & (np.abs(v) == 1)).all()
+                and (j[0], i[0]) > prev and _increasing(j, i)):
+            _hidden_error(lines, first, prev)
+        prev = (int(j[-1]), int(i[-1]))
+        block[:, :2] -= 1
+        payload += memoryview(block)
     return np.frombuffer(payload, dtype=np.int64).reshape(-1, 3)
 
 

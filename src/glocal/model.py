@@ -16,7 +16,7 @@ magic.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import re
 from dataclasses import dataclass, field
 from itertools import chain
@@ -171,7 +171,7 @@ def _block_lines(name, block):
     rows, cols = block.shape
     yield f"{name} {rows} {cols}"
     for row in np.ascontiguousarray(block, dtype="<f8"):
-        yield base64.b64encode(row.tobytes()).decode("ascii")
+        yield binascii.b2a_base64(row.tobytes(), newline=False).decode("ascii")
 
 
 def save_model(model, sink, comments=()):
@@ -232,7 +232,7 @@ def _read_block(lines, name, rows, cols):
                 f"unexpected end of file: block {name} has {r - 1} of {got_rows} rows"
             )
         try:
-            row = base64.b64decode(line.strip(), validate=True)
+            row = binascii.a2b_base64(line.strip(), strict_mode=True)
         except ValueError:  # binascii.Error, or a non-ASCII character
             raise ModelFormatError(f"block {name} row {r}: not base64") from None
         if len(row) != width:

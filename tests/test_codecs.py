@@ -11,6 +11,7 @@ line by line exactly what its writer gives a text stream, or nothing at
 all on bad input.  Every spelling of one file has one textio.file_key.
 """
 
+import base64
 import io
 import os
 import re
@@ -26,6 +27,7 @@ from glocal import textio
 from glocal.clustering import Partition, load_partition, save_partition
 from glocal.cli import read_hidden, read_matrix
 from glocal.data import (
+    _BATCH,
     Dataset,
     FeatureMatrix,
     GmlFormatError,
@@ -39,7 +41,7 @@ from glocal.data import (
     save_matrix,
 )
 from glocal.metrics import EvaluationReport
-from glocal.model import GlocalModel, ModelFormatError, load_model, save_model
+from glocal.model import MODEL_MAGIC, GlocalModel, ModelFormatError, load_model, save_model
 from glocal.solver import FitTrace, TraceRecord
 
 # deterministic, bounded runs keep tier-1 repeatable and fast
@@ -273,6 +275,45 @@ def test_parse_model_rejects_only_with_model_format_error(text):
     assert all(np.isfinite(B).all() for B in blocks)
 
 
+# a model row's text: the base64 alphabet, padding, whitespace a line may
+# hold, and junk, non-ASCII included; or padded base64 amid whitespace
+ROW_CHARS = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+             "= \t\u3000-_*.é\x00")
+ROW_TEXT = st.one_of(
+    st.text(st.sampled_from(ROW_CHARS), max_size=24),
+    st.tuples(st.sampled_from(["", " ", "\t "]), st.binary(max_size=15),
+              st.sampled_from(["", " ", " \t"]))
+    .map(lambda t: t[0] + base64.b64encode(t[1]).decode("ascii") + t[2]),
+)
+
+
+@FUZZ
+@given(ROW_TEXT)
+def test_model_row_check_agrees_with_stdlib_base64(row):
+    # the reference: the stdlib decoder in its validating mode
+    try:
+        want = base64.b64decode(row.strip(), validate=True)
+    except ValueError:
+        want = None
+    # the row is V's, whose width the header sets: the decoded width where
+    # it is a whole number of float64, else one value
+    cols = len(want) // 8 if want is not None and len(want) % 8 == 0 else 1
+    text = "\n".join([MODEL_MAGIC, "1 1 1 1", "U 1 1", "AAAAAAAA8D8=", "W 1 1", "AAAAAAAA8D8=",
+                      f"V 1 {cols}", row, "Z_1 1 1", "AAAAAAAA8D8="]) + "\n"
+    try:
+        got = load_model(io.StringIO(text)).V.astype("<f8").tobytes()
+    except ModelFormatError as exc:
+        got = str(exc)
+    if want is None:
+        assert got == "block V row 1: not base64"
+    elif len(want) != 8 * cols:
+        assert got == f"block V row 1: expected {8 * cols} bytes, found {len(want)}"
+    elif np.isfinite(np.frombuffer(want, dtype="<f8")).all():
+        assert got == want
+    else:
+        assert got == "block V: non-finite value"
+
+
 # ---- (b) bit-exact round trips ------------------------------------------
 
 FLOAT = st.one_of(
@@ -488,6 +529,53 @@ def test_sidecar_fault_past_a_chunk_edge_names_its_line(monkeypatch, chunk, faul
     text = "\n".join(lines) + "\n"
     with pytest.raises(ValueError, match=rf"^line 4097: {fault} hidden entry '{bad}'$"):
         load_hidden(io.StringIO(text))
+
+
+def _in_one_batch(read, text):
+    """_outcome of read(text) with a chunk of 1 MiB, so a text shorter
+    than that is one batch of lines."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textio, "_CHUNK", 1 << 20)
+        return _outcome(read, text)
+
+
+@pytest.mark.parametrize("gap", [0, 1000], ids=["entries", "blank-and-comment-runs"])
+def test_a_sidecar_in_one_batch_reads_as_in_default_batches(gap):
+    # one batch of far more than _BATCH entries is converted in one call;
+    # with a gap, runs of 3 * gap blank, whitespace-only and 3-token
+    # comment lines sit between entries
+    def read(text):
+        return load_hidden(io.StringIO(text))
+
+    m = 3 * _BATCH
+    hidden = np.column_stack((np.arange(m) // 50, np.arange(m) % 50,
+                              np.random.default_rng(9).choice([-1, 1], size=m)))
+    lines = saved(save_hidden, hidden, comments=["h"]).splitlines()
+    for at in (m, m // 2, 10):
+        lines[at:at] = ["", "# a b", " \t"] * gap
+    text = "\n".join(lines) + "\n"
+    assert len(text) < 1 << 20
+    want = _outcome(read, text)
+    assert want == [(np.dtype(np.int64), (m, 3), hidden.astype(np.int64).tobytes())]
+    assert _in_one_batch(read, text) == want
+    # a bad line just after the middle run, which the run at 10 moved on,
+    # gets the same message
+    at = m // 2 + 6 * gap + 1
+    for bad, error in (("1 2 x", "expected three integers"),
+                       ("1 1 1", "out-of-order hidden entry '1 1 1'")):
+        text = "\n".join([*lines[:at], bad, *lines[at:]]) + "\n"
+        want = _outcome(read, text)
+        assert want == (ValueError, f"line {at + 1}: {error}")
+        assert _in_one_batch(read, text) == want
+
+
+def test_a_one_line_matrix_reads_as_the_same_values_in_rows():
+    A = np.random.default_rng(10).standard_normal((250, 400))
+    header, *rows = saved(save_matrix, A).splitlines()
+    flat = _in_one_batch(load_matrix, io.StringIO("1 100000\n" + " ".join(rows) + "\n"))
+    assert flat == [(np.dtype(np.float64), (1, 100000), A.tobytes())]
+    assert _outcome(load_matrix, io.StringIO("\n".join([header, *rows]) + "\n")) == [
+        (np.dtype(np.float64), (250, 400), A.tobytes())]
 
 
 # ---- (c) the writers' bytes, frozen --------------------------------------
