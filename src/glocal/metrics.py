@@ -47,12 +47,13 @@ def _check(scores, truth):
 
 
 def _ranks(scores):
-    # 1-based rank of each label within its instance column by descending
-    # score; the stable sort breaks ties by ascending label index
+    # 0-based rank of each label within its instance column by descending
+    # score (the top label has rank 0); the stable sort breaks ties by
+    # ascending label index
     l = scores.shape[0]
     order = np.argsort(-scores, axis=0, kind="stable")
     ranks = np.empty(scores.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order, np.arange(1, l + 1)[:, None], axis=0)
+    np.put_along_axis(ranks, order, np.arange(l)[:, None], axis=0)
     return ranks
 
 
@@ -97,8 +98,8 @@ def _coverage(ranks, truth):
     if not keep.any():
         raise UndefinedMetricError("coverage: every instance was skipped")
     # each instance's worst positive rank; 0 where it has no positive
-    worst = np.where(pos, ranks, 0).max(axis=0)
-    return float(np.mean(worst[keep] - 1))
+    worst = np.max(ranks, axis=0, where=pos, initial=0)
+    return float(np.mean(worst[keep]))
 
 
 def _average_precision(ranks, truth):
@@ -107,11 +108,14 @@ def _average_precision(ranks, truth):
     keep = n_pos > 0
     if not keep.any():
         raise UndefinedMetricError("average_precision: every instance was skipped")
-    # positives laid out by rank: row r - 1 holds whether rank r is a positive
+    # positives laid out by rank: row r holds whether rank r is a positive
     by_rank = np.zeros(pos.shape, dtype=bool)
-    np.put_along_axis(by_rank, ranks - 1, pos, axis=0)
-    # positives at or above each rank, over the rank, kept at positives
-    precision = np.cumsum(by_rank, axis=0, dtype=np.float64)
+    np.put_along_axis(by_rank, ranks, pos, axis=0)
+    # positives at or above each rank, over the rank's 1-based position,
+    # kept at positives; the sum runs in its own float64 array, not in a
+    # cast copy of by_rank
+    precision = by_rank.astype(np.float64)
+    np.cumsum(precision, axis=0, out=precision)
     precision /= np.arange(1, pos.shape[0] + 1)[:, None]
     precision *= by_rank
     return float(np.mean(precision.sum(axis=0)[keep] / n_pos[keep]))

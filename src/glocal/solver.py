@@ -113,11 +113,16 @@ def make_context(dataset, partition, hp):
     """
     _require_cover(partition, dataset)
     X = dataset.features.values
+    d = X.shape[0]
     groups = tuple(partition.groups())
-    Ts = [_gram_factor(X[:, idx].T) for idx in groups]
-    T = np.vstack(Ts)
-    ends = np.cumsum([len(Tm) for Tm in Ts])
-    T_rows = tuple(slice(e - len(Tm), e) for e, Tm in zip(ends, Ts))
+    # each T_m is written into its rows of T as it is made, so the stack
+    # and the factors are never held side by side
+    sizes = [min(idx.size, d) for idx in groups]
+    ends = np.cumsum(sizes)
+    T_rows = tuple(slice(e - size, e) for e, size in zip(ends, sizes))
+    T = np.empty((ends[-1], d))
+    for idx, rows in zip(groups, T_rows):
+        T[rows] = _gram_factor(X[:, idx].T)
     return ObjectiveContext(
         Y=dataset.labels.values,
         J=dataset.labels.indicator,
@@ -172,8 +177,11 @@ def _objective_arrays(U, V, W, Zs, Fs, ctx):
     R -= ctx.Y
     R *= ctx.J
     val = _sumsq(R)
-    D = V - W.T @ ctx.X
+    del R
+    D = W.T @ ctx.X
+    np.subtract(V, D, out=D)
     val += hp.lambda_ * _sumsq(D)
+    del D
     val += hp.lambda2 * (_sumsq(U) + _sumsq(V) + _sumsq(W))
     for Z, F in zip(Zs, Fs):
         val += _correlation_term(Z, U @ F.T)
@@ -201,30 +209,48 @@ def objective(model, ctx):
 # and the factor grams (Ms, Mbar) made from them (for W) hold one entry
 # per correlation term, none when lambda3 = lambda4 = 0.  X enters the W
 # Hessian only through T, with T'T = XX', so it never forms the n x k X'G.
+# Each action frees its masked l x n product (for W, its T-side products)
+# before it scales its sum in place.
 
 
 def _hess_U(G, V, Zs, Fs, ctx):
     A = G @ V
     A *= ctx.J
-    H = 2.0 * (A @ V.T) + 2.0 * ctx.hp.lambda2 * G
+    H = A @ V.T
+    del A
+    H *= 2.0
+    H += 2.0 * ctx.hp.lambda2 * G
     for Z, F in zip(Zs, Fs):
-        H += 2.0 * ((Z @ (Z.T @ (G @ F.T))) @ F)
+        C = (Z @ (Z.T @ (G @ F.T))) @ F
+        C *= 2.0
+        H += C
     return H
 
 
 def _rhs_U(V, ctx):
-    return 2.0 * (ctx.Y.astype(np.float64) @ V.T)
+    B = ctx.Y.astype(np.float64) @ V.T
+    B *= 2.0
+    return B
 
 
 def _hess_V(U, G, ctx):
     hp = ctx.hp
     A = U @ G
     A *= ctx.J
-    return 2.0 * (U.T @ A) + 2.0 * (hp.lambda_ + hp.lambda2) * G
+    H = U.T @ A
+    del A
+    H *= 2.0
+    H += 2.0 * (hp.lambda_ + hp.lambda2) * G
+    return H
 
 
 def _rhs_V(U, W, ctx):
-    return 2.0 * (U.T @ ctx.Y.astype(np.float64)) + 2.0 * ctx.hp.lambda_ * (W.T @ ctx.X)
+    B = U.T @ ctx.Y.astype(np.float64)
+    B *= 2.0
+    C = W.T @ ctx.X
+    C *= 2.0 * ctx.hp.lambda_
+    B += C
+    return B
 
 
 def _factor_grams(U, Zs, Fs, ctx):
@@ -245,12 +271,21 @@ def _hess_W(G, grams, ctx):
     if Ms:
         R += P @ Mbar
     for rows, M in zip(ctx.T_rows, Ms):
-        R[rows] += hp.lambda4 * (P[rows] @ M)
-    return 2.0 * (ctx.T.T @ R) + 2.0 * hp.lambda2 * G
+        C = P[rows] @ M
+        C *= hp.lambda4
+        R[rows] += C
+    del P
+    H = ctx.T.T @ R
+    del R
+    H *= 2.0
+    H += 2.0 * hp.lambda2 * G
+    return H
 
 
 def _rhs_W(V, ctx):
-    return 2.0 * ctx.hp.lambda_ * (ctx.X @ V.T)
+    B = ctx.X @ V.T
+    B *= 2.0 * ctx.hp.lambda_
+    return B
 
 
 def _grad_Z(P, Z):
@@ -305,8 +340,11 @@ def _cg(x, hess, b, steps, dot):
     # The direction is the residual itself whenever the residual is 0, and
     # past exactness it can shrink until its squared norm underflows to 0,
     # so testing it keeps every division by it defined.  A NaN curvature
-    # does not stop a system, so an overflow reaches the block.  Returns
-    # the new block and each step's largest length
+    # does not stop a system, so an overflow reaches the block.  The
+    # residual and direction are updated in place, the iterate never: x
+    # is the caller's block and may be a model's (closed_form_V hands it
+    # the model's V, _sweep the blocks it is given), so each step makes a
+    # new one.  Returns the new block and each step's largest length
     R = b  # the residual b - H(x), made in b's own array
     R -= hess(x)
     P = R.copy()
@@ -321,12 +359,15 @@ def _cg(x, hess, b, steps, dot):
             break
         top = np.maximum(top, curv / np.where(live, pp, np.inf))
         alpha = rr / np.where(live, curv, np.inf)
-        x = alpha * P + x
         HP *= alpha
         R -= HP
         del HP
+        step = alpha * P
+        step += x
+        x = step
         rr_new = dot(R, R)
-        P = rr_new / np.where(live, rr, np.inf) * P + R
+        P *= rr_new / np.where(live, rr, np.inf)
+        P += R
         rr = rr_new
         accepted.append(float(np.max(alpha)))
     return x, accepted
@@ -369,9 +410,11 @@ def _z_descend(U, F, Z0, steps):
         if _sumsq(G) == 0.0 or not L > 0.0:
             break
         t = 0.5 / L
-        cand = Z - t * G
+        cand = t * G
+        np.subtract(Z, cand, out=cand)
         norms = np.linalg.norm(cand, axis=1)[:, None]
-        cand = np.divide(cand, norms, out=Z.copy(), where=norms != 0.0)
+        np.divide(cand, norms, out=cand, where=norms != 0.0)
+        np.copyto(cand, Z, where=norms == 0.0)  # a row sent to 0 keeps Z's
         G_new = _grad_Z(P, cand)
         h_new = 0.5 * _block_dot(cand, G_new)
         if h_new > h_val:  # only rounding can make h rise; stop there

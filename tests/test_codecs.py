@@ -481,18 +481,25 @@ def test_gml_repeat_in_the_last_line_of_many_batches():
     assert str(got_err.value) == f"line {n + 1}: duplicate feature index 17"
 
 
-def test_sidecar_comments_and_blanks_mid_file_and_across_a_chunk_edge():
+def test_sidecar_comments_and_blanks_mid_file_and_across_a_batch_edge(monkeypatch):
     rng = np.random.default_rng(8)
-    m = 9000  # past two 4096-line chunks
+    m = 9000
     hidden = np.column_stack((np.arange(m) // 50, np.arange(m) % 50,
                               rng.choice([-1, 1], size=m)))
     lines = saved(save_hidden, hidden, comments=["source: toy"]).splitlines()
-    # a 3-token comment, blank and whitespace-only lines mid-file, on both
-    # sides of the first chunk edge and as the last lines
-    for at, extra in ((8000, "# a b"), (4097, ""), (4096, "# source: toy"),
-                      (4095, " \t"), (100, ""), (99, "# c d")):
+    # a 3-token comment, blank and whitespace-only lines mid-file and as
+    # the last lines
+    for at, extra in ((8000, "# a b"), (100, ""), (99, "# c d")):
         lines.insert(at, extra)
+    # and a run of them across a batch edge: the first chunk ends after the
+    # run's second line, so the first batch ends with the run's first two
+    # lines and the second begins with the other two
+    run, at = ["# source: toy", " \t", "", "# a b c"], 500
+    lines[at:at] = run
     text = "\n".join(lines + ["", "# end"]) + "\n"
+    monkeypatch.setattr(textio, "_CHUNK", len("\n".join(lines[: at + 2])) + 1)
+    batches = list(textio.line_batches(io.StringIO(text)))
+    assert batches[0][-2:] == run[:2] and batches[1][:2] == run[2:]
     assert same_bits(load_hidden(io.StringIO(text)), hidden.astype(np.int64))
 
 
@@ -514,20 +521,23 @@ def test_sidecar_unsorted_entries_and_repeats():
         load_hidden(io.StringIO("1 1 1\n1 2 -1\n1 1 1\n"))
 
 
-@pytest.mark.parametrize("chunk", [None, 1 << 20], ids=["default-batches", "one-batch"])
+@pytest.mark.parametrize("split", [True, False], ids=["edge-in-the-run", "one-batch"])
 @pytest.mark.parametrize("fault", ["duplicate", "out-of-order"])
-def test_sidecar_fault_past_a_chunk_edge_names_its_line(monkeypatch, chunk, fault):
-    # one batch of lines holds every line, so the first 4096-line chunk
-    # ends just before the bad line; by default the batch edges fall elsewhere
-    if chunk is not None:
-        monkeypatch.setattr(textio, "_CHUNK", chunk)
+def test_sidecar_fault_past_a_batch_edge_names_its_line(monkeypatch, split, fault):
+    # a comment and a blank line lie between the entry before the bad one
+    # and the bad one.  Split, the first chunk ends between them, so the
+    # bad entry is checked against the one that ended the batch before;
+    # in one batch of lines the same line is named
     lines = ["# h", ""] + [f"{j} {i} 1" for j in range(1, 101) for i in range(1, 51)]
-    # comment and blank lines between the entry before the chunk edge and the bad one
-    lines[4094:4096] = ["# c d e", " \t"]
-    bad = lines[4093] if fault == "duplicate" else "1 1 -1"
-    lines.insert(4096, bad)
+    lines[500:502] = ["# c d e", " \t"]
+    bad = lines[499] if fault == "duplicate" else "1 1 -1"
+    lines.insert(502, bad)
     text = "\n".join(lines) + "\n"
-    with pytest.raises(ValueError, match=rf"^line 4097: {fault} hidden entry '{bad}'$"):
+    monkeypatch.setattr(textio, "_CHUNK", len("\n".join(lines[:501])) + 1 if split else 1 << 20)
+    if split:
+        batches = list(textio.line_batches(io.StringIO(text)))
+        assert batches[0][-2:] == [lines[499], "# c d e"] and batches[1][:2] == [" \t", bad]
+    with pytest.raises(ValueError, match=rf"^line 503: {fault} hidden entry '{bad}'$"):
         load_hidden(io.StringIO(text))
 
 
@@ -819,8 +829,10 @@ def test_line_batches_read_a_long_line_in_few_reads(monkeypatch):
 
 
 _DATA = Dataset(FeatureMatrix([[0.5, 0.0, 1 / 3]]), LabelMatrix([[1, 0, -1], [-1, 1, 0]]))
+# 9000 entries: three save_hidden blocks of _BATCH entries, read back in
+# five line_batches batches at the default _CHUNK
 _HIDDEN = np.column_stack((np.arange(9000) // 50, np.arange(9000) % 50,
-                           np.resize([1, -1, -1], 9000)))  # past two _BATCH blocks
+                           np.resize([1, -1, -1], 9000)))
 _MATRIX = np.eye(3) / 3
 
 

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from glocal import cli
+from glocal import cli, textio
 from glocal.clustering import kmeans
 from glocal.data import (
     FeatureMatrix,
@@ -118,13 +118,19 @@ def test_reading_a_sidecar_stream_holds_no_file_text(corel_files):
     assert held < path.stat().st_size
 
 
-def test_naming_a_bad_last_sidecar_line_holds_no_file_text(corel_data, corel_files, tmp_path):
-    # the entries before it are decoded, then its chunk alone is checked
-    # line by line to name it
+def test_naming_a_bad_line_across_a_batch_edge_holds_no_file_text(
+        corel_data, corel_files, tmp_path, monkeypatch):
+    # a comment pads the file so that a chunk edge falls inside the bad last
+    # line, which ends the last batch alone.  The entries before it are
+    # decoded, then that batch is checked line by line to name it
+    chunk = 1 << 12
+    monkeypatch.setattr(textio, "_CHUNK", chunk)
     text = corel_files[1].read_text(encoding="utf-8")
+    pad = "#" + " " * (-(len(text) + 4) % chunk)  # the bad line starts 2 before an edge
     path = tmp_path / "hidden.txt"
-    path.write_text(text + "1 1 1\n", encoding="utf-8")
-    bad_line = len(text.splitlines()) + 1
+    path.write_text(text + pad + "\n1 1 1\n", encoding="utf-8")
+    assert list(textio.line_batches(path))[-1] == ["1 1 1"]
+    bad_line = len(text.splitlines()) + 2
 
     def load():
         with pytest.raises(ValueError, match=f"^line {bad_line}: out-of-order hidden entry"):
@@ -143,7 +149,9 @@ def test_kmeans_peak_tracks_the_features(corel_files):
 
 def test_eval_peak_tracks_the_scores(corel_files, tmp_path):
     # the sidecar's entries are freed once the truth matrix is built,
-    # before anything is ranked
+    # before anything is ranked, and the ranking keeps one int64 rank
+    # array: 3.98 x S measured, against 4.54 x S with 1-based ranks and
+    # their copies
     _, hidden, _ = corel_files
     S = np.random.default_rng(1).standard_normal((374, 400))
     scores = tmp_path / "scores.txt"
@@ -152,7 +160,7 @@ def test_eval_peak_tracks_the_scores(corel_files, tmp_path):
             "--out", str(tmp_path / "report.csv")]
     assert cli.main(argv) == 0  # warm up: imports and first-call caches
     held = peak_beyond(lambda _: 0, lambda: cli.main(argv))
-    assert held <= 5 * S.nbytes
+    assert held <= 4.25 * S.nbytes
 
 
 def test_loading_a_matrix_holds_it_once(tmp_path):
@@ -206,7 +214,10 @@ def _blocks(model):
 
 def test_fitting_frees_each_old_block_once_it_is_replaced():
     # large-k's shape: a sweep holds the old and new copy of the block it
-    # updates, not the whole previous model next to the new one
+    # updates, not the whole previous model next to the new one; a Hessian
+    # action frees its masked l x n product before it scales, and a CG
+    # step frees H(P) before it moves the iterate: 1.61 x the model
+    # measured, against 1.80 x with those temporaries held
     data = make_synthetic(l=200, n=400, d=30, k_true=5, noise=0.3, seed=1)
     masked, _ = apply_mask(data, MaskSpec(rho=30, seed=1))
     part = kmeans(masked.features, 4, seed=1)
@@ -214,7 +225,7 @@ def test_fitting_frees_each_old_block_once_it_is_replaced():
     model, _ = fit(masked, part, hp)  # warm up: imports and first-call caches
     model_bytes = sum(B.nbytes for B in _blocks(model))
     held = peak_beyond(lambda _: model_bytes, lambda: fit(masked, part, hp))
-    assert held <= 2.2 * model_bytes
+    assert held <= 1.7 * model_bytes
 
 
 def test_fitting_holds_the_labels_once(corel_data):
