@@ -16,8 +16,6 @@ through the load_* and save_* functions of its format, which live with
 their modules.
 """
 
-from __future__ import annotations
-
 import argparse
 import dataclasses
 import io
@@ -184,8 +182,7 @@ def _cmd_predict(args, stamp):
     S = score(model, data.features)
     save_matrix(S, args.scores_out, comments=[stamp])
     if args.labels_out:
-        L = predict(model, data.features)
-        save_matrix(L.astype(np.float64), args.labels_out, comments=[stamp])
+        save_matrix(predict(model, data.features), args.labels_out, comments=[stamp])
     print(f"predict: scored {data.n} instances over {model.l} labels")
     return 0
 

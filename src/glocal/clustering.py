@@ -6,8 +6,6 @@ indices are 1-based to match the file format; instance indices are
 0-based in memory.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 from itertools import chain
 

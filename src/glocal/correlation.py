@@ -7,8 +7,6 @@ dense cosine/Laplacian helpers exist for analysis of a label matrix and
 for checking the factored algebra against it.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .data import check_real, check_reals

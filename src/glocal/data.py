@@ -27,8 +27,6 @@ live with their modules):
     returns its entries.
 """
 
-from __future__ import annotations
-
 import contextlib
 import io
 import math
@@ -128,19 +126,17 @@ def check_reals(name, values):
 
 def _adopt(cls, values):
     """A FeatureMatrix or LabelMatrix around `values` itself, made
-    read-only and checked but not copied.  Only for an array its maker
-    gives up, as the GML decoder does; the constructor copies the array
-    a caller passes, so the caller cannot change the matrix later."""
+    read-only but neither copied nor checked.  Only for an array its
+    maker gives up and built from values already checked: a 2-D float64
+    feature array of finite values, or a 2-D int8 label array of -1, 0
+    and +1 with at least 2 rows, as the GML decoder, with_bias,
+    make_synthetic, apply_mask and take_instances make them.  The
+    constructor checks and copies the array a caller passes, so the
+    caller cannot change the matrix later."""
     values.setflags(write=False)
-    cls._check(values)
     obj = object.__new__(cls)
     object.__setattr__(obj, "values", values)
     return obj
-
-
-def round_half_away(x):
-    """Round to the nearest integer, halves away from zero."""
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,11 +398,8 @@ def load_gml(path):
     if header is None:
         raise GmlFormatError("line 1: missing header")
 
-    parts = header.split()
-    if len(parts) != 3:
-        _fail(header_line, f"malformed header {header!r}, expected 'n d l'")
-    try:
-        n, d, l = (int(p) for p in parts)
+    try:  # a token count other than 3 fails the unpack
+        n, d, l = (int(p) for p in header.split())
     except ValueError:
         _fail(header_line, f"malformed header {header!r}, expected 'n d l'")
     if n < 1 or d < 1 or l < 2:
@@ -799,10 +792,10 @@ def make_synthetic(l, n, d, k_true, noise, seed):
 def apply_mask(data, spec):
     """Hide label entries, keeping rho percent of positions observed.
 
-    Samples round(rho/100 * l*n) positions uniformly without
-    replacement; every other position is zeroed.  For a fully observed
-    input exactly that many positions remain observed.  Positions that
-    were already zero stay zero, kept or not.
+    Samples floor(rho/100 * l*n + 0.5) positions (a half rounds up)
+    uniformly without replacement; every other position is zeroed.  For
+    a fully observed input exactly that many positions remain observed.
+    Positions that were already zero stay zero, kept or not.
 
     Args:
         data: Dataset to mask.
@@ -816,7 +809,7 @@ def apply_mask(data, spec):
     """
     l, n = data.l, data.n
     total = l * n
-    keep = round_half_away(spec.rho / 100.0 * total)
+    keep = math.floor(spec.rho / 100.0 * total + 0.5)
     rng = np.random.default_rng(spec.seed)
     kept = rng.choice(total, size=keep, replace=False)
     mask = np.zeros(total, dtype=bool)
@@ -839,6 +832,8 @@ def apply_mask(data, spec):
 def take_instances(data, indices):
     """New Dataset restricted to the given instance columns, in order."""
     idx = np.asarray(check_integers("instance indices", indices), dtype=int)
+    if idx.ndim != 1:
+        raise ValueError("instance indices must be 1-D")
     # fancy indexing makes private copies, so the containers take them
     return Dataset(
         _adopt(FeatureMatrix, data.features.values[:, idx]),
@@ -849,8 +844,9 @@ def take_instances(data, indices):
 def split(data, train_fraction, seed):
     """Disjoint train/test split over instances.
 
-    The train side gets round(train_fraction * n) instances chosen by a
-    seeded permutation; both sides keep ascending instance order.
+    The train side gets floor(train_fraction * n + 0.5) instances (a
+    half rounds up) chosen by a seeded permutation; both sides keep
+    ascending instance order.
 
     Args:
         data: Dataset to split.
@@ -869,7 +865,7 @@ def split(data, train_fraction, seed):
     n = data.n
     # a fraction outside [0, 1] empties a side either way; clipping keeps
     # the product finite where, say, 1e308 * n would overflow
-    n_train = round_half_away(min(max(train_fraction, 0.0), 1.0) * n)
+    n_train = math.floor(min(max(train_fraction, 0.0), 1.0) * n + 0.5)
     if n_train <= 0 or n_train >= n:
         raise ValueError(
             f"train_fraction {train_fraction} leaves an empty side for n={n}"

@@ -20,8 +20,6 @@ average_auc share one pair count, a sort and searchsorted per instance
 or label: a whole-matrix sort with tie groups measured slower.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

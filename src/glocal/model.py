@@ -14,8 +14,6 @@ float bit-exactly.  '#' comment lines may appear anywhere after the
 magic.
 """
 
-from __future__ import annotations
-
 import binascii
 import re
 from dataclasses import dataclass, field

@@ -52,8 +52,6 @@ grid_search picks fit's hyperparameters and group count by 5-fold
 cross-validation on ranking loss.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import itertools
 import math
@@ -651,16 +649,17 @@ def grid_search(dataset, hp, axes, groups):
         fields = {name: v for name, v in chosen.items() if name != "g"}
         g = groups.g if fixed else check_integer("g", chosen.get("g", groups), 1)
         combos.append((chosen, g, dataclasses.replace(hp, **fields)))
-    # a combination's fold losses, or the message of the error that skipped
-    # it (kept as text: the exception would hold its frames' arrays)
-    losses = [[] for _ in combos]
+    losses = [[] for _ in combos]  # each combination's fold losses
+    # the message of the error that skipped a combination, by its index
+    # (kept as text: the exception would hold its frames' arrays)
+    errors = {}
     for f, val_idx in enumerate(folds):
         train_idx = np.sort(np.concatenate(folds[:f] + folds[f + 1 :]))
         train = take_instances(dataset, train_idx)
         val = take_instances(dataset, val_idx)
         parts = {}  # g -> this fold's partition
         for c, (_, g, combo_hp) in enumerate(combos):
-            if isinstance(losses[c], str):
+            if c in errors:
                 continue
             try:
                 if g not in parts:
@@ -672,15 +671,11 @@ def grid_search(dataset, hp, axes, groups):
                 S = score(model, val.features)
                 losses[c].append(ranking_loss(S, val.labels.values))
             except ValueError as exc:  # LinAlgError included
-                losses[c] = str(exc)  # degenerate fold for this combination
-    best = None
-    for (chosen, g, combo_hp), fold_losses in zip(combos, losses):
-        if isinstance(fold_losses, str):
-            continue
-        mean_loss = float(np.mean(fold_losses))
-        if best is None or mean_loss < best[0]:
-            best = (mean_loss, chosen, g, combo_hp)
-    if best is None:
+                errors[c] = str(exc)  # degenerate fold for this combination
+    # on equal means the lower index, the first in grid order, wins
+    scored = [(float(np.mean(losses[c])), c) for c in range(len(combos)) if c not in errors]
+    if not scored:
         raise ValueError("no grid combination produced a usable CV score;"
-                         f" the first failed with: {losses[0]}")
-    return best
+                         f" the first failed with: {errors[0]}")
+    mean_loss, c = min(scored)
+    return (mean_loss, *combos[c])

@@ -17,8 +17,6 @@ Whether two paths name one file is decided here too, by file_key: the
 CLI checks a run's paths with it and save_gml keys its files by it.
 """
 
-from __future__ import annotations
-
 import contextlib
 import re
 from pathlib import Path

@@ -15,7 +15,6 @@ from glocal.data import (
     MaskSpec,
     apply_mask,
     load_gml,
-    round_half_away,
     save_gml,
     split,
     take_instances,
@@ -36,14 +35,26 @@ def gml_text(directory, data, comments=()):
     return path.read_text(encoding="utf-8")
 
 
-def test_round_half_away():
-    assert round_half_away(0.5) == 1
-    assert round_half_away(1.5) == 2
-    assert round_half_away(2.5) == 3
-    assert round_half_away(2.4) == 2
-    assert round_half_away(0.0) == 0
-    # the masking count from the docs: 30% of 10x100
-    assert round_half_away(30 / 100 * 10 * 100) == 300
+@pytest.mark.parametrize("l, n, rho, kept", [
+    (2, 5, 5, 1),  # 0.5 positions
+    (2, 5, 15, 2),  # 1.5
+    (2, 5, 25, 3),  # 2.5
+    (2, 5, 24, 2),  # 2.4
+    (2, 5, 0, 0),
+    (10, 100, 30, 300),  # the masking count from the docs: 30% of 10x100
+])
+def test_mask_rounds_an_exact_half_up(l, n, rho, kept):
+    data = random_dataset(np.random.default_rng(0), l=l, n=n, zero_frac=0.0)
+    masked, hidden = apply_mask(data, MaskSpec(rho=rho, seed=0))
+    assert np.count_nonzero(masked.labels.values) == kept
+    assert len(hidden) == l * n - kept
+
+
+@pytest.mark.parametrize("fraction, n_train", [(0.1, 1), (0.3, 2), (0.5, 3), (0.46, 2)])
+def test_split_rounds_an_exact_half_up(fraction, n_train):
+    # of 5 instances: 0.5, 1.5, 2.5 and 2.3 train instances
+    train, test = split(random_dataset(np.random.default_rng(0), n=5), fraction, seed=0)
+    assert (train.n, test.n) == (n_train, 5 - n_train)
 
 
 def test_parse_minimal():
@@ -104,6 +115,13 @@ def test_indicator_tracks_values():
 def test_parse_errors_carry_line_numbers(text, line_no):
     with pytest.raises(GmlFormatError, match=f"line {line_no}"):
         load_gml(io.StringIO(text))
+
+
+@pytest.mark.parametrize("header", ["", "2", "2 3", "2 3 3 1", "2 3 3 x"])
+def test_parse_header_of_other_than_three_tokens(header):
+    message = f"line 2: malformed header {header!r}, expected 'n d l'"
+    with pytest.raises(GmlFormatError, match=f"^{re.escape(message)}$"):
+        load_gml(io.StringIO(f"# c\n{header}\n+:1|-:2|\n+:|-:|\n"))
 
 
 def test_parse_wrong_instance_count():
@@ -376,3 +394,7 @@ def test_take_instances_orders_columns():
     # a fraction is refused, not truncated to an index
     with pytest.raises(ValueError, match="^instance indices must be integers$"):
         take_instances(data, [0.7, 2.2])
+    # and indices that are not one row are refused before any column is cut
+    for indices in (3, [[3, 0]]):
+        with pytest.raises(ValueError, match="^instance indices must be 1-D$"):
+            take_instances(data, indices)

@@ -1082,6 +1082,19 @@ def test_grid_search_restricts_a_fixed_partition_to_each_fold(monkeypatch):
         grid_search(one, hp, {"lambda4": [0.0]}, 1)
 
 
+@pytest.mark.parametrize("tols", [[0.5, 0.0], [0.0, 0.5]])
+def test_grid_search_breaks_a_tie_by_grid_order(tols):
+    # tol cannot stop a fit of one outer sweep early, so both combinations
+    # fit the same bits: on equal mean losses the first in grid order wins
+    data, hp = grid_problem(seed=3)
+    hp = dataclasses.replace(hp, outer_iters=1)
+    alone = [grid_search(data, hp, {"tol": [tol]}, 2)[0] for tol in tols]
+    assert alone[0] == alone[1]
+    loss, chosen, g, got_hp = grid_search(data, hp, {"tol": tols}, 2)
+    assert loss == alone[0]
+    assert chosen == {"tol": tols[0]} and got_hp.tol == tols[0] and g == 2
+
+
 def test_learned_correlation_term_vanishes_at_convergence():
     # the correlation prior is inert at convergence (ROADMAP item 5): the
     # Z steps find unit rows with P_m'Z_m = 0, P_m = U F_m', so a converged
