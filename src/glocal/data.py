@@ -148,13 +148,9 @@ class FeatureMatrix:
     def __post_init__(self):
         given = check_reals("feature matrix", self.values)
         object.__setattr__(self, "values", _frozen_array(given, np.float64))
-        self._check(self.values)
-
-    @staticmethod
-    def _check(values):
-        if values.ndim != 2:
+        if self.values.ndim != 2:
             raise ValueError("feature matrix must be 2-D (d x n)")
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("feature matrix contains non-finite values")
 
     @property
@@ -185,16 +181,12 @@ class LabelMatrix:
     def __post_init__(self):
         # the given entries are checked, so a cast to int8 changes none
         given = np.asarray(self.values)
-        self._check(given)
-        object.__setattr__(self, "values", _frozen_array(given, np.int8))
-
-    @staticmethod
-    def _check(vals):
-        if vals.ndim != 2:
+        if given.ndim != 2:
             raise ValueError("label matrix must be 2-D (l x n)")
-        if vals.shape[0] < 2:
+        if given.shape[0] < 2:
             raise ValueError("label matrix needs at least 2 labels")
-        check_labels("label", vals)
+        check_labels("label", given)
+        object.__setattr__(self, "values", _frozen_array(given, np.int8))
 
     @property
     def l(self):

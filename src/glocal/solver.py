@@ -204,8 +204,8 @@ def objective(model, ctx):
 # other blocks fixed, f(x) = 1/2 <x, H(x)> - <b, x> + const: the gradient
 # is H(x) - b, and _cg minimizes f by conjugate gradient on H(x) = b.
 # Y is zero where J is, so J o Y = Y.  The correlation weights Fs (for U)
-# and the factor grams (Ms, Mbar) made from them (for W) hold one entry
-# per correlation term, none when lambda3 = lambda4 = 0.  X enters the W
+# and the k x k operators Ns made from them (for W) hold one entry per
+# correlation term, none when lambda3 = lambda4 = 0.  X enters the W
 # Hessian only through T, with T'T = XX', so it never forms the n x k X'G.
 # Each action frees its masked l x n product (for W, its T-side products)
 # before it scales its sum in place.
@@ -216,12 +216,10 @@ def _hess_U(G, V, Zs, Fs, ctx):
     A *= ctx.J
     H = A @ V.T
     del A
-    H *= 2.0
-    H += 2.0 * ctx.hp.lambda2 * G
+    H += ctx.hp.lambda2 * G
     for Z, F in zip(Zs, Fs):
-        C = (Z @ (Z.T @ (G @ F.T))) @ F
-        C *= 2.0
-        H += C
+        H += (Z @ (Z.T @ (G @ F.T))) @ F
+    H *= 2.0
     return H
 
 
@@ -252,26 +250,23 @@ def _rhs_V(U, W, ctx):
 
 
 def _factor_grams(U, Zs, Fs, ctx):
-    # M_m = (Z_m'U)'(Z_m'U), k x k, one per weight in Fs, and
-    # Mbar = sum_m w3 M_m (0 with no weights); the W step keeps U and Z
-    # fixed, so each W update forms them once
+    # N_m = Mbar + lambda4 M_m, k x k, one per weight in Fs, from the grams
+    # M_m = (Z_m'U)'(Z_m'U) and Mbar = sum_m w3 M_m, each N_m made in its
+    # M_m's array; the W step keeps U and Z fixed, so each W update forms
+    # them once
     Ms = [A.T @ A for A in (Z.T @ U for Z, _ in zip(Zs, Fs))]
-    return Ms, sum(w3 * M for w3, M in zip(_global_weights(ctx), Ms))
+    Mbar = sum(w3 * M for w3, M in zip(_global_weights(ctx), Ms))
+    return [np.add(Mbar, ctx.hp.lambda4 * M, out=M) for M in Ms]
 
 
-def _hess_W(G, grams, ctx):
-    # 2 sum_m T_m'((T_m G)(lambda I + Mbar + lambda4 M_m)) + 2 lambda2 G,
-    # from grams = _factor_grams(U, Zs, Fs, ctx)
+def _hess_W(G, Ns, ctx):
+    # 2 sum_m T_m'((T_m G)(lambda I + N_m)) + 2 lambda2 G, from
+    # Ns = _factor_grams(U, Zs, Fs, ctx)
     hp = ctx.hp
-    Ms, Mbar = grams
     P = ctx.T @ G
     R = hp.lambda_ * P
-    if Ms:
-        R += P @ Mbar
-    for rows, M in zip(ctx.T_rows, Ms):
-        C = P[rows] @ M
-        C *= hp.lambda4
-        R[rows] += C
+    for rows, N in zip(ctx.T_rows, Ns):
+        R[rows] += P[rows] @ N
     del P
     H = ctx.T.T @ R
     del R
@@ -453,8 +448,8 @@ def _sweep(blocks, Fs, ctx):
                  hp.inner_steps, _block_dot)
     steps["U"] = tuple(acc)
 
-    grams = _factor_grams(U, Zs, Fs, ctx)
-    W, acc = _cg(W, lambda G: _hess_W(G, grams, ctx), _rhs_W(V, ctx),
+    Ns = _factor_grams(U, Zs, Fs, ctx)
+    W, acc = _cg(W, lambda G: _hess_W(G, Ns, ctx), _rhs_W(V, ctx),
                  hp.inner_steps, _block_dot)
     steps["W"] = tuple(acc)
     blocks[:] = U, V, W, Zs

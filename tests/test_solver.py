@@ -649,6 +649,25 @@ def test_weight_factors_reproduce_the_dense_weights():
             assert F.shape == (min(hp.k, min(ctx.n, d) + min(idx.size, d)), hp.k)
 
 
+def test_w_hessian_matches_its_dense_formula():
+    # H(G) = 2(lambda XX'G + sum_m (w3 XX'G + lambda4 X_m X_m'G) M_m
+    # + lambda2 G), w3 = lambda3 n_m / n, with M_m = (Z_m'U)'(Z_m'U)
+    # formed here from X and the factors, so the T_m are checked too
+    for trial, case in enumerate(FACTOR_CASES):
+        ctx, model = factor_case(case, 1400 + trial, lambda_=0.7, lambda2=0.05)
+        hp, X, U, Zs = ctx.hp, ctx.X, model.U, model.factors
+        G = np.random.default_rng(trial).standard_normal(model.W.shape)
+        Ns = _factor_grams(U, Zs, _correlation_weights(model.W, ctx), ctx)
+        XXG = X @ X.T @ G
+        want = hp.lambda_ * XXG + hp.lambda2 * G
+        for idx, Z in zip(ctx.groups, Zs):
+            Xm = X[:, idx]
+            M = (Z.T @ U).T @ (Z.T @ U)
+            want += (hp.lambda3 * idx.size / ctx.n * XXG + hp.lambda4 * Xm @ Xm.T @ G) @ M
+        err = block_rel_err(_hess_W(G, Ns, ctx), 2.0 * want)
+        assert err <= 1e-12, (trial, case, err)
+
+
 def test_z_step_is_identity_without_correlation_terms():
     # a sweep handed no correlation weights takes no Z step and leaves each
     # factor as it was, whatever lambda3 and lambda4 the context holds
