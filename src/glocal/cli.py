@@ -27,14 +27,13 @@ import numpy as np
 from .clustering import kmeans, load_partition, save_partition
 from .data import (
     Dataset,
+    LabelMatrix,
     MaskSpec,
     apply_mask,
     load_gml,
-    load_hidden,
     load_matrix,
     make_synthetic,
     save_gml,
-    save_hidden,
     save_matrix,
     split,
 )
@@ -44,14 +43,17 @@ from .solver import fit, grid_search
 from .textio import file_key, write_lines
 
 
-def read_hidden(text):
-    """load_hidden of text held in a string, for bench/run.py (ROADMAP item 1a)."""
-    return load_hidden(io.StringIO(text))
-
-
 def read_matrix(text):
     """load_matrix of text held in a string, for bench/run.py (ROADMAP item 1a)."""
     return load_matrix(io.StringIO(text))
+
+
+def read_hidden(text):
+    """The hidden labels of a matrix held in a string, as 0-based
+    (label, instance, value) int64 rows in row-major order, the order
+    apply_mask returns them in, for bench/run.py (ROADMAP item 1a)."""
+    truth = LabelMatrix(read_matrix(text)).values
+    return np.column_stack((np.argwhere(truth), truth[truth != 0]))
 
 
 def _load_dataset(path, add_bias=False):
@@ -100,10 +102,11 @@ def _cmd_synth(args, stamp):
         args.labels, args.instances, args.features, args.latent_k,
         args.noise, args.seed,
     )
-    masked, hidden = apply_mask(data, MaskSpec(rho=args.rho, seed=args.seed))
+    masked, _ = apply_mask(data, MaskSpec(rho=args.rho, seed=args.seed))
     # one pass over the shared features writes both files
     save_gml({args.out_full: data, args.out_masked: masked}, comments=[stamp])
-    save_hidden(hidden, args.out_hidden, comments=[stamp])
+    # the labels the mask hid, 0 at every other position
+    save_matrix(data.labels.values - masked.labels.values, args.out_hidden, comments=[stamp])
     print(f"synth: wrote {args.out_full}, {args.out_masked}, {args.out_hidden}")
     return 0
 
@@ -112,7 +115,7 @@ def _cmd_mask(args, stamp):
     data = _load_dataset(args.input)
     masked, hidden = apply_mask(data, MaskSpec(rho=args.rho, seed=args.seed))
     save_gml({args.out: masked}, comments=[stamp])
-    save_hidden(hidden, args.hidden_out, comments=[stamp])
+    save_matrix(data.labels.values - masked.labels.values, args.hidden_out, comments=[stamp])
     observed = np.count_nonzero(masked.labels.values)
     print(f"mask: {observed} observed positions kept, {len(hidden)} entries hidden")
     return 0
@@ -187,22 +190,6 @@ def _cmd_predict(args, stamp):
     return 0
 
 
-def _hidden_truth(path, shape):
-    """The label matrix of a sidecar's entries: their values at their
-    positions, 0 elsewhere.  The entries are freed on return, before
-    anything is ranked."""
-    j, i, v = load_hidden(path).T
-    outside = np.flatnonzero((j >= shape[0]) | (i >= shape[1]))
-    if outside.size:
-        e = outside[0]
-        raise ValueError(
-            f"hidden entry ({j[e] + 1}, {i[e] + 1}) outside score matrix {shape}"
-        )
-    truth = np.zeros(shape, dtype=np.int8)
-    truth[j, i] = v
-    return truth
-
-
 def _cmd_eval(args, stamp):
     if (args.truth is None) == (args.hidden is None):
         raise ValueError("pass exactly one of --truth or --hidden")
@@ -210,7 +197,7 @@ def _cmd_eval(args, stamp):
     if args.truth:
         truth = load_gml(args.truth).labels.values
     else:
-        truth = _hidden_truth(args.hidden, S.shape)
+        truth = LabelMatrix(load_matrix(args.hidden)).values
     report = evaluate(S, truth)
     write_lines(args.out, report.to_csv(comments=[stamp]).splitlines())
     print(
@@ -281,7 +268,8 @@ def build_parser():
     p = sub.add_parser("eval", help="ranking metrics for a score matrix")
     p.add_argument("--scores", required=True)
     p.add_argument("--truth", help="GML file with ground-truth labels")
-    p.add_argument("--hidden", help="hidden-entry sidecar as ground truth")
+    p.add_argument("--hidden", help="matrix of the labels a mask hid, as synth"
+                   " --out-hidden and mask --hidden-out write it, as ground truth")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval, inputs=("scores", "truth", "hidden"), outputs=("out",))
 

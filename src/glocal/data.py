@@ -21,10 +21,8 @@ live with their modules):
     because people read them: each row is one line of '%.17g' values,
     which round-trip every float64 bit-exactly, and the reader accepts
     any line layout (model files carry binary rows instead; see
-    glocal.model);
-  * hidden-entry sidecar: "label_idx instance_idx value" lines, 1-based,
-    strictly increasing by label_idx, then instance_idx, as apply_mask
-    returns its entries.
+    glocal.model).  The hidden labels of a mask are one too: the l x n
+    matrix of the labels apply_mask hid, 0 at every other position.
 """
 
 import contextlib
@@ -38,10 +36,9 @@ import numpy as np
 
 from .textio import comment_lines, file_key, line_batches, write_lines
 
-# GML tokens load_gml converts per numpy call, and label entries (save_gml)
-# or sidecar entries (save_hidden) a writer makes per block: short rows
-# are batched across lines.  The matrix and sidecar readers convert a
-# whole textio.line_batches batch per call instead
+# GML tokens load_gml converts per numpy call, and label entries save_gml
+# writes per block: short rows are batched across lines.  The matrix
+# reader converts a whole textio.line_batches batch per call instead
 _BATCH = 4096
 
 
@@ -592,165 +589,6 @@ def load_matrix(path):
         return vals.reshape(rows, cols)
     except ValueError:
         raise ValueError(bad_header) from None
-
-
-def _hidden_lines(block):
-    """The '\n'-joined sidecar lines of a block of checked 0-based entries.
-
-    Each distinct instance_idx of the block is formatted once, as the
-    text of its (instance_idx, -1) and (instance_idx, 1) pairs, and each
-    run of entries with one label_idx is one join after that label's
-    text.  The distinct indices come from a set, not np.unique: its
-    int64 sort would page in numpy code that no other stage before
-    training runs, which adds to the process's peak RSS.
-    """
-    inst = (block[:, 1] + 1).tolist()
-    pairs = {i: ("%d -1" % i, "%d 1" % i) for i in set(inst)}
-    entries = [pairs[i][positive] for i, positive in zip(inst, (block[:, 2] > 0).tolist())]
-    labels = block[:, 0]
-    cut = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(block)]
-    runs = []
-    for s, e in zip(cut, cut[1:]):
-        prefix = "%d " % (labels[s] + 1)
-        runs.append(prefix + ("\n" + prefix).join(entries[s:e]))
-    return "\n".join(runs)
-
-
-def _increasing(j, i):
-    """Whether the (j, i) pairs strictly increase, by j, then i.
-
-    Compared, not differenced, so the temporaries are booleans only.
-    """
-    return bool(((j[1:] > j[:-1]) | ((j[1:] == j[:-1]) & (i[1:] > i[:-1]))).all())
-
-
-def save_hidden(hidden, path, comments=()):
-    """Write hidden entries as 1-based 'label_idx instance_idx value' lines.
-
-    The entries are checked before the file is opened, so every file
-    written loads back (see load_hidden).  The lines are made and written
-    a block of _BATCH entries at a time: a block holds its 1-based
-    instance indices, the text of each distinct one's (instance_idx,
-    value) pairs, formatted once, and its lines.
-
-    Args:
-        hidden: (m, 3) integer array, or rows of three, of 0-based
-            (label_idx, instance_idx, value) entries strictly increasing
-            by label_idx, then instance_idx, as apply_mask returns them;
-            [] is no entries.
-        path: path, or text file object written where it stands.
-        comments: optional strings emitted as leading '#' lines.
-
-    Raises:
-        ValueError: if the entries are not (m, 3), an index is negative
-            or too large to write as a 1-based int64, a value is not -1
-            or +1, or an entry does not follow the one before it.
-    """
-    rows = np.asarray(check_integers("hidden entries", hidden), dtype=np.int64)
-    if rows.shape == (0,):
-        rows = rows.reshape(0, 3)
-    if rows.ndim != 2 or rows.shape[1] != 3:
-        raise ValueError(f"hidden entries must be an (m, 3) array, got shape {rows.shape}")
-    if len(rows):
-        idx, vals = rows[:, :2], rows[:, 2]
-        if idx.min() < 0 or idx.max() >= np.iinfo(np.int64).max:
-            raise ValueError("hidden entry indices must lie in 0..2**63 - 2")
-        if vals.min() < -1 or vals.max() > 1 or np.count_nonzero(vals) < len(vals):
-            raise ValueError("hidden entry values must be -1 or +1")
-        if not _increasing(rows[:, 0], rows[:, 1]):
-            raise ValueError("hidden entries must strictly increase by label_idx, then instance_idx")
-    head = comment_lines(comments)
-    blocks = (rows[start : start + _BATCH] for start in range(0, len(rows), _BATCH))
-    write_lines(path, chain(head, map(_hidden_lines, blocks)))
-
-
-def _hidden_error(lines, line_no, prev):
-    """Raise the error for a batch of sidecar lines the array decode rejected.
-
-    Checks the batch's entries one at a time, by the rules load_hidden
-    applies, from its first line's number line_no and the 1-based key
-    prev of the entry before it (() before the first), and names the
-    line of the first offending one.
-    """
-    for line_no, raw in enumerate(lines, start=line_no):
-        if raw.startswith("#") or raw.strip() == "":
-            continue
-        parts = raw.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {line_no}: expected 'label_idx instance_idx value'")
-        try:
-            j, i, v = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ValueError(f"line {line_no}: expected three integers") from None
-        # the int64 bound: no score matrix has that many rows or columns
-        if not (1 <= j < 2**63 and 1 <= i < 2**63 and v in (-1, 1)):
-            raise ValueError(f"line {line_no}: bad hidden entry {raw!r}")
-        if (j, i) <= prev:
-            fault = "duplicate" if (j, i) == prev else "out-of-order"
-            raise ValueError(f"line {line_no}: {fault} hidden entry {raw!r}")
-        prev = (j, i)
-    raise ValueError("malformed hidden-entry sidecar")
-
-
-def load_hidden(path):
-    """Read a hidden-entry sidecar back to 0-based entries.
-
-    The entries must strictly increase by (label_idx, instance_idx), as
-    save_hidden writes them.  The file is read once, in batches of lines
-    (textio.line_batches), and decoded a batch at a time: its lines are
-    joined and split once and converted with one numpy call; comment and
-    blank lines are filtered out line by line only in a batch that holds
-    a '#' or the wrong token count.  Each batch's entries are
-    range-checked at once, checked to increase from the entry before the
-    batch on, and appended to one buffer, so the entries are held once.
-    A batch that fails a check is read again alone, one line at a time,
-    to name its first bad line.
-
-    Args:
-        path: path, or text file object read from where it stands; an
-            io.StringIO decodes text held in a string.
-
-    Returns:
-        (m, 3) int64 array of (label_idx, instance_idx, value) rows in
-        file order.
-
-    Raises:
-        ValueError: naming the line of the first malformed entry, or of
-            the first one not following the entry before it: a repeat of
-            it is a duplicate, a smaller one out of order.
-    """
-    payload = bytearray()
-    prev = ()  # the 1-based key of the entry before the batch
-    line_no = 1  # of the batch's first line
-    for lines in line_batches(path):
-        first, line_no = line_no, line_no + len(lines)
-        # ';' ends each line; it sits at every fourth token only when
-        # every line holds exactly three tokens
-        joined = " ; ".join(lines)
-        tokens = joined.split()
-        entries = lines
-        # a comment may hold three tokens, so a '#' alone calls for the filter
-        if "#" in joined or len(tokens) != 4 * len(lines) - 1:
-            entries = [ln for ln in lines if not ln.startswith("#") and ln.strip()]
-            if not entries:
-                continue
-            tokens = " ; ".join(entries).split()
-        if len(tokens) != 4 * len(entries) - 1 or tokens[3::4] != [";"] * (len(entries) - 1):
-            _hidden_error(lines, first, prev)
-        del tokens[3::4]
-        try:
-            block = np.array(tokens, dtype=np.int64).reshape(-1, 3)
-        except (ValueError, OverflowError):
-            _hidden_error(lines, first, prev)
-        j, i, v = block.T
-        # in range, and (label_idx, instance_idx) strictly increasing from prev on
-        if not (((j >= 1) & (i >= 1) & (np.abs(v) == 1)).all()
-                and (j[0], i[0]) > prev and _increasing(j, i)):
-            _hidden_error(lines, first, prev)
-        prev = (int(j[-1]), int(i[-1]))
-        block[:, :2] -= 1
-        payload += memoryview(block)
-    return np.frombuffer(payload, dtype=np.int64).reshape(-1, 3)
 
 
 def make_synthetic(l, n, d, k_true, noise, seed):

@@ -9,22 +9,20 @@ requires `glocal.data.load_gml` to accept exactly the inputs this
 accepts, with identical arrays, and to name the same line when it
 rejects one.
 
-`save_gml_reference` and `save_hidden_reference` are the library's
-earlier writers, kept as they were: every label id of every instance
-line, and every int of every sidecar entry, is formatted where it is
-written.  tests/test_codecs.py requires `save_gml` and `save_hidden` to
-write exactly their bytes.
+`save_gml_reference` is the library's earlier GML writer, kept as it
+was: every label id of every instance line is formatted where it is
+written.  tests/test_codecs.py requires `save_gml` to write exactly its
+bytes.
 """
 
 import contextlib
 import math
 import os
-from itertools import chain
 
 import numpy as np
 
-from glocal.data import _BATCH, Dataset, FeatureMatrix, GmlFormatError, LabelMatrix
-from glocal.textio import comment_lines, write_lines
+from glocal.data import Dataset, FeatureMatrix, GmlFormatError, LabelMatrix
+from glocal.textio import comment_lines
 
 
 def _fail(line_no, message):
@@ -155,13 +153,3 @@ def save_gml_reference(files, comments=()):
                 neg = ",".join(map(str, (np.flatnonzero(y == -1) + 1).tolist()))
                 stream.write(f"+:{pos}|-:{neg}|{feats}\n")
 
-
-def save_hidden_reference(hidden, path, comments=()):
-    """Write hidden entries as 1-based 'label_idx instance_idx value'
-    lines, every int of every entry formatted by '%d'."""
-    rows = np.asarray(hidden, dtype=np.int64).reshape(-1, 3) + (1, 1, 0)
-    head = comment_lines(comments)
-    # one string per _BATCH entries: '%' formats a whole block at once
-    blocks = (rows[start : start + _BATCH] for start in range(0, len(rows), _BATCH))
-    write_lines(path, chain(head, (("%d %d %d\n" * len(block))[:-1]
-                                   % tuple(block.ravel().tolist()) for block in blocks)))

@@ -20,12 +20,12 @@ from glocal.cli import main, parse_grid
 from glocal.clustering import kmeans
 from glocal.data import (
     FeatureMatrix,
+    MaskSpec,
+    apply_mask,
     load_gml,
-    load_hidden,
     load_matrix,
     make_synthetic,
     save_gml,
-    save_hidden,
     save_matrix,
 )
 from glocal.metrics import ranking_loss
@@ -84,22 +84,30 @@ def test_make_synthetic_huge_noise_keeps_label_signs():
     assert (huge == 1).any() and (huge == -1).any()
 
 
-def test_hidden_sidecar_round_trip(tmp_path):
-    hidden = [(0, 3, 1), (2, 0, -1)]
-    path = tmp_path / "hidden.txt"
-    save_hidden(hidden, path, comments=["source: toy"])
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "# source: toy"
-    assert lines[1] == "1 4 1"
-    assert np.array_equal(load_hidden(path), hidden)
-    with pytest.raises(ValueError, match="line 1"):
-        load_hidden(io.StringIO("1 2\n"))
-    with pytest.raises(ValueError, match="three integers"):
-        load_hidden(io.StringIO("1 2 x\n"))
-    with pytest.raises(ValueError, match="bad hidden entry"):
-        load_hidden(io.StringIO("1 2 0\n"))
-    with pytest.raises(ValueError, match="^line 2: duplicate hidden entry"):
-        load_hidden(io.StringIO("1 1 1\n1 1 -1\n"))
+def hidden_entries(path):
+    """The nonzero entries of a hidden-label file, 0-based, in row-major order."""
+    truth = load_matrix(path)
+    rows, cols = np.nonzero(truth)
+    return np.column_stack((rows, cols, truth[rows, cols])).astype(np.int64)
+
+
+def test_hidden_labels_file_holds_the_masked_entries(tmp_path, synth_files):
+    # synth's and mask's hidden-label matrices hold, in row-major order,
+    # exactly the entries apply_mask hid, and 0 at every other position
+    full, masked, hidden = synth_files
+    data = make_synthetic(l=6, n=40, d=5, k_true=2, noise=0.0, seed=7)
+    _, want = apply_mask(data, MaskSpec(rho=60, seed=7))
+    assert len(want) and np.array_equal(hidden_entries(hidden), want)
+    assert load_matrix(hidden).shape == (6, 40)
+    # masking a partly observed dataset hides only what it observed
+    out, hid = tmp_path / "re-masked.gml", tmp_path / "re-hidden.txt"
+    assert run("mask", "--input", masked, "--rho", 50, "--seed", 3,
+               "--out", out, "--hidden-out", hid) == 0
+    _, want = apply_mask(load_gml(masked), MaskSpec(rho=50, seed=3))
+    assert len(want) and np.array_equal(hidden_entries(hid), want)
+    lines = hid.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == f"# glocal mask input={masked} rho=50.0 seed=3"
+    assert lines[1] == "6 40"
 
 
 def test_matrix_round_trip(tmp_path):
@@ -140,7 +148,7 @@ def test_synth_outputs_consistent(synth_files):
     full, masked, hidden = synth_files
     full_ds = load_gml(full)
     masked_ds = load_gml(masked)
-    entries = load_hidden(hidden)
+    entries = hidden_entries(hidden)
     assert full_ds.n == masked_ds.n == 40
     total = full_ds.l * full_ds.n
     kept = int(masked_ds.labels.indicator.sum())
@@ -155,17 +163,19 @@ def test_synth_outputs_consistent(synth_files):
 
 
 # blake2b digests (16 bytes) of synth's files with their '#' lines
-# dropped, frozen from the writers that formatted every id of every line
-# where they wrote it: (l, n, d, k, noise, rho, seed) -> full.gml,
-# train.gml, hidden.txt.  The larger shape crosses batch edges of both
-# writers.
+# dropped: (l, n, d, k, noise, rho, seed) -> full.gml, train.gml,
+# hidden.txt.  The GML digests were frozen from the writer that formatted
+# every id of every line where it wrote it, and the larger shape crosses
+# its batch edges; the hidden.txt ones from the 'l n' header and rows of
+# str() of each entry of the full labels less the masked ones, both as
+# the reference GML parser reads them.
 SYNTH_DIGESTS = {
     (3, 9, 2, 1, 0, 50, 1): ("3f90655916fe96319d561e219227e252",
                              "36a539c388ada628abe588fc20fbd494",
-                             "70dc69d0aa68b35eef18b165d54297d9"),
+                             "fd4655df2bd4c26348779711771c3482"),
     (40, 200, 10, 3, 0.3, 30, 7): ("2986be13da9e586cda5078780b230437",
                                    "5a83fbb05a79ab9f1f17693ddad649b0",
-                                   "4224aacbaaeb203e28cd5d7b6558b22e"),
+                                   "a52dc50b1042e487c10f8c63afc9a81c"),
 }
 
 
@@ -283,6 +293,32 @@ def test_documented_walkthrough_runs(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "report.csv").is_file()
 
 
+def test_documented_rise_stops_the_fit(tmp_path, capsys):
+    # README's "Known behaviour": at lambda2 = 0 with huge lambda and
+    # lambda3 a W step can raise the objective.  Which seeds rise moves
+    # with rounding, so README promises only that some of seeds 0-19 rise
+    # and that a fit whose trace rises stops at that sweep, as converged
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    known = text.split("## Known behaviour", 1)[1]
+    gml, part, trace = tmp_path / "rise.gml", tmp_path / "groups.txt", tmp_path / "trace.csv"
+    gml.write_text(known.split("```\n")[1], encoding="utf-8")
+    part.write_text("1 1\n2 2\n3 1\n4 2\n5 1\n", encoding="utf-8")  # 1 2 1 2 1
+    flags = shlex.split(re.search(r"trained with `([^`]*)`", known).group(1))
+    risen = 0
+    for seed in range(20):
+        assert run("train", "--input", gml, "--partition", part, *flags, "--seed", seed,
+                   "--model-out", tmp_path / "m.model", "--trace", trace) == 0
+        converged = "(converged=True)" in capsys.readouterr().out
+        rows = [ln for ln in trace.read_text(encoding="utf-8").splitlines()
+                if not ln.startswith("#")]
+        objs = [float(row.split(",")[1]) for row in rows[1:]]
+        rises = [t for t in range(1, len(objs)) if objs[t] > objs[t - 1]]
+        if rises:
+            risen += 1
+            assert rises == [len(objs) - 1] and converged, (seed, objs)
+    assert risen > 0
+
+
 def test_eval_requires_exactly_one_truth_source(tmp_path, synth_files, capsys):
     full, _, hidden = synth_files
     scores = tmp_path / "s.txt"
@@ -295,13 +331,20 @@ def test_eval_requires_exactly_one_truth_source(tmp_path, synth_files, capsys):
     assert "exactly one of --truth or --hidden" in err
 
 
-def test_eval_refuses_a_hidden_entry_outside_the_score_matrix(tmp_path, capsys):
+@pytest.mark.parametrize("text, error", [
+    # one instance more than the scores
+    ("2 4\n0 1 0 0\n0 0 0 -1\n", "scores (2, 3) and truth (2, 4) must be equal 2-D shapes"),
+    ("2 3\n0 2 0\n0 0 -1\n", "label entries must be -1, 0 or +1"),
+    ("2 3\n0 0.5 0\n0 0 -1\n", "label entries must be -1, 0 or +1"),
+    # the earlier sidecar format: "1 2" reads as the header
+    ("# glocal synth\n1 2 1\n2 3 -1\n", "expected 2 values, found 4"),
+], ids=["shape", "two", "half", "sidecar"])
+def test_eval_refuses_a_hidden_matrix_it_cannot_score(tmp_path, capsys, text, error):
     scores, hidden, out = tmp_path / "s.txt", tmp_path / "h.txt", tmp_path / "r.csv"
     save_matrix(np.zeros((2, 3)), scores)
-    save_hidden([(0, 1, 1), (1, 3, -1)], hidden)  # instance 4 of 3
+    hidden.write_text(text, encoding="utf-8")
     assert run("eval", "--scores", scores, "--hidden", hidden, "--out", out) == 1
-    assert capsys.readouterr().err == (
-        "error: hidden entry (2, 4) outside score matrix (2, 3)\n")
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
 
 

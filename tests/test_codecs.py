@@ -1,7 +1,7 @@
 """Property and format-freeze tests of the text codecs.
 
 The array decoders must accept exactly what the per-token reference
-accepts, the partition, matrix and sidecar readers may reject input
+accepts, the partition, matrix and hidden-label readers may reject input
 only with ValueError and the model reader only with ModelFormatError,
 every save/load pair must round-trip bit-exactly, and the bytes each
 writer produces are frozen against literal strings and equal to those
@@ -22,22 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gml_reference import parse_gml_reference, save_gml_reference, save_hidden_reference
+from gml_reference import parse_gml_reference, save_gml_reference
 from glocal import textio
 from glocal.clustering import Partition, load_partition, save_partition
 from glocal.cli import read_hidden, read_matrix
 from glocal.data import (
-    _BATCH,
     Dataset,
     FeatureMatrix,
     GmlFormatError,
     LabelMatrix,
     load_gml,
-    load_hidden,
     load_matrix,
     parse_gml,
     save_gml,
-    save_hidden,
     save_matrix,
 )
 from glocal.metrics import EvaluationReport
@@ -196,7 +193,7 @@ def test_read_partition_rejects_only_with_value_error(case):
     assert part.n == n and part.sizes.sum() == n and (part.sizes >= 1).all()
 
 
-# ---- (a'') fuzzed matrix, sidecar and model files -------------------------
+# ---- (a'') fuzzed matrix, hidden-label and model files --------------------
 
 # edits of well-formed files: numbers numpy or int() reads differently,
 # sizes no array can have, and block names in the wrong place
@@ -217,16 +214,11 @@ def matrix_text(draw):
 
 @st.composite
 def hidden_text(draw):
-    positions = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=6))
-    values = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(positions),
-                           max_size=len(positions)))
-    hidden = np.array([(j, i, v) for (j, i), v in zip(positions, values)],
-                      dtype=np.int64).reshape(-1, 3)
+    # as synth and mask write them: the labels a mask hid, 0 elsewhere
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    hidden = draw(arrays(np.int8, (rows, cols), elements=st.sampled_from([-1, 0, 1])))
     comments = draw(st.sampled_from([[], ["h"]]))
-    # the reference writes entries in any order, so the reader also meets
-    # repeats and entries out of order
-    return mangle(draw, saved(save_hidden_reference, hidden, comments=comments),
-                  READER_SNIPPETS)
+    return mangle(draw, saved(save_matrix, hidden, comments=comments), READER_SNIPPETS)
 
 
 @st.composite
@@ -256,12 +248,13 @@ def test_read_matrix_rejects_only_with_value_error(text):
 @FUZZ
 @given(hidden_text())
 def test_read_hidden_rejects_only_with_value_error(text):
+    # eval --hidden's read: a matrix file held to the label gate
     try:
-        hidden = load_hidden(io.StringIO(text))
+        truth = LabelMatrix(load_matrix(io.StringIO(text))).values
     except ValueError:
         return
-    assert hidden.dtype == np.int64 and hidden.shape[1] == 3
-    assert (hidden[:, :2] >= 0).all() and (np.abs(hidden[:, 2]) == 1).all()
+    assert truth.dtype == np.int8 and truth.ndim == 2
+    assert np.isin(truth, (-1, 0, 1)).all()
 
 
 @FUZZ
@@ -346,18 +339,6 @@ def test_gml_round_trip_is_bit_exact(tmp_path_factory, data):
 def test_matrix_round_trip_is_bit_exact(data):
     A = data.draw(float_block(data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))))
     assert same_bits(load_matrix(io.StringIO(saved(save_matrix, A, comments=["x"]))), A)
-
-
-@ROUND_TRIP
-@given(st.sets(st.tuples(st.integers(0, 10**12), st.integers(0, 30)), max_size=12),
-       st.randoms(use_true_random=False))
-def test_hidden_round_trip_is_exact(positions, rnd):
-    hidden = np.array(
-        [(j, i, rnd.choice((-1, 1))) for j, i in sorted(positions)],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    text = saved(save_hidden, hidden, comments=["h"])
-    assert same_bits(load_hidden(io.StringIO(text)), hidden)
 
 
 @ROUND_TRIP
@@ -481,102 +462,12 @@ def test_gml_repeat_in_the_last_line_of_many_batches():
     assert str(got_err.value) == f"line {n + 1}: duplicate feature index 17"
 
 
-def test_sidecar_comments_and_blanks_mid_file_and_across_a_batch_edge(monkeypatch):
-    rng = np.random.default_rng(8)
-    m = 9000
-    hidden = np.column_stack((np.arange(m) // 50, np.arange(m) % 50,
-                              rng.choice([-1, 1], size=m)))
-    lines = saved(save_hidden, hidden, comments=["source: toy"]).splitlines()
-    # a 3-token comment, blank and whitespace-only lines mid-file and as
-    # the last lines
-    for at, extra in ((8000, "# a b"), (100, ""), (99, "# c d")):
-        lines.insert(at, extra)
-    # and a run of them across a batch edge: the first chunk ends after the
-    # run's second line, so the first batch ends with the run's first two
-    # lines and the second begins with the other two
-    run, at = ["# source: toy", " \t", "", "# a b c"], 500
-    lines[at:at] = run
-    text = "\n".join(lines + ["", "# end"]) + "\n"
-    monkeypatch.setattr(textio, "_CHUNK", len("\n".join(lines[: at + 2])) + 1)
-    batches = list(textio.line_batches(io.StringIO(text)))
-    assert batches[0][-2:] == run[:2] and batches[1][:2] == run[2:]
-    assert same_bits(load_hidden(io.StringIO(text)), hidden.astype(np.int64))
-
-
-def test_sidecar_unsorted_entries_and_repeats():
-    # entries must strictly increase by label_idx, then instance_idx: the
-    # first one that does not is named, a repeat as a duplicate
-    entries = [(1, 1, 1), (1, 2, -1), (2, 2, 1), (3, 1, 1)]
-    text = "# h\n" + "".join(f"{j} {i} {v}\n" for j, i, v in entries)
-    assert same_bits(load_hidden(io.StringIO(text)),
-                     np.array(entries, dtype=np.int64) - (1, 1, 0))
-    with pytest.raises(ValueError, match=r"^line 6: out-of-order hidden entry '2 2 -1'$"):
-        load_hidden(io.StringIO(text + "2 2 -1\n"))
-    with pytest.raises(ValueError, match=r"^line 6: duplicate hidden entry '3 1 -1'$"):
-        load_hidden(io.StringIO(text + "3 1 -1\n"))
-    with pytest.raises(ValueError, match=r"^line 2: out-of-order hidden entry '1 2 -1'$"):
-        load_hidden(io.StringIO("3 1 1\n1 2 -1\n"))
-    # a smaller instance_idx under the same label_idx is out of order too
-    with pytest.raises(ValueError, match=r"^line 3: out-of-order hidden entry '1 1 1'$"):
-        load_hidden(io.StringIO("1 1 1\n1 2 -1\n1 1 1\n"))
-
-
-@pytest.mark.parametrize("split", [True, False], ids=["edge-in-the-run", "one-batch"])
-@pytest.mark.parametrize("fault", ["duplicate", "out-of-order"])
-def test_sidecar_fault_past_a_batch_edge_names_its_line(monkeypatch, split, fault):
-    # a comment and a blank line lie between the entry before the bad one
-    # and the bad one.  Split, the first chunk ends between them, so the
-    # bad entry is checked against the one that ended the batch before;
-    # in one batch of lines the same line is named
-    lines = ["# h", ""] + [f"{j} {i} 1" for j in range(1, 101) for i in range(1, 51)]
-    lines[500:502] = ["# c d e", " \t"]
-    bad = lines[499] if fault == "duplicate" else "1 1 -1"
-    lines.insert(502, bad)
-    text = "\n".join(lines) + "\n"
-    monkeypatch.setattr(textio, "_CHUNK", len("\n".join(lines[:501])) + 1 if split else 1 << 20)
-    if split:
-        batches = list(textio.line_batches(io.StringIO(text)))
-        assert batches[0][-2:] == [lines[499], "# c d e"] and batches[1][:2] == [" \t", bad]
-    with pytest.raises(ValueError, match=rf"^line 503: {fault} hidden entry '{bad}'$"):
-        load_hidden(io.StringIO(text))
-
-
 def _in_one_batch(read, text):
     """_outcome of read(text) with a chunk of 1 MiB, so a text shorter
     than that is one batch of lines."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(textio, "_CHUNK", 1 << 20)
         return _outcome(read, text)
-
-
-@pytest.mark.parametrize("gap", [0, 1000], ids=["entries", "blank-and-comment-runs"])
-def test_a_sidecar_in_one_batch_reads_as_in_default_batches(gap):
-    # one batch of far more than _BATCH entries is converted in one call;
-    # with a gap, runs of 3 * gap blank, whitespace-only and 3-token
-    # comment lines sit between entries
-    def read(text):
-        return load_hidden(io.StringIO(text))
-
-    m = 3 * _BATCH
-    hidden = np.column_stack((np.arange(m) // 50, np.arange(m) % 50,
-                              np.random.default_rng(9).choice([-1, 1], size=m)))
-    lines = saved(save_hidden, hidden, comments=["h"]).splitlines()
-    for at in (m, m // 2, 10):
-        lines[at:at] = ["", "# a b", " \t"] * gap
-    text = "\n".join(lines) + "\n"
-    assert len(text) < 1 << 20
-    want = _outcome(read, text)
-    assert want == [(np.dtype(np.int64), (m, 3), hidden.astype(np.int64).tobytes())]
-    assert _in_one_batch(read, text) == want
-    # a bad line just after the middle run, which the run at 10 moved on,
-    # gets the same message
-    at = m // 2 + 6 * gap + 1
-    for bad, error in (("1 2 x", "expected three integers"),
-                       ("1 1 1", "out-of-order hidden entry '1 1 1'")):
-        text = "\n".join([*lines[:at], bad, *lines[at:]]) + "\n"
-        want = _outcome(read, text)
-        assert want == (ValueError, f"line {at + 1}: {error}")
-        assert _in_one_batch(read, text) == want
 
 
 def test_a_one_line_matrix_reads_as_the_same_values_in_rows():
@@ -606,13 +497,9 @@ def test_writers_output_is_frozen(tmp_path):
         b"# scores\n2 3\n0.33333333333333331 -0 1.0000000000000001e-17\n"
         b"4.9406564584124654e-324 -2.5000000000000001e+300 2\n"
     )
-    hidden = [(0, 3, 1), (2, 0, -1), (12, 7, 1)]
-    save_hidden(hidden, path, comments=["toy"])
-    assert path.read_bytes() == b"# toy\n1 4 1\n3 1 -1\n13 8 1\n"
-    save_hidden(np.array(hidden), path)
-    assert path.read_bytes() == b"1 4 1\n3 1 -1\n13 8 1\n"
-    save_hidden([], path)
-    assert path.read_bytes() == b""  # no entries, no lines
+    # hidden labels, as synth and mask write them
+    save_matrix(np.array([[0, 1, 0], [-1, 0, 1]], dtype=np.int8), path, comments=["toy"])
+    assert path.read_bytes() == b"# toy\n2 3\n0 1 0\n-1 0 1\n"
     part = Partition(2, [1, 2, 1])
     save_partition(part, path, comments=["groups"])
     assert path.read_bytes() == b"# groups\n1 1\n2 2\n3 1\n"
@@ -675,38 +562,6 @@ def test_save_gml_writes_the_per_instance_bytes(tmp_path_factory, case, batch):
         assert (root / f"{name}.gml").read_bytes() == (root / f"want_{name}.gml").read_bytes()
 
 
-@st.composite
-def sidecars(draw):
-    """Hidden entries in runs of one label index, strictly increasing or
-    not, with indices up to 2**62 and repeated (instance_idx, value)
-    pairs."""
-    index = st.one_of(st.integers(0, 3), st.integers(0, 2**62))
-    runs = draw(st.lists(st.tuples(index, st.integers(1, 9)), max_size=5))
-    entries = [(j, draw(index), draw(st.sampled_from([-1, 1])))
-               for j, size in runs for _ in range(size)]
-    if draw(st.booleans()):
-        # as apply_mask returns them: each position once, by label, then instance
-        entries = [(j, i, v) for (j, i), v in sorted({(j, i): v for j, i, v in entries}.items())]
-    elif draw(st.booleans()):
-        entries = draw(st.permutations(entries))
-    return np.array(entries, dtype=np.int64).reshape(-1, 3)
-
-
-@WRITE
-@given(sidecars(), st.integers(1, 7))
-def test_save_hidden_writes_the_per_entry_bytes(hidden, batch):
-    want = saved(save_hidden_reference, hidden, comments=["h"])
-    keys = hidden[:, :2].tolist()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("glocal.data._BATCH", batch)
-        if not all(a < b for a, b in zip(keys, keys[1:])):
-            with pytest.raises(ValueError, match="^hidden entries must strictly increase"):
-                saved(save_hidden, hidden)
-            return
-        assert saved(save_hidden, hidden, comments=["h"]) == want
-        assert saved(save_hidden, hidden.tolist()) == saved(save_hidden_reference, hidden)
-
-
 # ---- (e) comment stamps ---------------------------------------------------
 
 _FEATURES = FeatureMatrix(np.zeros((1, 3)))
@@ -718,7 +573,6 @@ _MODEL = GlocalModel(U=np.ones((2, 1)), V=np.ones((1, 3)), W=np.ones((1, 1)),
 WRITERS = {
     "save_gml": lambda c, tmp: gml_saved(
         tmp, Dataset(FeatureMatrix([[0.5, 0.0]]), LabelMatrix([[1, 0], [-1, 1]])), comments=c),
-    "save_hidden": lambda c, tmp: saved(save_hidden, [(0, 1, 1)], comments=c),
     "save_matrix": lambda c, tmp: saved(save_matrix, np.eye(2), comments=c),
     "save_partition": lambda c, tmp: saved(save_partition, _PART, comments=c),
     "FitTrace.to_csv": lambda c, tmp: FitTrace(
@@ -829,10 +683,6 @@ def test_line_batches_read_a_long_line_in_few_reads(monkeypatch):
 
 
 _DATA = Dataset(FeatureMatrix([[0.5, 0.0, 1 / 3]]), LabelMatrix([[1, 0, -1], [-1, 1, 0]]))
-# 9000 entries: three save_hidden blocks of _BATCH entries, read back in
-# five line_batches batches at the default _CHUNK
-_HIDDEN = np.column_stack((np.arange(9000) // 50, np.arange(9000) % 50,
-                           np.resize([1, -1, -1], 9000)))
 _MATRIX = np.eye(3) / 3
 
 
@@ -853,8 +703,6 @@ def _same_model(back, model):
 STREAMED = {
     "save_gml": (lambda c, p: save_gml({p: _DATA}, comments=c),
                  lambda p: _same_data(load_gml(p), _DATA)),
-    "save_hidden": (lambda c, p: save_hidden(_HIDDEN, p, comments=c),
-                    lambda p: same_bits(load_hidden(p), _HIDDEN)),
     "save_matrix": (lambda c, p: save_matrix(_MATRIX, p, comments=c),
                     lambda p: same_bits(load_matrix(p), _MATRIX)),
     "save_partition": (lambda c, p: save_partition(_PART, p, comments=c),
@@ -877,43 +725,6 @@ def test_streamed_files_hold_the_writers_text(tmp_path, name):
     assert reads_back(path)
 
 
-def test_load_hidden_reads_a_text_stream_once(tmp_path):
-    path = tmp_path / "hidden.txt"
-    save_hidden(_HIDDEN, path, comments=["toy"])
-    assert same_bits(load_hidden(io.StringIO("1 1 1\n2 1 -1\n")),
-                     np.array([[0, 0, 1], [1, 0, -1]]))
-    assert same_bits(load_hidden(io.StringIO(path.read_text(encoding="utf-8"))), _HIDDEN)
-    with open(path, encoding="utf-8") as stream:
-        assert same_bits(load_hidden(stream), _HIDDEN)
-    # the error path names the line from its chunk: no line is held for it
-    with pytest.raises(ValueError, match=r"^line 3: duplicate hidden entry '2 1 -1'$"):
-        load_hidden(io.StringIO("1 1 1\n2 1 -1\n2 1 -1\n"))
-    with pytest.raises(ValueError, match=r"^line 3: out-of-order hidden entry '1 1 1'$"):
-        load_hidden(io.StringIO("1 1 1\n2 1 -1\n1 1 1\n"))
-
-
-def test_load_hidden_reads_a_path_once(tmp_path, monkeypatch):
-    reads = []
-
-    def spy(source):
-        reads.append(source)
-        return textio.line_batches(source)
-
-    monkeypatch.setattr("glocal.data.line_batches", spy)
-    path = tmp_path / "hidden.txt"
-    save_hidden(_HIDDEN, path, comments=["toy"])
-    assert same_bits(load_hidden(path), _HIDDEN)
-    assert reads == [path]
-    # the error path names the bad line without reading the file again
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines[5000] = "1 2 x"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    reads.clear()
-    with pytest.raises(ValueError, match="^line 5001: expected three integers$"):
-        load_hidden(path)
-    assert reads == [path]
-
-
 def test_file_key_is_one_key_per_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     root = tmp_path.resolve()
@@ -932,9 +743,17 @@ def test_file_key_is_one_key_per_file(tmp_path, monkeypatch):
     assert key("sub") == root / "sub" and key("") == root
 
 
+def _hidden_rows(stream):
+    """The nonzero entries of a hidden-label matrix as 0-based (label,
+    instance, value) rows, one numpy index at a time, in row-major order."""
+    truth = LabelMatrix(load_matrix(stream)).values
+    return np.array([(j, i, v) for (j, i), v in np.ndenumerate(truth) if v],
+                    dtype=np.int64).reshape(-1, 3)
+
+
 # the string readers kept for the benchmark, each with its format's reader
 SHIMS = {"gml": (parse_gml, load_gml), "matrix": (read_matrix, load_matrix),
-         "hidden": (read_hidden, load_hidden)}
+         "hidden": (read_hidden, _hidden_rows)}
 
 
 def _outcome(read, text):
@@ -959,13 +778,14 @@ SHIM_CASES = [
     ("matrix", "x 2\n1 2\n", "^bad matrix header 'x 2'"),
     ("matrix", "1 2\n1 abc\n", "abc"),
     ("matrix", "2 2\n1 2 3\n", "^expected 4 values, found 3$"),
-    ("hidden", "# h\n1 1 1\n\n# c d e\n2 3 -1\n", None),
-    ("hidden", "1 1 1\r\n2 1 -1\r\n", None),
-    ("hidden", "3 1 1\n1 2 -1\n", "^line 2: out-of-order hidden entry '1 2 -1'$"),
-    ("hidden", "1 2\n", "^line 1: expected 'label_idx instance_idx value'$"),
-    ("hidden", "1 1 1\n1 2 x\n", "^line 2: expected three integers$"),
-    ("hidden", "1 1 1\n1 1 -1\n", "^line 2: duplicate hidden entry '1 1 -1'$"),
-    ("hidden", "3 1 1\n\n1 2 -1\n3 1 -1\n", "^line 3: out-of-order hidden entry '1 2 -1'$"),
+    ("hidden", "# h\n2 3\n0 1 0\n\n# c d e\n-1 0 -1\n", None),
+    ("hidden", "2 2\r\n1 0\r\n0 -1\r\n", None),
+    ("hidden", "2 2\n0 0\n0 0\n", None),
+    ("hidden", "2 2\n1 2\n0 -1\n", "^label entries must be -1, 0 or \\+1$"),
+    ("hidden", "2 2\n1 0.5\n0 -1\n", "^label entries must be -1, 0 or \\+1$"),
+    ("hidden", "1 2\n1 -1\n", "^label matrix needs at least 2 labels$"),
+    # the earlier sidecar format
+    ("hidden", "1 1 1\n2 1 -1\n", "^expected 1 values, found 4$"),
     # appended, so the cases above keep their ids
     ("gml", "", "^line 1: missing header$"),
     ("gml", "# only a comment\n# and another\n", "^line 1: missing header$"),
@@ -991,21 +811,6 @@ class Unprintable:
 
 @pytest.mark.parametrize("save, comments, error", [
     *((save, [Unprintable()], ValueError) for save, _ in STREAMED.values()),
-    (lambda c, p: save_hidden(np.zeros((2, 2)), p, comments=c), [], ValueError),
-    # 12 values are four rows of three, but not an (m, 3) array
-    (lambda c, p: save_hidden(np.arange(12).reshape(2, 6), p, comments=c), [], ValueError),
-    (lambda c, p: save_hidden([0, 1, 1], p, comments=c), [], ValueError),
-    (lambda c, p: save_hidden([(0, 1, 1), (2, -1, 1)], p, comments=c), [], ValueError),
-    (lambda c, p: save_hidden([(-1, 0, 1)], p, comments=c), [], ValueError),
-    # its 1-based index would overflow int64
-    (lambda c, p: save_hidden([(2**63 - 1, 0, 1)], p, comments=c), [], ValueError),
-    (lambda c, p: save_hidden([(0, 1, 1), (1, 1, 0)], p, comments=c), [], ValueError),
-    (lambda c, p: save_hidden([(0, 1, 2)], p, comments=c), [], ValueError),
-    # the entries given are checked, not their int64 cast: 0.5 is not label 0
-    (lambda c, p: save_hidden([(0.5, 1, 1)], p, comments=c), [], ValueError),
-    # entries must strictly increase by label_idx, then instance_idx
-    (lambda c, p: save_hidden([(1, 0, 1), (0, 5, 1)], p, comments=c), [], ValueError),
-    (lambda c, p: save_hidden([(0, 1, 1), (0, 1, -1)], p, comments=c), [], ValueError),
     (lambda c, p: save_matrix(np.zeros(3), p, comments=c), [], ValueError),
     (lambda c, p: save_matrix(np.zeros((2, 2, 2)), p, comments=c), [], ValueError),
     # a matrix holds real numbers: none of these is written as a cast of it
@@ -1014,12 +819,8 @@ class Unprintable:
     (lambda c, p: save_matrix(np.array([[True, False]]), p, comments=c), [], ValueError),
     (lambda c, p: save_matrix(np.array([[1, 2]], dtype=object), p, comments=c), [],
      ValueError),
-], ids=[*(f"{name}-comment" for name in STREAMED), "save_hidden-shape",
-        "save_hidden-2x6", "save_hidden-1d", "save_hidden-negative-instance",
-        "save_hidden-negative-label", "save_hidden-int64-max", "save_hidden-value-0",
-        "save_hidden-value-2", "save_hidden-fraction", "save_hidden-decrease",
-        "save_hidden-repeat", "save_matrix-1d", "save_matrix-3d", "save_matrix-complex",
-        "save_matrix-text", "save_matrix-bool", "save_matrix-object"])
+], ids=[*(f"{name}-comment" for name in STREAMED), "save_matrix-1d", "save_matrix-3d",
+        "save_matrix-complex", "save_matrix-text", "save_matrix-bool", "save_matrix-object"])
 def test_writer_input_errors_leave_an_existing_file_untouched(tmp_path, save, comments, error):
     path = tmp_path / "out.txt"
     path.write_bytes(b"keep\n")

@@ -6,27 +6,24 @@ size of the file itself: a codec that held the file's text, or a list
 of its lines, would exceed it.  A stage's peak must stay a small
 multiple of the data it works on, not of a fixed-size scratch block.
 The shapes are the benchmark's: the corel-pipeline training file and
-sidecar, and the large-k model.
+hidden labels, and the large-k model.
 """
 
-import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from glocal import cli, textio
+from glocal import cli
 from glocal.clustering import kmeans
 from glocal.data import (
     FeatureMatrix,
     LabelMatrix,
     MaskSpec,
     apply_mask,
-    load_hidden,
     load_matrix,
     make_synthetic,
     save_gml,
-    save_hidden,
     save_matrix,
     take_instances,
 )
@@ -57,25 +54,18 @@ def corel_data():
 
 @pytest.fixture(scope="module")
 def corel_files(tmp_path_factory, corel_data):
-    data, masked, hidden = corel_data
+    data, masked, _ = corel_data
     root = tmp_path_factory.mktemp("corel")
     files = {root / "full.gml": data, root / "train.gml": masked}
     # as synth writes them: both files in one pass over the shared features
     held = peak_beyond(lambda _: 0, lambda: save_gml(files, comments=["corel-pipeline"]))
-    save_hidden(hidden, root / "hidden.txt", comments=["corel-pipeline"])
+    save_matrix(data.labels.values - masked.labels.values, root / "hidden.txt",
+                comments=["corel-pipeline"])
     return root / "train.gml", root / "hidden.txt", held
 
 
 def test_saving_gml_files_holds_no_file_text(corel_files):
     path, _, held = corel_files
-    assert held < path.stat().st_size
-
-
-def test_saving_a_sidecar_holds_no_file_text(corel_data, tmp_path):
-    # one block of entries at a time: no 1-based copy of the whole array
-    hidden = corel_data[2]
-    path = tmp_path / "hidden.txt"
-    held = peak_beyond(lambda _: 0, lambda: save_hidden(hidden, path, comments=["c"]))
     assert held < path.stat().st_size
 
 
@@ -104,42 +94,6 @@ def test_loading_with_the_bias_row_holds_the_features_once_more(
     assert held < 1.5 * features_bytes
 
 
-def test_reading_a_sidecar_holds_no_file_text(corel_files):
-    path = corel_files[1]
-    held = peak_beyond(lambda hidden: hidden.nbytes, lambda: load_hidden(path))
-    assert held < path.stat().st_size
-
-
-def test_reading_a_sidecar_stream_holds_no_file_text(corel_files):
-    # the stream holds the text before tracing starts
-    path = corel_files[1]
-    stream = io.StringIO(path.read_text(encoding="utf-8"))
-    held = peak_beyond(lambda hidden: hidden.nbytes, lambda: load_hidden(stream))
-    assert held < path.stat().st_size
-
-
-def test_naming_a_bad_line_across_a_batch_edge_holds_no_file_text(
-        corel_data, corel_files, tmp_path, monkeypatch):
-    # a comment pads the file so that a chunk edge falls inside the bad last
-    # line, which ends the last batch alone.  The entries before it are
-    # decoded, then that batch is checked line by line to name it
-    chunk = 1 << 12
-    monkeypatch.setattr(textio, "_CHUNK", chunk)
-    text = corel_files[1].read_text(encoding="utf-8")
-    pad = "#" + " " * (-(len(text) + 4) % chunk)  # the bad line starts 2 before an edge
-    path = tmp_path / "hidden.txt"
-    path.write_text(text + pad + "\n1 1 1\n", encoding="utf-8")
-    assert list(textio.line_batches(path))[-1] == ["1 1 1"]
-    bad_line = len(text.splitlines()) + 2
-
-    def load():
-        with pytest.raises(ValueError, match=f"^line {bad_line}: out-of-order hidden entry"):
-            load_hidden(path)
-
-    held = peak_beyond(lambda _: corel_data[2].nbytes, load)
-    assert held < path.stat().st_size
-
-
 def test_kmeans_peak_tracks_the_features(corel_files):
     # a copy of the points and one capped difference buffer, whatever g is
     X = cli._load_dataset(corel_files[0]).features
@@ -148,10 +102,11 @@ def test_kmeans_peak_tracks_the_features(corel_files):
 
 
 def test_eval_peak_tracks_the_scores(corel_files, tmp_path):
-    # the sidecar's entries are freed once the truth matrix is built,
-    # before anything is ranked, and the ranking keeps one int64 rank
-    # array: 3.98 x S measured, against 4.54 x S with 1-based ranks and
-    # their copies
+    # the hidden labels are read as a matrix and cast to int8 (2.6 x S
+    # with the scores held) before anything is ranked, so the ranking sets
+    # the peak, and it keeps one int64 rank array: 3.60 x S measured,
+    # against 3.98 x S when a sidecar's entries were read and 4.54 x S with
+    # 1-based ranks and their copies
     _, hidden, _ = corel_files
     S = np.random.default_rng(1).standard_normal((374, 400))
     scores = tmp_path / "scores.txt"
@@ -160,7 +115,7 @@ def test_eval_peak_tracks_the_scores(corel_files, tmp_path):
             "--out", str(tmp_path / "report.csv")]
     assert cli.main(argv) == 0  # warm up: imports and first-call caches
     held = peak_beyond(lambda _: 0, lambda: cli.main(argv))
-    assert held <= 4.25 * S.nbytes
+    assert held <= 3.85 * S.nbytes
 
 
 def test_loading_a_matrix_holds_it_once(tmp_path):
