@@ -25,7 +25,6 @@ from .data import (
     FeatureMatrix,
     GmlFormatError,
     LabelMatrix,
-    MaskSpec,
     apply_mask,
     load_gml,
     save_gml,
@@ -66,7 +65,7 @@ __all__ = [
     "Partition", "kmeans", "load_partition", "save_partition",
     "combine_correlations", "cosine_correlation", "init_factor",
     "laplacian_of", "project_unit_rows",
-    "Dataset", "FeatureMatrix", "GmlFormatError", "LabelMatrix", "MaskSpec",
+    "Dataset", "FeatureMatrix", "GmlFormatError", "LabelMatrix",
     "apply_mask", "load_gml", "save_gml", "split", "take_instances",
     "EvaluationReport", "UndefinedMetricError", "average_auc",
     "average_precision", "coverage", "evaluate", "ranking_loss",

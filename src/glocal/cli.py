@@ -28,7 +28,6 @@ from .clustering import kmeans, load_partition, save_partition
 from .data import (
     Dataset,
     LabelMatrix,
-    MaskSpec,
     apply_mask,
     load_gml,
     load_matrix,
@@ -50,8 +49,8 @@ def read_matrix(text):
 
 def read_hidden(text):
     """The hidden labels of a matrix held in a string, as 0-based
-    (label, instance, value) int64 rows in row-major order, the order
-    apply_mask returns them in, for bench/run.py (ROADMAP item 1a)."""
+    (label, instance, value) int64 rows in row-major order, for
+    bench/run.py (ROADMAP item 1a)."""
     truth = LabelMatrix(read_matrix(text)).values
     return np.column_stack((np.argwhere(truth), truth[truth != 0]))
 
@@ -102,7 +101,7 @@ def _cmd_synth(args, stamp):
         args.labels, args.instances, args.features, args.latent_k,
         args.noise, args.seed,
     )
-    masked, _ = apply_mask(data, MaskSpec(rho=args.rho, seed=args.seed))
+    masked = apply_mask(data, args.rho, args.seed)
     # one pass over the shared features writes both files
     save_gml({args.out_full: data, args.out_masked: masked}, comments=[stamp])
     # the labels the mask hid, 0 at every other position
@@ -113,11 +112,12 @@ def _cmd_synth(args, stamp):
 
 def _cmd_mask(args, stamp):
     data = _load_dataset(args.input)
-    masked, hidden = apply_mask(data, MaskSpec(rho=args.rho, seed=args.seed))
+    masked = apply_mask(data, args.rho, args.seed)
     save_gml({args.out: masked}, comments=[stamp])
-    save_matrix(data.labels.values - masked.labels.values, args.hidden_out, comments=[stamp])
+    hidden = data.labels.values - masked.labels.values
+    save_matrix(hidden, args.hidden_out, comments=[stamp])
     observed = np.count_nonzero(masked.labels.values)
-    print(f"mask: {observed} observed positions kept, {len(hidden)} entries hidden")
+    print(f"mask: {observed} observed positions kept, {np.count_nonzero(hidden)} entries hidden")
     return 0
 
 

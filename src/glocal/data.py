@@ -18,9 +18,10 @@ live with their modules):
     "+:<csv>|-:<csv>|<idx:value pairs>" line per instance (load_gml);
   * scores/labels files: comments, a "l n" header line, then l rows of
     n whitespace-separated values.  They are decimal text, like GML,
-    because people read them: each row is one line of '%.17g' values,
-    which round-trip every float64 bit-exactly, and the reader accepts
-    any line layout (model files carry binary rows instead; see
+    because people read them: each row is one line of values, '%d' for
+    an integer matrix and '%.17g', which round-trips every float64
+    bit-exactly, for a float one, and the reader accepts any line
+    layout (model files carry binary rows instead; see
     glocal.model).  The hidden labels of a mask are one too: the l x n
     matrix of the labels apply_mask hid, 0 at every other position.
 """
@@ -226,18 +227,6 @@ class Dataset:
     @property
     def l(self):
         return self.labels.l
-
-
-@dataclass(frozen=True)
-class MaskSpec:
-    """Masking request: keep rho percent of label positions observed."""
-
-    rho: float
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", check_real("rho", self.rho, 0, 100))
-        check_integer("seed", self.seed, 0)
 
 
 def _fail(line_no, message):
@@ -520,10 +509,11 @@ def save_gml(files, comments=()):
 def save_matrix(A, path, comments=()):
     """Write a 2-D matrix with a 'rows cols' header, one row per line.
 
-    Each value is printed with '%.17g', so the file reads back bit-exactly.
-    The rows are formatted as they are written; the row format is fixed
-    at the call, so a block that is not 2-D is refused before the file
-    is opened.
+    Each value of an integer matrix is printed with '%d' and each of a
+    float one with '%.17g', so the file holds every value exactly and a
+    float64 matrix reads back bit-exactly.  The rows are formatted as
+    they are written; the row format is fixed at the call, so a block
+    that is not 2-D is refused before the file is opened.
 
     Args:
         A: 2-D array of an integer or a float dtype.
@@ -538,7 +528,7 @@ def save_matrix(A, path, comments=()):
     if A.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got {A.ndim}-D")
     head = [*comment_lines(comments), f"{A.shape[0]} {A.shape[1]}"]
-    row_format = " ".join(["%.17g"] * A.shape[1])
+    row_format = " ".join(["%d" if A.dtype.kind in "iu" else "%.17g"] * A.shape[1])
     write_lines(path, chain(head, (row_format % tuple(row.tolist()) for row in A)))
 
 
@@ -619,44 +609,38 @@ def make_synthetic(l, n, d, k_true, noise, seed):
     return Dataset(_adopt(FeatureMatrix, X), _adopt(LabelMatrix, Y))
 
 
-def apply_mask(data, spec):
+def apply_mask(data, rho, seed):
     """Hide label entries, keeping rho percent of positions observed.
 
     Samples floor(rho/100 * l*n + 0.5) positions (a half rounds up)
     uniformly without replacement; every other position is zeroed.  For
     a fully observed input exactly that many positions remain observed.
-    Positions that were already zero stay zero, kept or not.
+    Positions that were already zero stay zero, kept or not.  The labels
+    the mask hid are data.labels.values - masked.labels.values.
 
     Args:
         data: Dataset to mask.
-        spec: MaskSpec with rho percentage and RNG seed.
+        rho: percentage of positions kept, a finite real in [0, 100].
+        seed: RNG seed, an integer >= 0.
 
     Returns:
-        (masked Dataset, hidden entries) where hidden entries is an
-        (m, 3) int64 array with one (label_idx, instance_idx, value) row
-        for every observation that was zeroed, 0-based, sorted by label
-        then instance.
+        The masked Dataset.
+
+    Raises:
+        ValueError: if rho or seed is not such a value, rho checked first.
     """
+    rho = check_real("rho", rho, 0, 100)
+    check_integer("seed", seed, 0)
     l, n = data.l, data.n
     total = l * n
-    keep = math.floor(spec.rho / 100.0 * total + 0.5)
-    rng = np.random.default_rng(spec.seed)
+    keep = math.floor(rho / 100.0 * total + 0.5)
+    rng = np.random.default_rng(seed)
     kept = rng.choice(total, size=keep, replace=False)
     mask = np.zeros(total, dtype=bool)
     mask[kept] = True
     mask = mask.reshape(l, n)
-
-    Y = data.labels.values
-    # the masked labels are made and checked before the hidden entries
-    # are, so the check's scratch arrays are gone by then
-    masked = Dataset(data.features, _adopt(LabelMatrix, np.where(mask, Y, np.int8(0))))
-    # flat positions in row-major order: by label, then instance
-    pos = np.flatnonzero((Y != 0) & ~mask)
-    del mask
-    hidden = np.empty((pos.size, 3), dtype=np.int64)
-    np.divmod(pos, n, out=(hidden[:, 0], hidden[:, 1]))
-    hidden[:, 2] = Y.ravel()[pos]
-    return masked, hidden
+    masked = np.where(mask, data.labels.values, np.int8(0))
+    return Dataset(data.features, _adopt(LabelMatrix, masked))
 
 
 def take_instances(data, indices):

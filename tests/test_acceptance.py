@@ -26,7 +26,6 @@ from glocal.data import (
     Dataset,
     FeatureMatrix,
     LabelMatrix,
-    MaskSpec,
     apply_mask,
     make_synthetic,
     split,
@@ -58,7 +57,10 @@ GROUPS = 4
 
 def planted_problem(seed):
     full = make_synthetic(seed=seed, **SYNTH)
-    masked, hidden = apply_mask(full, MaskSpec(rho=RHO, seed=seed))
+    masked = apply_mask(full, rho=RHO, seed=seed)
+    # the hidden labels as 0-based (label, instance, value) rows, row-major
+    hid = full.labels.values - masked.labels.values
+    hidden = np.column_stack((np.argwhere(hid), hid[hid != 0]))
     partition = kmeans(masked.features, GROUPS, seed=seed)
     return full, masked, hidden, partition
 
@@ -105,7 +107,7 @@ def test_criterion_01_gradients_match_finite_differences():
         X = rng.standard_normal((d, n))
         Y = rng.choice([-1, 1], size=(l, n)).astype(np.int8)
         full = Dataset(FeatureMatrix(X), LabelMatrix(Y))
-        data, _ = apply_mask(full, MaskSpec(rho=60, seed=trial))
+        data = apply_mask(full, rho=60, seed=trial)
         partition = kmeans(data.features, g, seed=trial)
         hp = Hyperparams(
             k=k, lambda_=lam, lambda2=lam2, lambda3=lam3, lambda4=lam4, seed=trial
@@ -230,7 +232,7 @@ def test_criterion_06_closed_form_v_is_stationary():
         lam, lam2, lam3, lam4 = 10.0 ** rng.uniform(-2, 1, size=4)
         Y = rng.choice([-1, 1], size=(l, n)).astype(np.int8)
         full = Dataset(FeatureMatrix(rng.standard_normal((d, n))), LabelMatrix(Y))
-        data, _ = apply_mask(full, MaskSpec(rho=50, seed=trial))
+        data = apply_mask(full, rho=50, seed=trial)
         partition = kmeans(data.features, g, seed=trial)
         hp = Hyperparams(
             k=k, lambda_=lam, lambda2=lam2, lambda3=lam3, lambda4=lam4, seed=trial

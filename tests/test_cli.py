@@ -20,7 +20,6 @@ from glocal.cli import main, parse_grid
 from glocal.clustering import kmeans
 from glocal.data import (
     FeatureMatrix,
-    MaskSpec,
     apply_mask,
     load_gml,
     load_matrix,
@@ -84,27 +83,20 @@ def test_make_synthetic_huge_noise_keeps_label_signs():
     assert (huge == 1).any() and (huge == -1).any()
 
 
-def hidden_entries(path):
-    """The nonzero entries of a hidden-label file, 0-based, in row-major order."""
-    truth = load_matrix(path)
-    rows, cols = np.nonzero(truth)
-    return np.column_stack((rows, cols, truth[rows, cols])).astype(np.int64)
-
-
 def test_hidden_labels_file_holds_the_masked_entries(tmp_path, synth_files):
-    # synth's and mask's hidden-label matrices hold, in row-major order,
-    # exactly the entries apply_mask hid, and 0 at every other position
+    # synth's and mask's hidden-label matrices hold exactly the labels the
+    # mask hid, full less masked, and 0 at every other position
     full, masked, hidden = synth_files
     data = make_synthetic(l=6, n=40, d=5, k_true=2, noise=0.0, seed=7)
-    _, want = apply_mask(data, MaskSpec(rho=60, seed=7))
-    assert len(want) and np.array_equal(hidden_entries(hidden), want)
-    assert load_matrix(hidden).shape == (6, 40)
+    want = data.labels.values - apply_mask(data, rho=60, seed=7).labels.values
+    assert want.any() and np.array_equal(load_matrix(hidden), want)
     # masking a partly observed dataset hides only what it observed
     out, hid = tmp_path / "re-masked.gml", tmp_path / "re-hidden.txt"
     assert run("mask", "--input", masked, "--rho", 50, "--seed", 3,
                "--out", out, "--hidden-out", hid) == 0
-    _, want = apply_mask(load_gml(masked), MaskSpec(rho=50, seed=3))
-    assert len(want) and np.array_equal(hidden_entries(hid), want)
+    data = load_gml(masked)
+    want = data.labels.values - apply_mask(data, rho=50, seed=3).labels.values
+    assert want.any() and np.array_equal(load_matrix(hid), want)
     lines = hid.read_text(encoding="utf-8").splitlines()
     assert lines[0] == f"# glocal mask input={masked} rho=50.0 seed=3"
     assert lines[1] == "6 40"
@@ -148,15 +140,15 @@ def test_synth_outputs_consistent(synth_files):
     full, masked, hidden = synth_files
     full_ds = load_gml(full)
     masked_ds = load_gml(masked)
-    entries = hidden_entries(hidden)
+    truth = load_matrix(hidden)
     assert full_ds.n == masked_ds.n == 40
     total = full_ds.l * full_ds.n
     kept = int(masked_ds.labels.indicator.sum())
     assert kept == round(0.60 * total)
-    assert len(entries) == total - kept
-    for j, i, v in entries:
-        assert masked_ds.labels.values[j, i] == 0
-        assert full_ds.labels.values[j, i] == v
+    assert np.count_nonzero(truth) == total - kept
+    at = truth != 0
+    assert not masked_ds.labels.values[at].any()
+    assert np.array_equal(full_ds.labels.values[at], truth[at])
     assert full.read_text(encoding="utf-8").startswith(
         "# glocal synth labels=6 instances=40 features=5 latent_k=2 noise=0.0"
         " rho=60.0 seed=7\n")

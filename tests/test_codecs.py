@@ -500,6 +500,11 @@ def test_writers_output_is_frozen(tmp_path):
     # hidden labels, as synth and mask write them
     save_matrix(np.array([[0, 1, 0], [-1, 0, 1]], dtype=np.int8), path, comments=["toy"])
     assert path.read_bytes() == b"# toy\n2 3\n0 1 0\n-1 0 1\n"
+    # integers beyond float64's exact range keep every digit
+    save_matrix(np.array([[2**53 + 1, -2**63]], dtype=np.int64), path)
+    assert path.read_bytes() == b"1 2\n9007199254740993 -9223372036854775808\n"
+    save_matrix(np.array([[2**64 - 1]], dtype=np.uint64), path)
+    assert path.read_bytes() == b"1 1\n18446744073709551615\n"
     part = Partition(2, [1, 2, 1])
     save_partition(part, path, comments=["groups"])
     assert path.read_bytes() == b"# groups\n1 1\n2 2\n3 1\n"

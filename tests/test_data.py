@@ -12,7 +12,6 @@ from glocal.data import (
     FeatureMatrix,
     GmlFormatError,
     LabelMatrix,
-    MaskSpec,
     apply_mask,
     load_gml,
     save_gml,
@@ -45,9 +44,9 @@ def gml_text(directory, data, comments=()):
 ])
 def test_mask_rounds_an_exact_half_up(l, n, rho, kept):
     data = random_dataset(np.random.default_rng(0), l=l, n=n, zero_frac=0.0)
-    masked, hidden = apply_mask(data, MaskSpec(rho=rho, seed=0))
+    masked = apply_mask(data, rho=rho, seed=0)
     assert np.count_nonzero(masked.labels.values) == kept
-    assert len(hidden) == l * n - kept
+    assert np.count_nonzero(data.labels.values - masked.labels.values) == l * n - kept
 
 
 @pytest.mark.parametrize("fraction, n_train", [(0.1, 1), (0.3, 2), (0.5, 3), (0.46, 2)])
@@ -192,7 +191,7 @@ def test_datasets_sharing_features_write_as_from_fresh_copies(
     # its own
     rng = np.random.default_rng(11)
     full = random_dataset(rng, l=6, n=9, d=5, zero_frac=0.0)
-    masked, _ = apply_mask(full, MaskSpec(rho=40.0, seed=2))
+    masked = apply_mask(full, rho=40.0, seed=2)
     assert masked.features is full.features
     fresh = [
         gml_text(tmp_path, Dataset(FeatureMatrix(d.features.values.copy()), d.labels))
@@ -286,22 +285,25 @@ def test_dataset_count_mismatch():
         Dataset(FeatureMatrix(np.zeros((2, 3))), LabelMatrix(np.zeros((2, 4))))
 
 
-def test_mask_spec_validation():
+def test_mask_validation():
+    data = random_dataset(np.random.default_rng(0))
     with pytest.raises(ValueError):
-        MaskSpec(rho=-1, seed=0)
+        apply_mask(data, rho=-1, seed=0)
     with pytest.raises(ValueError):
-        MaskSpec(rho=100.5, seed=0)
+        apply_mask(data, rho=100.5, seed=0)
     # a rate is a real number and a seed an integer, each refused by name
     for bad in ("30", True, None):
         with pytest.raises(ValueError, match=f"^rho must be a real number, got {bad!r}$"):
-            MaskSpec(rho=bad, seed=0)
+            apply_mask(data, rho=bad, seed=0)
     with pytest.raises(ValueError, match="^rho must be finite$"):
-        MaskSpec(rho=np.nan, seed=0)
+        apply_mask(data, rho=np.nan, seed=0)
     with pytest.raises(ValueError, match="^seed must be an integer, got 1.0$"):
-        MaskSpec(rho=30, seed=1.0)
+        apply_mask(data, rho=30, seed=1.0)
     with pytest.raises(ValueError, match="^seed must be >= 0$"):
-        MaskSpec(rho=30, seed=-1)
-    assert type(MaskSpec(rho=30, seed=0).rho) is float
+        apply_mask(data, rho=30, seed=-1)
+    # an integer rate masks as the same float does
+    assert np.array_equal(apply_mask(data, rho=30, seed=0).labels.values,
+                          apply_mask(data, rho=30.0, seed=0).labels.values)
 
 
 def test_mask_counts_fully_observed():
@@ -309,41 +311,43 @@ def test_mask_counts_fully_observed():
     X = rng.standard_normal((3, 100))
     Y = rng.choice([-1, 1], size=(10, 100))
     data = Dataset(FeatureMatrix(X), LabelMatrix(Y))
-    masked, hidden = apply_mask(data, MaskSpec(rho=30, seed=4))
+    masked = apply_mask(data, rho=30, seed=4)
     assert int(masked.labels.indicator.sum()) == 300
-    assert len(hidden) == 700
+    assert np.count_nonzero(data.labels.values - masked.labels.values) == 700
 
 
 def test_mask_extremes():
     rng = np.random.default_rng(1)
     data = random_dataset(rng)
-    full, hidden = apply_mask(data, MaskSpec(rho=100, seed=0))
+    full = apply_mask(data, rho=100, seed=0)
     assert np.array_equal(full.labels.values, data.labels.values)
-    assert np.array_equal(hidden, np.empty((0, 3), dtype=np.int64))
-    none, hidden = apply_mask(data, MaskSpec(rho=0, seed=0))
+    assert not (data.labels.values - full.labels.values).any()
+    none = apply_mask(data, rho=0, seed=0)
     assert not none.labels.values.any()
-    assert len(hidden) == int(np.count_nonzero(data.labels.values))
+    assert np.array_equal(data.labels.values - none.labels.values, data.labels.values)
 
 
 def test_mask_never_flips_kept_values():
     rng = np.random.default_rng(2)
     data = random_dataset(rng, zero_frac=0.5)
-    masked, hidden = apply_mask(data, MaskSpec(rho=40, seed=9))
+    masked = apply_mask(data, rho=40, seed=9)
     Y, M = data.labels.values, masked.labels.values
+    hidden = Y - M
     # every surviving value matches the original, hidden ones were observed
     assert np.all((M == Y) | (M == 0))
-    for j, i, v in hidden:
-        assert Y[j, i] == v and v != 0 and M[j, i] == 0
-    # hidden list is exactly the observations that vanished
-    assert len(hidden) == int(np.count_nonzero(Y)) - int(np.count_nonzero(M))
+    at = hidden != 0
+    assert np.array_equal(Y[at], hidden[at]) and not M[at].any()
+    # the hidden labels are exactly the observations that vanished
+    assert np.count_nonzero(hidden) == int(np.count_nonzero(Y)) - int(np.count_nonzero(M))
 
 
 def test_mask_deterministic():
     rng = np.random.default_rng(3)
     data = random_dataset(rng)
-    a1, h1 = apply_mask(data, MaskSpec(rho=50, seed=11))
-    a2, h2 = apply_mask(data, MaskSpec(rho=50, seed=11))
-    b, _ = apply_mask(data, MaskSpec(rho=50, seed=12))
+    a1 = apply_mask(data, rho=50, seed=11)
+    a2 = apply_mask(data, rho=50, seed=11)
+    b = apply_mask(data, rho=50, seed=12)
+    h1, h2 = (data.labels.values - a.labels.values for a in (a1, a2))
     assert np.array_equal(a1.labels.values, a2.labels.values) and np.array_equal(h1, h2)
     assert not np.array_equal(a1.labels.values, b.labels.values)
 

@@ -23,8 +23,8 @@ from glocal import (
     GlocalModel,
     Hyperparams,
     LabelMatrix,
-    MaskSpec,
     Partition,
+    apply_mask,
     combine_correlations,
     evaluate,
     kmeans,
@@ -154,8 +154,10 @@ def hostile_case(kind, value, data):
                 lambda hp: holds_scalar(getattr(hp, name), value, name in COUNTS))
     if kind == "mask":
         name = data.draw(st.sampled_from(["rho", "seed"]))
-        return (lambda: MaskSpec(**{"rho": 30.0, "seed": 0, name: value}),
-                lambda spec: holds_scalar(getattr(spec, name), value, name == "seed"))
+        args = {"rho": 30.0, "seed": 0, name: value}
+        return (lambda: apply_mask(DATASET, **args),
+                lambda masked: takes(value, name == "seed")
+                and masked.labels.values.shape == DATASET.labels.values.shape)
     if kind == "kmeans":
         name = data.draw(st.sampled_from(["g", "seed", "max_iter"]))
         args = {"g": 2, "seed": 0, "max_iter": 100, name: value}

@@ -15,7 +15,6 @@ from glocal.data import (
     Dataset,
     FeatureMatrix,
     LabelMatrix,
-    MaskSpec,
     apply_mask,
     take_instances,
 )
@@ -54,7 +53,7 @@ def build_problem(seed, l=5, n=12, d=4, g=2, rho=70, **hp_kwargs):
     X = rng.standard_normal((d, n))
     Y = rng.choice([-1, 1], size=(l, n)).astype(np.int8)
     full = Dataset(FeatureMatrix(X), LabelMatrix(Y))
-    data, _ = apply_mask(full, MaskSpec(rho=rho, seed=seed))
+    data = apply_mask(full, rho=rho, seed=seed)
     partition = kmeans(data.features, g, seed=seed)
     hp = Hyperparams(**{"k": 3, "seed": seed, **hp_kwargs})
     return data, partition, make_context(data, partition, hp)
