@@ -13,7 +13,10 @@ decides), are reported before any work starts; two inputs may name one
 file.  Errors exit with status 1 and a one-line diagnostic.  Every file
 is read and written a batch of lines at a time (see glocal.textio),
 through the load_* and save_* functions of its format, which live with
-their modules.
+their modules.  A GML input is read through glocal.data.load_gml_cached,
+which keeps its decoded arrays in '.<name>.glocal-cache' beside it,
+keyed by the file's bytes, so the next command that reads the same file
+skips the decode; that file is the one a run writes without a stamp.
 """
 
 import argparse
@@ -29,7 +32,7 @@ from .data import (
     Dataset,
     LabelMatrix,
     apply_mask,
-    load_gml,
+    load_gml_cached,
     load_matrix,
     make_synthetic,
     save_gml,
@@ -56,7 +59,7 @@ def read_hidden(text):
 
 
 def _load_dataset(path, add_bias=False):
-    data = load_gml(path)
+    data = load_gml_cached(path)
     if add_bias:
         data = Dataset(data.features.with_bias(), data.labels)
     return data
@@ -195,7 +198,7 @@ def _cmd_eval(args, stamp):
         raise ValueError("pass exactly one of --truth or --hidden")
     S = load_matrix(args.scores)
     if args.truth:
-        truth = load_gml(args.truth).labels.values
+        truth = _load_dataset(args.truth).labels.values
     else:
         truth = LabelMatrix(load_matrix(args.hidden)).values
     report = evaluate(S, truth)

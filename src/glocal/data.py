@@ -23,15 +23,21 @@ live with their modules):
     bit-exactly, for a float one, and the reader accepts any line
     layout (model files carry binary rows instead; see
     glocal.model).  The hidden labels of a mask are one too: the l x n
-    matrix of the labels apply_mask hid, 0 at every other position.
+    matrix of the labels apply_mask hid, 0 at every other position;
+  * GML array caches: the arrays load_gml_cached decoded from a GML
+    file, in binary, keyed by the file's bytes (see load_gml_cached).
 """
 
 import contextlib
+import hashlib
 import io
 import math
 import numbers
+import os
+import tempfile
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -127,9 +133,9 @@ def _adopt(cls, values):
     read-only but neither copied nor checked.  Only for an array its
     maker gives up and built from values already checked: a 2-D float64
     feature array of finite values, or a 2-D int8 label array of -1, 0
-    and +1 with at least 2 rows, as the GML decoder, with_bias,
-    make_synthetic, apply_mask and take_instances make them.  The
-    constructor checks and copies the array a caller passes, so the
+    and +1 with at least 2 rows, as the GML decoder and its cache,
+    with_bias, make_synthetic, apply_mask and take_instances make them.
+    The constructor checks and copies the array a caller passes, so the
     caller cannot change the matrix later."""
     values.setflags(write=False)
     obj = object.__new__(cls)
@@ -432,6 +438,84 @@ def load_gml(path):
 
     # X and Y are this decoder's own, so the containers take them uncopied
     return Dataset(_adopt(FeatureMatrix, X), _adopt(LabelMatrix, Y))
+
+
+# the first bytes of a file load_gml_cached writes; a file without them
+# is not one of its caches, and is never replaced
+_CACHE_MAGIC = b"glocal GML array cache v1\n"
+
+
+def _decoder_stamp():
+    """The end of a cache's key line: ' <SHA-256 of numpy's version and
+    this package's sources>\\n', so a cache is used only by the decoder
+    that wrote it."""
+    sources = sorted(Path(__file__).parent.glob("*.py"))
+    sha = hashlib.sha256(b"\0".join([np.__version__.encode(), *map(Path.read_bytes, sources)]))
+    return f" {sha.hexdigest()}\n".encode()
+
+
+class _Sha256Reader(io.RawIOBase):
+    """Reads the binary file `file`, hashing every byte it reads."""
+
+    def __init__(self, file):
+        self.file, self.sha = file, hashlib.sha256()
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        count = self.file.readinto(buffer)
+        self.sha.update(memoryview(buffer)[:count])
+        return count
+
+
+def load_gml_cached(path):
+    """load_gml(path), read through a cache of the arrays it decodes.
+
+    The CLI reads every GML input through this; load_gml itself keeps no
+    cache.  The cache is the file '.<name>.glocal-cache' beside the path
+    as given: _CACHE_MAGIC, a key line, then X (float64) and Y (int8) in
+    .npy format.  The key is the SHA-256 of the GML bytes and the
+    decoder stamp, as hash-based .pyc files are keyed, so neither size
+    nor mtime is trusted.  A hit needs the key and arrays that pass the
+    constructors' checks, and adopts them; anything else is a miss,
+    never an error.  A miss decodes the file through a hashing stream,
+    so the key names exactly the bytes decoded, and writes the cache
+    through a temporary file, unless the cache path holds a file that
+    is no cache or the write raises an OSError.
+    """
+    cache = Path(path).with_name(f".{Path(path).name}.glocal-cache")
+    writable = not os.path.lexists(cache)  # the cache path is free or holds a cache
+    with contextlib.suppress(OSError, ValueError, MemoryError), open(cache, "rb") as f:
+        writable = f.read(len(_CACHE_MAGIC)) == _CACHE_MAGIC
+        if writable:
+            with open(path, "rb") as gml:
+                key = hashlib.file_digest(gml, "sha256").hexdigest().encode() + _decoder_stamp()
+            if f.read(len(key)) == key:
+                X = np.lib.format.read_array(f, allow_pickle=False)
+                Y = np.lib.format.read_array(f, allow_pickle=False)
+                if (X.dtype == np.float64 and Y.dtype == np.int8 and X.ndim == Y.ndim == 2
+                        and Y.shape[0] >= 2 and np.isfinite(X).all()):
+                    # a ValueError is a miss too: a label out of range or
+                    # instance counts that differ
+                    check_labels("label", Y)
+                    return Dataset(_adopt(FeatureMatrix, X), _adopt(LabelMatrix, Y))
+    with open(path, "rb", buffering=0) as file:
+        hashed = _Sha256Reader(file)
+        data = load_gml(io.TextIOWrapper(io.BufferedReader(hashed), encoding="utf-8"))
+    if writable:
+        with contextlib.suppress(OSError):
+            fd, temp = tempfile.mkstemp(prefix=cache.name, dir=cache.parent)
+            try:
+                with open(fd, "wb") as f:
+                    f.write(_CACHE_MAGIC + hashed.sha.hexdigest().encode() + _decoder_stamp())
+                    for values in (data.features.values, data.labels.values):
+                        np.lib.format.write_array(f, values, allow_pickle=False)
+                os.replace(temp, cache)
+            except BaseException:
+                os.unlink(temp)
+                raise
+    return data
 
 
 def parse_gml(text):

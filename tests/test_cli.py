@@ -30,6 +30,7 @@ from glocal.data import (
 from glocal.metrics import ranking_loss
 from glocal.model import GlocalModel, Hyperparams, load_model, save_model, score
 from glocal.solver import fit
+from test_codecs import refuse_decoding
 from test_data import refuse_feature_block
 from test_solver import hyperparams_domain
 
@@ -881,6 +882,60 @@ def test_an_output_naming_an_input_is_refused_before_any_work(
                                                    f" same file: {Path(path).resolve()}\n")
                 assert _files_under(tmp_path) == before
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("case", ["mask", "split", "cluster", "train", "predict",
+                                  "eval-truth"])
+def test_a_run_that_hits_the_gml_cache_writes_what_a_miss_writes(
+    tmp_path, pipeline_files, capsys, monkeypatch, case
+):
+    # the first run decodes its GML input and writes the cache beside it,
+    # the second reads the cache and decodes nothing
+    for cache in tmp_path.glob(".*.glocal-cache"):
+        cache.unlink()
+    capsys.readouterr()
+    runs = []
+    for out in (tmp_path / "miss", tmp_path / "hit"):
+        out.mkdir()
+        assert run(*_path_argv(case, pipeline_files, out)) == 0
+        runs.append(({p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr()))
+        assert len(list(tmp_path.glob(".*.glocal-cache"))) == 1
+        refuse_decoding(monkeypatch)
+    assert runs[0][0] and runs[0] == runs[1]
+
+
+def test_a_gml_cache_that_cannot_be_written_is_skipped(tmp_path, synth_files):
+    # a directory at the cache path fails the write as a read-only directory
+    # would (which the tests cannot make, since they may run as root); the
+    # run still succeeds, writes the same partition as a run that writes
+    # its cache, and leaves no temporary file
+    _, masked, _ = synth_files
+    cache = tmp_path / f".{masked.name}.glocal-cache"
+    cache.mkdir()
+    before = set(tmp_path.iterdir())
+    argv = ["cluster", "--input", masked, "--groups", 2, "--out"]
+    assert run(*argv, tmp_path / "skipped.txt") == 0
+    assert set(tmp_path.iterdir()) == before | {tmp_path / "skipped.txt"}
+    assert cache.is_dir() and not any(cache.iterdir())
+    cache.rmdir()
+    assert run(*argv, tmp_path / "cached.txt") == 0
+    assert cache.is_file()
+    assert (tmp_path / "skipped.txt").read_bytes() == (tmp_path / "cached.txt").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["cluster", "eval-truth"])
+def test_a_malformed_gml_input_exits_with_its_error_and_writes_no_cache(
+    tmp_path, pipeline_files, capsys, case
+):
+    bad = tmp_path / "bad" / "bad.gml"
+    bad.parent.mkdir()
+    bad.write_text("2 3 4\n+:1|-:|1:0.5\n+:2|-:1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert run(*_path_argv(case, {**pipeline_files, "full": bad, "masked": bad}, out)) == 1
+    assert capsys.readouterr() == ("", "error: line 3: expected 3 '|'-separated fields\n")
+    assert list(bad.parent.iterdir()) == [bad]
 
 
 # a dataset mask reads, and the files of the property below: two holding

@@ -12,6 +12,7 @@ all on bad input.  Every spelling of one file has one textio.file_key.
 """
 
 import base64
+import errno
 import io
 import os
 import re
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gml_reference import parse_gml_reference, save_gml_reference
+from glocal import data as data_module
 from glocal import textio
 from glocal.clustering import Partition, load_partition, save_partition
 from glocal.cli import read_hidden, read_matrix
@@ -32,6 +34,7 @@ from glocal.data import (
     GmlFormatError,
     LabelMatrix,
     load_gml,
+    load_gml_cached,
     load_matrix,
     parse_gml,
     save_gml,
@@ -832,3 +835,134 @@ def test_writer_input_errors_leave_an_existing_file_untouched(tmp_path, save, co
     with pytest.raises(error):
         save(comments, path)
     assert path.read_bytes() == b"keep\n"
+
+
+# ---- (g) the GML array cache ----------------------------------------------
+
+_GML = "3 2 2\n+:1|-:2|1:0.5 2:0.25\n+:|-:1,2|2:-1.5\n+:2|-:|1:3\n"
+
+
+def _gml_with_cache(directory):
+    """A GML file in directory and the path of its cache."""
+    path = directory / "set.gml"
+    path.write_text(_GML, encoding="utf-8")
+    return path, directory / ".set.gml.glocal-cache"
+
+
+def _npy(*arrays):
+    buf = io.BytesIO()
+    for a in arrays:
+        np.save(buf, a)
+    return buf.getvalue()
+
+
+def _npy_header(shape):
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return buf.getvalue()
+
+
+def refuse_decoding(monkeypatch):
+    """Fail the test if load_gml_cached decodes: a hit decodes nothing."""
+    def decode(source):
+        raise AssertionError(f"decoded {source!r}")
+    monkeypatch.setattr(data_module, "load_gml", decode)
+
+
+def test_a_cache_hit_is_load_gml_bit_for_bit(tmp_path, monkeypatch):
+    path, cache = _gml_with_cache(tmp_path)
+    want = load_gml(path)
+    miss = load_gml_cached(path)
+    assert cache.read_bytes().startswith(data_module._CACHE_MAGIC)
+    refuse_decoding(monkeypatch)
+    hit = load_gml_cached(path)
+    for got in (miss, hit):
+        assert _same_data(got, want)
+        assert not got.features.values.flags.writeable
+        assert not got.labels.values.flags.writeable
+
+
+def test_a_cache_misses_an_edit_that_keeps_the_size_and_mtime(tmp_path):
+    path, _ = _gml_with_cache(tmp_path)
+    load_gml_cached(path)
+    stat = path.stat()
+    path.write_text(_GML.replace("0.25", "0.75"), encoding="utf-8")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    got = load_gml_cached(path)
+    assert got.features.values[1, 0] == 0.75
+    assert _same_data(got, load_gml(path))
+
+
+# what each case does to a good cache, given its bytes and the head of
+# them that holds the magic and the key line
+_DAMAGE = {
+    "truncated": lambda clean, head: clean[: len(clean) // 2],
+    "truncated-key": lambda clean, head: head[:-10],
+    "garbage": lambda clean, head: data_module._CACHE_MAGIC + b"garbage\n",
+    "garbage-arrays": lambda clean, head: head + b"garbage",
+    "one-array": lambda clean, head: head + _npy(np.zeros((2, 3))),
+    "non-finite": lambda clean, head: head + _npy(np.full((2, 3), np.nan), np.zeros((2, 3), np.int8)),
+    "label-2": lambda clean, head: head + _npy(np.zeros((2, 3)), np.full((2, 3), 2, np.int8)),
+    "int16-labels": lambda clean, head: head + _npy(np.zeros((2, 3)), np.zeros((2, 3), np.int16)),
+    "float32-features": lambda clean, head: head + _npy(np.zeros((2, 3), np.float32),
+                                                        np.zeros((2, 3), np.int8)),
+    "big-endian": lambda clean, head: head + _npy(np.zeros((2, 3), ">f8"),
+                                                  np.zeros((2, 3), np.int8)),
+    "1-d-features": lambda clean, head: head + _npy(np.zeros(3), np.zeros((2, 3), np.int8)),
+    "other-n": lambda clean, head: head + _npy(np.zeros((2, 3)), np.zeros((2, 4), np.int8)),
+    "one-label": lambda clean, head: head + _npy(np.zeros((2, 3)), np.zeros((1, 3), np.int8)),
+    "object-array": lambda clean, head: head + _npy(np.array([[None]], dtype=object)),
+    # a header whose shape no memory holds: 64 TiB of features
+    "huge-shape": lambda clean, head: head + _npy_header((2**40, 8)),
+}
+
+
+@pytest.mark.parametrize("damage", [*_DAMAGE, "stamp"])
+def test_a_cache_that_fails_a_check_is_ignored_and_rewritten(tmp_path, monkeypatch, damage):
+    path, cache = _gml_with_cache(tmp_path)
+    load_gml_cached(path)
+    clean = cache.read_bytes()
+    if damage == "stamp":  # written by another decoder
+        cache.unlink()
+        monkeypatch.setattr(data_module, "_decoder_stamp", lambda: b" " + b"0" * 64 + b"\n")
+        load_gml_cached(path)
+        monkeypatch.undo()
+    else:
+        head = clean[: clean.index(b"\n", len(data_module._CACHE_MAGIC)) + 1]
+        cache.write_bytes(_DAMAGE[damage](clean, head))
+    assert cache.read_bytes() != clean
+    assert _same_data(load_gml_cached(path), load_gml(path))
+    assert cache.read_bytes() == clean
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cache.name, path.name]
+
+
+def test_a_file_at_the_cache_path_that_is_no_cache_is_left_as_it_is(tmp_path):
+    path, cache = _gml_with_cache(tmp_path)
+    cache.write_bytes(b"garbage")
+    for _ in range(2):
+        assert _same_data(load_gml_cached(path), load_gml(path))
+    assert cache.read_bytes() == b"garbage"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cache.name, path.name]
+
+
+def test_a_gml_file_that_fails_to_decode_writes_no_cache(tmp_path):
+    path, _ = _gml_with_cache(tmp_path)
+    path.write_text(_GML.replace("2:-1.5", "2:x"), encoding="utf-8")
+    with pytest.raises(GmlFormatError, match=r"^line 3: non-numeric feature value 'x'$"):
+        load_gml_cached(path)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_cache_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
+    # the disk fills up as the arrays are written: the load still returns
+    # the data, and neither a cache nor its temporary file is left
+    path, _ = _gml_with_cache(tmp_path)
+
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(np.lib.format, "write_array", full_disk)
+    assert _same_data(load_gml_cached(path), load_gml(path))
+    assert list(tmp_path.iterdir()) == [path]

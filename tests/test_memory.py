@@ -76,6 +76,8 @@ def test_loading_with_the_bias_row_holds_the_features_once_more(
     # result, the decoded features and the decoder's scratch, not a copy
     # of the stack
     path = corel_files[0]
+    cache = path.with_name(f".{path.name}.glocal-cache")
+    cache.unlink(missing_ok=True)  # a miss: the file is decoded
     decode_peaks = []
     with_bias = FeatureMatrix.with_bias
 
@@ -91,6 +93,20 @@ def test_loading_with_the_bias_row_holds_the_features_once_more(
     [decode_peak] = decode_peaks
     assert decode_peak - (features_bytes + masked.labels.values.nbytes) < path.stat().st_size
     assert held < 1.5 * features_bytes
+    assert cache.is_file()
+
+
+def test_a_second_load_reads_the_cached_arrays_uncopied(corel_files):
+    # the first load decodes the file and writes its cache; the second
+    # reads the arrays from the cache and adopts them, holding beyond them
+    # the isfinite check's bool copy of the features: 0.13 x the features
+    # (209 kB) measured, against 0.34 x (536 kB) for the first load and
+    # 1.13 x with a copy of the features
+    path = corel_files[0]
+    data = cli._load_dataset(path)
+    held = peak_beyond(lambda d: d.features.values.nbytes + d.labels.values.nbytes,
+                       lambda: cli._load_dataset(path))
+    assert held < 0.25 * data.features.values.nbytes
 
 
 def test_kmeans_peak_tracks_the_features(corel_files):
