@@ -13,10 +13,14 @@ decides), are reported before any work starts; two inputs may name one
 file.  Errors exit with status 1 and a one-line diagnostic.  Every file
 is read and written a batch of lines at a time (see glocal.textio),
 through the load_* and save_* functions of its format, which live with
-their modules.  A GML input is read through glocal.data.load_gml_cached,
-which keeps its decoded arrays in '.<name>.glocal-cache' beside it,
-keyed by the file's bytes, so the next command that reads the same file
-skips the decode; that file is the one a run writes without a stamp.
+their modules.  Every GML or matrix file a run writes gets
+'.<name>.glocal-cache' beside it as it is written: the arrays its
+decoder would return, keyed by the file's bytes (glocal.data's
+save_gml_cached and save_matrix_cached).  Every GML input, and eval's
+scores and hidden labels, is read through that cache (load_gml_cached,
+load_matrix_cached), which a miss decodes and writes, so no command
+decodes text another wrote.  The cache is the one file a run writes
+without a stamp.
 """
 
 import argparse
@@ -34,9 +38,10 @@ from .data import (
     apply_mask,
     load_gml_cached,
     load_matrix,
+    load_matrix_cached,
     make_synthetic,
-    save_gml,
-    save_matrix,
+    save_gml_cached,
+    save_matrix_cached,
     split,
 )
 from .metrics import evaluate
@@ -106,9 +111,10 @@ def _cmd_synth(args, stamp):
     )
     masked = apply_mask(data, args.rho, args.seed)
     # one pass over the shared features writes both files
-    save_gml({args.out_full: data, args.out_masked: masked}, comments=[stamp])
+    save_gml_cached({args.out_full: data, args.out_masked: masked}, comments=[stamp])
     # the labels the mask hid, 0 at every other position
-    save_matrix(data.labels.values - masked.labels.values, args.out_hidden, comments=[stamp])
+    save_matrix_cached(data.labels.values - masked.labels.values, args.out_hidden,
+                       comments=[stamp])
     print(f"synth: wrote {args.out_full}, {args.out_masked}, {args.out_hidden}")
     return 0
 
@@ -116,9 +122,9 @@ def _cmd_synth(args, stamp):
 def _cmd_mask(args, stamp):
     data = _load_dataset(args.input)
     masked = apply_mask(data, args.rho, args.seed)
-    save_gml({args.out: masked}, comments=[stamp])
+    save_gml_cached({args.out: masked}, comments=[stamp])
     hidden = data.labels.values - masked.labels.values
-    save_matrix(hidden, args.hidden_out, comments=[stamp])
+    save_matrix_cached(hidden, args.hidden_out, comments=[stamp])
     observed = np.count_nonzero(masked.labels.values)
     print(f"mask: {observed} observed positions kept, {np.count_nonzero(hidden)} entries hidden")
     return 0
@@ -127,8 +133,8 @@ def _cmd_mask(args, stamp):
 def _cmd_split(args, stamp):
     data = _load_dataset(args.input)
     train, test = split(data, args.fraction, args.seed)
-    save_gml({args.train_out: train}, comments=[stamp + " side=train"])
-    save_gml({args.test_out: test}, comments=[stamp + " side=test"])
+    save_gml_cached({args.train_out: train}, comments=[stamp + " side=train"])
+    save_gml_cached({args.test_out: test}, comments=[stamp + " side=test"])
     print(f"split: {train.n} train / {test.n} test instances")
     return 0
 
@@ -186,9 +192,9 @@ def _cmd_predict(args, stamp):
         raise ValueError(f"model provenance has add_bias={add_bias}; expected True or False")
     data = _load_dataset(args.input, add_bias=add_bias == "True")
     S = score(model, data.features)
-    save_matrix(S, args.scores_out, comments=[stamp])
+    save_matrix_cached(S, args.scores_out, comments=[stamp])
     if args.labels_out:
-        save_matrix(predict(model, data.features), args.labels_out, comments=[stamp])
+        save_matrix_cached(predict(model, data.features), args.labels_out, comments=[stamp])
     print(f"predict: scored {data.n} instances over {model.l} labels")
     return 0
 
@@ -196,11 +202,11 @@ def _cmd_predict(args, stamp):
 def _cmd_eval(args, stamp):
     if (args.truth is None) == (args.hidden is None):
         raise ValueError("pass exactly one of --truth or --hidden")
-    S = load_matrix(args.scores)
+    S = load_matrix_cached(args.scores)
     if args.truth:
         truth = _load_dataset(args.truth).labels.values
     else:
-        truth = LabelMatrix(load_matrix(args.hidden)).values
+        truth = LabelMatrix(load_matrix_cached(args.hidden)).values
     report = evaluate(S, truth)
     write_lines(args.out, report.to_csv(comments=[stamp]).splitlines())
     print(

@@ -24,16 +24,21 @@ live with their modules):
     layout (model files carry binary rows instead; see
     glocal.model).  The hidden labels of a mask are one too: the l x n
     matrix of the labels apply_mask hid, 0 at every other position;
-  * GML array caches: the arrays load_gml_cached decoded from a GML
-    file, in binary, keyed by the file's bytes (see load_gml_cached).
+  * array caches: beside a GML or a matrix file, the arrays load_gml
+    or load_matrix decodes from it, in binary, keyed by the file's bytes.
+    The *_cached savers write one as they write the file and the
+    *_cached loaders read it, or decode and write it (see
+    load_gml_cached).
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import math
 import numbers
 import os
+import stat
 import tempfile
 from dataclasses import dataclass
 from itertools import chain
@@ -440,33 +445,111 @@ def load_gml(path):
     return Dataset(_adopt(FeatureMatrix, X), _adopt(LabelMatrix, Y))
 
 
-# the first bytes of a file load_gml_cached writes; a file without them
-# is not one of its caches, and is never replaced
+# the first bytes of every array cache; a file without them is not one,
+# and is never replaced.  They say GML because they predate the matrix
+# caches, and are kept so a GML cache already written stays replaceable
 _CACHE_MAGIC = b"glocal GML array cache v1\n"
 
 
+@functools.cache
 def _decoder_stamp():
     """The end of a cache's key line: ' <SHA-256 of numpy's version and
     this package's sources>\\n', so a cache is used only by the decoder
-    that wrote it."""
+    that wrote it.  Computed once per process."""
     sources = sorted(Path(__file__).parent.glob("*.py"))
     sha = hashlib.sha256(b"\0".join([np.__version__.encode(), *map(Path.read_bytes, sources)]))
     return f" {sha.hexdigest()}\n".encode()
 
 
-class _Sha256Reader(io.RawIOBase):
-    """Reads the binary file `file`, hashing every byte it reads."""
+class _Sha256Stream(io.RawIOBase):
+    """The binary file `file`, hashing every byte read from or written to it."""
 
     def __init__(self, file):
         self.file, self.sha = file, hashlib.sha256()
 
     def readable(self):
-        return True
+        return self.file.readable()
+
+    def writable(self):
+        return self.file.writable()
 
     def readinto(self, buffer):
-        count = self.file.readinto(buffer)
+        return self._update(buffer, self.file.readinto(buffer))
+
+    def write(self, buffer):
+        return self._update(buffer, self.file.write(buffer))
+
+    def _update(self, buffer, count):
         self.sha.update(memoryview(buffer)[:count])
         return count
+
+
+@contextlib.contextmanager
+def _hashed(path, mode):
+    """A UTF-8 text stream reading or writing (mode 'r' or 'w') the file
+    at path, and the SHA-256 of the bytes it passes, whole once the
+    block ends."""
+    with open(path, mode + "b", buffering=0) as file:
+        stream = _Sha256Stream(file)
+        buffered = (io.BufferedReader if mode == "r" else io.BufferedWriter)(stream)
+        with io.TextIOWrapper(buffered, encoding="utf-8") as text:
+            yield text, stream.sha
+
+
+def _cache_path(path):
+    return Path(path).with_name(f".{Path(path).name}.glocal-cache")
+
+
+def _cache_key(sha, kind):
+    """The key line of a cache of the file whose bytes hash to `sha`, read as `kind`."""
+    return f"{sha.hexdigest()} {kind}".encode() + _decoder_stamp()
+
+
+def _read_cache(path, kind, count):
+    """The `count` arrays in path's cache, if its key names path's bytes
+    read as `kind` and each array is in C order, else None, never an
+    error."""
+    with contextlib.suppress(OSError, ValueError, MemoryError), open(_cache_path(path), "rb") as f:
+        if f.read(len(_CACHE_MAGIC)) == _CACHE_MAGIC:
+            with open(path, "rb") as source:
+                key = _cache_key(hashlib.file_digest(source, "sha256"), kind)
+            if f.read(len(key)) == key:
+                arrays = [np.lib.format.read_array(f, allow_pickle=False) for _ in range(count)]
+                if all(a.flags.c_contiguous for a in arrays):
+                    return arrays
+    return None
+
+
+def _write_cache(path, sha, kind, arrays):
+    """Keep the C-order `arrays` in path's cache, keyed by `sha`, the
+    hash of path's bytes, read as `kind`, with path's permission bits.
+
+    Written through a temporary file, which a failed write removes.
+    Skipped, never an error, where path is no regular file (a pipe's
+    bytes are gone once read, so no key could be checked, and the cache
+    of /dev/null would be written into /dev), the cache path holds a
+    file that is no cache or a write raises an OSError.
+    """
+    cache = _cache_path(path)
+    with contextlib.suppress(OSError):
+        mode = os.stat(path).st_mode
+        if not stat.S_ISREG(mode):
+            return
+        if os.path.lexists(cache):
+            with open(cache, "rb") as f:
+                if f.read(len(_CACHE_MAGIC)) != _CACHE_MAGIC:
+                    return
+        fd, temp = tempfile.mkstemp(prefix=cache.name, dir=cache.parent)
+        try:
+            with open(fd, "wb") as f:
+                f.write(_CACHE_MAGIC + _cache_key(sha, kind))
+                for values in arrays:
+                    np.lib.format.write_array(f, values, allow_pickle=False)
+            os.chmod(temp, stat.S_IMODE(mode))
+            os.replace(temp, cache)
+        except BaseException:
+            os.unlink(temp)
+            raise
 
 
 def load_gml_cached(path):
@@ -477,44 +560,26 @@ def load_gml_cached(path):
     as given: _CACHE_MAGIC, a key line, then X (float64) and Y (int8) in
     .npy format.  The key is the SHA-256 of the GML bytes and the
     decoder stamp, as hash-based .pyc files are keyed, so neither size
-    nor mtime is trusted.  A hit needs the key and arrays that pass the
-    constructors' checks, and adopts them; anything else is a miss,
-    never an error.  A miss decodes the file through a hashing stream,
-    so the key names exactly the bytes decoded, and writes the cache
-    through a temporary file, unless the cache path holds a file that
-    is no cache or the write raises an OSError.
+    nor mtime is trusted.  A hit needs the key and C-order arrays that
+    pass the constructors' checks, and adopts them; anything else is a
+    miss, never an error.  A miss decodes the file through a hashing
+    stream, so the key names exactly the bytes decoded, and writes the
+    cache (see _write_cache).  save_gml_cached writes the same cache as
+    it writes the file.
     """
-    cache = Path(path).with_name(f".{Path(path).name}.glocal-cache")
-    writable = not os.path.lexists(cache)  # the cache path is free or holds a cache
-    with contextlib.suppress(OSError, ValueError, MemoryError), open(cache, "rb") as f:
-        writable = f.read(len(_CACHE_MAGIC)) == _CACHE_MAGIC
-        if writable:
-            with open(path, "rb") as gml:
-                key = hashlib.file_digest(gml, "sha256").hexdigest().encode() + _decoder_stamp()
-            if f.read(len(key)) == key:
-                X = np.lib.format.read_array(f, allow_pickle=False)
-                Y = np.lib.format.read_array(f, allow_pickle=False)
-                if (X.dtype == np.float64 and Y.dtype == np.int8 and X.ndim == Y.ndim == 2
-                        and Y.shape[0] >= 2 and np.isfinite(X).all()):
-                    # a ValueError is a miss too: a label out of range or
-                    # instance counts that differ
-                    check_labels("label", Y)
-                    return Dataset(_adopt(FeatureMatrix, X), _adopt(LabelMatrix, Y))
-    with open(path, "rb", buffering=0) as file:
-        hashed = _Sha256Reader(file)
-        data = load_gml(io.TextIOWrapper(io.BufferedReader(hashed), encoding="utf-8"))
-    if writable:
-        with contextlib.suppress(OSError):
-            fd, temp = tempfile.mkstemp(prefix=cache.name, dir=cache.parent)
-            try:
-                with open(fd, "wb") as f:
-                    f.write(_CACHE_MAGIC + hashed.sha.hexdigest().encode() + _decoder_stamp())
-                    for values in (data.features.values, data.labels.values):
-                        np.lib.format.write_array(f, values, allow_pickle=False)
-                os.replace(temp, cache)
-            except BaseException:
-                os.unlink(temp)
-                raise
+    hit = _read_cache(path, "gml", 2)
+    if hit:
+        X, Y = hit
+        if (X.dtype == np.float64 and Y.dtype == np.int8 and X.ndim == Y.ndim == 2
+                and Y.shape[0] >= 2 and np.isfinite(X).all()):
+            # a ValueError is a miss too: a label out of range or instance
+            # counts that differ
+            with contextlib.suppress(ValueError):
+                check_labels("label", Y)
+                return Dataset(_adopt(FeatureMatrix, X), _adopt(LabelMatrix, Y))
+    with _hashed(path, "r") as (text, sha):
+        data = load_gml(text)
+    _write_cache(path, sha, "gml", (data.features.values, data.labels.values))
     return data
 
 
@@ -566,6 +631,26 @@ def save_gml(files, comments=()):
             turn would.
         comments: optional strings emitted as leading '#' lines.
     """
+    _write_gml(files, comments, lambda path, data: open(path, "w", encoding="utf-8"))
+
+
+def save_gml_cached(files, comments=()):
+    """save_gml(files, comments), and beside each file the cache
+    load_gml_cached reads, keyed by the bytes as they are written: the
+    arrays load_gml decodes from the file, so a feature -0.0, which is
+    not written, is cached as +0.0."""
+    @contextlib.contextmanager
+    def opened(path, data):
+        with _hashed(path, "w") as (text, sha):
+            yield text
+        _write_cache(path, sha, "gml", (np.add(data.features.values, 0.0, order="C"),
+                                        np.ascontiguousarray(data.labels.values)))
+
+    _write_gml(files, comments, opened)
+
+
+def _write_gml(files, comments, opened):
+    """save_gml, each file written through the text stream opened(path, dataset)."""
     datasets = list(files.values())
     features = datasets[0].features
     if any(data.features is not features for data in datasets):
@@ -577,7 +662,7 @@ def save_gml(files, comments=()):
     # one path per file, with the dataset given last for it
     targets = {file_key(path): (path, data) for path, data in files.items()}
     with contextlib.ExitStack() as stack:
-        sinks = [(data, stack.enter_context(open(path, "w", encoding="utf-8")))
+        sinks = [(data, stack.enter_context(opened(path, data)))
                  for path, data in targets.values()]
         for data, stream in sinks:
             for line in [*head, f"{data.n} {data.d} {data.l}"]:
@@ -608,12 +693,32 @@ def save_matrix(A, path, comments=()):
         ValueError: if A is not 2-D or holds anything but real numbers
             (complex, text, bools, objects), before the file is opened.
     """
+    write_lines(path, _matrix_lines(A, comments))
+
+
+def save_matrix_cached(A, path, comments=()):
+    """save_matrix(A, path, comments), and beside the file the cache
+    load_matrix_cached reads, keyed by the bytes as they are written:
+    the float64 array load_matrix returns.  A matrix holding a value
+    that is not finite gets no cache, since '%.17g' keeps neither the
+    sign nor the payload of a NaN."""
+    lines = _matrix_lines(A, comments)
+    with _hashed(path, "w") as (text, sha):
+        write_lines(text, lines)
+    values = np.asarray(A, dtype=np.float64, order="C")
+    if np.isfinite(values).all():
+        _write_cache(path, sha, "matrix", [values])
+
+
+def _matrix_lines(A, comments):
+    """The lines of A's matrix file, made as they are read; A is checked
+    at the call."""
     A = check_reals("matrix", A)
     if A.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got {A.ndim}-D")
     head = [*comment_lines(comments), f"{A.shape[0]} {A.shape[1]}"]
     row_format = " ".join(["%d" if A.dtype.kind in "iu" else "%.17g"] * A.shape[1])
-    write_lines(path, chain(head, (row_format % tuple(row.tolist()) for row in A)))
+    return chain(head, (row_format % tuple(row.tolist()) for row in A))
 
 
 def load_matrix(path):
@@ -663,6 +768,22 @@ def load_matrix(path):
         return vals.reshape(rows, cols)
     except ValueError:
         raise ValueError(bad_header) from None
+
+
+def load_matrix_cached(path):
+    """load_matrix(path), read through the cache that save_matrix_cached
+    writes, as load_gml_cached reads a GML file's: a hit needs the key and
+    one 2-D float64 array in C order; a miss decodes through a hashing
+    stream and writes the cache, unless the matrix holds a value that is
+    not finite."""
+    hit = _read_cache(path, "matrix", 1)
+    if hit and hit[0].dtype == np.float64 and hit[0].ndim == 2:
+        return hit[0]
+    with _hashed(path, "r") as (text, sha):
+        A = load_matrix(text)
+    if np.isfinite(A).all():
+        _write_cache(path, sha, "matrix", [A])
+    return A
 
 
 def make_synthetic(l, n, d, k_true, noise, seed):

@@ -772,6 +772,16 @@ def _subcommands():
 _PATH_CASES = ["synth", "mask", "split", "cluster", "train", "predict", "eval-truth",
                "eval-hidden"]
 
+# the outputs of each subcommand that are GML or matrix files, which it
+# writes with their array cache beside them
+_CACHED_OUTPUTS = {"synth": {"out_full", "out_masked", "out_hidden"},
+                   "mask": {"out", "hidden_out"}, "split": {"train_out", "test_out"},
+                   "predict": {"scores_out", "labels_out"}}
+
+
+def _cache_of(path):
+    return Path(path).with_name(f".{Path(path).name}.glocal-cache")
+
 
 @pytest.mark.parametrize("case", _PATH_CASES)
 def test_every_output_opens_with_the_stamp_of_its_flags(tmp_path, pipeline_files, case):
@@ -792,8 +802,9 @@ def test_every_output_opens_with_the_stamp_of_its_flags(tmp_path, pipeline_files
         if name not in args.outputs and getattr(args, name) is not None)])
     assert run(*argv) == 0
     outputs = [n for n in args.outputs if getattr(args, n) is not None]
+    caches = [_cache_of(getattr(args, n)) for n in _CACHED_OUTPUTS.get(command, ())]
     assert len(outputs) >= 1 and sorted(out.iterdir()) == sorted(
-        Path(getattr(args, n)) for n in outputs)
+        [*(Path(getattr(args, n)) for n in outputs), *caches])
     for name in outputs:
         lines = Path(getattr(args, name)).read_text(encoding="utf-8").splitlines()
         side = {"train_out": " side=train", "test_out": " side=test"}.get(name, "")
@@ -889,17 +900,20 @@ def test_an_output_naming_an_input_is_refused_before_any_work(
 def test_a_run_that_hits_the_gml_cache_writes_what_a_miss_writes(
     tmp_path, pipeline_files, capsys, monkeypatch, case
 ):
-    # the first run decodes its GML input and writes the cache beside it,
-    # the second reads the cache and decodes nothing
+    # the first run decodes its inputs and writes a cache beside each:
+    # its GML input's, and for eval --truth the scores' too; the second
+    # reads the caches and decodes nothing
     for cache in tmp_path.glob(".*.glocal-cache"):
         cache.unlink()
+    inputs = {"mask": ["full"], "split": ["full"], "eval-truth": ["full", "scores"]}
+    caches = {_cache_of(pipeline_files[f]) for f in inputs.get(case, ["masked"])}
     capsys.readouterr()
     runs = []
     for out in (tmp_path / "miss", tmp_path / "hit"):
         out.mkdir()
         assert run(*_path_argv(case, pipeline_files, out)) == 0
         runs.append(({p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr()))
-        assert len(list(tmp_path.glob(".*.glocal-cache"))) == 1
+        assert set(tmp_path.glob(".*.glocal-cache")) == caches
         refuse_decoding(monkeypatch)
     assert runs[0][0] and runs[0] == runs[1]
 
@@ -911,6 +925,7 @@ def test_a_gml_cache_that_cannot_be_written_is_skipped(tmp_path, synth_files):
     # its cache, and leaves no temporary file
     _, masked, _ = synth_files
     cache = tmp_path / f".{masked.name}.glocal-cache"
+    cache.unlink()  # the one synth wrote
     cache.mkdir()
     before = set(tmp_path.iterdir())
     argv = ["cluster", "--input", masked, "--groups", 2, "--out"]
@@ -921,6 +936,27 @@ def test_a_gml_cache_that_cannot_be_written_is_skipped(tmp_path, synth_files):
     assert run(*argv, tmp_path / "cached.txt") == 0
     assert cache.is_file()
     assert (tmp_path / "skipped.txt").read_bytes() == (tmp_path / "cached.txt").read_bytes()
+
+
+def test_a_pipeline_after_synth_decodes_no_text(tmp_path, synth_files, monkeypatch):
+    # synth writes each file's array cache as it writes the file, and
+    # predict the scores', so every later stage reads arrays, never text;
+    # eval on decoded files, with every cache deleted, reports the same
+    _, masked, hidden = synth_files
+    part, model, scores = tmp_path / "part.txt", tmp_path / "m.model", tmp_path / "s.txt"
+    refuse_decoding(monkeypatch)
+    assert run("cluster", "--input", masked, "--groups", 2, "--out", part) == 0
+    assert run("train", "--input", masked, "--partition", part, "--model-out", model,
+               "--outer-iters", 1, "--warm-iters", 1) == 0
+    assert run("predict", "--model", model, "--input", masked, "--scores-out", scores) == 0
+    assert run("eval", "--scores", scores, "--hidden", hidden,
+               "--out", tmp_path / "cached.csv") == 0
+    monkeypatch.undo()
+    for cache in tmp_path.glob(".*.glocal-cache"):
+        cache.unlink()
+    assert run("eval", "--scores", scores, "--hidden", hidden,
+               "--out", tmp_path / "decoded.csv") == 0
+    assert (tmp_path / "cached.csv").read_bytes() == (tmp_path / "decoded.csv").read_bytes()
 
 
 @pytest.mark.parametrize("case", ["cluster", "eval-truth"])

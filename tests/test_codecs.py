@@ -16,6 +16,10 @@ import errno
 import io
 import os
 import re
+import stat
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,9 +40,12 @@ from glocal.data import (
     load_gml,
     load_gml_cached,
     load_matrix,
+    load_matrix_cached,
     parse_gml,
     save_gml,
+    save_gml_cached,
     save_matrix,
+    save_matrix_cached,
 )
 from glocal.metrics import EvaluationReport
 from glocal.model import MODEL_MAGIC, GlocalModel, ModelFormatError, load_model, save_model
@@ -856,6 +863,10 @@ def _npy(*arrays):
     return buf.getvalue()
 
 
+def _arrays(data):
+    return data.features.values, data.labels.values
+
+
 def _npy_header(shape):
     buf = io.BytesIO()
     np.lib.format.write_array_header_1_0(
@@ -864,10 +875,12 @@ def _npy_header(shape):
 
 
 def refuse_decoding(monkeypatch):
-    """Fail the test if load_gml_cached decodes: a hit decodes nothing."""
+    """Fail the test if load_gml_cached or load_matrix_cached decodes: a
+    hit decodes nothing."""
     def decode(source):
         raise AssertionError(f"decoded {source!r}")
     monkeypatch.setattr(data_module, "load_gml", decode)
+    monkeypatch.setattr(data_module, "load_matrix", decode)
 
 
 def test_a_cache_hit_is_load_gml_bit_for_bit(tmp_path, monkeypatch):
@@ -916,6 +929,9 @@ _DAMAGE = {
     "object-array": lambda clean, head: head + _npy(np.array([[None]], dtype=object)),
     # a header whose shape no memory holds: 64 TiB of features
     "huge-shape": lambda clean, head: head + _npy_header((2**40, 8)),
+    # the right values, laid out in Fortran order
+    "fortran-order": lambda clean, head: head + _npy(*(
+        np.asfortranarray(a) for a in _arrays(load_gml(io.StringIO(_GML))))),
 }
 
 
@@ -965,4 +981,186 @@ def test_a_cache_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.lib.format, "write_array", full_disk)
     assert _same_data(load_gml_cached(path), load_gml(path))
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("mode", [0o640, 0o644])
+@pytest.mark.parametrize("writer", ["load_gml_cached", "save_gml_cached", "save_matrix_cached"])
+def test_a_cache_has_the_permission_bits_of_its_file(tmp_path, mode, writer):
+    # whoever can read the text can read its arrays
+    path, cache = _gml_with_cache(tmp_path)
+    path.chmod(mode)
+    if writer == "load_gml_cached":
+        load_gml_cached(path)
+    elif writer == "save_gml_cached":
+        save_gml_cached({path: load_gml(path)})
+    else:
+        save_matrix_cached(np.eye(2), path)
+    assert stat.S_IMODE(cache.stat().st_mode) == stat.S_IMODE(path.stat().st_mode) == mode
+
+
+def test_the_decoder_stamp_is_computed_once(monkeypatch):
+    # every cache read and write keys by it; the sources are hashed once
+    stamp = data_module._decoder_stamp()
+    monkeypatch.setattr(Path, "read_bytes", lambda self: pytest.fail(f"read {self}"))
+    assert data_module._decoder_stamp() is stamp
+
+
+# ---- (h) the caches written with the files --------------------------------
+
+# features holding -0.0, which save_gml does not write, subnormals and
+# other floats whose text form is easy to get wrong
+_AWKWARD_X = np.array([[-0.0, 5e-324, 1.0], [2.0**-1074 * 3, -0.0, -2.5e300],
+                       [1 / 3, 0.0, -1e-17], [2.2250738585072014e-308 / 2, 7.0, -0.0]])
+_AWKWARD_Y = np.array([[1, -1, 0], [0, 1, -1]], dtype=np.int8)
+_LAYOUTS = {
+    "c-order": lambda a: a,
+    "transposed": lambda a: np.ascontiguousarray(a.T).T,
+    # a view with gaps, which a constructor copies keeping its axis order
+    "strided": lambda a: np.asfortranarray(np.repeat(a, 2, axis=1))[:, ::2],
+}
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_a_gml_file_saved_with_its_cache_loads_from_it_as_load_gml_decodes(
+        tmp_path, monkeypatch, layout):
+    data = Dataset(FeatureMatrix(_LAYOUTS[layout](_AWKWARD_X)),
+                   LabelMatrix(_LAYOUTS[layout](_AWKWARD_Y)))
+    assert np.signbit(data.features.values[data.features.values == 0]).any()
+    path = tmp_path / "set.gml"
+    save_gml_cached({path: data}, comments=["c"])
+    save_gml({tmp_path / "plain.gml": data}, comments=["c"])
+    assert path.read_bytes() == (tmp_path / "plain.gml").read_bytes()
+    want = load_gml(path)
+    refuse_decoding(monkeypatch)
+    hit = load_gml_cached(path)
+    assert _same_data(hit, want)
+    assert all(a.flags.c_contiguous for a in _arrays(hit))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".set.gml.glocal-cache", "plain.gml",
+                                                          "set.gml"]
+
+
+_MATRICES = {
+    "int8": np.array([[-128, 0, 127], [1, -1, 5]], dtype=np.int8),
+    "int64": np.array([[2**53 + 1, -2**63], [2**63 - 1, 0]], dtype=np.int64),
+    "uint64": np.array([[2**64 - 1, 0], [2**53 + 1, 1]], dtype=np.uint64),
+    "float32": np.array([[0.1, -0.0], [3.4e38, 1e-45]], dtype=np.float32),
+    "float64": np.array([[-0.0, 5e-324], [1 / 3, -2.5e300]]),
+    "transposed": np.arange(6.0).reshape(2, 3).T,
+    "strided": np.arange(12.0).reshape(3, 4)[:, ::2],
+}
+
+
+@pytest.mark.parametrize("name", _MATRICES)
+def test_a_matrix_saved_with_its_cache_loads_from_it_as_load_matrix_decodes(
+        tmp_path, monkeypatch, name):
+    path = tmp_path / "m.txt"
+    save_matrix_cached(_MATRICES[name], path, comments=["c"])
+    save_matrix(_MATRICES[name], tmp_path / "plain.txt", comments=["c"])
+    assert path.read_bytes() == (tmp_path / "plain.txt").read_bytes()
+    want = load_matrix(path)
+    refuse_decoding(monkeypatch)
+    got = load_matrix_cached(path)
+    assert same_bits(got, want) and got.flags.c_contiguous
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".m.txt.glocal-cache", "m.txt",
+                                                          "plain.txt"]
+
+
+@ROUND_TRIP
+@given(arrays(st.sampled_from([np.int8, np.int64, np.uint64, np.float32, np.float64]),
+              st.tuples(st.integers(0, 3), st.integers(0, 3))))
+def test_a_matrix_cache_holds_what_load_matrix_decodes(A):
+    # a finite matrix is cached as the float64 the text decodes to; one
+    # holding NaN or an infinity gets no cache, and a read decodes it
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.txt"
+        save_matrix_cached(A, path)
+        cached = data_module._read_cache(path, "matrix", 1)
+        finite = np.isfinite(A.astype(np.float64)).all()
+        assert (cached is not None) == finite
+        if finite:
+            assert same_bits(cached[0], load_matrix(path))
+        assert same_bits(load_matrix_cached(path), load_matrix(path))
+        assert (cached is not None) == (len(list(Path(tmp).iterdir())) == 2)
+
+
+def test_a_gml_cache_is_not_read_as_a_matrix_cache(tmp_path):
+    # the key names the reader, so a GML file's arrays are never a matrix
+    path, cache = _gml_with_cache(tmp_path)
+    load_gml_cached(path)
+    with pytest.raises(ValueError):
+        load_matrix_cached(path)
+    assert cache.read_bytes().startswith(data_module._CACHE_MAGIC)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.nan, np.inf, -np.inf])
+def test_a_matrix_that_is_not_finite_gets_no_cache(tmp_path, value):
+    path = tmp_path / "m.txt"
+    save_matrix_cached(np.array([[1.0, value]]), path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert same_bits(load_matrix_cached(path), load_matrix(path))
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_two_paths_naming_one_gml_file_cache_the_later_dataset(tmp_path, monkeypatch, order):
+    path, cache = _gml_with_cache(tmp_path)
+    (tmp_path / "sub").mkdir()
+    first = load_gml(path)
+    datasets = [first, Dataset(first.features, LabelMatrix(-first.labels.values))]
+    earlier, later = (datasets[i] for i in order)
+    save_gml_cached({path: earlier, tmp_path / "sub" / ".." / path.name: later})
+    refuse_decoding(monkeypatch)
+    assert _same_data(load_gml_cached(path), later)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cache.name, path.name, "sub"]
+
+
+@pytest.mark.parametrize("save", ["save_gml_cached", "save_matrix_cached"])
+def test_a_saver_leaves_a_file_at_the_cache_path_that_is_no_cache(tmp_path, save):
+    path, cache = _gml_with_cache(tmp_path)
+    cache.write_bytes(b"garbage")
+    if save == "save_gml_cached":
+        save_gml_cached({path: load_gml(path)})
+    else:
+        save_matrix_cached(np.eye(2), path)
+    assert cache.read_bytes() == b"garbage"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cache.name, path.name]
+
+
+def test_a_save_whose_cache_write_fails_writes_the_file_alone(tmp_path, monkeypatch):
+    # the disk fills up as the arrays are written: the file holds what
+    # save_gml writes, and neither a cache nor its temporary file is left
+    path, _ = _gml_with_cache(tmp_path)
+    data = load_gml(path)
+    (tmp_path / "plain").mkdir()
+    save_gml({tmp_path / "plain" / path.name: data})
+
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(np.lib.format, "write_array", full_disk)
+    save_gml_cached({path: data})
+    assert path.read_bytes() == (tmp_path / "plain" / path.name).read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", path.name]
+
+
+@pytest.mark.parametrize("use", ["load_gml_cached", "save_gml_cached", "save_matrix_cached"])
+def test_a_pipe_gets_no_cache(tmp_path, use):
+    # a pipe's bytes are gone once read, so no key could be checked
+    path = tmp_path / "pipe.gml"
+    os.mkfifo(path)
+    got = []
+    if use == "load_gml_cached":
+        other = threading.Thread(target=path.write_text, args=(_GML, "utf-8"), daemon=True)
+    else:
+        other = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
+    other.start()
+    if use == "load_gml_cached":
+        assert _same_data(load_gml_cached(path), load_gml(io.StringIO(_GML)))
+    elif use == "save_gml_cached":
+        save_gml_cached({path: load_gml(io.StringIO(_GML))})
+    else:
+        save_matrix_cached(np.eye(2), path)
+    other.join(timeout=10)
+    assert not other.is_alive() and (use == "load_gml_cached" or got[0])
     assert list(tmp_path.iterdir()) == [path]
