@@ -48,9 +48,8 @@ import numpy as np
 
 from .textio import comment_lines, file_key, line_batches, write_lines
 
-# GML tokens load_gml converts per numpy call, and label entries save_gml
-# writes per block: short rows are batched across lines.  The matrix
-# reader converts a whole textio.line_batches batch per call instead
+# label entries save_gml writes per block of instances, so short rows
+# are batched across lines
 _BATCH = 4096
 
 
@@ -244,11 +243,10 @@ def _fail(line_no, message):
     raise GmlFormatError(f"line {line_no}: {message}")
 
 
-# bytes that translate() deletes, leaving only the ' ' and ':' separators
-_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :")
-
-
-def _check_index(tok, limit, line_no, seen, kind):
+def _index(tok, limit, line_no, seen, kind):
+    """The 0-based index of the 1-based `kind` index tok, once it reads
+    as an int, lies in 1..limit and is not in `seen`, the line's indices
+    so far, to which it is added."""
     try:
         idx = int(tok)
     except ValueError:
@@ -258,13 +256,15 @@ def _check_index(tok, limit, line_no, seen, kind):
     if idx in seen:
         _fail(line_no, f"duplicate {kind} index {idx}")
     seen.add(idx)
+    return idx - 1
 
 
-def _check_line(line_no, raw, l, d):
-    """Raise the error for the first fault of one instance line, if any.
+def _decode_line(line_no, raw, x, y):
+    """Decode one instance line into x and y, its columns of X and Y.
 
-    Reads the line one token at a time, in format order, so the message
-    names the first offending token.
+    Each token is checked and converted as it is read, in format order,
+    so an error names the first bad token; the columns may then be part
+    written.
     """
     fields = raw.split("|")
     if len(fields) != 3:
@@ -273,81 +273,27 @@ def _check_line(line_no, raw, l, d):
     if not pos_f.startswith("+:") or not neg_f.startswith("-:"):
         _fail(line_no, "label fields must start with '+:' and '-:'")
     seen = set()
-    for csv in (pos_f[2:], neg_f[2:]):
+    for csv, sign in ((pos_f[2:], 1), (neg_f[2:], -1)):
         for tok in csv.split(",") if csv else ():
-            _check_index(tok, l, line_no, seen, "label")
+            y[_index(tok, y.size, line_no, seen, "label")] = sign
     seen = set()
     for tok in feat_f.split():
         idx, colon, val = tok.partition(":")
         if not colon:
             _fail(line_no, f"bad feature token {tok!r}")
-        _check_index(idx, d, line_no, seen, "feature")
+        i = _index(idx, x.size, line_no, seen, "feature")
         try:
             value = float(val)
         except ValueError:
             _fail(line_no, f"non-numeric feature value {val!r}")
         if not math.isfinite(value):
             _fail(line_no, f"non-finite feature value {val!r}")
+        x[i] = value
 
 
 def _require_count(n, found):
     if found != n:
         raise GmlFormatError(f"expected {n} instance lines, found {found}")
-
-
-def _reject(rows, rest, first, n, l, d):
-    """Raise the error for instance lines the batch decoder rejected.
-
-    `rows` are the (line_no, line) pairs of the batch, the bad one among
-    them, `first` the count of instance lines decoded before it and
-    `rest` the ones not yet read.  A wrong line count outranks any
-    line's fault, so the rest are counted first.  Then the rows are
-    checked one at a time, in file order, so the error names the first
-    bad line whichever batch check caught it.
-    """
-    _require_count(n, first + len(rows) + sum(1 for _ in rest))
-    for line_no, raw in rows:
-        _check_line(line_no, raw, l, d)
-    raise GmlFormatError("malformed instance lines")
-
-
-def _decode_batch(first, counts, pos_t, neg_t, fid_t, val_t, X, Y):
-    """Convert one batch of instance tokens and write it into X and Y.
-
-    The token lists hold the batch's positive label, negative label,
-    feature index and feature value strings, `counts` (positives,
-    negatives, features) of each line in turn, and `first` is the column
-    of its first line.  Each kind is converted with one numpy call.
-    Returns False when a token is not a number, an index is out of
-    range, a value is not finite or a line repeats a feature or label
-    index; the batch's columns may then be part written.
-    """
-    try:
-        pos = np.array(pos_t, dtype=np.int64)
-        neg = np.array(neg_t, dtype=np.int64)
-        fid = np.array(fid_t, dtype=np.int64)
-        val = np.array(val_t, dtype=np.float64)
-    except (ValueError, OverflowError):
-        return False
-    for ids, limit in ((pos, Y.shape[0]), (neg, Y.shape[0]), (fid, X.shape[0])):
-        if ids.size and (ids.min() < 1 or ids.max() > limit):
-            return False
-    if not np.isfinite(val).all():
-        return False
-    last = first + len(counts) // 3
-    cols = np.arange(first, last)
-    per_line = np.array(counts, dtype=np.int64).reshape(-1, 3)
-    fcols = np.repeat(cols, per_line[:, 2])
-    # a line can repeat a feature index only where its indices stop
-    # rising, which save_gml's never do; only other lines pay for a sort
-    if ((fcols[1:] == fcols[:-1]) & (fid[1:] <= fid[:-1])).any():
-        if not np.diff(np.sort(fcols * X.shape[0] + fid)).all():
-            return False
-    Y[pos - 1, np.repeat(cols, per_line[:, 0])] = 1
-    Y[neg - 1, np.repeat(cols, per_line[:, 1])] = -1
-    X[fid - 1, fcols] = val
-    # fewer labels set than listed: a line repeats a label index
-    return np.count_nonzero(Y[:, first:last]) == pos.size + neg.size
 
 
 def load_gml(path):
@@ -358,18 +304,12 @@ def load_gml(path):
     Lines starting with '#' are comments and are skipped.  Indices are
     read as int() reads them and values as float() does.
 
-    The file is read in batches of lines (textio.line_batches) and
-    decoded in one pass, in order, so what it holds besides the arrays
-    is one batch, never the file's text.  Per line, only strings are
-    split and the field and separator layout is checked.  Per batch of
-    about _BATCH tokens, the indices and values are converted
-    with one numpy call per kind, range- and finite-checked, checked for
-    feature indices a line repeats, and written into X and Y; repeated
-    label indices are found by counting: fewer labels set in the batch's
-    columns of Y than listed.  On any fault the rest of the lines are
-    counted, since a wrong instance line count is the error to report,
-    and then the batch's lines are read again one token at a time, in
-    order, to name the first bad one.
+    The file is read in batches of lines (textio.line_batches) and each
+    instance line is decoded as it arrives, one token at a time, straight
+    into its columns of X and Y, so what the decode holds besides the
+    arrays is one batch of lines, never the file's text.  A wrong
+    instance line count is the error to report before any line's fault,
+    so on a bad line the rest of the lines are counted first.
 
     Args:
         path: path, or text file object read from where it stands; an
@@ -403,43 +343,16 @@ def load_gml(path):
     except MemoryError:  # a wrong line count is still the error to report
         _require_count(n, sum(1 for _ in numbered))
         raise
-    first = 0  # column of the batch's first line
-    rows = []  # (line_no, line) of the batch, kept to name a bad one
-    pos_t, neg_t, fid_t, val_t, counts = [], [], [], [], []
-    for line_no, raw in numbered:
-        if first + len(rows) == n:  # one line more than the header says
+    col = -1
+    for col, (line_no, raw) in enumerate(numbered):
+        if col == n:  # one line more than the header says
             _require_count(n, n + 1 + sum(1 for _ in numbered))
-        rows.append((line_no, raw))
-        fields = raw.split("|")
-        if len(fields) != 3:
-            _reject(rows, numbered, first, n, l, d)
-        pos_f, neg_f, feat_f = fields
-        if not pos_f.startswith("+:") or not neg_f.startswith("-:"):
-            _reject(rows, numbered, first, n, l, d)
-        pos = pos_f[2:].split(",") if len(pos_f) > 2 else []
-        neg = neg_f[2:].split(",") if len(neg_f) > 2 else []
-        feats = feat_f.split()
-        m = len(feats)
-        joined = " ".join(feats)
-        # the separators alternate ':' and ' ': one colon in every token
-        separators = joined.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
-        if separators != (b": " * m)[:-1]:
-            _reject(rows, numbered, first, n, l, d)
-        parts = joined.replace(":", " ").split()
-        if len(parts) != 2 * m:  # an empty index or value
-            _reject(rows, numbered, first, n, l, d)
-        pos_t += pos
-        neg_t += neg
-        fid_t += parts[0::2]
-        val_t += parts[1::2]
-        counts += (len(pos), len(neg), m)
-        if len(pos_t) + len(neg_t) + 2 * len(fid_t) >= _BATCH or first + len(rows) == n:
-            if not _decode_batch(first, counts, pos_t, neg_t, fid_t, val_t, X, Y):
-                _reject(rows, numbered, first, n, l, d)
-            first += len(rows)
-            rows = []
-            pos_t, neg_t, fid_t, val_t, counts = [], [], [], [], []
-    _require_count(n, first + len(rows))
+        try:
+            _decode_line(line_no, raw, X[:, col], Y[:, col])
+        except GmlFormatError:  # a wrong line count outranks it
+            _require_count(n, col + 1 + sum(1 for _ in numbered))
+            raise
+    _require_count(n, col + 1)
 
     # X and Y are this decoder's own, so the containers take them uncopied
     return Dataset(_adopt(FeatureMatrix, X), _adopt(LabelMatrix, Y))
@@ -508,14 +421,19 @@ def _cache_key(sha, kind):
 def _read_cache(path, kind, count):
     """The `count` arrays in path's cache, if its key names path's bytes
     read as `kind` and each array is in C order, else None, never an
-    error."""
+    error.  A matrix cache holds its matrix in the dtype it was saved
+    in, so its array is returned as the float64 load_matrix decodes, if
+    it is 2-D and of an integer or a float dtype."""
     with contextlib.suppress(OSError, ValueError, MemoryError), open(_cache_path(path), "rb") as f:
         if f.read(len(_CACHE_MAGIC)) == _CACHE_MAGIC:
             with open(path, "rb") as source:
                 key = _cache_key(hashlib.file_digest(source, "sha256"), kind)
             if f.read(len(key)) == key:
                 arrays = [np.lib.format.read_array(f, allow_pickle=False) for _ in range(count)]
-                if all(a.flags.c_contiguous for a in arrays):
+                if kind == "matrix":
+                    arrays = [a.astype(np.float64, copy=False) for a in arrays
+                              if a.ndim == 2 and a.dtype.kind in "iuf"]
+                if len(arrays) == count and all(a.flags.c_contiguous for a in arrays):
                     return arrays
     return None
 
@@ -698,14 +616,15 @@ def save_matrix(A, path, comments=()):
 
 def save_matrix_cached(A, path, comments=()):
     """save_matrix(A, path, comments), and beside the file the cache
-    load_matrix_cached reads, keyed by the bytes as they are written:
-    the float64 array load_matrix returns.  A matrix holding a value
-    that is not finite gets no cache, since '%.17g' keeps neither the
-    sign nor the payload of a NaN."""
+    load_matrix_cached reads, keyed by the bytes as they are written: A
+    in C order and its own dtype, so an int8 label matrix takes a byte
+    an entry, which a read casts to the float64 load_matrix returns.  A
+    matrix holding a value that is not finite gets no cache, since
+    '%.17g' keeps neither the sign nor the payload of a NaN."""
     lines = _matrix_lines(A, comments)
     with _hashed(path, "w") as (text, sha):
         write_lines(text, lines)
-    values = np.asarray(A, dtype=np.float64, order="C")
+    values = np.ascontiguousarray(A)
     if np.isfinite(values).all():
         _write_cache(path, sha, "matrix", [values])
 
@@ -773,11 +692,12 @@ def load_matrix(path):
 def load_matrix_cached(path):
     """load_matrix(path), read through the cache that save_matrix_cached
     writes, as load_gml_cached reads a GML file's: a hit needs the key and
-    one 2-D float64 array in C order; a miss decodes through a hashing
-    stream and writes the cache, unless the matrix holds a value that is
-    not finite."""
+    one 2-D array of an integer or a float dtype in C order, and returns
+    it as float64; a miss decodes through a hashing stream and writes the
+    float64 it decoded as the cache, unless the matrix holds a value that
+    is not finite."""
     hit = _read_cache(path, "matrix", 1)
-    if hit and hit[0].dtype == np.float64 and hit[0].ndim == 2:
+    if hit:
         return hit[0]
     with _hashed(path, "r") as (text, sha):
         A = load_matrix(text)

@@ -6,8 +6,10 @@ was apart from the header check: one Python int() or float() call per
 token.  A header whose sizes numpy cannot allocate raises GmlFormatError
 naming the header line, as `load_gml` does.  tests/test_codecs.py
 requires `glocal.data.load_gml` to accept exactly the inputs this
-accepts, with identical arrays, and to name the same line when it
-rejects one.
+accepts, with identical arrays, and to raise the same error when it
+rejects one.  `load_gml` now applies these same per-token rules, in the
+same order, to each line as it streams the file, where this parser
+holds the whole text and its list of lines.
 
 `save_gml_reference` is the library's earlier GML writer, kept as it
 was: every label id of every instance line is formatted where it is

@@ -23,6 +23,7 @@ from glocal.data import (
     apply_mask,
     load_gml,
     load_matrix,
+    load_matrix_cached,
     make_synthetic,
     save_gml,
     save_matrix,
@@ -101,6 +102,22 @@ def test_hidden_labels_file_holds_the_masked_entries(tmp_path, synth_files):
     lines = hid.read_text(encoding="utf-8").splitlines()
     assert lines[0] == f"# glocal mask input={masked} rho=50.0 seed=3"
     assert lines[1] == "6 40"
+
+
+def test_the_hidden_labels_cache_holds_a_byte_a_label(tmp_path, monkeypatch):
+    # corel-pipeline's shape: the int8 hidden labels are cached as int8,
+    # l * n bytes and a header, and read back as load_matrix decodes them
+    l, n = 374, 400
+    out = [tmp_path / name for name in ("full.gml", "train.gml", "hidden.txt")]
+    assert run("synth", "--labels", l, "--instances", n, "--features", 499,
+               "--latent-k", 5, "--noise", 0.3, "--rho", 30, "--seed", 1,
+               "--out-full", out[0], "--out-masked", out[1], "--out-hidden", out[2]) == 0
+    cache = tmp_path / ".hidden.txt.glocal-cache"
+    assert cache.stat().st_size <= l * n + 1024
+    want = load_matrix(out[2])
+    refuse_decoding(monkeypatch)
+    got = load_matrix_cached(out[2])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_matrix_round_trip(tmp_path):

@@ -437,12 +437,12 @@ def test_readers_accept_any_line_layout():
         load(magic, lines[0], header, "", *lines[2:])
 
 
-# ---- (b'') the batch decoders' error order and chunk edges ---------------
+# ---- (b'') the decoders' error order and chunk edges ----------------------
 
 
 def test_gml_error_names_the_first_bad_line_of_a_batch():
-    # line 3's value is converted only with its batch, after line 4's
-    # separators were read; the error must still name line 3
+    # lines 3 and 4 are both bad and arrive in one batch of lines; the
+    # error must name line 3, the first, as the per-token reference does
     text = "3 4 3\n+:1|-:2|1:0.5\n+:|-:|2:x\n+:3|-:|1:2:3\n"
     with pytest.raises(GmlFormatError) as want:
         parse_gml_reference(text)
@@ -452,8 +452,11 @@ def test_gml_error_names_the_first_bad_line_of_a_batch():
 
 
 def test_gml_repeat_in_the_last_line_of_many_batches():
+    # 150 lines of 50 features each, 170 kB: textio.line_batches hands
+    # them over in 11 batches of lines, and a fault must be found and
+    # ranked as the reference finds and ranks it whichever batch holds it
     rng = np.random.default_rng(7)
-    n, d, l = 150, 50, 6  # 100 feature tokens a line: several batches
+    n, d, l = 150, 50, 6
     lines = [f"{n} {d} {l}"]
     for _ in range(n):
         feats = " ".join(f"{j}:{rng.standard_normal()!r}" for j in range(1, d + 1))
@@ -470,6 +473,17 @@ def test_gml_repeat_in_the_last_line_of_many_batches():
         load_gml(io.StringIO(bad))
     assert str(got_err.value) == str(want_err.value)
     assert str(got_err.value) == f"line {n + 1}: duplicate feature index 17"
+    # a bad value on line 2, with a header one line too many: the count is
+    # the error, so every later batch is still read to count its lines
+    lines[0] = f"{n + 1} {d} {l}"
+    lines[1] = lines[1].replace(" 2:", " 2:x", 1)
+    miscounted = "\n".join(lines) + "\n"
+    with pytest.raises(GmlFormatError) as want_err:
+        parse_gml_reference(miscounted)
+    with pytest.raises(GmlFormatError) as got_err:
+        load_gml(io.StringIO(miscounted))
+    assert str(got_err.value) == str(want_err.value)
+    assert str(got_err.value) == f"expected {n + 1} instance lines, found {n}"
 
 
 def _in_one_batch(read, text):
