@@ -13,14 +13,12 @@ decides), are reported before any work starts; two inputs may name one
 file.  Errors exit with status 1 and a one-line diagnostic.  Every file
 is read and written a batch of lines at a time (see glocal.textio),
 through the load_* and save_* functions of its format, which live with
-their modules.  Every GML or matrix file a run writes gets
-'.<name>.glocal-cache' beside it as it is written: the arrays its
-decoder would return, keyed by the file's bytes (glocal.data's
-save_gml_cached and save_matrix_cached).  Every GML input, and eval's
-scores and hidden labels, is read through that cache (load_gml_cached,
-load_matrix_cached), which a miss decodes and writes, so no command
-decodes text another wrote.  The cache is the one file a run writes
-without a stamp.
+their modules.  A GML or matrix path has its array cache,
+'.<name>.glocal-cache' beside it (see glocal.data): the arrays its
+decoder would return, keyed by the file's bytes.  save_gml and
+save_matrix write it with the file, and load_gml and load_matrix read
+it, or decode the file and write it, so no command decodes text another
+wrote.  The cache is the one file a run writes without a stamp.
 """
 
 import argparse
@@ -36,12 +34,11 @@ from .data import (
     Dataset,
     LabelMatrix,
     apply_mask,
-    load_gml_cached,
+    load_gml,
     load_matrix,
-    load_matrix_cached,
     make_synthetic,
-    save_gml_cached,
-    save_matrix_cached,
+    save_gml,
+    save_matrix,
     split,
 )
 from .metrics import evaluate
@@ -64,7 +61,7 @@ def read_hidden(text):
 
 
 def _load_dataset(path, add_bias=False):
-    data = load_gml_cached(path)
+    data = load_gml(path)
     if add_bias:
         data = Dataset(data.features.with_bias(), data.labels)
     return data
@@ -111,10 +108,9 @@ def _cmd_synth(args, stamp):
     )
     masked = apply_mask(data, args.rho, args.seed)
     # one pass over the shared features writes both files
-    save_gml_cached({args.out_full: data, args.out_masked: masked}, comments=[stamp])
+    save_gml({args.out_full: data, args.out_masked: masked}, comments=[stamp])
     # the labels the mask hid, 0 at every other position
-    save_matrix_cached(data.labels.values - masked.labels.values, args.out_hidden,
-                       comments=[stamp])
+    save_matrix(data.labels.values - masked.labels.values, args.out_hidden, comments=[stamp])
     print(f"synth: wrote {args.out_full}, {args.out_masked}, {args.out_hidden}")
     return 0
 
@@ -122,9 +118,9 @@ def _cmd_synth(args, stamp):
 def _cmd_mask(args, stamp):
     data = _load_dataset(args.input)
     masked = apply_mask(data, args.rho, args.seed)
-    save_gml_cached({args.out: masked}, comments=[stamp])
+    save_gml({args.out: masked}, comments=[stamp])
     hidden = data.labels.values - masked.labels.values
-    save_matrix_cached(hidden, args.hidden_out, comments=[stamp])
+    save_matrix(hidden, args.hidden_out, comments=[stamp])
     observed = np.count_nonzero(masked.labels.values)
     print(f"mask: {observed} observed positions kept, {np.count_nonzero(hidden)} entries hidden")
     return 0
@@ -133,8 +129,8 @@ def _cmd_mask(args, stamp):
 def _cmd_split(args, stamp):
     data = _load_dataset(args.input)
     train, test = split(data, args.fraction, args.seed)
-    save_gml_cached({args.train_out: train}, comments=[stamp + " side=train"])
-    save_gml_cached({args.test_out: test}, comments=[stamp + " side=test"])
+    save_gml({args.train_out: train}, comments=[stamp + " side=train"])
+    save_gml({args.test_out: test}, comments=[stamp + " side=test"])
     print(f"split: {train.n} train / {test.n} test instances")
     return 0
 
@@ -192,9 +188,9 @@ def _cmd_predict(args, stamp):
         raise ValueError(f"model provenance has add_bias={add_bias}; expected True or False")
     data = _load_dataset(args.input, add_bias=add_bias == "True")
     S = score(model, data.features)
-    save_matrix_cached(S, args.scores_out, comments=[stamp])
+    save_matrix(S, args.scores_out, comments=[stamp])
     if args.labels_out:
-        save_matrix_cached(predict(model, data.features), args.labels_out, comments=[stamp])
+        save_matrix(predict(model, data.features), args.labels_out, comments=[stamp])
     print(f"predict: scored {data.n} instances over {model.l} labels")
     return 0
 
@@ -202,11 +198,11 @@ def _cmd_predict(args, stamp):
 def _cmd_eval(args, stamp):
     if (args.truth is None) == (args.hidden is None):
         raise ValueError("pass exactly one of --truth or --hidden")
-    S = load_matrix_cached(args.scores)
+    S = load_matrix(args.scores)
     if args.truth:
         truth = _load_dataset(args.truth).labels.values
     else:
-        truth = LabelMatrix(load_matrix_cached(args.hidden)).values
+        truth = LabelMatrix(load_matrix(args.hidden)).values
     report = evaluate(S, truth)
     write_lines(args.out, report.to_csv(comments=[stamp]).splitlines())
     print(

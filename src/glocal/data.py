@@ -26,9 +26,10 @@ live with their modules):
     matrix of the labels apply_mask hid, 0 at every other position;
   * array caches: beside a GML or a matrix file, the arrays load_gml
     or load_matrix decodes from it, in binary, keyed by the file's bytes.
-    The *_cached savers write one as they write the file and the
-    *_cached loaders read it, or decode and write it (see
-    load_gml_cached).
+    A path has its cache: save_gml and save_matrix write it as they
+    write the file, and load_gml and load_matrix read it, or decode the
+    file and write it (see load_gml).  A text stream has none: it is
+    read or written where it stands.
 """
 
 import contextlib
@@ -296,32 +297,17 @@ def _require_count(n, found):
         raise GmlFormatError(f"expected {n} instance lines, found {found}")
 
 
-def load_gml(path):
-    """Read a GML file into a Dataset.
+def _decode_gml(text):
+    """The Dataset of the GML text stream `text`, decoded from where it stands.
 
-    Format: a header line "n d l", then one line per instance of the
-    form "+:<csv>|-:<csv>|<idx:value pairs>".  Indices are 1-based.
-    Lines starting with '#' are comments and are skipped.  Indices are
-    read as int() reads them and values as float() does.
-
-    The file is read in batches of lines (textio.line_batches) and each
+    The stream is read in batches of lines (textio.line_batches) and each
     instance line is decoded as it arrives, one token at a time, straight
     into its columns of X and Y, so what the decode holds besides the
     arrays is one batch of lines, never the file's text.  A wrong
     instance line count is the error to report before any line's fault,
     so on a bad line the rest of the lines are counted first.
-
-    Args:
-        path: path, or text file object read from where it stands; an
-            io.StringIO decodes text held in a string.
-
-    Returns:
-        Dataset with float64 features and int8 labels.
-
-    Raises:
-        GmlFormatError: on any malformed line, with its line number.
     """
-    lines = enumerate(chain.from_iterable(line_batches(path)), start=1)
+    lines = enumerate(chain.from_iterable(line_batches(text)), start=1)
     numbered = ((no, raw) for no, raw in lines if not raw.startswith("#"))
     header_line, header = next(numbered, (0, None))
     if header is None:
@@ -421,19 +407,14 @@ def _cache_key(sha, kind):
 def _read_cache(path, kind, count):
     """The `count` arrays in path's cache, if its key names path's bytes
     read as `kind` and each array is in C order, else None, never an
-    error.  A matrix cache holds its matrix in the dtype it was saved
-    in, so its array is returned as the float64 load_matrix decodes, if
-    it is 2-D and of an integer or a float dtype."""
+    error."""
     with contextlib.suppress(OSError, ValueError, MemoryError), open(_cache_path(path), "rb") as f:
         if f.read(len(_CACHE_MAGIC)) == _CACHE_MAGIC:
             with open(path, "rb") as source:
                 key = _cache_key(hashlib.file_digest(source, "sha256"), kind)
             if f.read(len(key)) == key:
                 arrays = [np.lib.format.read_array(f, allow_pickle=False) for _ in range(count)]
-                if kind == "matrix":
-                    arrays = [a.astype(np.float64, copy=False) for a in arrays
-                              if a.ndim == 2 and a.dtype.kind in "iuf"]
-                if len(arrays) == count and all(a.flags.c_contiguous for a in arrays):
+                if all(a.flags.c_contiguous for a in arrays):
                     return arrays
     return None
 
@@ -470,21 +451,39 @@ def _write_cache(path, sha, kind, arrays):
             raise
 
 
-def load_gml_cached(path):
-    """load_gml(path), read through a cache of the arrays it decodes.
+def load_gml(path):
+    """Read a GML file into a Dataset.
 
-    The CLI reads every GML input through this; load_gml itself keeps no
-    cache.  The cache is the file '.<name>.glocal-cache' beside the path
-    as given: _CACHE_MAGIC, a key line, then X (float64) and Y (int8) in
-    .npy format.  The key is the SHA-256 of the GML bytes and the
-    decoder stamp, as hash-based .pyc files are keyed, so neither size
-    nor mtime is trusted.  A hit needs the key and C-order arrays that
-    pass the constructors' checks, and adopts them; anything else is a
-    miss, never an error.  A miss decodes the file through a hashing
+    Format: a header line "n d l", then one line per instance of the
+    form "+:<csv>|-:<csv>|<idx:value pairs>".  Indices are 1-based.
+    Lines starting with '#' are comments and are skipped.  Indices are
+    read as int() reads them and values as float() does.  The text is
+    decoded a batch of lines at a time (see _decode_gml).
+
+    A path is read through its array cache, the file '.<name>.glocal-cache'
+    beside the path as given: _CACHE_MAGIC, a key line, then X (float64)
+    and Y (int8) in .npy format.  The key is the SHA-256 of the GML bytes
+    and the decoder stamp, as hash-based .pyc files are keyed, so neither
+    size nor mtime is trusted.  A hit needs the key and C-order arrays
+    that pass the constructors' checks, and adopts them; anything else is
+    a miss, never an error.  A miss decodes the file through a hashing
     stream, so the key names exactly the bytes decoded, and writes the
-    cache (see _write_cache).  save_gml_cached writes the same cache as
-    it writes the file.
+    cache (see _write_cache).  save_gml writes the same cache as it
+    writes the file.  A text stream is decoded where it stands and gets
+    no cache.
+
+    Args:
+        path: path, or text file object read from where it stands; an
+            io.StringIO decodes text held in a string.
+
+    Returns:
+        Dataset with float64 features and int8 labels.
+
+    Raises:
+        GmlFormatError: on any malformed line, with its line number.
     """
+    if hasattr(path, "read"):
+        return _decode_gml(path)
     hit = _read_cache(path, "gml", 2)
     if hit:
         X, Y = hit
@@ -496,7 +495,7 @@ def load_gml_cached(path):
                 check_labels("label", Y)
                 return Dataset(_adopt(FeatureMatrix, X), _adopt(LabelMatrix, Y))
     with _hashed(path, "r") as (text, sha):
-        data = load_gml(text)
+        data = _decode_gml(text)
     _write_cache(path, sha, "gml", (data.features.values, data.labels.values))
     return data
 
@@ -542,34 +541,21 @@ def save_gml(files, comments=()):
     of a dataset cost one formatting pass.  The datasets and comments
     are checked before any file is opened.
 
+    Each file is written through a hashing stream and then gets beside
+    it the cache load_gml reads, keyed by the bytes as they were
+    written: the arrays load_gml decodes from the file, so a feature
+    -0.0, which is not written, is cached as +0.0.
+
     Args:
-        files: map from path to Dataset.  Where two paths name one file
-            (as textio.file_key decides: through a link too), the file is
-            opened once and gets the later dataset, as writing them in
-            turn would.
+        files: map from path to Dataset, at least one.  Where two paths
+            name one file (as textio.file_key decides: through a link
+            too), the file is opened once and gets the later dataset, as
+            writing them in turn would.
         comments: optional strings emitted as leading '#' lines.
     """
-    _write_gml(files, comments, lambda path, data: open(path, "w", encoding="utf-8"))
-
-
-def save_gml_cached(files, comments=()):
-    """save_gml(files, comments), and beside each file the cache
-    load_gml_cached reads, keyed by the bytes as they are written: the
-    arrays load_gml decodes from the file, so a feature -0.0, which is
-    not written, is cached as +0.0."""
-    @contextlib.contextmanager
-    def opened(path, data):
-        with _hashed(path, "w") as (text, sha):
-            yield text
-        _write_cache(path, sha, "gml", (np.add(data.features.values, 0.0, order="C"),
-                                        np.ascontiguousarray(data.labels.values)))
-
-    _write_gml(files, comments, opened)
-
-
-def _write_gml(files, comments, opened):
-    """save_gml, each file written through the text stream opened(path, dataset)."""
     datasets = list(files.values())
+    if not datasets:
+        raise ValueError("save_gml needs at least one file to write")
     features = datasets[0].features
     if any(data.features is not features for data in datasets):
         raise ValueError("datasets written together must share one FeatureMatrix")
@@ -580,17 +566,20 @@ def _write_gml(files, comments, opened):
     # one path per file, with the dataset given last for it
     targets = {file_key(path): (path, data) for path, data in files.items()}
     with contextlib.ExitStack() as stack:
-        sinks = [(data, stack.enter_context(opened(path, data)))
+        sinks = [(path, data, *stack.enter_context(_hashed(path, "w")))
                  for path, data in targets.values()]
-        for data, stream in sinks:
+        for _, data, stream, _ in sinks:
             for line in [*head, f"{data.n} {data.d} {data.l}"]:
                 stream.write(line + "\n")
         for first in range(0, features.n, step):
             feats = [_feature_field(x) for x in features.values[:, first : first + step].T]
-            for data, stream in sinks:
+            for _, data, stream, _ in sinks:
                 Y = data.labels.values[:, first : first + step].T
                 for pos, neg, x in zip(_id_fields(Y == 1, ids), _id_fields(Y == -1, ids), feats):
                     stream.write(f"+:{pos}|-:{neg}|{x}\n")
+    X = np.add(features.values, 0.0, order="C")
+    for path, data, _, sha in sinks:
+        _write_cache(path, sha, "gml", (X, np.ascontiguousarray(data.labels.values)))
 
 
 def save_matrix(A, path, comments=()):
@@ -602,6 +591,14 @@ def save_matrix(A, path, comments=()):
     they are written; the row format is fixed at the call, so a block
     that is not 2-D is refused before the file is opened.
 
+    A path is written through a hashing stream and then gets beside it
+    the cache load_matrix reads, keyed by the bytes as they were
+    written: A in C order and its own dtype, so an int8 label matrix
+    takes a byte an entry, which a read casts to the float64 load_matrix
+    returns.  A matrix holding a value that is not finite gets no cache,
+    since '%.17g' keeps neither the sign nor the payload of a NaN.  A
+    text stream is written where it stands and gets no cache.
+
     Args:
         A: 2-D array of an integer or a float dtype.
         path: path, or text file object written where it stands.
@@ -611,17 +608,9 @@ def save_matrix(A, path, comments=()):
         ValueError: if A is not 2-D or holds anything but real numbers
             (complex, text, bools, objects), before the file is opened.
     """
-    write_lines(path, _matrix_lines(A, comments))
-
-
-def save_matrix_cached(A, path, comments=()):
-    """save_matrix(A, path, comments), and beside the file the cache
-    load_matrix_cached reads, keyed by the bytes as they are written: A
-    in C order and its own dtype, so an int8 label matrix takes a byte
-    an entry, which a read casts to the float64 load_matrix returns.  A
-    matrix holding a value that is not finite gets no cache, since
-    '%.17g' keeps neither the sign nor the payload of a NaN."""
     lines = _matrix_lines(A, comments)
+    if hasattr(path, "write"):
+        return write_lines(path, lines)
     with _hashed(path, "w") as (text, sha):
         write_lines(text, lines)
     values = np.ascontiguousarray(A)
@@ -640,26 +629,13 @@ def _matrix_lines(A, comments):
     return chain(head, (row_format % tuple(row.tolist()) for row in A))
 
 
-def load_matrix(path):
-    """Read a matrix file.
-
-    The values are a whitespace-separated token stream in which '#'
-    lines are comments, so a header or a row may span lines or share
-    them.  The file is read in batches of lines (textio.line_batches),
-    and each batch's values are converted with one numpy call.
-
-    Args:
-        path: path, or text file object read from where it stands; an
-            io.StringIO decodes text held in a string.
-
-    Raises:
-        ValueError: on a missing, non-integer or negative 'rows cols'
-            header or one with a side numpy cannot hold, a non-numeric
-            value (with float()'s message), or a value count other than
-            rows * cols.
-    """
+def _decode_matrix(text):
+    """The float64 matrix of the matrix text stream `text`, decoded from
+    where it stands: the stream is read in batches of lines
+    (textio.line_batches), and each batch's values are converted with
+    one numpy call."""
     batches = (" ".join(line for line in batch if not line.startswith("#")).split()
-               for batch in line_batches(path))
+               for batch in line_batches(text))
     head = []
     for tokens in batches:
         head += tokens
@@ -689,18 +665,39 @@ def load_matrix(path):
         raise ValueError(bad_header) from None
 
 
-def load_matrix_cached(path):
-    """load_matrix(path), read through the cache that save_matrix_cached
-    writes, as load_gml_cached reads a GML file's: a hit needs the key and
-    one 2-D array of an integer or a float dtype in C order, and returns
-    it as float64; a miss decodes through a hashing stream and writes the
-    float64 it decoded as the cache, unless the matrix holds a value that
-    is not finite."""
+def load_matrix(path):
+    """Read a matrix file as a float64 array.
+
+    The values are a whitespace-separated token stream in which '#'
+    lines are comments, so a header or a row may span lines or share
+    them.  The text is decoded a batch of lines at a time (see
+    _decode_matrix).
+
+    A path is read through its array cache, as load_gml reads a GML
+    file's: a hit needs the key and one 2-D array of an integer or a
+    float dtype in C order, and returns it as float64; a miss decodes
+    the file through a hashing stream and writes the float64 it decoded
+    as the cache, unless the matrix holds a value that is not finite.
+    save_matrix writes the same cache as it writes the file.  A text
+    stream is decoded where it stands and gets no cache.
+
+    Args:
+        path: path, or text file object read from where it stands; an
+            io.StringIO decodes text held in a string.
+
+    Raises:
+        ValueError: on a missing, non-integer or negative 'rows cols'
+            header or one with a side numpy cannot hold, a non-numeric
+            value (with float()'s message), or a value count other than
+            rows * cols.
+    """
+    if hasattr(path, "read"):
+        return _decode_matrix(path)
     hit = _read_cache(path, "matrix", 1)
-    if hit:
-        return hit[0]
+    if hit and hit[0].ndim == 2 and hit[0].dtype.kind in "iuf":
+        return hit[0].astype(np.float64, copy=False)
     with _hashed(path, "r") as (text, sha):
-        A = load_matrix(text)
+        A = _decode_matrix(text)
     if np.isfinite(A).all():
         _write_cache(path, sha, "matrix", [A])
     return A

@@ -23,7 +23,6 @@ from glocal.data import (
     apply_mask,
     load_gml,
     load_matrix,
-    load_matrix_cached,
     make_synthetic,
     save_gml,
     save_matrix,
@@ -31,7 +30,7 @@ from glocal.data import (
 from glocal.metrics import ranking_loss
 from glocal.model import GlocalModel, Hyperparams, load_model, save_model, score
 from glocal.solver import fit
-from test_codecs import refuse_decoding
+from test_codecs import decoded, refuse_decoding
 from test_data import refuse_feature_block
 from test_solver import hyperparams_domain
 
@@ -114,9 +113,9 @@ def test_the_hidden_labels_cache_holds_a_byte_a_label(tmp_path, monkeypatch):
                "--out-full", out[0], "--out-masked", out[1], "--out-hidden", out[2]) == 0
     cache = tmp_path / ".hidden.txt.glocal-cache"
     assert cache.stat().st_size <= l * n + 1024
-    want = load_matrix(out[2])
+    want = decoded(load_matrix, out[2])
     refuse_decoding(monkeypatch)
-    got = load_matrix_cached(out[2])
+    got = load_matrix(out[2])
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -125,7 +124,7 @@ def test_matrix_round_trip(tmp_path):
     A = rng.standard_normal((3, 4))
     path = tmp_path / "m.txt"
     save_matrix(A, path, comments=["x"])
-    assert np.array_equal(load_matrix(path), A)
+    assert np.array_equal(decoded(load_matrix, path), A)
     with pytest.raises(ValueError, match="header"):
         load_matrix(io.StringIO("# only a comment\n"))
     with pytest.raises(ValueError, match="expected 6 values"):

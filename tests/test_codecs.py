@@ -38,14 +38,10 @@ from glocal.data import (
     GmlFormatError,
     LabelMatrix,
     load_gml,
-    load_gml_cached,
     load_matrix,
-    load_matrix_cached,
     parse_gml,
     save_gml,
-    save_gml_cached,
     save_matrix,
-    save_matrix_cached,
 )
 from glocal.metrics import EvaluationReport
 from glocal.model import MODEL_MAGIC, GlocalModel, ModelFormatError, load_model, save_model
@@ -68,6 +64,13 @@ def saved(save, *args, **kwargs):
     buf = io.StringIO()
     save(*args, buf, **kwargs)
     return buf.getvalue()
+
+
+def decoded(load, path):
+    """load of the file at path given as a text stream, which is decoded
+    where it stands and gets no cache."""
+    with open(path, encoding="utf-8") as text:
+        return load(text)
 
 
 def gml_saved(directory, data, comments=()):
@@ -338,10 +341,11 @@ def test_gml_round_trip_is_bit_exact(tmp_path_factory, data):
     Y = data.draw(arrays(np.int8, (l, n), elements=st.sampled_from([-1, 0, 1])))
     path = tmp_path_factory.mktemp("gml") / "data.gml"
     save_gml({path: Dataset(FeatureMatrix(X), LabelMatrix(Y))})
-    back = load_gml(path)
+    back = decoded(load_gml, path)
     # only nonzero features are written, so -0.0 reads back as 0.0
     assert same_bits(back.features.values, X + 0.0)
     assert same_bits(back.labels.values, Y)
+    assert _same_data(load_gml(path), back)  # and its cache holds the same
 
 
 @ROUND_TRIP
@@ -731,9 +735,9 @@ def _same_model(back, model):
 # reads back exactly through its format's reader
 STREAMED = {
     "save_gml": (lambda c, p: save_gml({p: _DATA}, comments=c),
-                 lambda p: _same_data(load_gml(p), _DATA)),
+                 lambda p: _same_data(decoded(load_gml, p), _DATA)),
     "save_matrix": (lambda c, p: save_matrix(_MATRIX, p, comments=c),
-                    lambda p: same_bits(load_matrix(p), _MATRIX)),
+                    lambda p: same_bits(decoded(load_matrix, p), _MATRIX)),
     "save_partition": (lambda c, p: save_partition(_PART, p, comments=c),
                        lambda p: same_bits(load_partition(p, _FEATURES).assignment,
                                            _PART.assignment)),
@@ -889,21 +893,35 @@ def _npy_header(shape):
 
 
 def refuse_decoding(monkeypatch):
-    """Fail the test if load_gml_cached or load_matrix_cached decodes: a
-    hit decodes nothing."""
+    """Fail the test if load_gml or load_matrix decodes: a hit decodes
+    nothing.  The private decoders both readers call are replaced, so a
+    reader imported by name cannot slip past."""
     def decode(source):
         raise AssertionError(f"decoded {source!r}")
-    monkeypatch.setattr(data_module, "load_gml", decode)
-    monkeypatch.setattr(data_module, "load_matrix", decode)
+    monkeypatch.setattr(data_module, "_decode_gml", decode)
+    monkeypatch.setattr(data_module, "_decode_matrix", decode)
+
+
+def test_refuse_decoding_fails_a_miss(tmp_path, monkeypatch):
+    # else every test of a hit below would pass without a cache
+    path, cache = _gml_with_cache(tmp_path)
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("1 2\n3 4\n", encoding="utf-8")
+    refuse_decoding(monkeypatch)
+    with pytest.raises(AssertionError, match="^decoded "):
+        load_gml(path)
+    with pytest.raises(AssertionError, match="^decoded "):
+        load_matrix(matrix)
+    assert sorted(tmp_path.iterdir()) == [matrix, path]
 
 
 def test_a_cache_hit_is_load_gml_bit_for_bit(tmp_path, monkeypatch):
     path, cache = _gml_with_cache(tmp_path)
-    want = load_gml(path)
-    miss = load_gml_cached(path)
+    want = decoded(load_gml, path)
+    miss = load_gml(path)
     assert cache.read_bytes().startswith(data_module._CACHE_MAGIC)
     refuse_decoding(monkeypatch)
-    hit = load_gml_cached(path)
+    hit = load_gml(path)
     for got in (miss, hit):
         assert _same_data(got, want)
         assert not got.features.values.flags.writeable
@@ -912,14 +930,14 @@ def test_a_cache_hit_is_load_gml_bit_for_bit(tmp_path, monkeypatch):
 
 def test_a_cache_misses_an_edit_that_keeps_the_size_and_mtime(tmp_path):
     path, _ = _gml_with_cache(tmp_path)
-    load_gml_cached(path)
+    load_gml(path)
     stat = path.stat()
     path.write_text(_GML.replace("0.25", "0.75"), encoding="utf-8")
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
-    got = load_gml_cached(path)
+    got = load_gml(path)
     assert got.features.values[1, 0] == 0.75
-    assert _same_data(got, load_gml(path))
+    assert _same_data(got, decoded(load_gml, path))
 
 
 # what each case does to a good cache, given its bytes and the head of
@@ -952,18 +970,18 @@ _DAMAGE = {
 @pytest.mark.parametrize("damage", [*_DAMAGE, "stamp"])
 def test_a_cache_that_fails_a_check_is_ignored_and_rewritten(tmp_path, monkeypatch, damage):
     path, cache = _gml_with_cache(tmp_path)
-    load_gml_cached(path)
+    load_gml(path)
     clean = cache.read_bytes()
     if damage == "stamp":  # written by another decoder
         cache.unlink()
         monkeypatch.setattr(data_module, "_decoder_stamp", lambda: b" " + b"0" * 64 + b"\n")
-        load_gml_cached(path)
+        load_gml(path)
         monkeypatch.undo()
     else:
         head = clean[: clean.index(b"\n", len(data_module._CACHE_MAGIC)) + 1]
         cache.write_bytes(_DAMAGE[damage](clean, head))
     assert cache.read_bytes() != clean
-    assert _same_data(load_gml_cached(path), load_gml(path))
+    assert _same_data(load_gml(path), decoded(load_gml, path))
     assert cache.read_bytes() == clean
     assert sorted(p.name for p in tmp_path.iterdir()) == [cache.name, path.name]
 
@@ -972,7 +990,7 @@ def test_a_file_at_the_cache_path_that_is_no_cache_is_left_as_it_is(tmp_path):
     path, cache = _gml_with_cache(tmp_path)
     cache.write_bytes(b"garbage")
     for _ in range(2):
-        assert _same_data(load_gml_cached(path), load_gml(path))
+        assert _same_data(load_gml(path), decoded(load_gml, path))
     assert cache.read_bytes() == b"garbage"
     assert sorted(p.name for p in tmp_path.iterdir()) == [cache.name, path.name]
 
@@ -981,7 +999,7 @@ def test_a_gml_file_that_fails_to_decode_writes_no_cache(tmp_path):
     path, _ = _gml_with_cache(tmp_path)
     path.write_text(_GML.replace("2:-1.5", "2:x"), encoding="utf-8")
     with pytest.raises(GmlFormatError, match=r"^line 3: non-numeric feature value 'x'$"):
-        load_gml_cached(path)
+        load_gml(path)
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -994,22 +1012,26 @@ def test_a_cache_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(np.lib.format, "write_array", full_disk)
-    assert _same_data(load_gml_cached(path), load_gml(path))
+    assert _same_data(load_gml(path), decoded(load_gml, path))
     assert list(tmp_path.iterdir()) == [path]
 
 
+# each call that writes a cache beside the GML file at a path (save_matrix
+# replaces the file with a matrix), by case id
+_CACHE_WRITERS = {
+    "load_gml_cached": load_gml,
+    "save_gml_cached": lambda path: save_gml({path: decoded(load_gml, path)}),
+    "save_matrix_cached": lambda path: save_matrix(np.eye(2), path),
+}
+
+
 @pytest.mark.parametrize("mode", [0o640, 0o644])
-@pytest.mark.parametrize("writer", ["load_gml_cached", "save_gml_cached", "save_matrix_cached"])
+@pytest.mark.parametrize("writer", _CACHE_WRITERS)
 def test_a_cache_has_the_permission_bits_of_its_file(tmp_path, mode, writer):
     # whoever can read the text can read its arrays
     path, cache = _gml_with_cache(tmp_path)
     path.chmod(mode)
-    if writer == "load_gml_cached":
-        load_gml_cached(path)
-    elif writer == "save_gml_cached":
-        save_gml_cached({path: load_gml(path)})
-    else:
-        save_matrix_cached(np.eye(2), path)
+    _CACHE_WRITERS[writer](path)
     assert stat.S_IMODE(cache.stat().st_mode) == stat.S_IMODE(path.stat().st_mode) == mode
 
 
@@ -1042,16 +1064,16 @@ def test_a_gml_file_saved_with_its_cache_loads_from_it_as_load_gml_decodes(
                    LabelMatrix(_LAYOUTS[layout](_AWKWARD_Y)))
     assert np.signbit(data.features.values[data.features.values == 0]).any()
     path = tmp_path / "set.gml"
-    save_gml_cached({path: data}, comments=["c"])
+    save_gml({path: data}, comments=["c"])
     save_gml({tmp_path / "plain.gml": data}, comments=["c"])
     assert path.read_bytes() == (tmp_path / "plain.gml").read_bytes()
-    want = load_gml(path)
+    want = decoded(load_gml, path)
     refuse_decoding(monkeypatch)
-    hit = load_gml_cached(path)
+    hit = load_gml(path)
     assert _same_data(hit, want)
     assert all(a.flags.c_contiguous for a in _arrays(hit))
-    assert sorted(p.name for p in tmp_path.iterdir()) == [".set.gml.glocal-cache", "plain.gml",
-                                                          "set.gml"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        ".plain.gml.glocal-cache", ".set.gml.glocal-cache", "plain.gml", "set.gml"]
 
 
 _MATRICES = {
@@ -1069,15 +1091,13 @@ _MATRICES = {
 def test_a_matrix_saved_with_its_cache_loads_from_it_as_load_matrix_decodes(
         tmp_path, monkeypatch, name):
     path = tmp_path / "m.txt"
-    save_matrix_cached(_MATRICES[name], path, comments=["c"])
-    save_matrix(_MATRICES[name], tmp_path / "plain.txt", comments=["c"])
-    assert path.read_bytes() == (tmp_path / "plain.txt").read_bytes()
-    want = load_matrix(path)
+    save_matrix(_MATRICES[name], path, comments=["c"])
+    assert path.read_bytes() == saved(save_matrix, _MATRICES[name], comments=["c"]).encode()
+    want = decoded(load_matrix, path)
     refuse_decoding(monkeypatch)
-    got = load_matrix_cached(path)
+    got = load_matrix(path)
     assert same_bits(got, want) and got.flags.c_contiguous
-    assert sorted(p.name for p in tmp_path.iterdir()) == [".m.txt.glocal-cache", "m.txt",
-                                                          "plain.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".m.txt.glocal-cache", "m.txt"]
 
 
 @ROUND_TRIP
@@ -1088,31 +1108,36 @@ def test_a_matrix_cache_holds_what_load_matrix_decodes(A):
     # holding NaN or an infinity gets no cache, and a read decodes it
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.txt"
-        save_matrix_cached(A, path)
-        cached = data_module._read_cache(path, "matrix", 1)
+        save_matrix(A, path)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            refuse_decoding(monkeypatch)
+            try:
+                cached = load_matrix(path)
+            except AssertionError:  # a miss: there is no cache to read
+                cached = None
         finite = np.isfinite(A.astype(np.float64)).all()
         assert (cached is not None) == finite
         if finite:
-            assert same_bits(cached[0], load_matrix(path))
-        assert same_bits(load_matrix_cached(path), load_matrix(path))
+            assert same_bits(cached, decoded(load_matrix, path))
+        assert same_bits(load_matrix(path), decoded(load_matrix, path))
         assert (cached is not None) == (len(list(Path(tmp).iterdir())) == 2)
 
 
 def test_a_gml_cache_is_not_read_as_a_matrix_cache(tmp_path):
     # the key names the reader, so a GML file's arrays are never a matrix
     path, cache = _gml_with_cache(tmp_path)
-    load_gml_cached(path)
+    load_gml(path)
     with pytest.raises(ValueError):
-        load_matrix_cached(path)
+        load_matrix(path)
     assert cache.read_bytes().startswith(data_module._CACHE_MAGIC)
 
 
 @pytest.mark.parametrize("value", [np.nan, -np.nan, np.inf, -np.inf])
 def test_a_matrix_that_is_not_finite_gets_no_cache(tmp_path, value):
     path = tmp_path / "m.txt"
-    save_matrix_cached(np.array([[1.0, value]]), path)
+    save_matrix(np.array([[1.0, value]]), path)
     assert list(tmp_path.iterdir()) == [path]
-    assert same_bits(load_matrix_cached(path), load_matrix(path))
+    assert same_bits(load_matrix(path), decoded(load_matrix, path))
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -1120,12 +1145,12 @@ def test_a_matrix_that_is_not_finite_gets_no_cache(tmp_path, value):
 def test_two_paths_naming_one_gml_file_cache_the_later_dataset(tmp_path, monkeypatch, order):
     path, cache = _gml_with_cache(tmp_path)
     (tmp_path / "sub").mkdir()
-    first = load_gml(path)
+    first = decoded(load_gml, path)
     datasets = [first, Dataset(first.features, LabelMatrix(-first.labels.values))]
     earlier, later = (datasets[i] for i in order)
-    save_gml_cached({path: earlier, tmp_path / "sub" / ".." / path.name: later})
+    save_gml({path: earlier, tmp_path / "sub" / ".." / path.name: later})
     refuse_decoding(monkeypatch)
-    assert _same_data(load_gml_cached(path), later)
+    assert _same_data(load_gml(path), later)
     assert sorted(p.name for p in tmp_path.iterdir()) == [cache.name, path.name, "sub"]
 
 
@@ -1133,10 +1158,7 @@ def test_two_paths_naming_one_gml_file_cache_the_later_dataset(tmp_path, monkeyp
 def test_a_saver_leaves_a_file_at_the_cache_path_that_is_no_cache(tmp_path, save):
     path, cache = _gml_with_cache(tmp_path)
     cache.write_bytes(b"garbage")
-    if save == "save_gml_cached":
-        save_gml_cached({path: load_gml(path)})
-    else:
-        save_matrix_cached(np.eye(2), path)
+    _CACHE_WRITERS[save](path)
     assert cache.read_bytes() == b"garbage"
     assert sorted(p.name for p in tmp_path.iterdir()) == [cache.name, path.name]
 
@@ -1145,7 +1167,7 @@ def test_a_save_whose_cache_write_fails_writes_the_file_alone(tmp_path, monkeypa
     # the disk fills up as the arrays are written: the file holds what
     # save_gml writes, and neither a cache nor its temporary file is left
     path, _ = _gml_with_cache(tmp_path)
-    data = load_gml(path)
+    data = decoded(load_gml, path)
     (tmp_path / "plain").mkdir()
     save_gml({tmp_path / "plain" / path.name: data})
 
@@ -1153,12 +1175,12 @@ def test_a_save_whose_cache_write_fails_writes_the_file_alone(tmp_path, monkeypa
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(np.lib.format, "write_array", full_disk)
-    save_gml_cached({path: data})
+    save_gml({path: data})
     assert path.read_bytes() == (tmp_path / "plain" / path.name).read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", path.name]
 
 
-@pytest.mark.parametrize("use", ["load_gml_cached", "save_gml_cached", "save_matrix_cached"])
+@pytest.mark.parametrize("use", _CACHE_WRITERS)
 def test_a_pipe_gets_no_cache(tmp_path, use):
     # a pipe's bytes are gone once read, so no key could be checked
     path = tmp_path / "pipe.gml"
@@ -1170,11 +1192,11 @@ def test_a_pipe_gets_no_cache(tmp_path, use):
         other = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
     other.start()
     if use == "load_gml_cached":
-        assert _same_data(load_gml_cached(path), load_gml(io.StringIO(_GML)))
+        assert _same_data(load_gml(path), load_gml(io.StringIO(_GML)))
     elif use == "save_gml_cached":
-        save_gml_cached({path: load_gml(io.StringIO(_GML))})
+        save_gml({path: load_gml(io.StringIO(_GML))})
     else:
-        save_matrix_cached(np.eye(2), path)
+        save_matrix(np.eye(2), path)
     other.join(timeout=10)
     assert not other.is_alive() and (use == "load_gml_cached" or got[0])
     assert list(tmp_path.iterdir()) == [path]

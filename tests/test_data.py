@@ -18,6 +18,7 @@ from glocal.data import (
     split,
     take_instances,
 )
+from test_codecs import decoded
 
 
 def random_dataset(rng, l=5, n=8, d=4, zero_frac=0.3):
@@ -160,7 +161,7 @@ def test_roundtrip_exact(tmp_path):
         data = random_dataset(rng, l=rng.integers(2, 7), n=rng.integers(1, 9),
                               d=rng.integers(1, 6))
         save_gml({tmp_path / "d.gml": data})
-        back = load_gml(tmp_path / "d.gml")
+        back = decoded(load_gml, tmp_path / "d.gml")
         assert np.array_equal(back.features.values, data.features.values)
         assert np.array_equal(back.labels.values, data.labels.values)
 
@@ -171,7 +172,7 @@ def test_roundtrip_full_precision(tmp_path):
     Y = np.array([[1, -1], [0, 1]])
     data = Dataset(FeatureMatrix(X), LabelMatrix(Y))
     save_gml({tmp_path / "d.gml": data})
-    back = load_gml(tmp_path / "d.gml")
+    back = decoded(load_gml, tmp_path / "d.gml")
     assert np.array_equal(back.features.values, X)
 
 
@@ -216,11 +217,18 @@ def test_datasets_sharing_features_write_as_from_fresh_copies(
     monkeypatch.setattr(data_module, "open", counted_open, raising=False)
     save_gml({str(paths[0]): full, f"{tmp_path}/./full.gml": masked})
     save_gml({paths[1]: masked, tmp_path / "hard.gml": full})
-    assert len(opened) == 2
+    assert len([path for path in opened if str(path).endswith(".gml")]) == 2
     assert [p.read_text(encoding="utf-8") for p in paths] == [fresh[1], fresh[0]]
     with pytest.raises(ValueError, match="must share one FeatureMatrix"):
         save_gml({paths[0]: full, paths[1]: Dataset(FeatureMatrix(full.features.values),
                                                     full.labels)})
+
+
+def test_saving_no_dataset_is_refused_before_any_file_is_opened(monkeypatch):
+    monkeypatch.setattr(data_module, "open", lambda *args, **kwargs: pytest.fail("opened"),
+                        raising=False)
+    with pytest.raises(ValueError, match=r"^save_gml needs at least one file to write$"):
+        save_gml({})
 
 
 def test_arrays_read_only():

@@ -28,6 +28,7 @@ from glocal.data import (
 )
 from glocal.model import GlocalModel, Hyperparams, load_model, save_model
 from glocal.solver import fit
+from test_codecs import decoded
 
 
 def peak_beyond(result_bytes, call):
@@ -136,12 +137,12 @@ def test_eval_peak_tracks_the_scores(corel_files, tmp_path):
 
 
 def test_loading_a_matrix_holds_it_once(tmp_path):
-    # corel-pipeline's scores: each batch's values are appended to one
-    # buffer, not concatenated from per-batch parts at the end
+    # corel-pipeline's scores, decoded: each batch's values are appended
+    # to one buffer, not concatenated from per-batch parts at the end
     S = np.random.default_rng(2).standard_normal((374, 400))
     scores = tmp_path / "scores.txt"
     save_matrix(S, scores)
-    held = peak_beyond(lambda M: M.nbytes, lambda: load_matrix(scores))
+    held = peak_beyond(lambda M: M.nbytes, lambda: decoded(load_matrix, scores))
     assert held <= 0.6 * S.nbytes
 
 
