@@ -12,7 +12,7 @@ from itertools import chain
 import numpy as np
 
 from .data import check_integer, check_integers
-from .textio import comment_lines, line_batches, write_lines
+from .textio import comment_lines, lines, write_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +172,7 @@ def load_partition(path, features):
 
     Every instance 1..n must appear exactly once and every group up to
     the largest index must be nonempty, so no group index exceeds n.
-    The file is read a batch of lines at a time.
+    The file is read a line at a time.
 
     Args:
         path: path, or text file object read from where it stands.
@@ -181,7 +181,7 @@ def load_partition(path, features):
     n = features.n
     assign = np.zeros(n, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
-    for line_no, raw in enumerate(chain.from_iterable(line_batches(path)), start=1):
+    for line_no, raw in enumerate(lines(path), start=1):
         if raw.startswith("#") or raw.strip() == "":
             continue
         parts = raw.split()

@@ -42,12 +42,12 @@ import os
 import stat
 import tempfile
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
-from .textio import comment_lines, file_key, line_batches, write_lines
+from .textio import comment_lines, file_key, lines, write_lines
 
 # label entries save_gml writes per block of instances, so short rows
 # are batched across lines
@@ -300,15 +300,15 @@ def _require_count(n, found):
 def _decode_gml(text):
     """The Dataset of the GML text stream `text`, decoded from where it stands.
 
-    The stream is read in batches of lines (textio.line_batches) and each
-    instance line is decoded as it arrives, one token at a time, straight
-    into its columns of X and Y, so what the decode holds besides the
-    arrays is one batch of lines, never the file's text.  A wrong
-    instance line count is the error to report before any line's fault,
-    so on a bad line the rest of the lines are counted first.
+    The stream is read a line at a time (textio.lines) and each instance
+    line is decoded as it arrives, one token at a time, straight into its
+    columns of X and Y, so what the decode holds besides the arrays is
+    one line, never the file's text.  A wrong instance line count is the
+    error to report before any line's fault, so on a bad line the rest of
+    the lines are counted first.
     """
-    lines = enumerate(chain.from_iterable(line_batches(text)), start=1)
-    numbered = ((no, raw) for no, raw in lines if not raw.startswith("#"))
+    numbered = ((no, raw) for no, raw in enumerate(lines(text), start=1)
+                if not raw.startswith("#"))
     header_line, header = next(numbered, (0, None))
     if header is None:
         raise GmlFormatError("line 1: missing header")
@@ -458,7 +458,7 @@ def load_gml(path):
     form "+:<csv>|-:<csv>|<idx:value pairs>".  Indices are 1-based.
     Lines starting with '#' are comments and are skipped.  Indices are
     read as int() reads them and values as float() does.  The text is
-    decoded a batch of lines at a time (see _decode_gml).
+    decoded a line at a time (see _decode_gml).
 
     A path is read through its array cache, the file '.<name>.glocal-cache'
     beside the path as given: _CACHE_MAGIC, a key line, then X (float64)
@@ -631,17 +631,12 @@ def _matrix_lines(A, comments):
 
 def _decode_matrix(text):
     """The float64 matrix of the matrix text stream `text`, decoded from
-    where it stands: the stream is read in batches of lines
-    (textio.line_batches), and each batch's values are converted with
-    one numpy call."""
-    batches = (" ".join(line for line in batch if not line.startswith("#")).split()
-               for batch in line_batches(text))
-    head = []
-    for tokens in batches:
-        head += tokens
-        if len(head) >= 2:
-            break
-    header, values = head[:2], head[2:]
+    where it stands: the stream is read a line at a time (textio.lines)
+    and each value is converted with float() as it arrives, so what the
+    decode holds besides the matrix is one line's tokens."""
+    tokens = chain.from_iterable(line.split() for line in lines(text)
+                                 if not line.startswith("#"))
+    header = list(islice(tokens, 2))
     if len(header) < 2:
         raise ValueError("matrix file needs a 'rows cols' header")
     bad_header = f"bad matrix header {' '.join(header)!r}, expected 'rows cols'"
@@ -651,12 +646,8 @@ def _decode_matrix(text):
             raise ValueError
     except ValueError:
         raise ValueError(bad_header) from None
-    # each batch's values appended as bytes to one buffer, so the matrix
-    # is held once; the header's count is not trusted to size it
-    payload = bytearray()
-    for tokens in chain([values], batches):
-        payload += memoryview(np.array(tokens, dtype=np.float64))
-    vals = np.frombuffer(payload, dtype=np.float64)
+    # the header's count is not trusted to size the values
+    vals = np.fromiter(map(float, tokens), np.float64)
     if vals.size != rows * cols:
         raise ValueError(f"expected {rows * cols} values, found {vals.size}")
     try:  # an empty matrix may still name a side numpy cannot hold
@@ -670,8 +661,7 @@ def load_matrix(path):
 
     The values are a whitespace-separated token stream in which '#'
     lines are comments, so a header or a row may span lines or share
-    them.  The text is decoded a batch of lines at a time (see
-    _decode_matrix).
+    them.  The text is decoded a line at a time (see _decode_matrix).
 
     A path is read through its array cache, as load_gml reads a GML
     file's: a hit needs the key and one 2-D array of an integer or a

@@ -21,8 +21,9 @@ from itertools import chain
 
 import numpy as np
 
+from . import textio
 from .data import check_integer, check_real, check_reals
-from .textio import comment_lines, line_batches, write_lines
+from .textio import comment_lines, write_lines
 
 MODEL_MAGIC = "GLOCAL-MODEL v2"
 
@@ -251,10 +252,10 @@ def load_model(source):
 
     '#' comment lines may appear anywhere after the magic line; those of
     the form '# key=value' before the dimension line are the provenance.
-    Blank lines are skipped outside the block rows.  The file is read in
-    batches of lines (textio.line_batches) and each block's rows are
-    decoded as they arrive, so what it holds besides the blocks is one
-    batch of lines, never the file's text.
+    Blank lines are skipped outside the block rows.  The file is read a
+    line at a time (textio.lines) and each block's rows are decoded as
+    they arrive, so what it holds besides the blocks is one line, never
+    the file's text.
 
     Args:
         source: path, or text file object read from where it stands.
@@ -266,7 +267,7 @@ def load_model(source):
         FileNotFoundError: if a path names no file.
         ModelFormatError: on version mismatch or any malformed content.
     """
-    lines = chain.from_iterable(line_batches(source))
+    lines = textio.lines(source)
     magic = next(lines, None)
     if magic is None:
         raise ModelFormatError("empty model file")

@@ -1,17 +1,14 @@
 """Text shared by every file format: comment lines, and reading and
-writing a file in bounded batches of lines.
+writing a file a line at a time.
 
 Every writer emits its comments with comment_lines, so a comment stays
 one '#' line of valid UTF-8 whatever text it stamps.
 
-Files are read with line_batches and written with write_lines, so no
-file's full text is held in memory: a reader holds one batch of lines
-(those that end in one chunk of _CHUNK characters, the first of which
-may begin in the chunk before) and a writer one line, or the lines of
-one batch its format makes, at a time.
-The lines line_batches yields are exactly those of
-Path.read_text().splitlines(), so a decoder given a file's batches sees
-what it would see given the file's text.
+Files are read with lines and written with write_lines, so no file's
+full text is held in memory: a reader holds one line and a writer one
+line, or the lines of one block its format makes, at a time.  The lines
+that lines yields are exactly those of Path.read_text().splitlines(), so
+a decoder given a file's lines sees what it would see given its text.
 
 Whether two paths name one file is decided here too, by file_key: the
 CLI checks a run's paths with it and save_gml keys its files by it.
@@ -42,11 +39,6 @@ def comment_lines(comments):
     ]
 
 
-# characters read from a file per call; a batch holds the lines that end
-# in one such chunk
-_CHUNK = 1 << 14
-
-
 def _opened(file, mode):
     """A text file object as it is, or a path opened as UTF-8 in mode."""
     if hasattr(file, "read" if mode == "r" else "write"):
@@ -54,37 +46,28 @@ def _opened(file, mode):
     return open(file, mode, encoding="utf-8")
 
 
-def line_batches(source):
-    """Yield the lines of a UTF-8 text file as lists, a chunk at a time.
+def lines(source):
+    """Yield the lines of a UTF-8 text file, one at a time.
 
-    Joined, the lists are exactly Path(source).read_text().splitlines():
-    every str.splitlines break ends a line and a '\\r\\n' pair is one
-    break.  Each batch is the lines that end in one chunk of _CHUNK
-    characters: when a chunk does not end in a break, its last line goes
-    on into the next chunk, and so does a final '\\r', which may open a
-    '\\r\\n' pair.  This holds for a path (opened with universal newlines,
-    as read_text does), for an io.StringIO in any newline mode, and for a
-    file opened with any newline setting.  A line longer than a chunk
-    makes the next read as long as the part of it read so far, so it is
-    read in time linear in its length.
+    They are exactly Path(source).read_text().splitlines(): every
+    str.splitlines break ends a line and a '\\r\\n' pair is one break.
+    This holds for a path (opened with universal newlines, as read_text
+    does), for an io.StringIO in any newline mode, and for a file opened
+    with any newline setting.  Each line the stream itself yields is
+    split at the breaks it holds; a stream opened with newline='\\r' ends
+    a line at every '\\r', so a line after one that ends in '\\r' drops
+    its leading '\\n', the rest of that '\\r\\n' pair.
 
     Args:
         source: path, or text file object read from where it stands.
     """
     with _opened(source, "r") as stream:
-        tail = ""  # the last line read, which may go on in the next chunk
-        while chunk := stream.read(max(_CHUNK, len(tail))):
-            lines = (tail + chunk).splitlines()
-            if chunk[-1] not in _BREAKS:
-                tail = lines.pop()
-            elif chunk[-1] == "\r":
-                tail = lines.pop() + "\r"
-            else:
-                tail = ""
-            if lines:
-                yield lines
-        if tail:
-            yield tail.splitlines()
+        after_cr = False
+        for line in stream:
+            if after_cr and line.startswith("\n"):
+                line = line[1:]
+            yield from line.splitlines()
+            after_cr = line.endswith("\r")
 
 
 def write_lines(sink, lines):

@@ -1,5 +1,5 @@
-"""Per-token GML parser and per-instance writers: the references the
-array codecs are tested against.
+"""Per-token GML and matrix parsers and per-instance writers: the
+references the array codecs are tested against.
 
 `parse_gml_reference` is the library's earlier GML parser, kept as it
 was apart from the header check: one Python int() or float() call per
@@ -10,6 +10,12 @@ accepts, with identical arrays, and to raise the same error when it
 rejects one.  `load_gml` now applies these same per-token rules, in the
 same order, to each line as it streams the file, where this parser
 holds the whole text and its list of lines.
+
+`parse_matrix_reference` reads matrix text whole: its lines less the
+'#' ones, an int() header and one float() call per value.
+tests/test_codecs.py requires `glocal.data.load_matrix` of a text stream
+to accept exactly what it accepts, with identical bits, and to raise
+the same message when it rejects one.
 
 `save_gml_reference` is the library's earlier GML writer, kept as it
 was: every label id of every instance line is formatted where it is
@@ -119,6 +125,27 @@ def parse_gml_reference(text):
             X[idx - 1, col] = val
 
     return Dataset(FeatureMatrix(X), LabelMatrix(Y))
+
+
+def parse_matrix_reference(text):
+    """Parse matrix text into a float64 array, one float() call per value."""
+    tokens = " ".join(line for line in text.splitlines() if not line.startswith("#")).split()
+    if len(tokens) < 2:
+        raise ValueError("matrix file needs a 'rows cols' header")
+    bad_header = f"bad matrix header {' '.join(tokens[:2])!r}, expected 'rows cols'"
+    try:
+        rows, cols = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ValueError(bad_header) from None
+    if rows < 0 or cols < 0:
+        raise ValueError(bad_header)
+    values = [float(t) for t in tokens[2:]]
+    if len(values) != rows * cols:
+        raise ValueError(f"expected {rows * cols} values, found {len(values)}")
+    try:
+        return np.array(values, dtype=np.float64).reshape(rows, cols)
+    except ValueError:  # an empty matrix with a side numpy cannot hold
+        raise ValueError(bad_header) from None
 
 
 def _feature_field(x):

@@ -175,7 +175,7 @@ def test_synth_outputs_consistent(synth_files):
 # dropped: (l, n, d, k, noise, rho, seed) -> full.gml, train.gml,
 # hidden.txt.  The GML digests were frozen from the writer that formatted
 # every id of every line where it wrote it, and the larger shape crosses
-# its batch edges; the hidden.txt ones from the 'l n' header and rows of
+# the edges of its batches of instances; the hidden.txt ones from the 'l n' header and rows of
 # str() of each entry of the full labels less the masked ones, both as
 # the reference GML parser reads them.
 SYNTH_DIGESTS = {

@@ -5,13 +5,14 @@ accepts, the partition, matrix and hidden-label readers may reject input
 only with ValueError and the model reader only with ModelFormatError,
 every save/load pair must round-trip bit-exactly, and the bytes each
 writer produces are frozen against literal strings and equal to those
-of its per-instance reference, whatever the batch size.  A file read in
-line batches must give exactly its text's lines, and a file written
+of its per-instance reference, whatever the batch size.  A file read a
+line at a time must give exactly its text's lines, and a file written
 line by line exactly what its writer gives a text stream, or nothing at
 all on bad input.  Every spelling of one file has one textio.file_key.
 """
 
 import base64
+import contextlib
 import errno
 import io
 import os
@@ -27,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gml_reference import parse_gml_reference, save_gml_reference
+from gml_reference import parse_gml_reference, parse_matrix_reference, save_gml_reference
 from glocal import data as data_module
 from glocal import textio
 from glocal.clustering import Partition, load_partition, save_partition
@@ -270,6 +271,29 @@ def test_read_hidden_rejects_only_with_value_error(text):
     assert np.isin(truth, (-1, 0, 1)).all()
 
 
+def test_load_matrix_matches_the_whole_text_reference():
+    # the fuzzing is only meaningful if it produces valid and invalid
+    # files alike; count both over the examples it checks
+    outcomes = {"accepted": 0, "rejected": 0}
+
+    @FUZZ
+    @given(st.one_of(matrix_text(), hidden_text()))
+    def matches(text):
+        try:
+            want = parse_matrix_reference(text)
+        except ValueError as exc:
+            outcomes["rejected"] += 1
+            with pytest.raises(ValueError) as got:
+                load_matrix(io.StringIO(text))
+            assert str(got.value) == str(exc)
+            return
+        outcomes["accepted"] += 1
+        assert same_bits(load_matrix(io.StringIO(text)), want)
+
+    matches()
+    assert outcomes["accepted"] >= 20 and outcomes["rejected"] >= 20
+
+
 @FUZZ
 @given(model_text())
 def test_parse_model_rejects_only_with_model_format_error(text):
@@ -441,12 +465,12 @@ def test_readers_accept_any_line_layout():
         load(magic, lines[0], header, "", *lines[2:])
 
 
-# ---- (b'') the decoders' error order and chunk edges ----------------------
+# ---- (b'') the decoders' error order over many lines -----------------------
 
 
 def test_gml_error_names_the_first_bad_line_of_a_batch():
-    # lines 3 and 4 are both bad and arrive in one batch of lines; the
-    # error must name line 3, the first, as the per-token reference does
+    # lines 3 and 4 are both bad; the error must name line 3, the first,
+    # as the per-token reference does
     text = "3 4 3\n+:1|-:2|1:0.5\n+:|-:|2:x\n+:3|-:|1:2:3\n"
     with pytest.raises(GmlFormatError) as want:
         parse_gml_reference(text)
@@ -456,9 +480,8 @@ def test_gml_error_names_the_first_bad_line_of_a_batch():
 
 
 def test_gml_repeat_in_the_last_line_of_many_batches():
-    # 150 lines of 50 features each, 170 kB: textio.line_batches hands
-    # them over in 11 batches of lines, and a fault must be found and
-    # ranked as the reference finds and ranks it whichever batch holds it
+    # 150 lines of 50 features each, 170 kB: a fault must be found and
+    # ranked as the reference finds and ranks it whichever line holds it
     rng = np.random.default_rng(7)
     n, d, l = 150, 50, 6
     lines = [f"{n} {d} {l}"]
@@ -478,7 +501,7 @@ def test_gml_repeat_in_the_last_line_of_many_batches():
     assert str(got_err.value) == str(want_err.value)
     assert str(got_err.value) == f"line {n + 1}: duplicate feature index 17"
     # a bad value on line 2, with a header one line too many: the count is
-    # the error, so every later batch is still read to count its lines
+    # the error, so every later line is still read to be counted
     lines[0] = f"{n + 1} {d} {l}"
     lines[1] = lines[1].replace(" 2:", " 2:x", 1)
     miscounted = "\n".join(lines) + "\n"
@@ -490,18 +513,10 @@ def test_gml_repeat_in_the_last_line_of_many_batches():
     assert str(got_err.value) == f"expected {n + 1} instance lines, found {n}"
 
 
-def _in_one_batch(read, text):
-    """_outcome of read(text) with a chunk of 1 MiB, so a text shorter
-    than that is one batch of lines."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(textio, "_CHUNK", 1 << 20)
-        return _outcome(read, text)
-
-
 def test_a_one_line_matrix_reads_as_the_same_values_in_rows():
     A = np.random.default_rng(10).standard_normal((250, 400))
     header, *rows = saved(save_matrix, A).splitlines()
-    flat = _in_one_batch(load_matrix, io.StringIO("1 100000\n" + " ".join(rows) + "\n"))
+    flat = _outcome(load_matrix, io.StringIO("1 100000\n" + " ".join(rows) + "\n"))
     assert flat == [(np.dtype(np.float64), (1, 100000), A.tobytes())]
     assert _outcome(load_matrix, io.StringIO("\n".join([header, *rows]) + "\n")) == [
         (np.dtype(np.float64), (250, 400), A.tobytes())]
@@ -632,7 +647,7 @@ def test_comment_stamps_are_one_utf8_line_each(tmp_path, writer):
     assert "# /data/run 1/train.gml\n" in text  # an ordinary path as it is
 
 
-# ---- (f) reading and writing files a batch of lines at a time -------------
+# ---- (f) reading and writing files a line at a time ----------------------
 
 # the characters of HOSTILE that str.splitlines breaks a line at
 BREAKS = sorted({c for c in HOSTILE if len(f"a{c}b".splitlines()) == 2})
@@ -641,78 +656,66 @@ LINE_TEXT = st.lists(
     max_size=40,
 ).map("".join)
 
+# every source textio.lines reads: a path, and a StringIO of the text and
+# the file opened, each in every newline mode
+NEWLINES = (None, "", "\n", "\r", "\r\n")
+LINE_SOURCES = ["path", *(("StringIO", nl) for nl in NEWLINES),
+                *(("open", nl) for nl in NEWLINES)]
+
+
+def lines_and_splitlines(source, path):
+    """textio.lines of source, and the read().splitlines() of a second
+    copy of it, for the UTF-8 file at path (read_text() for the path)."""
+    def fresh():
+        if source == "path":
+            return contextlib.nullcontext(path)
+        kind, newline = source
+        if kind == "StringIO":
+            text = path.read_bytes().decode("utf-8")
+            return contextlib.nullcontext(io.StringIO(text, newline=newline))
+        return open(path, encoding="utf-8", newline=newline)
+
+    with fresh() as stream:
+        got = list(textio.lines(stream))
+    with fresh() as stream:
+        text = path.read_text(encoding="utf-8") if source == "path" else stream.read()
+    return got, text.splitlines()
+
 
 @FUZZ
-@given(LINE_TEXT, st.integers(1, 7))
-def test_line_batches_join_to_read_text_splitlines(tmp_path_factory, text, chunk):
+@given(LINE_TEXT, st.sampled_from(LINE_SOURCES))
+def test_line_batches_join_to_read_text_splitlines(tmp_path_factory, text, source):
     path = tmp_path_factory.mktemp("lines") / "f.txt"
     path.write_bytes(text.encode("utf-8"))
-    want = path.read_text(encoding="utf-8").splitlines()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(textio, "_CHUNK", chunk)
-        from_path = list(textio.line_batches(path))
-        # a stream that keeps '\r\n' pairs, as a StringIO does
-        from_stream = list(textio.line_batches(io.StringIO(text)))
-    for batches in (from_path, from_stream):
-        assert all(batches)  # no empty batch
-        assert [line for batch in batches for line in batch] == want
+    got, want = lines_and_splitlines(source, path)
+    assert got == want
 
 
 @pytest.mark.parametrize("text, want", [
     ("", []),
     ("ab", ["ab"]),  # no final newline
     ("\n\nab\n\n", ["", "", "ab", ""]),  # blank lines
-    ("abc\r\nd", ["abc", "d"]),  # '\r\n' across the 3-character chunk edge
-    ("ab\r\ncd", ["ab", "cd"]),  # '\r' ends a chunk, '\n' starts the next
+    ("abc\r\nd", ["abc", "d"]),  # one '\r\n' break
+    ("ab\r\ncd", ["ab", "cd"]),  # a newline='\r' stream ends a line at its '\r'
 ])
-def test_line_batches_edge_cases(tmp_path, monkeypatch, text, want):
-    monkeypatch.setattr(textio, "_CHUNK", 3)
+def test_line_batches_edge_cases(tmp_path, text, want):
     path = tmp_path / "f.txt"
     path.write_bytes(text.encode("utf-8"))
     assert path.read_text(encoding="utf-8").splitlines() == want
-    # open streams that keep '\r\n' pairs and that translate them
-    with open(path, encoding="utf-8", newline="") as kept, open(path, encoding="utf-8") as translated:
-        for source in (path, io.StringIO(text), kept, translated):
-            assert [line for batch in textio.line_batches(source) for line in batch] == want
+    for source in LINE_SOURCES:
+        got, read = lines_and_splitlines(source, path)
+        assert got == read
 
 
 @pytest.mark.parametrize("brk", [*BREAKS, "\r\n"], ids=ascii)
-def test_line_batches_hold_a_chunk_and_a_line_for_every_break(tmp_path, monkeypatch, brk):
-    monkeypatch.setattr(textio, "_CHUNK", 64)
+def test_line_batches_hold_a_chunk_and_a_line_for_every_break(tmp_path, brk):
     lines = [f"{j} {i} -1" for j in range(1, 41) for i in range(1, 51)]
     path = tmp_path / "f.txt"
     path.write_bytes((brk.join(lines) + brk).encode("utf-8"))
-    want = path.read_text(encoding="utf-8").splitlines()
-    assert want == lines
-    with open(path, encoding="utf-8", newline="") as kept, \
-            open(path, encoding="utf-8", newline="\r") as cr:
-        # each source, with the width of a break in the text it reads: a
-        # path is read with universal newlines, which make every '\r\n' one '\n'
-        for source, width in ((path, 1), (io.StringIO(brk.join(lines) + brk), len(brk)),
-                              (kept, len(brk)), (cr, len(brk))):
-            batches = list(textio.line_batches(source))
-            assert [line for batch in batches for line in batch] == want
-            # a batch is the lines that end in one chunk, the first of
-            # which may begin in the chunk before
-            held = max(sum(len(x) + width for x in batch) for batch in batches)
-            assert held <= 64 + max(map(len, lines)) + width
-
-
-def test_line_batches_read_a_long_line_in_few_reads(monkeypatch):
-    # while a line goes on past a chunk, each read is as long as the part
-    # of it carried, so the reads double
-    monkeypatch.setattr(textio, "_CHUNK", 16)
-    reads = []
-
-    class Counted(io.StringIO):
-        def read(self, size=-1):
-            reads.append(size)
-            return super().read(size)
-
-    text = "1.5 " * 4096 + "\n2\n"
-    batches = textio.line_batches(Counted(text))
-    assert [line for batch in batches for line in batch] == ["1.5 " * 4096, "2"]
-    assert len(reads) < 20  # one chunk at a time would take over 1,000 reads
+    assert list(textio.lines(path)) == lines
+    for source in LINE_SOURCES:
+        got, want = lines_and_splitlines(source, path)
+        assert got == want
 
 
 _DATA = Dataset(FeatureMatrix([[0.5, 0.0, 1 / 3]]), LabelMatrix([[1, 0, -1], [-1, 1, 0]]))

@@ -1,10 +1,11 @@
 """Memory regression tests of the file codecs and the pipeline stages.
 
-Each file is read or written a batch of lines at a time, so what a call
-holds at its peak, beyond the arrays it returns, must stay below the
-size of the file itself: a codec that held the file's text, or a list
-of its lines, would exceed it.  A stage's peak must stay a small
-multiple of the data it works on, not of a fixed-size scratch block.
+Each file is read a line at a time and written a line, or one bounded
+batch of lines, at a time, so what a call holds at its peak, beyond the
+arrays it returns, must stay below the size of the file itself: a codec
+that held the file's text, or a list of its lines, would exceed it.  A
+stage's peak must stay a small multiple of the data it works on, not of
+a fixed-size scratch block.
 The shapes are the benchmark's: the corel-pipeline training file and
 hidden labels, and the large-k model.
 """
@@ -72,10 +73,11 @@ def test_saving_gml_files_holds_no_file_text(corel_files):
 def test_loading_with_the_bias_row_holds_the_features_once_more(
         corel_data, corel_files, monkeypatch):
     # one traced load in two phases.  The decode, whose peak is read as
-    # the bias row is added, holds beyond the arrays it returns one batch
-    # of lines and one line's tokens, not the file's text nor a batch's
-    # converted tokens: 0.10 x the features (160 kB) measured, against
-    # 0.34 x when each batch of tokens was converted with numpy calls.
+    # the bias row is added, holds beyond the arrays it returns one line
+    # and its tokens, not the file's text nor its converted tokens:
+    # 0.088 x the features (140 kB) measured, against 0.095 x when it
+    # held a 16 K-character batch of lines and 0.34 x when each batch of
+    # tokens was converted with numpy calls.
     # The stacked array is the new matrix's own: beyond the result, the
     # decoded features and the decoder's scratch, not a copy of the stack
     path = corel_files[0]
@@ -103,7 +105,7 @@ def test_a_second_load_reads_the_cached_arrays_uncopied(corel_files):
     # the first load decodes the file and writes its cache; the second
     # reads the arrays from the cache and adopts them, holding beyond them
     # the isfinite check's bool copy of the features: 0.13 x the features
-    # (209 kB) measured, against 0.10 x (160 kB) for the first load, which
+    # (203 kB) measured, against 0.088 x (140 kB) for the first load, which
     # decodes one line at a time, and 1.13 x with a copy of the features
     path = corel_files[0]
     data = cli._load_dataset(path)
@@ -137,8 +139,10 @@ def test_eval_peak_tracks_the_scores(corel_files, tmp_path):
 
 
 def test_loading_a_matrix_holds_it_once(tmp_path):
-    # corel-pipeline's scores, decoded: each batch's values are appended
-    # to one buffer, not concatenated from per-batch parts at the end
+    # corel-pipeline's scores, decoded: the values are converted one at a
+    # time into one growing array, not concatenated from per-line parts
+    # at the end: 0.38 x the matrix measured, against 0.27 x when each
+    # batch of lines was converted with one numpy call into a bytearray
     S = np.random.default_rng(2).standard_normal((374, 400))
     scores = tmp_path / "scores.txt"
     save_matrix(S, scores)
