@@ -49,10 +49,6 @@ import numpy as np
 
 from .textio import comment_lines, file_key, lines, write_lines
 
-# label entries save_gml writes per block of instances, so short rows
-# are batched across lines
-_BATCH = 4096
-
 
 class GmlFormatError(ValueError):
     """Raised when GML text does not conform to the format."""
@@ -509,37 +505,18 @@ def parse_gml(text):
     return load_gml(io.StringIO(text))
 
 
-def _feature_field(x):
-    """One instance's GML feature field: 'idx:value' for every nonzero."""
-    fid = np.flatnonzero(x)
-    pairs = [None] * (2 * fid.size)
-    pairs[0::2] = (fid + 1).tolist()
-    pairs[1::2] = x[fid].tolist()
-    return " ".join(["%d:%r"] * fid.size) % tuple(pairs)
-
-
-def _id_fields(mask, ids):
-    """The comma-joined ids of each row's True entries: ids[j] for column j."""
-    rows, cols = np.nonzero(mask)
-    strs = ids[cols].tolist()
-    cut = [0, *np.cumsum(np.bincount(rows, minlength=mask.shape[0])).tolist()]
-    return [",".join(strs[s:e]) for s, e in zip(cut, cut[1:])]
-
-
 def save_gml(files, comments=()):
     """Write datasets sharing one FeatureMatrix to GML files, in one pass.
 
     Feature values are printed with full round-trip precision, so
     load_gml reproduces each dataset exactly; only nonzero features are
-    written.  The lines are made as they are written, a batch of
-    instances at a time, so no file's text is held: a batch spans about
-    _BATCH label entries, and only its instances' fields are
-    held.  The str of each label id is made once per call; per batch and
-    file, one np.nonzero per sign finds the ids of every instance, whose
-    strings are looked up and joined.  Each instance's feature field is
-    formatted once for every file: the full and partly observed copies
-    of a dataset cost one formatting pass.  The datasets and comments
-    are checked before any file is opened.
+    written.  Each instance's line is made as it is written, so no
+    file's text is held.  Two string tables are made once per call: the
+    'j:%r' piece of every feature and the str of every label id, so a
+    line only looks strings up and joins them.  Each instance's feature
+    field is formatted once for every file: the full and partly observed
+    copies of a dataset cost one formatting pass.  The datasets and
+    comments are checked before any file is opened.
 
     Each file is written through a hashing stream and then gets beside
     it the cache load_gml reads, keyed by the bytes as they were
@@ -560,25 +537,26 @@ def save_gml(files, comments=()):
     if any(data.features is not features for data in datasets):
         raise ValueError("datasets written together must share one FeatureMatrix")
     head = comment_lines(comments)
-    l = max(data.l for data in datasets)
-    ids = np.array([str(j) for j in range(1, l + 1)], dtype=object)
-    step = max(1, _BATCH // l)
+    pieces = np.array([f"{j}:%r" for j in range(1, features.d + 1)], dtype=object)
+    ids = np.array([str(j) for j in range(1, max(data.l for data in datasets) + 1)],
+                   dtype=object)
     # one path per file, with the dataset given last for it
     targets = {file_key(path): (path, data) for path, data in files.items()}
     with contextlib.ExitStack() as stack:
-        sinks = [(path, data, *stack.enter_context(_hashed(path, "w")))
+        sinks = [(path, data, ids[: data.l], *stack.enter_context(_hashed(path, "w")))
                  for path, data in targets.values()]
-        for _, data, stream, _ in sinks:
+        for _, data, _, stream, _ in sinks:
             for line in [*head, f"{data.n} {data.d} {data.l}"]:
                 stream.write(line + "\n")
-        for first in range(0, features.n, step):
-            feats = [_feature_field(x) for x in features.values[:, first : first + step].T]
-            for _, data, stream, _ in sinks:
-                Y = data.labels.values[:, first : first + step].T
-                for pos, neg, x in zip(_id_fields(Y == 1, ids), _id_fields(Y == -1, ids), feats):
-                    stream.write(f"+:{pos}|-:{neg}|{x}\n")
+        for col, x in enumerate(features.values.T):
+            fid = np.flatnonzero(x)
+            feats = " ".join(pieces[fid].tolist()) % tuple(x[fid].tolist())
+            for _, data, row_ids, stream, _ in sinks:
+                y = data.labels.values[:, col]
+                pos, neg = ",".join(row_ids[y == 1]), ",".join(row_ids[y == -1])
+                stream.write(f"+:{pos}|-:{neg}|{feats}\n")
     X = np.add(features.values, 0.0, order="C")
-    for path, data, _, sha in sinks:
+    for path, data, _, _, sha in sinks:
         _write_cache(path, sha, "gml", (X, np.ascontiguousarray(data.labels.values)))
 
 

@@ -4,11 +4,11 @@ writing a file a line at a time.
 Every writer emits its comments with comment_lines, so a comment stays
 one '#' line of valid UTF-8 whatever text it stamps.
 
-Files are read with lines and written with write_lines, so no file's
-full text is held in memory: a reader holds one line and a writer one
-line, or the lines of one block its format makes, at a time.  The lines
-that lines yields are exactly those of Path.read_text().splitlines(), so
-a decoder given a file's lines sees what it would see given its text.
+Files are read with lines and written a line at a time, so no file's
+full text is held in memory: a reader and a writer each hold one line
+at a time.  The lines that lines yields are exactly those of
+Path.read_text().splitlines(), so a decoder given a file's lines sees
+what it would see given its text.
 
 Whether two paths name one file is decided here too, by file_key: the
 CLI checks a run's paths with it and save_gml keys its files by it.

@@ -174,10 +174,9 @@ def test_synth_outputs_consistent(synth_files):
 # blake2b digests (16 bytes) of synth's files with their '#' lines
 # dropped: (l, n, d, k, noise, rho, seed) -> full.gml, train.gml,
 # hidden.txt.  The GML digests were frozen from the writer that formatted
-# every id of every line where it wrote it, and the larger shape crosses
-# the edges of its batches of instances; the hidden.txt ones from the 'l n' header and rows of
-# str() of each entry of the full labels less the masked ones, both as
-# the reference GML parser reads them.
+# every id of every line where it wrote it; the hidden.txt ones from the
+# 'l n' header and rows of str() of each entry of the full labels less
+# the masked ones, both as the reference GML parser reads them.
 SYNTH_DIGESTS = {
     (3, 9, 2, 1, 0, 50, 1): ("3f90655916fe96319d561e219227e252",
                              "36a539c388ada628abe588fc20fbd494",
@@ -394,6 +393,16 @@ def test_train_reports_a_feature_block_it_cannot_allocate_in_one_line(
     refuse_feature_block(monkeypatch, (5, 3))
     assert run("train", "--input", path, "--model-out", model_path) == 1
     assert capsys.readouterr().err == "error: Unable to allocate an array with shape (5, 3)\n"
+    assert not model_path.exists()
+
+
+def test_train_refuses_an_empty_grid(tmp_path, synth_files, capsys):
+    # an empty spec is a grid with one empty axis, not the default model
+    _, masked, _ = synth_files
+    model_path = tmp_path / "m.model"
+    assert run("train", "--input", masked, "--model-out", model_path, "--grid", "") == 1
+    assert capsys.readouterr().err == (
+        "error: bad grid axis ''; axes are lambda, lambda2, lambda3, lambda4, k, g\n")
     assert not model_path.exists()
 
 

@@ -5,10 +5,10 @@ accepts, the partition, matrix and hidden-label readers may reject input
 only with ValueError and the model reader only with ModelFormatError,
 every save/load pair must round-trip bit-exactly, and the bytes each
 writer produces are frozen against literal strings and equal to those
-of its per-instance reference, whatever the batch size.  A file read a
-line at a time must give exactly its text's lines, and a file written
-line by line exactly what its writer gives a text stream, or nothing at
-all on bad input.  Every spelling of one file has one textio.file_key.
+of its per-instance reference.  A file read a line at a time must give
+exactly its text's lines, and a file written line by line exactly what
+its writer gives a text stream, or nothing at all on bad input.  Every
+spelling of one file has one textio.file_key.
 """
 
 import base64
@@ -468,7 +468,7 @@ def test_readers_accept_any_line_layout():
 # ---- (b'') the decoders' error order over many lines -----------------------
 
 
-def test_gml_error_names_the_first_bad_line_of_a_batch():
+def test_gml_error_names_the_first_bad_line():
     # lines 3 and 4 are both bad; the error must name line 3, the first,
     # as the per-token reference does
     text = "3 4 3\n+:1|-:2|1:0.5\n+:|-:|2:x\n+:3|-:|1:2:3\n"
@@ -479,7 +479,7 @@ def test_gml_error_names_the_first_bad_line_of_a_batch():
     assert str(got.value) == str(want.value) == "line 3: non-numeric feature value 'x'"
 
 
-def test_gml_repeat_in_the_last_line_of_many_batches():
+def test_gml_repeat_in_the_last_of_many_lines():
     # 150 lines of 50 features each, 170 kB: a fault must be found and
     # ranked as the reference finds and ranks it whichever line holds it
     rng = np.random.default_rng(7)
@@ -569,7 +569,7 @@ def test_writers_output_is_frozen(tmp_path):
     )
 
 
-# ---- (d) the batched writers against the per-instance references ---------
+# ---- (d) the GML writer against its per-instance reference --------------
 
 WRITE = settings(derandomize=True, max_examples=150, deadline=None)
 # features whose text is easy to get wrong, and zeros, which are not written
@@ -581,8 +581,9 @@ GML_FLOAT = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7
 def shared_datasets(draw):
     """A full dataset and a partly observed copy sharing its features, as
     synth writes them, with all-zero feature columns and all-unobserved
-    and all-observed label columns among the mixed ones."""
-    l, d, n = draw(st.integers(2, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    and all-observed label columns among the mixed ones.  Up to 12 labels
+    and features, so two-digit label ids and feature indices are written."""
+    l, d, n = draw(st.integers(2, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 9))
     X = draw(arrays(np.float64, (d, n), elements=GML_FLOAT))
     full = draw(arrays(np.int8, (l, n), elements=st.sampled_from([-1, 1])))
     kept = draw(arrays(np.int8, (l, n), elements=st.sampled_from([0, 1])))
@@ -597,15 +598,13 @@ def shared_datasets(draw):
 
 
 @WRITE
-@given(shared_datasets(), st.integers(1, 7))
-def test_save_gml_writes_the_per_instance_bytes(tmp_path_factory, case, batch):
+@given(shared_datasets())
+def test_save_gml_writes_the_per_instance_bytes(tmp_path_factory, case):
     full, masked = case
     root = tmp_path_factory.mktemp("gml")
     save_gml_reference({root / "want_full.gml": full, root / "want_train.gml": masked},
                        comments=["c"])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("glocal.data._BATCH", batch)
-        save_gml({root / "full.gml": full, root / "train.gml": masked}, comments=["c"])
+    save_gml({root / "full.gml": full, root / "train.gml": masked}, comments=["c"])
     for name in ("full", "train"):
         assert (root / f"{name}.gml").read_bytes() == (root / f"want_{name}.gml").read_bytes()
 
@@ -684,7 +683,7 @@ def lines_and_splitlines(source, path):
 
 @FUZZ
 @given(LINE_TEXT, st.sampled_from(LINE_SOURCES))
-def test_line_batches_join_to_read_text_splitlines(tmp_path_factory, text, source):
+def test_lines_join_to_read_text_splitlines(tmp_path_factory, text, source):
     path = tmp_path_factory.mktemp("lines") / "f.txt"
     path.write_bytes(text.encode("utf-8"))
     got, want = lines_and_splitlines(source, path)
@@ -698,7 +697,7 @@ def test_line_batches_join_to_read_text_splitlines(tmp_path_factory, text, sourc
     ("abc\r\nd", ["abc", "d"]),  # one '\r\n' break
     ("ab\r\ncd", ["ab", "cd"]),  # a newline='\r' stream ends a line at its '\r'
 ])
-def test_line_batches_edge_cases(tmp_path, text, want):
+def test_lines_edge_cases(tmp_path, text, want):
     path = tmp_path / "f.txt"
     path.write_bytes(text.encode("utf-8"))
     assert path.read_text(encoding="utf-8").splitlines() == want
@@ -708,7 +707,7 @@ def test_line_batches_edge_cases(tmp_path, text, want):
 
 
 @pytest.mark.parametrize("brk", [*BREAKS, "\r\n"], ids=ascii)
-def test_line_batches_hold_a_chunk_and_a_line_for_every_break(tmp_path, brk):
+def test_lines_split_at_every_break(tmp_path, brk):
     lines = [f"{j} {i} -1" for j in range(1, 41) for i in range(1, 51)]
     path = tmp_path / "f.txt"
     path.write_bytes((brk.join(lines) + brk).encode("utf-8"))

@@ -1,11 +1,10 @@
 """Memory regression tests of the file codecs and the pipeline stages.
 
-Each file is read a line at a time and written a line, or one bounded
-batch of lines, at a time, so what a call holds at its peak, beyond the
-arrays it returns, must stay below the size of the file itself: a codec
-that held the file's text, or a list of its lines, would exceed it.  A
-stage's peak must stay a small multiple of the data it works on, not of
-a fixed-size scratch block.
+Each file is read and written a line at a time, so what a call holds at
+its peak, beyond the arrays it returns, must stay below the size of the
+file itself: a codec that held the file's text, or a list of its lines,
+would exceed it.  A stage's peak must stay a small multiple of the data
+it works on, not of a fixed-size scratch block.
 The shapes are the benchmark's: the corel-pipeline training file and
 hidden labels, and the large-k model.
 """
