@@ -18,12 +18,14 @@ modules.  A GML or matrix path has its array cache,
 decoder would return, keyed by the file's bytes.  save_gml and
 save_matrix write it with the file, and load_gml and load_matrix read
 it, or decode the file and write it, so no command decodes text another
-wrote.  The cache is the one file a run writes without a stamp.
+wrote.  A partition file is a 1 x n matrix file, so it has its cache
+too.  The cache is the one file a run writes without a stamp.
 """
 
 import argparse
 import dataclasses
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -335,7 +337,7 @@ def main(argv=None):
             path, flag = getattr(args, name), name.replace("_", "-")
             if path is None:
                 continue
-            target, key = Path(path).resolve(), file_key(path)
+            target, key = Path(os.path.realpath(path)), file_key(path)
             if name in args.inputs:
                 if not Path(path).is_file():
                     raise ValueError(f"{name} file not found: {path}")

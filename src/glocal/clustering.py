@@ -1,18 +1,16 @@
 """Instance clustering into local groups.
 
 Groups are produced by seeded k-means (k-means++ initialization, Lloyd
-iterations, Euclidean distance) or read from a partition file.  Group
-indices are 1-based to match the file format; instance indices are
-0-based in memory.
+iterations, Euclidean distance) or read from a partition file, a 1 x n
+matrix file of each instance's group.  Group indices are 1-based to
+match the file format; instance indices are 0-based in memory.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .data import check_integer, check_integers
-from .textio import comment_lines, lines, write_lines
+from .data import check_integer, check_integers, load_matrix, save_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,53 +153,33 @@ def kmeans(features, g, seed, max_iter=100):
 
 
 def save_partition(partition, path, comments=()):
-    """Write 'instance_idx group_idx' lines, 1-based, one per instance.
+    """Write the partition as a 1 x n matrix file: a '1 n' header, then
+    the 1-based group of each instance, in instance order (see
+    data.save_matrix; a path gets its array cache).
 
     Args:
         partition: Partition to write.
         path: path, or text file object written where it stands.
         comments: optional strings emitted as leading '#' lines.
     """
-    head = comment_lines(comments)
-    pairs = enumerate(partition.assignment.tolist(), start=1)
-    write_lines(path, chain(head, (f"{i} {m}" for i, m in pairs)))
+    save_matrix(partition.assignment[None, :], path, comments)
 
 
 def load_partition(path, features):
-    """Read a partition file and validate it against the instance count.
+    """Read a partition file, a 1 x n matrix file (see data.load_matrix),
+    as the partition of the n instances of `features`.
 
-    Every instance 1..n must appear exactly once and every group up to
-    the largest index must be nonempty, so no group index exceeds n.
-    The file is read a line at a time.
+    Every value must be an integer in 1..n; Partition then refuses an
+    empty group, so every group up to the largest is nonempty.
 
     Args:
         path: path, or text file object read from where it stands.
         features: FeatureMatrix of the instances partitioned.
     """
     n = features.n
-    assign = np.zeros(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    for line_no, raw in enumerate(lines(path), start=1):
-        if raw.startswith("#") or raw.strip() == "":
-            continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {line_no}: expected 'instance_idx group_idx'")
-        try:
-            inst, grp = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {line_no}: expected two integers") from None
-        if not 1 <= inst <= n:
-            raise ValueError(f"line {line_no}: instance {inst} out of range 1..{n}")
-        if seen[inst - 1]:
-            raise ValueError(f"line {line_no}: instance {inst} assigned twice")
-        if grp < 1:
-            raise ValueError(f"line {line_no}: group indices are 1-based")
-        if grp > n:  # some group would be empty; also bounds the arrays built
-            raise ValueError(f"line {line_no}: group {grp} exceeds the instance count {n}")
-        seen[inst - 1] = True
-        assign[inst - 1] = grp
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0]) + 1
-        raise ValueError(f"partition does not cover instance {missing}")
-    return Partition(int(assign.max(initial=0)), assign)
+    A = load_matrix(path)
+    if A.shape != (1, n):
+        raise ValueError(f"partition must be a 1 x {n} matrix, got {A.shape[0]} x {A.shape[1]}")
+    if not ((A >= 1) & (A <= n) & (A == np.floor(A))).all():
+        raise ValueError(f"partition values must be integers in 1..{n}")
+    return Partition(int(A.max(initial=0)), A[0].astype(np.int64))

@@ -12,8 +12,9 @@ can be shared freely; masking and splitting return new objects.  Every
 container checks the values it is given, not a cast of them, with the
 check_* functions here, which the other modules' constructors share.
 
-File formats owned here (the partition, model, trace and report files
-live with their modules):
+File formats owned here (the model, trace and report files live with
+their modules, and a partition file is a matrix file; see
+glocal.clustering):
   * GML datasets: an "n d l" header line, then one
     "+:<csv>|-:<csv>|<idx:value pairs>" line per instance (load_gml);
   * scores/labels files: comments, a "l n" header line, then l rows of
@@ -400,12 +401,23 @@ def _cache_key(sha, kind):
     return f"{sha.hexdigest()} {kind}".encode() + _decoder_stamp()
 
 
+@contextlib.contextmanager
+def _cache_file(path):
+    """path's cache file, open and read past _CACHE_MAGIC, or None where
+    it does not start with them.  What is no regular file reads as empty
+    and is never opened: opening a FIFO blocks until a writer comes.
+    Raises OSError where nothing is there."""
+    cache = _cache_path(path)
+    with open(cache, "rb") if stat.S_ISREG(os.stat(cache).st_mode) else io.BytesIO() as f:
+        yield f if f.read(len(_CACHE_MAGIC)) == _CACHE_MAGIC else None
+
+
 def _read_cache(path, kind, count):
     """The `count` arrays in path's cache, if its key names path's bytes
     read as `kind` and each array is in C order, else None, never an
     error."""
-    with contextlib.suppress(OSError, ValueError, MemoryError), open(_cache_path(path), "rb") as f:
-        if f.read(len(_CACHE_MAGIC)) == _CACHE_MAGIC:
+    with contextlib.suppress(OSError, ValueError, MemoryError), _cache_file(path) as f:
+        if f:
             with open(path, "rb") as source:
                 key = _cache_key(hashlib.file_digest(source, "sha256"), kind)
             if f.read(len(key)) == key:
@@ -422,8 +434,8 @@ def _write_cache(path, sha, kind, arrays):
     Written through a temporary file, which a failed write removes.
     Skipped, never an error, where path is no regular file (a pipe's
     bytes are gone once read, so no key could be checked, and the cache
-    of /dev/null would be written into /dev), the cache path holds a
-    file that is no cache or a write raises an OSError.
+    of /dev/null would be written into /dev), the cache path holds
+    anything but a cache (see _cache_file) or a write raises an OSError.
     """
     cache = _cache_path(path)
     with contextlib.suppress(OSError):
@@ -431,8 +443,8 @@ def _write_cache(path, sha, kind, arrays):
         if not stat.S_ISREG(mode):
             return
         if os.path.lexists(cache):
-            with open(cache, "rb") as f:
-                if f.read(len(_CACHE_MAGIC)) != _CACHE_MAGIC:
+            with _cache_file(path) as f:
+                if not f:
                     return
         fd, temp = tempfile.mkstemp(prefix=cache.name, dir=cache.parent)
         try:
@@ -734,10 +746,13 @@ def apply_mask(data, rho, seed):
 
 
 def take_instances(data, indices):
-    """New Dataset restricted to the given instance columns, in order."""
+    """New Dataset restricted to the given instance columns, in order:
+    0-based indices in 0..n-1, never counted from the end."""
     idx = np.asarray(check_integers("instance indices", indices), dtype=int)
     if idx.ndim != 1:
         raise ValueError("instance indices must be 1-D")
+    if idx.size and (idx.min() < 0 or idx.max() >= data.n):
+        raise ValueError(f"instance indices must lie in 0..{data.n - 1}")
     # fancy indexing makes private copies, so the containers take them
     return Dataset(
         _adopt(FeatureMatrix, data.features.values[:, idx]),

@@ -15,6 +15,7 @@ CLI checks a run's paths with it and save_gml keys its files by it.
 """
 
 import contextlib
+import os
 import re
 from pathlib import Path
 
@@ -91,5 +92,5 @@ def file_key(path):
     for any other path, the resolved path, which is what a file written
     there would be named.
     """
-    target = Path(path).resolve()
+    target = Path(os.path.realpath(path))  # Path.resolve raises on a link loop before 3.13
     return target.stat()[1:3] if target.is_file() else target  # (st_ino, st_dev)

@@ -238,11 +238,11 @@ def test_cluster_train_predict_eval_pipeline(tmp_path, synth_files, capsys):
     part = tmp_path / "groups.txt"
     assert run("cluster", "--input", masked, "--groups", 3, "--seed", 0,
                "--out", part) == 0
-    lines = [
+    header, row = [
         ln for ln in part.read_text(encoding="utf-8").splitlines() if not ln.startswith("#")
     ]
-    assert len(lines) == 40
-    assert {int(ln.split()[1]) for ln in lines} == {1, 2, 3}
+    assert header == "1 40"
+    assert len(row.split()) == 40 and set(row.split()) == {"1", "2", "3"}
 
     model_path = tmp_path / "fit.model"
     trace_path = tmp_path / "trace.csv"
@@ -310,7 +310,7 @@ def test_documented_rise_stops_the_fit(tmp_path, capsys):
     known = text.split("## Known behaviour", 1)[1]
     gml, part, trace = tmp_path / "rise.gml", tmp_path / "groups.txt", tmp_path / "trace.csv"
     gml.write_text(known.split("```\n")[1], encoding="utf-8")
-    part.write_text("1 1\n2 2\n3 1\n4 2\n5 1\n", encoding="utf-8")  # 1 2 1 2 1
+    part.write_text("1 5\n1 2 1 2 1\n", encoding="utf-8")
     flags = shlex.split(re.search(r"trained with `([^`]*)`", known).group(1))
     risen = 0
     for seed in range(20):
@@ -703,6 +703,22 @@ def test_missing_input_exits_nonzero(tmp_path, capsys):
     assert err.startswith("error:") and "not found" in err
 
 
+def test_a_symlink_loop_is_a_missing_file_or_directory(tmp_path, synth_files, capsys):
+    # Path.resolve raises RuntimeError on a loop before Python 3.13; a loop
+    # is reported as what is missing, with one line and exit 1
+    _, masked, _ = synth_files
+    loop = tmp_path / "loop"
+    os.symlink(tmp_path / "back", loop)
+    os.symlink(loop, tmp_path / "back")
+    out = tmp_path / "groups.txt"
+    assert run("cluster", "--input", loop, "--groups", 2, "--out", out) == 1
+    assert capsys.readouterr() == ("", f"error: input file not found: {loop}\n")
+    assert run("cluster", "--input", masked, "--groups", 2, "--out", loop / "g.txt") == 1
+    assert capsys.readouterr() == (
+        "", f"error: directory for out does not exist: {os.path.realpath(loop)}\n")
+    assert not out.exists()
+
+
 def test_eval_checks_every_path_before_reading_scores(tmp_path, capsys):
     scores = tmp_path / "scores.txt"
     scores.write_text("not a matrix\n", encoding="utf-8")
@@ -801,7 +817,7 @@ _PATH_CASES = ["synth", "mask", "split", "cluster", "train", "predict", "eval-tr
 # writes with their array cache beside them
 _CACHED_OUTPUTS = {"synth": {"out_full", "out_masked", "out_hidden"},
                    "mask": {"out", "hidden_out"}, "split": {"train_out", "test_out"},
-                   "predict": {"scores_out", "labels_out"}}
+                   "cluster": {"out"}, "predict": {"scores_out", "labels_out"}}
 
 
 def _cache_of(path):
@@ -926,11 +942,12 @@ def test_a_run_that_hits_the_gml_cache_writes_what_a_miss_writes(
     tmp_path, pipeline_files, capsys, monkeypatch, case
 ):
     # the first run decodes its inputs and writes a cache beside each:
-    # its GML input's, and for eval --truth the scores' too; the second
-    # reads the caches and decodes nothing
+    # its GML input's, for train the partition's and for eval --truth the
+    # scores' too; the second reads the caches and decodes nothing
     for cache in tmp_path.glob(".*.glocal-cache"):
         cache.unlink()
-    inputs = {"mask": ["full"], "split": ["full"], "eval-truth": ["full", "scores"]}
+    inputs = {"mask": ["full"], "split": ["full"], "train": ["masked", "part"],
+              "eval-truth": ["full", "scores"]}
     caches = {_cache_of(pipeline_files[f]) for f in inputs.get(case, ["masked"])}
     capsys.readouterr()
     runs = []
@@ -947,7 +964,8 @@ def test_a_gml_cache_that_cannot_be_written_is_skipped(tmp_path, synth_files):
     # a directory at the cache path fails the write as a read-only directory
     # would (which the tests cannot make, since they may run as root); the
     # run still succeeds, writes the same partition as a run that writes
-    # its cache, and leaves no temporary file
+    # its cache, and leaves no temporary file: only the partition and its
+    # cache appear
     _, masked, _ = synth_files
     cache = tmp_path / f".{masked.name}.glocal-cache"
     cache.unlink()  # the one synth wrote
@@ -955,7 +973,8 @@ def test_a_gml_cache_that_cannot_be_written_is_skipped(tmp_path, synth_files):
     before = set(tmp_path.iterdir())
     argv = ["cluster", "--input", masked, "--groups", 2, "--out"]
     assert run(*argv, tmp_path / "skipped.txt") == 0
-    assert set(tmp_path.iterdir()) == before | {tmp_path / "skipped.txt"}
+    assert set(tmp_path.iterdir()) == before | {tmp_path / "skipped.txt",
+                                                _cache_of(tmp_path / "skipped.txt")}
     assert cache.is_dir() and not any(cache.iterdir())
     cache.rmdir()
     assert run(*argv, tmp_path / "cached.txt") == 0
@@ -1062,11 +1081,11 @@ def test_partition_not_covering_dataset_exits_nonzero(
 ):
     _, masked, _ = synth_files
     bad = tmp_path / "bad.txt"
-    bad.write_text("1 1\n2 1\n", encoding="utf-8")  # covers 2 of 40 instances
+    bad.write_text("1 2\n1 1\n", encoding="utf-8")  # covers 2 of 40 instances
     rc = run("train", "--input", masked, "--partition", bad,
              "--model-out", tmp_path / "m.model")
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: partition must be a 1 x 40 matrix, got 1 x 2\n"
 
 
 @pytest.mark.parametrize(

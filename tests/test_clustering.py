@@ -1,6 +1,7 @@
 import io
 import itertools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ def test_partition_validation():
         Partition(g=2, assignment=[1, 3])
     # no instances make no group, refused by Partition, not by numpy's min
     with pytest.raises(ValueError, match="^need at least one group$"):
-        load_partition(io.StringIO(""), FeatureMatrix(np.zeros((2, 0))))
+        load_partition(io.StringIO("1 0\n"), FeatureMatrix(np.zeros((2, 0))))
     # the values given are checked, not their int64 cast: a fraction, an
     # integral float or a bool is refused, not truncated
     for bad in ([1.9, 2.2], [1.0, 2.0], [True, True]):
@@ -189,19 +190,47 @@ def test_partition_file_roundtrip():
 def test_read_partition_errors():
     feats = FeatureMatrix(np.zeros((2, 3)))
 
-    def read_partition(text, features):
+    def read_partition(text, features=feats):
         return load_partition(io.StringIO(text), features)
 
-    with pytest.raises(ValueError, match="does not cover"):
-        read_partition("1 1\n2 1\n", feats)
-    with pytest.raises(ValueError, match="assigned twice"):
-        read_partition("1 1\n1 2\n2 1\n3 1\n", feats)
-    with pytest.raises(ValueError, match="out of range"):
-        read_partition("1 1\n2 1\n4 1\n", feats)
-    with pytest.raises(ValueError, match="1-based"):
-        read_partition("1 0\n2 1\n3 1\n", feats)
-    with pytest.raises(ValueError, match="empty"):
-        read_partition("1 1\n2 1\n3 3\n", feats)
+    # a partition is one row of n values, so an instance_idx group_idx
+    # pair per line is refused: its value count is not its header's
+    with pytest.raises(ValueError, match="^expected 1 values, found 4$"):
+        read_partition("1 1\n2 1\n3 2\n")
+    with pytest.raises(ValueError, match="^partition must be a 1 x 3 matrix, got 3 x 1$"):
+        read_partition("3 1\n1\n1\n2\n")
+    with pytest.raises(ValueError, match="^partition must be a 1 x 3 matrix, got 1 x 2$"):
+        read_partition("1 2\n1 2\n")
+    with pytest.raises(ValueError, match="^partition must be a 1 x 3 matrix, got 0 x 0$"):
+        read_partition("0 0\n")
+    for values in ("0 1 2", "-1 1 2", "1 2 4", "1 1.5 2", "1 nan 2", "1 inf 2", "1 2 1e300"):
+        with pytest.raises(ValueError, match=r"^partition values must be integers in 1\.\.3$"):
+            read_partition(f"1 3\n{values}\n")
+    with pytest.raises(ValueError, match="^group 2 is empty$"):
+        read_partition("1 3\n1 1 3\n")
+    with pytest.raises(ValueError, match="^matrix file needs a 'rows cols' header$"):
+        read_partition("")
+    # integral values in any spelling float() reads are groups
+    assert read_partition("1 3\n2 1.0 2e0\n").assignment.tolist() == [2, 1, 2]
+    # an old two-instance file whose pairs read as one row names the same
+    # groups: instance 1 in group 2, instance 2 in group 1
+    two = FeatureMatrix(np.zeros((2, 2)))
+    assert read_partition("1 2\n2 1\n", two).assignment.tolist() == [2, 1]
+    with pytest.raises(ValueError, match="^expected 1 values, found 2$"):
+        read_partition("1 1\n2 2\n", two)
+
+
+def test_documented_partition_example_parses():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    # the fenced block under the File formats entry for partitions
+    example = text.split("**Partition**", 1)[1].split("```\n", 2)[1]
+    part = load_partition(io.StringIO(example), FeatureMatrix(np.zeros((1, 5))))
+    assert part.g == 2 and part.assignment.tolist() == [1, 2, 1, 2, 1]
+    # and the example is exactly what save_partition writes under the stamp
+    stamp = example.splitlines()[0][2:]
+    buf = io.StringIO()
+    save_partition(part, buf, comments=[stamp])
+    assert buf.getvalue() == example
 
 
 def _draws(rng, d):

@@ -18,6 +18,8 @@ import io
 import os
 import re
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -187,9 +189,10 @@ def mangle(draw, text, snippets):
 
 @st.composite
 def partition_text(draw):
+    """A 1 x n partition file, the groups mostly in 1..n, then mangled."""
     n = draw(st.integers(1, 6))
     group = st.one_of(st.integers(1, n), st.integers(-3, 2**70))
-    rows = [f"{i} {draw(group)}" for i in draw(st.permutations(range(1, n + 1)))]
+    rows = [f"1 {n}", " ".join(str(draw(group)) for _ in range(n))]
     if draw(st.booleans()):
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["# c", "", "  "])))
     text = "\n".join(rows) + draw(st.sampled_from(["\n", ""]))
@@ -429,12 +432,23 @@ def test_partition_round_trip_is_exact(data):
     X = data.draw(arrays(np.float64, (2, n), elements=st.floats(-1e300, 1e300)))
     features = FeatureMatrix(X)
     part = Partition(len(groups), assignment)
-    # lines may come in any order, between comments and blank lines
-    lines = saved(save_partition, part, comments=["g"]).splitlines()
-    lines = data.draw(st.permutations(lines)) + ["", "# end"]
-    back = load_partition(io.StringIO("\n".join(lines)), features)
-    assert same_bits(back.assignment, part.assignment)
-    assert same_bits(back.sizes, part.sizes)
+    text = saved(save_partition, part, comments=["g"])
+    backs = [load_partition(io.StringIO(text), features)]
+    # through a path: its cache, with decoding refused, then the file
+    # decoded once the cache is gone
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "groups.txt"
+        save_partition(part, path, comments=["g"])
+        assert path.read_text(encoding="utf-8") == text
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            refuse_decoding(monkeypatch)
+            backs.append(load_partition(path, features))
+        data_module._cache_path(path).unlink()
+        backs.append(load_partition(path, features))
+    for back in backs:
+        assert back.g == part.g
+        assert same_bits(back.assignment, part.assignment)
+        assert same_bits(back.sizes, part.sizes)
 
 
 def test_readers_accept_any_line_layout():
@@ -550,7 +564,7 @@ def test_writers_output_is_frozen(tmp_path):
     assert path.read_bytes() == b"1 1\n18446744073709551615\n"
     part = Partition(2, [1, 2, 1])
     save_partition(part, path, comments=["groups"])
-    assert path.read_bytes() == b"# groups\n1 1\n2 2\n3 1\n"
+    assert path.read_bytes() == b"# groups\n1 3\n1 2 1\n"
     model = GlocalModel(
         U=np.array([[1 / 3], [-0.0]]),
         V=np.array([[5e-324, 1e-17, 2.0]]),
@@ -995,6 +1009,29 @@ def test_a_file_at_the_cache_path_that_is_no_cache_is_left_as_it_is(tmp_path):
         assert _same_data(load_gml(path), decoded(load_gml, path))
     assert cache.read_bytes() == b"garbage"
     assert sorted(p.name for p in tmp_path.iterdir()) == [cache.name, path.name]
+
+
+def test_a_fifo_at_the_cache_path_is_neither_opened_nor_replaced(tmp_path):
+    # opening a FIFO blocks until a writer comes, so the reads and the
+    # write run in a subprocess whose timeout fails the test, not the suite
+    path, cache = _gml_with_cache(tmp_path)
+    matrix = tmp_path / "m.txt"
+    fifos = [cache, data_module._cache_path(matrix)]
+    for fifo in fifos:
+        os.mkfifo(fifo)
+    script = ("import sys, numpy as np\n"
+              "from glocal.data import load_gml, load_matrix, save_matrix\n"
+              "print(load_gml(sys.argv[1]).n)\n"
+              "save_matrix(np.eye(2), sys.argv[2])\n"
+              "print(load_matrix(sys.argv[2]).tolist())\n")
+    src = str(Path(data_module.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, str(path), str(matrix)], env=env,
+                          capture_output=True, encoding="utf-8", timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3\n[[1.0, 0.0], [0.0, 1.0]]\n", "")
+    assert all(stat.S_ISFIFO(fifo.lstat().st_mode) for fifo in fifos)
+    assert sorted(tmp_path.iterdir()) == sorted([path, matrix, *fifos])
 
 
 def test_a_gml_file_that_fails_to_decode_writes_no_cache(tmp_path):

@@ -30,6 +30,7 @@ from glocal import (
     kmeans,
     laplacian_of,
     split,
+    take_instances,
 )
 from glocal.data import load_matrix, make_synthetic, save_matrix
 
@@ -240,10 +241,13 @@ def test_each_constructor_holds_the_values_given_or_raises_value_error(kind, val
     ("noise", lambda: make_synthetic(5, 20, 3, 2, "1", 0)),
     ("noise", lambda: make_synthetic(5, 20, 3, 2, 10**400, 0)),
     ("seed", lambda: make_synthetic(5, 20, 3, 2, 0.1, -1)),
+    ("instance indices", lambda: take_instances(DATASET, [0, -1])),
+    ("instance indices", lambda: take_instances(DATASET, [4])),
 ], ids=["kmeans-max_iter-2.5", "kmeans-seed-1.5", "kmeans-seed-minus-1", "kmeans-seed-True",
         "split-seed-1.5", "split-fraction-text", "split-fraction-None",
         "split-fraction-10**400", "synthetic-l-2.5", "synthetic-n-True",
-        "synthetic-noise-text", "synthetic-noise-10**400", "synthetic-seed-minus-1"])
+        "synthetic-noise-text", "synthetic-noise-10**400", "synthetic-seed-minus-1",
+        "take_instances-minus-1", "take_instances-n"])
 def test_each_bad_argument_raises_a_value_error_that_names_it(name, call):
     with pytest.raises(ValueError, match=f"^{name} must "):
         call()
