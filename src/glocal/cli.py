@@ -11,9 +11,10 @@ directory, and an output that names the file of any other path of the
 run, input or output (through a link too, as glocal.textio.file_key
 decides), are reported before any work starts; two inputs may name one
 file.  Errors exit with status 1 and a one-line diagnostic.  Every file
-is read and written a line at a time (see glocal.textio), through the
-load_* and save_* functions of its format, which live with their
-modules.  A GML or matrix path has its array cache,
+is read and written a line at a time by glocal.textio, which hashes
+the bytes it moves, through the load_* and save_* functions of its
+format, which live with their modules.  A GML or matrix path naming a
+regular file has its array cache,
 '.<name>.glocal-cache' beside it (see glocal.data): the arrays its
 decoder would return, keyed by the file's bytes.  save_gml and
 save_matrix write it with the file, and load_gml and load_matrix read

@@ -27,10 +27,12 @@ glocal.clustering):
     matrix of the labels apply_mask hid, 0 at every other position;
   * array caches: beside a GML or a matrix file, the arrays load_gml
     or load_matrix decodes from it, in binary, keyed by the file's bytes.
-    A path has its cache: save_gml and save_matrix write it as they
-    write the file, and load_gml and load_matrix read it, or decode the
-    file and write it (see load_gml).  A text stream has none: it is
-    read or written where it stands.
+    A path naming a regular file has its cache: save_gml and save_matrix
+    write it as they write the file, and load_gml and load_matrix read
+    it, or decode the file and write it (see load_gml).  Every file is
+    read and written through glocal.textio, which hashes the bytes it
+    moves.  A text stream, a FIFO or any other source has no cache: it
+    is read or written where it stands, once.
 """
 
 import contextlib
@@ -48,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .textio import comment_lines, file_key, lines, write_lines
+from .textio import comment_lines, file_key, line_writer, lines, write_lines
 
 
 class GmlFormatError(ValueError):
@@ -289,22 +291,18 @@ def _decode_line(line_no, raw, x, y):
         x[i] = value
 
 
-def _require_count(n, found):
-    if found != n:
-        raise GmlFormatError(f"expected {n} instance lines, found {found}")
+def _decode_gml(lines):
+    """The Dataset of the GML text whose lines (textio.lines) are `lines`.
 
-
-def _decode_gml(text):
-    """The Dataset of the GML text stream `text`, decoded from where it stands.
-
-    The stream is read a line at a time (textio.lines) and each instance
-    line is decoded as it arrives, one token at a time, straight into its
-    columns of X and Y, so what the decode holds besides the arrays is
-    one line, never the file's text.  A wrong instance line count is the
-    error to report before any line's fault, so on a bad line the rest of
-    the lines are counted first.
+    Each instance line is decoded as it arrives, one token at a time,
+    straight into its columns of X and Y, so what the decode holds
+    besides the arrays is one line, never the file's text.  A wrong
+    instance line count is the error to report before any line's fault,
+    so every line is counted, in one pass; the lines up to the first
+    fault, and to the header's count, are decoded, and the fault is
+    raised once the count is right.
     """
-    numbered = ((no, raw) for no, raw in enumerate(lines(text), start=1)
+    numbered = ((no, raw) for no, raw in enumerate(lines, start=1)
                 if not raw.startswith("#"))
     header_line, header = next(numbered, (0, None))
     if header is None:
@@ -317,25 +315,25 @@ def _decode_gml(text):
     if n < 1 or d < 1 or l < 2:
         _fail(header_line, f"bad dimensions n={n} d={d} l={l} (need n>=1, d>=1, l>=2)")
 
+    fault = None
     try:
         X = np.zeros((d, n), dtype=np.float64)
         Y = np.zeros((l, n), dtype=np.int8)
     except ValueError:  # numpy cannot even describe an array that large
-        _require_count(n, sum(1 for _ in numbered))
-        _fail(header_line, f"dimensions n={n} d={d} l={l} are too large")
-    except MemoryError:  # a wrong line count is still the error to report
-        _require_count(n, sum(1 for _ in numbered))
-        raise
-    col = -1
-    for col, (line_no, raw) in enumerate(numbered):
-        if col == n:  # one line more than the header says
-            _require_count(n, n + 1 + sum(1 for _ in numbered))
-        try:
-            _decode_line(line_no, raw, X[:, col], Y[:, col])
-        except GmlFormatError:  # a wrong line count outranks it
-            _require_count(n, col + 1 + sum(1 for _ in numbered))
-            raise
-    _require_count(n, col + 1)
+        fault = GmlFormatError(f"line {header_line}: dimensions n={n} d={d} l={l} are too large")
+    except MemoryError as error:
+        fault = error
+    found = 0
+    for found, (line_no, raw) in enumerate(numbered, start=1):
+        if fault is None and found <= n:
+            try:
+                _decode_line(line_no, raw, X[:, found - 1], Y[:, found - 1])
+            except GmlFormatError as error:
+                fault = error
+    if found != n:
+        raise GmlFormatError(f"expected {n} instance lines, found {found}")
+    if fault is not None:
+        raise fault
 
     # X and Y are this decoder's own, so the containers take them uncopied
     return Dataset(_adopt(FeatureMatrix, X), _adopt(LabelMatrix, Y))
@@ -355,41 +353,6 @@ def _decoder_stamp():
     sources = sorted(Path(__file__).parent.glob("*.py"))
     sha = hashlib.sha256(b"\0".join([np.__version__.encode(), *map(Path.read_bytes, sources)]))
     return f" {sha.hexdigest()}\n".encode()
-
-
-class _Sha256Stream(io.RawIOBase):
-    """The binary file `file`, hashing every byte read from or written to it."""
-
-    def __init__(self, file):
-        self.file, self.sha = file, hashlib.sha256()
-
-    def readable(self):
-        return self.file.readable()
-
-    def writable(self):
-        return self.file.writable()
-
-    def readinto(self, buffer):
-        return self._update(buffer, self.file.readinto(buffer))
-
-    def write(self, buffer):
-        return self._update(buffer, self.file.write(buffer))
-
-    def _update(self, buffer, count):
-        self.sha.update(memoryview(buffer)[:count])
-        return count
-
-
-@contextlib.contextmanager
-def _hashed(path, mode):
-    """A UTF-8 text stream reading or writing (mode 'r' or 'w') the file
-    at path, and the SHA-256 of the bytes it passes, whole once the
-    block ends."""
-    with open(path, mode + "b", buffering=0) as file:
-        stream = _Sha256Stream(file)
-        buffered = (io.BufferedReader if mode == "r" else io.BufferedWriter)(stream)
-        with io.TextIOWrapper(buffered, encoding="utf-8") as text:
-            yield text, stream.sha
 
 
 def _cache_path(path):
@@ -412,10 +375,20 @@ def _cache_file(path):
         yield f if f.read(len(_CACHE_MAGIC)) == _CACHE_MAGIC else None
 
 
+def _has_cache(path):
+    """Whether path has an array cache: a path (no stream) naming a
+    regular file, checked with a stat before anything opens it.  A
+    FIFO's bytes are gone once read, so no key could be checked before
+    the decode, and the cache of /dev/null would be written into /dev."""
+    return isinstance(path, (str, os.PathLike)) and os.path.isfile(path)
+
+
 def _read_cache(path, kind, count):
-    """The `count` arrays in path's cache, if its key names path's bytes
-    read as `kind` and each array is in C order, else None, never an
-    error."""
+    """The `count` arrays in path's cache, if path has one (_has_cache),
+    its key names path's bytes read as `kind` and each array is in C
+    order, else None, never an error."""
+    if not _has_cache(path):
+        return None
     with contextlib.suppress(OSError, ValueError, MemoryError), _cache_file(path) as f:
         if f:
             with open(path, "rb") as source:
@@ -432,16 +405,15 @@ def _write_cache(path, sha, kind, arrays):
     hash of path's bytes, read as `kind`, with path's permission bits.
 
     Written through a temporary file, which a failed write removes.
-    Skipped, never an error, where path is no regular file (a pipe's
-    bytes are gone once read, so no key could be checked, and the cache
-    of /dev/null would be written into /dev), the cache path holds
-    anything but a cache (see _cache_file) or a write raises an OSError.
+    Skipped, never an error, where path has no cache (see _has_cache),
+    the cache path holds anything but a cache (see _cache_file) or a
+    write raises an OSError.
     """
+    if not _has_cache(path):
+        return
     cache = _cache_path(path)
     with contextlib.suppress(OSError):
         mode = os.stat(path).st_mode
-        if not stat.S_ISREG(mode):
-            return
         if os.path.lexists(cache):
             with _cache_file(path) as f:
                 if not f:
@@ -468,17 +440,18 @@ def load_gml(path):
     read as int() reads them and values as float() does.  The text is
     decoded a line at a time (see _decode_gml).
 
-    A path is read through its array cache, the file '.<name>.glocal-cache'
-    beside the path as given: _CACHE_MAGIC, a key line, then X (float64)
-    and Y (int8) in .npy format.  The key is the SHA-256 of the GML bytes
-    and the decoder stamp, as hash-based .pyc files are keyed, so neither
-    size nor mtime is trusted.  A hit needs the key and C-order arrays
-    that pass the constructors' checks, and adopts them; anything else is
-    a miss, never an error.  A miss decodes the file through a hashing
-    stream, so the key names exactly the bytes decoded, and writes the
-    cache (see _write_cache).  save_gml writes the same cache as it
-    writes the file.  A text stream is decoded where it stands and gets
-    no cache.
+    A path naming a regular file is read through its array cache, the
+    file '.<name>.glocal-cache' beside the path as given: _CACHE_MAGIC, a
+    key line, then X (float64) and Y (int8) in .npy format.  The key is
+    the SHA-256 of the GML bytes and the decoder stamp, as hash-based
+    .pyc files are keyed, so neither size nor mtime is trusted.  A hit
+    needs the key and C-order arrays that pass the constructors' checks,
+    and adopts them; anything else is a miss, never an error.  A miss
+    decodes the file's lines as textio.lines hashes their bytes, so the
+    key names exactly the bytes decoded, and writes the cache (see
+    _write_cache).  save_gml writes the same cache as it writes the
+    file.  A text stream, a FIFO or any other source that is no regular
+    file has no cache, and is read once, where it stands.
 
     Args:
         path: path, or text file object read from where it stands; an
@@ -490,8 +463,6 @@ def load_gml(path):
     Raises:
         GmlFormatError: on any malformed line, with its line number.
     """
-    if hasattr(path, "read"):
-        return _decode_gml(path)
     hit = _read_cache(path, "gml", 2)
     if hit:
         X, Y = hit
@@ -502,8 +473,8 @@ def load_gml(path):
             with contextlib.suppress(ValueError):
                 check_labels("label", Y)
                 return Dataset(_adopt(FeatureMatrix, X), _adopt(LabelMatrix, Y))
-    with _hashed(path, "r") as (text, sha):
-        data = _decode_gml(text)
+    sha = hashlib.sha256()
+    data = _decode_gml(lines(path, sha))
     _write_cache(path, sha, "gml", (data.features.values, data.labels.values))
     return data
 
@@ -530,10 +501,10 @@ def save_gml(files, comments=()):
     copies of a dataset cost one formatting pass.  The datasets and
     comments are checked before any file is opened.
 
-    Each file is written through a hashing stream and then gets beside
-    it the cache load_gml reads, keyed by the bytes as they were
-    written: the arrays load_gml decodes from the file, so a feature
-    -0.0, which is not written, is cached as +0.0.
+    Each file is written through a textio.line_writer, which hashes the
+    bytes it writes, and then gets beside it the cache load_gml reads,
+    keyed by those bytes: the arrays load_gml decodes from the file, so
+    a feature -0.0, which is not written, is cached as +0.0.
 
     Args:
         files: map from path to Dataset, at least one.  Where two paths
@@ -552,23 +523,25 @@ def save_gml(files, comments=()):
     pieces = np.array([f"{j}:%r" for j in range(1, features.d + 1)], dtype=object)
     ids = np.array([str(j) for j in range(1, max(data.l for data in datasets) + 1)],
                    dtype=object)
-    # one path per file, with the dataset given last for it
-    targets = {file_key(path): (path, data) for path, data in files.items()}
+    # one path per file, with the dataset given last for it and the hash
+    # of the bytes written
+    targets = [(path, data, hashlib.sha256())
+               for path, data in {file_key(p): (p, d) for p, d in files.items()}.values()]
     with contextlib.ExitStack() as stack:
-        sinks = [(path, data, ids[: data.l], *stack.enter_context(_hashed(path, "w")))
-                 for path, data in targets.values()]
-        for _, data, _, stream, _ in sinks:
+        sinks = [(data, ids[: data.l], stack.enter_context(line_writer(path, sha)))
+                 for path, data, sha in targets]
+        for data, _, write in sinks:
             for line in [*head, f"{data.n} {data.d} {data.l}"]:
-                stream.write(line + "\n")
+                write(line)
         for col, x in enumerate(features.values.T):
             fid = np.flatnonzero(x)
             feats = " ".join(pieces[fid].tolist()) % tuple(x[fid].tolist())
-            for _, data, row_ids, stream, _ in sinks:
+            for data, row_ids, write in sinks:
                 y = data.labels.values[:, col]
                 pos, neg = ",".join(row_ids[y == 1]), ",".join(row_ids[y == -1])
-                stream.write(f"+:{pos}|-:{neg}|{feats}\n")
+                write(f"+:{pos}|-:{neg}|{feats}")
     X = np.add(features.values, 0.0, order="C")
-    for path, data, _, _, sha in sinks:
+    for path, data, sha in targets:
         _write_cache(path, sha, "gml", (X, np.ascontiguousarray(data.labels.values)))
 
 
@@ -581,13 +554,14 @@ def save_matrix(A, path, comments=()):
     they are written; the row format is fixed at the call, so a block
     that is not 2-D is refused before the file is opened.
 
-    A path is written through a hashing stream and then gets beside it
-    the cache load_matrix reads, keyed by the bytes as they were
-    written: A in C order and its own dtype, so an int8 label matrix
-    takes a byte an entry, which a read casts to the float64 load_matrix
-    returns.  A matrix holding a value that is not finite gets no cache,
-    since '%.17g' keeps neither the sign nor the payload of a NaN.  A
-    text stream is written where it stands and gets no cache.
+    The file is written through textio.write_lines, which hashes the
+    bytes it writes to a path.  A regular file then gets beside it the
+    cache load_matrix reads, keyed by those bytes: A in C order and its
+    own dtype, so an int8 label matrix takes a byte an entry, which a
+    read casts to the float64 load_matrix returns.  A matrix holding a
+    value that is not finite gets no cache, since '%.17g' keeps neither
+    the sign nor the payload of a NaN.  A text stream, a FIFO or any
+    other sink that is no regular file gets no cache.
 
     Args:
         A: 2-D array of an integer or a float dtype.
@@ -598,11 +572,8 @@ def save_matrix(A, path, comments=()):
         ValueError: if A is not 2-D or holds anything but real numbers
             (complex, text, bools, objects), before the file is opened.
     """
-    lines = _matrix_lines(A, comments)
-    if hasattr(path, "write"):
-        return write_lines(path, lines)
-    with _hashed(path, "w") as (text, sha):
-        write_lines(text, lines)
+    sha = hashlib.sha256()
+    write_lines(path, _matrix_lines(A, comments), sha)
     values = np.ascontiguousarray(A)
     if np.isfinite(values).all():
         _write_cache(path, sha, "matrix", [values])
@@ -619,12 +590,11 @@ def _matrix_lines(A, comments):
     return chain(head, (row_format % tuple(row.tolist()) for row in A))
 
 
-def _decode_matrix(text):
-    """The float64 matrix of the matrix text stream `text`, decoded from
-    where it stands: the stream is read a line at a time (textio.lines)
-    and each value is converted with float() as it arrives, so what the
-    decode holds besides the matrix is one line's tokens."""
-    tokens = chain.from_iterable(line.split() for line in lines(text)
+def _decode_matrix(lines):
+    """The float64 matrix of the matrix text whose lines (textio.lines)
+    are `lines`: each value is converted with float() as it arrives, so
+    what the decode holds besides the matrix is one line's tokens."""
+    tokens = chain.from_iterable(line.split() for line in lines
                                  if not line.startswith("#"))
     header = list(islice(tokens, 2))
     if len(header) < 2:
@@ -653,13 +623,15 @@ def load_matrix(path):
     lines are comments, so a header or a row may span lines or share
     them.  The text is decoded a line at a time (see _decode_matrix).
 
-    A path is read through its array cache, as load_gml reads a GML
-    file's: a hit needs the key and one 2-D array of an integer or a
-    float dtype in C order, and returns it as float64; a miss decodes
-    the file through a hashing stream and writes the float64 it decoded
-    as the cache, unless the matrix holds a value that is not finite.
-    save_matrix writes the same cache as it writes the file.  A text
-    stream is decoded where it stands and gets no cache.
+    A path naming a regular file is read through its array cache, as
+    load_gml reads a GML file's: a hit needs the key and one 2-D array
+    of an integer or a float dtype in C order, and returns it as
+    float64; a miss decodes the file's lines as textio.lines hashes
+    their bytes, and writes the float64 it decoded as the cache, unless
+    the matrix holds a value that is not finite.  save_matrix writes the
+    same cache as it writes the file.  A text stream, a FIFO or any
+    other source that is no regular file has no cache, and is read
+    once, where it stands.
 
     Args:
         path: path, or text file object read from where it stands; an
@@ -671,13 +643,11 @@ def load_matrix(path):
             value (with float()'s message), or a value count other than
             rows * cols.
     """
-    if hasattr(path, "read"):
-        return _decode_matrix(path)
     hit = _read_cache(path, "matrix", 1)
     if hit and hit[0].ndim == 2 and hit[0].dtype.kind in "iuf":
         return hit[0].astype(np.float64, copy=False)
-    with _hashed(path, "r") as (text, sha):
-        A = _decode_matrix(text)
+    sha = hashlib.sha256()
+    A = _decode_matrix(lines(path, sha))
     if np.isfinite(A).all():
         _write_cache(path, sha, "matrix", [A])
     return A

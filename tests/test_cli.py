@@ -1018,6 +1018,34 @@ def test_a_malformed_gml_input_exits_with_its_error_and_writes_no_cache(
     assert list(bad.parent.iterdir()) == [bad]
 
 
+@pytest.mark.parametrize("flag", ["--input", "--scores", "--model"])
+def test_an_undecodable_byte_exits_with_one_line_and_writes_no_cache(
+    tmp_path, pipeline_files, capsys, flag
+):
+    # a 0xff byte, which no UTF-8 text holds, four bytes into the third
+    # line of a GML input, a scores file or a model; the position the
+    # error names counts from the start of that line
+    f = pipeline_files
+    source = {"--input": f["masked"], "--scores": f["scores"], "--model": f["model"]}[flag]
+    bad = tmp_path / "bad" / source.name
+    bad.parent.mkdir()
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2][:3] + b"\xff" + lines[2][3:]
+    bad.write_bytes(b"".join(lines))
+    out = tmp_path / "out"
+    argv = {
+        "--input": ["cluster", "--input", bad, "--groups", 2, "--out", out],
+        "--scores": ["eval", "--scores", bad, "--hidden", f["hidden"], "--out", out],
+        "--model": ["predict", "--model", bad, "--input", f["masked"], "--scores-out", out],
+    }[flag]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert capsys.readouterr() == (
+        "", "error: 'utf-8' codec can't decode byte 0xff in position 3: invalid start byte\n")
+    assert list(bad.parent.iterdir()) == [bad]
+    assert not out.exists()
+
+
 # a dataset mask reads, and the files of the property below: two holding
 # it, two not there yet
 _TINY_GML = "3 2 2\n+:1|-:2|1:1.0\n+:2|-:|2:0.5\n+:|-:1,2|1:2.0 2:1.0\n"

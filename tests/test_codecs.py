@@ -14,6 +14,7 @@ spelling of one file has one textio.file_key.
 import base64
 import contextlib
 import errno
+import hashlib
 import io
 import os
 import re
@@ -678,7 +679,9 @@ LINE_SOURCES = ["path", *(("StringIO", nl) for nl in NEWLINES),
 
 def lines_and_splitlines(source, path):
     """textio.lines of source, and the read().splitlines() of a second
-    copy of it, for the UTF-8 file at path (read_text() for the path)."""
+    copy of it, for the UTF-8 file at path (read_text() for the path).
+    The sha that lines fills holds exactly the path's bytes, and nothing
+    for a stream."""
     def fresh():
         if source == "path":
             return contextlib.nullcontext(path)
@@ -688,8 +691,10 @@ def lines_and_splitlines(source, path):
             return contextlib.nullcontext(io.StringIO(text, newline=newline))
         return open(path, encoding="utf-8", newline=newline)
 
+    sha = hashlib.sha256()
     with fresh() as stream:
-        got = list(textio.lines(stream))
+        got = list(textio.lines(stream, sha))
+    assert sha.digest() == hashlib.sha256(path.read_bytes() if source == "path" else b"").digest()
     with fresh() as stream:
         text = path.read_text(encoding="utf-8") if source == "path" else stream.read()
     return got, text.splitlines()
@@ -702,6 +707,16 @@ def test_lines_join_to_read_text_splitlines(tmp_path_factory, text, source):
     path.write_bytes(text.encode("utf-8"))
     got, want = lines_and_splitlines(source, path)
     assert got == want
+    # written back, they read as themselves, and the sha write_lines
+    # fills holds exactly the bytes it wrote to a path, and nothing for a
+    # stream
+    out = path.with_name("out.txt")
+    shas = [hashlib.sha256(), hashlib.sha256()]
+    textio.write_lines(out, got, shas[0])
+    textio.write_lines(io.StringIO(), got, shas[1])
+    assert [sha.digest() for sha in shas] == [
+        hashlib.sha256(out.read_bytes()).digest(), hashlib.sha256().digest()]
+    assert list(textio.lines(out)) == got
 
 
 @pytest.mark.parametrize("text, want", [
@@ -1011,9 +1026,18 @@ def test_a_file_at_the_cache_path_that_is_no_cache_is_left_as_it_is(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [cache.name, path.name]
 
 
+def _python(script, *args):
+    """script run with args by a fresh interpreter that imports this
+    glocal.  Opening a FIFO blocks until its other end comes, so a run
+    that blocks fails its test, by a timeout, not the suite."""
+    src = str(Path(data_module.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, encoding="utf-8", timeout=60)
+
+
 def test_a_fifo_at_the_cache_path_is_neither_opened_nor_replaced(tmp_path):
-    # opening a FIFO blocks until a writer comes, so the reads and the
-    # write run in a subprocess whose timeout fails the test, not the suite
     path, cache = _gml_with_cache(tmp_path)
     matrix = tmp_path / "m.txt"
     fifos = [cache, data_module._cache_path(matrix)]
@@ -1024,14 +1048,43 @@ def test_a_fifo_at_the_cache_path_is_neither_opened_nor_replaced(tmp_path):
               "print(load_gml(sys.argv[1]).n)\n"
               "save_matrix(np.eye(2), sys.argv[2])\n"
               "print(load_matrix(sys.argv[2]).tolist())\n")
-    src = str(Path(data_module.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, str(path), str(matrix)], env=env,
-                          capture_output=True, encoding="utf-8", timeout=60)
+    proc = _python(script, path, matrix)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3\n[[1.0, 0.0], [0.0, 1.0]]\n", "")
     assert all(stat.S_ISFIFO(fifo.lstat().st_mode) for fifo in fifos)
     assert sorted(tmp_path.iterdir()) == sorted([path, matrix, *fifos])
+
+
+def test_a_fifo_beside_a_stale_cache_is_read_once(tmp_path):
+    # a FIFO's bytes are gone once read: hashing them for the key of the
+    # regular cache beside it would leave none to decode, and opening the
+    # FIFO again would block
+    gml, matrix = tmp_path / "set.gml", tmp_path / "m.txt"
+    save_gml({gml: _DATA})
+    save_matrix(_MATRIX, matrix)
+    caches = {cache: cache.read_bytes() for cache in map(data_module._cache_path, (gml, matrix))}
+    for path in (gml, matrix):
+        path.unlink()
+        os.mkfifo(path)
+    # each FIFO gets other text than its cache's, from a thread of the run
+    texts = [_GML, saved(save_matrix, np.eye(2))]
+    script = ("import sys, threading\n"
+              "from glocal.data import load_gml, load_matrix\n"
+              "def feed(path, text):\n"
+              "    with open(path, 'w', encoding='utf-8') as fifo:\n"
+              "        fifo.write(text)\n"
+              "for path, text in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+              "    threading.Thread(target=feed, args=(path, text), daemon=True).start()\n"
+              "    if path.endswith('.gml'):\n"
+              "        data = load_gml(path)\n"
+              "        print(data.features.values.tolist(), data.labels.values.tolist())\n"
+              "    else:\n"
+              "        print(load_matrix(path).tolist())\n")
+    proc = _python(script, gml, texts[0], matrix, texts[1])
+    want = parse_gml(texts[0])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (f"{want.features.values.tolist()} {want.labels.values.tolist()}\n"
+                           f"{read_matrix(texts[1]).tolist()}\n")
+    assert {cache: cache.read_bytes() for cache in caches} == caches
 
 
 def test_a_gml_file_that_fails_to_decode_writes_no_cache(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from glocal import data as data_module
+from glocal import textio
 from glocal.data import (
     Dataset,
     FeatureMatrix,
@@ -214,7 +215,7 @@ def test_datasets_sharing_features_write_as_from_fresh_copies(
         opened.append(path)
         return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(data_module, "open", counted_open, raising=False)
+    monkeypatch.setattr(textio, "open", counted_open, raising=False)
     save_gml({str(paths[0]): full, f"{tmp_path}/./full.gml": masked})
     save_gml({paths[1]: masked, tmp_path / "hard.gml": full})
     assert len([path for path in opened if str(path).endswith(".gml")]) == 2
@@ -225,7 +226,7 @@ def test_datasets_sharing_features_write_as_from_fresh_copies(
 
 
 def test_saving_no_dataset_is_refused_before_any_file_is_opened(monkeypatch):
-    monkeypatch.setattr(data_module, "open", lambda *args, **kwargs: pytest.fail("opened"),
+    monkeypatch.setattr(textio, "open", lambda *args, **kwargs: pytest.fail("opened"),
                         raising=False)
     with pytest.raises(ValueError, match=r"^save_gml needs at least one file to write$"):
         save_gml({})
